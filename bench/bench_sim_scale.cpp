@@ -3,7 +3,7 @@
 // Long-horizon stress for sim::Engine::RunParallel under the cluster
 // router: drives a ~100k-request Poisson trace through 8 cards in
 // segments, once with the serial driver and once with parallel ticking,
-// and gates on three properties every run:
+// and gates on four properties every run:
 //
 //  1. identity (hard): token streams, completion times, makespan, and
 //     request->shard assignment are byte-identical serial vs parallel in
@@ -15,7 +15,12 @@
 //  3. memory stability: RSS sampled after every parallel segment; the
 //     final sample must stay within --rss-slack-mb (default 96) of the
 //     first, catching leaks in the per-phase staging machinery
-//     (TelemetryStage maps, lane queues, engine heap churn).
+//     (TelemetryStage maps, lane queues, engine heap churn);
+//  4. long-session memory: the same segment traces then run back to back
+//     through ONE api::Engine. Its KV pools keep the fp32 payload of every
+//     block they have handed out (a cached block is evicted only once the
+//     pool has used every id), so RSS may grow by exactly that payload;
+//     growth beyond it must stay within --rss-slack-mb.
 //
 //   ./bench/bench_sim_scale [--preset tiny] [--requests 100000]
 //                           [--segments 8] [--cards 8] [--seed 11]
@@ -32,6 +37,8 @@
 #include <thread>
 #include <vector>
 
+#include "accel/kv_pages.hpp"
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
@@ -125,7 +132,7 @@ int main(int argc, char** argv) {
   double rss_last_mb = 0.0;
   std::int64_t total_tokens = 0;
 
-  for (int s = 0; s < n_segments; ++s) {
+  const auto segment_trace = [&](int s) {
     serving::WorkloadConfig wc;
     wc.num_requests = per_segment;
     wc.rate_rps = 3000.0;  // saturating: keeps all lanes busy
@@ -135,7 +142,11 @@ int main(int argc, char** argv) {
     wc.max_new_tokens = gen;
     wc.vocab_size = config.vocab_size;
     Rng rng(seed + static_cast<std::uint64_t>(s));
-    const auto reqs = serving::PoissonTrace(rng, wc);
+    return serving::PoissonTrace(rng, wc);
+  };
+
+  for (int s = 0; s < n_segments; ++s) {
+    const auto reqs = segment_trace(s);
 
     auto t0 = std::chrono::steady_clock::now();
     auto serial = serving::ClusterRouter(program, weights, cards,
@@ -206,6 +217,76 @@ int main(int argc, char** argv) {
       static_cast<long long>(total_tokens), serial_total_s, parallel_total_s,
       speedup, rss_first_mb, rss_last_mb, n_segments);
 
+  // Long-session phase: every segment's trace, back to back, through one
+  // engine that lives for the whole run.
+  api::EngineConfig session_config;
+  session_config.placement = serial_config.placement;
+  session_config.rebalance_queued = serial_config.rebalance_queued;
+  session_config.sampler = sampler;
+  api::Engine session(program, weights, cards, session_config);
+  const double block_payload_mib =
+      static_cast<double>(
+          accel::KvBlockLayout{config.n_layers, config.kv_dim(),
+                               session_config.scheduler.block_size_tokens}
+              .block_floats() *
+          static_cast<std::int64_t>(sizeof(float))) /
+      (1024.0 * 1024.0);
+  const auto payload_mib = [&] {
+    std::int64_t blocks = 0;
+    for (int c = 0; c < session.num_cards(); ++c) {
+      blocks += session.kv_pool_stats(c).materialized_blocks;
+    }
+    return static_cast<double>(blocks) * block_payload_mib;
+  };
+  Table session_table({"segment", "requests", "wall_s", "payload_mib",
+                       "rss_mib"});
+  double session_rss_first_mb = 0.0;
+  double session_rss_last_mb = 0.0;
+  double session_payload_first_mib = 0.0;
+  double session_payload_last_mib = 0.0;
+  for (int s = 0; s < n_segments; ++s) {
+    const double offset = session.now_seconds();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (serving::ServingRequest req : segment_trace(s)) {
+      req.arrival_seconds += offset;
+      auto handle = session.Submit(std::move(req));
+      if (!handle.ok()) {
+        std::fprintf(stderr, "session segment %d: %s\n", s,
+                     handle.status().ToString().c_str());
+        return 1;
+      }
+    }
+    session.RunToCompletion();
+    const double wall_s = Seconds(t0, std::chrono::steady_clock::now());
+    const double rss = RssMib();
+    const double payload = payload_mib();
+    if (s == std::min(1, n_segments - 1)) {
+      session_rss_first_mb = rss;
+      session_payload_first_mib = payload;
+    }
+    session_rss_last_mb = rss;
+    session_payload_last_mib = payload;
+    session_table.AddRow();
+    session_table.Cell(static_cast<std::int64_t>(s));
+    session_table.Cell(static_cast<std::int64_t>(per_segment));
+    session_table.Cell(wall_s, 2);
+    session_table.Cell(payload, 1);
+    session_table.Cell(rss, 1);
+  }
+  std::printf("\n== one long session (api::Engine) ==\n\n");
+  session_table.Print();
+  const double session_rss_growth_mb =
+      session_rss_last_mb - session_rss_first_mb;
+  const double session_payload_growth_mib =
+      session_payload_last_mib - session_payload_first_mib;
+  const double session_excess_mb =
+      session_rss_growth_mb - session_payload_growth_mib;
+  std::printf(
+      "\nsession RSS %.1f -> %.1f MiB; KV payload %.1f -> %.1f MiB; growth "
+      "beyond the payload %.1f MiB.\n",
+      session_rss_first_mb, session_rss_last_mb, session_payload_first_mib,
+      session_payload_last_mib, session_excess_mb);
+
   const std::string json_path = cl.GetString("json", "");
   if (!json_path.empty() &&
       !bench::WriteBenchJson(
@@ -215,7 +296,17 @@ int main(int argc, char** argv) {
            {"wall_speedup", speedup},
            {"serial_wall_seconds", serial_total_s},
            {"parallel_wall_seconds", parallel_total_s},
-           {"rss_growth_mib", rss_growth_mb}})) {
+           {"rss_growth_mib", rss_growth_mb},
+           {"session_rss_growth_mib", session_rss_growth_mb},
+           {"session_payload_mib", session_payload_last_mib},
+           {"session_excess_rss_mib", session_excess_mb}})) {
+    return 1;
+  }
+  if (session_rss_first_mb > 0.0 && session_excess_mb > rss_slack_mb) {
+    std::fprintf(stderr,
+                 "FAIL: one-session RSS grew %.1f MiB beyond its KV payload "
+                 "(slack %.1f)\n",
+                 session_excess_mb, rss_slack_mb);
     return 1;
   }
 

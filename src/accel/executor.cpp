@@ -1,5 +1,6 @@
 #include "accel/executor.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -72,20 +73,29 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
     }
   }
 
-  // Allocate activation / KV-cache / output storage.
+  // Allocate activation / output storage; K/V caches are paged.
   store_.resize(dg.graph.values().size());
+  kv_plane_.assign(dg.graph.values().size(), -1);
   for (const auto& v : dg.graph.values()) {
-    if (v.kind == graph::ValueKind::kWeight) continue;
+    if (v.kind == graph::ValueKind::kWeight ||
+        v.kind == graph::ValueKind::kKvCache) {
+      continue;
+    }
     store_[v.id] = TensorF::Zeros(Shape{v.elements});
+  }
+  for (std::size_t l = 0; l < dg.layers.size(); ++l) {
+    kv_plane_[dg.layers[l].k_cache] = static_cast<std::int32_t>(l * 2);
+    kv_plane_[dg.layers[l].v_cache] = static_cast<std::int32_t>(l * 2 + 1);
   }
 }
 
 void Executor::ResetSequence() {
-  for (const auto& v : program_->dg.graph.values()) {
-    if (v.kind == graph::ValueKind::kKvCache) {
-      std::memset(store_[v.id].data(), 0, store_[v.id].size_bytes());
-    }
-  }
+  std::fill(own_kv_.begin(), own_kv_.end(), 0.0f);
+}
+
+KvBlockLayout Executor::KvLayout(std::int64_t block_tokens) const {
+  const auto& cfg = program_->model;
+  return KvBlockLayout{cfg.n_layers, cfg.kv_dim(), block_tokens};
 }
 
 void Executor::ResetStats() {
@@ -115,7 +125,7 @@ std::uint64_t Executor::SeqScale(std::uint64_t amount, bool scaled,
 }
 
 void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
-                              std::int32_t pos) {
+                              std::int32_t pos, const KvPages& kv) {
   const auto& g = program_->dg.graph;
   const auto& op = g.op(instr.op);
   const auto& cfg = program_->model;
@@ -183,36 +193,42 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
       break;
     }
     case ComputeKind::kKvWrite: {
-      const std::int64_t kv_dim = cfg.kv_dim();
-      auto& k_rot = Buffer(op.inputs[0]);
-      auto& v_new = Buffer(op.inputs[1]);
-      auto& k_cache = Buffer(op.outputs[0]);
-      auto& v_cache = Buffer(op.outputs[1]);
-      std::memcpy(k_cache.data() + static_cast<std::int64_t>(pos) * kv_dim,
-                  k_rot.data(),
-                  static_cast<std::size_t>(kv_dim) * sizeof(float));
-      std::memcpy(v_cache.data() + static_cast<std::int64_t>(pos) * kv_dim,
-                  v_new.data(),
-                  static_cast<std::size_t>(kv_dim) * sizeof(float));
+      const KvBlockLayout& l = kv.layout;
+      const std::size_t bytes =
+          static_cast<std::size_t>(l.kv_dim) * sizeof(float);
+      float* blk = kv.block(static_cast<std::size_t>(pos / l.block_tokens));
+      const std::int64_t row = pos % l.block_tokens;
+      for (std::size_t i = 0; i < 2; ++i) {
+        const std::int32_t plane = kv_plane_[op.outputs[i]];
+        std::memcpy(blk + l.Offset(plane / 2, plane % 2, row),
+                    Buffer(op.inputs[i]).data(), bytes);
+      }
       break;
     }
     case ComputeKind::kAttScores: {
       auto& q = Buffer(op.inputs[0]);
-      auto& k_cache = Buffer(op.inputs[1]);
       auto& scores = Buffer(op.outputs[0]);
+      const KvBlockLayout& l = kv.layout;
+      const std::int32_t plane = kv_plane_[op.inputs[1]];
+      const std::int64_t plane_offset = l.Offset(plane / 2, plane % 2, 0);
       const std::int32_t hd = op.head_dim;
-      const std::int64_t kv_dim = cfg.kv_dim();
       const std::int32_t gqa = cfg.gqa_group();
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
       for (std::int32_t h = 0; h < op.n_heads; ++h) {
         const float* qh = q.data() + h * hd;
-        const float* k_base = k_cache.data() + (h / gqa) * hd;
         float* srow = scores.data() + static_cast<std::int64_t>(h) * cfg.seq_len;
-        for (std::int32_t t = 0; t <= pos; ++t) {
-          const float* krow = k_base + static_cast<std::int64_t>(t) * kv_dim;
-          float acc = 0.0f;
-          for (std::int32_t i = 0; i < hd; ++i) acc += qh[i] * krow[i];
-          srow[t] = acc * scale;
+        // Positions 0..pos in order, one block's rows at a time.
+        for (std::int64_t t0 = 0, b = 0; t0 <= pos; t0 += l.block_tokens, ++b) {
+          const float* k_base = kv.block(static_cast<std::size_t>(b)) +
+                                plane_offset + (h / gqa) * hd;
+          const std::int64_t rows = std::min<std::int64_t>(
+              l.block_tokens, static_cast<std::int64_t>(pos) + 1 - t0);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            const float* krow = k_base + r * l.kv_dim;
+            float acc = 0.0f;
+            for (std::int32_t i = 0; i < hd; ++i) acc += qh[i] * krow[i];
+            srow[t0 + r] = acc * scale;
+          }
         }
       }
       break;
@@ -231,20 +247,27 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
     }
     case ComputeKind::kAttMix: {
       auto& probs = Buffer(op.inputs[0]);
-      auto& v_cache = Buffer(op.inputs[1]);
       auto& out = Buffer(op.outputs[0]);
+      const KvBlockLayout& l = kv.layout;
+      const std::int32_t plane = kv_plane_[op.inputs[1]];
+      const std::int64_t plane_offset = l.Offset(plane / 2, plane % 2, 0);
       const std::int32_t hd = op.head_dim;
-      const std::int64_t kv_dim = cfg.kv_dim();
       const std::int32_t gqa = cfg.gqa_group();
       for (std::int32_t h = 0; h < op.n_heads; ++h) {
         const float* prow = probs.data() + static_cast<std::int64_t>(h) * cfg.seq_len;
-        const float* v_base = v_cache.data() + (h / gqa) * hd;
         float* orow = out.data() + h * hd;
         for (std::int32_t i = 0; i < hd; ++i) orow[i] = 0.0f;
-        for (std::int32_t t = 0; t <= pos; ++t) {
-          const float* vrow = v_base + static_cast<std::int64_t>(t) * kv_dim;
-          float s = prow[t];
-          for (std::int32_t i = 0; i < hd; ++i) orow[i] += s * vrow[i];
+        // Positions 0..pos in order, one block's rows at a time.
+        for (std::int64_t t0 = 0, b = 0; t0 <= pos; t0 += l.block_tokens, ++b) {
+          const float* v_base = kv.block(static_cast<std::size_t>(b)) +
+                                plane_offset + (h / gqa) * hd;
+          const std::int64_t rows = std::min<std::int64_t>(
+              l.block_tokens, static_cast<std::int64_t>(pos) + 1 - t0);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            const float* vrow = v_base + r * l.kv_dim;
+            float s = prow[t0 + r];
+            for (std::int32_t i = 0; i < hd; ++i) orow[i] += s * vrow[i];
+          }
         }
       }
       break;
@@ -279,6 +302,16 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
 
 StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
                                                    std::int32_t pos) {
+  const KvBlockLayout layout = KvLayout(program_->model.seq_len);
+  if (own_kv_.empty()) {
+    own_kv_.assign(static_cast<std::size_t>(layout.block_floats()), 0.0f);
+  }
+  return Forward(token, pos, KvPages{own_kv_.data(), layout, own_table_});
+}
+
+StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
+                                                   std::int32_t pos,
+                                                   const KvPages& kv) {
   const auto& cfg = program_->model;
   if (token < 0 || token >= cfg.vocab_size) {
     return InvalidArgument("token out of range");
@@ -286,6 +319,16 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
   if (pos < 0 || pos >= cfg.seq_len) {
     return OutOfRange("pos " + std::to_string(pos) + " >= seq_len " +
                       std::to_string(cfg.seq_len));
+  }
+  const KvBlockLayout want = KvLayout(kv.layout.block_tokens);
+  if (kv.arena == nullptr || kv.layout.block_tokens <= 0 ||
+      kv.layout.n_layers != want.n_layers || kv.layout.kv_dim != want.kv_dim) {
+    return InvalidArgument("KV pages do not match the model's K/V geometry");
+  }
+  if (pos >= kv.capacity_tokens()) {
+    return OutOfRange("pos " + std::to_string(pos) +
+                      " is past the block table's " +
+                      std::to_string(kv.capacity_tokens()) + " tokens");
   }
   const ExecConfig& ex = program_->exec;
 
@@ -360,7 +403,7 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
         sim::Station& st = station_for(instr.unit);
         start = st.Acquire(ready, dur);
         end = start + dur;
-        ExecuteCompute(instr, token, pos);
+        ExecuteCompute(instr, token, pos, kv);
         break;
       }
     }

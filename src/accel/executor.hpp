@@ -6,6 +6,12 @@
 // instruction is also scheduled onto the U280 timing model: serial
 // stations (DMA engines, MPE, SFU, control) plus the HBM channel model.
 // Energy is accumulated per activity and finalized per token.
+//
+// K/V are addressed through a block table (accel/kv_pages.hpp): the
+// serving stack passes the KvBlockPool's pages of the sequence being
+// run, so one executor serves every resident sequence of a card.
+// Standalone callers use the executor's own one-block table of seq_len
+// tokens through the same code path.
 #pragma once
 
 #include <array>
@@ -14,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "accel/kv_pages.hpp"
 #include "accel/program.hpp"
 #include "common/status.hpp"
 #include "common/tensor.hpp"
@@ -46,14 +53,30 @@ class Executor {
   Executor(const Program& program, const llama::Weights& weights,
            const hw::U280Config& u280);
 
-  /// Clears the KV cache (start of a new sequence).
+  /// Clears the executor-owned K/V (start of a new standalone sequence).
   void ResetSequence();
 
-  /// Runs the program for `token` at `pos`. Returns the logits view
-  /// (valid until the next Forward call). Timing/energy for this token
-  /// land in last_stats(); totals accumulate until ResetStats().
+  /// Runs the program for `token` at `pos` against the executor-owned
+  /// one-block table of seq_len tokens. Returns the logits view (valid
+  /// until the next Forward call). Timing/energy for this token land in
+  /// last_stats(); totals accumulate until ResetStats().
   StatusOr<std::span<const float>> Forward(std::int32_t token,
                                            std::int32_t pos);
+
+  /// Runs the program for `token` at `pos` against `kv`: K/V of `pos`
+  /// are written to row pos % block_tokens of block table[pos /
+  /// block_tokens], and attention reads positions [0, pos] block by
+  /// block. The accumulation order does not depend on the block size,
+  /// so logits are bit-identical for every table holding the same K/V.
+  /// `kv.layout` must match KvLayout(kv.layout.block_tokens) and the
+  /// table must cover `pos`.
+  StatusOr<std::span<const float>> Forward(std::int32_t token,
+                                           std::int32_t pos,
+                                           const KvPages& kv);
+
+  /// The block geometry this program's K/V takes at `block_tokens`
+  /// tokens per block.
+  KvBlockLayout KvLayout(std::int64_t block_tokens) const;
 
   const TokenRunStats& last_stats() const { return last_stats_; }
   const TokenRunStats& total_stats() const { return total_stats_; }
@@ -68,7 +91,7 @@ class Executor {
  private:
   // Functional helpers.
   void ExecuteCompute(const Instr& instr, std::int32_t token,
-                      std::int32_t pos);
+                      std::int32_t pos, const KvPages& kv);
   TensorF& Buffer(graph::ValueId v);
   std::span<const float> WeightSpan(graph::ValueId v) const;
 
@@ -85,8 +108,13 @@ class Executor {
   // Quantized copies for the int8 datapath (built lazily at construction).
   std::map<graph::ValueId, quant::QuantizedTensor> quant_map_;
 
-  // Activation / KV-cache storage indexed by ValueId.
+  // Activation storage indexed by ValueId (K/V caches live in KvPages).
   std::vector<TensorF> store_;
+  // K/V cache ValueId -> plane index layer * 2 + (0 = K, 1 = V); -1 else.
+  std::vector<std::int32_t> kv_plane_;
+  // Standalone K/V: one block of seq_len tokens, allocated on first use.
+  std::vector<float> own_kv_;
+  std::int32_t own_table_[1] = {0};
 
   TokenRunStats last_stats_;
   TokenRunStats total_stats_;

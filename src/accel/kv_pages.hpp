@@ -1,0 +1,72 @@
+// SpeedLLM -- paged K/V addressing shared by the executor and the KV pool.
+//
+// K/V live in fixed-size physical blocks, vLLM PagedAttention style. One
+// block holds `block_tokens` consecutive tokens laid out
+// [layer][K|V][block_tokens][kv_dim] in fp32, so a whole block is one
+// contiguous span (copy-on-write is one memcpy) and one (layer, K|V)
+// plane of a block is a dense [block_tokens, kv_dim] matrix the attention
+// loops walk row by row. A sequence's block table maps its token position
+// `pos` to row `pos % block_tokens` of block `table[pos / block_tokens]`.
+#pragma once
+
+#include <cstdint>
+#include <span>
+
+namespace speedllm::accel {
+
+/// Geometry of one physical K/V block.
+struct KvBlockLayout {
+  /// Transformer layers (each stores one K and one V plane per block).
+  std::int64_t n_layers = 0;
+  /// Elements of one K (or V) row: n_kv_heads * head_dim.
+  std::int64_t kv_dim = 0;
+  /// Tokens per block.
+  std::int64_t block_tokens = 0;
+
+  /// fp32 elements one block occupies.
+  std::int64_t block_floats() const {
+    return 2 * n_layers * block_tokens * kv_dim;
+  }
+  /// fp32 elements one token's K and V occupy across all layers.
+  std::int64_t row_floats() const { return 2 * n_layers * kv_dim; }
+  /// Offset of row `row` of plane (`layer`, `kv`; 0 = K, 1 = V) inside a
+  /// block.
+  std::int64_t Offset(std::int64_t layer, std::int64_t kv,
+                      std::int64_t row) const {
+    return ((layer * 2 + kv) * block_tokens + row) * kv_dim;
+  }
+};
+
+/// One sequence's K/V as a forward pass sees it: physical block `b`
+/// starts at `arena + b * layout.block_floats()`, and `table` lists the
+/// sequence's blocks in token order.
+struct KvPages {
+  /// Base of the block arena.
+  float* arena = nullptr;
+  /// Geometry every block in the arena shares.
+  KvBlockLayout layout;
+  /// Physical block ids in token order.
+  std::span<const std::int32_t> table;
+
+  /// Start of the `i`-th block of the table.
+  float* block(std::size_t i) const {
+    return arena + static_cast<std::int64_t>(table[i]) * layout.block_floats();
+  }
+  /// Tokens the table can address.
+  std::int64_t capacity_tokens() const {
+    return static_cast<std::int64_t>(table.size()) * layout.block_tokens;
+  }
+};
+
+/// Copies token positions [begin, end) of `pages` into `rows`, token-major:
+/// each token's row_floats() elements ordered [layer][K|V][kv_dim]. This
+/// is the block-size-independent form K/V travels in between pools.
+void GatherKvRows(const KvPages& pages, std::int64_t begin, std::int64_t end,
+                  float* rows);
+
+/// Inverse of GatherKvRows: writes token-major `rows` into positions
+/// [begin, end) of `pages`.
+void ScatterKvRows(const KvPages& pages, std::int64_t begin, std::int64_t end,
+                   const float* rows);
+
+}  // namespace speedllm::accel

@@ -160,8 +160,8 @@ class Engine {
   StatusOr<RequestHandle> Submit(serving::ServingRequest request,
                                  StreamCallbacks callbacks = {});
 
-  /// Aborts an in-flight request: frees its KV blocks and executor slot,
-  /// guarantees no further on_token, and fires on_finish with
+  /// Aborts an in-flight request: frees its KV blocks, guarantees no
+  /// further on_token, and fires on_finish with
   /// FinishReason::kCancelled before returning. NotFound for unknown
   /// handles, FailedPrecondition when the request already finished.
   Status Cancel(RequestHandle handle);

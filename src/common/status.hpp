@@ -79,6 +79,7 @@ class StatusOr {
   }
 
   bool ok() const { return value_.has_value(); }
+  /// The error, or OK when a value is held.
   const Status& status() const { return status_; }
 
   T& value() & {
@@ -101,7 +102,7 @@ class StatusOr {
 
  private:
   std::optional<T> value_;
-  Status status_ = Internal("uninitialized StatusOr");
+  Status status_;  // OK (no allocation) unless constructed from an error
 };
 
 /// Propagates errors out of the enclosing function.

@@ -772,14 +772,21 @@ bool ClusterSession::MaybeFetchPrefix(std::size_t stream_index,
   ++remote_hits_;
   remote_hit_tokens_ += delta_tokens;
   const std::int64_t fetch_tokens = loc.matched_tokens;
+  // The pages leave the source now: snapshot their K/V, since the source
+  // may evict the blocks before the transfer lands.
+  std::vector<float> rows =
+      shards_[static_cast<std::size_t>(src)]->pool().CachedPrefixRows(
+          request.prompt, fetch_tokens);
   engine_.ScheduleAt(
-      window.end, [this, stream_index, dst, fetch_tokens, delta_tokens] {
+      window.end, [this, stream_index, dst, fetch_tokens, delta_tokens,
+                   rows = std::move(rows)] {
         StreamRecord& rec = records_[stream_index];
         if (rec.cancelled) return;  // cancelled while the fetch flew
         // The fetched pages land as ownerless cached blocks (no local
         // DMA: the interconnect already charged the write leg), then
         // the normal admission path maps them as a local cache hit.
-        shards_[dst]->InstallCachedPrefix(rec.request->prompt, fetch_tokens);
+        shards_[dst]->mutable_pool().InstallCachedPrefix(
+            rec.request->prompt, fetch_tokens, rows);
         if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
           obs::RequestEvent ev = RouterEvent(
               obs::RequestEventKind::kRemoteHit,
@@ -803,7 +810,7 @@ void ClusterSession::ImportPrefixDirectory(
   for (const PrefixDirectorySnapshot::Chain& chain : snapshot.chains) {
     const std::size_t card = static_cast<std::size_t>(chain.card);
     if (chain.card < 0 || card >= shards_.size()) continue;
-    shards_[card]->InstallCachedPrefix(
+    shards_[card]->WarmStartPrefix(
         chain.tokens, static_cast<std::int64_t>(chain.tokens.size()));
   }
 }
@@ -851,6 +858,7 @@ ClusterReport ClusterSession::Harvest() {
     ServingReport& m = report.merged;
     m.total_tokens += shard.total_tokens;
     m.recomputed_tokens += shard.recomputed_tokens;
+    m.executor_forwards += shard.executor_forwards;
     m.preemptions += shard.preemptions;
     m.stopped_requests += shard.stopped_requests;
     m.cancelled_requests += shard.cancelled_requests;

@@ -117,10 +117,12 @@ struct KvHandoff {
   std::size_t stream_index = 0;
   /// Mid-stream sampler state (already consumed the first token's draw).
   llama::Sampler sampler{llama::SamplerConfig{}};
-  /// Prompt tokens already forwarded on the prefill shard; the decode
-  /// shard rebuilds its executor KV from these at zero simulated compute
-  /// (the KV pages arrive over the interconnect).
+  /// Prompt tokens already forwarded on the prefill shard.
   std::vector<std::int32_t> fed;
+  /// K/V of every `fed` token, token-major (accel::GatherKvRows form).
+  /// The decode shard copies them into its pool blocks at zero simulated
+  /// compute (the pages arrive over the interconnect).
+  std::vector<float> kv_rows;
   /// First sampled token, not yet committed or emitted.
   std::int32_t pending_token = -1;
   /// Outcome accumulated so far (arrival/admission/TTFT stamped on the

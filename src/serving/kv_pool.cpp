@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace speedllm::serving {
 
@@ -86,24 +87,24 @@ KvPoolConfig MakeKvPoolConfig(const llama::ModelConfig& model,
   config.dtype = dtype;
   config.quant_metadata_bytes = KvQuantMetadataBytesPerBlock(model, dtype);
   config.enable_prefix_cache = enable_prefix_cache;
+  config.payload_layers = model.n_layers;
+  config.payload_kv_dim = model.kv_dim();
   return config;
 }
 
 KvBlockPool::KvBlockPool(const KvPoolConfig& config)
-    : config_(config), chain_seed_(KvChainSeed(config.dtype)) {
+    : config_(config),
+      chain_seed_(KvChainSeed(config.dtype)),
+      block_floats_(config.payload_layout().block_floats()) {
   assert(config_.bytes_per_token > 0 && "bytes_per_token must be set");
   assert(config_.block_size_tokens > 0 && "block_size_tokens must be set");
+  assert(block_floats_ > 0 && "payload geometry must be set");
   const std::uint64_t block_bytes = config_.block_bytes();
   num_blocks_ =
       block_bytes == 0
           ? 0
           : static_cast<std::int64_t>(config_.pool_bytes / block_bytes);
-  free_list_.reserve(static_cast<std::size_t>(num_blocks_));
-  // Push descending so the LIFO hands out ids 0, 1, 2, ... first.
-  for (std::int64_t b = num_blocks_ - 1; b >= 0; --b) {
-    free_list_.push_back(static_cast<std::int32_t>(b));
-  }
-  meta_.resize(static_cast<std::size_t>(num_blocks_));
+  // Metadata and payload materialize lazily in AllocateBlock.
 }
 
 std::int64_t KvBlockPool::BlocksForTokens(std::int64_t tokens) const {
@@ -157,20 +158,29 @@ PrefixMatch KvBlockPool::MatchCachedPrefix(
 }
 
 std::int64_t KvBlockPool::InstallCachedPrefix(
-    std::span<const std::int32_t> tokens, std::int64_t max_tokens) {
+    std::span<const std::int32_t> tokens, std::int64_t max_tokens,
+    std::span<const float> rows) {
   if (!config_.enable_prefix_cache) return 0;
   const std::int64_t bs = config_.block_size_tokens;
   const std::int64_t limit =
       std::min(static_cast<std::int64_t>(tokens.size()), max_tokens);
   std::uint64_t h = chain_seed_;
   std::int64_t full = 0;
+  const std::int64_t row_floats = config_.payload_layout().row_floats();
   while ((full + 1) * bs <= limit) {
     const auto block_tokens = tokens.subspan(
         static_cast<std::size_t>(full * bs), static_cast<std::size_t>(bs));
     const std::uint64_t next = MixBlock(h, block_tokens);
     if (cache_.find(next) == cache_.end()) {
+      const auto block_rows = static_cast<std::size_t>(bs * row_floats);
+      const auto rows_at = static_cast<std::size_t>(full * bs * row_floats);
+      if (rows.size() < rows_at + block_rows) break;
       const std::int32_t block = AllocateBlock();
       if (block < 0) break;  // pool saturated with live owners
+      const std::int32_t table[1] = {block};
+      accel::ScatterKvRows(
+          accel::KvPages{payload_.data(), config_.payload_layout(), table}, 0,
+          bs, rows.data() + rows_at);
       BlockMeta& m = meta_[static_cast<std::size_t>(block)];
       m.refcount = 0;
       m.cached = true;
@@ -188,6 +198,21 @@ std::int64_t KvBlockPool::InstallCachedPrefix(
     ++full;
   }
   return full * bs;
+}
+
+std::vector<float> KvBlockPool::CachedPrefixRows(
+    std::span<const std::int32_t> tokens, std::int64_t max_tokens) const {
+  std::vector<std::int32_t> blocks;
+  WalkCachedPrefix(tokens, max_tokens, &blocks, nullptr);
+  const accel::KvBlockLayout layout = config_.payload_layout();
+  const std::int64_t n = static_cast<std::int64_t>(blocks.size()) *
+                         layout.block_tokens;
+  std::vector<float> rows(static_cast<std::size_t>(n * layout.row_floats()));
+  // GatherKvRows only reads through the pages.
+  accel::GatherKvRows(
+      accel::KvPages{const_cast<float*>(payload_.data()), layout, blocks}, 0,
+      n, rows.data());
+  return rows;
 }
 
 Status KvBlockPool::Register(std::uint64_t seq) {
@@ -265,8 +290,8 @@ StatusOr<PrefixMatch> KvBlockPool::AcquireCachedPrefix(
   }
   ++stats_.prefix_hits;
   stats_.prefix_hit_tokens += match.matched_tokens;
-  // Rebuilding the slot executor's KV from the cached blocks is an
-  // on-device HBM read of every mapped block.
+  // Attending over the mapped blocks is an on-device HBM read of every
+  // one of them.
   const std::int64_t restore_bytes =
       match.matched_blocks * static_cast<std::int64_t>(config_.block_bytes());
   stats_.restore_dma_bytes += restore_bytes;
@@ -280,6 +305,15 @@ std::int32_t KvBlockPool::AllocateBlock() {
   if (!free_list_.empty()) {
     const std::int32_t b = free_list_.back();
     free_list_.pop_back();
+    return b;
+  }
+  if (materialized_blocks() < num_blocks_) {
+    // Fresh ids ascend after every returned id is reused: the order an
+    // eagerly filled LIFO free list (pushed descending) would give.
+    const std::int32_t b = static_cast<std::int32_t>(meta_.size());
+    meta_.emplace_back();
+    payload_.resize(payload_.size() + static_cast<std::size_t>(block_floats_));
+    ++stats_.materialized_blocks;
     return b;
   }
   if (!lru_.empty()) {
@@ -386,6 +420,8 @@ Status KvBlockPool::Append(std::uint64_t seq, std::int32_t token) {
         return ResourceExhausted("KV pool out of blocks for COW (" +
                                  std::to_string(num_blocks_) + " total)");
       }
+      std::memcpy(PayloadOf(copy), PayloadOf(tail),
+                  static_cast<std::size_t>(block_floats_) * sizeof(float));
       DropBlockRef(tail);
       AdoptBlock(state, copy, /*replace_tail=*/true);
       ++stats_.cow_copies;
@@ -519,12 +555,32 @@ const std::vector<std::int32_t>& KvBlockPool::BlockTable(
   return it->second.blocks;
 }
 
+accel::KvPages KvBlockPool::Pages(std::uint64_t seq) {
+  return accel::KvPages{payload_.data(), config_.payload_layout(),
+                        BlockTable(seq)};
+}
+
+std::span<const float> KvBlockPool::BlockPayload(std::int32_t block) const {
+  assert(block >= 0 && block < materialized_blocks());
+  return {payload_.data() + static_cast<std::int64_t>(block) * block_floats_,
+          static_cast<std::size_t>(block_floats_)};
+}
+
+// Ids past materialized_blocks() were never handed out: free, uncached.
 std::int32_t KvBlockPool::BlockRefCount(std::int32_t block) const {
-  return meta_[static_cast<std::size_t>(block)].refcount;
+  return block < materialized_blocks()
+             ? meta_[static_cast<std::size_t>(block)].refcount
+             : 0;
 }
 
 bool KvBlockPool::BlockIsCached(std::int32_t block) const {
-  return meta_[static_cast<std::size_t>(block)].cached;
+  return block < materialized_blocks() &&
+         meta_[static_cast<std::size_t>(block)].cached;
+}
+
+std::uint64_t KvBlockPool::BlockChainHash(std::int32_t block) const {
+  return BlockIsCached(block) ? meta_[static_cast<std::size_t>(block)].hash
+                              : 0;
 }
 
 std::uint64_t KvBlockPool::fragmentation_bytes() const {

@@ -5,10 +5,30 @@
 // the style of vLLM's PagedAttention block allocator. Each resident
 // sequence owns a block table (ordered list of physical block ids); a
 // block holds `block_size_tokens` consecutive KV entries, so internal
-// fragmentation is bounded by one block per sequence. The pool is a
-// capacity/accounting model: the functional KV values live in the
-// per-slot executor buffers, while this class decides who fits, who must
-// be preempted, and what the HBM footprint is.
+// fragmentation is bounded by one block per sequence.
+//
+// The pool is the one KV store. Besides deciding who fits, who must be
+// preempted, and what the HBM footprint is, it owns the functional fp32
+// K/V payload of every physical block, laid out
+// [layer][K|V][block_tokens][kv_dim] (accel/kv_pages.hpp). The executor
+// reads and writes a sequence's K/V through Pages(seq), so a block's
+// rows [0, tokens) always hold the K/V of the content it is accounted
+// for: a copy-on-write copies the payload, and a cache hit maps blocks
+// whose rows are already computed -- no forward replays them. The
+// payload geometry comes from the model (MakeKvPoolConfig). Block
+// metadata and the payload arena grow with the blocks actually touched,
+// not with the HBM budget: fresh ids are handed out 0, 1, 2, ... after
+// every returned id is reused, exactly the order an eagerly filled LIFO
+// free list gives.
+//
+// Host memory bound: that id order evicts a cached block only once every
+// id exists, and every ownerless cached block keeps its payload until it
+// is evicted, because a later hit reads it. So the arena grows with each
+// distinct sealed block a session caches, up to num_blocks() blocks of
+// fp32 rows -- about 2x the simulated pool bytes for fp16 (4x for int8)
+// per card. A session that caches little stays small (freed uncached
+// blocks are reused first); one that keeps sealing new content grows
+// toward that bound. bench_sim_scale measures it over one long session.
 //
 // Prefix caching (PR 4): blocks are reference-counted and full blocks
 // are content-addressed by a hash chain over (prefix hash, block
@@ -40,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "accel/kv_pages.hpp"
 #include "common/status.hpp"
 #include "hw/u280_config.hpp"
 #include "llama/config.hpp"
@@ -121,16 +142,28 @@ struct KvPoolConfig {
   /// common prefix. Off restores the PR-1 private-blocks-only behavior;
   /// token streams are byte-identical either way.
   bool enable_prefix_cache = true;
+  /// Functional payload geometry: layers and K (or V) row width of the
+  /// fp32 K/V each block stores. MakeKvPoolConfig derives both from the
+  /// model; the defaults give a hand-built pool a one-float row.
+  std::int32_t payload_layers = 1;
+  /// See payload_layers.
+  std::int32_t payload_kv_dim = 1;
 
   /// Bytes one physical block occupies: payload plus quant metadata.
   std::uint64_t block_bytes() const {
     return static_cast<std::uint64_t>(block_size_tokens) * bytes_per_token +
            quant_metadata_bytes;
   }
+  /// Block geometry of the functional payload.
+  accel::KvBlockLayout payload_layout() const {
+    return accel::KvBlockLayout{payload_layers, payload_kv_dim,
+                                block_size_tokens};
+  }
 };
 
 /// Builds a pool config whose byte geometry (bytes_per_token and
-/// quant_metadata_bytes) follows `dtype` for `model`.
+/// quant_metadata_bytes) follows `dtype` for `model`, with `model`'s
+/// fp32 K/V payload geometry.
 KvPoolConfig MakeKvPoolConfig(const llama::ModelConfig& model,
                               KvCacheDtype dtype, std::uint64_t pool_bytes,
                               std::uint32_t block_size_tokens,
@@ -176,7 +209,7 @@ struct KvPoolStats {
   std::int64_t dma_bytes_moved = 0;
   /// Bytes copied by copy-on-write (one block payload per copy).
   std::int64_t cow_dma_bytes = 0;
-  /// Bytes read to rebuild executor KV from cached blocks at admission.
+  /// Bytes read from cached blocks mapped at admission.
   std::int64_t restore_dma_bytes = 0;
   /// Bytes of privately-owned KV written out by preemption swap-outs.
   std::int64_t swap_dma_bytes = 0;
@@ -185,6 +218,11 @@ struct KvPoolStats {
   std::int64_t spec_phases = 0;          ///< BeginSpeculation calls
   std::int64_t spec_draft_tokens = 0;    ///< tokens appended inside a draft phase
   std::int64_t spec_rollback_blocks = 0; ///< draft-only blocks freed by rollback
+
+  // ----- host memory -----
+  /// Block ids ever handed out (KvBlockPool::materialized_blocks): each
+  /// holds its metadata and fp32 payload on the host.
+  std::int64_t materialized_blocks = 0;
 };
 
 /// Result of a cached-prefix probe/acquisition.
@@ -209,6 +247,11 @@ class KvBlockPool {
   // ----- capacity queries -----
   /// Physical blocks the pool was carved into.
   std::int64_t num_blocks() const { return num_blocks_; }
+  /// Blocks whose metadata (and payload) exist: every id ever handed
+  /// out. Grows lazily up to num_blocks().
+  std::int64_t materialized_blocks() const {
+    return static_cast<std::int64_t>(meta_.size());
+  }
   /// Blocks with at least one live owner. Shared blocks count once.
   std::int64_t used_blocks() const { return used_blocks_; }
   /// Schedulable capacity: truly-free blocks plus evictable cached
@@ -270,8 +313,20 @@ class KvBlockPool {
   /// previously cached ones). No DMA is charged here: a cross-card fetch
   /// is costed by the interconnect, and a warm start models content that
   /// survived in HBM. No-op returning 0 when caching is disabled.
+  /// `rows` carries the prefix's K/V token-major (accel::GatherKvRows
+  /// form) from token 0; each newly installed block copies its rows from
+  /// it, and installation stops at the first block `rows` does not
+  /// cover, so no block is ever cached without its K/V.
   std::int64_t InstallCachedPrefix(std::span<const std::int32_t> tokens,
-                                   std::int64_t max_tokens);
+                                   std::int64_t max_tokens,
+                                   std::span<const float> rows);
+
+  /// K/V of the longest cached full-block prefix of `tokens` within
+  /// `max_tokens`, token-major from token 0 (the InstallCachedPrefix
+  /// `rows` form). Empty when nothing matches: the snapshot a remote
+  /// fetch ships.
+  std::vector<float> CachedPrefixRows(std::span<const std::int32_t> tokens,
+                                      std::int64_t max_tokens) const;
 
   /// Registers `listener` for content-address index changes (nullptr
   /// detaches). The pool does not own it.
@@ -290,7 +345,8 @@ class KvBlockPool {
   /// registration, before any Append. Never allocates, so it cannot run
   /// out of capacity. Returns the zero match when caching is disabled.
   /// Counts the matched blocks' bytes as restore DMA traffic (the
-  /// on-device read that rebuilds the slot executor's KV).
+  /// on-device read of the mapped blocks). The mapped rows already hold
+  /// the prefix's K/V, so no forward recomputes them.
   StatusOr<PrefixMatch> AcquireCachedPrefix(
       std::uint64_t seq, std::span<const std::int32_t> tokens,
       std::int64_t max_tokens);
@@ -346,11 +402,21 @@ class KvBlockPool {
   /// Physical block ids of `seq`, in token order. `seq` must be registered.
   const std::vector<std::int32_t>& BlockTable(std::uint64_t seq) const;
 
+  // ----- functional payload -----
+  /// `seq`'s K/V pages over its block table, for the executor and row
+  /// copies. Valid until the next call that allocates a block. `seq`
+  /// must be registered.
+  accel::KvPages Pages(std::uint64_t seq);
+  /// Payload of materialized block `block` (introspection).
+  std::span<const float> BlockPayload(std::int32_t block) const;
+
   // ----- introspection (tests / invariant checks) -----
   /// Live owners of physical block `block` (0 for free/evictable).
   std::int32_t BlockRefCount(std::int32_t block) const;
   /// True when `block` is content-addressed (shared-immutable or LRU).
   bool BlockIsCached(std::int32_t block) const;
+  /// Chain hash `block` is content-addressed under (0 when not cached).
+  std::uint64_t BlockChainHash(std::int32_t block) const;
 
   // ----- fragmentation / utilization -----
   /// Allocated-but-unused tail bytes across private partial tails
@@ -398,9 +464,14 @@ class KvBlockPool {
                                 std::int64_t max_tokens,
                                 std::vector<std::int32_t>* blocks,
                                 std::vector<std::uint64_t>* chain_before) const;
-  /// Pops a free block, or evicts the LRU cached block. -1 when neither
-  /// exists. The caller sets the refcount and usage accounting.
+  /// Pops a returned block, else materializes the next fresh id, else
+  /// evicts the LRU cached block. -1 when none exists. The caller sets
+  /// the refcount and usage accounting.
   std::int32_t AllocateBlock();
+  /// Start of `block`'s payload in the arena.
+  float* PayloadOf(std::int32_t block) {
+    return payload_.data() + static_cast<std::int64_t>(block) * block_floats_;
+  }
   /// Takes ownership accounting for a freshly produced block.
   void AdoptBlock(SeqState& state, std::int32_t block, bool replace_tail);
   /// Drops one reference; a last owner parks the block on the LRU list
@@ -414,8 +485,10 @@ class KvBlockPool {
   std::uint64_t chain_seed_ = 0;  // KvChainSeed(config_.dtype)
   std::int64_t num_blocks_ = 0;
   std::int64_t used_blocks_ = 0;
-  std::vector<std::int32_t> free_list_;  // LIFO for deterministic reuse
-  std::vector<BlockMeta> meta_;
+  std::vector<std::int32_t> free_list_;  // returned ids, LIFO reuse
+  std::vector<BlockMeta> meta_;          // one per materialized block
+  std::int64_t block_floats_ = 0;        // payload floats per block
+  std::vector<float> payload_;           // materialized blocks' K/V
   std::unordered_map<std::uint64_t, std::int32_t> cache_;  // chain hash -> block
   std::map<std::uint64_t, std::int32_t> lru_;  // eviction stamp -> block
   std::uint64_t lru_tick_ = 0;

@@ -244,6 +244,11 @@ struct ServingReport {
   std::int64_t preemptions = 0;
   /// Swap-in recompute work, tokens.
   std::int64_t recomputed_tokens = 0;
+  /// Executor forwards the host actually ran: total_tokens +
+  /// recomputed_tokens, plus any warm-start prefix computation. Prefix
+  /// hits, readmission restores, handoff adoption and remote fetches map
+  /// K/V that already exists and add nothing.
+  std::int64_t executor_forwards = 0;
   /// Requests that finished early on a stop token / EOS.
   std::int64_t stopped_requests = 0;
   /// Requests aborted mid-flight.

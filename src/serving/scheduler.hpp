@@ -131,8 +131,8 @@ struct SpeculativeConfig {
 struct SchedulerConfig {
   /// Admission-ordering policy; see BatchPolicy.
   BatchPolicy policy = BatchPolicy::kFcfs;
-  /// Maximum resident sequences (= executor slots, i.e. grouped-launch
-  /// batch width the datapath was generated for).
+  /// Maximum resident sequences (the grouped-launch batch width the
+  /// datapath was generated for).
   std::int32_t max_batch_seqs = 8;
   /// Per-tick token budget across decode + prefill.
   std::int32_t max_batch_tokens = 64;

@@ -110,7 +110,6 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const SchedulerConfig& config,
                                sim::Engine& engine)
     : program_(program),
-      weights_(weights),
       u280_(u280),
       config_(config),
       shared_seconds_(DeriveSharedStepSeconds(program, u280)),
@@ -119,6 +118,7 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
           program.model, config.kv_cache_dtype,
           DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
           config.block_size_tokens, config.enable_prefix_cache)),
+      exec_(std::make_unique<accel::Executor>(program, weights, u280)),
       tick_cost_(shared_seconds_, kSharedShareCap) {
   if (config_.record_ticks) {
     // tick_log compat: with no external telemetry attached the shard
@@ -439,7 +439,6 @@ void ShardScheduler::Preempt(std::size_t victim) {
   assert(st.ok());
   (void)st;
   ChargeDma("swap-out", victim);  // the victim's private blocks write back
-  ReleaseSlot(seq);
   residents_.erase(std::find(residents_.begin(), residents_.end(), victim));
   seq.state = SeqState::kWaiting;
   // Fed work is owed again (recompute).
@@ -476,19 +475,8 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
     ev.tokens = restored;
     telemetry_.Record(std::move(ev));
   }
-  // Rebuild the slot executor's functional KV for the cached prefix. On
-  // the device those entries are already resident in HBM, so no forward
-  // compute or weight traffic is owed for them -- only the restore DMA
-  // charged above.
-  accel::Executor& exec = *slots_[static_cast<std::size_t>(seq.slot)];
-  for (std::int64_t p = 0; p < restored; ++p) {
-    auto logits = exec.Forward(seq.fed[static_cast<std::size_t>(p)],
-                               static_cast<std::int32_t>(p));
-    if (!logits.ok()) {
-      error_ = logits.status();
-      return -1;
-    }
-  }
+  // The mapped blocks' rows already hold the prefix's K/V: the sequence
+  // attends over them directly, with nothing recomputed.
   seq.cursor = static_cast<std::int32_t>(restored);
   seq.high_water = std::max(seq.high_water, seq.cursor);
   AddOutstanding(seq.request->tier, -restored);
@@ -507,6 +495,10 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   handoff.kv_bytes =
       pool_.BlocksForTokens(static_cast<std::int64_t>(seq.fed.size())) *
       static_cast<std::int64_t>(pool_.config().block_bytes());
+  const std::int64_t fed = static_cast<std::int64_t>(seq.fed.size());
+  handoff.kv_rows.resize(static_cast<std::size_t>(
+      fed * pool_.config().payload_layout().row_floats()));
+  accel::GatherKvRows(pool_.Pages(seq_id), 0, fed, handoff.kv_rows.data());
   ++seq.outcome.handoffs;
   handoff.outcome = std::move(seq.outcome);
   handoff.fed = std::move(seq.fed);
@@ -516,7 +508,6 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   Status st = pool_.Release(seq_id);
   assert(st.ok());
   (void)st;
-  ReleaseSlot(seq);
   residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
   seq.state = SeqState::kHandedOff;
   seq.pending_token = -1;
@@ -535,10 +526,11 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   seq.stream_index = handoff.stream_index;
   seq.fed = std::move(handoff.fed);
   seq.pending_token = handoff.pending_token;
+  seq.adopted_kv = std::move(handoff.kv_rows);
   seq.outcome = std::move(handoff.outcome);
   seq.wait_since_tick = tick_index_;
   // Admitted on the prefill shard: TTFT is stamped, the rebalancer must
-  // not steal it, and its first local admission replays shipped KV
+  // not steal it, and its first local admission lands the shipped K/V
   // instead of prefilling.
   seq.ever_admitted = true;
   seq.adopt_pending = true;
@@ -546,8 +538,8 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   // if a later preemption forces recompute here, those tokens count as
   // recomputed work, never as fresh throughput.
   seq.high_water = static_cast<std::int32_t>(seq.fed.size());
-  // The replay subtracts per token exactly like a restore/prefill would,
-  // so fed tokens enter the backlog alongside the decode budget.
+  // Landing the K/V subtracts per token exactly like a restore/prefill
+  // would, so fed tokens enter the backlog alongside the decode budget.
   AddOutstanding(seq.request->tier,
                  static_cast<std::int64_t>(seq.fed.size()) +
                      seq.request->max_new_tokens -
@@ -561,55 +553,65 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
 bool ShardScheduler::ReplayAdoptedKv(std::size_t seq_id) {
   // Blocks this card already caches (a shared prefix) map as shared --
   // the same restore path a local cache hit takes -- and the rest append
-  // fresh. All forward replay is zero simulated compute: the shipped
-  // pages are already in HBM, paid for by the interconnect transfer.
+  // fresh and take their rows from the shipped K/V. No forward runs: the
+  // shipped pages are already in HBM, paid for by the interconnect.
   if (RestoreCachedPrefix(seq_id) < 0) return false;
   Sequence& seq = seqs_[seq_id];
-  accel::Executor& exec = *slots_[static_cast<std::size_t>(seq.slot)];
+  std::vector<float> rows = std::move(seq.adopted_kv);
+  const std::int64_t row_floats = pool_.config().payload_layout().row_floats();
   while (seq.cursor < static_cast<std::int32_t>(seq.fed.size())) {
     const std::int32_t token = seq.fed[static_cast<std::size_t>(seq.cursor)];
     if (!EnsureKvToken(seq_id, token)) return false;
-    auto logits = exec.Forward(token, seq.cursor);
-    if (!logits.ok()) {
-      error_ = logits.status();
-      return false;
-    }
+    accel::ScatterKvRows(pool_.Pages(seq_id), seq.cursor, seq.cursor + 1,
+                         rows.data() + seq.cursor * row_floats);
     ++seq.cursor;
     AddOutstanding(seq.request->tier, -1);
   }
   return true;
 }
 
-int ShardScheduler::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    int slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[static_cast<std::size_t>(slot)]->ResetSequence();
-    return slot;
+std::int64_t ShardScheduler::WarmStartPrefix(
+    std::span<const std::int32_t> tokens, std::int64_t max_tokens) {
+  if (!pool_.config().enable_prefix_cache) return 0;
+  // Compute the full blocks once on the host into a one-block scratch
+  // table. A token the model rejects ends the computed prefix, and the
+  // pool installs only the blocks the computed rows cover.
+  const std::int64_t bs = pool_.config().block_size_tokens;
+  const std::int64_t limit =
+      std::min({static_cast<std::int64_t>(tokens.size()), max_tokens,
+                static_cast<std::int64_t>(program_.model.seq_len)});
+  const std::int64_t n = limit / bs * bs;
+  const accel::KvBlockLayout layout = exec_->KvLayout(program_.model.seq_len);
+  std::vector<float> arena(static_cast<std::size_t>(layout.block_floats()));
+  const std::int32_t table[1] = {0};
+  const accel::KvPages scratch{arena.data(), layout, table};
+  std::int64_t computed = 0;
+  while (computed < n &&
+         exec_->Forward(tokens[static_cast<std::size_t>(computed)],
+                        static_cast<std::int32_t>(computed), scratch)
+             .ok()) {
+    ++computed;
   }
-  slots_.push_back(
-      std::make_unique<accel::Executor>(program_, weights_, u280_));
-  return static_cast<int>(slots_.size() - 1);
+  report_.executor_forwards += computed;
+  std::vector<float> computed_rows(
+      static_cast<std::size_t>(computed * layout.row_floats()));
+  accel::GatherKvRows(scratch, 0, computed, computed_rows.data());
+  return pool_.InstallCachedPrefix(tokens, n, computed_rows);
 }
 
-void ShardScheduler::ReleaseSlot(Sequence& seq) {
-  assert(seq.slot >= 0);
-  free_slots_.push_back(seq.slot);
-  seq.slot = -1;
-}
-
-/// Runs one forward through the sequence's slot executor and folds its
-/// simulated cost into the tick. Returns false on a hard error.
-bool ShardScheduler::ForwardToken(Sequence& seq, std::int32_t token,
+/// Runs one forward through the shard's executor against the sequence's
+/// pool pages and folds its simulated cost into the tick. Returns false
+/// on a hard error.
+bool ShardScheduler::ForwardToken(std::size_t seq_id, std::int32_t token,
                                   std::int32_t pos,
                                   std::span<const float>* logits) {
-  accel::Executor& exec = *slots_[static_cast<std::size_t>(seq.slot)];
-  auto logits_or = exec.Forward(token, pos);
+  auto logits_or = exec_->Forward(token, pos, pool_.Pages(seq_id));
   if (!logits_or.ok()) {
     error_ = logits_or.status();
     return false;
   }
-  const double f = exec.last_stats().seconds;
+  ++report_.executor_forwards;
+  const double f = exec_->last_stats().seconds;
   last_forward_seconds_ = f;
   tick_cost_.AddProblem(f);
   if (logits != nullptr) *logits = *logits_or;
@@ -818,7 +820,6 @@ void ShardScheduler::FinishSequence(std::size_t seq_id, FinishReason reason) {
   Status st = pool_.Release(seq_id);
   assert(st.ok());
   (void)st;
-  ReleaseSlot(seq);
   residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
   tick_emissions_.push_back(Emission{seq_id, -1, reason});
 }
@@ -879,7 +880,6 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
       Status st = pool_.Release(seq_id);
       assert(st.ok());
       (void)st;
-      ReleaseSlot(seq);
       residents_.erase(
           std::find(residents_.begin(), residents_.end(), seq_id));
     }
@@ -1104,7 +1104,6 @@ void ShardScheduler::RunTick() {
       assert(st.ok());
       (void)st;
       waiting_.erase(std::find(waiting_.begin(), waiting_.end(), cand));
-      seq.slot = AcquireSlot();
       seq.state = SeqState::kPrefill;
       seq.admission_order = next_admission_++;
       residents_.push_back(cand);
@@ -1122,14 +1121,14 @@ void ShardScheduler::RunTick() {
         }
       }
       if (seq.adopt_pending) {
-        // First local admission of an adopted handoff: map the shipped
-        // KV at zero forward cost and join the decode set next tick.
+        // First local admission of an adopted handoff: land the shipped
+        // K/V at zero forward cost and join the decode set next tick.
         seq.adopt_pending = false;
         queued_demand_blocks_ -= BlocksForRequest(*seq.request);
         const bool replayed = ReplayAdoptedKv(cand);
         if (!error_.ok()) return;
         restored_this_tick += seq.cursor;
-        if (!replayed) continue;  // pool dry mid-replay: the tail
+        if (!replayed) continue;  // pool dry mid-copy: the tail
                                   // recomputes as ordinary prefill later
         seq.state = SeqState::kDecode;
         continue;
@@ -1187,7 +1186,7 @@ void ShardScheduler::RunTick() {
       }
       const std::int32_t pos = static_cast<std::int32_t>(seq.fed.size());
       std::span<const float> logits;
-      if (!ForwardToken(seq, seq.pending_token, pos, &logits)) return;
+      if (!ForwardToken(seq_id, seq.pending_token, pos, &logits)) return;
       seq.fed.push_back(seq.pending_token);
       seq.cursor = static_cast<std::int32_t>(seq.fed.size());
       seq.high_water = std::max(seq.high_water, seq.cursor);
@@ -1245,7 +1244,7 @@ void ShardScheduler::RunTick() {
       }
       const std::int32_t pos = seq.cursor;
       std::span<const float> logits;
-      if (!ForwardToken(seq, seq.fed[static_cast<std::size_t>(pos)], pos,
+      if (!ForwardToken(seq_id, seq.fed[static_cast<std::size_t>(pos)], pos,
                         &logits)) {
         return;
       }

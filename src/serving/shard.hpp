@@ -3,7 +3,10 @@
 // ShardScheduler is the per-card execution core extracted from the PR-1
 // ContinuousBatchScheduler: a paged KvBlockPool plus the tick loop that
 // batches decode sequences and prefill chunks into grouped forward
-// passes. Unlike the original (which owned its own event engine), a shard
+// passes. The pool is the card's only K/V store: one executor runs every
+// resident sequence's forwards against that sequence's pool pages, so a
+// prefix-cache hit, a readmission, or an adopted handoff maps blocks that
+// already hold their K/V and runs no forward for them. Unlike the original (which owned its own event engine), a shard
 // schedules its ticks on an engine *provided by the caller*, so N shards
 // can interleave on one shared sim::Engine clock -- the substrate the
 // multi-card ClusterRouter (serving/cluster.hpp) is built on. A
@@ -84,9 +87,9 @@ class ShardScheduler {
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
-  /// Non-copyable: the shard owns live executor slots and pool state.
+  /// Non-copyable: the shard owns its executor and pool state.
   ShardScheduler(const ShardScheduler&) = delete;
-  /// Non-assignable: the shard owns live executor slots and pool state.
+  /// Non-assignable: the shard owns its executor and pool state.
   ShardScheduler& operator=(const ShardScheduler&) = delete;
 
   /// Enqueues `request` on this shard at the current engine time and
@@ -111,7 +114,7 @@ class ShardScheduler {
   }
 
   /// Cancels the live sequence serving global stream `stream_index`:
-  /// frees its KV blocks and executor slot immediately, truncates its
+  /// frees its KV blocks immediately, truncates its
   /// outcome to the tokens already delivered, scrubs undelivered
   /// emissions, and fires the finish hook with FinishReason::kCancelled
   /// before returning. A sequence that finished internally but whose
@@ -147,9 +150,10 @@ class ShardScheduler {
 
   /// Adopts a prefill-complete sequence shipped from a prefill shard
   /// (its KV pages have already arrived: call this at the transfer's end
-  /// time). The sequence queues for a resident slot and joins the decode
-  /// set without re-running prefill -- its KV is mapped at zero forward
-  /// cost -- and its token stream continues byte-identically.
+  /// time). The sequence queues for admission and joins the decode set
+  /// without re-running prefill -- the shipped K/V rows are copied into
+  /// pool blocks at zero forward cost -- and its token stream continues
+  /// byte-identically.
   void AdoptHandoff(KvHandoff handoff);
 
   /// Estimated seconds to recompute `tokens` prefill tokens locally:
@@ -161,17 +165,18 @@ class ShardScheduler {
            static_cast<double>(config_.max_batch_tokens);
   }
 
-  /// Installs `tokens`' full-block prefix into this shard's prefix cache
-  /// as ownerless evictable blocks (KvBlockPool::InstallCachedPrefix):
-  /// the landing pad for a remote prefix fetch or a directory-snapshot
-  /// warm start. No DMA is charged here -- the caller accounts the move.
-  std::int64_t InstallCachedPrefix(std::span<const std::int32_t> tokens,
-                                   std::int64_t max_tokens) {
-    return pool_.InstallCachedPrefix(tokens, max_tokens);
-  }
+  /// Warm-starts this shard's prefix cache from a directory snapshot:
+  /// installs `tokens`' full-block prefix (capped at `max_tokens`) as
+  /// ownerless evictable blocks (KvBlockPool::InstallCachedPrefix). The
+  /// snapshot carries no K/V, so the shard computes it once on its
+  /// executor, at zero simulated cost: the content models K/V that
+  /// survived in HBM. Returns the prefix tokens cached after the call.
+  std::int64_t WarmStartPrefix(std::span<const std::int32_t> tokens,
+                               std::int64_t max_tokens);
 
   /// Mutable pool access for cluster-level wiring (PrefixDirectory
-  /// attachment). Scheduling state stays shard-owned.
+  /// attachment, landing a remote prefix fetch's K/V). Scheduling state
+  /// stays shard-owned.
   KvBlockPool& mutable_pool() { return pool_; }
 
   /// This shard's disaggregation role (from SchedulerConfig::role).
@@ -298,14 +303,15 @@ class ShardScheduler {
     std::int32_t high_water = 0;
     std::int32_t pending_token = -1;  // sampled but not yet committed
     std::int32_t delivered = 0;       // generated tokens already emitted
-    int slot = -1;                    // executor slot while resident
     std::int64_t admission_order = -1;
     std::int64_t wait_since_tick = 0;
     bool ever_admitted = false;
-    // One-shot: an adopted handoff's first admission maps its shipped KV
-    // at zero forward cost instead of prefilling. Cleared on admission;
-    // a later preemption recomputes normally (the shipped KV is gone).
+    // One-shot: an adopted handoff's first admission copies its shipped
+    // K/V (`adopted_kv`, KvHandoff::kv_rows) into pool blocks instead of
+    // prefilling. Cleared on admission; a later preemption recomputes
+    // normally (the shipped K/V is gone).
     bool adopt_pending = false;
+    std::vector<float> adopted_kv;
     RequestOutcome outcome;
 
     explicit Sequence(llama::Sampler s) : sampler(std::move(s)) {}
@@ -344,10 +350,10 @@ class ShardScheduler {
   void AddOutstanding(RequestTier tier, std::int64_t delta);
   std::vector<std::size_t> AdmissionCandidates() const;
   bool EnsureKvToken(std::size_t seq_id, std::int32_t token);
-  /// Maps `seq`'s longest cached prefix onto shared pool blocks and
-  /// functionally rebuilds the slot executor's KV for it. No forward
+  /// Maps `seq`'s longest cached prefix onto shared pool blocks. The
+  /// blocks already hold the prefix's K/V, so no forward runs and no
   /// compute or weight traffic is owed for the restored tokens (on the
-  /// device they are already resident in HBM), but the restore's DMA
+  /// device they are already resident in HBM); only the restore's DMA
   /// read is charged through ChargeDma. Returns the restored token
   /// count, or -1 on a hard error.
   std::int64_t RestoreCachedPrefix(std::size_t seq_id);
@@ -367,22 +373,23 @@ class ShardScheduler {
                              std::span<float> logits) const;
   void Preempt(std::size_t victim);
   /// Ships `seq_id` (prefill complete, first token sampled and TTFT
-  /// stamped) to the cluster's handoff hook: releases its KV/slot here,
-  /// marks it kHandedOff, and hands the hook a KvHandoff with the moved
-  /// sampler so the decode shard's stream continues byte-identically.
+  /// stamped) to the cluster's handoff hook: copies its K/V rows into the
+  /// KvHandoff, releases its blocks here, marks it kHandedOff, and hands
+  /// the hook the handoff with the moved sampler so the decode shard's
+  /// stream continues byte-identically.
   void ExtractHandoff(std::size_t seq_id, sim::Cycles ready);
-  /// Maps an adopted handoff's shipped KV onto pool blocks and replays
-  /// the slot executor at zero simulated compute (the pages arrived over
-  /// the interconnect; the transfer already paid). Returns false on a
-  /// hard error or pool exhaustion mid-replay.
+  /// Lands an adopted handoff's shipped K/V in pool blocks: blocks this
+  /// card already caches map as shared (RestoreCachedPrefix), the rest
+  /// append fresh and take their rows from KvHandoff::kv_rows. No
+  /// forward runs and no simulated compute is owed (the pages arrived
+  /// over the interconnect; the transfer already paid). Returns false on
+  /// a hard error or pool exhaustion mid-copy.
   bool ReplayAdoptedKv(std::size_t seq_id);
   /// The attached cluster interconnect, or a lazily-built private
   /// single-card one (standalone shards): either way DMA queues on
   /// stations and uncontended cost matches the PR-5 additive model.
   Interconnect& interconnect();
-  int AcquireSlot();
-  void ReleaseSlot(Sequence& seq);
-  bool ForwardToken(Sequence& seq, std::int32_t token, std::int32_t pos,
+  bool ForwardToken(std::size_t seq_id, std::int32_t token, std::int32_t pos,
                     std::span<const float>* logits);
   /// Runs one decode sequence's draft phase: proposes up to the
   /// configured k draft tokens as a KvBlockPool speculation phase
@@ -399,7 +406,6 @@ class ShardScheduler {
   sim::Cycles SecondsToCycles(double seconds) const;
 
   const accel::Program& program_;
-  const llama::Weights& weights_;
   const hw::U280Config& u280_;
   SchedulerConfig config_;
   double shared_seconds_ = 0.0;
@@ -409,8 +415,8 @@ class ShardScheduler {
   std::vector<Sequence> seqs_;          // one per submitted request
   std::deque<std::size_t> waiting_;     // arrived, not resident (local ids)
   std::vector<std::size_t> residents_;  // admission order (local ids)
-  std::vector<std::unique_ptr<accel::Executor>> slots_;
-  std::vector<int> free_slots_;
+  // Activations only: K/V are read and written through pool_.Pages().
+  std::unique_ptr<accel::Executor> exec_;
   std::vector<float> sample_scratch_;
   std::function<void()> kv_pressure_hook_;
   HandoffHook handoff_hook_;

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -15,6 +17,25 @@
 #include "common/table.hpp"
 #include "common/tensor.hpp"
 #include "common/threadpool.hpp"
+
+// Counts global operator new calls so a test can prove a code path
+// allocation-free.
+namespace {
+std::atomic<long> g_heap_allocations{0};
+}  // namespace
+
+// GCC pairs inlined new-expressions with these frees and cannot see that
+// the replacement operator new above them is malloc-backed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace speedllm {
 namespace {
@@ -70,6 +91,16 @@ TEST(StatusOrTest, ValueAndErrorPaths) {
   auto bad = ParsePositive(-1);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StatusOrTest, ValuedStatusIsOkAndAllocationFree) {
+  const long before = g_heap_allocations.load();
+  StatusOr<int> v = ParsePositive(5);
+  const bool ok = v.ok() && v.status().ok() && v.status().message().empty();
+  const long allocations = g_heap_allocations.load() - before;
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(v.status(), Status::Ok());
+  EXPECT_EQ(allocations, 0);
 }
 
 TEST(StatusOrTest, AssignOrReturnPropagates) {

@@ -118,6 +118,80 @@ TEST(ExecutorTest, KvCarryoverChangesLaterLogits) {
   EXPECT_GT(MaxAbsDiff(with_history, *b), 0.0f);
 }
 
+// ---------------- Block-table addressing ----------------
+
+TEST(ExecutorTest, ScatteredBlockTablesMatchOneBlockTableBitExact) {
+  // Tiny is GQA (4 heads over 2 kv heads). Every block size -- one token,
+  // a size that splits the sequence unevenly, the serving default, and
+  // the whole sequence -- must reproduce the standalone one-block table
+  // bit for bit, and fp32 must also match the CPU reference.
+  Harness s(llama::ModelConfig::Tiny());
+  constexpr std::int32_t kTokens = 40;
+  for (bool int8 : {false, true}) {
+    compiler::CompilerOptions opt = compiler::CompilerOptions::SpeedLLM();
+    opt.int8_weights = int8;
+    Program prog = s.Compile(opt);
+    for (std::int64_t bs : {std::int64_t{1}, std::int64_t{3},
+                            std::int64_t{16},
+                            static_cast<std::int64_t>(s.config.seq_len)}) {
+      SCOPED_TRACE(::testing::Message() << "int8 " << int8 << " bs " << bs);
+      Executor paged(prog, s.weights, s.u280);
+      Executor dense(prog, s.weights, s.u280);
+      llama::ReferenceModel ref(s.weights, nullptr);
+      const KvBlockLayout layout = paged.KvLayout(bs);
+      const std::int64_t blocks = (kTokens + bs - 1) / bs;
+      // Descending odd ids: no two neighbours are adjacent in the arena.
+      std::vector<std::int32_t> table;
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        table.push_back(static_cast<std::int32_t>(2 * (blocks - b) - 1));
+      }
+      std::vector<float> arena(
+          static_cast<std::size_t>(2 * blocks * layout.block_floats()), -7.0f);
+      const KvPages pages{arena.data(), layout, table};
+      for (std::int32_t pos = 0; pos < kTokens; ++pos) {
+        const std::int32_t token = (pos * 37 + 11) % s.config.vocab_size;
+        auto a = paged.Forward(token, pos, pages);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        const std::vector<float> got(a->begin(), a->end());
+        auto d = dense.Forward(token, pos);
+        ASSERT_TRUE(d.ok());
+        EXPECT_EQ(MaxAbsDiff(got, *d), 0.0f) << "pos " << pos;
+        auto r = ref.Forward(token, pos);
+        ASSERT_TRUE(r.ok());
+        if (!int8) {
+          EXPECT_EQ(MaxAbsDiff(got, *r), 0.0f) << "pos " << pos;
+        }
+        EXPECT_EQ(paged.last_stats().cycles, dense.last_stats().cycles);
+      }
+      // Even-numbered blocks are outside the table and stay untouched.
+      for (std::int64_t b = 0; b < 2 * blocks; b += 2) {
+        for (std::int64_t i = 0; i < layout.block_floats(); ++i) {
+          ASSERT_EQ(arena[static_cast<std::size_t>(b * layout.block_floats() +
+                                                   i)],
+                    -7.0f);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutorTest, RejectsPagesThatCannotHoldThePosition) {
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  Executor exec(prog, s.weights, s.u280);
+  const KvBlockLayout layout = exec.KvLayout(4);
+  std::vector<float> arena(static_cast<std::size_t>(layout.block_floats()));
+  const std::int32_t table[1] = {0};
+  const KvPages pages{arena.data(), layout, table};
+  EXPECT_TRUE(exec.Forward(3, 3, pages).ok());
+  EXPECT_EQ(exec.Forward(3, 4, pages).status().code(),
+            StatusCode::kOutOfRange);
+  KvPages wrong = pages;
+  wrong.layout.kv_dim += 1;
+  EXPECT_EQ(exec.Forward(3, 0, wrong).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------- Timing invariants ----------------
 
 TEST(ExecutorTest, PipelineNeverSlowerThanSerialized) {

@@ -12,19 +12,26 @@
 //  * the cache never invents content: an acquired prefix must equal a
 //    block-aligned prefix some sequence actually sealed earlier;
 //  * free + used partitions the pool, with evictable (cold cached)
-//    blocks always counted as free capacity.
+//    blocks always counted as free capacity;
+//  * payload integrity: the model writes a fingerprint of (content, row)
+//    into every row it appends, and every owned or evictable block's rows
+//    [0, tokens) must still hold the fingerprints of the content the
+//    block is accounted for -- across copy-on-write, evict/reacquire,
+//    speculation rollback, and Release.
 //
 // At drain every sequence is released and every refcount must return to
 // zero, with the whole pool reservable again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hw/u280_config.hpp"
 #include "serving/kv_pool.hpp"
 #include "test_util.hpp"
 
@@ -33,6 +40,25 @@ namespace {
 
 constexpr std::int64_t kBlocks = 24;
 constexpr std::int64_t kBlockTokens = 4;
+/// Payload geometry: one layer, K and V rows of two floats -- four floats
+/// per token, exactly one fingerprint.
+constexpr std::int32_t kPayloadKvDim = 2;
+using Row = std::array<float, 4>;
+
+/// Fingerprint of the K/V a model would compute for the last token of
+/// `prefix`: it depends on the whole prefix, like real attention K/V.
+/// 16-bit slices keep every float exact.
+Row Fingerprint(std::span<const std::int32_t> prefix) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::int32_t t : prefix) {
+    h = (h ^ static_cast<std::uint32_t>(t)) * 0x100000001b3ull;
+  }
+  Row row;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<float>((h >> (16 * i)) & 0xffff);
+  }
+  return row;
+}
 
 /// The dtype decides the byte geometry: int8 halves bytes-per-token and
 /// carries per-block group-scale metadata. Each run draws one
@@ -46,6 +72,7 @@ KvPoolConfig StressPool(bool enable_prefix_cache, KvCacheDtype dtype) {
   config.pool_bytes =
       static_cast<std::uint64_t>(kBlocks) * config.block_bytes();
   config.enable_prefix_cache = enable_prefix_cache;
+  config.payload_kv_dim = kPayloadKvDim;
   return config;
 }
 
@@ -62,8 +89,10 @@ class StressHarness {
       const std::uint64_t kind = rng_.NextBounded(10);
       if (kind < 4 || live_.empty()) {
         Alloc();
-      } else if (kind < 7) {
+      } else if (kind < 6) {
         Extend();
+      } else if (kind < 7) {
+        Speculate();
       } else {
         Release();
       }
@@ -119,16 +148,29 @@ class StressHarness {
     if (!pool_.config().enable_prefix_cache) return;
     const std::int64_t full =
         static_cast<std::int64_t>(seq.acked.size()) / kBlockTokens;
+    std::uint64_t h = KvChainSeed(pool_.config().dtype);
     for (std::int64_t k = 1; k <= full; ++k) {
-      sealed_ever_.insert(std::vector<std::int32_t>(
-          seq.acked.begin(), seq.acked.begin() + k * kBlockTokens));
+      std::vector<std::int32_t> prefix(seq.acked.begin(),
+                                       seq.acked.begin() + k * kBlockTokens);
+      h = KvChainAdvance(
+          h, std::span<const std::int32_t>(prefix).last(kBlockTokens));
+      prefix_of_hash_[h] = prefix;
+      sealed_ever_.insert(std::move(prefix));
     }
+  }
+
+  /// What the executor does after each append: write the new token's
+  /// K/V row through the sequence's pages.
+  void WriteRow(std::uint64_t id, std::int64_t pos, const Row& row) {
+    accel::ScatterKvRows(pool_.Pages(id), pos, pos + 1, row.data());
   }
 
   void AppendAcked(std::uint64_t id, ModelSeq& seq, std::int32_t token) {
     Status st = pool_.Append(id, token);
     if (st.ok()) {
       seq.acked.push_back(token);
+      WriteRow(id, static_cast<std::int64_t>(seq.acked.size()) - 1,
+               Fingerprint(seq.acked));
       RecordSealed(seq);
     } else {
       // The only legal refusal is capacity; it must be consistent with
@@ -192,6 +234,27 @@ class StressHarness {
       AppendAcked(it->first, it->second, DrawToken());
       if (it->second.acked.size() == before) break;
     }
+  }
+
+  /// A draft phase: appends guesses whose rows carry junk, then rolls
+  /// them back. The committed rows must survive untouched (a COW of a
+  /// shared tail inside the phase copies them).
+  void Speculate() {
+    auto it = live_.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(
+                         rng_.NextBounded(live_.size())));
+    ASSERT_TRUE(pool_.BeginSpeculation(it->first).ok());
+    const std::int64_t drafts = 1 + static_cast<std::int64_t>(rng_.NextBounded(6));
+    std::int64_t pos = static_cast<std::int64_t>(it->second.acked.size());
+    for (std::int64_t t = 0; t < drafts; ++t, ++pos) {
+      const Status st = pool_.Append(it->first, DrawToken());
+      if (!st.ok()) {
+        ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+        break;
+      }
+      WriteRow(it->first, pos, Row{-1.0f, -2.0f, -3.0f, -4.0f});
+    }
+    ASSERT_TRUE(pool_.RollbackSpeculation(it->first).ok());
   }
 
   void Release() {
@@ -275,6 +338,47 @@ class StressHarness {
     ASSERT_EQ(pool_.used_blocks(),
               s.block_allocs + s.cache_block_reacquires - s.block_frees)
         << "op " << op;
+    CheckPayload(op);
+  }
+
+  /// Every owned block's rows [0, tokens) and every evictable block's
+  /// rows hold the fingerprints of their content.
+  void CheckPayload(int op) {
+    for (const auto& [id, seq] : live_) {
+      const std::int64_t n = static_cast<std::int64_t>(seq.acked.size());
+      std::vector<float> rows(static_cast<std::size_t>(n) * Row{}.size());
+      accel::GatherKvRows(pool_.Pages(id), 0, n, rows.data());
+      for (std::int64_t p = 0; p < n; ++p) {
+        const Row want = Fingerprint(
+            std::span<const std::int32_t>(seq.acked).first(
+                static_cast<std::size_t>(p + 1)));
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               rows.begin() + p * 4))
+            << "op " << op << " seq " << id << " row " << p;
+      }
+    }
+    for (std::int32_t b = 0; b < pool_.materialized_blocks(); ++b) {
+      if (pool_.BlockRefCount(b) != 0 || !pool_.BlockIsCached(b)) continue;
+      const auto it = prefix_of_hash_.find(pool_.BlockChainHash(b));
+      ASSERT_NE(it, prefix_of_hash_.end()) << "op " << op << " block " << b;
+      const std::vector<std::int32_t>& prefix = it->second;
+      const std::span<const float> payload = pool_.BlockPayload(b);
+      const accel::KvBlockLayout layout = pool_.config().payload_layout();
+      for (std::int64_t r = 0; r < kBlockTokens; ++r) {
+        const std::size_t end = prefix.size() - kBlockTokens + r + 1;
+        const Row want =
+            Fingerprint(std::span<const std::int32_t>(prefix).first(end));
+        // Row r of the K plane then the V plane (layout [K|V][row][dim]).
+        for (std::int64_t kv = 0; kv < 2; ++kv) {
+          for (std::int64_t i = 0; i < kPayloadKvDim; ++i) {
+            ASSERT_EQ(payload[static_cast<std::size_t>(
+                          layout.Offset(0, kv, r) + i)],
+                      want[static_cast<std::size_t>(kv * kPayloadKvDim + i)])
+                << "op " << op << " evictable block " << b << " row " << r;
+          }
+        }
+      }
+    }
   }
 
   void Drain() {
@@ -299,6 +403,7 @@ class StressHarness {
   std::map<std::uint64_t, ModelSeq> live_;
   std::vector<std::vector<std::int32_t>> sources_;
   std::set<std::vector<std::int32_t>> sealed_ever_;
+  std::map<std::uint64_t, std::vector<std::int32_t>> prefix_of_hash_;
   std::uint64_t next_seq_ = 0;
 };
 
@@ -339,6 +444,81 @@ TEST(KvPoolStressTest, CowAndEvictionPathsAreActuallyExercised) {
   EXPECT_GT(s.swap_dma_bytes, 0);
   EXPECT_EQ(s.dma_bytes_moved,
             s.cow_dma_bytes + s.restore_dma_bytes + s.swap_dma_bytes);
+  EXPECT_GT(s.spec_phases, 0);
+  EXPECT_GT(s.spec_rollback_blocks, 0);
+}
+
+// ---------------- lazy growth ----------------
+
+KvPoolConfig ScriptPool(std::int64_t blocks, bool enable_prefix_cache) {
+  KvPoolConfig config;
+  config.bytes_per_token = 8;
+  config.block_size_tokens = 2;
+  config.pool_bytes = static_cast<std::uint64_t>(blocks) * config.block_bytes();
+  config.enable_prefix_cache = enable_prefix_cache;
+  return config;
+}
+
+void AppendN(KvBlockPool& pool, std::uint64_t seq, std::int32_t first,
+             int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(pool.Append(seq, first + i).ok());
+  }
+}
+
+TEST(KvPoolLazyGrowthTest, HandsOutIdsInEagerLifoOrder) {
+  // An eagerly built pool pushes ids descending onto a LIFO free list and
+  // pushes returned ids on top. The lazy pool must reproduce that order
+  // exactly: returned ids first, then fresh ids ascending.
+  KvBlockPool pool(ScriptPool(4, /*enable_prefix_cache=*/false));
+  EXPECT_EQ(pool.materialized_blocks(), 0);
+  ASSERT_TRUE(pool.Register(1).ok());
+  AppendN(pool, 1, 10, 3);
+  EXPECT_EQ(pool.BlockTable(1), (std::vector<std::int32_t>{0, 1}));
+  ASSERT_TRUE(pool.Register(2).ok());
+  AppendN(pool, 2, 20, 2);
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<std::int32_t>{2}));
+  EXPECT_EQ(pool.materialized_blocks(), 3);
+  ASSERT_TRUE(pool.Release(1).ok());  // returns 0, then 1 (on top)
+  AppendN(pool, 2, 22, 1);
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<std::int32_t>{2, 1}));
+  ASSERT_TRUE(pool.Register(3).ok());
+  AppendN(pool, 3, 30, 4);
+  EXPECT_EQ(pool.BlockTable(3), (std::vector<std::int32_t>{0, 3}));
+  EXPECT_EQ(pool.materialized_blocks(), 4);
+  EXPECT_EQ(pool.Append(3, 34).code(), StatusCode::kResourceExhausted);
+}
+
+TEST(KvPoolLazyGrowthTest, FreshIdsComeBeforeLruEviction) {
+  KvBlockPool pool(ScriptPool(3, /*enable_prefix_cache=*/true));
+  ASSERT_TRUE(pool.Register(1).ok());
+  AppendN(pool, 1, 10, 4);  // two sealed, cached blocks
+  ASSERT_TRUE(pool.Release(1).ok());  // both park on the LRU list
+  ASSERT_TRUE(pool.Register(2).ok());
+  AppendN(pool, 2, 50, 2);
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<std::int32_t>{2}));
+  EXPECT_EQ(pool.stats().cache_evictions, 0);
+  AppendN(pool, 2, 52, 1);  // no fresh id left: evict the coldest (0)
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<std::int32_t>{2, 0}));
+  EXPECT_EQ(pool.stats().cache_evictions, 1);
+  EXPECT_EQ(pool.materialized_blocks(), 3);
+}
+
+TEST(KvPoolLazyGrowthTest, FullHbmPoolMaterializesNothingUpFront) {
+  const llama::ModelConfig tiny = llama::ModelConfig::Tiny();
+  const KvPoolConfig config = MakeKvPoolConfig(
+      tiny, KvCacheDtype::kFp16, hw::U280Config::Default().hbm.capacity_bytes,
+      16, /*enable_prefix_cache=*/true);
+  KvBlockPool pool(config);
+  EXPECT_GT(pool.num_blocks(), 1'000'000);
+  EXPECT_EQ(pool.materialized_blocks(), 0);
+  EXPECT_EQ(pool.BlockRefCount(static_cast<std::int32_t>(pool.num_blocks() - 1)),
+            0);
+  ASSERT_TRUE(pool.Register(7).ok());
+  ASSERT_TRUE(pool.Append(7, 1).ok());
+  EXPECT_EQ(pool.materialized_blocks(), 1);
+  EXPECT_EQ(static_cast<std::int64_t>(pool.BlockPayload(0).size()),
+            config.payload_layout().block_floats());
 }
 
 }  // namespace

@@ -1,0 +1,197 @@
+// One KV store: the KvBlockPool holds every card's functional K/V, so the
+// host runs exactly the forwards the simulated device computes. Prefix
+// hits, readmission restores, handoff adoption and remote fetches map
+// K/V that already exists; ServingReport::executor_forwards must equal
+// total_tokens + recomputed_tokens however much of that traffic a run
+// has.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <vector>
+
+#include "api/engine.hpp"
+#include "compiler/compiler.hpp"
+#include "runtime/variants.hpp"
+#include "serving/cluster.hpp"
+#include "serving/workload.hpp"
+
+namespace speedllm::serving {
+namespace {
+
+struct Fixture {
+  llama::ModelConfig config = llama::ModelConfig::Tiny();
+  llama::Weights weights = llama::GenerateSyntheticWeights(config, 808);
+  hw::U280Config u280 = hw::U280Config::Default();
+  accel::Program program = Compile();
+
+  accel::Program Compile() const {
+    auto r = compiler::Compile(
+        config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(r).value().program;
+  }
+};
+
+/// Prompts open with one of two shared 24-token prefixes (3 blocks of 8).
+std::vector<ServingRequest> SharedTrace(const llama::ModelConfig& config,
+                                        int n) {
+  Rng rng(555);
+  SharedPrefixConfig spc;
+  spc.num_requests = n;
+  spc.rate_rps = 2000.0;
+  spc.shared_fraction = 0.75;
+  spc.num_prefixes = 2;
+  spc.prefix_tokens = 24;
+  spc.min_suffix_tokens = 2;
+  spc.max_suffix_tokens = 6;
+  spc.min_new_tokens = 4;
+  spc.max_new_tokens = 8;
+  spc.vocab_size = config.vocab_size;
+  return SharedPrefixTrace(rng, spc);
+}
+
+void ExpectForwardsMatchDeviceWork(const ServingReport& merged) {
+  EXPECT_GT(merged.total_tokens, 0);
+  EXPECT_EQ(merged.executor_forwards,
+            merged.total_tokens + merged.recomputed_tokens);
+}
+
+StatusOr<ClusterReport> RunCluster(const Fixture& f, int cards,
+                                   const ClusterConfig& config,
+                                   const std::vector<ServingRequest>& reqs) {
+  ClusterRouter router(f.program, f.weights,
+                       hw::MultiCardConfig::Homogeneous(f.u280, cards),
+                       config);
+  llama::SamplerConfig sc;
+  sc.seed = 21;
+  return router.Run(reqs, sc);
+}
+
+TEST(KvStoreTest, MultiTurnPrefixHitsRunNoForwards) {
+  Fixture f;
+  api::EngineConfig config;
+  config.num_cards = 2;
+  config.placement = PlacementPolicy::kPrefixAffinity;
+  config.scheduler.block_size_tokens = 8;
+  config.sampler.temperature = 0.0f;
+  api::Engine engine(f.program, f.weights, f.u280, config);
+
+  MultiTurnConfig chat;
+  chat.num_users = 3;
+  chat.turns_per_user = 4;
+  chat.mean_think_seconds = 0.0005;
+  chat.system_prompt_tokens = 12;
+  chat.max_user_tokens = 4;
+  chat.min_new_tokens = 3;
+  chat.max_new_tokens = 5;
+  chat.vocab_size = f.config.vocab_size;
+  MultiTurnChatPool pool(91, chat);
+  std::function<void(std::int32_t, ServingRequest)> issue =
+      [&](std::int32_t user, ServingRequest request) {
+        api::StreamCallbacks callbacks;
+        callbacks.on_finish = [&, user](api::RequestHandle, FinishReason,
+                                        const RequestOutcome& out) {
+          if (auto next =
+                  pool.OnFinish(user, engine.now_seconds(), out.generated)) {
+            issue(user, std::move(*next));
+          }
+        };
+        ASSERT_TRUE(engine.Submit(std::move(request), std::move(callbacks)).ok());
+      };
+  for (std::int32_t u = 0; u < chat.num_users; ++u) {
+    if (auto first = pool.StartUser(u)) issue(u, std::move(*first));
+  }
+  engine.RunToCompletion();
+  ASSERT_TRUE(pool.AllDone());
+  auto report = engine.Finish();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
+  ExpectForwardsMatchDeviceWork(report->merged);
+}
+
+TEST(KvStoreTest, ReadmissionRestoresRunNoForwards) {
+  // Six requests share an 8-token prefix in a 10-block pool of 4-token
+  // blocks: decode growth preempts, and every readmission restores the
+  // prefix its co-residents keep cached instead of recomputing it.
+  Fixture f;
+  ClusterConfig config;
+  config.shard.block_size_tokens = 4;
+  config.shard.kv_pool_bytes = 10ull * 4 * KvBytesPerToken(f.config);
+  config.shard.max_batch_seqs = 6;
+  config.shard.max_batch_tokens = 48;
+  std::vector<ServingRequest> reqs(6);
+  for (std::int32_t i = 0; i < 6; ++i) {
+    for (std::int32_t t = 0; t < 8; ++t) reqs[i].prompt.push_back(3 + t);
+    reqs[i].prompt.push_back(100 + i);
+    reqs[i].prompt.push_back(200 + i);
+    reqs[i].max_new_tokens = 10;
+  }
+  auto report = RunCluster(f, 1, config, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->merged.preemptions, 0);
+  EXPECT_GT(report->merged.recomputed_tokens, 0);
+  EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
+  ExpectForwardsMatchDeviceWork(report->merged);
+}
+
+TEST(KvStoreTest, HandoffAdoptionRunsNoForwards) {
+  Fixture f;
+  ClusterConfig config;
+  config.shard.block_size_tokens = 8;
+  config.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
+  auto report = RunCluster(f, 2, config, SharedTrace(f.config, 12));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->kv_handoffs, 0);
+  ExpectForwardsMatchDeviceWork(report->merged);
+}
+
+TEST(KvStoreTest, RemoteFetchRunsNoForwards) {
+  Fixture f;
+  ClusterConfig config;
+  config.shard.block_size_tokens = 8;
+  config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
+  config.prefix_fetch = PrefixFetchPolicy::kAlwaysFetch;
+  auto report = RunCluster(f, 2, config, SharedTrace(f.config, 14));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->remote_prefix_hits, 0);
+  ExpectForwardsMatchDeviceWork(report->merged);
+}
+
+TEST(KvStoreTest, WarmStartComputesInstalledBlocksOnce) {
+  // An imported directory snapshot carries tokens, not K/V: the shard
+  // computes the installed blocks once and the first request hits them.
+  Fixture f;
+  api::EngineConfig config;
+  config.num_cards = 2;
+  config.scheduler.block_size_tokens = 8;
+  PrefixDirectorySnapshot snapshot;
+  {
+    api::Engine engine(f.program, f.weights, f.u280, config);
+    for (const ServingRequest& r : SharedTrace(f.config, 8)) {
+      ASSERT_TRUE(engine.Submit(r).ok());
+    }
+    engine.RunToCompletion();
+    snapshot = engine.ExportPrefixDirectory();
+    ASSERT_TRUE(engine.Finish().ok());
+  }
+  ASSERT_FALSE(snapshot.chains.empty());
+  std::int64_t snapshot_tokens = 0;
+  for (const auto& chain : snapshot.chains) {
+    snapshot_tokens += static_cast<std::int64_t>(chain.tokens.size());
+  }
+  api::Engine engine(f.program, f.weights, f.u280, config);
+  engine.ImportPrefixDirectory(snapshot);
+  ASSERT_TRUE(engine.Submit(SharedTrace(f.config, 8).front()).ok());
+  engine.RunToCompletion();
+  auto report = engine.Finish();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
+  const std::int64_t warm =
+      report->merged.executor_forwards -
+      (report->merged.total_tokens + report->merged.recomputed_tokens);
+  EXPECT_GT(warm, 0);
+  EXPECT_LE(warm, snapshot_tokens);
+}
+
+}  // namespace
+}  // namespace speedllm::serving
