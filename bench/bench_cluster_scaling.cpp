@@ -1,6 +1,6 @@
 // SpeedLLM bench: multi-card cluster scaling curves.
 //
-// Drives one saturating request trace through serving::ClusterRouter at
+// Drives one saturating request trace through api::Engine at
 // 1/2/4/8 cards for every placement policy and reports aggregate
 // tokens/s, speedup over one card, per-card imbalance and utilization,
 // and rebalancer activity. The headline check: at saturating load the
@@ -21,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/serving.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
 
@@ -58,20 +57,14 @@ int main(int argc, char** argv) {
 
   // Probe the single-card batched saturation rate so the offered load is
   // model-independent and genuinely saturating at `load_factor` cards.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), gen, 0.0, {}});
-  }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, gen);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
   const double tokens_per_req = 8.0 + gen;
-  const double card_saturation_rps =
-      probe_report->device_tokens_per_second / tokens_per_req;
+  const double card_saturation_rps = *card_tps / tokens_per_req;
 
   serving::WorkloadConfig wc;
   wc.num_requests = n_requests;
@@ -102,12 +95,12 @@ int main(int argc, char** argv) {
         serving::PlacementPolicy::kBestFitFreeKv}) {
     double one_card_tps = 0.0;
     for (int cards : {1, 2, 4, 8}) {
-      serving::ClusterConfig cluster_config;
+      api::EngineConfig cluster_config;
       cluster_config.placement = policy;
-      serving::ClusterRouter router(
-          program, weights, hw::MultiCardConfig::Homogeneous(u280, cards),
-          cluster_config);
-      auto report = router.Run(reqs, sampler);
+      cluster_config.num_cards = cards;
+      cluster_config.sampler = sampler;
+      auto report =
+          bench::ServeTrace(program, weights, u280, cluster_config, reqs);
       if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
         return 1;

@@ -84,15 +84,10 @@ int main(int argc, char** argv) {
 
   // Probe single-card saturation so the offered load genuinely queues at
   // `load_factor` on the 4-card cluster regardless of model preset.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
-  }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, 8);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
 
@@ -108,8 +103,7 @@ int main(int argc, char** argv) {
   wc.vocab_size = config.vocab_size;
   wc.burst_size = burst;
   const double tokens_per_req = 22.0 + 64.0;  // mean prompt + mean gen
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = *card_tps / tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::BurstyTrace(rng, wc);
 
@@ -125,17 +119,17 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   auto run = [&](const std::string& label,
                  std::vector<serving::ShardRole> roles) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
     // Wide residency (applied to BOTH modes): decode specialists must be
     // able to hold every adopted stream resident -- with the default
     // 8-slot cap, adopted streams queue behind the cap and that wait
     // lands inside TPOT (first token is stamped at prefill completion).
-    cluster.shard.max_batch_seqs = 32;
+    cluster.scheduler.max_batch_seqs = 32;
     cluster.shard_roles = std::move(roles);
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, 4), cluster);
-    auto report = router.Run(reqs, sampler);
+    cluster.num_cards = 4;
+    cluster.sampler = sampler;
+    auto report = bench::ServeTrace(program, weights, u280, cluster, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
@@ -153,8 +147,10 @@ int main(int argc, char** argv) {
   }
 
   // Byte-identity: disaggregation moves timing, never tokens.
-  serving::ContinuousBatchScheduler single(program, weights, u280);
-  auto baseline = single.Run(reqs, sampler);
+  api::EngineConfig baseline_config;
+  baseline_config.sampler = sampler;
+  auto baseline =
+      bench::ServeTrace(program, weights, u280, baseline_config, reqs);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -163,7 +159,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (row.report.merged.outcomes[i].generated !=
-          baseline->outcomes[i].generated) {
+          baseline->merged.outcomes[i].generated) {
         std::fprintf(stderr, "FAIL: token stream diverged: %s, request %zu\n",
                      row.label.c_str(), i);
         identical = false;

@@ -116,24 +116,18 @@ int main(int argc, char** argv) {
 
   // Probe the batched saturation rate so the offered load genuinely
   // queues at `load_factor` regardless of the preset.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
-  }
   llama::SamplerConfig sampler;
   sampler.temperature = 0.0f;  // greedy: the strictest identity check
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, 8);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
   const double tokens_per_req =
       0.5 * (wc.min_prompt_tokens + wc.max_prompt_tokens) +
       0.5 * (wc.min_new_tokens + wc.max_new_tokens);
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = *card_tps / tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::PoissonTrace(rng, wc);
 
@@ -172,20 +166,20 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   auto run = [&](const std::string& label, serving::KvCacheDtype dtype,
                  bool charge_dma) -> bool {
-    serving::SchedulerConfig sc;
-    sc.block_size_tokens = 8;
-    sc.kv_pool_bytes = pool_bytes;
-    sc.kv_cache_dtype = dtype;
-    sc.charge_dma_cost = charge_dma;
-    sc.max_batch_seqs = 16;
-    auto report = serving::ContinuousBatchScheduler(program, weights, u280, sc)
-                      .Run(reqs, sampler);
+    api::EngineConfig ec;
+    ec.scheduler.block_size_tokens = 8;
+    ec.scheduler.kv_pool_bytes = pool_bytes;
+    ec.scheduler.kv_cache_dtype = dtype;
+    ec.scheduler.charge_dma_cost = charge_dma;
+    ec.scheduler.max_batch_seqs = 16;
+    ec.sampler = sampler;
+    auto report = bench::ServeTrace(program, weights, u280, ec, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
       return false;
     }
-    rows.push_back(Row{label, std::move(*report)});
+    rows.push_back(Row{label, std::move(report->merged)});
     return true;
   };
 

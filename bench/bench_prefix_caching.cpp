@@ -79,15 +79,10 @@ int main(int argc, char** argv) {
 
   // Probe the single-card batched saturation rate so the offered load is
   // model-independent and genuinely queues at `load_factor`.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
-  }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, 8);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
 
@@ -103,8 +98,7 @@ int main(int argc, char** argv) {
   spc.vocab_size = config.vocab_size;
   const double tokens_per_req =
       prefix_tokens + 2.5 + 5.0;  // mean prompt + mean generation
-  spc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                 load_factor;
+  spc.rate_rps = *card_tps / tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::SharedPrefixTrace(rng, spc);
 
@@ -121,14 +115,13 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   auto run = [&](const std::string& label, int cards, bool cache,
                  serving::PlacementPolicy placement) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = placement;
-    cluster.shard.block_size_tokens = 8;
-    cluster.shard.enable_prefix_cache = cache;
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, cards),
-        cluster);
-    auto report = router.Run(reqs, sampler);
+    cluster.scheduler.block_size_tokens = 8;
+    cluster.scheduler.enable_prefix_cache = cache;
+    cluster.num_cards = cards;
+    cluster.sampler = sampler;
+    auto report = bench::ServeTrace(program, weights, u280, cluster, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());

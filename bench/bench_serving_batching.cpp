@@ -1,12 +1,15 @@
-// SpeedLLM bench: continuous batching vs legacy round-robin serving.
+// SpeedLLM bench: continuous batching vs one-token-per-tick serving.
 //
 // Sweeps offered load (as a fraction of the card's single-stream decode
 // saturation rate) x batch policy, then KV block size under a deliberately
 // tight pool, and reports aggregate tokens/s, TTFT/latency percentiles,
 // batch width and preemption counts. The headline check: at >= 4
-// concurrent requests the grouped-step scheduler must beat the seed
-// round-robin path on aggregate tokens/s while keeping p99 TTFT bounded,
-// without the KV pool ever outgrowing its HBM budget.
+// concurrent requests the grouped-step scheduler must beat the width-1
+// baseline (one token per tick, no prefix sharing -- the sequential
+// server a grouped launch replaces) on aggregate tokens/s while keeping
+// p99 TTFT bounded, without the KV pool ever outgrowing its HBM budget.
+// Every run is one api::Engine; the JSON keeps the historical
+// legacy_tokens_per_second name for the width-1 baseline.
 //
 //   ./bench/bench_serving_batching [--preset tiny] [--requests 24]
 //                                  [--seed 7] [--gen 12] [--json out.json]
@@ -35,7 +38,6 @@
 #include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/serving.hpp"
 #include "serving/workload.hpp"
 
 using namespace speedllm;
@@ -47,15 +49,29 @@ struct RunResult {
   serving::ServingReport report;
 };
 
+/// The baseline scheduler: one sequence, one token per tick, no prefix
+/// sharing -- every token pays a full sequential forward.
+serving::SchedulerConfig Width1() {
+  serving::SchedulerConfig config;
+  config.max_batch_seqs = 1;
+  config.max_batch_tokens = 1;
+  config.enable_prefix_cache = false;
+  return config;
+}
+
 StatusOr<serving::ServingReport> RunOnce(
     const accel::Program& program, const llama::Weights& weights,
     const hw::U280Config& u280, const std::vector<serving::ServingRequest>& reqs,
-    runtime::ServingMode mode, serving::SchedulerConfig config = {}) {
-  runtime::ServingSimulator sim(program, weights, u280, mode,
-                                std::move(config));
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;  // greedy: identical streams across schedulers
-  return sim.Run(reqs, sc);
+    serving::SchedulerConfig config = {}) {
+  api::EngineConfig engine_config;
+  engine_config.scheduler = std::move(config);
+  // Greedy: identical streams across schedulers.
+  engine_config.sampler.temperature = 0.0f;
+  SPEEDLLM_ASSIGN_OR_RETURN(
+      serving::ClusterReport report,
+      bench::ServeTrace(program, weights, u280, std::move(engine_config),
+                        reqs));
+  return std::move(report.merged);
 }
 
 void AddRow(Table& table, const std::string& rate_label,
@@ -105,8 +121,7 @@ int main(int argc, char** argv) {
   // Probe the single-stream rate so offered load is model-independent.
   std::vector<serving::ServingRequest> probe = {serving::ServingRequest{
       bench::MakePrompt(config, 8), gen, 0.0, {}}};
-  auto probe_report = RunOnce(program, weights, u280, probe,
-                              runtime::ServingMode::kLegacyRoundRobin);
+  auto probe_report = RunOnce(program, weights, u280, probe, Width1());
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -115,7 +130,7 @@ int main(int argc, char** argv) {
   const double saturation_rps =
       probe_report->device_tokens_per_second / tokens_per_req;
 
-  std::printf("== continuous batching vs round-robin: %d requests, %s ==\n",
+  std::printf("== continuous batching vs width-1: %d requests, %s ==\n",
               n_requests, config.ToString().c_str());
   std::printf("single-stream saturation: %.1f req/s\n\n", saturation_rps);
 
@@ -140,21 +155,19 @@ int main(int argc, char** argv) {
     std::snprintf(rate_label, sizeof(rate_label), "%.1fx", load_factor);
 
     std::vector<RunResult> runs;
-    auto legacy = RunOnce(program, weights, u280, reqs,
-                          runtime::ServingMode::kLegacyRoundRobin);
+    auto legacy = RunOnce(program, weights, u280, reqs, Width1());
     if (!legacy.ok()) {
       std::fprintf(stderr, "%s\n", legacy.status().ToString().c_str());
       return 1;
     }
-    runs.push_back({"round-robin", std::move(legacy).value()});
+    runs.push_back({"width-1", std::move(legacy).value()});
     for (serving::BatchPolicy policy :
          {serving::BatchPolicy::kFcfs,
           serving::BatchPolicy::kShortestPromptFirst,
           serving::BatchPolicy::kDecodePriority}) {
       serving::SchedulerConfig sc;
       sc.policy = policy;
-      auto report = RunOnce(program, weights, u280, reqs,
-                            runtime::ServingMode::kContinuousBatching, sc);
+      auto report = RunOnce(program, weights, u280, reqs, sc);
       if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
         return 1;
@@ -203,8 +216,7 @@ int main(int argc, char** argv) {
         (max_request_tokens + block_tokens - 1) / block_tokens;
     sc.kv_pool_bytes = std::max(
         pool_bytes, need_blocks * block_tokens * bytes_per_token);
-    auto report = RunOnce(program, weights, u280, reqs,
-                          runtime::ServingMode::kContinuousBatching, sc);
+    auto report = RunOnce(program, weights, u280, reqs, sc);
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
@@ -228,7 +240,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nGrouped decode streams the weights once per step instead of once "
-      "per sequence: continuous batching peaks at %.2fx the round-robin "
+      "per sequence: continuous batching peaks at %.2fx the width-1 "
       "throughput on this trace. Small blocks waste less capacity (fewer "
       "preemptions under pressure); large blocks shorten block tables.\n",
       best_speedup);
@@ -345,8 +357,7 @@ int main(int argc, char** argv) {
                          : saturation_rps;
   Rng open_rng(seed);
   auto open_reqs = serving::PoissonTrace(open_rng, open_wc);
-  auto open = RunOnce(program, weights, u280, open_reqs,
-                      runtime::ServingMode::kContinuousBatching, {});
+  auto open = RunOnce(program, weights, u280, open_reqs);
   if (!open.ok()) {
     std::fprintf(stderr, "%s\n", open.status().ToString().c_str());
     return 1;

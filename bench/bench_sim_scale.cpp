@@ -1,9 +1,9 @@
 // SpeedLLM bench: parallel tick driver soak + wall-clock scaling.
 //
-// Long-horizon stress for sim::Engine::RunParallel under the cluster
-// router: drives a ~100k-request Poisson trace through 8 cards in
-// segments, once with the serial driver and once with parallel ticking,
-// and gates on four properties every run:
+// Long-horizon stress for sim::Engine::RunParallel over a
+// serving::ClusterSession: drives a ~100k-request Poisson trace through 8
+// cards in segments, once with the serial driver and once with parallel
+// ticking, and gates on four properties every run:
 //
 //  1. identity (hard): token streams, completion times, makespan, and
 //     request->shard assignment are byte-identical serial vs parallel in
@@ -40,6 +40,7 @@
 #include "accel/kv_pages.hpp"
 #include "api/engine.hpp"
 #include "bench_util.hpp"
+#include "common/threadpool.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
@@ -111,11 +112,32 @@ int main(int argc, char** argv) {
   // so (almost) every tick is lane-safe and phases stay wide. This is
   // the deployment shape the speedup claim is about; the conservative
   // fallbacks are covered by test_parallel_tick.
-  serving::ClusterConfig serial_config;
-  serial_config.placement = serving::PlacementPolicy::kRoundRobin;
-  serial_config.rebalance_queued = false;
-  serving::ClusterConfig parallel_config = serial_config;
-  parallel_config.parallel_ticking = true;
+  serving::ClusterConfig cluster_config;
+  cluster_config.placement = serving::PlacementPolicy::kRoundRobin;
+  cluster_config.rebalance_queued = false;
+  // One phase: a ClusterSession fed the whole segment up front, drained
+  // serially with Run() or lane-parallel with RunParallel(). No emission
+  // hooks are installed, so delivery events never force a barrier.
+  const auto serve = [&](const std::vector<serving::ServingRequest>& reqs,
+                         bool parallel) -> StatusOr<serving::ClusterReport> {
+    serving::ClusterConfig phase_config = cluster_config;
+    phase_config.parallel_ticking = parallel;
+    serving::ClusterSession session(program, weights, cards, phase_config,
+                                    sampler);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      SPEEDLLM_RETURN_IF_ERROR(
+          session.Validate(reqs[i], "request " + std::to_string(i)));
+      session.SubmitAt(&reqs[i], i,
+                       session.SecondsToCycles(reqs[i].arrival_seconds));
+    }
+    if (parallel) {
+      session.engine().RunParallel(ThreadPool::Global());
+    } else {
+      session.engine().Run();
+    }
+    SPEEDLLM_RETURN_IF_ERROR(session.Finalize());
+    return session.Harvest();
+  };
 
   const int per_segment = n_requests / n_segments;
   std::printf(
@@ -149,13 +171,9 @@ int main(int argc, char** argv) {
     const auto reqs = segment_trace(s);
 
     auto t0 = std::chrono::steady_clock::now();
-    auto serial = serving::ClusterRouter(program, weights, cards,
-                                         serial_config)
-                      .Run(reqs, sampler);
+    auto serial = serve(reqs, /*parallel=*/false);
     auto t1 = std::chrono::steady_clock::now();
-    auto par = serving::ClusterRouter(program, weights, cards,
-                                      parallel_config)
-                   .Run(reqs, sampler);
+    auto par = serve(reqs, /*parallel=*/true);
     auto t2 = std::chrono::steady_clock::now();
     if (!serial.ok() || !par.ok()) {
       std::fprintf(stderr, "segment %d failed: %s\n", s,
@@ -220,8 +238,8 @@ int main(int argc, char** argv) {
   // Long-session phase: every segment's trace, back to back, through one
   // engine that lives for the whole run.
   api::EngineConfig session_config;
-  session_config.placement = serial_config.placement;
-  session_config.rebalance_queued = serial_config.rebalance_queued;
+  session_config.placement = cluster_config.placement;
+  session_config.rebalance_queued = cluster_config.rebalance_queued;
   session_config.sampler = sampler;
   api::Engine session(program, weights, cards, session_config);
   const double block_payload_mib =

@@ -62,18 +62,13 @@ int main(int argc, char** argv) {
 
   // Probe the single-card batched saturation rate so the offered load
   // is model-independent and genuinely overloads at `load_factor`.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
-  }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, 8);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
-  const double capacity_tok_s = probe_report->device_tokens_per_second;
+  const double capacity_tok_s = *card_tps;
 
   // Mixed-tier open-loop workload; mean prompt 16 + mean generation 16.
   serving::WorkloadConfig wc;
@@ -95,9 +90,10 @@ int main(int argc, char** argv) {
   serving::ApplyTierMix(ref_rng, mix, ref_reqs);
   double ref_ttft_p99 = 0.0;
   {
-    serving::ClusterRouter router(program, weights,
-                                  hw::MultiCardConfig::Homogeneous(u280, 1));
-    auto report = router.Run(ref_reqs, sampler);
+    api::EngineConfig ref_config;
+    ref_config.sampler = sampler;
+    auto report =
+        bench::ServeTrace(program, weights, u280, ref_config, ref_reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "reference: %s\n",
                    report.status().ToString().c_str());
@@ -126,23 +122,23 @@ int main(int argc, char** argv) {
       config.ToString().c_str());
 
   auto run = [&](bool tiered) -> StatusOr<serving::ClusterReport> {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.telemetry.enable_tracing = true;  // goodput's only source
     cluster.telemetry.enable_metrics = true;
-    cluster.shard.tier_slo = slo;
+    cluster.scheduler.tier_slo = slo;
     if (tiered) {
-      cluster.shard.enable_tiers = true;
-      cluster.shard.admission.enable = true;
+      cluster.scheduler.enable_tiers = true;
+      cluster.scheduler.admission.enable = true;
       // Refill at exactly the card's serving rate, with a burst of ~10
       // mean requests: at 2x offered load the bucket drains past the
       // best-effort reserve within a few arrivals and stays pinned
       // there, so the shed pressure lands on the lowest tier.
-      cluster.shard.admission.rate_tokens_per_second = capacity_tok_s;
-      cluster.shard.admission.burst_tokens = tokens_per_req * 10.0;
+      cluster.scheduler.admission.rate_tokens_per_second = capacity_tok_s;
+      cluster.scheduler.admission.burst_tokens = tokens_per_req * 10.0;
     }
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, 1), cluster);
-    return router.Run(reqs, sampler);
+    cluster.num_cards = 1;
+    cluster.sampler = sampler;
+    return bench::ServeTrace(program, weights, u280, cluster, reqs);
   };
 
   auto fifo = run(false);

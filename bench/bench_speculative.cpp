@@ -86,15 +86,10 @@ int main(int argc, char** argv) {
 
   // Probe single-card saturation so the offered load queues a real
   // decode batch on the 4-card cluster regardless of model preset.
-  std::vector<serving::ServingRequest> probe;
-  for (int i = 0; i < 8; ++i) {
-    probe.push_back(
-        serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
-  }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
-  if (!probe_report.ok()) {
-    std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
+  auto card_tps =
+      bench::ProbeCardTokensPerSecond(program, weights, u280, sampler, 8);
+  if (!card_tps.ok()) {
+    std::fprintf(stderr, "%s\n", card_tps.status().ToString().c_str());
     return 1;
   }
 
@@ -108,8 +103,7 @@ int main(int argc, char** argv) {
   wc.max_new_tokens = 64;
   wc.vocab_size = config.vocab_size;
   const double tokens_per_req = 8.0 + 56.0;  // mean prompt + mean gen
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = *card_tps / tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::PoissonTrace(rng, wc);
 
@@ -124,16 +118,16 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   auto run = [&](const std::string& label, bool spec_on) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
-    cluster.shard.max_batch_seqs = 16;
-    cluster.shard.speculative.enable = spec_on;
-    cluster.shard.speculative.draft_tokens = k;
-    cluster.shard.speculative.acceptance_rate = rate;
-    cluster.shard.speculative.draft_cost_ratio = ratio;
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, 4), cluster);
-    auto report = router.Run(reqs, sampler);
+    cluster.scheduler.max_batch_seqs = 16;
+    cluster.scheduler.speculative.enable = spec_on;
+    cluster.scheduler.speculative.draft_tokens = k;
+    cluster.scheduler.speculative.acceptance_rate = rate;
+    cluster.scheduler.speculative.draft_cost_ratio = ratio;
+    cluster.num_cards = 4;
+    cluster.sampler = sampler;
+    auto report = bench::ServeTrace(program, weights, u280, cluster, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
@@ -147,8 +141,10 @@ int main(int argc, char** argv) {
 
   // Byte-identity: speculation moves timing, never tokens. The oracle
   // is a single non-speculative greedy card.
-  serving::ContinuousBatchScheduler single(program, weights, u280);
-  auto baseline = single.Run(reqs, sampler);
+  api::EngineConfig baseline_config;
+  baseline_config.sampler = sampler;
+  auto baseline =
+      bench::ServeTrace(program, weights, u280, baseline_config, reqs);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -157,7 +153,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (row.report.merged.outcomes[i].generated !=
-          baseline->outcomes[i].generated) {
+          baseline->merged.outcomes[i].generated) {
         std::fprintf(stderr, "FAIL: token stream diverged: %s, request %zu\n",
                      row.label.c_str(), i);
         identical = false;

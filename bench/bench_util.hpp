@@ -2,7 +2,8 @@
 //
 // Every bench binary reproduces one table/figure of the paper (see
 // DESIGN.md per-experiment index). The helpers here build the synthetic
-// stories15M workload and run one variant end to end.
+// stories15M workload, run one variant end to end, and serve a request
+// trace through api::Engine.
 #pragma once
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "llama/sampler.hpp"
@@ -83,6 +85,44 @@ inline StatusOr<runtime::InferenceMetrics> RunVariant(
       runtime::GenerationResult gen,
       dev.Generate(MakePrompt(weights.config, prefill), decode, sampler));
   return gen.metrics;
+}
+
+/// Serves `requests` through one api::Engine over `cards` (a
+/// hw::U280Config or hw::MultiCardConfig) built from `config`: submits
+/// the whole trace up front, drains the clock, and returns the harvested
+/// report. The first rejected Submit's status is returned as is.
+template <typename Cards>
+StatusOr<serving::ClusterReport> ServeTrace(
+    const accel::Program& program, const llama::Weights& weights,
+    const Cards& cards, api::EngineConfig config,
+    const std::vector<serving::ServingRequest>& requests) {
+  api::Engine engine(program, weights, cards, std::move(config));
+  for (const serving::ServingRequest& request : requests) {
+    SPEEDLLM_ASSIGN_OR_RETURN(api::RequestHandle handle,
+                              engine.Submit(request));
+    (void)handle;
+  }
+  engine.RunToCompletion();
+  return engine.Finish();
+}
+
+/// Device tokens/s of one default-configured card serving eight
+/// simultaneous requests (8-token prompt, `gen` new tokens each): the
+/// batched saturation rate benches scale their offered load against.
+inline StatusOr<double> ProbeCardTokensPerSecond(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::U280Config& u280, const llama::SamplerConfig& sampler,
+    std::int32_t gen) {
+  std::vector<serving::ServingRequest> probe;
+  for (int i = 0; i < 8; ++i) {
+    probe.push_back(serving::ServingRequest{MakePrompt(weights.config, 8),
+                                            gen, 0.0, {}});
+  }
+  api::EngineConfig config;
+  config.sampler = sampler;
+  SPEEDLLM_ASSIGN_OR_RETURN(serving::ClusterReport report,
+                            ServeTrace(program, weights, u280, config, probe));
+  return report.merged.device_tokens_per_second;
 }
 
 }  // namespace speedllm::bench

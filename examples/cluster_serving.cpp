@@ -1,6 +1,6 @@
 // SpeedLLM example: multi-card cluster serving walkthrough.
 //
-// Routes one bursty request trace across an N-card cluster and prints
+// Serves one bursty request trace on an N-card api::Engine and prints
 // the full per-card picture: which card served which request, per-card
 // tokens/utilization/preemptions, rebalancer activity, and cluster-wide
 // TTFT/TPOT/latency percentiles. The knob-turning companion to
@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "runtime/variants.hpp"
-#include "serving/cluster.hpp"
 #include "serving/workload.hpp"
 
 using namespace speedllm;
@@ -51,22 +51,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serving::ClusterConfig cluster_config;
+  api::EngineConfig engine_config;
   const std::string placement = cl.GetString("placement", "rr");
   if (placement == "least") {
-    cluster_config.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
+    engine_config.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
   } else if (placement == "bestfit") {
-    cluster_config.placement = serving::PlacementPolicy::kBestFitFreeKv;
+    engine_config.placement = serving::PlacementPolicy::kBestFitFreeKv;
   }
   const std::string policy = cl.GetString("policy", "fcfs");
   if (policy == "spf") {
-    cluster_config.shard.policy = serving::BatchPolicy::kShortestPromptFirst;
+    engine_config.scheduler.policy =
+        serving::BatchPolicy::kShortestPromptFirst;
   } else if (policy == "decode") {
-    cluster_config.shard.policy = serving::BatchPolicy::kDecodePriority;
+    engine_config.scheduler.policy = serving::BatchPolicy::kDecodePriority;
   }
   const std::uint64_t kv_mib =
       static_cast<std::uint64_t>(cl.GetInt("kv-mib", 0));
-  if (kv_mib > 0) cluster_config.shard.kv_pool_bytes = kv_mib << 20;
+  if (kv_mib > 0) engine_config.scheduler.kv_pool_bytes = kv_mib << 20;
 
   // Calibrate offered load against one card's batched saturation rate.
   std::vector<serving::ServingRequest> probe;
@@ -74,18 +75,30 @@ int main(int argc, char** argv) {
     probe.push_back(serving::ServingRequest{
         {llama::kBosToken, 300, 301, 302, 303, 304, 305, 306}, 12, 0.0, {}});
   }
-  llama::SamplerConfig sampler;
-  sampler.temperature = 0.8f;
-  sampler.seed = 99;
-  serving::ContinuousBatchScheduler probe_sched(compiled->program, weights,
-                                                u280, cluster_config.shard);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  engine_config.sampler.temperature = 0.8f;
+  engine_config.sampler.seed = 99;
+  // Offline serving: submit the whole trace up front, drain the clock,
+  // harvest the merged + per-card report.
+  const auto serve = [&](int num_cards,
+                         const std::vector<serving::ServingRequest>& trace)
+      -> StatusOr<serving::ClusterReport> {
+    engine_config.num_cards = num_cards;
+    api::Engine engine(compiled->program, weights, u280, engine_config);
+    for (const serving::ServingRequest& request : trace) {
+      SPEEDLLM_ASSIGN_OR_RETURN(api::RequestHandle handle,
+                                engine.Submit(request));
+      (void)handle;
+    }
+    engine.RunToCompletion();
+    return engine.Finish();
+  };
+  auto probe_report = serve(1, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
   }
   const double saturation_rps =
-      probe_report->device_tokens_per_second / 20.0;
+      probe_report->merged.device_tokens_per_second / 20.0;
 
   serving::WorkloadConfig wc;
   wc.num_requests = n_requests;
@@ -98,10 +111,7 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   auto reqs = serving::BurstyTrace(rng, wc);
 
-  serving::ClusterRouter router(
-      compiled->program, weights,
-      hw::MultiCardConfig::Homogeneous(u280, cards), cluster_config);
-  auto report_or = router.Run(reqs, sampler);
+  auto report_or = serve(cards, reqs);
   if (!report_or.ok()) {
     std::fprintf(stderr, "%s\n", report_or.status().ToString().c_str());
     return 1;
@@ -112,9 +122,9 @@ int main(int argc, char** argv) {
               "requests at %.1fx one-card saturation ==\n\n",
               cards,
               std::string(serving::PlacementPolicyName(
-                  cluster_config.placement)).c_str(),
+                  engine_config.placement)).c_str(),
               std::string(serving::BatchPolicyName(
-                  cluster_config.shard.policy)).c_str(),
+                  engine_config.scheduler.policy)).c_str(),
               n_requests, load_factor);
 
   Table per_card({"card", "requests", "tokens", "tok_per_s", "util",

@@ -1,6 +1,6 @@
 // SpeedLLM example: open-loop load generator for the serving scheduler.
 //
-// Drives the continuous-batching scheduler with a synthetic traffic
+// Drives the continuous-batching api::Engine with a synthetic traffic
 // scenario -- steady Poisson arrivals, bursty clumps, or a "rush hour"
 // ramp -- and prints per-request percentiles plus scheduler internals
 // (batch width, KV pool pressure, preemptions). This is the knob-turning
@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 
@@ -51,6 +51,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Offline serving: submit the whole trace up front, drain the clock,
+  // harvest the report.
+  const auto serve = [&](const serving::SchedulerConfig& scheduler,
+                         const std::vector<serving::ServingRequest>& trace)
+      -> StatusOr<serving::ClusterReport> {
+    api::EngineConfig engine_config;
+    engine_config.scheduler = scheduler;
+    engine_config.sampler.temperature = 0.8f;
+    engine_config.sampler.seed = 99;
+    api::Engine engine(compiled->program, weights, u280, engine_config);
+    for (const serving::ServingRequest& request : trace) {
+      SPEEDLLM_ASSIGN_OR_RETURN(api::RequestHandle handle,
+                                engine.Submit(request));
+      (void)handle;
+    }
+    engine.RunToCompletion();
+    return engine.Finish();
+  };
+
   serving::SchedulerConfig sched_config;
   if (policy_name == "spf") {
     sched_config.policy = serving::BatchPolicy::kShortestPromptFirst;
@@ -61,21 +80,21 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cl.GetInt("kv-mib", 0));
   if (kv_mib > 0) sched_config.kv_pool_bytes = kv_mib << 20;
 
-  // Calibrate offered load against the single-stream decode rate.
-  runtime::ServingSimulator probe_sim(compiled->program, weights, u280,
-                                      runtime::ServingMode::kLegacyRoundRobin);
-  llama::SamplerConfig sampler;
-  sampler.temperature = 0.8f;
-  sampler.seed = 99;
+  // Calibrate offered load against the single-stream decode rate: one
+  // request on a width-1 scheduler (one token per tick).
+  serving::SchedulerConfig width1;
+  width1.max_batch_seqs = 1;
+  width1.max_batch_tokens = 1;
+  width1.enable_prefix_cache = false;
   std::vector<serving::ServingRequest> probe = {
       serving::ServingRequest{{llama::kBosToken, 300, 301, 302}, 12, 0.0, {}}};
-  auto probe_report = probe_sim.Run(probe, sampler);
+  auto probe_report = serve(width1, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
   }
   const double saturation_rps =
-      probe_report->device_tokens_per_second / 16.0;
+      probe_report->merged.device_tokens_per_second / 16.0;
 
   serving::WorkloadConfig wc;
   wc.num_requests = n_requests;
@@ -111,14 +130,12 @@ int main(int argc, char** argv) {
     reqs = serving::BurstyTrace(rng, wc);
   }
 
-  runtime::ServingSimulator sim(compiled->program, weights, u280,
-                                runtime::ServingMode::kContinuousBatching,
-                                sched_config);
-  auto report = sim.Run(reqs, sampler);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  auto served = serve(sched_config, reqs);
+  if (!served.ok()) {
+    std::fprintf(stderr, "%s\n", served.status().ToString().c_str());
     return 1;
   }
+  const serving::ServingReport* report = &served->merged;
 
   std::printf("== %s traffic, %zu requests at %.1fx saturation, policy %s ==\n\n",
               scenario.c_str(), reqs.size(), load_factor,

@@ -4,21 +4,19 @@
 // interaction. This example simulates one U280 card serving a burst of
 // concurrent chat requests and compares the full SpeedLLM variant
 // against the unoptimized accelerator on time-to-first-token and
-// request latency. It drives runtime::ServingSimulator, which since
-// PR 3 is a thin batch-offline compat shim over the real serving entry
-// point, api::Engine (continuous batching, paged KV pool) -- the seed's
-// round-robin/per-request-cache loop survives only as the explicit
-// ServingMode::kLegacyRoundRobin baseline.
+// request latency. Each variant serves the burst offline through
+// api::Engine (continuous batching, paged KV pool): submit every request
+// up front, drain the clock, harvest the report.
 //
 //   ./examples/serving_simulator [--requests 4] [--gen 12] [--preset tiny]
 #include <cstdio>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 
 using namespace speedllm;
@@ -39,10 +37,10 @@ int main(int argc, char** argv) {
   auto u280 = hw::U280Config::Default();
 
   // A burst: requests arrive 2 ms apart with small varied prompts.
-  std::vector<runtime::ServingRequest> requests;
+  std::vector<serving::ServingRequest> requests;
   Rng rng(11);
   for (int i = 0; i < n_requests; ++i) {
-    runtime::ServingRequest req;
+    serving::ServingRequest req;
     req.prompt.push_back(llama::kBosToken);
     const int prompt_len = 4 + static_cast<int>(rng.NextBounded(8));
     for (int t = 1; t < prompt_len; ++t) {
@@ -66,15 +64,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", cr.status().ToString().c_str());
       return 1;
     }
-    runtime::ServingSimulator sim(cr->program, weights, u280);
-    llama::SamplerConfig sc;
-    sc.temperature = 0.8f;
-    sc.seed = 99;
-    auto report = sim.Run(requests, sc);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+    api::EngineConfig engine_config;
+    engine_config.sampler.temperature = 0.8f;
+    engine_config.sampler.seed = 99;
+    api::Engine engine(cr->program, weights, u280, engine_config);
+    for (const serving::ServingRequest& request : requests) {
+      if (auto handle = engine.Submit(request); !handle.ok()) {
+        std::fprintf(stderr, "%s\n", handle.status().ToString().c_str());
+        return 1;
+      }
+    }
+    engine.RunToCompletion();
+    auto cluster = engine.Finish();
+    if (!cluster.ok()) {
+      std::fprintf(stderr, "%s\n", cluster.status().ToString().c_str());
       return 1;
     }
+    const serving::ServingReport* report = &cluster->merged;
     table.AddRow();
     table.Cell(runtime::VariantName(v));
     table.Cell(report->makespan_seconds * 1e3, 2);

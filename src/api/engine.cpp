@@ -161,22 +161,31 @@ bool Engine::finished(RequestHandle handle) const {
   return entries_[static_cast<std::size_t>(handle.id - 1)].finished;
 }
 
+const serving::KvBlockPool* Engine::pool(int card) const {
+  if (session_ == nullptr || card < 0 || card >= session_->num_cards()) {
+    return nullptr;
+  }
+  return &session_->shard(card).pool();
+}
+
 std::int64_t Engine::kv_blocks_in_use(int card) const {
-  return session_ == nullptr ? 0 : session_->shard(card).pool().used_blocks();
+  const serving::KvBlockPool* p = pool(card);
+  return p == nullptr ? 0 : p->used_blocks();
 }
 
 std::int64_t Engine::kv_block_capacity(int card) const {
-  return session_ == nullptr ? 0 : session_->shard(card).pool().num_blocks();
+  const serving::KvBlockPool* p = pool(card);
+  return p == nullptr ? 0 : p->num_blocks();
 }
 
 serving::KvCacheDtype Engine::kv_cache_dtype(int card) const {
-  return session_ == nullptr ? config_.scheduler.kv_cache_dtype
-                             : session_->shard(card).pool().config().dtype;
+  const serving::KvBlockPool* p = pool(card);
+  return p == nullptr ? config_.scheduler.kv_cache_dtype : p->config().dtype;
 }
 
 serving::KvPoolStats Engine::kv_pool_stats(int card) const {
-  return session_ == nullptr ? serving::KvPoolStats{}
-                             : session_->shard(card).pool().stats();
+  const serving::KvBlockPool* p = pool(card);
+  return p == nullptr ? serving::KvPoolStats{} : p->stats();
 }
 
 const serving::Interconnect* Engine::interconnect() const {

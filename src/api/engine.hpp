@@ -13,11 +13,11 @@
 //
 // The facade layers over serving::ClusterSession: one shared sim::Engine
 // clock, N per-card ShardScheduler instances, pluggable placement and
-// queued-request rebalancing. A single card is a cluster of one, and
-// runtime::ServingSimulator is now a thin offline shim over this class
-// (submit the whole trace, RunToCompletion, Finish), so offline and
-// online paths share every line of scheduling logic and produce
-// byte-identical token streams.
+// queued-request rebalancing. A single card is a cluster of one. This
+// class is the only serving driver: offline serving is the same engine
+// fed the whole trace up front (Submit each request, RunToCompletion,
+// Finish), so offline and online paths share every line of scheduling
+// logic and produce byte-identical token streams.
 #pragma once
 
 #include <cstdint>
@@ -191,7 +191,9 @@ class Engine {
   /// True once `handle`'s on_finish has fired (or would have).
   bool finished(RequestHandle handle) const;
   /// KV blocks currently allocated on `card` (cancellation and
-  /// stop-token tests observe block recycling through this).
+  /// stop-token tests observe block recycling through this). The four
+  /// per-card queries return their empty defaults (0, the configured
+  /// dtype, zeroed stats) for a card outside [0, num_cards()).
   std::int64_t kv_blocks_in_use(int card) const;
   /// Total KV blocks `card`'s pool was carved into. Blocks already
   /// reflect the card's dtype: an int8 card has ~2x the blocks of an
@@ -218,7 +220,7 @@ class Engine {
 
   // ----- telemetry export -----
   /// The session's telemetry (trace + metrics), or null when
-  /// EngineConfig::telemetry is off and record_ticks is unset.
+  /// EngineConfig::telemetry is off.
   const obs::Telemetry* telemetry() const;
   /// Writes the serving trace as Chrome Trace Event JSON to `path`,
   /// optionally merged with a `kernel` instruction trace on the same
@@ -245,6 +247,10 @@ class Engine {
     StreamCallbacks callbacks;
     bool finished = false;
   };
+
+  /// Card `card`'s KV pool, or null when there is no session or the
+  /// card is out of range.
+  const serving::KvBlockPool* pool(int card) const;
 
   const accel::Program& program_;
   const llama::Weights& weights_;

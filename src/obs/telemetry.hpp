@@ -327,14 +327,6 @@ class ShardChannel {
   bool tracing() const { return trace_ != nullptr; }
   /// True when per-tick metrics should be updated.
   bool metrics() const { return registry_ != nullptr; }
-  /// Card id stamped onto recorded events.
-  std::int32_t card() const { return card_; }
-  /// The recorder events go to (null when tracing is off).
-  RequestTraceRecorder* trace_recorder() const { return trace_; }
-
-  /// Installs/overrides the trace sink (the shard's record_ticks
-  /// fallback recorder when no external telemetry was attached).
-  void set_trace(RequestTraceRecorder* trace) { trace_ = trace; }
 
   /// Records `event` with this card's id stamped in. No-op when
   /// tracing is off.
@@ -371,8 +363,8 @@ class ShardChannel {
 
 /// Owns one serving timeline's telemetry state: the trace recorder, the
 /// metrics registry, and the cluster-wide latency histograms. Created by
-/// serving::ClusterSession when telemetry (or the record_ticks compat
-/// switch) is enabled; api::Engine::telemetry() exposes it for export.
+/// serving::ClusterSession when telemetry is enabled;
+/// api::Engine::telemetry() exposes it for export.
 class Telemetry {
  public:
   /// Builds the enabled halves per `config` and registers the

@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "common/threadpool.hpp"
 #include "obs/slo.hpp"
 #include "serving/shard.hpp"
 
@@ -116,14 +115,8 @@ ClusterSession::ClusterSession(const accel::Program& program,
       sampler_config_(sampler_config),
       clock_mhz_(cards.cards.front().clock_mhz) {
   config_.shard = NormalizeSchedulerConfig(config_.shard);
-  // One switch, one event path: the record_ticks compat flag implies
-  // lifecycle tracing, and ServingReport::tick_log is rebuilt from the
-  // shared event stream at harvest.
-  obs::TelemetryConfig telemetry_config = config_.telemetry;
-  telemetry_config.enable_tracing =
-      telemetry_config.enable_tracing || config_.shard.record_ticks;
-  if (telemetry_config.enabled()) {
-    telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config);
+  if (config_.telemetry.enabled()) {
+    telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
   }
   const int n = cards_.num_cards();
   shards_.reserve(static_cast<std::size_t>(n));
@@ -851,7 +844,7 @@ ClusterReport ClusterSession::Harvest() {
   std::vector<std::size_t> stream_indices;
   for (std::size_t c = 0; c < shards_.size(); ++c) {
     busy[c] = shards_[c]->busy_seconds();
-    ServingReport shard = shards_[c]->TakeReport(&stream_indices);
+    ServingReport shard = shards_[c]->TakeReport(stream_indices);
     for (std::size_t k = 0; k < stream_indices.size(); ++k) {
       report.merged.outcomes[stream_indices[k]] = shard.outcomes[k];
     }
@@ -883,8 +876,6 @@ ClusterReport ClusterSession::Harvest() {
     m.ticks += shard.ticks;
     m.makespan_seconds = std::max(m.makespan_seconds,
                                   shard.makespan_seconds);
-    m.tick_log.insert(m.tick_log.end(), shard.tick_log.begin(),
-                      shard.tick_log.end());
     report.shard_reports.push_back(std::move(shard));
   }
   ServingReport& m = report.merged;
@@ -898,12 +889,6 @@ ClusterReport ClusterSession::Harvest() {
     }
     m.outcomes[stream] = std::move(outcome);
   }
-  // Interleave per-card tick logs into one clock-ordered timeline
-  // (stable: same-time ticks keep card order).
-  std::stable_sort(m.tick_log.begin(), m.tick_log.end(),
-                   [](const TickRecord& a, const TickRecord& b) {
-                     return a.start_seconds < b.start_seconds;
-                   });
   if (m.ticks > 0) m.mean_batch_width /= static_cast<double>(m.ticks);
   m.device_tokens_per_second =
       m.makespan_seconds > 0.0
@@ -924,59 +909,6 @@ ClusterReport ClusterSession::Harvest() {
         m.makespan_seconds > 0.0 ? busy[c] / m.makespan_seconds : 0.0;
   }
   return report;
-}
-
-// -------------------------------------------------------- ClusterRouter
-
-ClusterRouter::ClusterRouter(const accel::Program& program,
-                             const llama::Weights& weights,
-                             hw::MultiCardConfig cards, ClusterConfig config)
-    : program_(&program),
-      weights_(&weights),
-      cards_(std::move(cards)),
-      config_(std::move(config)) {
-  config_.shard = NormalizeSchedulerConfig(config_.shard);
-}
-
-std::uint64_t ClusterRouter::pool_bytes(int card) const {
-  std::uint64_t override_bytes = config_.shard.kv_pool_bytes;
-  const std::size_t c = static_cast<std::size_t>(card);
-  if (c < config_.kv_pool_bytes_per_card.size() &&
-      config_.kv_pool_bytes_per_card[c] > 0) {
-    override_bytes = config_.kv_pool_bytes_per_card[c];
-  }
-  return DeriveKvPoolBytes(*program_, cards_.cards[c], override_bytes);
-}
-
-StatusOr<ClusterReport> ClusterRouter::Run(
-    const std::vector<ServingRequest>& requests,
-    const llama::SamplerConfig& sampler_config) {
-  SPEEDLLM_RETURN_IF_ERROR(cards_.Validate());
-  SPEEDLLM_RETURN_IF_ERROR(ValidateClusterRoles(config_, num_cards()));
-  if (requests.empty()) {
-    ClusterReport report;
-    report.shard_reports.resize(static_cast<std::size_t>(num_cards()));
-    report.card_utilization.resize(static_cast<std::size_t>(num_cards()), 0.0);
-    return report;
-  }
-
-  ClusterSession session(*program_, *weights_, cards_, config_,
-                         sampler_config);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SPEEDLLM_RETURN_IF_ERROR(
-        session.Validate(requests[i], "request " + std::to_string(i)));
-  }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    session.SubmitAt(&requests[i], i,
-                     session.SecondsToCycles(requests[i].arrival_seconds));
-  }
-  if (config_.parallel_ticking) {
-    session.engine().RunParallel(ThreadPool::Global());
-  } else {
-    session.engine().Run();
-  }
-  SPEEDLLM_RETURN_IF_ERROR(session.Finalize());
-  return session.Harvest();
 }
 
 }  // namespace speedllm::serving

@@ -1,14 +1,16 @@
-// SpeedLLM -- multi-card cluster router over N serving shards.
+// SpeedLLM -- multi-card cluster session over N serving shards.
 //
-// Scales the PR-1 single-card serving stack across N U280 cards, the way
-// a vLLM-style deployment shards traffic across replicas: each card is a
+// Scales the single-card serving stack across N U280 cards, the way a
+// vLLM-style deployment shards traffic across replicas: each card is a
 // ShardScheduler (its own paged KvBlockPool carved from its own
 // hw::HbmConfig plus the continuous-batching tick loop), and a
-// ClusterRouter places every arriving request on one card via a pluggable
-// placement policy. All shards chain their ticks on ONE shared
+// ClusterSession places every arriving request on one card via a
+// pluggable placement policy. All shards chain their ticks on ONE shared
 // sim::Engine, so per-card steps interleave on a single simulated clock
 // and cluster-wide metrics (aggregate tokens/s, per-card utilization and
 // imbalance, TTFT/TPOT percentiles) fall out of one coherent timeline.
+// api::Engine is the public driver of a session; a single card is a
+// cluster of one.
 //
 // Placement policies:
 //  * round-robin            -- arrival order modulo card count;
@@ -18,7 +20,7 @@
 //                              demand), i.e. the most capacity headroom.
 //
 // When a shard's pool runs dry (admission or decode blocked on KV
-// capacity) the router rebalances: queued requests that have not started
+// capacity) the session rebalances: queued requests that have not started
 // prefill migrate to the card with the most projected-free blocks,
 // newest-first, each at most once per other card so rebalancing always
 // terminates. Token streams are seeded per request (global index), so
@@ -50,7 +52,7 @@ namespace speedllm::serving {
 
 class ShardScheduler;
 
-/// How the router picks a card for each arriving request.
+/// How the session picks a card for each arriving request.
 enum class PlacementPolicy {
   kRoundRobin,              ///< arrival order, ignores card state
   kLeastOutstandingTokens,  ///< min remaining prefill+decode tokens
@@ -98,8 +100,7 @@ struct ClusterConfig {
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
   /// Serving-layer telemetry switches (lifecycle tracing + tick-sampled
-  /// metrics). Off by default; SchedulerConfig::record_ticks implies
-  /// tracing so the tick_log compat view keeps working.
+  /// metrics). Off by default.
   obs::TelemetryConfig telemetry;
   /// Per-card shard roles for disaggregated prefill/decode serving.
   /// Empty means every card is ShardRole::kUnified; otherwise one entry
@@ -108,13 +109,15 @@ struct ClusterConfig {
   std::vector<ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (see PrefixFetchPolicy).
   PrefixFetchPolicy prefix_fetch = PrefixFetchPolicy::kAuto;
-  /// Tick independent shards concurrently: the offline ClusterRouter
-  /// drives the shared engine with sim::Engine::RunParallel on the
-  /// global thread pool, one lane per card, with a deterministic
-  /// barrier at every cross-shard interaction (placement, rebalance,
-  /// handoffs, user emission hooks). Reports, token streams, and
-  /// telemetry exports are byte-identical to the serial run. Inert for
-  /// online sessions driven via engine().Run()/RunUntil().
+  /// Tick independent shards concurrently: tags each card's tick chain
+  /// with its own engine lane, so a caller that drives the session's
+  /// engine with sim::Engine::RunParallel runs lanes on the thread pool
+  /// with a deterministic barrier at every cross-shard interaction
+  /// (placement, rebalance, handoffs, emission hooks). Reports, token
+  /// streams, and telemetry exports are byte-identical to the serial
+  /// run. Inert under engine().Run()/RunUntil(), which is how
+  /// api::Engine drives it: its emission hooks would make every
+  /// delivery a barrier anyway.
   bool parallel_ticking = false;
 };
 
@@ -184,12 +187,11 @@ struct ClusterReport {
 };
 
 /// One live cluster timeline: the shared sim::Engine, the per-card
-/// shards, and the routing/rebalancing state. Unlike ClusterRouter::Run
-/// (which drains a complete pre-timestamped trace), a session is *online*:
+/// shards, and the routing/rebalancing state. A session is *online*:
 /// requests may be submitted at any simulated time, cancelled mid-flight,
 /// and streamed out through emission hooks -- the substrate the
-/// api::Engine facade drives incrementally. The offline router is one
-/// session fed every arrival up front.
+/// api::Engine facade drives incrementally. Offline serving is the same
+/// session fed every arrival up front and drained.
 class ClusterSession {
  public:
   /// `program` and `weights` must outlive the session; `cards` must
@@ -219,8 +221,8 @@ class ClusterSession {
   /// Card `card`'s shard (placement-policy queries, tests).
   const ShardScheduler& shard(int card) const { return *shards_[card]; }
 
-  /// Session telemetry (trace + metrics), or null when disabled and
-  /// record_ticks is off. Owned by the session; alive until destruction.
+  /// Session telemetry (trace + metrics), or null when disabled. Owned
+  /// by the session; alive until destruction.
   const obs::Telemetry* telemetry() const { return telemetry_.get(); }
 
   /// Model-limit + worst-case-pool admission check (a request must fit
@@ -372,37 +374,6 @@ class ClusterSession {
   std::mutex stage_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<obs::TelemetryStage>>
       stages_;
-};
-
-/// Offline multi-card runner: one ClusterSession fed a complete
-/// pre-timestamped request trace up front and drained to completion.
-class ClusterRouter {
- public:
-  /// `program` and `weights` must outlive the router. All cards run the
-  /// same compiled program; cards may differ in HBM capacity but must
-  /// share one kernel clock (hw::MultiCardConfig::Validate).
-  ClusterRouter(const accel::Program& program, const llama::Weights& weights,
-                hw::MultiCardConfig cards, ClusterConfig config = {});
-
-  /// Serves `requests` to completion across the cluster. Deterministic:
-  /// the same (requests, sampler_config, cluster config) always yields
-  /// the same report, and generated token streams match a single card
-  /// serving the same requests.
-  StatusOr<ClusterReport> Run(const std::vector<ServingRequest>& requests,
-                              const llama::SamplerConfig& sampler_config);
-
-  /// Number of cards this router fans out over.
-  int num_cards() const { return cards_.num_cards(); }
-  /// The cluster configuration the router was built with.
-  const ClusterConfig& config() const { return config_; }
-  /// KV pool budget card `card` will use (after overrides/derivation).
-  std::uint64_t pool_bytes(int card) const;
-
- private:
-  const accel::Program* program_;
-  const llama::Weights* weights_;
-  hw::MultiCardConfig cards_;
-  ClusterConfig config_;
 };
 
 }  // namespace speedllm::serving

@@ -1,8 +1,8 @@
 // SpeedLLM -- serving request / outcome / report types.
 //
-// Shared vocabulary between the continuous-batching scheduler
-// (serving/scheduler.hpp) and the legacy round-robin simulator
-// (runtime/serving.hpp). Latency accounting follows the llm-serving
+// Shared vocabulary of the serving stack (serving/scheduler.hpp,
+// serving/cluster.hpp, api/engine.hpp). Latency accounting follows the
+// llm-serving
 // convention: TTFT is measured from arrival to the first sampled token,
 // end-to-end latency from arrival to the last committed token.
 #pragma once
@@ -176,27 +176,6 @@ struct RequestOutcome {
   }
 };
 
-/// One scheduler step (recorded when SchedulerConfig::record_ticks is on;
-/// the `*_seqs` vectors hold indices into the original request vector).
-struct TickRecord {
-  /// Tick start on the simulated clock, seconds.
-  double start_seconds = 0.0;
-  /// Tick end on the simulated clock, seconds.
-  double end_seconds = 0.0;
-  /// Request indices that decoded one token this tick.
-  std::vector<std::size_t> decode_seqs;
-  /// Request indices that ran a prefill chunk this tick.
-  std::vector<std::size_t> prefill_seqs;
-  /// Prompt tokens processed across the tick's prefill chunks.
-  std::int32_t prefill_tokens = 0;
-
-  /// Sequences the tick's grouped forward pass covered.
-  std::int32_t batch_width() const {
-    return static_cast<std::int32_t>(decode_seqs.size() +
-                                     prefill_seqs.size());
-  }
-};
-
 /// Per-tier slice of the goodput/SLO accounting (ServingReport::tiers).
 /// All token rates are over the report's makespan, so per-tier goodput
 /// values are directly comparable to the headline tokens/s.
@@ -235,7 +214,7 @@ struct ServingReport {
   /// `total_tokens` over the makespan.
   double device_tokens_per_second = 0.0;
 
-  // Continuous-batching aggregates (zero on the legacy round-robin path).
+  // Continuous-batching aggregates.
   /// Scheduler ticks executed.
   std::int64_t ticks = 0;
   /// Mean sequences per tick's grouped forward pass.
@@ -307,9 +286,6 @@ struct ServingReport {
   /// Verify rows launched but not committed (rejected tails, post-stop
   /// rows): work the packed launch still priced.
   std::int64_t spec_wasted_tokens = 0;
-
-  /// Per-tick batch composition (only when SchedulerConfig::record_ticks).
-  std::vector<TickRecord> tick_log;
 
   // SLO / goodput accounting (PR 7). Derived from the obs lifecycle
   // event stream when telemetry tracing is on (ClusterSession::Harvest

@@ -1,11 +1,5 @@
 #include "serving/scheduler.hpp"
 
-#include <cmath>
-#include <utility>
-
-#include "serving/shard.hpp"
-#include "sim/engine.hpp"
-
 namespace speedllm::serving {
 
 std::string_view BatchPolicyName(BatchPolicy policy) {
@@ -24,55 +18,6 @@ std::string_view ShardRoleName(ShardRole role) {
     case ShardRole::kDecode: return "decode";
   }
   return "unknown";
-}
-
-ContinuousBatchScheduler::ContinuousBatchScheduler(
-    const accel::Program& program, const llama::Weights& weights,
-    const hw::U280Config& u280, SchedulerConfig config)
-    : program_(&program),
-      weights_(&weights),
-      u280_(u280),
-      config_(NormalizeSchedulerConfig(std::move(config))) {
-  pool_bytes_ = DeriveKvPoolBytes(program, u280, config_.kv_pool_bytes);
-  shared_seconds_ = DeriveSharedStepSeconds(program, u280);
-}
-
-StatusOr<ServingReport> ContinuousBatchScheduler::Run(
-    const std::vector<ServingRequest>& requests,
-    const llama::SamplerConfig& sampler_config) {
-  ServingReport report;
-  if (requests.empty()) return report;
-
-  const KvPoolConfig pool_config = MakeKvPoolConfig(
-      program_->model, config_.kv_cache_dtype, pool_bytes_,
-      config_.block_size_tokens, config_.enable_prefix_cache);
-  const std::int64_t pool_blocks =
-      pool_config.block_bytes() == 0
-          ? 0
-          : static_cast<std::int64_t>(pool_bytes_ / pool_config.block_bytes());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SPEEDLLM_RETURN_IF_ERROR(
-        ValidateRequest(requests[i], "request " + std::to_string(i),
-                        program_->model, pool_blocks,
-                        config_.block_size_tokens));
-  }
-
-  // A single card is a cluster of one: one shard on a private engine,
-  // with arrival events submitting in request order (FIFO ties).
-  sim::Engine engine;
-  SchedulerConfig shard_config = config_;
-  shard_config.kv_pool_bytes = pool_bytes_;
-  ShardScheduler shard(*program_, *weights_, u280_, shard_config, engine);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const sim::Cycles at = static_cast<sim::Cycles>(std::llround(
-        requests[i].arrival_seconds * u280_.clock_mhz * 1e6));
-    engine.ScheduleAt(at, [&shard, &requests, &sampler_config, i] {
-      shard.Submit(requests[i], i, sampler_config);
-    });
-  }
-  engine.Run();
-  SPEEDLLM_RETURN_IF_ERROR(shard.Finalize());
-  return shard.TakeReport(nullptr);
 }
 
 }  // namespace speedllm::serving

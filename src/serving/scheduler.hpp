@@ -1,14 +1,12 @@
-// SpeedLLM -- continuous-batching serving scheduler.
+// SpeedLLM -- continuous-batching scheduler configuration.
 //
-// vLLM-style iteration-level scheduling on one simulated U280 card. The
-// scheduler is driven by sim::Engine events: request arrivals enqueue
-// work, and each scheduler tick forms a batch (all active decode
-// sequences plus prompt-prefill chunks up to a token budget), executes
-// one grouped forward pass, and reschedules itself at the tick's end
-// time. KV capacity is governed by the paged KvBlockPool; when the pool
-// runs dry a late-admitted sequence is preempted by swap (its blocks are
-// freed and its KV is recomputed on readmission), so decode progress for
-// older sequences never deadlocks on memory.
+// The knobs of vLLM-style iteration-level scheduling on one simulated
+// U280 card: admission policy, batch width and token budget, KV block
+// size and dtype, prefix caching, DMA costing, preemption, tiers,
+// admission control, disaggregation role, and speculative decoding.
+// The tick loop that honours them is serving::ShardScheduler
+// (serving/shard.hpp); requests reach it only through api::Engine over
+// serving::ClusterSession, where a single card is a cluster of one.
 //
 // Timing model of a grouped step: every token forwarded this tick pays
 // its executor-simulated cost, but the weight stream and kernel-launch
@@ -19,20 +17,15 @@
 //   tick = max_i(shared_i) + sum_i (forward_i - shared_i)
 //
 // with shared_i clamped below forward_i. For a batch of one this reduces
-// exactly to the sequential executor cost, so the legacy round-robin
-// path and a width-1 scheduler agree.
+// exactly to the sequential executor cost, so a width-1 scheduler
+// (max_batch_seqs = max_batch_tokens = 1) is the one-token-at-a-time
+// baseline.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "accel/program.hpp"
-#include "common/status.hpp"
-#include "hw/u280_config.hpp"
-#include "llama/sampler.hpp"
-#include "llama/weights.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/request.hpp"
 
@@ -127,7 +120,7 @@ struct SpeculativeConfig {
 };
 
 /// Knobs of one card's continuous-batching scheduler (shared verbatim by
-/// the single-card facade, every cluster shard, and api::EngineConfig).
+/// every cluster shard and api::EngineConfig).
 struct SchedulerConfig {
   /// Admission-ordering policy; see BatchPolicy.
   BatchPolicy policy = BatchPolicy::kFcfs;
@@ -168,8 +161,6 @@ struct SchedulerConfig {
   /// KV pool budget override in bytes; 0 derives it from HBM capacity
   /// minus the resident weight footprint and an activation reserve.
   std::uint64_t kv_pool_bytes = 0;
-  /// Record a TickRecord per tick into the report (tests / debugging).
-  bool record_ticks = false;
   /// Honor ServingRequest::tier in admission order, decode-budget
   /// allocation, and preemption-victim selection (higher tiers admit
   /// first, lower tiers preempt first, and a lower tier never evicts a
@@ -180,51 +171,14 @@ struct SchedulerConfig {
   /// Per-tier TTFT/TPOT SLO targets goodput is computed against.
   TierSloTargets tier_slo{};
   /// Cluster-level load shedding; see AdmissionConfig. Evaluated before
-  /// placement by ClusterSession / api::Engine (a one-card cluster sheds
-  /// identically to an N-card one). The batch-offline
-  /// ContinuousBatchScheduler facade predates placement and never sheds.
+  /// placement by ClusterSession (a one-card cluster sheds identically
+  /// to an N-card one).
   AdmissionConfig admission;
   /// This shard's disaggregation role; set per card by ClusterSession
   /// from ClusterConfig::shard_roles. See ShardRole.
   ShardRole role = ShardRole::kUnified;
   /// Draft-and-verify speculative decoding; see SpeculativeConfig.
   SpeculativeConfig speculative;
-};
-
-/// One simulated card's batch-offline serving loop: validates a request
-/// trace, runs it through a single ShardScheduler on a private event
-/// engine, and returns the aggregate ServingReport. The online streaming
-/// equivalent is api::Engine; both share every line of scheduling logic.
-class ContinuousBatchScheduler {
- public:
-  /// `program` and `weights` must outlive the scheduler.
-  ContinuousBatchScheduler(const accel::Program& program,
-                           const llama::Weights& weights,
-                           const hw::U280Config& u280,
-                           SchedulerConfig config = {});
-
-  /// Serves `requests` to completion. Sampler seeds are offset per
-  /// request (seed + index * 7919) so streams are independent of batch
-  /// composition: the same request yields the same tokens under any
-  /// policy, batch width, or preemption schedule.
-  StatusOr<ServingReport> Run(const std::vector<ServingRequest>& requests,
-                              const llama::SamplerConfig& sampler_config);
-
-  /// The normalized configuration this scheduler runs with.
-  const SchedulerConfig& config() const { return config_; }
-  /// Pool budget the scheduler will use (after derivation), for sizing
-  /// admission tests and benches.
-  std::uint64_t pool_bytes() const { return pool_bytes_; }
-  /// Amortized per-tick cost (weight stream + grouped launch), seconds.
-  double shared_step_seconds() const { return shared_seconds_; }
-
- private:
-  const accel::Program* program_;
-  const llama::Weights* weights_;
-  hw::U280Config u280_;
-  SchedulerConfig config_;
-  std::uint64_t pool_bytes_ = 0;
-  double shared_seconds_ = 0.0;
 };
 
 }  // namespace speedllm::serving

@@ -119,28 +119,9 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
           DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
           config.block_size_tokens, config.enable_prefix_cache)),
       exec_(std::make_unique<accel::Executor>(program, weights, u280)),
-      tick_cost_(shared_seconds_, kSharedShareCap) {
-  if (config_.record_ticks) {
-    // tick_log compat: with no external telemetry attached the shard
-    // records into a private trace so TakeReport can rebuild the log.
-    own_trace_ = std::make_unique<obs::RequestTraceRecorder>();
-    telemetry_.set_trace(own_trace_.get());
-  }
-}
+      tick_cost_(shared_seconds_, kSharedShareCap) {}
 
 ShardScheduler::~ShardScheduler() = default;
-
-void ShardScheduler::set_telemetry(obs::ShardChannel channel) {
-  telemetry_ = std::move(channel);
-  if (telemetry_.tracing()) {
-    own_trace_.reset();  // the external sink supersedes the fallback
-  } else if (config_.record_ticks) {
-    if (own_trace_ == nullptr) {
-      own_trace_ = std::make_unique<obs::RequestTraceRecorder>();
-    }
-    telemetry_.set_trace(own_trace_.get());
-  }
-}
 
 void ShardScheduler::Submit(const ServingRequest& request,
                             std::size_t stream_index,
@@ -239,7 +220,7 @@ Status ShardScheduler::Finalize() const {
 }
 
 ServingReport ShardScheduler::TakeReport(
-    std::vector<std::size_t>* stream_indices) {
+    std::vector<std::size_t>& stream_indices) {
   std::vector<std::size_t> order;
   for (std::size_t i = 0; i < seqs_.size(); ++i) {
     // Migrated and handed-off sequences report from their final shard
@@ -254,11 +235,9 @@ ServingReport ShardScheduler::TakeReport(
   });
   report_.outcomes.clear();
   report_.outcomes.reserve(order.size());
-  if (stream_indices != nullptr) stream_indices->clear();
+  stream_indices.clear();
   for (std::size_t id : order) {
-    if (stream_indices != nullptr) {
-      stream_indices->push_back(seqs_[id].stream_index);
-    }
+    stream_indices.push_back(seqs_[id].stream_index);
     report_.outcomes.push_back(std::move(seqs_[id].outcome));
   }
   report_.makespan_seconds = u280_.cycles_to_seconds(last_tick_end_cycles_);
@@ -284,35 +263,6 @@ ServingReport ShardScheduler::TakeReport(
   report_.cow_copies = ps.cow_copies;
   report_.cache_evictions = ps.cache_evictions;
   report_.dma_bytes_moved = ps.dma_bytes_moved;
-  // tick_log compat view: rebuilt from the telemetry event stream (the
-  // only tick history path) when record_ticks asked for it.
-  if (config_.record_ticks && telemetry_.trace_recorder() != nullptr) {
-    report_.tick_log.clear();
-    for (const obs::RequestEvent& e : telemetry_.trace_recorder()->events()) {
-      if (e.card != telemetry_.card()) continue;
-      switch (e.kind) {
-        case obs::RequestEventKind::kTick: {
-          TickRecord rec;
-          rec.start_seconds = e.start_seconds;
-          rec.end_seconds = e.end_seconds;
-          report_.tick_log.push_back(std::move(rec));
-          break;
-        }
-        case obs::RequestEventKind::kDecodeToken:
-          report_.tick_log.back().decode_seqs.push_back(
-              static_cast<std::size_t>(e.stream));
-          break;
-        case obs::RequestEventKind::kPrefillChunk:
-          report_.tick_log.back().prefill_seqs.push_back(
-              static_cast<std::size_t>(e.stream));
-          report_.tick_log.back().prefill_tokens +=
-              static_cast<std::int32_t>(e.tokens);
-          break;
-        default:
-          break;
-      }
-    }
-  }
   return std::move(report_);
 }
 
@@ -717,17 +667,6 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
   return accepted;
 }
 
-Interconnect& ShardScheduler::interconnect() {
-  if (interconnect_ != nullptr) return *interconnect_;
-  if (own_interconnect_ == nullptr) {
-    hw::MultiCardConfig one;
-    one.cards.push_back(u280_);
-    own_interconnect_ = std::make_unique<Interconnect>(one);
-    card_id_ = 0;
-  }
-  return *own_interconnect_;
-}
-
 std::int64_t ShardScheduler::ChargeDma(const char* cause,
                                        std::size_t seq_id) {
   const std::int64_t moved = pool_.stats().dma_bytes_moved - dma_bytes_seen_;
@@ -743,7 +682,7 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
     // already paid (`dma_charged_until_`), which makes back-to-back
     // uncontended moves cost exactly the old per-move sum.
     const sim::Cycles base = std::max(engine_.now(), dma_charged_until_);
-    const hw::TransferTiming window = interconnect().LocalDma(
+    const hw::TransferTiming window = interconnect_->LocalDma(
         engine_.now(), static_cast<std::uint64_t>(moved), card_id_);
     dma_charged_until_ = window.end;
     seconds = u280_.cycles_to_seconds(window.end - base);
@@ -1346,10 +1285,8 @@ void ShardScheduler::RunTick() {
   ++report_.ticks;
   width_sum_ += static_cast<std::int64_t>(decode_executed.size() +
                                           prefill_executed.size());
-  // One event path for tick history: the telemetry trace records the
-  // tick and its per-sequence work; ServingReport::tick_log is rebuilt
-  // from these events in TakeReport when record_ticks is set (the shard
-  // keeps a private recorder for that case, see set_telemetry).
+  // The telemetry trace is the only tick history: the tick and its
+  // per-sequence work.
   if (telemetry_.tracing()) {
     obs::RequestEvent tick_ev = MakeEvent(obs::RequestEventKind::kTick, -1,
                                           tick_index_, start_s, end_s);

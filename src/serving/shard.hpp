@@ -1,17 +1,16 @@
 // SpeedLLM -- one card's continuous-batching shard, externally driven.
 //
-// ShardScheduler is the per-card execution core extracted from the PR-1
-// ContinuousBatchScheduler: a paged KvBlockPool plus the tick loop that
-// batches decode sequences and prefill chunks into grouped forward
-// passes. The pool is the card's only K/V store: one executor runs every
-// resident sequence's forwards against that sequence's pool pages, so a
-// prefix-cache hit, a readmission, or an adopted handoff maps blocks that
-// already hold their K/V and runs no forward for them. Unlike the original (which owned its own event engine), a shard
-// schedules its ticks on an engine *provided by the caller*, so N shards
-// can interleave on one shared sim::Engine clock -- the substrate the
-// multi-card ClusterRouter (serving/cluster.hpp) is built on. A
-// single-card ContinuousBatchScheduler is exactly one shard on a private
-// engine, so the two paths share every line of scheduling logic.
+// ShardScheduler is the per-card execution core: a paged KvBlockPool
+// plus the tick loop that batches decode sequences and prefill chunks
+// into grouped forward passes. The pool is the card's only K/V store: one
+// executor runs every resident sequence's forwards against that
+// sequence's pool pages, so a prefix-cache hit, a readmission, or an
+// adopted handoff maps blocks that already hold their K/V and runs no
+// forward for them. A shard schedules its ticks on an engine *provided by
+// the caller*, so N shards interleave on one shared sim::Engine clock --
+// the substrate serving::ClusterSession (serving/cluster.hpp) is built
+// on. A single card is a cluster of one, so every request, on any card
+// count, runs through the same scheduling logic.
 //
 // Requests enter via Submit() (typically from an arrival event or a
 // cluster rebalance); the shard schedules its own tick chain from there.
@@ -47,8 +46,8 @@ class Executor;
 
 namespace speedllm::serving {
 
-/// Clamps scheduler knobs to their sane minima (shared between the
-/// single-card facade and the cluster's per-card fan-out).
+/// Clamps scheduler knobs to their sane minima (applied once by the
+/// cluster session before its per-card fan-out).
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config);
 
 /// KV pool budget for one card: the explicit override clamped to HBM, or
@@ -73,14 +72,14 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 /// One card's continuous-batching execution core: a paged KvBlockPool
 /// plus the tick loop that batches decode sequences and prefill chunks
 /// into grouped forward passes on an engine provided by the caller.
-/// N shards interleave on one shared sim::Engine clock under the
-/// cluster router; a single-card ContinuousBatchScheduler is exactly
-/// one shard on a private engine.
+/// N shards interleave on one shared sim::Engine clock under a
+/// ClusterSession.
 class ShardScheduler {
  public:
   /// `program`, `weights`, and `engine` must outlive the shard. `config`
   /// must already be normalized. Ticks are scheduled on `engine`; the
-  /// caller drives engine.Run().
+  /// caller drives engine.Run() after attaching the interconnect
+  /// (set_interconnect).
   ShardScheduler(const accel::Program& program, const llama::Weights& weights,
                  const hw::U280Config& u280, const SchedulerConfig& config,
                  sim::Engine& engine);
@@ -131,18 +130,16 @@ class ShardScheduler {
   /// is the engine cycle the KV pages are extractable (the tick's end).
   /// The hook owns routing the transfer and calling AdoptHandoff on the
   /// destination. Without a hook a prefill-role shard falls back to
-  /// unified behavior (it decodes its own sequences), so a standalone
-  /// shard never strands work.
+  /// unified behavior (it decodes its own sequences), so it never
+  /// strands work.
   using HandoffHook = std::function<void(KvHandoff handoff, sim::Cycles ready)>;
   /// Installs the handoff hook. Must be set before the first tick runs.
   void set_handoff_hook(HandoffHook hook) { handoff_hook_ = std::move(hook); }
 
   /// Attaches the cluster's shared interconnect and this shard's card id.
-  /// All COW/restore/swap DMA then queues on `interconnect`'s per-card
-  /// HBM stations (serializing with concurrent KV transfers) instead of
-  /// being charged additively. A shard without an attached interconnect
-  /// lazily builds a private single-card one, so standalone timing is
-  /// identical either way. Must be set before the first tick runs.
+  /// All COW/restore/swap DMA queues on `interconnect`'s per-card HBM
+  /// stations, serializing with concurrent KV transfers. Required: must
+  /// be set before the first tick runs.
   void set_interconnect(Interconnect* interconnect, std::int32_t card) {
     interconnect_ = interconnect;
     card_id_ = card;
@@ -184,11 +181,10 @@ class ShardScheduler {
 
   // ----- telemetry -----
   /// Attaches the cluster's telemetry channel (lifecycle trace sink +
-  /// per-card metric ids). Must be set before the first tick runs. When
-  /// the shard was constructed with SchedulerConfig::record_ticks and
-  /// `channel` carries no trace sink, the shard keeps its own private
-  /// recorder so the tick_log compat view still fills in.
-  void set_telemetry(obs::ShardChannel channel);
+  /// per-card metric ids). Must be set before the first tick runs.
+  void set_telemetry(obs::ShardChannel channel) {
+    telemetry_ = std::move(channel);
+  }
 
   // ----- parallel ticking (ClusterSession wiring) -----
   /// Tags this shard's tick chain with engine lane `lane` so
@@ -266,9 +262,9 @@ class ShardScheduler {
   /// OK when every submitted (non-migrated) request ran to completion.
   Status Finalize() const;
   /// Aggregate report for this shard. Outcomes are ordered by stream
-  /// index; `stream_indices` (optional) receives the global index of each
-  /// outcome. Call once, after Finalize().
-  ServingReport TakeReport(std::vector<std::size_t>* stream_indices);
+  /// index; `stream_indices` receives the global index of each outcome.
+  /// Call once, after Finalize().
+  ServingReport TakeReport(std::vector<std::size_t>& stream_indices);
 
   /// Wall-clock end of the shard's last tick, cycles.
   sim::Cycles last_tick_end_cycles() const { return last_tick_end_cycles_; }
@@ -385,10 +381,6 @@ class ShardScheduler {
   /// over the interconnect; the transfer already paid). Returns false on
   /// a hard error or pool exhaustion mid-copy.
   bool ReplayAdoptedKv(std::size_t seq_id);
-  /// The attached cluster interconnect, or a lazily-built private
-  /// single-card one (standalone shards): either way DMA queues on
-  /// stations and uncontended cost matches the PR-5 additive model.
-  Interconnect& interconnect();
   bool ForwardToken(std::size_t seq_id, std::int32_t token, std::int32_t pos,
                     std::span<const float>* logits);
   /// Runs one decode sequence's draft phase: proposes up to the
@@ -420,14 +412,10 @@ class ShardScheduler {
   std::vector<float> sample_scratch_;
   std::function<void()> kv_pressure_hook_;
   HandoffHook handoff_hook_;
-  Interconnect* interconnect_ = nullptr;      // cluster-shared stations
-  std::unique_ptr<Interconnect> own_interconnect_;  // standalone fallback
+  Interconnect* interconnect_ = nullptr;  // cluster-shared stations
   std::int32_t card_id_ = 0;
   sim::Cycles dma_charged_until_ = 0;  // end of the last time-charged DMA
   obs::ShardChannel telemetry_;
-  // record_ticks fallback recorder when no external trace is attached
-  // (single-card ContinuousBatchScheduler path).
-  std::unique_ptr<obs::RequestTraceRecorder> own_trace_;
   TokenEmissionHook on_token_;
   FinishEmissionHook on_finish_;
   std::vector<Emission> tick_emissions_;     // current tick, pre-timestamp

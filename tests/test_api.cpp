@@ -1,8 +1,8 @@
 // Unit tests for the online streaming engine facade (api/engine.hpp):
-// callback token streams byte-identical to the offline
-// ServingSimulator::Run result (1 card and 4 cards), cancellation
-// freeing KV blocks with no further emissions, stop-token/EOS early
-// termination, submit-time validation, incremental StepUntil driving,
+// callback token streams byte-identical to an up-front submitted
+// offline run (1 card and 4 cards), cancellation freeing KV blocks with
+// no further emissions, stop-token/EOS early termination, submit-time
+// validation, out-of-range card queries, incremental StepUntil driving,
 // and closed-loop clients running deterministically on the shared clock.
 #include <gtest/gtest.h>
 
@@ -14,12 +14,14 @@
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::api {
 namespace {
+
+using testutil::MakeRequest;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -33,18 +35,6 @@ struct Fixture {
     return std::move(r).value().program;
   }
 };
-
-serving::ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                                    double arrival, std::int32_t salt = 0) {
-  serving::ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
 
 std::vector<serving::ServingRequest> MixedTrace(
     const llama::ModelConfig& config, int n) {
@@ -84,6 +74,17 @@ StreamCallbacks Record(std::map<std::uint64_t, StreamLog>& logs) {
   return callbacks;
 }
 
+/// The offline report: `reqs` submitted up front on a fresh engine and
+/// drained.
+StatusOr<serving::ClusterReport> Offline(
+    const accel::Program& prog, const Fixture& f,
+    const std::vector<serving::ServingRequest>& reqs,
+    const llama::SamplerConfig& sc, int cards = 1) {
+  Engine engine(prog, f.weights, f.u280,
+                testutil::MakeEngineConfig({}, sc, cards));
+  return testutil::ServeTrace(engine, reqs);
+}
+
 // ---------------- callback streams == offline report ----------------
 
 TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
@@ -95,10 +96,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
   sc.seed = 13;
 
   for (int cards : {1, 4}) {
-    runtime::ServingSimulator offline(
-        prog, f.weights, f.u280, runtime::ServingMode::kContinuousBatching,
-        {}, cards);
-    auto offline_report = offline.Run(reqs, sc);
+    auto offline_report = Offline(prog, f, reqs, sc, cards);
     ASSERT_TRUE(offline_report.ok()) << offline_report.status().ToString();
 
     EngineConfig config;
@@ -121,7 +119,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       const StreamLog& log = logs[handles[i].id];
       // Streamed tokens are byte-identical to the offline outcome...
-      EXPECT_EQ(log.tokens, offline_report->outcomes[i].generated)
+      EXPECT_EQ(log.tokens, offline_report->merged.outcomes[i].generated)
           << cards << " cards, request " << i;
       // ...and to this engine's own harvested outcome.
       EXPECT_EQ(log.tokens, report->merged.outcomes[i].generated);
@@ -131,7 +129,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
       // The last token is delivered at the request's completion time.
       ASSERT_FALSE(log.token_times.empty());
       EXPECT_DOUBLE_EQ(log.token_times.back(),
-                       offline_report->outcomes[i].completion_seconds);
+                       offline_report->merged.outcomes[i].completion_seconds);
     }
   }
 }
@@ -144,8 +142,7 @@ TEST(ApiEngineTest, IncrementalSubmissionMatchesUpFrontSubmission) {
   sc.temperature = 0.8f;
   sc.seed = 21;
 
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto offline_report = offline.Run(reqs, sc);
+  auto offline_report = Offline(prog, f, reqs, sc);
   ASSERT_TRUE(offline_report.ok());
 
   // Drive the clock past each arrival before submitting the next
@@ -171,10 +168,10 @@ TEST(ApiEngineTest, IncrementalSubmissionMatchesUpFrontSubmission) {
 
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(logs[handles[i].id].tokens,
-              offline_report->outcomes[i].generated)
+              offline_report->merged.outcomes[i].generated)
         << "request " << i;
     EXPECT_DOUBLE_EQ(report->merged.outcomes[i].completion_seconds,
-                     offline_report->outcomes[i].completion_seconds);
+                     offline_report->merged.outcomes[i].completion_seconds);
   }
 }
 
@@ -339,10 +336,10 @@ TEST(ApiEngineTest, StopTokenEndsGenerationEarlyAndCountsSavedTokens) {
   serving::ServingRequest req = MakeRequest(6, 16, 0.0, 3);
 
   // Baseline: the unconstrained stream.
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto baseline = offline.Run({req}, sc);
+  auto baseline = Offline(prog, f, {req}, sc);
   ASSERT_TRUE(baseline.ok());
-  const std::vector<std::int32_t>& full = baseline->outcomes[0].generated;
+  const std::vector<std::int32_t>& full =
+      baseline->merged.outcomes[0].generated;
   ASSERT_EQ(full.size(), 16u);
 
   // Declare the 6th generated token a stop token: the stream must be the
@@ -377,28 +374,25 @@ TEST(ApiEngineTest, SamplerEosBehavesLikeARequestStopToken) {
   sc.seed = 33;
   const serving::ServingRequest req = MakeRequest(6, 16, 0.0, 3);
 
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto baseline = offline.Run({req}, sc);
+  auto baseline = Offline(prog, f, {req}, sc);
   ASSERT_TRUE(baseline.ok());
-  const std::vector<std::int32_t>& full = baseline->outcomes[0].generated;
+  const std::vector<std::int32_t>& full =
+      baseline->merged.outcomes[0].generated;
 
-  // The same early exit through the model-wide EOS id, on both the
-  // batched and the legacy round-robin path.
+  // The same early exit through the model-wide EOS id, on the engine
+  // and on the independent one-request-at-a-time reference.
   llama::SamplerConfig eos_sc = sc;
   eos_sc.eos_token = full[5];
-  for (runtime::ServingMode mode :
-       {runtime::ServingMode::kContinuousBatching,
-        runtime::ServingMode::kLegacyRoundRobin}) {
-    runtime::ServingSimulator sim(prog, f.weights, f.u280, mode);
-    auto report = sim.Run({req}, eos_sc);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->outcomes[0].generated.size(), 5u)
-        << (mode == runtime::ServingMode::kLegacyRoundRobin ? "legacy"
-                                                            : "batched");
-    EXPECT_EQ(report->outcomes[0].finish_reason, FinishReason::kStop);
-    EXPECT_EQ(report->stopped_requests, 1);
-    EXPECT_EQ(report->stop_saved_tokens, 16 - 5);
-  }
+  auto report = Offline(prog, f, {req}, eos_sc);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->merged.outcomes[0].generated.size(), 5u);
+  EXPECT_EQ(report->merged.outcomes[0].finish_reason, FinishReason::kStop);
+  EXPECT_EQ(report->merged.stopped_requests, 1);
+  EXPECT_EQ(report->merged.stop_saved_tokens, 16 - 5);
+  auto reference =
+      testutil::ReferenceStreams(prog, f.weights, f.u280, {req}, eos_sc);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ((*reference)[0], report->merged.outcomes[0].generated);
 }
 
 // ---------------- validation ----------------
@@ -434,6 +428,26 @@ TEST(ApiEngineTest, SubmitValidatesRequestsUpFront) {
   // After harvest the engine is closed to new work.
   EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
+  Fixture f;
+  auto prog = f.Compile();
+  EngineConfig config;
+  config.num_cards = 2;
+  config.scheduler.kv_cache_dtype = serving::KvCacheDtype::kInt8;
+  Engine engine(prog, f.weights, f.u280, config);
+  ASSERT_TRUE(engine.Submit(MakeRequest(4, 4, 0.0)).ok());
+  engine.RunToCompletion();
+  EXPECT_GT(engine.kv_block_capacity(0), 0);
+  for (int card : {-1, engine.num_cards()}) {
+    EXPECT_EQ(engine.kv_blocks_in_use(card), 0) << card;
+    EXPECT_EQ(engine.kv_block_capacity(card), 0) << card;
+    EXPECT_EQ(engine.kv_cache_dtype(card), serving::KvCacheDtype::kInt8);
+    const serving::KvPoolStats stats = engine.kv_pool_stats(card);
+    EXPECT_EQ(stats.peak_used_blocks, 0) << card;
+    EXPECT_EQ(stats.prefix_queries, 0) << card;
+  }
 }
 
 TEST(ApiEngineTest, FinishRequiresDrainedEngineAndRunsOnce) {

@@ -1,4 +1,4 @@
-// Unit tests for the multi-card cluster router (serving/cluster.hpp):
+// Unit tests for multi-card serving (serving/cluster.hpp via api::Engine):
 // the shared-clock determinism invariant (byte-identical token streams
 // for 1 vs N cards under every placement policy, including under forced
 // preemption), placement-policy routing, queued-request rebalancing,
@@ -9,13 +9,16 @@
 
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::MakeRequest;
+using testutil::SharedTrace;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -28,18 +31,6 @@ struct Fixture {
     return std::move(r).value().program;
   }
 };
-
-ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                           double arrival, std::int32_t salt = 0) {
-  ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
 
 std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
                                        int n) {
@@ -55,29 +46,20 @@ std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
   return PoissonTrace(rng, wc);
 }
 
+/// Serves `reqs` through one api::Engine over `cards` identical cards.
+StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
+                              int cards, api::EngineConfig config,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc) {
+  config.num_cards = cards;
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, f.u280, std::move(config));
+  return testutil::ServeTrace(engine, reqs);
+}
+
 constexpr PlacementPolicy kAllPlacements[] = {
     PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastOutstandingTokens,
     PlacementPolicy::kBestFitFreeKv, PlacementPolicy::kPrefixAffinity};
-
-/// Open-loop trace where most prompts open with one of two shared
-/// 24-token system prompts (block size 8 in the tests below, so shared
-/// full blocks genuinely exist within Tiny's 64-token context).
-std::vector<ServingRequest> SharedTrace(const llama::ModelConfig& config,
-                                        int n) {
-  Rng rng(555);
-  SharedPrefixConfig spc;
-  spc.num_requests = n;
-  spc.rate_rps = 2000.0;
-  spc.shared_fraction = 0.75;
-  spc.num_prefixes = 2;
-  spc.prefix_tokens = 24;
-  spc.min_suffix_tokens = 2;
-  spc.max_suffix_tokens = 6;
-  spc.min_new_tokens = 4;
-  spc.max_new_tokens = 8;
-  spc.vocab_size = config.vocab_size;
-  return SharedPrefixTrace(rng, spc);
-}
 
 // ---------------- determinism: 1 vs N cards ----------------
 
@@ -89,25 +71,21 @@ TEST(ClusterTest, TokenStreamsIdenticalForOneVsNCardsUnderEveryPolicy) {
   sc.temperature = 0.9f;  // stochastic sampling: the strictest stream test
   sc.seed = 13;
 
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (PlacementPolicy placement : kAllPlacements) {
     for (int cards : {1, 2, 3, 4}) {
-      ClusterConfig config;
+      api::EngineConfig config;
       config.placement = placement;
-      ClusterRouter router(prog, f.weights,
-                           hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                           config);
-      auto report = router.Run(reqs, sc);
+      auto report = Serve(prog, f, cards, config, reqs, sc);
       ASSERT_TRUE(report.ok())
           << PlacementPolicyName(placement) << " x" << cards << ": "
           << report.status().ToString();
       ASSERT_EQ(report->merged.outcomes.size(), reqs.size());
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         EXPECT_EQ(report->merged.outcomes[i].generated,
-                  baseline->outcomes[i].generated)
+                  baseline->merged.outcomes[i].generated)
             << PlacementPolicyName(placement) << " x" << cards
             << " request " << i;
       }
@@ -122,16 +100,11 @@ TEST(ClusterTest, DeterministicAcrossRuns) {
   llama::SamplerConfig sc;
   sc.temperature = 0.8f;
   sc.seed = 21;
-  ClusterConfig config;
+  api::EngineConfig config;
   config.placement = PlacementPolicy::kLeastOutstandingTokens;
 
-  auto run = [&] {
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 3), config);
-    return router.Run(reqs, sc);
-  };
-  auto a = run();
-  auto b = run();
+  auto a = Serve(prog, f, 3, config, reqs, sc);
+  auto b = Serve(prog, f, 3, config, reqs, sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->shard_of_request, b->shard_of_request);
@@ -156,19 +129,16 @@ TEST(ClusterTest, StreamsSurviveForcedPreemptionOnEveryPolicy) {
   sc.temperature = 0.85f;
   sc.seed = 5;
 
-  ContinuousBatchScheduler roomy(prog, f.weights, f.u280);
-  auto baseline = roomy.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok());
 
   for (PlacementPolicy placement : kAllPlacements) {
-    ClusterConfig config;
+    api::EngineConfig config;
     config.placement = placement;
-    config.shard.block_size_tokens = 4;
-    config.shard.kv_pool_bytes = 8ull * 4 * bytes_per_token;
-    config.shard.max_batch_tokens = 32;
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-    auto report = router.Run(reqs, sc);
+    config.scheduler.block_size_tokens = 4;
+    config.scheduler.kv_pool_bytes = 8ull * 4 * bytes_per_token;
+    config.scheduler.max_batch_tokens = 32;
+    auto report = Serve(prog, f, 2, config, reqs, sc);
     ASSERT_TRUE(report.ok())
         << PlacementPolicyName(placement) << ": "
         << report.status().ToString();
@@ -176,7 +146,7 @@ TEST(ClusterTest, StreamsSurviveForcedPreemptionOnEveryPolicy) {
         << PlacementPolicyName(placement);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->merged.outcomes[i].generated,
-                baseline->outcomes[i].generated)
+                baseline->merged.outcomes[i].generated)
           << PlacementPolicyName(placement) << " request " << i;
     }
   }
@@ -192,25 +162,20 @@ TEST(ClusterTest, PrefixCachingOnVsOffStreamsIdenticalEverywhere) {
   sc.temperature = 0.9f;  // stochastic sampling: the strictest stream test
   sc.seed = 29;
 
-  ClusterConfig off;
-  off.shard.block_size_tokens = 8;
-  off.shard.enable_prefix_cache = false;
-  ClusterRouter base(prog, f.weights,
-                     hw::MultiCardConfig::Homogeneous(f.u280, 1), off);
-  auto baseline = base.Run(reqs, sc);
+  api::EngineConfig off;
+  off.scheduler.block_size_tokens = 8;
+  off.scheduler.enable_prefix_cache = false;
+  auto baseline = Serve(prog, f, 1, off, reqs, sc);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   EXPECT_EQ(baseline->merged.prefix_cache_hit_tokens, 0);
 
   std::int64_t hit_tokens_seen = 0;
   for (PlacementPolicy placement : kAllPlacements) {
     for (int cards : {1, 4}) {
-      ClusterConfig on = off;
+      api::EngineConfig on = off;
       on.placement = placement;
-      on.shard.enable_prefix_cache = true;
-      ClusterRouter router(prog, f.weights,
-                           hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                           on);
-      auto report = router.Run(reqs, sc);
+      on.scheduler.enable_prefix_cache = true;
+      auto report = Serve(prog, f, cards, on, reqs, sc);
       ASSERT_TRUE(report.ok())
           << PlacementPolicyName(placement) << " x" << cards << ": "
           << report.status().ToString();
@@ -244,8 +209,7 @@ TEST(ClusterTest, PrefixCachingSurvivesForcedPreemptionWithIdenticalStreams) {
   sc.temperature = 0.85f;
   sc.seed = 31;
 
-  ContinuousBatchScheduler roomy(prog, f.weights, f.u280);
-  auto baseline = roomy.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok());
 
   // 8 blocks of 8 tokens: co-residents admit on their prompt footprint
@@ -255,21 +219,19 @@ TEST(ClusterTest, PrefixCachingSurvivesForcedPreemptionWithIdenticalStreams) {
   // survivor -- and a swapped-in sequence may restore its own still-
   // cached blocks instead of recomputing.
   for (bool cache : {false, true}) {
-    ClusterConfig config;
-    config.shard.block_size_tokens = 8;
-    config.shard.enable_prefix_cache = cache;
-    config.shard.kv_pool_bytes = 8ull * 8 * bytes_per_token;
-    config.shard.max_batch_tokens = 64;
+    api::EngineConfig config;
+    config.scheduler.block_size_tokens = 8;
+    config.scheduler.enable_prefix_cache = cache;
+    config.scheduler.kv_pool_bytes = 8ull * 8 * bytes_per_token;
+    config.scheduler.max_batch_tokens = 64;
     // One card: no rebalance valve, so the burst must fight for one pool.
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 1), config);
-    auto report = router.Run(reqs, sc);
+    auto report = Serve(prog, f, 1, config, reqs, sc);
     ASSERT_TRUE(report.ok()) << "cache=" << cache << ": "
                              << report.status().ToString();
     EXPECT_GT(report->merged.preemptions, 0) << "cache=" << cache;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->merged.outcomes[i].generated,
-                baseline->outcomes[i].generated)
+                baseline->merged.outcomes[i].generated)
           << "cache=" << cache << " request " << i;
     }
   }
@@ -292,12 +254,10 @@ TEST(ClusterTest, PrefixAffinityRoutesRepeatPromptsToTheirCard) {
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
 
-  ClusterConfig config;
+  api::EngineConfig config;
   config.placement = PlacementPolicy::kPrefixAffinity;
-  config.shard.block_size_tokens = 8;
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  config.scheduler.block_size_tokens = 8;
+  auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request,
             (std::vector<std::int32_t>{0, 0, 0}));
@@ -316,9 +276,7 @@ TEST(ClusterTest, RoundRobinAlternatesCards) {
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
 
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 3), {});
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 3, {}, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request,
             (std::vector<std::int32_t>{0, 1, 2, 0, 1, 2}));
@@ -336,11 +294,9 @@ TEST(ClusterTest, LeastOutstandingRoutesAwayFromBusyCard) {
                                       MakeRequest(4, 4, 0.0001, 3)};
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
-  ClusterConfig config;
+  api::EngineConfig config;
   config.placement = PlacementPolicy::kLeastOutstandingTokens;
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request[0], 0);
   // The heavy request owes 34 tokens; every light request (8 tokens) must
@@ -357,17 +313,15 @@ TEST(ClusterTest, BestFitRoutesToCardWithMostFreeKv) {
                                       MakeRequest(4, 4, 0.0, 1)};
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
-  ClusterConfig config;
+  api::EngineConfig config;
   config.placement = PlacementPolicy::kBestFitFreeKv;
-  config.shard.block_size_tokens = 4;
+  config.scheduler.block_size_tokens = 4;
   // Card 1 has twice card 0's pool: the first request ties (16 vs 32
   // blocks -> card 1 wins outright), and with queued demand projected the
   // second must also prefer card 1's larger headroom.
   config.kv_pool_bytes_per_card = {16ull * 4 * bytes_per_token,
                                    32ull * 4 * bytes_per_token};
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request[0], 1);  // most headroom
   // After projecting request 0's footprint (2 blocks) card 1 still has
@@ -390,24 +344,21 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   std::vector<ServingRequest> reqs;
   for (int i = 0; i < 8; ++i) reqs.push_back(MakeRequest(4, 4, 0.0, i));
 
-  ClusterConfig config;
+  api::EngineConfig config;
   config.placement = PlacementPolicy::kRoundRobin;
-  config.shard.block_size_tokens = 4;
+  config.scheduler.block_size_tokens = 4;
   config.kv_pool_bytes_per_card = {2ull * 4 * bytes_per_token,
                                    32ull * 4 * bytes_per_token};
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->rebalanced_requests, 0);
   // Migrated requests are served by card 1 and complete with the same
   // streams as an unconstrained single card.
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(report->merged.outcomes[i].generated,
-              baseline->outcomes[i].generated)
+              baseline->merged.outcomes[i].generated)
         << "request " << i;
     EXPECT_EQ(report->merged.outcomes[i].generated.size(), 4u);
   }
@@ -415,9 +366,7 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   // With rebalancing off the same workload still completes (preemption
   // keeps card 0 live), but nothing migrates.
   config.rebalance_queued = false;
-  ClusterRouter frozen(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto frozen_report = frozen.Run(reqs, sc);
+  auto frozen_report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(frozen_report.ok()) << frozen_report.status().ToString();
   EXPECT_EQ(frozen_report->rebalanced_requests, 0);
   EXPECT_GE(frozen_report->merged.makespan_seconds,
@@ -432,9 +381,7 @@ TEST(ClusterTest, PerCardAccountingIsConsistent) {
   auto reqs = MixedTrace(f.config, 10);
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 4), {});
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 4, {}, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   std::int64_t shard_tokens = 0;
@@ -469,28 +416,30 @@ TEST(ClusterTest, ValidatesCardsAndRequests) {
   // Heterogeneous clocks are rejected: one shared cycle clock.
   hw::MultiCardConfig skewed = hw::MultiCardConfig::Homogeneous(f.u280, 2);
   skewed.cards[1].clock_mhz = 450.0;
-  ClusterRouter bad_clock(prog, f.weights, skewed, {});
-  EXPECT_EQ(bad_clock.Run({MakeRequest(4, 4, 0.0)}, sc).status().code(),
+  api::Engine bad_clock(prog, f.weights, skewed);
+  EXPECT_EQ(bad_clock.Submit(MakeRequest(4, 4, 0.0)).status().code(),
             StatusCode::kInvalidArgument);
 
-  ClusterRouter empty_cluster(prog, f.weights, hw::MultiCardConfig{}, {});
-  EXPECT_EQ(empty_cluster.Run({MakeRequest(4, 4, 0.0)}, sc).status().code(),
+  api::Engine empty_cluster(prog, f.weights, hw::MultiCardConfig{});
+  EXPECT_EQ(empty_cluster.Submit(MakeRequest(4, 4, 0.0)).status().code(),
             StatusCode::kInvalidArgument);
 
   // A request that cannot fit the smallest card's pool is rejected up
   // front: placement and rebalancing must be free to use any card.
-  ClusterConfig tight;
-  tight.shard.block_size_tokens = 4;
+  api::EngineConfig tight;
+  tight.scheduler.block_size_tokens = 4;
   tight.kv_pool_bytes_per_card = {
       32ull * 4 * KvBytesPerToken(f.config),
       2ull * 4 * KvBytesPerToken(f.config)};  // 8 tokens max on card 1
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), tight);
-  EXPECT_EQ(router.Run({MakeRequest(6, 6, 0.0)}, sc).status().code(),
+  tight.num_cards = 2;
+  tight.sampler = sc;
+  api::Engine engine(prog, f.weights, f.u280, tight);
+  EXPECT_EQ(engine.Submit(MakeRequest(6, 6, 0.0)).status().code(),
             StatusCode::kResourceExhausted);
 
   // Empty workload is trivially fine.
-  EXPECT_TRUE(router.Run({}, sc).ok());
+  engine.RunToCompletion();
+  EXPECT_TRUE(engine.Finish().ok());
 }
 
 // ---------------- the scale-out win ----------------
@@ -503,14 +452,10 @@ TEST(ClusterTest, FourCardsBeatOneCardAtSaturatingLoad) {
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
 
-  ClusterRouter one(prog, f.weights,
-                    hw::MultiCardConfig::Homogeneous(f.u280, 1), {});
-  auto one_report = one.Run(reqs, sc);
+  auto one_report = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(one_report.ok());
 
-  ClusterRouter four(prog, f.weights,
-                     hw::MultiCardConfig::Homogeneous(f.u280, 4), {});
-  auto four_report = four.Run(reqs, sc);
+  auto four_report = Serve(prog, f, 4, {}, reqs, sc);
   ASSERT_TRUE(four_report.ok());
 
   EXPECT_GT(four_report->merged.device_tokens_per_second,
@@ -519,41 +464,6 @@ TEST(ClusterTest, FourCardsBeatOneCardAtSaturatingLoad) {
             one_report->merged.makespan_seconds);
   EXPECT_LE(four_report->imbalance(), 2.0);  // round-robin spreads a
                                              // uniform burst evenly
-}
-
-// ---------------- runtime wrapper ----------------
-
-TEST(ClusterTest, ServingSimulatorExposesNumCards) {
-  Fixture f;
-  auto prog = f.Compile();
-  auto reqs = MixedTrace(f.config, 6);
-  llama::SamplerConfig sc;
-  sc.temperature = 0.6f;
-  sc.seed = 77;
-
-  runtime::ServingSimulator single(prog, f.weights, f.u280);
-  auto single_report = single.Run(reqs, sc);
-  ASSERT_TRUE(single_report.ok());
-
-  runtime::ServingSimulator sharded(
-      prog, f.weights, f.u280, runtime::ServingMode::kContinuousBatching, {},
-      /*num_cards=*/3, PlacementPolicy::kBestFitFreeKv);
-  EXPECT_EQ(sharded.num_cards(), 3);
-  auto sharded_report = sharded.Run(reqs, sc);
-  ASSERT_TRUE(sharded_report.ok()) << sharded_report.status().ToString();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(sharded_report->outcomes[i].generated,
-              single_report->outcomes[i].generated);
-  }
-
-  auto cluster_report = sharded.RunCluster(reqs, sc);
-  ASSERT_TRUE(cluster_report.ok());
-  EXPECT_EQ(cluster_report->shard_reports.size(), 3u);
-
-  runtime::ServingSimulator legacy(prog, f.weights, f.u280,
-                                   runtime::ServingMode::kLegacyRoundRobin);
-  EXPECT_EQ(legacy.RunCluster(reqs, sc).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -17,9 +17,12 @@
 #include "serving/cluster.hpp"
 #include "serving/interconnect.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::SharedTrace;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -34,6 +37,17 @@ struct Fixture {
   }
 };
 
+/// Serves `reqs` through one api::Engine over `cards` identical cards.
+StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
+                              int cards, api::EngineConfig config,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc) {
+  config.num_cards = cards;
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, f.u280, std::move(config));
+  return testutil::ServeTrace(engine, reqs);
+}
+
 std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
                                        int n, std::uint64_t seed = 4242) {
   Rng rng(seed);
@@ -46,25 +60,6 @@ std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
   wc.max_new_tokens = 10;
   wc.vocab_size = config.vocab_size;
   return PoissonTrace(rng, wc);
-}
-
-/// Most prompts open with one of two shared 24-token prefixes; block
-/// size 8 in the tests below, so cross-card shareable full blocks exist.
-std::vector<ServingRequest> SharedTrace(const llama::ModelConfig& config,
-                                        int n) {
-  Rng rng(555);
-  SharedPrefixConfig spc;
-  spc.num_requests = n;
-  spc.rate_rps = 2000.0;
-  spc.shared_fraction = 0.75;
-  spc.num_prefixes = 2;
-  spc.prefix_tokens = 24;
-  spc.min_suffix_tokens = 2;
-  spc.max_suffix_tokens = 6;
-  spc.min_new_tokens = 4;
-  spc.max_new_tokens = 8;
-  spc.vocab_size = config.vocab_size;
-  return SharedPrefixTrace(rng, spc);
 }
 
 std::vector<ShardRole> Roles(int cards) {
@@ -155,28 +150,24 @@ TEST(DisaggTest, TokenStreamsIdenticalToUnifiedAcrossRolesDtypesCaching) {
   sc.temperature = 0.9f;  // stochastic sampling: the strictest check
   sc.seed = 13;
 
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (KvCacheDtype dtype : {KvCacheDtype::kFp16, KvCacheDtype::kInt8}) {
     for (bool cache : {false, true}) {
       for (int cards : {1, 2, 4}) {
-        ClusterConfig config;
-        config.shard.kv_cache_dtype = dtype;
-        config.shard.enable_prefix_cache = cache;
+        api::EngineConfig config;
+        config.scheduler.kv_cache_dtype = dtype;
+        config.scheduler.enable_prefix_cache = cache;
         if (cards > 1) config.shard_roles = Roles(cards);
-        ClusterRouter router(prog, f.weights,
-                             hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                             config);
-        auto report = router.Run(reqs, sc);
+        auto report = Serve(prog, f, cards, config, reqs, sc);
         ASSERT_TRUE(report.ok())
             << cards << " cards dtype " << static_cast<int>(dtype)
             << " cache " << cache << ": " << report.status().ToString();
         ASSERT_EQ(report->merged.outcomes.size(), reqs.size());
         for (std::size_t i = 0; i < reqs.size(); ++i) {
           EXPECT_EQ(report->merged.outcomes[i].generated,
-                    baseline->outcomes[i].generated)
+                    baseline->merged.outcomes[i].generated)
               << cards << " cards dtype " << static_cast<int>(dtype)
               << " cache " << cache << " request " << i;
         }
@@ -207,23 +198,20 @@ TEST(DisaggTest, StreamsIdenticalUnderEveryFetchPolicy) {
   sc.temperature = 0.8f;
   sc.seed = 21;
 
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (PrefixFetchPolicy policy :
        {PrefixFetchPolicy::kAuto, PrefixFetchPolicy::kAlwaysFetch,
         PrefixFetchPolicy::kNeverFetch}) {
-    ClusterConfig config;
-    config.shard.block_size_tokens = 8;
+    api::EngineConfig config;
+    config.scheduler.block_size_tokens = 8;
     config.prefix_fetch = policy;
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-    auto report = router.Run(reqs, sc);
+    auto report = Serve(prog, f, 2, config, reqs, sc);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->merged.outcomes[i].generated,
-                baseline->outcomes[i].generated)
+                baseline->merged.outcomes[i].generated)
           << PrefixFetchPolicyName(policy) << " request " << i;
     }
   }
@@ -239,13 +227,11 @@ TEST(DisaggTest, FetchPolicySeamsForceEachArbitrationBranch) {
   sc.seed = 21;
 
   auto run = [&](PrefixFetchPolicy policy) {
-    ClusterConfig config;
-    config.shard.block_size_tokens = 8;
+    api::EngineConfig config;
+    config.scheduler.block_size_tokens = 8;
     config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
     config.prefix_fetch = policy;
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-    auto report = router.Run(reqs, sc);
+    auto report = Serve(prog, f, 2, config, reqs, sc);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return std::move(*report);
   };
@@ -287,14 +273,12 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   auto reqs = SharedTrace(f.config, 16);
   llama::SamplerConfig sc;
   sc.seed = 5;
-  ClusterConfig config;
-  config.shard.block_size_tokens = 8;
-  config.shard.charge_dma_cost = true;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 8;
+  config.scheduler.charge_dma_cost = true;
   const std::uint64_t tight = 10ull * 8 * KvBytesPerToken(f.config);
   config.kv_pool_bytes_per_card = {tight, tight};
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every COW/restore/swap byte the pools report was queued through the
   // interconnect's shared channel stations -- nothing is double-charged
@@ -323,15 +307,9 @@ TEST(DisaggTest, PrefixDirectorySurvivesEngineRestart) {
   PrefixDirectorySnapshot snapshot;
   {
     api::Engine engine(prog, f.weights, f.u280, ec);
-    for (const ServingRequest& r : SharedTrace(f.config, 8)) {
-      auto h = engine.Submit(r);
-      ASSERT_TRUE(h.ok()) << h.status().ToString();
-    }
-    engine.RunToCompletion();
+    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
     snapshot = engine.ExportPrefixDirectory();
     EXPECT_FALSE(snapshot.chains.empty());
-    auto report = engine.Finish();
-    ASSERT_TRUE(report.ok());
   }
 
   // Second life, cold: the same probe request re-prefills everything.
@@ -340,10 +318,7 @@ TEST(DisaggTest, PrefixDirectorySurvivesEngineRestart) {
   std::vector<std::int32_t> cold_tokens;
   {
     api::Engine engine(prog, f.weights, f.u280, ec);
-    auto h = engine.Submit(probe);
-    ASSERT_TRUE(h.ok());
-    engine.RunToCompletion();
-    auto report = engine.Finish();
+    auto report = testutil::ServeTrace(engine, {probe});
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->merged.prefix_cache_hit_tokens, 0);
     cold_tokens = report->merged.outcomes[0].generated;
@@ -354,10 +329,7 @@ TEST(DisaggTest, PrefixDirectorySurvivesEngineRestart) {
   {
     api::Engine engine(prog, f.weights, f.u280, ec);
     engine.ImportPrefixDirectory(snapshot);
-    auto h = engine.Submit(probe);
-    ASSERT_TRUE(h.ok());
-    engine.RunToCompletion();
-    auto report = engine.Finish();
+    auto report = testutil::ServeTrace(engine, {probe});
     ASSERT_TRUE(report.ok());
     EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
     EXPECT_EQ(report->merged.outcomes[0].generated, cold_tokens);
@@ -377,12 +349,8 @@ TEST(DisaggTest, ExportImportRoundTripsThroughTheDirectory) {
   PrefixDirectorySnapshot first;
   {
     api::Engine engine(prog, f.weights, f.u280, ec);
-    for (const ServingRequest& r : SharedTrace(f.config, 8)) {
-      ASSERT_TRUE(engine.Submit(r).ok());
-    }
-    engine.RunToCompletion();
+    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
     first = engine.ExportPrefixDirectory();
-    ASSERT_TRUE(engine.Finish().ok());
   }
   // Importing a snapshot then re-exporting reproduces every chain the
   // fresh engine installed (the listeners rebuilt the directory).

@@ -3,10 +3,13 @@
 
 #include "compiler/compiler.hpp"
 #include "runtime/eval.hpp"
-#include "runtime/serving.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::runtime {
 namespace {
+
+using serving::ServingReport;
+using serving::ServingRequest;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -67,7 +70,7 @@ TEST(EvalTest, SyntheticStreamShape) {
   EXPECT_EQ(SyntheticEvalStream(llama::ModelConfig::Tiny(), 16, 7), stream);
 }
 
-// ---------------- ServingSimulator ----------------
+// ---------------- serving through api::Engine ----------------
 
 std::vector<ServingRequest> MakeRequests(int n, int gen, double spacing) {
   std::vector<ServingRequest> reqs;
@@ -88,13 +91,23 @@ accel::Program CompileVariant(const Fixture& f, Variant v) {
   return std::move(r).value().program;
 }
 
+/// Serves `reqs` on one default-configured card.
+StatusOr<ServingReport> Serve(const accel::Program& prog, const Fixture& f,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc) {
+  api::Engine engine(prog, f.weights, f.u280,
+                     testutil::MakeEngineConfig({}, sc));
+  SPEEDLLM_ASSIGN_OR_RETURN(serving::ClusterReport report,
+                            testutil::ServeTrace(engine, reqs));
+  return std::move(report.merged);
+}
+
 TEST(ServingTest, CompletesAllRequests) {
   Fixture f;
   auto prog = CompileVariant(f, Variant::kSpeedLLM);
-  ServingSimulator sim(prog, f.weights, f.u280);
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
-  auto report = sim.Run(MakeRequests(3, 5, 1e-4), sc);
+  auto report = Serve(prog, f, MakeRequests(3, 5, 1e-4), sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->outcomes.size(), 3u);
   for (const auto& o : report->outcomes) {
@@ -113,10 +126,8 @@ TEST(ServingTest, DeterministicAcrossRuns) {
   llama::SamplerConfig sc;
   sc.temperature = 0.7f;
   sc.seed = 5;
-  ServingSimulator sim1(prog, f.weights, f.u280);
-  ServingSimulator sim2(prog, f.weights, f.u280);
-  auto a = sim1.Run(MakeRequests(3, 6, 1e-4), sc);
-  auto b = sim2.Run(MakeRequests(3, 6, 1e-4), sc);
+  auto a = Serve(prog, f, MakeRequests(3, 6, 1e-4), sc);
+  auto b = Serve(prog, f, MakeRequests(3, 6, 1e-4), sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (std::size_t i = 0; i < a->outcomes.size(); ++i) {
@@ -129,14 +140,13 @@ TEST(ServingTest, DeterministicAcrossRuns) {
 TEST(ServingTest, RequestsAreIndependentStreams) {
   Fixture f;
   auto prog = CompileVariant(f, Variant::kSpeedLLM);
-  ServingSimulator sim(prog, f.weights, f.u280);
   llama::SamplerConfig sc;
   sc.temperature = 0.9f;
   sc.seed = 5;
   // Two identical prompts should usually diverge (different seeds).
   std::vector<ServingRequest> reqs = MakeRequests(2, 8, 0.0);
   reqs[1].prompt = reqs[0].prompt;
-  auto report = sim.Run(reqs, sc);
+  auto report = Serve(prog, f, reqs, sc);
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->outcomes[0].generated, report->outcomes[1].generated);
 }
@@ -144,12 +154,11 @@ TEST(ServingTest, RequestsAreIndependentStreams) {
 TEST(ServingTest, LateArrivalWaits) {
   Fixture f;
   auto prog = CompileVariant(f, Variant::kSpeedLLM);
-  ServingSimulator sim(prog, f.weights, f.u280);
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
   auto reqs = MakeRequests(2, 2, 0.0);
   reqs[1].arrival_seconds = 10.0;  // long after the first finishes
-  auto report = sim.Run(reqs, sc);
+  auto report = Serve(prog, f, reqs, sc);
   ASSERT_TRUE(report.ok());
   EXPECT_LT(report->outcomes[0].completion_seconds, 1.0);
   EXPECT_GE(report->outcomes[1].first_token_seconds, 10.0);
@@ -162,10 +171,8 @@ TEST(ServingTest, FasterVariantImprovesLatency) {
   auto slow = CompileVariant(f, Variant::kUnoptimized);
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
-  ServingSimulator sim_fast(fast, f.weights, f.u280);
-  ServingSimulator sim_slow(slow, f.weights, f.u280);
-  auto a = sim_fast.Run(MakeRequests(4, 6, 0.0), sc);
-  auto b = sim_slow.Run(MakeRequests(4, 6, 0.0), sc);
+  auto a = Serve(fast, f, MakeRequests(4, 6, 0.0), sc);
+  auto b = Serve(slow, f, MakeRequests(4, 6, 0.0), sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(a->mean_latency(), b->mean_latency());
@@ -176,32 +183,30 @@ TEST(ServingTest, FasterVariantImprovesLatency) {
 TEST(ServingTest, RejectsBadRequests) {
   Fixture f;
   auto prog = CompileVariant(f, Variant::kSpeedLLM);
-  ServingSimulator sim(prog, f.weights, f.u280);
-  llama::SamplerConfig sc;
-  std::vector<ServingRequest> empty_prompt(1);
-  EXPECT_FALSE(sim.Run(empty_prompt, sc).ok());
-  std::vector<ServingRequest> too_long(1);
-  too_long[0].prompt = {llama::kBosToken};
-  too_long[0].max_new_tokens = f.config.seq_len + 5;
-  EXPECT_FALSE(sim.Run(too_long, sc).ok());
-  auto ok = sim.Run({}, sc);
+  api::Engine engine(prog, f.weights, f.u280);
+  EXPECT_FALSE(engine.Submit(ServingRequest{}).ok());  // empty prompt
+  ServingRequest too_long;
+  too_long.prompt = {llama::kBosToken};
+  too_long.max_new_tokens = f.config.seq_len + 5;
+  EXPECT_FALSE(engine.Submit(too_long).ok());
+  EXPECT_EQ(engine.submitted_requests(), 0u);
+  engine.RunToCompletion();
+  auto ok = engine.Finish();
   ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok->outcomes.empty());
+  EXPECT_TRUE(ok->merged.outcomes.empty());
 }
 
 TEST(ServingTest, RejectsNonPositiveMaxNewTokens) {
   Fixture f;
   auto prog = CompileVariant(f, Variant::kSpeedLLM);
-  llama::SamplerConfig sc;
-  std::vector<ServingRequest> reqs(1);
-  reqs[0].prompt = {llama::kBosToken};
-  reqs[0].max_new_tokens = 0;
-  for (ServingMode mode :
-       {ServingMode::kContinuousBatching, ServingMode::kLegacyRoundRobin}) {
-    ServingSimulator sim(prog, f.weights, f.u280, mode);
-    auto report = sim.Run(reqs, sc);
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  api::Engine engine(prog, f.weights, f.u280);
+  ServingRequest req;
+  req.prompt = {llama::kBosToken};
+  for (std::int32_t max_new_tokens : {0, -1}) {
+    req.max_new_tokens = max_new_tokens;
+    auto handle = engine.Submit(req);
+    ASSERT_FALSE(handle.ok());
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -212,17 +217,17 @@ TEST(ServingTest, LegacyAndBatchedModesAgreeOnTokens) {
   sc.temperature = 0.7f;
   sc.seed = 21;
   auto reqs = MakeRequests(3, 6, 1e-4);
-  ServingSimulator legacy(prog, f.weights, f.u280,
-                          ServingMode::kLegacyRoundRobin);
-  ServingSimulator batched(prog, f.weights, f.u280);
-  auto a = legacy.Run(reqs, sc);
-  auto b = batched.Run(reqs, sc);
+  auto a = testutil::ReferenceStreams(prog, f.weights, f.u280, reqs, sc);
+  auto b = Serve(prog, f, reqs, sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->total_tokens, b->total_tokens);
+  std::int64_t reference_tokens = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(a->outcomes[i].generated, b->outcomes[i].generated);
+    EXPECT_EQ((*a)[i], b->outcomes[i].generated);
+    reference_tokens += static_cast<std::int64_t>(reqs[i].prompt.size() +
+                                                  (*a)[i].size());
   }
+  EXPECT_EQ(reference_tokens, b->total_tokens);
 }
 
 }  // namespace

@@ -21,9 +21,13 @@
 #include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::MakeRequest;
+using testutil::Greedy;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -36,24 +40,6 @@ struct Fixture {
     return std::move(r).value().program;
   }
 };
-
-ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                           double arrival, std::int32_t salt = 0) {
-  ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
-
-llama::SamplerConfig Greedy() {
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;
-  return sc;
-}
 
 /// Sequences of `seq_tokens` tokens a pool carved as `dtype` from
 /// `hbm_bytes` admits before running dry (prefix caching off, so every
@@ -127,10 +113,11 @@ TEST(KvQuantTest, GreedyStreamsIdenticalAcrossDtypesAndDmaCosting) {
     SchedulerConfig config = base;
     config.kv_cache_dtype = dtype;
     config.charge_dma_cost = charge_dma;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, Greedy());
+    api::Engine engine(prog, f.weights, f.u280,
+                       testutil::MakeEngineConfig(config, Greedy()));
+    auto report = testutil::ServeTrace(engine, reqs);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+    return std::move(report->merged);
   };
 
   const ServingReport fp16_on = run(KvCacheDtype::kFp16, true);
@@ -170,10 +157,11 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
   auto run = [&](KvCacheDtype dtype) {
     SchedulerConfig config = base;
     config.kv_cache_dtype = dtype;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, Greedy());
+    api::Engine engine(prog, f.weights, f.u280,
+                       testutil::MakeEngineConfig(config, Greedy()));
+    auto report = testutil::ServeTrace(engine, reqs);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+    return std::move(report->merged);
   };
   const ServingReport fp16 = run(KvCacheDtype::kFp16);
   const ServingReport int8 = run(KvCacheDtype::kInt8);
@@ -188,8 +176,8 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
 TEST(KvQuantTest, PerCardDtypeClusterKeepsStreamsIdentical) {
   Fixture f;
   auto prog = f.Compile();
-  ClusterConfig homo;
-  homo.shard.block_size_tokens = 8;
+  SchedulerConfig homo;
+  homo.block_size_tokens = 8;
   std::vector<ServingRequest> reqs;
   for (int i = 0; i < 8; ++i) {
     reqs.push_back(MakeRequest(6, 6, 0.0005 * i, i % 3));
@@ -198,15 +186,17 @@ TEST(KvQuantTest, PerCardDtypeClusterKeepsStreamsIdentical) {
   sc.temperature = 0.0f;
 
   auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 2);
-  ClusterRouter homo_router(prog, f.weights, cards, homo);
-  auto homo_report = homo_router.Run(reqs, sc);
+  api::Engine homo_engine(prog, f.weights, cards,
+                          testutil::MakeEngineConfig(homo, sc));
+  auto homo_report = testutil::ServeTrace(homo_engine, reqs);
   ASSERT_TRUE(homo_report.ok()) << homo_report.status().ToString();
 
   // Card 0 fp16, card 1 int8: placement is unchanged, streams identical.
   cards.kv_dtype_per_card = {KvCacheDtype::kFp16, KvCacheDtype::kInt8};
   ASSERT_TRUE(cards.Validate().ok());
-  ClusterRouter mixed_router(prog, f.weights, cards, homo);
-  auto mixed_report = mixed_router.Run(reqs, sc);
+  api::Engine mixed_engine(prog, f.weights, cards,
+                           testutil::MakeEngineConfig(homo, sc));
+  auto mixed_report = testutil::ServeTrace(mixed_engine, reqs);
   ASSERT_TRUE(mixed_report.ok()) << mixed_report.status().ToString();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(mixed_report->merged.outcomes[i].generated,

@@ -14,9 +14,12 @@
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::SharedTrace;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -32,24 +35,6 @@ struct Fixture {
   }
 };
 
-/// Prompts open with one of two shared 24-token prefixes (3 blocks of 8).
-std::vector<ServingRequest> SharedTrace(const llama::ModelConfig& config,
-                                        int n) {
-  Rng rng(555);
-  SharedPrefixConfig spc;
-  spc.num_requests = n;
-  spc.rate_rps = 2000.0;
-  spc.shared_fraction = 0.75;
-  spc.num_prefixes = 2;
-  spc.prefix_tokens = 24;
-  spc.min_suffix_tokens = 2;
-  spc.max_suffix_tokens = 6;
-  spc.min_new_tokens = 4;
-  spc.max_new_tokens = 8;
-  spc.vocab_size = config.vocab_size;
-  return SharedPrefixTrace(rng, spc);
-}
-
 void ExpectForwardsMatchDeviceWork(const ServingReport& merged) {
   EXPECT_GT(merged.total_tokens, 0);
   EXPECT_EQ(merged.executor_forwards,
@@ -57,14 +42,12 @@ void ExpectForwardsMatchDeviceWork(const ServingReport& merged) {
 }
 
 StatusOr<ClusterReport> RunCluster(const Fixture& f, int cards,
-                                   const ClusterConfig& config,
+                                   api::EngineConfig config,
                                    const std::vector<ServingRequest>& reqs) {
-  ClusterRouter router(f.program, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                       config);
-  llama::SamplerConfig sc;
-  sc.seed = 21;
-  return router.Run(reqs, sc);
+  config.num_cards = cards;
+  config.sampler.seed = 21;
+  api::Engine engine(f.program, f.weights, f.u280, std::move(config));
+  return testutil::ServeTrace(engine, reqs);
 }
 
 TEST(KvStoreTest, MultiTurnPrefixHitsRunNoForwards) {
@@ -114,11 +97,11 @@ TEST(KvStoreTest, ReadmissionRestoresRunNoForwards) {
   // blocks: decode growth preempts, and every readmission restores the
   // prefix its co-residents keep cached instead of recomputing it.
   Fixture f;
-  ClusterConfig config;
-  config.shard.block_size_tokens = 4;
-  config.shard.kv_pool_bytes = 10ull * 4 * KvBytesPerToken(f.config);
-  config.shard.max_batch_seqs = 6;
-  config.shard.max_batch_tokens = 48;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 4;
+  config.scheduler.kv_pool_bytes = 10ull * 4 * KvBytesPerToken(f.config);
+  config.scheduler.max_batch_seqs = 6;
+  config.scheduler.max_batch_tokens = 48;
   std::vector<ServingRequest> reqs(6);
   for (std::int32_t i = 0; i < 6; ++i) {
     for (std::int32_t t = 0; t < 8; ++t) reqs[i].prompt.push_back(3 + t);
@@ -136,8 +119,8 @@ TEST(KvStoreTest, ReadmissionRestoresRunNoForwards) {
 
 TEST(KvStoreTest, HandoffAdoptionRunsNoForwards) {
   Fixture f;
-  ClusterConfig config;
-  config.shard.block_size_tokens = 8;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 8;
   config.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
   auto report = RunCluster(f, 2, config, SharedTrace(f.config, 12));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -147,8 +130,8 @@ TEST(KvStoreTest, HandoffAdoptionRunsNoForwards) {
 
 TEST(KvStoreTest, RemoteFetchRunsNoForwards) {
   Fixture f;
-  ClusterConfig config;
-  config.shard.block_size_tokens = 8;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 8;
   config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
   config.prefix_fetch = PrefixFetchPolicy::kAlwaysFetch;
   auto report = RunCluster(f, 2, config, SharedTrace(f.config, 14));
@@ -167,12 +150,8 @@ TEST(KvStoreTest, WarmStartComputesInstalledBlocksOnce) {
   PrefixDirectorySnapshot snapshot;
   {
     api::Engine engine(f.program, f.weights, f.u280, config);
-    for (const ServingRequest& r : SharedTrace(f.config, 8)) {
-      ASSERT_TRUE(engine.Submit(r).ok());
-    }
-    engine.RunToCompletion();
+    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
     snapshot = engine.ExportPrefixDirectory();
-    ASSERT_TRUE(engine.Finish().ok());
   }
   ASSERT_FALSE(snapshot.chains.empty());
   std::int64_t snapshot_tokens = 0;
@@ -181,9 +160,8 @@ TEST(KvStoreTest, WarmStartComputesInstalledBlocksOnce) {
   }
   api::Engine engine(f.program, f.weights, f.u280, config);
   engine.ImportPrefixDirectory(snapshot);
-  ASSERT_TRUE(engine.Submit(SharedTrace(f.config, 8).front()).ok());
-  engine.RunToCompletion();
-  auto report = engine.Finish();
+  auto report =
+      testutil::ServeTrace(engine, {SharedTrace(f.config, 8).front()});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
   const std::int64_t warm =

@@ -13,13 +13,15 @@
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "obs/export.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::MakeRequest;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -34,18 +36,6 @@ struct Fixture {
     return std::move(r).value().program;
   }
 };
-
-ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                           double arrival, std::int32_t salt = 0) {
-  ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
 
 std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
                                        int n, std::uint64_t seed = 4242) {
@@ -73,10 +63,11 @@ struct RunResult {
 RunResult RunOnce(const accel::Program& prog, const Fixture& f,
                   const hw::MultiCardConfig& cards, ClusterConfig config,
                   const std::vector<ServingRequest>& reqs,
-                  const llama::SamplerConfig& sc, bool parallel) {
+                  const llama::SamplerConfig& sc, bool parallel,
+                  bool traced = true) {
   config.parallel_ticking = parallel;
-  config.telemetry.enable_tracing = true;
-  config.telemetry.enable_metrics = true;
+  config.telemetry.enable_tracing = traced;
+  config.telemetry.enable_metrics = traced;
   ClusterSession session(prog, f.weights, cards, config, sc);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     session.SubmitAt(&reqs[i], i,
@@ -92,9 +83,12 @@ RunResult RunOnce(const accel::Program& prog, const Fixture& f,
   }
   EXPECT_TRUE(session.Finalize().ok()) << session.Finalize().ToString();
   RunResult result;
-  result.chrome_trace = obs::ToChromeTraceJson(*session.telemetry()->trace());
-  result.metrics_json = obs::ToMetricsJson(*session.telemetry()->metrics());
-  result.prometheus = obs::ToPrometheusText(*session.telemetry()->metrics());
+  if (traced) {
+    result.chrome_trace =
+        obs::ToChromeTraceJson(*session.telemetry()->trace());
+    result.metrics_json = obs::ToMetricsJson(*session.telemetry()->metrics());
+    result.prometheus = obs::ToPrometheusText(*session.telemetry()->metrics());
+  }
   result.report = session.Harvest();
   return result;
 }
@@ -257,10 +251,9 @@ TEST(ParallelTickTest, RebalanceArmedFallsBackConservativelyAndMatches) {
                   "rebalance-armed");
 }
 
-TEST(ParallelTickTest, RouterRunUsesParallelDriverAndMatchesSerial) {
-  // End-to-end through ClusterRouter::Run (the offline path benches and
-  // examples drive): the parallel_ticking flag alone must not change a
-  // byte of the report.
+TEST(ParallelTickTest, UntracedRunMatchesSerial) {
+  // Telemetry off, the way bench_sim_scale drives the session: the
+  // parallel_ticking flag alone must not change a byte of the report.
   Fixture f;
   auto prog = f.Compile();
   auto reqs = MixedTrace(f.config, 20, 555);
@@ -268,25 +261,12 @@ TEST(ParallelTickTest, RouterRunUsesParallelDriverAndMatchesSerial) {
   sc.temperature = 0.9f;
   sc.seed = 3;
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 8);
-  ClusterConfig serial_config;
-  serial_config.placement = PlacementPolicy::kLeastOutstandingTokens;
-  serial_config.rebalance_queued = false;
-  ClusterConfig par_config = serial_config;
-  par_config.parallel_ticking = true;
-  auto serial = ClusterRouter(prog, f.weights, cards, serial_config)
-                    .Run(reqs, sc);
-  auto par = ClusterRouter(prog, f.weights, cards, par_config).Run(reqs, sc);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-  ASSERT_EQ(par->merged.outcomes.size(), serial->merged.outcomes.size());
-  for (std::size_t i = 0; i < serial->merged.outcomes.size(); ++i) {
-    EXPECT_EQ(par->merged.outcomes[i].generated,
-              serial->merged.outcomes[i].generated)
-        << "request " << i;
-  }
-  EXPECT_EQ(par->merged.makespan_seconds, serial->merged.makespan_seconds);
-  EXPECT_EQ(par->shard_of_request, serial->shard_of_request);
-  EXPECT_EQ(par->card_utilization, serial->card_utilization);
+  ClusterConfig config;
+  config.placement = PlacementPolicy::kLeastOutstandingTokens;
+  config.rebalance_queued = false;
+  ExpectIdentical(RunOnce(prog, f, cards, config, reqs, sc, false, false),
+                  RunOnce(prog, f, cards, config, reqs, sc, true, false),
+                  "untraced");
 }
 
 }  // namespace

@@ -1,20 +1,23 @@
 // Unit tests for the continuous-batching scheduler (serving/scheduler.hpp):
 // deterministic batch composition, policy ordering, aging/no-starvation,
-// KV exhaustion preemption, and the batching win over the legacy
-// round-robin serving path.
+// KV exhaustion preemption, and the batching win over a width-1
+// (one token per tick) configuration. Every run goes through api::Engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::MakeRequest;
+using testutil::Greedy;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -28,22 +31,40 @@ struct Fixture {
   }
 };
 
-ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                           double arrival, std::int32_t salt = 0) {
-  ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
+/// One scheduler tick's batch composition (stream indices in the order
+/// the tick processed them).
+struct Tick {
+  double end_seconds = 0.0;
+  std::vector<std::size_t> decode_seqs;
+  std::vector<std::size_t> prefill_seqs;
+  std::int32_t prefill_tokens = 0;
+};
 
-llama::SamplerConfig Greedy() {
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;
-  return sc;
+/// Serves `reqs` on one card running `config`. With `ticks` set the run
+/// is traced, and `*ticks` is rebuilt from the telemetry events.
+StatusOr<ServingReport> Serve(const accel::Program& prog, const Fixture& f,
+                              const SchedulerConfig& config,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc = Greedy(),
+                              std::vector<Tick>* ticks = nullptr) {
+  api::EngineConfig ec = testutil::MakeEngineConfig(config, sc);
+  ec.telemetry.enable_tracing = ticks != nullptr;
+  api::Engine engine(prog, f.weights, f.u280, ec);
+  SPEEDLLM_ASSIGN_OR_RETURN(ClusterReport report,
+                            testutil::ServeTrace(engine, reqs));
+  if (ticks == nullptr) return std::move(report.merged);
+  for (const obs::RequestEvent& e : engine.telemetry()->trace()->events()) {
+    const auto stream = static_cast<std::size_t>(e.stream);
+    if (e.kind == obs::RequestEventKind::kTick) {
+      ticks->push_back(Tick{e.end_seconds, {}, {}, 0});
+    } else if (e.kind == obs::RequestEventKind::kDecodeToken) {
+      ticks->back().decode_seqs.push_back(stream);
+    } else if (e.kind == obs::RequestEventKind::kPrefillChunk) {
+      ticks->back().prefill_seqs.push_back(stream);
+      ticks->back().prefill_tokens += static_cast<std::int32_t>(e.tokens);
+    }
+  }
+  return std::move(report.merged);
 }
 
 // ---------------- batch composition ----------------
@@ -55,31 +76,28 @@ TEST(SchedulerTest, ExactBatchCompositionFcfs) {
   config.policy = BatchPolicy::kFcfs;
   config.max_batch_tokens = 8;
   config.max_batch_seqs = 4;
-  config.record_ticks = true;
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
   std::vector<ServingRequest> reqs = {MakeRequest(3, 2, 0.0, 0),
                                       MakeRequest(3, 2, 0.0, 1)};
-  auto report = sched.Run(reqs, Greedy());
+  std::vector<Tick> ticks;
+  auto report = Serve(prog, f, config, reqs, Greedy(), &ticks);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   ASSERT_EQ(report->ticks, 3);
-  ASSERT_EQ(report->tick_log.size(), 3u);
+  ASSERT_EQ(ticks.size(), 3u);
   // Tick 0: both prompts prefill together inside the 8-token budget.
-  EXPECT_TRUE(report->tick_log[0].decode_seqs.empty());
-  EXPECT_EQ(report->tick_log[0].prefill_seqs,
-            (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(report->tick_log[0].prefill_tokens, 6);
+  EXPECT_TRUE(ticks[0].decode_seqs.empty());
+  EXPECT_EQ(ticks[0].prefill_seqs, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(ticks[0].prefill_tokens, 6);
   // Ticks 1-2: pure grouped decode over both sequences.
-  for (int t = 1; t <= 2; ++t) {
-    EXPECT_EQ(report->tick_log[static_cast<std::size_t>(t)].decode_seqs,
-              (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(report->tick_log[static_cast<std::size_t>(t)].prefill_tokens, 0);
+  for (std::size_t t = 1; t <= 2; ++t) {
+    EXPECT_EQ(ticks[t].decode_seqs, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(ticks[t].prefill_tokens, 0);
   }
   // Both TTFTs land at the end of the shared prefill tick.
   EXPECT_DOUBLE_EQ(report->outcomes[0].first_token_seconds,
-                   report->tick_log[0].end_seconds);
+                   ticks[0].end_seconds);
   EXPECT_DOUBLE_EQ(report->outcomes[1].first_token_seconds,
-                   report->tick_log[0].end_seconds);
+                   ticks[0].end_seconds);
   EXPECT_EQ(report->total_tokens, 2 * (3 + 2));
   EXPECT_DOUBLE_EQ(report->mean_batch_width, 2.0);
 }
@@ -90,25 +108,24 @@ TEST(SchedulerTest, ShortestPromptFirstReordersAdmission) {
   SchedulerConfig config;
   config.max_batch_tokens = 4;
   config.max_batch_seqs = 4;
-  config.record_ticks = true;
   std::vector<ServingRequest> reqs = {MakeRequest(8, 1, 0.0, 0),
                                       MakeRequest(2, 1, 0.0, 1)};
 
   config.policy = BatchPolicy::kFcfs;
-  auto fcfs = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
+  std::vector<Tick> fcfs_ticks;
+  auto fcfs = Serve(prog, f, config, reqs, Greedy(), &fcfs_ticks);
   ASSERT_TRUE(fcfs.ok());
-  ASSERT_FALSE(fcfs->tick_log.empty());
+  ASSERT_FALSE(fcfs_ticks.empty());
   // FCFS: the long head request monopolizes the first tick's budget.
-  EXPECT_EQ(fcfs->tick_log[0].prefill_seqs, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(fcfs_ticks[0].prefill_seqs, (std::vector<std::size_t>{0}));
 
   config.policy = BatchPolicy::kShortestPromptFirst;
-  auto spf = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                 .Run(reqs, Greedy());
+  std::vector<Tick> spf_ticks;
+  auto spf = Serve(prog, f, config, reqs, Greedy(), &spf_ticks);
   ASSERT_TRUE(spf.ok());
-  ASSERT_FALSE(spf->tick_log.empty());
+  ASSERT_FALSE(spf_ticks.empty());
   // SPF: the short prompt jumps the queue and both fit the first tick.
-  EXPECT_EQ(spf->tick_log[0].prefill_seqs, (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(spf_ticks[0].prefill_seqs, (std::vector<std::size_t>{1, 0}));
   EXPECT_LT(spf->outcomes[1].time_to_first_token(),
             fcfs->outcomes[1].time_to_first_token());
 }
@@ -120,15 +137,14 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
   config.policy = BatchPolicy::kDecodePriority;
   config.prefill_chunk_tokens = 2;
   config.max_batch_tokens = 16;
-  config.record_ticks = true;
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
   std::vector<ServingRequest> reqs = {MakeRequest(2, 10, 0.0, 0),
                                       MakeRequest(6, 2, 0.0, 1)};
-  auto report = sched.Run(reqs, Greedy());
+  std::vector<Tick> ticks;
+  auto report = Serve(prog, f, config, reqs, Greedy(), &ticks);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   bool mixed_tick = false;
-  for (const TickRecord& tick : report->tick_log) {
+  for (const Tick& tick : ticks) {
     EXPECT_LE(tick.prefill_tokens, 2);  // chunked prefill honors the cap
     if (!tick.decode_seqs.empty() && tick.prefill_tokens > 0) {
       mixed_tick = true;
@@ -138,11 +154,10 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
 
   // FCFS has no such cap: the 6-token prompt prefills in one gulp.
   config.policy = BatchPolicy::kFcfs;
-  auto fcfs = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
-  ASSERT_TRUE(fcfs.ok());
+  std::vector<Tick> fcfs_ticks;
+  ASSERT_TRUE(Serve(prog, f, config, reqs, Greedy(), &fcfs_ticks).ok());
   std::int32_t max_prefill = 0;
-  for (const TickRecord& tick : fcfs->tick_log) {
+  for (const Tick& tick : fcfs_ticks) {
     max_prefill = std::max(max_prefill, tick.prefill_tokens);
   }
   EXPECT_GT(max_prefill, 2);
@@ -162,12 +177,10 @@ TEST(SchedulerTest, AgingPreventsShortestPromptStarvation) {
   for (int i = 1; i <= 4; ++i) reqs.push_back(MakeRequest(2, 1, 0.0, i));
 
   config.starvation_grace_ticks = 2;
-  auto aged = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
+  auto aged = Serve(prog, f, config, reqs);
   ASSERT_TRUE(aged.ok());
   config.starvation_grace_ticks = 1000000;
-  auto starved = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                     .Run(reqs, Greedy());
+  auto starved = Serve(prog, f, config, reqs);
   ASSERT_TRUE(starved.ok());
 
   auto rank_of_long = [](const ServingReport& report) {
@@ -204,13 +217,11 @@ TEST(SchedulerTest, PreemptionBySwapIsTransparent) {
                                       MakeRequest(4, 12, 0.0, 1),
                                       MakeRequest(4, 12, 0.0, 2)};
 
-  auto tight_report = ContinuousBatchScheduler(prog, f.weights, f.u280, tight)
-                          .Run(reqs, Greedy());
+  auto tight_report = Serve(prog, f, tight, reqs);
   ASSERT_TRUE(tight_report.ok()) << tight_report.status().ToString();
   SchedulerConfig roomy = tight;
   roomy.kv_pool_bytes = 0;  // derive from full HBM: effectively unbounded
-  auto roomy_report = ContinuousBatchScheduler(prog, f.weights, f.u280, roomy)
-                          .Run(reqs, Greedy());
+  auto roomy_report = Serve(prog, f, roomy, reqs);
   ASSERT_TRUE(roomy_report.ok());
 
   EXPECT_GT(tight_report->preemptions, 0);
@@ -245,13 +256,11 @@ TEST(SchedulerTest, CachedPrefixSkipsPrefillAndCutsTtft) {
                                       MakeRequest(32, 8, 0.05, 5)};
   SchedulerConfig off;
   off.enable_prefix_cache = false;
-  auto report_off = ContinuousBatchScheduler(prog, f.weights, f.u280, off)
-                        .Run(reqs, Greedy());
+  auto report_off = Serve(prog, f, off, reqs);
   ASSERT_TRUE(report_off.ok()) << report_off.status().ToString();
   SchedulerConfig on;
   on.enable_prefix_cache = true;
-  auto report_on = ContinuousBatchScheduler(prog, f.weights, f.u280, on)
-                       .Run(reqs, Greedy());
+  auto report_on = Serve(prog, f, on, reqs);
   ASSERT_TRUE(report_on.ok()) << report_on.status().ToString();
 
   // Byte-identical streams, with and without the cache.
@@ -277,8 +286,7 @@ TEST(SchedulerTest, RequestLargerThanPoolIsRejected) {
   SchedulerConfig config;
   config.block_size_tokens = 4;
   config.kv_pool_bytes = 2ull * 4 * KvBytesPerToken(f.config);  // 8 tokens
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
-  auto report = sched.Run({MakeRequest(6, 6, 0.0)}, Greedy());
+  auto report = Serve(prog, f, config, {MakeRequest(6, 6, 0.0)});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
 }
@@ -288,27 +296,26 @@ TEST(SchedulerTest, RequestLargerThanPoolIsRejected) {
 TEST(SchedulerTest, ValidatesRequests) {
   Fixture f;
   auto prog = f.Compile();
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280);
-  llama::SamplerConfig sc = Greedy();
+  const SchedulerConfig config;
 
   std::vector<ServingRequest> empty_prompt(1);
-  EXPECT_EQ(sched.Run(empty_prompt, sc).status().code(),
+  EXPECT_EQ(Serve(prog, f, config, empty_prompt).status().code(),
             StatusCode::kInvalidArgument);
 
   auto zero_gen = MakeRequest(3, 1, 0.0);
   zero_gen.max_new_tokens = 0;
-  EXPECT_EQ(sched.Run({zero_gen}, sc).status().code(),
+  EXPECT_EQ(Serve(prog, f, config, {zero_gen}).status().code(),
             StatusCode::kInvalidArgument);
 
   auto negative_arrival = MakeRequest(3, 2, -1.0);
-  EXPECT_EQ(sched.Run({negative_arrival}, sc).status().code(),
+  EXPECT_EQ(Serve(prog, f, config, {negative_arrival}).status().code(),
             StatusCode::kInvalidArgument);
 
   auto too_long = MakeRequest(3, f.config.seq_len, 0.0);
-  EXPECT_EQ(sched.Run({too_long}, sc).status().code(),
+  EXPECT_EQ(Serve(prog, f, config, {too_long}).status().code(),
             StatusCode::kOutOfRange);
 
-  EXPECT_TRUE(sched.Run({}, sc).ok());
+  EXPECT_TRUE(Serve(prog, f, config, {}).ok());
 }
 
 // ---------------- determinism & functional equivalence ----------------
@@ -329,10 +336,8 @@ TEST(SchedulerTest, DeterministicAcrossRuns) {
   sc.temperature = 0.8f;
   sc.seed = 9;
   SchedulerConfig config;
-  auto a = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-               .Run(reqs, sc);
-  auto b = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-               .Run(reqs, sc);
+  auto a = Serve(prog, f, config, reqs, sc);
+  auto b = Serve(prog, f, config, reqs, sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -358,20 +363,18 @@ TEST(SchedulerTest, TokenStreamsInvariantToPolicyAndBatching) {
   sc.temperature = 0.9f;
   sc.seed = 13;
 
-  runtime::ServingSimulator legacy(prog, f.weights, f.u280,
-                                   runtime::ServingMode::kLegacyRoundRobin);
-  auto baseline = legacy.Run(reqs, sc);
+  auto baseline =
+      testutil::ReferenceStreams(prog, f.weights, f.u280, reqs, sc);
   ASSERT_TRUE(baseline.ok());
   for (BatchPolicy policy :
        {BatchPolicy::kFcfs, BatchPolicy::kShortestPromptFirst,
         BatchPolicy::kDecodePriority}) {
     SchedulerConfig config;
     config.policy = policy;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, sc);
+    auto report = Serve(prog, f, config, reqs, sc);
     ASSERT_TRUE(report.ok()) << BatchPolicyName(policy);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      EXPECT_EQ(report->outcomes[i].generated, baseline->outcomes[i].generated)
+      EXPECT_EQ(report->outcomes[i].generated, (*baseline)[i])
           << BatchPolicyName(policy) << " request " << i;
     }
   }
@@ -385,13 +388,15 @@ TEST(SchedulerTest, ContinuousBatchingBeatsLegacyAtFourConcurrent) {
   std::vector<ServingRequest> reqs;
   for (int i = 0; i < 4; ++i) reqs.push_back(MakeRequest(6, 8, 0.0, i));
 
-  runtime::ServingSimulator legacy(prog, f.weights, f.u280,
-                                   runtime::ServingMode::kLegacyRoundRobin);
-  auto legacy_report = legacy.Run(reqs, Greedy());
+  // The one-token-per-tick baseline: width 1, no prefix sharing.
+  SchedulerConfig width1;
+  width1.max_batch_seqs = 1;
+  width1.max_batch_tokens = 1;
+  width1.enable_prefix_cache = false;
+  auto legacy_report = Serve(prog, f, width1, reqs);
   ASSERT_TRUE(legacy_report.ok());
 
-  runtime::ServingSimulator batched(prog, f.weights, f.u280);
-  auto batched_report = batched.Run(reqs, Greedy());
+  auto batched_report = Serve(prog, f, SchedulerConfig{}, reqs);
   ASSERT_TRUE(batched_report.ok());
 
   // Aggregate throughput: the grouped step amortizes the weight stream.

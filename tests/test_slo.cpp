@@ -20,6 +20,7 @@
 #include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
@@ -77,12 +78,12 @@ llama::SamplerConfig Stochastic() {
 
 ClusterReport MustRun(const Fixture& f, const accel::Program& prog,
                       const std::vector<ServingRequest>& reqs,
-                      const ClusterConfig& config, int cards,
+                      api::EngineConfig config, int cards,
                       const llama::SamplerConfig& sampler) {
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                       config);
-  auto report = router.Run(reqs, sampler);
+  config.num_cards = cards;
+  config.sampler = sampler;
+  api::Engine engine(prog, f.weights, f.u280, std::move(config));
+  auto report = testutil::ServeTrace(engine, reqs);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return std::move(report).value();
 }
@@ -109,12 +110,12 @@ TEST(SloTest, TiersOnOffByteIdenticalAtEqualAdmission) {
   // the arrival trace, so the shed set matches, and the survivors'
   // streams must be byte-identical because tier logic only *reorders*
   // scheduling -- per-request sampler seeding pins the tokens.
-  ClusterConfig base;
-  base.shard.admission.enable = true;
-  base.shard.admission.rate_tokens_per_second = 20000.0;
-  base.shard.admission.burst_tokens = 60.0;
-  ClusterConfig tiered = base;
-  tiered.shard.enable_tiers = true;
+  api::EngineConfig base;
+  base.scheduler.admission.enable = true;
+  base.scheduler.admission.rate_tokens_per_second = 20000.0;
+  base.scheduler.admission.burst_tokens = 60.0;
+  api::EngineConfig tiered = base;
+  tiered.scheduler.enable_tiers = true;
 
   for (int cards : {1, 2}) {
     auto off = MustRun(f, prog, reqs, base, cards, Stochastic());
@@ -136,11 +137,11 @@ TEST(SloTest, ShedSetIsIdenticalAcrossCardCounts) {
   // Overloaded: the bucket admits roughly half the offered tokens.
   const auto reqs = MixedTierTrace(f.config, 40, 8000.0);
 
-  ClusterConfig config;
-  config.shard.enable_tiers = true;
-  config.shard.admission.enable = true;
-  config.shard.admission.rate_tokens_per_second = 30000.0;
-  config.shard.admission.burst_tokens = 60.0;
+  api::EngineConfig config;
+  config.scheduler.enable_tiers = true;
+  config.scheduler.admission.enable = true;
+  config.scheduler.admission.rate_tokens_per_second = 30000.0;
+  config.scheduler.admission.burst_tokens = 60.0;
 
   auto one = MustRun(f, prog, reqs, config, 1, Stochastic());
   auto two = MustRun(f, prog, reqs, config, 2, Stochastic());
@@ -167,19 +168,19 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
   auto prog = f.Compile();
   const auto reqs = MixedTierTrace(f.config, 32, 6000.0);
 
-  ClusterConfig config;
+  api::EngineConfig config;
   config.telemetry.enable_tracing = true;
-  config.shard.enable_tiers = true;
-  config.shard.admission.enable = true;
-  config.shard.admission.rate_tokens_per_second = 30000.0;
-  config.shard.admission.burst_tokens = 80.0;
+  config.scheduler.enable_tiers = true;
+  config.scheduler.admission.enable = true;
+  config.scheduler.admission.rate_tokens_per_second = 30000.0;
+  config.scheduler.admission.burst_tokens = 80.0;
   // Targets far from any boundary, so sub-cycle timestamp rounding in
   // the event stream cannot flip an attainment verdict: interactive
   // attains freely, standard (1 ps TTFT) can never attain, best-effort
   // is unbounded.
-  config.shard.tier_slo[TierIndex(RequestTier::kInteractive)]
+  config.scheduler.tier_slo[TierIndex(RequestTier::kInteractive)]
       .ttft_target_seconds = 10.0;
-  config.shard.tier_slo[TierIndex(RequestTier::kStandard)]
+  config.scheduler.tier_slo[TierIndex(RequestTier::kStandard)]
       .ttft_target_seconds = 1e-12;
 
   auto report = MustRun(f, prog, reqs, config, 2, Stochastic());
@@ -203,7 +204,7 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
     tier.generated_tokens +=
         static_cast<std::int64_t>(out.generated.size());
     if (out.attains(
-            config.shard.tier_slo[static_cast<std::size_t>(
+            config.scheduler.tier_slo[static_cast<std::size_t>(
                 TierIndex(out.tier))])) {
       ++tier.slo_attained_requests;
       tier.goodput_tokens += static_cast<std::int64_t>(out.generated.size());
@@ -245,7 +246,7 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
 
   // With tracing off the tier slices stay zero (no parallel bookkeeping
   // path fills them).
-  ClusterConfig untraced = config;
+  api::EngineConfig untraced = config;
   untraced.telemetry.enable_tracing = false;
   auto dark = MustRun(f, prog, reqs, untraced, 2, Stochastic());
   for (int t = 0; t < kNumTiers; ++t) {
@@ -271,12 +272,12 @@ TEST(SloTest, PreemptionNeverEvictsAHigherTier) {
   // resident, so somebody gets swapped under decode pressure. The
   // interactive request must never be the victim of the best-effort
   // ones.
-  ClusterConfig config;
-  config.shard.enable_tiers = true;
-  config.shard.block_size_tokens = 4;
-  config.shard.kv_pool_bytes = 8ull * 4 * bytes_per_token;
-  config.shard.max_batch_seqs = 4;
-  config.shard.max_batch_tokens = 32;
+  api::EngineConfig config;
+  config.scheduler.enable_tiers = true;
+  config.scheduler.block_size_tokens = 4;
+  config.scheduler.kv_pool_bytes = 8ull * 4 * bytes_per_token;
+  config.scheduler.max_batch_seqs = 4;
+  config.scheduler.max_batch_tokens = 32;
 
   std::vector<ServingRequest> reqs = {
       MakeRequest(4, 12, 0.0, 0, RequestTier::kBestEffort),
@@ -296,8 +297,8 @@ TEST(SloTest, PreemptionNeverEvictsAHigherTier) {
 
   // Identity against a roomy pool: preemption ordering changes time,
   // never tokens.
-  ClusterConfig roomy = config;
-  roomy.shard.kv_pool_bytes = 0;  // derive from HBM: effectively unbounded
+  api::EngineConfig roomy = config;
+  roomy.scheduler.kv_pool_bytes = 0;  // derive from HBM: effectively unbounded
   auto roomy_report = MustRun(f, prog, reqs, roomy, 1, Stochastic());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(report.merged.outcomes[i].generated,
@@ -370,7 +371,7 @@ TEST(SloTest, SamplerOverrideLayersOverEngineDefault) {
   reqs[0].sampler.has_temperature = true;
   EXPECT_FALSE(reqs[0].sampler.empty());
 
-  ClusterConfig config;
+  api::EngineConfig config;
   auto mixed = MustRun(f, prog, reqs, config, 1, Stochastic());
 
   llama::SamplerConfig greedy = Stochastic();
@@ -395,7 +396,7 @@ TEST(SloTest, EosOverrideStopsOneStreamOnly) {
 
   std::vector<ServingRequest> plain = {MakeRequest(5, 12, 0.0, 0),
                                        MakeRequest(5, 12, 0.0, 1)};
-  ClusterConfig config;
+  api::EngineConfig config;
   auto base = MustRun(f, prog, plain, config, 1, Stochastic());
   ASSERT_EQ(base.merged.outcomes[0].generated.size(), 12u);
 

@@ -31,7 +31,6 @@
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "obs/export.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
@@ -39,6 +38,8 @@
 
 namespace speedllm::serving {
 namespace {
+
+using testutil::MakeRequest;
 
 // ---------------------------------------------------------------- pool
 
@@ -452,18 +453,6 @@ TEST(SpeculativeTest, AlwaysAcceptCommitsRunsAndIsStrictlyFaster) {
 }
 
 // --------------------------------------------------- mid-verify cancel
-
-serving::ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                                    double arrival, std::int32_t salt = 0) {
-  serving::ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
 
 TEST(SpeculativeTest, CancelMidVerifyFreesDraftAndCommittedKv) {
   // Cancel fires from inside the victim's own token stream while

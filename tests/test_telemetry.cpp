@@ -2,8 +2,7 @@
 // metrics-registry semantics, trace determinism (byte-identical exports
 // across runs; per-stream lifecycles invariant across placement policy,
 // prefix caching, and KV dtype), lifecycle completeness (exactly one
-// terminal event per stream), the record_ticks/tick_log compat view
-// riding the unified event path, zero simulation perturbation from
+// terminal event per stream), zero simulation perturbation from
 // enabling telemetry, and event-vs-report accounting (preemptions, DMA
 // bytes and time) under forced KV pressure.
 #include <gtest/gtest.h>
@@ -22,9 +21,13 @@
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::obs {
 namespace {
+
+using testutil::MakeRequest;
+using testutil::Greedy;
 
 struct Fixture {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
@@ -38,18 +41,6 @@ struct Fixture {
     return std::move(r).value().program;
   }
 };
-
-serving::ServingRequest MakeRequest(std::int32_t prompt_len, std::int32_t gen,
-                                    double arrival, std::int32_t salt = 0) {
-  serving::ServingRequest req;
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
-  }
-  req.max_new_tokens = gen;
-  req.arrival_seconds = arrival;
-  return req;
-}
 
 std::vector<serving::ServingRequest> MixedTrace(
     const llama::ModelConfig& config, int n) {
@@ -65,12 +56,6 @@ std::vector<serving::ServingRequest> MixedTrace(
   return serving::PoissonTrace(rng, wc);
 }
 
-llama::SamplerConfig Greedy() {
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;
-  return sc;
-}
-
 /// Runs `requests` through an api::Engine built with `config`; the
 /// engine stays alive so the caller can inspect telemetry().
 struct EngineRun {
@@ -84,12 +69,7 @@ EngineRun RunEngine(const Fixture& f, const accel::Program& prog,
   EngineRun run;
   run.engine =
       std::make_unique<api::Engine>(prog, f.weights, f.u280, config);
-  for (const serving::ServingRequest& req : requests) {
-    auto h = run.engine->Submit(req);
-    EXPECT_TRUE(h.ok()) << h.status().ToString();
-  }
-  run.engine->RunToCompletion();
-  auto report = run.engine->Finish();
+  auto report = testutil::ServeTrace(*run.engine, requests);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   run.report = std::move(report).value();
   return run;
@@ -313,43 +293,6 @@ TEST(TelemetryTest, EnablingTelemetryDoesNotPerturbTheSimulation) {
   EXPECT_EQ(a.preemptions, b.preemptions);
   EXPECT_EQ(a.dma_bytes_moved, b.dma_bytes_moved);
   EXPECT_EQ(a.dma_time_seconds, b.dma_time_seconds);
-}
-
-// ---------------- tick_log compat ----------------
-
-TEST(TelemetryTest, TickLogCompatViewRidesTheEventPath) {
-  Fixture f;
-  auto prog = f.Compile();
-  auto reqs = MixedTrace(f.config, 6);
-
-  auto run_with = [&](bool telemetry_on) {
-    serving::ClusterConfig config;
-    config.shard.record_ticks = true;
-    config.telemetry.enable_tracing = telemetry_on;
-    config.telemetry.enable_metrics = telemetry_on;
-    serving::ClusterRouter router(prog, f.weights,
-                                  hw::MultiCardConfig::Homogeneous(f.u280, 2),
-                                  config);
-    auto report = router.Run(reqs, Greedy());
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  };
-  const serving::ClusterReport compat = run_with(false);
-  const serving::ClusterReport unified = run_with(true);
-
-  ASSERT_FALSE(compat.merged.tick_log.empty());
-  ASSERT_EQ(compat.merged.tick_log.size(), unified.merged.tick_log.size());
-  for (std::size_t i = 0; i < compat.merged.tick_log.size(); ++i) {
-    const serving::TickRecord& x = compat.merged.tick_log[i];
-    const serving::TickRecord& y = unified.merged.tick_log[i];
-    EXPECT_EQ(x.start_seconds, y.start_seconds);
-    EXPECT_EQ(x.end_seconds, y.end_seconds);
-    EXPECT_EQ(x.decode_seqs, y.decode_seqs);
-    EXPECT_EQ(x.prefill_seqs, y.prefill_seqs);
-    EXPECT_EQ(x.prefill_tokens, y.prefill_tokens);
-  }
-  EXPECT_EQ(static_cast<std::int64_t>(compat.merged.tick_log.size()),
-            compat.merged.ticks);
 }
 
 // ---------------- event/report accounting under KV pressure ----------------

@@ -1,4 +1,7 @@
-// Shared helpers for the randomized / seeded test harnesses.
+// Shared test helpers: the seeded-harness replay banner, the
+// request/trace builders the serving tests share, offline serving
+// through api::Engine, and an independent per-request stream oracle that
+// shares no scheduling or KV-pool code with the serving stack.
 //
 // The one rule every seeded suite follows: a failure must print the RNG
 // seed that produced it, so the exact failing run can be replayed by
@@ -12,7 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
+
+#include "accel/executor.hpp"
+#include "api/engine.hpp"
+#include "llama/tokenizer.hpp"
+#include "serving/workload.hpp"
 
 namespace speedllm::testutil {
 
@@ -21,6 +31,115 @@ namespace speedllm::testutil {
 inline std::string SeedMessage(const char* harness, std::uint64_t seed) {
   return std::string(harness) + " seed=" + std::to_string(seed) +
          " -- replay by running this harness with this seed";
+}
+
+/// A `prompt_len`-token request (BOS + deterministic filler varied by
+/// `salt`) generating `gen` tokens, arriving at `arrival` seconds.
+inline serving::ServingRequest MakeRequest(std::int32_t prompt_len,
+                                           std::int32_t gen, double arrival,
+                                           std::int32_t salt = 0) {
+  serving::ServingRequest req;
+  req.prompt.push_back(llama::kBosToken);
+  for (std::int32_t t = 1; t < prompt_len; ++t) {
+    req.prompt.push_back(3 + (salt * 31 + t * 7) % 500);
+  }
+  req.max_new_tokens = gen;
+  req.arrival_seconds = arrival;
+  return req;
+}
+
+/// Open-loop trace where most prompts open with one of two shared
+/// 24-token system prompts (block size 8 in the tests, so shared full
+/// blocks genuinely exist within Tiny's 64-token context).
+inline std::vector<serving::ServingRequest> SharedTrace(
+    const llama::ModelConfig& config, int n) {
+  Rng rng(555);
+  serving::SharedPrefixConfig spc;
+  spc.num_requests = n;
+  spc.rate_rps = 2000.0;
+  spc.shared_fraction = 0.75;
+  spc.num_prefixes = 2;
+  spc.prefix_tokens = 24;
+  spc.min_suffix_tokens = 2;
+  spc.max_suffix_tokens = 6;
+  spc.min_new_tokens = 4;
+  spc.max_new_tokens = 8;
+  spc.vocab_size = config.vocab_size;
+  return serving::SharedPrefixTrace(rng, spc);
+}
+
+/// Greedy (temperature 0) sampling.
+inline llama::SamplerConfig Greedy() {
+  llama::SamplerConfig sc;
+  sc.temperature = 0.0f;
+  return sc;
+}
+
+/// Engine config for `num_cards` cards running `scheduler` with default
+/// sampling parameters `sampler`.
+inline api::EngineConfig MakeEngineConfig(
+    const serving::SchedulerConfig& scheduler,
+    const llama::SamplerConfig& sampler, int num_cards = 1) {
+  api::EngineConfig config;
+  config.num_cards = num_cards;
+  config.scheduler = scheduler;
+  config.sampler = sampler;
+  return config;
+}
+
+/// Submits every request to `engine` in order, drains the clock, and
+/// returns the harvested report (or the first rejected Submit's status).
+/// The engine stays inspectable afterwards (telemetry, KV pool counters).
+inline StatusOr<serving::ClusterReport> ServeTrace(
+    api::Engine& engine,
+    const std::vector<serving::ServingRequest>& requests) {
+  for (const serving::ServingRequest& request : requests) {
+    SPEEDLLM_ASSIGN_OR_RETURN(api::RequestHandle handle,
+                              engine.Submit(request));
+    (void)handle;
+  }
+  engine.RunToCompletion();
+  return engine.Finish();
+}
+
+/// Generated tokens of every request, computed one request at a time on
+/// one standalone executor (one Forward(token, pos) per token) with a
+/// sampler seeded `sampler.seed + i * 7919` for request i. A sampled
+/// stop token (the request's stop set or the sampler's EOS) ends the
+/// stream without being committed.
+inline StatusOr<std::vector<std::vector<std::int32_t>>> ReferenceStreams(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::U280Config& u280,
+    const std::vector<serving::ServingRequest>& requests,
+    const llama::SamplerConfig& sampler) {
+  accel::Executor exec(program, weights, u280);
+  std::vector<std::vector<std::int32_t>> streams(requests.size());
+  std::vector<float> logits;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    llama::SamplerConfig config = sampler;
+    config.seed = sampler.seed + i * 7919;
+    llama::Sampler sample(config);
+    exec.ResetSequence();
+    std::int32_t pos = 0;
+    auto forward = [&](std::int32_t token) -> Status {
+      SPEEDLLM_ASSIGN_OR_RETURN(std::span<const float> out,
+                                exec.Forward(token, pos++));
+      logits.assign(out.begin(), out.end());
+      return Status::Ok();
+    };
+    for (std::int32_t token : requests[i].prompt) {
+      SPEEDLLM_RETURN_IF_ERROR(forward(token));
+    }
+    std::vector<std::int32_t>& generated = streams[i];
+    while (static_cast<std::int32_t>(generated.size()) <
+           requests[i].max_new_tokens) {
+      const std::int32_t next = sample.Sample(logits);
+      if (serving::IsStopToken(requests[i], sampler.eos_token, next)) break;
+      generated.push_back(next);
+      SPEEDLLM_RETURN_IF_ERROR(forward(next));
+    }
+  }
+  return streams;
 }
 
 }  // namespace speedllm::testutil
