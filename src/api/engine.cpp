@@ -39,18 +39,6 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
       weights_(weights),
       cards_(std::move(cards)),
       config_(std::move(config)) {
-  // The caller may name per-card KV dtypes on either the card list or
-  // the engine config; an explicit card-list entry wins.
-  if (cards_.kv_dtype_per_card.empty() &&
-      !config_.kv_cache_dtype_per_card.empty()) {
-    cards_.kv_dtype_per_card = config_.kv_cache_dtype_per_card;
-    // Pad missing entries with the scheduler default; an over-long list
-    // is an error Validate() reports.
-    if (cards_.kv_dtype_per_card.size() < cards_.cards.size()) {
-      cards_.kv_dtype_per_card.resize(cards_.cards.size(),
-                                      config_.scheduler.kv_cache_dtype);
-    }
-  }
   setup_ = cards_.Validate();
   if (setup_.ok()) {
     setup_ = serving::ValidateClusterRoles(ToClusterConfig(config_),

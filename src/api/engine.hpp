@@ -101,11 +101,6 @@ struct EngineConfig {
   /// Optional per-card KV pool override in bytes (0 / missing entries
   /// fall back to `scheduler.kv_pool_bytes` / HBM derivation).
   std::vector<std::uint64_t> kv_pool_bytes_per_card;
-  /// Optional per-card KV-cache dtype (missing entries fall back to
-  /// `scheduler.kv_cache_dtype`). Forwarded into
-  /// hw::MultiCardConfig::kv_dtype_per_card unless the caller-supplied
-  /// card list already set one; lets a cluster mix fp16 and int8 pools.
-  std::vector<serving::KvCacheDtype> kv_cache_dtype_per_card;
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
   /// Serving-layer telemetry (per-request lifecycle tracing +

@@ -28,6 +28,23 @@ obs::RequestEvent RouterEvent(obs::RequestEventKind kind, std::int64_t stream,
   return ev;
 }
 
+/// Outcome of a request no shard ever served, ending with `reason` at
+/// `now_s`. The arrival is clamped to the end: a request cancelled
+/// before its scheduled arrival would otherwise put a negative latency
+/// into the merged percentiles.
+RequestOutcome UnservedOutcome(const ServingRequest& request,
+                               FinishReason reason, double now_s) {
+  RequestOutcome outcome;
+  outcome.arrival_seconds = std::min(request.arrival_seconds, now_s);
+  outcome.prompt_tokens = static_cast<std::int32_t>(request.prompt.size());
+  outcome.tier = request.tier;
+  outcome.finish_reason = reason;
+  outcome.admission_seconds = now_s;
+  outcome.first_token_seconds = now_s;
+  outcome.completion_seconds = now_s;
+  return outcome;
+}
+
 }  // namespace
 
 std::string_view PlacementPolicyName(PlacementPolicy policy) {
@@ -306,36 +323,30 @@ bool ClusterSession::ShouldShed(const ServingRequest& request, double now_s) {
   return false;
 }
 
-void ClusterSession::Shed(std::size_t stream_index, double now_s) {
+void ClusterSession::FinishUnplaced(std::size_t stream_index,
+                                    RequestOutcome outcome, std::int32_t card,
+                                    double now_s) {
   StreamRecord& rec = records_[stream_index];
+  const FinishReason reason = outcome.finish_reason;
+  const bool shed = reason == FinishReason::kShed;
   rec.finished = true;
-  RequestOutcome outcome;
-  outcome.arrival_seconds = std::min(rec.request->arrival_seconds, now_s);
-  outcome.prompt_tokens =
-      static_cast<std::int32_t>(rec.request->prompt.size());
-  outcome.tier = rec.request->tier;
-  outcome.finish_reason = FinishReason::kShed;
-  outcome.admission_seconds = now_s;
-  outcome.first_token_seconds = now_s;
-  outcome.completion_seconds = now_s;
+  rec.cancelled = reason == FinishReason::kCancelled;
   const auto [it, inserted] =
       unplaced_outcomes_.emplace(stream_index, std::move(outcome));
   (void)inserted;
   if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
-    obs::RequestEvent ev =
-        RouterEvent(obs::RequestEventKind::kShed,
-                    static_cast<std::int64_t>(stream_index), -1, now_s);
-    ev.detail = RequestTierName(rec.request->tier);
+    obs::RequestEvent ev = RouterEvent(
+        shed ? obs::RequestEventKind::kShed : obs::RequestEventKind::kCancel,
+        static_cast<std::int64_t>(stream_index), card, now_s);
+    if (shed) ev.detail = RequestTierName(rec.request->tier);
     telemetry_->trace()->Record(std::move(ev));
   }
-  if (slo_metrics_) {
+  if (slo_metrics_ && shed) {
     telemetry_->metrics()->Add(
         shed_ids_[static_cast<std::size_t>(TierIndex(rec.request->tier))],
         1.0);
   }
-  if (on_finish_) {
-    on_finish_(stream_index, FinishReason::kShed, it->second, now_s);
-  }
+  if (on_finish_) on_finish_(stream_index, reason, it->second, now_s);
 }
 
 void ClusterSession::ObserveSloMetrics(const RequestOutcome& outcome,
@@ -424,54 +435,21 @@ Status ClusterSession::Cancel(std::size_t stream_index) {
     handoff_pending_tokens_[static_cast<std::size_t>(rec.shard)] -=
         handoff.request->max_new_tokens -
         static_cast<std::int64_t>(handoff.outcome.generated.size());
-    rec.finished = true;
-    rec.cancelled = true;
     const double now_s = now_seconds();
     RequestOutcome outcome = std::move(handoff.outcome);
     outcome.finish_reason = FinishReason::kCancelled;
     outcome.completion_seconds = now_s;
-    const auto [it, inserted] =
-        unplaced_outcomes_.emplace(stream_index, std::move(outcome));
-    (void)inserted;
-    if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
-      telemetry_->trace()->Record(RouterEvent(
-          obs::RequestEventKind::kCancel,
-          static_cast<std::int64_t>(stream_index), rec.shard, now_s));
-    }
-    if (on_finish_) {
-      on_finish_(stream_index, FinishReason::kCancelled, it->second, now_s);
-    }
+    FinishUnplaced(stream_index, std::move(outcome), rec.shard, now_s);
     return Status::Ok();
   }
   if (!rec.placed) {
     // The arrival event has not run yet: suppress it and synthesize the
-    // outcome here (no shard ever saw this request). The arrival is
-    // clamped to the cancel time -- the request's scheduled arrival lies
-    // in the future, and an uncapped value would put negative latencies
-    // into the merged percentiles.
-    rec.finished = true;
-    rec.cancelled = true;
+    // outcome here (no shard ever saw this request).
     const double now_s = now_seconds();
-    RequestOutcome outcome;
-    outcome.arrival_seconds =
-        std::min(rec.request->arrival_seconds, now_s);
-    outcome.prompt_tokens =
-        static_cast<std::int32_t>(rec.request->prompt.size());
-    outcome.finish_reason = FinishReason::kCancelled;
-    outcome.admission_seconds = now_s;
-    outcome.first_token_seconds = now_s;
-    outcome.completion_seconds = now_s;
-    const auto [it, inserted] =
-        unplaced_outcomes_.emplace(stream_index, std::move(outcome));
-    (void)inserted;
-    if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
-      telemetry_->trace()->Record(
-          RouterEvent(obs::RequestEventKind::kCancel,
-                      static_cast<std::int64_t>(stream_index), -1, now_s));
-    }
-    if (on_finish_) {
-      on_finish_(stream_index, FinishReason::kCancelled, it->second, now_s);
-    }
+    FinishUnplaced(stream_index,
+                   UnservedOutcome(*rec.request, FinishReason::kCancelled,
+                                   now_s),
+                   -1, now_s);
     return Status::Ok();
   }
   // The shard's Abort marks the record finished through the wrapped
@@ -486,7 +464,9 @@ void ClusterSession::Place(std::size_t stream_index) {
   if (rec.cancelled) return;  // cancelled before arrival
   const double now_s = now_seconds();
   if (ShouldShed(*rec.request, now_s)) {
-    Shed(stream_index, now_s);
+    FinishUnplaced(stream_index,
+                   UnservedOutcome(*rec.request, FinishReason::kShed, now_s),
+                   -1, now_s);
     return;
   }
   const std::size_t card = PickCard(*rec.request);

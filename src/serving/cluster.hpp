@@ -289,9 +289,12 @@ class ClusterSession {
   /// never on card count, placement, or scheduling -- so the shed set is
   /// identical across cluster sizes.
   bool ShouldShed(const ServingRequest& request, double now_s);
-  /// Synthesizes the kShed outcome, records the terminal event, bumps
-  /// the per-tier shed metrics, and fires the finish hook.
-  void Shed(std::size_t stream_index, double now_s);
+  /// Finishes a stream no shard holds (shed, cancelled before placement,
+  /// or cancelled mid-handoff) with `outcome`: files it for the report,
+  /// records the terminal event on `card` (-1 for the router), bumps the
+  /// per-tier shed metric for a shed, and fires the finish hook.
+  void FinishUnplaced(std::size_t stream_index, RequestOutcome outcome,
+                      std::int32_t card, double now_s);
   /// Updates the per-tier SLO/goodput metric counters for one finished
   /// request (no-op when metrics are off or the finish is not terminal
   /// success).
@@ -343,8 +346,8 @@ class ClusterSession {
   std::int64_t remote_hits_ = 0;
   std::int64_t remote_hit_tokens_ = 0;
   std::vector<StreamRecord> records_;
-  /// Outcomes of requests cancelled before their placement event ran
-  /// (no shard ever saw them).
+  /// Outcomes of requests no shard holds at their finish (see
+  /// FinishUnplaced).
   std::map<std::size_t, RequestOutcome> unplaced_outcomes_;
   TokenEmissionHook on_token_;
   FinishEmissionHook on_finish_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "accel/executor.hpp"
 
@@ -330,14 +331,8 @@ bool ShardScheduler::EnsureKvToken(std::size_t seq_id, std::int32_t token) {
     if (st.ok()) {
       // A copy-on-write may have moved one block.
       const std::int64_t moved = ChargeDma("cow", seq_id);
-      if (moved > 0 && telemetry_.tracing()) {
-        const double now_s = u280_.cycles_to_seconds(engine_.now());
-        obs::RequestEvent ev = MakeEvent(
-            obs::RequestEventKind::kCowCopy,
-            static_cast<std::int64_t>(seqs_[seq_id].stream_index),
-            tick_index_, now_s, now_s);
-        ev.bytes = moved;
-        telemetry_.Record(std::move(ev));
+      if (moved > 0) {
+        TraceInstant(obs::RequestEventKind::kCowCopy, seq_id, 0, moved);
       }
       return true;
     }
@@ -376,20 +371,10 @@ bool ShardScheduler::EnsureKvToken(std::size_t seq_id, std::int32_t token) {
 
 void ShardScheduler::Preempt(std::size_t victim) {
   Sequence& seq = seqs_[victim];
-  if (telemetry_.tracing()) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kPreempt,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = seq.cursor;  // fed work dropped, owed again as recompute
-    telemetry_.Record(std::move(ev));
-  }
-  Status st = pool_.Release(victim, /*preempted=*/true);
-  assert(st.ok());
-  (void)st;
+  // The event counts the fed work this preemption drops.
+  TraceInstant(obs::RequestEventKind::kPreempt, victim, seq.cursor);
+  ReleaseResident(victim, /*preempted=*/true);
   ChargeDma("swap-out", victim);  // the victim's private blocks write back
-  residents_.erase(std::find(residents_.begin(), residents_.end(), victim));
   seq.state = SeqState::kWaiting;
   // Fed work is owed again (recompute).
   AddOutstanding(seq.request->tier, seq.cursor);
@@ -416,15 +401,7 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   const std::int64_t restored = match_or->matched_tokens;
   ChargeDma("restore", seq_id);  // the restore reads blocks through HBM
   if (restored == 0) return 0;
-  if (telemetry_.tracing()) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kCacheHit,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = restored;
-    telemetry_.Record(std::move(ev));
-  }
+  TraceInstant(obs::RequestEventKind::kCacheHit, seq_id, restored);
   // The mapped blocks' rows already hold the prefix's K/V: the sequence
   // attends over them directly, with nothing recomputed.
   seq.cursor = static_cast<std::int32_t>(restored);
@@ -449,23 +426,17 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   handoff.kv_rows.resize(static_cast<std::size_t>(
       fed * pool_.config().payload_layout().row_floats()));
   accel::GatherKvRows(pool_.Pages(seq_id), 0, fed, handoff.kv_rows.data());
+  // The decode budget is owed by the destination now.
+  AddOutstanding(seq.request->tier, -seq.remaining_decode());
   ++seq.outcome.handoffs;
   handoff.outcome = std::move(seq.outcome);
   handoff.fed = std::move(seq.fed);
   // Release local references; sealed full blocks stay in this card's
   // prefix cache (the directory keeps advertising them), and the
   // interconnect's source-read leg pays for extracting the pages.
-  Status st = pool_.Release(seq_id);
-  assert(st.ok());
-  (void)st;
-  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+  ReleaseResident(seq_id, /*preempted=*/false);
   seq.state = SeqState::kHandedOff;
   seq.pending_token = -1;
-  // The decode budget is owed by the destination now.
-  AddOutstanding(
-      handoff.request->tier,
-      -(handoff.request->max_new_tokens -
-        static_cast<std::int64_t>(handoff.outcome.generated.size())));
   handoff_hook_(std::move(handoff), ready);
 }
 
@@ -483,7 +454,6 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   // not steal it, and its first local admission lands the shipped K/V
   // instead of prefilling.
   seq.ever_admitted = true;
-  seq.adopt_pending = true;
   // Every fed token was processed at least once (on the prefill shard):
   // if a later preemption forces recompute here, those tokens count as
   // recomputed work, never as fresh throughput.
@@ -492,8 +462,7 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   // would, so fed tokens enter the backlog alongside the decode budget.
   AddOutstanding(seq.request->tier,
                  static_cast<std::int64_t>(seq.fed.size()) +
-                     seq.request->max_new_tokens -
-                     static_cast<std::int64_t>(seq.outcome.generated.size()));
+                     seq.remaining_decode());
   queued_demand_blocks_ += BlocksForRequest(*seq.request);
   seqs_.push_back(std::move(seq));
   waiting_.push_back(seqs_.size() - 1);
@@ -505,9 +474,9 @@ bool ShardScheduler::ReplayAdoptedKv(std::size_t seq_id) {
   // the same restore path a local cache hit takes -- and the rest append
   // fresh and take their rows from the shipped K/V. No forward runs: the
   // shipped pages are already in HBM, paid for by the interconnect.
-  if (RestoreCachedPrefix(seq_id) < 0) return false;
   Sequence& seq = seqs_[seq_id];
-  std::vector<float> rows = std::move(seq.adopted_kv);
+  const std::vector<float> rows = std::exchange(seq.adopted_kv, {});
+  if (RestoreCachedPrefix(seq_id) < 0) return false;
   const std::int64_t row_floats = pool_.config().payload_layout().row_floats();
   while (seq.cursor < static_cast<std::int32_t>(seq.fed.size())) {
     const std::int32_t token = seq.fed[static_cast<std::size_t>(seq.cursor)];
@@ -608,11 +577,9 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
   const SpeculativeConfig& spec = config_.speculative;
   // Drafting past the request's remaining budget is pure waste: the
   // verify could never commit those rows.
-  const std::int64_t remaining =
-      seq.request->max_new_tokens -
-      static_cast<std::int64_t>(seq.outcome.generated.size());
   const std::int32_t k = static_cast<std::int32_t>(std::min<std::int64_t>(
-      spec.draft_tokens, std::max<std::int64_t>(0, remaining - 1)));
+      spec.draft_tokens,
+      std::max<std::int64_t>(0, seq.remaining_decode() - 1)));
   if (k <= 0) return 0;
   // The pending token's KV is already appended (EnsureKvToken ran), so
   // drafts land at positions fed.size()+1 ... fed.size()+k. Their pool
@@ -650,14 +617,8 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
   if (!st.ok()) error_ = st;
   if (!error_.ok()) return 0;
   report_.spec_draft_tokens += *drafted;
-  if (telemetry_.tracing() && *drafted > 0) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kDraftPropose,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = *drafted;
-    telemetry_.Record(std::move(ev));
+  if (*drafted > 0) {
+    TraceInstant(obs::RequestEventKind::kDraftPropose, seq_id, *drafted);
   }
   std::int32_t accepted = 0;
   for (std::int32_t j = 0; j < *drafted; ++j) {
@@ -749,17 +710,12 @@ void ShardScheduler::FinishSequence(std::size_t seq_id, FinishReason reason) {
   seq.outcome.finish_reason = reason;
   if (reason == FinishReason::kStop) {
     // The unused decode budget is owed to no one anymore.
-    const std::int64_t saved =
-        seq.request->max_new_tokens -
-        static_cast<std::int64_t>(seq.outcome.generated.size());
+    const std::int64_t saved = seq.remaining_decode();
     AddOutstanding(seq.request->tier, -saved);
     report_.stop_saved_tokens += saved;
     ++report_.stopped_requests;
   }
-  Status st = pool_.Release(seq_id);
-  assert(st.ok());
-  (void)st;
-  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+  ReleaseResident(seq_id, /*preempted=*/false);
   tick_emissions_.push_back(Emission{seq_id, -1, reason});
 }
 
@@ -796,19 +752,14 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
                                 " already finished");
     }
     if (seq.outcome.finish_reason == FinishReason::kStop) {
-      report_.stop_saved_tokens -=
-          seq.request->max_new_tokens -
-          static_cast<std::int64_t>(seq.outcome.generated.size());
+      report_.stop_saved_tokens -= seq.remaining_decode();
       --report_.stopped_requests;
     }
   } else {
     // Tokens still owed (remaining prefill/recompute plus unused decode
     // budget) leave the backlog; capacity frees immediately.
-    AddOutstanding(
-        seq.request->tier,
-        -(seq.remaining_prefill() +
-          (seq.request->max_new_tokens -
-           static_cast<std::int64_t>(seq.outcome.generated.size()))));
+    AddOutstanding(seq.request->tier,
+                   -(seq.remaining_prefill() + seq.remaining_decode()));
     if (seq.state == SeqState::kWaiting) {
       waiting_.erase(std::find(waiting_.begin(), waiting_.end(), seq_id));
       if (!seq.ever_admitted) {
@@ -816,11 +767,7 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
         --never_admitted_waiting_;
       }
     } else {
-      Status st = pool_.Release(seq_id);
-      assert(st.ok());
-      (void)st;
-      residents_.erase(
-          std::find(residents_.begin(), residents_.end(), seq_id));
+      ReleaseResident(seq_id, /*preempted=*/false);
     }
   }
 
@@ -845,13 +792,7 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
   }
   if (!seq.ever_admitted) seq.outcome.admission_seconds = now_s;
   ++report_.cancelled_requests;
-  if (telemetry_.tracing()) {
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kCancel,
-        static_cast<std::int64_t>(stream_index), tick_index_, now_s, now_s);
-    ev.tokens = seq.delivered;
-    telemetry_.Record(std::move(ev));
-  }
+  TraceInstant(obs::RequestEventKind::kCancel, seq_id, seq.delivered);
   if (on_finish_) {
     // Copy: the hook may reentrantly Submit and grow seqs_.
     const RequestOutcome outcome = seq.outcome;
@@ -903,339 +844,300 @@ void ShardScheduler::DeliverEmissions() {
   }
 }
 
+void ShardScheduler::TraceInstant(obs::RequestEventKind kind,
+                                  std::size_t seq_id, std::int64_t tokens,
+                                  std::int64_t bytes) {
+  if (!telemetry_.tracing()) return;
+  const double now_s = u280_.cycles_to_seconds(engine_.now());
+  obs::RequestEvent ev =
+      MakeEvent(kind, static_cast<std::int64_t>(seqs_[seq_id].stream_index),
+                tick_index_, now_s, now_s);
+  ev.tokens = tokens;
+  ev.bytes = bytes;
+  telemetry_.Record(std::move(ev));
+}
+
+void ShardScheduler::ReleaseResident(std::size_t seq_id, bool preempted) {
+  if (Status st = pool_.Release(seq_id, preempted); !st.ok()) error_ = st;
+  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+}
+
 void ShardScheduler::RunTick() {
   tick_pending_ = false;
   if (!error_.ok()) return;
   ++tick_index_;
   kv_blocked_ = false;
-  const double start_s = u280_.cycles_to_seconds(engine_.now());
   tick_cost_.BeginGroup();
-
-  // ---- plan: decode set first, in admission order (rotating only when
-  // the token budget cannot cover every decoding sequence). With tiers
-  // enabled a scarce budget funds tiers in priority order: every fully
-  // funded tier decodes whole, and the rotation fairness applies only
-  // within the first tier the budget cannot cover. A uniform-tier batch
-  // is one group, so the plan is identical to tiers-off.
-  //
-  // With speculation on, a decode sequence's verify group is 1 + k rows
-  // (the pending token plus k drafts), so each planned sequence draws
-  // `spec_width` budget units; spec off is width 1, reproducing the
-  // historical plan exactly.
-  const bool spec_on =
-      config_.speculative.enable && config_.speculative.draft_tokens > 0;
-  const std::int32_t spec_width =
-      spec_on ? 1 + config_.speculative.draft_tokens : 1;
-  std::int32_t budget = config_.max_batch_tokens;
-  std::vector<std::size_t> decode_plan;
-  {
-    std::vector<std::size_t> decoding;
-    for (std::size_t r : residents_) {
-      if (seqs_[r].state == SeqState::kDecode) decoding.push_back(r);
-    }
-    if (config_.enable_tiers &&
-        static_cast<std::int64_t>(decoding.size()) * spec_width > budget) {
-      std::stable_sort(decoding.begin(), decoding.end(),
-                       [this](std::size_t a, std::size_t b) {
-                         return TierIndex(seqs_[a].request->tier) <
-                                TierIndex(seqs_[b].request->tier);
-                       });
-      std::size_t tier_begin = 0;
-      while (tier_begin < decoding.size() && budget > 0) {
-        std::size_t tier_end = tier_begin + 1;
-        while (tier_end < decoding.size() &&
-               seqs_[decoding[tier_end]].request->tier ==
-                   seqs_[decoding[tier_begin]].request->tier) {
-          ++tier_end;
-        }
-        const std::size_t n = tier_end - tier_begin;
-        if (static_cast<std::int64_t>(n) * spec_width <= budget) {
-          for (std::size_t k = tier_begin; k < tier_end; ++k) {
-            decode_plan.push_back(decoding[k]);
-          }
-          budget -= static_cast<std::int32_t>(n) * spec_width;
-        } else {
-          const std::size_t slots = static_cast<std::size_t>(budget / spec_width);
-          const std::size_t start = rr_offset_ % n;
-          for (std::size_t k = 0; k < slots; ++k) {
-            decode_plan.push_back(decoding[tier_begin + (start + k) % n]);
-          }
-          rr_offset_ += slots;
-          budget -= static_cast<std::int32_t>(slots) * spec_width;
-          break;
-        }
-        tier_begin = tier_end;
-      }
-    } else if (static_cast<std::int64_t>(decoding.size()) * spec_width <=
-               budget) {
-      decode_plan = decoding;
-      budget -= static_cast<std::int32_t>(decode_plan.size()) * spec_width;
-    } else {
-      const std::size_t n = decoding.size();
-      const std::size_t slots = static_cast<std::size_t>(budget / spec_width);
-      const std::size_t start = rr_offset_ % n;
-      for (std::size_t k = 0; k < slots; ++k) {
-        decode_plan.push_back(decoding[(start + k) % n]);
-      }
-      rr_offset_ += slots;
-      budget -= static_cast<std::int32_t>(slots) * spec_width;
-    }
+  TickWork work;
+  work.start_s = u280_.cycles_to_seconds(engine_.now());
+  work.spec_draft_at_open = report_.spec_draft_tokens;
+  work.spec_accept_at_open = report_.spec_accepted_tokens;
+  AdmitAndPlanPrefill(work, PlanDecode(work));
+  if (!error_.ok()) return;
+  // Commit timestamps are applied once the tick length is known;
+  // completions release capacity immediately so later problems in the
+  // same tick may use it.
+  for (Problem& problem : work.problems) {
+    ExecuteProblem(work, problem);
+    if (!error_.ok()) return;
   }
+  CloseTick(work);
+}
 
-  // ---- plan: prefill chunks -- resident partial prefills continue
-  // first, then new admissions per policy.
+std::int32_t ShardScheduler::PlanDecode(TickWork& work) {
+  // With speculation on, a verify group is 1 + k rows (the pending token
+  // plus k drafts), so each planned sequence draws `width` budget units.
+  // A uniform-tier batch is one group, so tiers on plan it exactly as
+  // tiers off.
+  const std::int32_t width =
+      1 + (config_.speculative.enable ? config_.speculative.draft_tokens : 0);
+  std::int32_t budget = config_.max_batch_tokens;
+  std::vector<std::size_t> decoding;
+  for (std::size_t r : residents_) {
+    if (seqs_[r].state == SeqState::kDecode) decoding.push_back(r);
+  }
+  const auto group = [this](std::size_t id) {
+    return config_.enable_tiers ? TierIndex(seqs_[id].request->tier) : 0;
+  };
+  if (static_cast<std::int64_t>(decoding.size()) * width > budget) {
+    std::stable_sort(
+        decoding.begin(), decoding.end(),
+        [&group](std::size_t a, std::size_t b) { return group(a) < group(b); });
+  }
+  const auto plan = [&work](std::size_t seq_id) {
+    work.problems.push_back(Problem{seq_id, SeqState::kDecode, 1, 0});
+  };
+  for (std::size_t begin = 0; begin < decoding.size() && budget > 0;) {
+    std::size_t end = begin + 1;
+    while (end < decoding.size() &&
+           group(decoding[end]) == group(decoding[begin])) {
+      ++end;
+    }
+    const std::size_t n = end - begin;
+    if (static_cast<std::int64_t>(n) * width <= budget) {
+      for (std::size_t k = begin; k < end; ++k) plan(decoding[k]);
+      budget -= static_cast<std::int32_t>(n) * width;
+      begin = end;
+      continue;
+    }
+    const std::size_t slots = static_cast<std::size_t>(budget / width);
+    const std::size_t start = rr_offset_ % n;
+    for (std::size_t k = 0; k < slots; ++k) {
+      plan(decoding[begin + (start + k) % n]);
+    }
+    rr_offset_ += slots;
+    budget -= static_cast<std::int32_t>(slots) * width;
+    break;
+  }
+  return budget;
+}
+
+void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
+                                         std::int32_t budget) {
   std::int32_t prefill_budget =
       config_.policy == BatchPolicy::kDecodePriority
           ? std::min(budget, config_.prefill_chunk_tokens)
           : budget;
-  std::vector<std::pair<std::size_t, std::int32_t>> prefill_plan;
+  const auto plan = [&](std::size_t seq_id) {
+    const std::int32_t chunk =
+        std::min(seqs_[seq_id].remaining_prefill(), prefill_budget);
+    work.problems.push_back(Problem{seq_id, SeqState::kPrefill, chunk, 0});
+    prefill_budget -= chunk;
+  };
+  // Resident partial prefills continue first.
   for (std::size_t r : residents_) {
     if (prefill_budget <= 0) break;
-    Sequence& seq = seqs_[r];
-    if (seq.state != SeqState::kPrefill) continue;
-    const std::int32_t chunk =
-        std::min(seq.remaining_prefill(), prefill_budget);
-    if (chunk > 0) {
-      prefill_plan.emplace_back(r, chunk);
-      prefill_budget -= chunk;
+    if (seqs_[r].state == SeqState::kPrefill &&
+        seqs_[r].remaining_prefill() > 0) {
+      plan(r);
     }
   }
-  std::int64_t restored_this_tick = 0;
-  if (prefill_budget > 0) {
-    // Admissions within one tick reserve against each other: a block the
-    // first admission will consume is not offered to the second.
-    std::int64_t planned_blocks = 0;
-    for (std::size_t cand : AdmissionCandidates()) {
-      if (prefill_budget <= 0) break;
-      if (static_cast<std::int32_t>(residents_.size()) >=
-          config_.max_batch_seqs) {
-        break;
-      }
-      Sequence& seq = seqs_[cand];
-      const std::int64_t need = static_cast<std::int64_t>(seq.fed.size()) + 1;
-      // Cached blocks already held by a live resident cost no free
-      // capacity to map, so prefix-heavy workloads admit more residents
-      // than the raw block count suggests (the residency win). A match
-      // that ends mid-block is the exception: the write into that
-      // shared tail must copy it, so one block stays reserved for the
-      // copy-on-write.
-      const std::int64_t cache_cap =
-          static_cast<std::int64_t>(seq.fed.size()) -
-          (seq.pending_token >= 0 ? 0 : 1);
-      const PrefixMatch match = pool_.MatchCachedPrefix(seq.fed, cache_cap);
-      std::int64_t discount = match.live_shared_blocks;
-      if (discount > 0 &&
-          match.matched_tokens %
-                  static_cast<std::int64_t>(config_.block_size_tokens) !=
-              0) {
-        --discount;
-      }
-      const std::int64_t need_blocks = pool_.BlocksForTokens(need) - discount;
-      if (need_blocks + planned_blocks > pool_.free_blocks()) {
-        kv_blocked_ = true;
-        // Head-of-line blocking for FCFS-family policies; SPF (which
-        // reorders anyway) may skip past an oversized head.
-        if (config_.policy != BatchPolicy::kShortestPromptFirst) break;
-        continue;
-      }
-      planned_blocks += need_blocks;
-      Status st = pool_.Register(cand);
-      assert(st.ok());
-      (void)st;
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), cand));
-      seq.state = SeqState::kPrefill;
-      seq.admission_order = next_admission_++;
-      residents_.push_back(cand);
-      if (!seq.ever_admitted) {
-        seq.ever_admitted = true;
-        seq.outcome.admission_seconds = start_s;
-        // No longer queued demand: its blocks now come out of the pool.
-        queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-        --never_admitted_waiting_;
-        if (telemetry_.tracing()) {
-          telemetry_.Record(MakeEvent(
-              obs::RequestEventKind::kQueueWait,
-              static_cast<std::int64_t>(seq.stream_index), tick_index_,
-              seq.outcome.arrival_seconds, start_s));
-        }
-      }
-      if (seq.adopt_pending) {
-        // First local admission of an adopted handoff: land the shipped
-        // K/V at zero forward cost and join the decode set next tick.
-        seq.adopt_pending = false;
-        queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-        const bool replayed = ReplayAdoptedKv(cand);
-        if (!error_.ok()) return;
-        restored_this_tick += seq.cursor;
-        if (!replayed) continue;  // pool dry mid-copy: the tail
-                                  // recomputes as ordinary prefill later
-        seq.state = SeqState::kDecode;
-        continue;
-      }
-      const std::int64_t restored = RestoreCachedPrefix(cand);
-      if (restored < 0) return;
-      restored_this_tick += restored;
-      if (seq.remaining_prefill() == 0) {
-        // Full cache restore (a readmission whose every fed token was
-        // still cached): nothing left to prefill, so it joins the decode
-        // set next tick and consumes no prefill budget now.
-        seq.state = SeqState::kDecode;
-        continue;
-      }
-      const std::int32_t chunk =
-          std::min(seq.remaining_prefill(), prefill_budget);
-      prefill_plan.emplace_back(cand, chunk);
-      prefill_budget -= chunk;
+  if (prefill_budget <= 0) return;
+  // Admissions within one tick reserve against each other: a block the
+  // first admission will consume is not offered to the second.
+  std::int64_t planned_blocks = 0;
+  for (std::size_t cand : AdmissionCandidates()) {
+    if (prefill_budget <= 0) break;
+    if (static_cast<std::int32_t>(residents_.size()) >=
+        config_.max_batch_seqs) {
+      break;
     }
-  }
-
-  // ---- execute. Commit timestamps are applied once the tick length is
-  // known; completions release capacity immediately so later chunks in
-  // the same tick may use it.
-  std::vector<std::size_t> decode_committed;
-  std::vector<std::size_t> ttft_marks;
-  std::vector<std::size_t> decode_executed;
-  std::vector<std::pair<std::size_t, std::int32_t>> prefill_executed;
-  std::vector<std::size_t> handoff_ready;
-
-  const std::int64_t spec_draft_at_open = report_.spec_draft_tokens;
-  const std::int64_t spec_accept_at_open = report_.spec_accepted_tokens;
-  for (std::size_t seq_id : decode_plan) {
-    Sequence& seq = seqs_[seq_id];
-    if (seq.state != SeqState::kDecode) continue;  // preempted mid-tick
-    if (!EnsureKvToken(seq_id, seq.pending_token)) {
+    Sequence& seq = seqs_[cand];
+    const std::int64_t need = static_cast<std::int64_t>(seq.fed.size()) + 1;
+    // Cached blocks already held by a live resident cost no free
+    // capacity to map, so prefix-heavy workloads admit more residents
+    // than the raw block count suggests (the residency win). A match
+    // that ends mid-block is the exception: the write into that shared
+    // tail must copy it, so one block stays reserved for the
+    // copy-on-write.
+    const std::int64_t cache_cap = static_cast<std::int64_t>(seq.fed.size()) -
+                                   (seq.pending_token >= 0 ? 0 : 1);
+    const PrefixMatch match = pool_.MatchCachedPrefix(seq.fed, cache_cap);
+    std::int64_t discount = match.live_shared_blocks;
+    if (discount > 0 &&
+        match.matched_tokens %
+                static_cast<std::int64_t>(config_.block_size_tokens) !=
+            0) {
+      --discount;
+    }
+    const std::int64_t need_blocks = pool_.BlocksForTokens(need) - discount;
+    if (need_blocks + planned_blocks > pool_.free_blocks()) {
+      kv_blocked_ = true;
+      // Head-of-line blocking for FCFS-family policies; SPF (which
+      // reorders anyway) may skip past an oversized head.
+      if (config_.policy != BatchPolicy::kShortestPromptFirst) break;
+      continue;
+    }
+    planned_blocks += need_blocks;
+    Status st = pool_.Register(cand);
+    assert(st.ok());
+    (void)st;
+    waiting_.erase(std::find(waiting_.begin(), waiting_.end(), cand));
+    seq.state = SeqState::kPrefill;
+    seq.admission_order = next_admission_++;
+    residents_.push_back(cand);
+    if (!seq.ever_admitted) {
+      seq.ever_admitted = true;
+      seq.outcome.admission_seconds = work.start_s;
+      // No longer queued demand: its blocks now come out of the pool.
+      queued_demand_blocks_ -= BlocksForRequest(*seq.request);
+      --never_admitted_waiting_;
+      if (telemetry_.tracing()) {
+        telemetry_.Record(MakeEvent(
+            obs::RequestEventKind::kQueueWait,
+            static_cast<std::int64_t>(seq.stream_index), tick_index_,
+            seq.outcome.arrival_seconds, work.start_s));
+      }
+    }
+    if (!seq.adopted_kv.empty()) {
+      // First local admission of an adopted handoff: land the shipped
+      // K/V at zero forward cost and join the decode set next tick. A
+      // pool that runs dry mid-copy leaves the tail to recompute as
+      // ordinary prefill later.
+      queued_demand_blocks_ -= BlocksForRequest(*seq.request);
+      const bool replayed = ReplayAdoptedKv(cand);
       if (!error_.ok()) return;
-      continue;  // deferred to a later tick
+      work.restored_tokens += seq.cursor;
+      if (replayed) seq.state = SeqState::kDecode;
+      continue;
     }
-    // Draft phase: propose k tokens, roll their KV back, and let the
-    // deterministic acceptance model decide how long a run this tick's
-    // verify group commits. Committed tokens are always the target
-    // model's own sampled tokens -- speculation collapses latency, never
-    // changes stream content -- so spec on/off streams are identical.
-    std::int32_t drafted = 0;
-    const std::int32_t accepted =
-        spec_on ? DraftAndAccept(seq_id, &drafted) : 0;
-    if (!error_.ok()) return;
-    const std::int32_t planned_commits = 1 + accepted;
-    std::int32_t commits = 0;
-    for (std::int32_t step = 0; step < planned_commits; ++step) {
-      if (step > 0 && !EnsureKvToken(seq_id, seq.pending_token)) {
-        if (!error_.ok()) return;
-        break;  // pool dry mid-verify: the rest commits on a later tick
-      }
-      const std::int32_t pos = static_cast<std::int32_t>(seq.fed.size());
-      std::span<const float> logits;
-      if (!ForwardToken(seq_id, seq.pending_token, pos, &logits)) return;
-      seq.fed.push_back(seq.pending_token);
-      seq.cursor = static_cast<std::int32_t>(seq.fed.size());
-      seq.high_water = std::max(seq.high_water, seq.cursor);
-      seq.outcome.generated.push_back(seq.pending_token);
-      tick_emissions_.push_back(
-          Emission{seq_id, seq.pending_token, FinishReason::kNone});
-      AddOutstanding(seq.request->tier, -1);  // one less decode token owed
+    const std::int64_t restored = RestoreCachedPrefix(cand);
+    if (restored < 0) return;
+    work.restored_tokens += restored;
+    if (seq.remaining_prefill() == 0) {
+      // Full cache restore (a readmission whose every fed token was
+      // still cached): nothing left to prefill, so it joins the decode
+      // set next tick and consumes no prefill budget now.
+      seq.state = SeqState::kDecode;
+      continue;
+    }
+    plan(cand);
+  }
+}
+
+void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
+  const std::size_t seq_id = problem.seq_id;
+  Sequence& seq = seqs_[seq_id];
+  if (seq.state != problem.state) return;  // preempted mid-tick
+  std::int32_t drafted = 0;
+  for (std::int32_t row = 0; row < problem.rows; ++row) {
+    // A decode sequence is always caught up (cursor == fed.size()).
+    const bool caught_up = seq.remaining_prefill() == 0;
+    const std::int32_t token =
+        caught_up ? seq.pending_token
+                  : seq.fed[static_cast<std::size_t>(seq.cursor)];
+    if (!EnsureKvToken(seq_id, token)) {
+      if (!error_.ok()) return;
+      break;  // pool dry with no victims: the rest runs on a later tick
+    }
+    if (row == 0 && caught_up && config_.speculative.enable) {
+      // Draft phase: propose k tokens, roll their KV back, and let the
+      // deterministic acceptance model decide how long a run this verify
+      // group commits. Committed tokens are always the target model's
+      // own sampled tokens -- speculation collapses latency, never
+      // changes stream content -- so spec on/off streams are identical.
+      problem.rows += DraftAndAccept(seq_id, &drafted);
+      if (!error_.ok()) return;
+    }
+    std::span<const float> logits;
+    if (!ForwardToken(seq_id, token, seq.cursor, &logits)) return;
+    if (caught_up) {
+      seq.fed.push_back(token);
+      seq.outcome.generated.push_back(token);
+      tick_emissions_.push_back(Emission{seq_id, token, FinishReason::kNone});
+      seq.pending_token = -1;
+    }
+    ++seq.cursor;
+    AddOutstanding(seq.request->tier, -1);  // one less token owed
+    // A commit always extends `fed`, so only prefill can recompute.
+    if (seq.cursor <= seq.high_water) {
+      ++report_.recomputed_tokens;  // swap-in recompute pass
+    } else {
+      seq.high_water = seq.cursor;
       ++report_.total_tokens;
-      decode_executed.push_back(seq_id);
-      ++commits;
-      if (step > 0) ++report_.spec_accepted_tokens;
-      if (!seq.budget_left()) {
-        FinishSequence(seq_id, FinishReason::kLength);
-        break;
-      }
+    }
+    ++problem.fed;
+    if (seq.remaining_prefill() > 0) continue;
+    if (seq.remaining_decode() == 0) {
+      FinishSequence(seq_id, FinishReason::kLength);
+      break;
+    }
+    if (seq.pending_token < 0) {
+      // Fresh logits with nothing pending: sample the next token, which
+      // the next row (or tick) commits.
       SampleNext(seq, logits);
+      if (seq.outcome.first_token_seconds == 0.0) {
+        work.ttft_marks.push_back(seq_id);
+      }
       if (ShouldStop(seq)) {
+        // A stop right at the end of prefill finishes with an empty
+        // generation, never entering decode.
         FinishSequence(seq_id, FinishReason::kStop);
         break;
       }
     }
-    if (commits > 0) decode_committed.push_back(seq_id);
-    if (drafted > 0) {
-      // The verify group launched 1 + drafted rows; rows past the
-      // committed run are wasted work the packed launch still priced
-      // (each at the last committed row's cost), and the draft model's
-      // own k rows ride along at the configured cost ratio.
-      const std::int32_t wasted = 1 + drafted - commits;
-      for (std::int32_t w = 0; w < wasted; ++w) {
-        tick_cost_.AddProblem(last_forward_seconds_);
+    if (seq.state == SeqState::kPrefill) {
+      seq.state = SeqState::kDecode;
+      if (config_.role == ShardRole::kPrefill && handoff_hook_) {
+        // Prefill-role shard: ship the finished KV to a decode shard at
+        // tick close (after TTFT is stamped). A mid-tick preemption
+        // revokes the plan -- the KV is gone, so it recomputes and hands
+        // off on a later tick.
+        work.handoffs.push_back(seq_id);
       }
-      tick_cost_.AddDraftRows(drafted, last_forward_seconds_,
-                              config_.speculative.draft_cost_ratio);
-      report_.spec_wasted_tokens += wasted;
-      if (telemetry_.tracing()) {
-        obs::RequestEvent ev = MakeEvent(
-            obs::RequestEventKind::kVerifyAccept,
-            static_cast<std::int64_t>(seq.stream_index), tick_index_,
-            start_s, start_s);
-        ev.tokens = commits - 1;  // accepted drafts actually committed
-        telemetry_.Record(std::move(ev));
-      }
+      break;
     }
   }
-
-  for (auto [seq_id, chunk] : prefill_plan) {
-    Sequence& seq = seqs_[seq_id];
-    if (seq.state != SeqState::kPrefill) continue;  // preempted mid-tick
-    std::int32_t done = 0;
-    for (std::int32_t k = 0; k < chunk; ++k) {
-      if (!EnsureKvToken(seq_id,
-                         seq.fed[static_cast<std::size_t>(seq.cursor)])) {
-        if (!error_.ok()) return;
-        break;  // pool dry with no victims: resume next tick
-      }
-      const std::int32_t pos = seq.cursor;
-      std::span<const float> logits;
-      if (!ForwardToken(seq_id, seq.fed[static_cast<std::size_t>(pos)], pos,
-                        &logits)) {
-        return;
-      }
-      ++seq.cursor;
-      AddOutstanding(seq.request->tier, -1);  // one less prefill token owed
-      if (seq.cursor <= seq.high_water) {
-        ++report_.recomputed_tokens;  // swap-in recompute pass
-      } else {
-        seq.high_water = seq.cursor;
-        ++report_.total_tokens;
-      }
-      ++done;
-      if (seq.remaining_prefill() == 0) {
-        if (seq.pending_token < 0) {
-          // Original prefill complete: the first decoded token is sampled
-          // from these logits and committed next tick.
-          SampleNext(seq, logits);
-          if (seq.outcome.first_token_seconds == 0.0) {
-            ttft_marks.push_back(seq_id);
-          }
-          if (ShouldStop(seq)) {
-            // The very first sampled token is EOS/stop: finish with an
-            // empty generation, never entering decode.
-            FinishSequence(seq_id, FinishReason::kStop);
-            break;
-          }
-        }
-        seq.state = SeqState::kDecode;
-        if (config_.role == ShardRole::kPrefill && handoff_hook_) {
-          // Prefill-role shard: ship the finished KV to a decode shard
-          // at tick close (after TTFT is stamped). A mid-tick preemption
-          // revokes the plan -- the KV is gone, so it recomputes and
-          // hands off on a later tick.
-          handoff_ready.push_back(seq_id);
-        }
-        break;
-      }
-    }
-    if (done > 0) prefill_executed.emplace_back(seq_id, done);
+  if (drafted == 0) return;
+  // The verify group launched 1 + drafted rows; rows past the committed
+  // run are wasted work the packed launch still priced (each at the last
+  // committed row's cost), and the draft model's own k rows ride along
+  // at the configured cost ratio.
+  const std::int32_t wasted = 1 + drafted - problem.fed;
+  for (std::int32_t w = 0; w < wasted; ++w) {
+    tick_cost_.AddProblem(last_forward_seconds_);
   }
+  tick_cost_.AddDraftRows(drafted, last_forward_seconds_,
+                          config_.speculative.draft_cost_ratio);
+  report_.spec_wasted_tokens += wasted;
+  report_.spec_accepted_tokens += problem.fed - 1;
+  TraceInstant(obs::RequestEventKind::kVerifyAccept, seq_id, problem.fed - 1);
+}
 
-  // ---- close the tick.
-  const std::int64_t executed_tokens =
-      static_cast<std::int64_t>(decode_executed.size()) + [&] {
-        std::int64_t s = 0;
-        for (auto& [id, n] : prefill_executed) {
-          (void)id;
-          s += n;
-        }
-        return s;
-      }();
-  if (executed_tokens == 0 && restored_this_tick == 0) {
+void ShardScheduler::CloseTick(const TickWork& work) {
+  std::int64_t executed_tokens = 0;
+  std::int64_t decode_tokens = 0;
+  std::int64_t width = 0;  // decode rows plus prefill sequences
+  for (const Problem& p : work.problems) {
+    executed_tokens += p.fed;
+    if (p.state == SeqState::kDecode) {
+      decode_tokens += p.fed;
+      width += p.fed;
+    } else if (p.fed > 0) {
+      ++width;
+    }
+  }
+  if (executed_tokens == 0 && work.restored_tokens == 0) {
     // Nothing runnable (e.g. every planned item was deferred). Progress
     // requires an external event; arrivals restart the tick chain.
     if (!residents_.empty() || !waiting_.empty()) {
@@ -1254,10 +1156,12 @@ void ShardScheduler::RunTick() {
   last_tick_end_cycles_ = std::max(last_tick_end_cycles_, end_cycles);
   busy_seconds_ += tick_seconds;
 
-  for (std::size_t seq_id : decode_committed) {
-    seqs_[seq_id].outcome.completion_seconds = end_s;
+  for (const Problem& p : work.problems) {
+    if (p.state == SeqState::kDecode && p.fed > 0) {
+      seqs_[p.seq_id].outcome.completion_seconds = end_s;
+    }
   }
-  for (std::size_t seq_id : ttft_marks) {
+  for (std::size_t seq_id : work.ttft_marks) {
     if (seqs_[seq_id].outcome.first_token_seconds == 0.0) {
       seqs_[seq_id].outcome.first_token_seconds = end_s;
       if (telemetry_.tracing()) {
@@ -1277,45 +1181,46 @@ void ShardScheduler::RunTick() {
   }
   // Ship prefill-complete sequences after their TTFT stamps are final;
   // the KV pages are extractable once the tick's work is done.
-  for (std::size_t seq_id : handoff_ready) {
+  for (std::size_t seq_id : work.handoffs) {
     if (seqs_[seq_id].state != SeqState::kDecode) continue;  // preempted
     ExtractHandoff(seq_id, end_cycles);
   }
 
   ++report_.ticks;
-  width_sum_ += static_cast<std::int64_t>(decode_executed.size() +
-                                          prefill_executed.size());
+  width_sum_ += width;
   // The telemetry trace is the only tick history: the tick and its
   // per-sequence work.
   if (telemetry_.tracing()) {
     obs::RequestEvent tick_ev = MakeEvent(obs::RequestEventKind::kTick, -1,
-                                          tick_index_, start_s, end_s);
+                                          tick_index_, work.start_s, end_s);
     tick_ev.tokens = executed_tokens;
     telemetry_.Record(std::move(tick_ev));
-    for (std::size_t id : decode_executed) {
-      obs::RequestEvent ev = MakeEvent(
-          obs::RequestEventKind::kDecodeToken,
-          static_cast<std::int64_t>(seqs_[id].stream_index), tick_index_,
-          start_s, end_s);
-      ev.tokens = 1;
-      telemetry_.Record(std::move(ev));
-    }
-    for (auto& [id, n] : prefill_executed) {
-      obs::RequestEvent ev = MakeEvent(
-          obs::RequestEventKind::kPrefillChunk,
-          static_cast<std::int64_t>(seqs_[id].stream_index), tick_index_,
-          start_s, end_s);
-      ev.tokens = n;
-      telemetry_.Record(std::move(ev));
+    for (const Problem& p : work.problems) {
+      const auto stream =
+          static_cast<std::int64_t>(seqs_[p.seq_id].stream_index);
+      if (p.state == SeqState::kPrefill && p.fed > 0) {
+        obs::RequestEvent ev =
+            MakeEvent(obs::RequestEventKind::kPrefillChunk, stream,
+                      tick_index_, work.start_s, end_s);
+        ev.tokens = p.fed;
+        telemetry_.Record(std::move(ev));
+      }
+      for (std::int32_t i = 0; p.state == SeqState::kDecode && i < p.fed;
+           ++i) {
+        obs::RequestEvent ev =
+            MakeEvent(obs::RequestEventKind::kDecodeToken, stream,
+                      tick_index_, work.start_s, end_s);
+        ev.tokens = 1;  // one event per committed row
+        telemetry_.Record(std::move(ev));
+      }
     }
   }
   if (telemetry_.metrics()) {
     obs::ShardTickSample sample;
     sample.end_seconds = end_s;
     sample.tick_seconds = tick_seconds;
-    sample.decode_tokens = static_cast<std::int64_t>(decode_executed.size());
-    sample.prefill_tokens =
-        executed_tokens - static_cast<std::int64_t>(decode_executed.size());
+    sample.decode_tokens = decode_tokens;
+    sample.prefill_tokens = executed_tokens - decode_tokens;
     sample.queue_depth = num_waiting();
     sample.running_seqs = num_residents();
     sample.kv_blocks_in_use = pool_.used_blocks();
@@ -1325,9 +1230,10 @@ void ShardScheduler::RunTick() {
     sample.cum_cache_lookup_tokens = ps.prefix_lookup_tokens;
     sample.cum_dma_bytes = ps.dma_bytes_moved;
     sample.cum_preemptions = ps.preemption_releases;
-    sample.spec_draft_tokens = report_.spec_draft_tokens - spec_draft_at_open;
+    sample.spec_draft_tokens =
+        report_.spec_draft_tokens - work.spec_draft_at_open;
     sample.spec_accepted_tokens =
-        report_.spec_accepted_tokens - spec_accept_at_open;
+        report_.spec_accepted_tokens - work.spec_accept_at_open;
     // The tick event runs at its *start* cycles, so snapshotting the
     // registry here would interleave out of timestamp order with other
     // cards' overlapping ticks. Defer the snapshot to an event at the

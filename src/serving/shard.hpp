@@ -302,11 +302,10 @@ class ShardScheduler {
     std::int64_t admission_order = -1;
     std::int64_t wait_since_tick = 0;
     bool ever_admitted = false;
-    // One-shot: an adopted handoff's first admission copies its shipped
-    // K/V (`adopted_kv`, KvHandoff::kv_rows) into pool blocks instead of
-    // prefilling. Cleared on admission; a later preemption recomputes
-    // normally (the shipped K/V is gone).
-    bool adopt_pending = false;
+    // An adopted handoff's shipped K/V (KvHandoff::kv_rows). Non-empty
+    // until its first local admission, which copies the rows into pool
+    // blocks instead of prefilling and takes them; a later preemption
+    // recomputes normally (the shipped K/V is gone).
     std::vector<float> adopted_kv;
     RequestOutcome outcome;
 
@@ -315,10 +314,39 @@ class ShardScheduler {
     std::int32_t remaining_prefill() const {
       return static_cast<std::int32_t>(fed.size()) - cursor;
     }
-    bool budget_left() const {
-      return static_cast<std::int32_t>(outcome.generated.size()) <
-             request->max_new_tokens;
+    /// Decode tokens the request may still generate.
+    std::int64_t remaining_decode() const {
+      return request->max_new_tokens -
+             static_cast<std::int64_t>(outcome.generated.size());
     }
+  };
+
+  /// One problem of a tick's grouped launch: a decode sequence's verify
+  /// group or a prefill chunk. Both run through the same feed step.
+  struct Problem {
+    std::size_t seq_id = 0;
+    // kDecode (verify group) or kPrefill (chunk): the state the sequence
+    // must still be in when the problem runs. A sequence preempted
+    // earlier in the tick no longer is, and its problem is skipped.
+    SeqState state = SeqState::kDecode;
+    // Planned rows: the chunk length, or 1 for a verify group, which its
+    // accepted drafts extend once the draft phase has run.
+    std::int32_t rows = 1;
+    std::int32_t fed = 0;  // rows actually executed
+  };
+
+  /// Everything one tick plans, executes and closes over.
+  struct TickWork {
+    double start_s = 0.0;
+    // Decode verify groups first, in plan order, then prefill chunks.
+    std::vector<Problem> problems;
+    std::vector<std::size_t> ttft_marks;  // first token sampled this tick
+    std::vector<std::size_t> handoffs;    // prefill done, ship at close
+    // Tokens mapped from the prefix cache or landed from an adopted
+    // handoff's K/V: progress with no forward.
+    std::int64_t restored_tokens = 0;
+    std::int64_t spec_draft_at_open = 0;   // report_ counters at tick open
+    std::int64_t spec_accept_at_open = 0;
   };
 
   /// One undelivered stream event: a committed token (`token` >= 0) or a
@@ -340,7 +368,34 @@ class ShardScheduler {
     if (rebalance_armed_ && never_admitted_waiting_ > 0) return false;
     return true;
   }
+  /// One tick: PlanDecode, AdmitAndPlanPrefill, ExecuteProblem over the
+  /// problem list, CloseTick. A hard error ends the tick chain.
   void RunTick();
+  /// Plans the decode set's verify groups into `work`, in admission
+  /// order while the token budget covers every decoding sequence. An
+  /// over-budget set is funded by tier group (one group with tiers off):
+  /// each group that fits decodes whole and the first that does not
+  /// rotates its slots. Returns the budget left for prefill.
+  std::int32_t PlanDecode(TickWork& work);
+  /// Plans chunks for resident partial prefills, then admits waiting
+  /// sequences per policy within the prefill share of `budget`. Cache
+  /// restores and adopted handoffs land here with no forward.
+  void AdmitAndPlanPrefill(TickWork& work, std::int32_t budget);
+  /// Runs `problem` through the feed step: each row feeds the next fed
+  /// token, or the pending token once the sequence has caught up, which
+  /// commits it. A caught-up sequence finishes on length, samples its
+  /// next pending token, and a finished prefill switches to decode.
+  void ExecuteProblem(TickWork& work, Problem& problem);
+  /// Prices the tick's grouped launch, stamps commit, TTFT and finish
+  /// times, ships handoffs, records telemetry, and schedules emission
+  /// delivery and the next tick.
+  void CloseTick(const TickWork& work);
+  /// Records an instant telemetry event for `seq_id` at the current time.
+  void TraceInstant(obs::RequestEventKind kind, std::size_t seq_id,
+                    std::int64_t tokens, std::int64_t bytes = 0);
+  /// Releases `seq_id`'s pool blocks and drops it from the residents; a
+  /// failed release is a hard error.
+  void ReleaseResident(std::size_t seq_id, bool preempted);
   /// Adjusts the total and per-tier outstanding-token counters together
   /// (every mutation site routes through here so they never diverge).
   void AddOutstanding(RequestTier tier, std::int64_t delta);
@@ -438,7 +493,7 @@ class ShardScheduler {
   std::int64_t queued_demand_blocks_ = 0;  // never-admitted waiting demand
   std::int64_t tick_index_ = 0;
   std::int64_t next_admission_ = 0;
-  std::size_t rr_offset_ = 0;
+  std::size_t rr_offset_ = 0;  // PlanDecode's over-budget rotation cursor
   sim::Cycles last_tick_end_cycles_ = 0;
   double busy_seconds_ = 0.0;
   // Per-tick grouped-launch cost accumulator: every forward row, wasted
@@ -446,7 +501,7 @@ class ShardScheduler {
   // lands here; the tick's length is tick_cost_.group_seconds().
   hw::GroupedKernelCostModel tick_cost_;
   double last_forward_seconds_ = 0.0;  // cost of the newest forward row
-  std::int64_t width_sum_ = 0;
+  std::int64_t width_sum_ = 0;  // decode rows + prefill chunks, all ticks
   Status error_;
   ServingReport report_;
 };

@@ -1,7 +1,8 @@
 // Unit tests for the online streaming engine facade (api/engine.hpp):
 // callback token streams byte-identical to an up-front submitted
 // offline run (1 card and 4 cards), cancellation freeing KV blocks with
-// no further emissions, stop-token/EOS early termination, submit-time
+// no further emissions, a cancel before arrival keeping the request's
+// tier, stop-token/EOS early termination, submit-time
 // validation, out-of-range card queries, incremental StepUntil driving,
 // and closed-loop clients running deterministically on the shared clock.
 #include <gtest/gtest.h>
@@ -323,6 +324,28 @@ TEST(ApiEngineTest, CancelBeforeArrivalSuppressesTheRequestEntirely) {
   // No device work ever ran for the suppressed arrival at t=5.
   EXPECT_LT(report->merged.makespan_seconds, 5.0);
   EXPECT_EQ(report->merged.cancelled_requests, 1);
+}
+
+TEST(ApiEngineTest, CancelBeforeArrivalKeepsTheRequestTier) {
+  Fixture f;
+  auto prog = f.Compile();
+  EngineConfig config;
+  config.sampler.temperature = 0.0f;
+  Engine engine(prog, f.weights, f.u280, config);
+  std::map<std::uint64_t, StreamLog> logs;
+  serving::ServingRequest req = MakeRequest(4, 4, 5.0);
+  req.tier = serving::RequestTier::kInteractive;
+  auto handle = engine.Submit(req, Record(logs));
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(engine.Cancel(*handle).ok());
+  engine.RunToCompletion();
+  EXPECT_EQ(logs[handle->id].finish, FinishReason::kCancelled);
+  EXPECT_EQ(logs[handle->id].outcome.tier, serving::RequestTier::kInteractive);
+  auto report = engine.Finish();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->merged.outcomes.size(), 1u);
+  EXPECT_EQ(report->merged.outcomes[0].tier,
+            serving::RequestTier::kInteractive);
 }
 
 // ---------------- stop tokens / EOS ----------------

@@ -6,7 +6,7 @@
 
 #include "accel/disasm.hpp"
 #include "compiler/compiler.hpp"
-#include "sim/trace_export.hpp"
+#include "obs/export.hpp"
 
 namespace speedllm {
 namespace {
@@ -68,6 +68,8 @@ TEST(DisasmTest, FormatInstrShowsDmaAndComputeFields) {
 }
 
 // ---------------- Chrome trace export ----------------
+// Kernel spans render through obs::ToChromeTraceJson under an empty
+// serving trace, the way tools/trace_dump writes them.
 
 sim::TraceRecorder MakeTrace() {
   sim::TraceRecorder t;
@@ -93,7 +95,8 @@ sim::TraceRecorder MakeTrace() {
 
 TEST(TraceExportTest, ProducesValidLookingJson) {
   auto t = MakeTrace();
-  std::string json = sim::ToChromeTraceJson(t, 10.0 / 3.0);
+  std::string json =
+      obs::ToChromeTraceJson(obs::RequestTraceRecorder{}, &t, 300.0);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -119,8 +122,9 @@ TEST(TraceExportTest, CycleScaleApplied) {
   s.end = 600;
   s.label = "job";
   t.Record(s);
-  // 1000 ns/cycle -> 1 us/cycle: ts=300us, dur=300us.
-  std::string json = sim::ToChromeTraceJson(t, 1000.0);
+  // 1 MHz -> 1 us/cycle: ts=300us, dur=300us.
+  std::string json =
+      obs::ToChromeTraceJson(obs::RequestTraceRecorder{}, &t, 1.0);
   EXPECT_NE(json.find("\"ts\":300"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":300"), std::string::npos);
 }
@@ -129,15 +133,18 @@ TEST(TraceExportTest, WritesFile) {
   auto t = MakeTrace();
   std::string path =
       (std::filesystem::temp_directory_path() / "speedllm_trace.json").string();
-  ASSERT_TRUE(sim::WriteChromeTrace(t, path).ok());
+  ASSERT_TRUE(
+      obs::WriteChromeTrace(obs::RequestTraceRecorder{}, path, &t).ok());
   EXPECT_GT(std::filesystem::file_size(path), 100u);
   std::remove(path.c_str());
 }
 
-TEST(TraceExportTest, EmptyTraceIsValid) {
+TEST(TraceExportTest, EmptyKernelTraceAddsNoKernelProcess) {
   sim::TraceRecorder t;
-  std::string json = sim::ToChromeTraceJson(t);
-  EXPECT_EQ(json, "{\"traceEvents\":[]}");
+  const obs::RequestTraceRecorder serving;
+  std::string json = obs::ToChromeTraceJson(serving, &t);
+  EXPECT_EQ(json, obs::ToChromeTraceJson(serving));
+  EXPECT_EQ(json.find("\"kernel\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Unit tests for the continuous-batching scheduler (serving/scheduler.hpp):
 // deterministic batch composition, policy ordering, aging/no-starvation,
-// KV exhaustion preemption, and the batching win over a width-1
-// (one token per tick) configuration. Every run goes through api::Engine.
+// KV exhaustion preemption, over-budget decode rotation, a stop on the
+// first token, and the batching win over a width-1 (one token per tick)
+// configuration. Every run goes through api::Engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -378,6 +379,131 @@ TEST(SchedulerTest, TokenStreamsInvariantToPolicyAndBatching) {
           << BatchPolicyName(policy) << " request " << i;
     }
   }
+}
+
+// ---------------- over-budget decode rotation ----------------
+
+/// Six greedy requests arriving together, tiers cycling best-effort,
+/// interactive, standard so priority order differs from arrival order.
+std::vector<ServingRequest> RotationTrace() {
+  constexpr RequestTier kTiers[] = {RequestTier::kBestEffort,
+                                    RequestTier::kInteractive,
+                                    RequestTier::kStandard};
+  std::vector<ServingRequest> reqs;
+  for (int i = 0; i < 6; ++i) {
+    reqs.push_back(MakeRequest(i % 3 == 2 ? 2 : 1, 3 + i % 3, 0.0, 40 + i));
+    reqs.back().tier = kTiers[i % 3];
+  }
+  return reqs;
+}
+
+/// Distinct streams that decoded in each tick, sorted.
+std::vector<std::vector<std::size_t>> DecodeSets(
+    const std::vector<Tick>& ticks) {
+  std::vector<std::vector<std::size_t>> sets;
+  for (const Tick& tick : ticks) {
+    std::vector<std::size_t> s = tick.decode_seqs;
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+TEST(SchedulerTest, OverBudgetDecodeRotatesWithinTierOrder) {
+  Fixture f;
+  auto prog = f.Compile();
+  const std::vector<ServingRequest> reqs = RotationTrace();
+  auto reference =
+      testutil::ReferenceStreams(prog, f.weights, f.u280, reqs, Greedy());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  // Per-tick decode sets of the speculative runs (tiers off, then on),
+  // pinned so the rotation order itself cannot drift.
+  using Sets = std::vector<std::vector<std::size_t>>;
+  const Sets kSpecSets[2] = {
+      {{}, {0}, {1}, {0}, {1}, {0}, {}, {2}, {2}, {2}, {},
+       {3}, {4}, {3}, {4}, {4}, {}, {5}, {5}, {5}},
+      {{}, {1}, {4}, {1}, {4}, {4}, {}, {2}, {2}, {2}, {},
+       {5}, {5}, {5}, {}, {3}, {0}, {3}, {0}, {0}}};
+
+  for (const bool tiers : {false, true}) {
+    for (const bool spec : {false, true}) {
+      SCOPED_TRACE(std::string("tiers=") + (tiers ? "on" : "off") +
+                   " spec=" + (spec ? "on" : "off"));
+      SchedulerConfig config;
+      config.max_batch_seqs = 6;
+      config.max_batch_tokens = 2;
+      config.enable_tiers = tiers;
+      config.speculative.enable = spec;
+      std::vector<Tick> ticks;
+      auto report = Serve(prog, f, config, reqs, Greedy(), &ticks);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->preemptions, 0);
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(report->outcomes[i].generated, (*reference)[i])
+            << "request " << i;
+      }
+
+      // A stream is in the decode set from the tick after its last
+      // prefill chunk through the tick of its last commit.
+      const auto sets = DecodeSets(ticks);
+      std::vector<std::size_t> first_decode(reqs.size(), ticks.size());
+      std::vector<std::size_t> last_decode(reqs.size(), 0);
+      for (std::size_t t = 0; t < ticks.size(); ++t) {
+        for (std::size_t s : ticks[t].prefill_seqs) first_decode[s] = t + 1;
+        for (std::size_t s : sets[t]) last_decode[s] = t;
+      }
+      // Budget 2 clamps the draft to k = 1: a verify group is two rows.
+      const std::size_t slots = spec ? 1 : 2;
+      bool rotated = false;
+      for (std::size_t t = 0; t < ticks.size(); ++t) {
+        EXPECT_LE(sets[t].size(), slots) << "tick " << t;
+        std::vector<std::size_t> live;
+        for (std::size_t s = 0; s < reqs.size(); ++s) {
+          if (first_decode[s] <= t && t <= last_decode[s]) live.push_back(s);
+        }
+        if (live.size() > slots) rotated = true;
+        if (!tiers) continue;
+        for (std::size_t d : sets[t]) {
+          for (std::size_t h : live) {
+            if (TierIndex(reqs[h].tier) >= TierIndex(reqs[d].tier)) continue;
+            EXPECT_TRUE(std::binary_search(sets[t].begin(), sets[t].end(), h))
+                << "tick " << t << ": stream " << d << " decoded while "
+                << "higher-tier stream " << h << " waited";
+          }
+        }
+      }
+      // Without drafts two budget units never let a third stream finish
+      // prefill while two decode, so only the speculative runs rotate.
+      if (spec) {
+        EXPECT_TRUE(rotated);
+        EXPECT_EQ(sets, kSpecSets[tiers ? 1 : 0]);
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, StopOnTheFirstTokenFinishesWithAnEmptyGeneration) {
+  Fixture f;
+  auto prog = f.Compile();
+  std::vector<ServingRequest> reqs = {MakeRequest(5, 6, 0.0, 7),
+                                      MakeRequest(4, 3, 0.0, 8)};
+  auto reference =
+      testutil::ReferenceStreams(prog, f.weights, f.u280, reqs, Greedy());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_FALSE((*reference)[0].empty());
+  reqs[0].stop_tokens = {(*reference)[0][0]};
+
+  auto report = Serve(prog, f, SchedulerConfig{}, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const RequestOutcome& stopped = report->outcomes[0];
+  EXPECT_EQ(stopped.finish_reason, FinishReason::kStop);
+  EXPECT_TRUE(stopped.generated.empty());
+  EXPECT_GT(stopped.first_token_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stopped.completion_seconds, stopped.first_token_seconds);
+  EXPECT_EQ(report->outcomes[1].generated, (*reference)[1]);
+  EXPECT_EQ(report->stopped_requests, 1);
+  EXPECT_EQ(report->stop_saved_tokens, reqs[0].max_new_tokens);
 }
 
 // ---------------- the batching win ----------------

@@ -14,8 +14,8 @@
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/weights.hpp"
+#include "obs/export.hpp"
 #include "runtime/variants.hpp"
-#include "sim/trace_export.hpp"
 
 using namespace speedllm;
 
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   std::fputs(accel::RenderProfile(by_op, st.cycles).c_str(), stdout);
 
   if (!trace_path.empty()) {
-    double ns_per_cycle = 1e3 / u280.clock_mhz;
-    if (auto s = sim::WriteChromeTrace(exec.trace(), trace_path, ns_per_cycle);
+    if (auto s = obs::WriteChromeTrace(obs::RequestTraceRecorder{}, trace_path,
+                                       &exec.trace(), u280.clock_mhz);
         !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
