@@ -40,7 +40,8 @@ BENCHMARK(BM_MatMulSerial)
     ->Args({288, 288})
     ->Args({768, 288})
     ->Args({288, 768})
-    ->Args({32000, 288});
+    ->Args({32000, 288})
+    ->Args({31, 45});  // row and column tails
 
 void BM_MatMulThreaded(benchmark::State& state) {
   const std::int64_t d = state.range(0), n = state.range(1);

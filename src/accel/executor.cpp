@@ -60,6 +60,13 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
     weight_map_[ids.w3] = weights.w3[l].span();
   }
 
+  for (const auto& op : dg.graph.ops()) {
+    if (std::find(op.outputs.begin(), op.outputs.end(), dg.logits) !=
+        op.outputs.end()) {
+      logits_op_ = op.id;
+    }
+  }
+
   // Pre-quantize matmul weights for the int8 datapath.
   if (program.exec.int8_weights) {
     for (const auto& op : dg.graph.ops()) {
@@ -144,32 +151,15 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
       auto& x = Buffer(op.inputs[1]);
       const std::int64_t r0 = instr.row_begin;
       const std::int64_t r1 = instr.row_end;
-      std::span<float> out_rows{out.data() + r0,
-                                static_cast<std::size_t>(r1 - r0)};
       auto qit = quant_map_.find(op.inputs[0]);
       if (qit != quant_map_.end()) {
-        // int8 rows: each row is group-aligned, so a row-range view is a
+        // int8 rows: each row is group-aligned, so a row range is a
         // contiguous sub-problem.
-        const auto& qt = qit->second;
-        const std::int64_t gs = qt.group_size;
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const std::int8_t* wrow = qt.q.data() + i * op.k;
-          const float* srow = qt.scales.data() + (i * op.k) / gs;
-          float acc = 0.0f;
-          for (std::int64_t grp = 0; grp < op.k / gs; ++grp) {
-            float gacc = 0.0f;
-            const std::int8_t* wg = wrow + grp * gs;
-            const float* xg = x.data() + grp * gs;
-            for (std::int64_t j = 0; j < gs; ++j) {
-              gacc += static_cast<float>(wg[j]) * xg[j];
-            }
-            acc += gacc * srow[grp];
-          }
-          out[static_cast<std::size_t>(i)] = acc;
-        }
+        quant::MatMulQ8Rows(out.span(), qit->second, x.span(), op.k, r0, r1);
       } else {
         auto w = WeightSpan(op.inputs[0]);
-        llama::MatMul(out_rows,
+        llama::MatMul(out.span().subspan(static_cast<std::size_t>(r0),
+                                         static_cast<std::size_t>(r1 - r0)),
                       w.subspan(static_cast<std::size_t>(r0 * op.k),
                                 static_cast<std::size_t>((r1 - r0) * op.k)),
                       x.span(), r1 - r0, op.k, nullptr);
@@ -301,17 +291,20 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
 }
 
 StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
-                                                   std::int32_t pos) {
+                                                   std::int32_t pos,
+                                                   bool want_logits) {
   const KvBlockLayout layout = KvLayout(program_->model.seq_len);
   if (own_kv_.empty()) {
     own_kv_.assign(static_cast<std::size_t>(layout.block_floats()), 0.0f);
   }
-  return Forward(token, pos, KvPages{own_kv_.data(), layout, own_table_});
+  return Forward(token, pos, KvPages{own_kv_.data(), layout, own_table_},
+                 want_logits);
 }
 
 StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
                                                    std::int32_t pos,
-                                                   const KvPages& kv) {
+                                                   const KvPages& kv,
+                                                   bool want_logits) {
   const auto& cfg = program_->model;
   if (token < 0 || token >= cfg.vocab_size) {
     return InvalidArgument("token out of range");
@@ -403,7 +396,9 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
         sim::Station& st = station_for(instr.unit);
         start = st.Acquire(ready, dur);
         end = start + dur;
-        ExecuteCompute(instr, token, pos, kv);
+        if (want_logits || instr.op != logits_op_) {
+          ExecuteCompute(instr, token, pos, kv);
+        }
         break;
       }
     }
@@ -462,6 +457,7 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
       ctrl.busy_cycles();
   total_stats_ += last_stats_;
 
+  if (!want_logits) return std::span<const float>{};
   const auto& logits = Buffer(program_->dg.logits);
   return std::span<const float>{logits.data(), logits.size()};
 }

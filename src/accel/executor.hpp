@@ -60,8 +60,14 @@ class Executor {
   /// one-block table of seq_len tokens. Returns the logits view (valid
   /// until the next Forward call). Timing/energy for this token land in
   /// last_stats(); totals accumulate until ResetStats().
+  ///
+  /// With `want_logits` false the classifier's tiles are still scheduled
+  /// on the timing and energy model (last_stats() is unchanged) but not
+  /// computed, and the returned span is empty. K/V and every later
+  /// forward are the same either way.
   StatusOr<std::span<const float>> Forward(std::int32_t token,
-                                           std::int32_t pos);
+                                           std::int32_t pos,
+                                           bool want_logits = true);
 
   /// Runs the program for `token` at `pos` against `kv`: K/V of `pos`
   /// are written to row pos % block_tokens of block table[pos /
@@ -69,10 +75,11 @@ class Executor {
   /// block. The accumulation order does not depend on the block size,
   /// so logits are bit-identical for every table holding the same K/V.
   /// `kv.layout` must match KvLayout(kv.layout.block_tokens) and the
-  /// table must cover `pos`.
+  /// table must cover `pos`. `want_logits` is as above.
   StatusOr<std::span<const float>> Forward(std::int32_t token,
                                            std::int32_t pos,
-                                           const KvPages& kv);
+                                           const KvPages& kv,
+                                           bool want_logits = true);
 
   /// The block geometry this program's K/V takes at `block_tokens`
   /// tokens per block.
@@ -103,6 +110,9 @@ class Executor {
   const llama::Weights* weights_;
   hw::U280Config u280_;
 
+  // The op writing the logits (the classifier); skipped when a forward
+  // wants no logits.
+  graph::OpId logits_op_ = -1;
   // Weight value id -> flat fp32 span.
   std::map<graph::ValueId, std::span<const float>> weight_map_;
   // Quantized copies for the int8 datapath (built lazily at construction).

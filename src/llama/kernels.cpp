@@ -3,7 +3,71 @@
 #include <cassert>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 namespace speedllm::llama {
+
+namespace {
+
+/// Rows [begin, end) of out = W x, each as one sequential sum over
+/// ascending j.
+void MatMulRowsScalar(float* out, const float* w, const float* x,
+                      std::int64_t n, std::int64_t begin, std::int64_t end) {
+  for (std::int64_t i = begin; i < end; ++i) {
+    const float* wrow = w + i * n;
+    float acc = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) acc += wrow[j] * x[j];
+    out[i] = acc;
+  }
+}
+
+/// Rows [begin, end) of out = W x. Under SSE2 eight rows share one pass
+/// over x: each lane is one row's accumulator and adds w[r][j] * x[j] in
+/// ascending j with a separate multiply and add, so every row's result
+/// is bit-identical to MatMulRowsScalar.
+void MatMulRows(float* out, const float* w, const float* x, std::int64_t n,
+                std::int64_t begin, std::int64_t end) {
+#if defined(__SSE2__)
+  const std::int64_t n4 = n / 4 * 4;
+  std::int64_t i = begin;
+  for (; i + 8 <= end; i += 8) {
+    const float* r = w + i * n;
+    __m128 acc_lo = _mm_setzero_ps();  // rows i .. i+3
+    __m128 acc_hi = _mm_setzero_ps();  // rows i+4 .. i+7
+    for (std::int64_t j = 0; j < n4; j += 4) {
+      // After the transposes lo[t] / hi[t] hold column j+t of the two
+      // four-row halves.
+      __m128 lo[4], hi[4];
+      for (int k = 0; k < 4; ++k) {
+        lo[k] = _mm_loadu_ps(r + k * n + j);
+        hi[k] = _mm_loadu_ps(r + (k + 4) * n + j);
+      }
+      _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
+      _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
+      for (int t = 0; t < 4; ++t) {
+        const __m128 xt = _mm_set1_ps(x[j + t]);
+        acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(lo[t], xt));
+        acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(hi[t], xt));
+      }
+    }
+    float acc[8];
+    _mm_storeu_ps(acc, acc_lo);
+    _mm_storeu_ps(acc + 4, acc_hi);
+    for (int k = 0; k < 8; ++k) {
+      const float* wrow = r + k * n;
+      for (std::int64_t j = n4; j < n; ++j) acc[k] += wrow[j] * x[j];
+      out[i + k] = acc[k];
+    }
+  }
+  MatMulRowsScalar(out, w, x, n, i, end);
+#else
+  MatMulRowsScalar(out, w, x, n, begin, end);
+#endif
+}
+
+}  // namespace
 
 void MatMul(std::span<float> out, std::span<const float> w,
             std::span<const float> x, std::int64_t d, std::int64_t n,
@@ -12,12 +76,7 @@ void MatMul(std::span<float> out, std::span<const float> w,
   assert(w.size() == static_cast<std::size_t>(d * n));
   assert(x.size() == static_cast<std::size_t>(n));
   auto rows = [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      const float* wrow = w.data() + i * n;
-      float acc = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) acc += wrow[j] * x[j];
-      out[i] = acc;
-    }
+    MatMulRows(out.data(), w.data(), x.data(), n, begin, end);
   };
   if (pool != nullptr) {
     pool->ParallelFor(d, rows);

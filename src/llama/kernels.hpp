@@ -15,6 +15,10 @@ namespace speedllm::llama {
 
 /// out[d] = W[d, n] * x[n]   (row-major W, the llama2.c convention).
 /// Runs rows in parallel on `pool` (or serially when pool is null).
+/// Each row is one sequential sum over ascending j, each product and
+/// sum rounded on its own, so the result's bits do not depend on the
+/// row blocking (8 rows per pass under SSE2), the thread split or the
+/// ISA.
 void MatMul(std::span<float> out, std::span<const float> w,
             std::span<const float> x, std::int64_t d, std::int64_t n,
             ThreadPool* pool = nullptr);

@@ -58,30 +58,38 @@ float MaxQuantError(const QuantizedTensor& qt) {
   return max_scale * 0.5f;
 }
 
+void MatMulQ8Rows(std::span<float> out, const QuantizedTensor& w,
+                  std::span<const float> x, std::int64_t n,
+                  std::int64_t row_begin, std::int64_t row_end) {
+  assert(out.size() >= static_cast<std::size_t>(row_end));
+  assert(w.q.size() >= static_cast<std::size_t>(row_end * n));
+  assert(x.size() == static_cast<std::size_t>(n));
+  assert(n % w.group_size == 0);
+  const std::int64_t gs = w.group_size;
+  for (std::int64_t i = row_begin; i < row_end; ++i) {
+    const std::int8_t* wrow = w.q.data() + i * n;
+    const float* srow = w.scales.data() + (i * n) / gs;
+    float acc = 0.0f;
+    for (std::int64_t g = 0; g < n / gs; ++g) {
+      float gacc = 0.0f;
+      const std::int8_t* wg = wrow + g * gs;
+      const float* xg = x.data() + g * gs;
+      for (std::int64_t j = 0; j < gs; ++j) {
+        gacc += static_cast<float>(wg[j]) * xg[j];
+      }
+      acc += gacc * srow[g];
+    }
+    out[static_cast<std::size_t>(i)] = acc;
+  }
+}
+
 void MatMulQ8(std::span<float> out, const QuantizedTensor& w,
               std::span<const float> x, std::int64_t d, std::int64_t n,
               ThreadPool* pool) {
   assert(out.size() == static_cast<std::size_t>(d));
   assert(w.q.size() == static_cast<std::size_t>(d * n));
-  assert(x.size() == static_cast<std::size_t>(n));
-  assert(n % w.group_size == 0);
-  const std::int64_t gs = w.group_size;
   auto rows = [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      const std::int8_t* wrow = w.q.data() + i * n;
-      const float* srow = w.scales.data() + (i * n) / gs;
-      float acc = 0.0f;
-      for (std::int64_t g = 0; g < n / gs; ++g) {
-        float gacc = 0.0f;
-        const std::int8_t* wg = wrow + g * gs;
-        const float* xg = x.data() + g * gs;
-        for (std::int64_t j = 0; j < gs; ++j) {
-          gacc += static_cast<float>(wg[j]) * xg[j];
-        }
-        acc += gacc * srow[g];
-      }
-      out[i] = acc;
-    }
+    MatMulQ8Rows(out, w, x, n, begin, end);
   };
   if (pool != nullptr) {
     pool->ParallelFor(d, rows);

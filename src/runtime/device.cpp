@@ -42,11 +42,14 @@ StatusOr<GenerationResult> AcceleratorDevice::Generate(
   InferenceMetrics& m = result.metrics;
   m.prompt_tokens = static_cast<std::int64_t>(prompt_tokens.size());
 
-  // Prefill: feed prompt tokens; only the last logits matter.
+  // Prefill: feed prompt tokens; only the last one's logits are read.
   std::span<const float> logits;
+  const auto prompt_len = static_cast<std::int32_t>(prompt_tokens.size());
   std::int32_t pos = 0;
   for (std::int32_t t : prompt_tokens) {
-    SPEEDLLM_ASSIGN_OR_RETURN(logits, executor_->Forward(t, pos));
+    SPEEDLLM_ASSIGN_OR_RETURN(
+        logits,
+        executor_->Forward(t, pos, /*want_logits=*/pos + 1 == prompt_len));
     ++pos;
   }
   const accel::TokenRunStats prefill = executor_->total_stats();
@@ -62,7 +65,10 @@ StatusOr<GenerationResult> AcceleratorDevice::Generate(
     }
     result.generated_tokens.push_back(next);
     if (pos >= cfg.seq_len) break;
-    SPEEDLLM_ASSIGN_OR_RETURN(logits, executor_->Forward(next, pos));
+    // The last step's logits would sample nothing.
+    SPEEDLLM_ASSIGN_OR_RETURN(
+        logits, executor_->Forward(next, pos,
+                                   /*want_logits=*/i + 1 < max_new_tokens));
     logits_copy.assign(logits.begin(), logits.end());
     ++pos;
   }

@@ -832,6 +832,7 @@ ClusterReport ClusterSession::Harvest() {
     m.total_tokens += shard.total_tokens;
     m.recomputed_tokens += shard.recomputed_tokens;
     m.executor_forwards += shard.executor_forwards;
+    m.logit_forwards += shard.logit_forwards;
     m.preemptions += shard.preemptions;
     m.stopped_requests += shard.stopped_requests;
     m.cancelled_requests += shard.cancelled_requests;

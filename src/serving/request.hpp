@@ -228,6 +228,11 @@ struct ServingReport {
   /// hits, readmission restores, handoff adoption and remote fetches map
   /// K/V that already exists and add nothing.
   std::int64_t executor_forwards = 0;
+  /// Executor forwards that ran the classifier: only rows whose logits
+  /// are sampled. One per sampled token, so a run with no early stop
+  /// has logit_forwards == total generated tokens; always <=
+  /// executor_forwards.
+  std::int64_t logit_forwards = 0;
   /// Requests that finished early on a stop token / EOS.
   std::int64_t stopped_requests = 0;
   /// Requests aborted mid-flight.

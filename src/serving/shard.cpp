@@ -507,7 +507,8 @@ std::int64_t ShardScheduler::WarmStartPrefix(
   std::int64_t computed = 0;
   while (computed < n &&
          exec_->Forward(tokens[static_cast<std::size_t>(computed)],
-                        static_cast<std::int32_t>(computed), scratch)
+                        static_cast<std::int32_t>(computed), scratch,
+                        /*want_logits=*/false)
              .ok()) {
     ++computed;
   }
@@ -518,18 +519,17 @@ std::int64_t ShardScheduler::WarmStartPrefix(
   return pool_.InstallCachedPrefix(tokens, n, computed_rows);
 }
 
-/// Runs one forward through the shard's executor against the sequence's
-/// pool pages and folds its simulated cost into the tick. Returns false
-/// on a hard error.
 bool ShardScheduler::ForwardToken(std::size_t seq_id, std::int32_t token,
                                   std::int32_t pos,
                                   std::span<const float>* logits) {
-  auto logits_or = exec_->Forward(token, pos, pool_.Pages(seq_id));
+  auto logits_or =
+      exec_->Forward(token, pos, pool_.Pages(seq_id), logits != nullptr);
   if (!logits_or.ok()) {
     error_ = logits_or.status();
     return false;
   }
   ++report_.executor_forwards;
+  if (logits != nullptr) ++report_.logit_forwards;
   const double f = exec_->last_stats().seconds;
   last_forward_seconds_ = f;
   tick_cost_.AddProblem(f);
@@ -1059,8 +1059,12 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
       problem.rows += DraftAndAccept(seq_id, &drafted);
       if (!error_.ok()) return;
     }
+    // Only a row whose logits are sampled runs the classifier.
+    const bool samples = seq.next_row_samples();
     std::span<const float> logits;
-    if (!ForwardToken(seq_id, token, seq.cursor, &logits)) return;
+    if (!ForwardToken(seq_id, token, seq.cursor, samples ? &logits : nullptr)) {
+      return;
+    }
     if (caught_up) {
       seq.fed.push_back(token);
       seq.outcome.generated.push_back(token);
@@ -1082,7 +1086,8 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
       FinishSequence(seq_id, FinishReason::kLength);
       break;
     }
-    if (seq.pending_token < 0) {
+    assert(samples == (seq.pending_token < 0));
+    if (samples) {
       // Fresh logits with nothing pending: sample the next token, which
       // the next row (or tick) commits.
       SampleNext(seq, logits);

@@ -319,6 +319,15 @@ class ShardScheduler {
       return request->max_new_tokens -
              static_cast<std::int64_t>(outcome.generated.size());
     }
+    /// True when the next row's logits reach SampleNext: feeding it
+    /// (fed[cursor], or the pending token once caught up, which it
+    /// commits) leaves the sequence caught up, with decode budget left
+    /// and no pending token.
+    bool next_row_samples() const {
+      if (remaining_prefill() == 0) return remaining_decode() > 1;
+      return remaining_prefill() == 1 && remaining_decode() > 0 &&
+             pending_token < 0;
+    }
   };
 
   /// One problem of a tick's grouped launch: a decode sequence's verify
@@ -436,6 +445,10 @@ class ShardScheduler {
   /// over the interconnect; the transfer already paid). Returns false on
   /// a hard error or pool exhaustion mid-copy.
   bool ReplayAdoptedKv(std::size_t seq_id);
+  /// Runs one forward through the executor against the sequence's pool
+  /// pages and folds its simulated cost into the tick. The classifier
+  /// runs only when `logits` is non-null, which then receives the view.
+  /// Returns false on a hard error.
   bool ForwardToken(std::size_t seq_id, std::int32_t token, std::int32_t pos,
                     std::span<const float>* logits);
   /// Runs one decode sequence's draft phase: proposes up to the

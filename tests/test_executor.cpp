@@ -2,6 +2,7 @@
 // reference, timing-model invariants, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "accel/executor.hpp"
@@ -190,6 +191,69 @@ TEST(ExecutorTest, RejectsPagesThatCannotHoldThePosition) {
   wrong.layout.kv_dim += 1;
   EXPECT_EQ(exec.Forward(3, 0, wrong).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---------------- Logits on demand ----------------
+
+TEST(ExecutorTest, SkippingLogitsChangesNoStatsKvOrLaterLogits) {
+  // One sequence runs twice: with logits on every row, and with them off
+  // for every prompt row but the last. The skipped rows still pay the
+  // classifier on the timing model and write the same K/V, so everything
+  // a later row or the stats can see is byte-identical.
+  Harness s(llama::ModelConfig::Tiny());
+  constexpr std::int32_t kPrompt = 9;
+  constexpr std::int32_t kTokens = 14;
+  compiler::CompilerOptions int8 = compiler::CompilerOptions::SpeedLLM();
+  int8.int8_weights = true;
+  for (const compiler::CompilerOptions& opt :
+       {compiler::CompilerOptions::SpeedLLM(), int8,
+        runtime::OptionsFor(runtime::Variant::kUnoptimized)}) {
+    SCOPED_TRACE(::testing::Message() << "int8 " << opt.int8_weights
+                                      << " fuse " << opt.enable_fusion);
+    Program prog = s.Compile(opt);
+    Executor always(prog, s.weights, s.u280);
+    Executor on_demand(prog, s.weights, s.u280);
+    const KvBlockLayout layout = always.KvLayout(4);
+    const std::int32_t table[4] = {0, 1, 2, 3};
+    const auto floats = static_cast<std::size_t>(4 * layout.block_floats());
+    std::vector<float> kv_always(floats, 0.0f), kv_on_demand(floats, 0.0f);
+    const KvPages pages_always{kv_always.data(), layout, table};
+    const KvPages pages_on_demand{kv_on_demand.data(), layout, table};
+    for (std::int32_t pos = 0; pos < kTokens; ++pos) {
+      SCOPED_TRACE(::testing::Message() << "pos " << pos);
+      const std::int32_t token = (pos * 53 + 5) % s.config.vocab_size;
+      const bool want = pos >= kPrompt - 1;
+      auto a = always.Forward(token, pos, pages_always);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      const std::vector<float> want_logits(a->begin(), a->end());
+      auto b = on_demand.Forward(token, pos, pages_on_demand, want);
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      if (want) {
+        ASSERT_EQ(b->size(), want_logits.size());
+        EXPECT_EQ(std::memcmp(b->data(), want_logits.data(),
+                              want_logits.size() * sizeof(float)),
+                  0);
+      } else {
+        EXPECT_TRUE(b->empty());
+      }
+      const TokenRunStats& x = always.last_stats();
+      const TokenRunStats& y = on_demand.last_stats();
+      EXPECT_EQ(x.cycles, y.cycles);
+      EXPECT_EQ(x.joules, y.joules);
+      EXPECT_EQ(x.hbm_bytes, y.hbm_bytes);
+      EXPECT_EQ(x.launches, y.launches);
+      EXPECT_EQ(x.unit_busy, y.unit_busy);
+      EXPECT_EQ(std::memcmp(kv_always.data(), kv_on_demand.data(),
+                            floats * sizeof(float)),
+                0);
+    }
+  }
+  // The standalone overload follows the same contract.
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  Executor exec(prog, s.weights, s.u280);
+  auto skipped = exec.Forward(3, 0, /*want_logits=*/false);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_TRUE(skipped->empty());
 }
 
 // ---------------- Timing invariants ----------------

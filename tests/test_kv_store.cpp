@@ -3,7 +3,8 @@
 // hits, readmission restores, handoff adoption and remote fetches map
 // K/V that already exists; ServingReport::executor_forwards must equal
 // total_tokens + recomputed_tokens however much of that traffic a run
-// has.
+// has, and ServingReport::logit_forwards (the forwards that ran the
+// classifier) the tokens sampled.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -169,6 +170,110 @@ TEST(KvStoreTest, WarmStartComputesInstalledBlocksOnce) {
       (report->merged.total_tokens + report->merged.recomputed_tokens);
   EXPECT_GT(warm, 0);
   EXPECT_LE(warm, snapshot_tokens);
+}
+
+// ---------------- Classifier forwards ----------------
+//
+// Only a row whose logits are sampled runs the classifier, and every
+// sampled token of a run with no early stop is committed, so
+// logit_forwards equals the generated tokens however much prefill,
+// recompute or restore the run did.
+
+std::int64_t GeneratedTokens(const ServingReport& merged) {
+  std::int64_t generated = 0;
+  for (const RequestOutcome& o : merged.outcomes) {
+    generated += static_cast<std::int64_t>(o.generated.size());
+  }
+  return generated;
+}
+
+void ExpectOneLogitForwardPerGeneratedToken(const ServingReport& merged) {
+  const std::int64_t generated = GeneratedTokens(merged);
+  EXPECT_GT(generated, 0);
+  EXPECT_EQ(merged.stopped_requests, 0);
+  EXPECT_EQ(merged.logit_forwards, generated);
+  EXPECT_LE(merged.logit_forwards, merged.executor_forwards);
+}
+
+TEST(KvStoreTest, GreedyRunRunsTheClassifierOncePerGeneratedToken) {
+  Fixture f;
+  api::EngineConfig config;
+  config.scheduler.enable_prefix_cache = false;
+  config.sampler.temperature = 0.0f;
+  auto report = RunCluster(f, 1, config, SharedTrace(f.config, 10));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->merged.prefix_cache_hit_tokens, 0);
+  ExpectOneLogitForwardPerGeneratedToken(report->merged);
+  // Prompt rows but each request's last, and each request's final
+  // token, skip the classifier.
+  EXPECT_LT(report->merged.logit_forwards, report->merged.executor_forwards);
+}
+
+TEST(KvStoreTest, PreemptedRecomputeRunsNoClassifier) {
+  // The readmission pool above: a preempted sequence keeps its pending
+  // token, so its recompute rows sample nothing.
+  Fixture f;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 4;
+  config.scheduler.kv_pool_bytes = 10ull * 4 * KvBytesPerToken(f.config);
+  config.scheduler.max_batch_seqs = 6;
+  config.scheduler.max_batch_tokens = 48;
+  std::vector<ServingRequest> reqs(6);
+  for (std::int32_t i = 0; i < 6; ++i) {
+    for (std::int32_t t = 0; t < 8; ++t) reqs[i].prompt.push_back(3 + t);
+    reqs[i].prompt.push_back(100 + i);
+    reqs[i].prompt.push_back(200 + i);
+    reqs[i].max_new_tokens = 10;
+  }
+  auto report = RunCluster(f, 1, config, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->merged.preemptions, 0);
+  EXPECT_GT(report->merged.recomputed_tokens, 0);
+  ExpectOneLogitForwardPerGeneratedToken(report->merged);
+}
+
+TEST(KvStoreTest, PrefixHitsRunNoClassifier) {
+  Fixture f;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 8;
+  auto report = RunCluster(f, 1, config, SharedTrace(f.config, 12));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
+  ExpectOneLogitForwardPerGeneratedToken(report->merged);
+}
+
+TEST(KvStoreTest, StopTokensRunTheClassifierButAreNeverCommitted) {
+  Fixture f;
+  api::EngineConfig config;
+  config.sampler.temperature = 0.0f;
+  const std::vector<ServingRequest> reqs = SharedTrace(f.config, 10);
+  auto free_run = RunCluster(f, 1, config, reqs);
+  ASSERT_TRUE(free_run.ok()) << free_run.status().ToString();
+  ASSERT_FALSE(free_run->merged.outcomes[0].generated.empty());
+  // Greedy replays the free run, so request 0 at least stops on it.
+  config.sampler.eos_token = free_run->merged.outcomes[0].generated.back();
+  auto report = RunCluster(f, 1, config, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ServingReport& merged = report->merged;
+  EXPECT_GT(merged.stopped_requests, 0);
+  EXPECT_EQ(merged.logit_forwards,
+            GeneratedTokens(merged) + merged.stopped_requests);
+  EXPECT_LE(merged.logit_forwards, merged.executor_forwards);
+}
+
+TEST(KvStoreTest, HandoffAndSpeculationRunTheClassifierOncePerToken) {
+  Fixture f;
+  api::EngineConfig handoff;
+  handoff.scheduler.block_size_tokens = 8;
+  handoff.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
+  api::EngineConfig spec;
+  spec.scheduler.speculative.enable = true;
+  for (const auto& [cards, config] :
+       {std::pair{2, handoff}, std::pair{1, spec}}) {
+    auto report = RunCluster(f, cards, config, SharedTrace(f.config, 12));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectOneLogitForwardPerGeneratedToken(report->merged);
+  }
 }
 
 }  // namespace

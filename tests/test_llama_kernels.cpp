@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -66,6 +68,82 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<std::int64_t, std::int64_t>(288, 288),
                       std::make_pair<std::int64_t, std::int64_t>(768, 288),
                       std::make_pair<std::int64_t, std::int64_t>(288, 768)));
+
+// Every row of MatMul is one sequential sum over ascending j, whatever
+// the row blocking, the thread split or the alignment of the spans.
+std::vector<float> SequentialRows(const float* w, const float* x,
+                                  std::int64_t d, std::int64_t n) {
+  std::vector<float> out(static_cast<std::size_t>(d));
+  for (std::int64_t i = 0; i < d; ++i) {
+    float acc = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) acc += w[i * n + j] * x[j];
+    out[static_cast<std::size_t>(i)] = acc;
+  }
+  return out;
+}
+
+TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
+  ThreadPool pool(4);
+  for (std::int64_t d : {1, 3, 7, 8, 9, 17, 512}) {
+    for (std::int64_t n : {1, 2, 3, 4, 5, 48, 288}) {
+      SCOPED_TRACE(::testing::Message() << "d " << d << " n " << n);
+      // One spare float in front of each buffer: offset 1 makes every
+      // span start off the 16-byte alignment.
+      auto w_buf = RandomVec(static_cast<std::size_t>(d * n + 1),
+                             static_cast<std::uint64_t>(d * 1000 + n));
+      auto x_buf = RandomVec(static_cast<std::size_t>(n + 1),
+                             static_cast<std::uint64_t>(d * 1000 + n + 7));
+      for (std::size_t offset : {0u, 1u}) {
+        std::span<const float> w{w_buf.data() + offset,
+                                 static_cast<std::size_t>(d * n)};
+        std::span<const float> x{x_buf.data() + offset,
+                                 static_cast<std::size_t>(n)};
+        const auto want = SequentialRows(w.data(), x.data(), d, n);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          std::vector<float> out_buf(static_cast<std::size_t>(d + 1), -1.0f);
+          std::span<float> out{out_buf.data() + offset,
+                               static_cast<std::size_t>(d)};
+          MatMul(out, w, x, d, n, p);
+          EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "offset " << offset << " threaded " << (p != nullptr);
+          // Nothing outside the d outputs is written.
+          EXPECT_EQ(out_buf[offset == 0 ? out_buf.size() - 1 : 0], -1.0f);
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulTest, BitsArePinnedAcrossIsas) {
+  // Inputs from correctly rounded divisions, outputs recorded from a
+  // baseline x86-64 build: any ISA must reproduce them bit for bit. A
+  // compiler fusing the multiply-adds into FMAs (-march=x86-64-v3
+  // without -ffp-contract=off) rounds differently and fails here.
+  constexpr std::int64_t d = 9, n = 45;  // one 8-row block, both tails
+  std::vector<float> w(static_cast<std::size_t>(d * n));
+  std::vector<float> x(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < d; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      w[static_cast<std::size_t>(i * n + j)] =
+          static_cast<float>((i * 31 + j * 17) % 23 - 11) / 7.0f;
+    }
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    x[static_cast<std::size_t>(j)] = 1.0f / static_cast<float>(j + 3);
+  }
+  std::vector<float> out(static_cast<std::size_t>(d));
+  MatMul(out, w, x, d, n);
+  const std::uint32_t want[d] = {0xbe12724au, 0xbeb754e7u, 0x3e2dbc25u,
+                                 0xbe9abc20u, 0xbe69701bu, 0x3eea7791u,
+                                 0xbe8e4204u, 0xbd48854bu, 0x3e5def46u};
+  for (std::int64_t i = 0; i < d; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &out[static_cast<std::size_t>(i)], sizeof(bits));
+    EXPECT_EQ(bits, want[i]) << "row " << i;
+  }
+}
 
 // ---------------- RmsNorm ----------------
 
