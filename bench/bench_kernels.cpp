@@ -1,8 +1,10 @@
 // SpeedLLM -- Experiment E8: CPU kernel microbenchmarks (google-benchmark).
 //
 // Measures the host-side ground-truth kernels the functional simulation
-// runs on: fp32 matvec (serial + thread pool), int8 quantized matvec,
-// rmsnorm, softmax, and the full reference forward pass.
+// runs on: fp32 matvec (serial + thread pool), the multi-row matmul one
+// executor pass runs per weight matrix (serial + thread pool), int8
+// quantized matvec, rmsnorm, softmax, and the full reference forward
+// pass.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -56,6 +58,29 @@ void BM_MatMulThreaded(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * d * n);
 }
 BENCHMARK(BM_MatMulThreaded)->Args({32000, 288})->Args({768, 288});
+
+// Args: d, n, activation rows, pooled (0/1). Items are MACs, so items/s
+// compares directly across row counts; wall time, since the pooled runs
+// spend most of their CPU time on the workers.
+void BM_MatMulRows(benchmark::State& state) {
+  const std::int64_t d = state.range(0), n = state.range(1);
+  const std::int64_t rows = state.range(2);
+  auto w = RandomVec(static_cast<std::size_t>(d * n), 1);
+  auto x = RandomVec(static_cast<std::size_t>(rows * n), 2);
+  std::vector<float> out(static_cast<std::size_t>(rows * d));
+  ThreadPool* pool = state.range(3) != 0 ? &ThreadPool::Global() : nullptr;
+  for (auto _ : state) {
+    llama::MatMulRows(out, w, x, rows, d, n, pool);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows * d * n);
+}
+BENCHMARK(BM_MatMulRows)
+    ->ArgsProduct({{288}, {288}, {1, 8, 12}, {0, 1}})
+    ->ArgsProduct({{768}, {288}, {1, 8, 12}, {0, 1}})
+    ->ArgsProduct({{288}, {768}, {1, 8, 12}, {0, 1}})
+    ->ArgsProduct({{32000}, {288}, {1, 8, 12}, {0, 1}})
+    ->UseRealTime();
 
 void BM_MatMulQ8(benchmark::State& state) {
   const std::int64_t d = state.range(0), n = state.range(1);

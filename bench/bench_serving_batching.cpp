@@ -8,8 +8,8 @@
 // baseline (one token per tick, no prefix sharing -- the sequential
 // server a grouped launch replaces) on aggregate tokens/s while keeping
 // p99 TTFT bounded, without the KV pool ever outgrowing its HBM budget.
-// Every run is one api::Engine; the JSON keeps the historical
-// legacy_tokens_per_second name for the width-1 baseline.
+// Every run is one api::Engine; the JSON reports the width-1 baseline as
+// width1_tokens_per_second.
 //
 //   ./bench/bench_serving_batching [--preset tiny] [--requests 24]
 //                                  [--seed 7] [--gen 12] [--json out.json]
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
                "p99_ttft_ms", "p99_latency_ms", "mean_width", "preempt"});
   double best_speedup = 0.0;
   double best_batched_tps = 0.0;
-  double best_legacy_tps = 0.0;
+  double best_width1_tps = 0.0;
   for (double load_factor : {0.5, 1.0, 2.0, 4.0}) {
     wc.rate_rps = saturation_rps * load_factor;
     Rng rng(seed);
@@ -155,12 +155,12 @@ int main(int argc, char** argv) {
     std::snprintf(rate_label, sizeof(rate_label), "%.1fx", load_factor);
 
     std::vector<RunResult> runs;
-    auto legacy = RunOnce(program, weights, u280, reqs, Width1());
-    if (!legacy.ok()) {
-      std::fprintf(stderr, "%s\n", legacy.status().ToString().c_str());
+    auto width1 = RunOnce(program, weights, u280, reqs, Width1());
+    if (!width1.ok()) {
+      std::fprintf(stderr, "%s\n", width1.status().ToString().c_str());
       return 1;
     }
-    runs.push_back({"width-1", std::move(legacy).value()});
+    runs.push_back({"width-1", std::move(width1).value()});
     for (serving::BatchPolicy policy :
          {serving::BatchPolicy::kFcfs,
           serving::BatchPolicy::kShortestPromptFirst,
@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
     const double speedup = runs[1].report.device_tokens_per_second /
                            runs[0].report.device_tokens_per_second;
     best_speedup = std::max(best_speedup, speedup);
-    best_legacy_tps =
-        std::max(best_legacy_tps, runs[0].report.device_tokens_per_second);
+    best_width1_tps =
+        std::max(best_width1_tps, runs[0].report.device_tokens_per_second);
     for (std::size_t r = 1; r < runs.size(); ++r) {
       best_batched_tps = std::max(best_batched_tps,
                                   runs[r].report.device_tokens_per_second);
@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
       !bench::WriteBenchJson(
           json_path, "serving_batching",
           {{"batching_tokens_per_second", best_batched_tps},
-           {"legacy_tokens_per_second", best_legacy_tps},
+           {"width1_tokens_per_second", best_width1_tps},
            {"batching_speedup", best_speedup},
            {"closed_loop_tokens_per_second", closed_tps},
            {"closed_loop_p99_latency_ms", closed_p99_ms},

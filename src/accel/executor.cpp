@@ -21,6 +21,18 @@ std::int32_t PickGroupSize(std::int64_t k) {
   return 1;
 }
 
+// A forward runs its rows in passes of at most this many: the activation
+// buffers grow to one pass (about 0.2 MiB a row for stories15M), and past
+// a few rows the weights are no longer what a pass waits on.
+constexpr std::size_t kPassRows = 16;
+
+// A matmul whose fp32 weight matrix is at least this large splits its
+// output rows across ThreadPool::Global(). Below ~128 KiB a one-row call
+// costs more to hand out than it saves (docs/ARCHITECTURE.md, "Pool
+// split"): every Tiny matrix (at most 96 KiB) stays serial, and every
+// stories15M matrix (at least 324 KiB) splits.
+constexpr std::int64_t kPoolSplitBytes = 256 * 1024;
+
 }  // namespace
 
 TokenRunStats& TokenRunStats::operator+=(const TokenRunStats& o) {
@@ -38,29 +50,31 @@ TokenRunStats& TokenRunStats::operator+=(const TokenRunStats& o) {
 
 Executor::Executor(const Program& program, const llama::Weights& weights,
                    const hw::U280Config& u280)
-    : program_(&program), weights_(&weights), u280_(u280) {
+    : program_(&program), u280_(u280) {
   assert(weights.config.num_params() == program.model.num_params());
   const auto& dg = program.dg;
+  const auto& g = dg.graph;
 
-  weight_map_[dg.token_embedding] = weights.token_embedding.span();
-  weight_map_[dg.rms_final] = weights.rms_final.span();
+  std::map<graph::ValueId, std::span<const float>> weight_map;
+  weight_map[dg.token_embedding] = weights.token_embedding.span();
+  weight_map[dg.rms_final] = weights.rms_final.span();
   if (!program.model.shared_classifier) {
-    weight_map_[dg.wcls] = weights.wcls.span();
+    weight_map[dg.wcls] = weights.wcls.span();
   }
   for (std::size_t l = 0; l < dg.layers.size(); ++l) {
     const auto& ids = dg.layers[l];
-    weight_map_[ids.rms_att] = weights.rms_att[l].span();
-    weight_map_[ids.wq] = weights.wq[l].span();
-    weight_map_[ids.wk] = weights.wk[l].span();
-    weight_map_[ids.wv] = weights.wv[l].span();
-    weight_map_[ids.wo] = weights.wo[l].span();
-    weight_map_[ids.rms_ffn] = weights.rms_ffn[l].span();
-    weight_map_[ids.w1] = weights.w1[l].span();
-    weight_map_[ids.w2] = weights.w2[l].span();
-    weight_map_[ids.w3] = weights.w3[l].span();
+    weight_map[ids.rms_att] = weights.rms_att[l].span();
+    weight_map[ids.wq] = weights.wq[l].span();
+    weight_map[ids.wk] = weights.wk[l].span();
+    weight_map[ids.wv] = weights.wv[l].span();
+    weight_map[ids.wo] = weights.wo[l].span();
+    weight_map[ids.rms_ffn] = weights.rms_ffn[l].span();
+    weight_map[ids.w1] = weights.w1[l].span();
+    weight_map[ids.w2] = weights.w2[l].span();
+    weight_map[ids.w3] = weights.w3[l].span();
   }
 
-  for (const auto& op : dg.graph.ops()) {
+  for (const auto& op : g.ops()) {
     if (std::find(op.outputs.begin(), op.outputs.end(), dg.logits) !=
         op.outputs.end()) {
       logits_op_ = op.id;
@@ -69,30 +83,76 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
 
   // Pre-quantize matmul weights for the int8 datapath.
   if (program.exec.int8_weights) {
-    for (const auto& op : dg.graph.ops()) {
+    for (const auto& op : g.ops()) {
       if (op.kind != graph::OpKind::kMatMul) continue;
       graph::ValueId w_id = op.inputs[0];
       if (quant_map_.count(w_id)) continue;
-      auto span = weight_map_.at(w_id);
+      auto span = weight_map.at(w_id);
       auto qt = quant::Quantize(span, Shape{op.m, op.k}, PickGroupSize(op.k));
       assert(qt.ok());
       quant_map_.emplace(w_id, std::move(qt).value());
     }
   }
 
-  // Allocate activation / output storage; K/V caches are paged.
-  store_.resize(dg.graph.values().size());
-  kv_plane_.assign(dg.graph.values().size(), -1);
-  for (const auto& v : dg.graph.values()) {
-    if (v.kind == graph::ValueKind::kWeight ||
-        v.kind == graph::ValueKind::kKvCache) {
-      continue;
+  // One row of activation / output storage; K/V caches are paged.
+  row_floats_.assign(g.values().size(), 0);
+  base_.assign(g.values().size(), 0);
+  kv_plane_.assign(g.values().size(), -1);
+  for (const auto& v : g.values()) {
+    if (v.kind != graph::ValueKind::kWeight &&
+        v.kind != graph::ValueKind::kKvCache) {
+      row_floats_[v.id] = v.elements;
     }
-    store_[v.id] = TensorF::Zeros(Shape{v.elements});
   }
+  ReserveRows(1);
   for (std::size_t l = 0; l < dg.layers.size(); ++l) {
     kv_plane_[dg.layers[l].k_cache] = static_cast<std::int32_t>(l * 2);
     kv_plane_[dg.layers[l].v_cache] = static_cast<std::int32_t>(l * 2 + 1);
+  }
+
+  // One step per compute op, in program order at its first compute
+  // instruction. A matmul's step computes every output row, so its later
+  // tiles matter to the timing schedule only.
+  std::vector<bool> seen(g.ops().size(), false);
+  steps_.reserve(g.ops().size());
+  for (const Instr& instr : program.instrs) {
+    if (instr.opcode != Opcode::kCompute ||
+        instr.compute == ComputeKind::kNone) {
+      continue;
+    }
+    if (seen[static_cast<std::size_t>(instr.op)]) {
+      assert(instr.compute == ComputeKind::kMatMulTile);
+      continue;
+    }
+    seen[static_cast<std::size_t>(instr.op)] = true;
+    const graph::Op& op = g.op(instr.op);
+    Step step;
+    step.compute = instr.compute;
+    step.op = &op;
+    switch (instr.compute) {
+      case ComputeKind::kEmbedCopy:
+        step.weights = weight_map.at(op.inputs[0]);
+        break;
+      case ComputeKind::kRmsNorm:
+        step.weights = weight_map.at(op.inputs[1]);
+        break;
+      case ComputeKind::kMatMulTile: {
+        auto q = quant_map_.find(op.inputs[0]);
+        if (q != quant_map_.end()) {
+          step.qweights = &q->second;
+        } else {
+          step.weights = weight_map.at(op.inputs[0]);
+          if (op.m * op.k * static_cast<std::int64_t>(sizeof(float)) >=
+              kPoolSplitBytes) {
+            step.pool = &ThreadPool::Global();
+          }
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    steps_.push_back(step);
   }
 }
 
@@ -110,16 +170,25 @@ void Executor::ResetStats() {
   last_stats_ = TokenRunStats{};
 }
 
-TensorF& Executor::Buffer(graph::ValueId v) {
-  assert(v >= 0 && static_cast<std::size_t>(v) < store_.size());
-  assert(store_[v].size() > 0 && "buffer accessed for a weight value");
-  return store_[v];
+void Executor::ReserveRows(std::int64_t rows) {
+  if (rows <= rows_) return;
+  rows_ = rows;
+  std::int64_t floats = 0;
+  for (std::size_t v = 0; v < base_.size(); ++v) {
+    base_[v] = floats;
+    const bool one_row = static_cast<graph::ValueId>(v) == program_->dg.logits;
+    floats += (one_row ? 1 : rows) * row_floats_[v];
+  }
+  // Free the old rows before allocating: the peak is one arena, not two.
+  std::vector<float>().swap(arena_);
+  arena_.resize(static_cast<std::size_t>(floats));
 }
 
-std::span<const float> Executor::WeightSpan(graph::ValueId v) const {
-  auto it = weight_map_.find(v);
-  assert(it != weight_map_.end());
-  return it->second;
+float* Executor::Row(graph::ValueId v, std::int64_t r) {
+  assert(v >= 0 && static_cast<std::size_t>(v) < base_.size());
+  assert(row_floats_[v] > 0 && "buffer accessed for a weight value");
+  assert(r < rows_);
+  return arena_.data() + base_[v] + r * row_floats_[v];
 }
 
 std::uint64_t Executor::SeqScale(std::uint64_t amount, bool scaled,
@@ -131,158 +200,184 @@ std::uint64_t Executor::SeqScale(std::uint64_t amount, bool scaled,
   return (amount * steps + seq - 1) / seq;
 }
 
-void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
-                              std::int32_t pos, const KvPages& kv) {
-  const auto& g = program_->dg.graph;
-  const auto& op = g.op(instr.op);
+void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
+                       std::int32_t pos0, const KvPages& kv) {
+  const auto& op = *step.op;
   const auto& cfg = program_->model;
+  const auto rows = static_cast<std::int64_t>(tokens.size());
+  const auto row_span = [this](graph::ValueId v, std::int64_t r,
+                               std::int64_t n = 1) {
+    return std::span<float>{Row(v, r),
+                            static_cast<std::size_t>(n * row_floats_[v])};
+  };
+  // Copies rows [0, rows) of `in` to `out` (the in-place SFU ops).
+  const auto copy_rows = [&](graph::ValueId out, graph::ValueId in) {
+    std::memcpy(Row(out, 0), Row(in, 0),
+                static_cast<std::size_t>(rows * row_floats_[in]) *
+                    sizeof(float));
+  };
 
-  switch (instr.compute) {
+  switch (step.compute) {
     case ComputeKind::kEmbedCopy: {
-      auto emb = WeightSpan(op.inputs[0]);
-      auto& out = Buffer(op.outputs[0]);
-      std::memcpy(out.data(),
-                  emb.data() + static_cast<std::int64_t>(token) * cfg.dim,
-                  static_cast<std::size_t>(cfg.dim) * sizeof(float));
+      for (std::int64_t r = 0; r < rows; ++r) {
+        std::memcpy(Row(op.outputs[0], r),
+                    step.weights.data() +
+                        static_cast<std::int64_t>(tokens[r]) * cfg.dim,
+                    static_cast<std::size_t>(cfg.dim) * sizeof(float));
+      }
       break;
     }
     case ComputeKind::kMatMulTile: {
-      auto& out = Buffer(op.outputs[0]);
-      auto& x = Buffer(op.inputs[1]);
-      const std::int64_t r0 = instr.row_begin;
-      const std::int64_t r1 = instr.row_end;
-      auto qit = quant_map_.find(op.inputs[0]);
-      if (qit != quant_map_.end()) {
-        // int8 rows: each row is group-aligned, so a row range is a
-        // contiguous sub-problem.
-        quant::MatMulQ8Rows(out.span(), qit->second, x.span(), op.k, r0, r1);
+      // The classifier reads the last row only, into its one-row buffer.
+      const std::int64_t first = op.id == logits_op_ ? rows - 1 : 0;
+      const std::int64_t n = rows - first;
+      assert(row_floats_[op.inputs[1]] == op.k);
+      assert(row_floats_[op.outputs[0]] == op.m);
+      float* out = Row(op.outputs[0], 0);
+      const float* x = Row(op.inputs[1], first);
+      if (step.qweights != nullptr) {
+        for (std::int64_t r = 0; r < n; ++r) {
+          quant::MatMulQ8Rows(
+              {out + r * op.m, static_cast<std::size_t>(op.m)},
+              *step.qweights,
+              {x + r * op.k, static_cast<std::size_t>(op.k)}, op.k, 0, op.m);
+        }
       } else {
-        auto w = WeightSpan(op.inputs[0]);
-        llama::MatMul(out.span().subspan(static_cast<std::size_t>(r0),
-                                         static_cast<std::size_t>(r1 - r0)),
-                      w.subspan(static_cast<std::size_t>(r0 * op.k),
-                                static_cast<std::size_t>((r1 - r0) * op.k)),
-                      x.span(), r1 - r0, op.k, nullptr);
+        llama::MatMulRows({out, static_cast<std::size_t>(n * op.m)},
+                          step.weights,
+                          {x, static_cast<std::size_t>(n * op.k)}, n, op.m,
+                          op.k, step.pool);
       }
       break;
     }
     case ComputeKind::kRmsNorm: {
-      auto& out = Buffer(op.outputs[0]);
-      auto& in = Buffer(op.inputs[0]);
-      llama::RmsNorm(out.span(), in.span(), WeightSpan(op.inputs[1]));
+      for (std::int64_t r = 0; r < rows; ++r) {
+        llama::RmsNorm(row_span(op.outputs[0], r), row_span(op.inputs[0], r),
+                       step.weights);
+      }
       break;
     }
     case ComputeKind::kRope: {
-      auto& q_in = Buffer(op.inputs[0]);
-      auto& k_in = Buffer(op.inputs[1]);
-      auto& q_out = Buffer(op.outputs[0]);
-      auto& k_out = Buffer(op.outputs[1]);
-      std::memcpy(q_out.data(), q_in.data(), q_in.size_bytes());
-      std::memcpy(k_out.data(), k_in.data(), k_in.size_bytes());
-      llama::Rope(q_out.span(), k_out.span(), pos, op.head_dim);
+      copy_rows(op.outputs[0], op.inputs[0]);
+      copy_rows(op.outputs[1], op.inputs[1]);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        llama::Rope(row_span(op.outputs[0], r), row_span(op.outputs[1], r),
+                    pos0 + static_cast<std::int32_t>(r), op.head_dim);
+      }
       break;
     }
     case ComputeKind::kKvWrite: {
       const KvBlockLayout& l = kv.layout;
       const std::size_t bytes =
           static_cast<std::size_t>(l.kv_dim) * sizeof(float);
-      float* blk = kv.block(static_cast<std::size_t>(pos / l.block_tokens));
-      const std::int64_t row = pos % l.block_tokens;
-      for (std::size_t i = 0; i < 2; ++i) {
-        const std::int32_t plane = kv_plane_[op.outputs[i]];
-        std::memcpy(blk + l.Offset(plane / 2, plane % 2, row),
-                    Buffer(op.inputs[i]).data(), bytes);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t pos = pos0 + r;
+        float* blk = kv.block(static_cast<std::size_t>(pos / l.block_tokens));
+        const std::int64_t row = pos % l.block_tokens;
+        for (std::size_t i = 0; i < 2; ++i) {
+          const std::int32_t plane = kv_plane_[op.outputs[i]];
+          std::memcpy(blk + l.Offset(plane / 2, plane % 2, row),
+                      Row(op.inputs[i], r), bytes);
+        }
       }
       break;
     }
     case ComputeKind::kAttScores: {
-      auto& q = Buffer(op.inputs[0]);
-      auto& scores = Buffer(op.outputs[0]);
       const KvBlockLayout& l = kv.layout;
       const std::int32_t plane = kv_plane_[op.inputs[1]];
       const std::int64_t plane_offset = l.Offset(plane / 2, plane % 2, 0);
       const std::int32_t hd = op.head_dim;
       const std::int32_t gqa = cfg.gqa_group();
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-      for (std::int32_t h = 0; h < op.n_heads; ++h) {
-        const float* qh = q.data() + h * hd;
-        float* srow = scores.data() + static_cast<std::int64_t>(h) * cfg.seq_len;
-        // Positions 0..pos in order, one block's rows at a time.
-        for (std::int64_t t0 = 0, b = 0; t0 <= pos; t0 += l.block_tokens, ++b) {
-          const float* k_base = kv.block(static_cast<std::size_t>(b)) +
-                                plane_offset + (h / gqa) * hd;
-          const std::int64_t rows = std::min<std::int64_t>(
-              l.block_tokens, static_cast<std::int64_t>(pos) + 1 - t0);
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float* krow = k_base + r * l.kv_dim;
-            float acc = 0.0f;
-            for (std::int32_t i = 0; i < hd; ++i) acc += qh[i] * krow[i];
-            srow[t0 + r] = acc * scale;
+      for (std::int64_t row = 0; row < rows; ++row) {
+        const std::int64_t pos = pos0 + row;
+        const float* q = Row(op.inputs[0], row);
+        float* scores = Row(op.outputs[0], row);
+        for (std::int32_t h = 0; h < op.n_heads; ++h) {
+          const float* qh = q + h * hd;
+          float* srow = scores + static_cast<std::int64_t>(h) * cfg.seq_len;
+          // Positions 0..pos in order, one block's rows at a time.
+          for (std::int64_t t0 = 0, b = 0; t0 <= pos;
+               t0 += l.block_tokens, ++b) {
+            const float* k_base = kv.block(static_cast<std::size_t>(b)) +
+                                  plane_offset + (h / gqa) * hd;
+            const std::int64_t n =
+                std::min<std::int64_t>(l.block_tokens, pos + 1 - t0);
+            for (std::int64_t r = 0; r < n; ++r) {
+              const float* krow = k_base + r * l.kv_dim;
+              float acc = 0.0f;
+              for (std::int32_t i = 0; i < hd; ++i) acc += qh[i] * krow[i];
+              srow[t0 + r] = acc * scale;
+            }
           }
         }
       }
       break;
     }
     case ComputeKind::kSoftmax: {
-      auto& in = Buffer(op.inputs[0]);
-      auto& out = Buffer(op.outputs[0]);
-      std::memset(out.data(), 0, out.size_bytes());
-      for (std::int32_t h = 0; h < op.n_heads; ++h) {
-        const std::int64_t base = static_cast<std::int64_t>(h) * cfg.seq_len;
-        std::memcpy(out.data() + base, in.data() + base,
-                    static_cast<std::size_t>(pos + 1) * sizeof(float));
-        llama::Softmax({out.data() + base, static_cast<std::size_t>(pos + 1)});
+      for (std::int64_t row = 0; row < rows; ++row) {
+        const std::int64_t pos = pos0 + row;
+        const float* in = Row(op.inputs[0], row);
+        float* out = Row(op.outputs[0], row);
+        std::memset(out, 0,
+                    static_cast<std::size_t>(row_floats_[op.outputs[0]]) *
+                        sizeof(float));
+        for (std::int32_t h = 0; h < op.n_heads; ++h) {
+          const std::int64_t base = static_cast<std::int64_t>(h) * cfg.seq_len;
+          std::memcpy(out + base, in + base,
+                      static_cast<std::size_t>(pos + 1) * sizeof(float));
+          llama::Softmax({out + base, static_cast<std::size_t>(pos + 1)});
+        }
       }
       break;
     }
     case ComputeKind::kAttMix: {
-      auto& probs = Buffer(op.inputs[0]);
-      auto& out = Buffer(op.outputs[0]);
       const KvBlockLayout& l = kv.layout;
       const std::int32_t plane = kv_plane_[op.inputs[1]];
       const std::int64_t plane_offset = l.Offset(plane / 2, plane % 2, 0);
       const std::int32_t hd = op.head_dim;
       const std::int32_t gqa = cfg.gqa_group();
-      for (std::int32_t h = 0; h < op.n_heads; ++h) {
-        const float* prow = probs.data() + static_cast<std::int64_t>(h) * cfg.seq_len;
-        float* orow = out.data() + h * hd;
-        for (std::int32_t i = 0; i < hd; ++i) orow[i] = 0.0f;
-        // Positions 0..pos in order, one block's rows at a time.
-        for (std::int64_t t0 = 0, b = 0; t0 <= pos; t0 += l.block_tokens, ++b) {
-          const float* v_base = kv.block(static_cast<std::size_t>(b)) +
-                                plane_offset + (h / gqa) * hd;
-          const std::int64_t rows = std::min<std::int64_t>(
-              l.block_tokens, static_cast<std::int64_t>(pos) + 1 - t0);
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float* vrow = v_base + r * l.kv_dim;
-            float s = prow[t0 + r];
-            for (std::int32_t i = 0; i < hd; ++i) orow[i] += s * vrow[i];
+      for (std::int64_t row = 0; row < rows; ++row) {
+        const std::int64_t pos = pos0 + row;
+        const float* probs = Row(op.inputs[0], row);
+        float* out = Row(op.outputs[0], row);
+        for (std::int32_t h = 0; h < op.n_heads; ++h) {
+          const float* prow =
+              probs + static_cast<std::int64_t>(h) * cfg.seq_len;
+          float* orow = out + h * hd;
+          for (std::int32_t i = 0; i < hd; ++i) orow[i] = 0.0f;
+          // Positions 0..pos in order, one block's rows at a time.
+          for (std::int64_t t0 = 0, b = 0; t0 <= pos;
+               t0 += l.block_tokens, ++b) {
+            const float* v_base = kv.block(static_cast<std::size_t>(b)) +
+                                  plane_offset + (h / gqa) * hd;
+            const std::int64_t n =
+                std::min<std::int64_t>(l.block_tokens, pos + 1 - t0);
+            for (std::int64_t r = 0; r < n; ++r) {
+              const float* vrow = v_base + r * l.kv_dim;
+              float s = prow[t0 + r];
+              for (std::int32_t i = 0; i < hd; ++i) orow[i] += s * vrow[i];
+            }
           }
         }
       }
       break;
     }
     case ComputeKind::kSilu: {
-      auto& out = Buffer(op.outputs[0]);
-      auto& in = Buffer(op.inputs[0]);
-      std::memcpy(out.data(), in.data(), in.size_bytes());
-      llama::Silu(out.span());
+      copy_rows(op.outputs[0], op.inputs[0]);
+      llama::Silu(row_span(op.outputs[0], 0, rows));
       break;
     }
     case ComputeKind::kEltAdd: {
-      auto& out = Buffer(op.outputs[0]);
-      auto& a = Buffer(op.inputs[0]);
-      auto& b = Buffer(op.inputs[1]);
-      std::memcpy(out.data(), a.data(), a.size_bytes());
-      llama::AddInPlace(out.span(), b.span());
+      copy_rows(op.outputs[0], op.inputs[0]);
+      llama::AddInPlace(row_span(op.outputs[0], 0, rows),
+                        row_span(op.inputs[1], 0, rows));
       break;
     }
     case ComputeKind::kEltMul: {
-      auto& out = Buffer(op.outputs[0]);
-      auto& a = Buffer(op.inputs[0]);
-      auto& b = Buffer(op.inputs[1]);
-      std::memcpy(out.data(), a.data(), a.size_bytes());
-      llama::MulInPlace(out.span(), b.span());
+      copy_rows(op.outputs[0], op.inputs[0]);
+      llama::MulInPlace(row_span(op.outputs[0], 0, rows),
+                        row_span(op.inputs[1], 0, rows));
       break;
     }
     case ComputeKind::kNone:
@@ -290,42 +385,86 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
   }
 }
 
-StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
-                                                   std::int32_t pos,
-                                                   bool want_logits) {
+StatusOr<std::span<const float>> Executor::Forward(
+    std::span<const std::int32_t> tokens, std::int32_t pos0,
+    bool want_last_logits) {
   const KvBlockLayout layout = KvLayout(program_->model.seq_len);
   if (own_kv_.empty()) {
     own_kv_.assign(static_cast<std::size_t>(layout.block_floats()), 0.0f);
   }
-  return Forward(token, pos, KvPages{own_kv_.data(), layout, own_table_},
-                 want_logits);
+  return Forward(tokens, pos0, KvPages{own_kv_.data(), layout, own_table_},
+                 want_last_logits);
 }
 
-StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
-                                                   std::int32_t pos,
-                                                   const KvPages& kv,
-                                                   bool want_logits) {
+StatusOr<std::span<const float>> Executor::Forward(
+    std::span<const std::int32_t> tokens, std::int32_t pos0,
+    const KvPages& kv, bool want_last_logits) {
   const auto& cfg = program_->model;
-  if (token < 0 || token >= cfg.vocab_size) {
-    return InvalidArgument("token out of range");
+  if (tokens.empty()) return InvalidArgument("a forward needs a token");
+  for (std::int32_t token : tokens) {
+    if (token < 0 || token >= cfg.vocab_size) {
+      return InvalidArgument("token out of range");
+    }
   }
-  if (pos < 0 || pos >= cfg.seq_len) {
-    return OutOfRange("pos " + std::to_string(pos) + " >= seq_len " +
-                      std::to_string(cfg.seq_len));
+  const std::int64_t last = static_cast<std::int64_t>(pos0) +
+                            static_cast<std::int64_t>(tokens.size()) - 1;
+  if (pos0 < 0 || last >= cfg.seq_len) {
+    return OutOfRange("pos " + std::to_string(pos0 < 0 ? pos0 : last) +
+                      " >= seq_len " + std::to_string(cfg.seq_len));
   }
   const KvBlockLayout want = KvLayout(kv.layout.block_tokens);
   if (kv.arena == nullptr || kv.layout.block_tokens <= 0 ||
       kv.layout.n_layers != want.n_layers || kv.layout.kv_dim != want.kv_dim) {
     return InvalidArgument("KV pages do not match the model's K/V geometry");
   }
-  if (pos >= kv.capacity_tokens()) {
-    return OutOfRange("pos " + std::to_string(pos) +
+  if (last >= kv.capacity_tokens()) {
+    return OutOfRange("pos " + std::to_string(last) +
                       " is past the block table's " +
                       std::to_string(kv.capacity_tokens()) + " tokens");
   }
-  const ExecConfig& ex = program_->exec;
 
-  // Fresh timing state per token.
+  // Passes of at most kPassRows rows bound the activation buffers.
+  for (std::size_t p = 0; p < tokens.size(); p += kPassRows) {
+    const auto pass =
+        tokens.subspan(p, std::min<std::size_t>(kPassRows, tokens.size() - p));
+    ReserveRows(static_cast<std::int64_t>(pass.size()));
+    const bool logits = want_last_logits && p + pass.size() == tokens.size();
+    for (const Step& step : steps_) {
+      if (step.op->id == logits_op_ && !logits) continue;
+      RunStep(step, pass, pos0 + static_cast<std::int32_t>(p), kv);
+    }
+  }
+
+  for (std::int64_t pos = pos0; pos <= last; ++pos) {
+    total_stats_ += TimingAt(static_cast<std::int32_t>(pos));
+  }
+  last_stats_ = TimingAt(static_cast<std::int32_t>(last));
+  trace_.Clear();
+  if (trace_.enabled()) Schedule(static_cast<std::int32_t>(last), &trace_);
+
+  if (!want_last_logits) return std::span<const float>{};
+  const float* logits = Row(program_->dg.logits, 0);
+  return std::span<const float>{
+      logits, static_cast<std::size_t>(row_floats_[program_->dg.logits])};
+}
+
+const TokenRunStats& Executor::TimingAt(std::int32_t pos) {
+  assert(pos >= 0 && pos < program_->model.seq_len);
+  const auto i = static_cast<std::size_t>(pos);
+  if (timed_.empty()) {
+    timing_.resize(static_cast<std::size_t>(program_->model.seq_len));
+    timed_.assign(static_cast<std::size_t>(program_->model.seq_len), false);
+  }
+  if (!timed_[i]) {
+    timing_[i] = Schedule(pos, nullptr);
+    timed_[i] = true;
+  }
+  return timing_[i];
+}
+
+TokenRunStats Executor::Schedule(std::int32_t pos,
+                                 sim::TraceRecorder* trace) const {
+  const ExecConfig& ex = program_->exec;
   sim::Station dma_in("dma_in"), dma_out("dma_out"), mpe("mpe"), sfu("sfu"),
       ctrl("ctrl");
   auto station_for = [&](Unit u) -> sim::Station& {
@@ -340,7 +479,6 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
   };
   hw::HbmStack hbm(u280_.hbm);
   hw::EnergyMeter meter(u280_.power, u280_.clock_mhz);
-  trace_.Clear();
 
   std::vector<sim::Cycles> end_at(program_->instrs.size(), 0);
   std::uint64_t launches = 0;
@@ -396,15 +534,12 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
         sim::Station& st = station_for(instr.unit);
         start = st.Acquire(ready, dur);
         end = start + dur;
-        if (want_logits || instr.op != logits_op_) {
-          ExecuteCompute(instr, token, pos, kv);
-        }
         break;
       }
     }
     end_at[instr.id] = end;
     makespan = std::max(makespan, end);
-    if (trace_.enabled()) {
+    if (trace != nullptr) {
       sim::TraceSpan span;
       span.instr_id = instr.id;
       span.station = std::string(UnitName(instr.unit));
@@ -416,7 +551,7 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
                        : 0;
       span.ops = static_cast<std::uint64_t>(instr.macs + instr.sfu_ops);
       span.label = instr.label;
-      trace_.Record(std::move(span));
+      trace->Record(std::move(span));
     }
   }
 
@@ -438,28 +573,21 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
                      pw.hbm_ctrl_active_w, pw.hbm_ctrl_idle_w);
   meter.FinalizeStatic(makespan);
 
-  last_stats_ = TokenRunStats{};
-  last_stats_.cycles = makespan;
-  last_stats_.seconds = u280_.cycles_to_seconds(makespan);
-  last_stats_.energy = meter.breakdown();
-  last_stats_.joules = meter.total_joules();
-  last_stats_.hbm_bytes = hbm.total_bytes();
-  last_stats_.launches = launches;
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kDmaIn)] =
+  TokenRunStats stats;
+  stats.cycles = makespan;
+  stats.seconds = u280_.cycles_to_seconds(makespan);
+  stats.energy = meter.breakdown();
+  stats.joules = meter.total_joules();
+  stats.hbm_bytes = hbm.total_bytes();
+  stats.launches = launches;
+  stats.unit_busy[static_cast<std::size_t>(Unit::kDmaIn)] =
       dma_in.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kDmaOut)] =
+  stats.unit_busy[static_cast<std::size_t>(Unit::kDmaOut)] =
       dma_out.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kMpe)] =
-      mpe.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kSfu)] =
-      sfu.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kCtrl)] =
-      ctrl.busy_cycles();
-  total_stats_ += last_stats_;
-
-  if (!want_logits) return std::span<const float>{};
-  const auto& logits = Buffer(program_->dg.logits);
-  return std::span<const float>{logits.data(), logits.size()};
+  stats.unit_busy[static_cast<std::size_t>(Unit::kMpe)] = mpe.busy_cycles();
+  stats.unit_busy[static_cast<std::size_t>(Unit::kSfu)] = sfu.busy_cycles();
+  stats.unit_busy[static_cast<std::size_t>(Unit::kCtrl)] = ctrl.busy_cycles();
+  return stats;
 }
 
 }  // namespace speedllm::accel

@@ -1,11 +1,18 @@
 // SpeedLLM -- accelerator executor: functional simulation + cycle timing.
 //
-// Executes a compiled Program for one token at a time. Every kCompute
-// instruction produces the real numeric result (using the same float
-// kernels as the CPU reference, so fp32 runs are bit-exact), while every
-// instruction is also scheduled onto the U280 timing model: serial
-// stations (DMA engines, MPE, SFU, control) plus the HBM channel model.
-// Energy is accumulated per activity and finalized per token.
+// Executes a compiled Program for a run of consecutive positions of one
+// sequence. The two halves are independent:
+//
+//  - Timing. Every instruction is scheduled onto the U280 timing model:
+//    serial stations (DMA engines, MPE, SFU, control) plus the HBM
+//    channel model, with energy accumulated per activity. The result is a
+//    pure function of (program, pos), so it is computed once per position
+//    into a lazily filled table (TimingAt).
+//  - Function. One pass walks the program op by op over all rows of the
+//    run: each matmul streams its weights once for every row (the same
+//    float kernels as the CPU reference, so fp32 runs are bit-exact),
+//    while rope, the K/V write and attention run row by row in position
+//    order.
 //
 // K/V are addressed through a block table (accel/kv_pages.hpp): the
 // serving stack passes the KvBlockPool's pages of the sequence being
@@ -24,6 +31,7 @@
 #include "accel/program.hpp"
 #include "common/status.hpp"
 #include "common/tensor.hpp"
+#include "common/threadpool.hpp"
 #include "hw/hbm.hpp"
 #include "hw/power.hpp"
 #include "hw/u280_config.hpp"
@@ -34,7 +42,7 @@
 
 namespace speedllm::accel {
 
-/// Timing/energy results for one Forward() call.
+/// Timing/energy results for one position's forward.
 struct TokenRunStats {
   sim::Cycles cycles = 0;
   double seconds = 0.0;
@@ -56,30 +64,53 @@ class Executor {
   /// Clears the executor-owned K/V (start of a new standalone sequence).
   void ResetSequence();
 
-  /// Runs the program for `token` at `pos` against the executor-owned
-  /// one-block table of seq_len tokens. Returns the logits view (valid
-  /// until the next Forward call). Timing/energy for this token land in
-  /// last_stats(); totals accumulate until ResetStats().
+  /// Runs the program for `tokens[r]` at position `pos0 + r`, r in
+  /// order, against `kv`: K/V of position p are written to row p %
+  /// block_tokens of block table[p / block_tokens], and row r attends
+  /// over positions [0, pos0 + r] block by block, so every row sees
+  /// exactly the K/V a row-by-row run would. The accumulation order
+  /// depends neither on the block size nor on the rows run together, so
+  /// K/V and logits are bit-identical for every table holding the same
+  /// K/V and every split of a sequence into runs.
   ///
-  /// With `want_logits` false the classifier's tiles are still scheduled
-  /// on the timing and energy model (last_stats() is unchanged) but not
-  /// computed, and the returned span is empty. K/V and every later
-  /// forward are the same either way.
-  StatusOr<std::span<const float>> Forward(std::int32_t token,
-                                           std::int32_t pos,
-                                           bool want_logits = true);
+  /// Returns the last row's logits (valid until the next Forward call),
+  /// or an empty span when `want_last_logits` is false; earlier rows'
+  /// logits are never computed. Each row's TimingAt() is added to
+  /// total_stats() in order and last_stats() is the last row's, whether
+  /// or not logits are computed.
+  ///
+  /// Every argument is checked before any K/V row is written: an empty
+  /// run or a token outside the vocabulary is InvalidArgument, a
+  /// position past seq_len or past the table's capacity OutOfRange.
+  /// `kv.layout` must match KvLayout(kv.layout.block_tokens).
+  StatusOr<std::span<const float>> Forward(
+      std::span<const std::int32_t> tokens, std::int32_t pos0,
+      const KvPages& kv, bool want_last_logits = true);
 
-  /// Runs the program for `token` at `pos` against `kv`: K/V of `pos`
-  /// are written to row pos % block_tokens of block table[pos /
-  /// block_tokens], and attention reads positions [0, pos] block by
-  /// block. The accumulation order does not depend on the block size,
-  /// so logits are bit-identical for every table holding the same K/V.
-  /// `kv.layout` must match KvLayout(kv.layout.block_tokens) and the
-  /// table must cover `pos`. `want_logits` is as above.
+  /// The same run against the executor-owned one-block table of seq_len
+  /// tokens.
+  StatusOr<std::span<const float>> Forward(
+      std::span<const std::int32_t> tokens, std::int32_t pos0,
+      bool want_last_logits = true);
+
+  /// One-row runs: `token` at `pos`.
   StatusOr<std::span<const float>> Forward(std::int32_t token,
                                            std::int32_t pos,
                                            const KvPages& kv,
-                                           bool want_logits = true);
+                                           bool want_logits = true) {
+    return Forward(std::span<const std::int32_t>(&token, 1), pos, kv,
+                   want_logits);
+  }
+  StatusOr<std::span<const float>> Forward(std::int32_t token,
+                                           std::int32_t pos,
+                                           bool want_logits = true) {
+    return Forward(std::span<const std::int32_t>(&token, 1), pos,
+                   want_logits);
+  }
+
+  /// Device time and energy of one forward at `pos` (0 <= pos <
+  /// seq_len). Computed on first use and kept.
+  const TokenRunStats& TimingAt(std::int32_t pos);
 
   /// The block geometry this program's K/V takes at `block_tokens`
   /// tokens per block.
@@ -89,42 +120,65 @@ class Executor {
   const TokenRunStats& total_stats() const { return total_stats_; }
   void ResetStats();
 
-  /// Enables span tracing for the next Forward call (test/bench use).
+  /// Enables span tracing (test/bench use): each Forward call then
+  /// re-runs the schedule of its last row and records its spans.
   void EnableTrace(bool on) { trace_.set_enabled(on); }
   const sim::TraceRecorder& trace() const { return trace_; }
 
   const Program& program() const { return *program_; }
 
  private:
-  // Functional helpers.
-  void ExecuteCompute(const Instr& instr, std::int32_t token,
-                      std::int32_t pos, const KvPages& kv);
-  TensorF& Buffer(graph::ValueId v);
-  std::span<const float> WeightSpan(graph::ValueId v) const;
+  // One functional step: a compute op of the program, in program order.
+  struct Step {
+    ComputeKind compute = ComputeKind::kNone;
+    const graph::Op* op = nullptr;
+    // The weight operand: embedding table, norm gain or fp32 matrix.
+    std::span<const float> weights;
+    const quant::QuantizedTensor* qweights = nullptr;  // int8 matmul
+    ThreadPool* pool = nullptr;  // set for matmuls split across threads
+  };
 
+  // Runs one step over `tokens.size()` rows at pos0, pos0 + 1, ...
+  void RunStep(const Step& step, std::span<const std::int32_t> tokens,
+               std::int32_t pos0, const KvPages& kv);
+  // Grows every activation buffer to hold `rows` rows (contents are not
+  // kept).
+  void ReserveRows(std::int64_t rows);
+  float* Row(graph::ValueId v, std::int64_t r);
+
+  // Schedules one forward at `pos` on the timing model, recording spans
+  // into `trace` when it is non-null.
+  TokenRunStats Schedule(std::int32_t pos, sim::TraceRecorder* trace) const;
   // Scales a worst-case quantity by (pos+1)/seq_len for seq-scaled work.
   std::uint64_t SeqScale(std::uint64_t amount, bool scaled,
                          std::int32_t pos) const;
 
   const Program* program_;
-  const llama::Weights* weights_;
   hw::U280Config u280_;
 
-  // The op writing the logits (the classifier); skipped when a forward
-  // wants no logits.
+  std::vector<Step> steps_;
+  // The op writing the logits (the classifier): it runs on the last row
+  // only, and not at all when a forward wants no logits.
   graph::OpId logits_op_ = -1;
-  // Weight value id -> flat fp32 span.
-  std::map<graph::ValueId, std::span<const float>> weight_map_;
-  // Quantized copies for the int8 datapath (built lazily at construction).
+  // Quantized copies for the int8 datapath (built at construction).
   std::map<graph::ValueId, quant::QuantizedTensor> quant_map_;
 
-  // Activation storage indexed by ValueId (K/V caches live in KvPages).
-  std::vector<TensorF> store_;
+  // Activation storage, one arena: value v holds rows_ rows of
+  // row_floats_[v] floats (the logits one row) from base_[v]. K/V caches
+  // live in KvPages.
+  std::vector<float> arena_;
+  std::vector<std::int64_t> base_;
+  std::vector<std::int64_t> row_floats_;
+  std::int64_t rows_ = 0;
   // K/V cache ValueId -> plane index layer * 2 + (0 = K, 1 = V); -1 else.
   std::vector<std::int32_t> kv_plane_;
   // Standalone K/V: one block of seq_len tokens, allocated on first use.
   std::vector<float> own_kv_;
   std::int32_t own_table_[1] = {0};
+
+  // TimingAt's table, indexed by position (allocated on first use).
+  std::vector<TokenRunStats> timing_;
+  std::vector<bool> timed_;
 
   TokenRunStats last_stats_;
   TokenRunStats total_stats_;

@@ -1,6 +1,7 @@
 #include "common/threadpool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace speedllm {
 
@@ -11,6 +12,22 @@ namespace {
 // and keeps nested work deterministic. Thread-local rather than a pool
 // member so a second external caller is never mistaken for a nested one.
 thread_local bool t_in_pool_task = false;
+
+// Batches of one forward arrive microseconds apart, well under a sleeping
+// thread's wake-up, so workers (for the next batch) and callers (for the
+// batch to finish) poll this long before they block.
+constexpr auto kSpin = std::chrono::microseconds(50);
+
+// Polls `done` until it holds or kSpin has passed. Each poll yields, so a
+// runnable thread -- one of this batch's, on a busy machine -- runs
+// instead of the poller.
+template <typename Done>
+void SpinUntil(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
@@ -41,6 +58,7 @@ void ThreadPool::WorkerLoop(unsigned worker_index) {
     Task task;
     const std::function<void(std::size_t)>* item_fn = nullptr;
     std::size_t n_items = 0;
+    SpinUntil([&] { return epoch_ != seen_epoch; });
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
@@ -116,6 +134,7 @@ void ThreadPool::ParallelFor(
   fn(0, chunk_begin(1));
   t_in_pool_task = false;
 
+  SpinUntil([&] { return pending_ == 0; });
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return pending_ == 0; });
@@ -151,6 +170,7 @@ void ThreadPool::ParallelRun(std::size_t n,
   }
   t_in_pool_task = false;
 
+  SpinUntil([&] { return pending_ == 0; });
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return pending_ == 0; });

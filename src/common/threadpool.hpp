@@ -1,10 +1,11 @@
 // SpeedLLM -- host-side worker pool for data-parallel kernels.
 //
-// The CPU reference model and the quantized kernels split matmul rows
-// across a fixed pool of workers (fork/join, static partitioning -- the
-// shapes are regular so dynamic scheduling buys nothing and costs sync).
-// The parallel shard-tick driver reuses the same pool with ParallelRun
-// (one task per index, dynamic pickup) for its per-lane dispatch.
+// The quantized kernels split matmul rows across a fixed pool of workers
+// with ParallelFor (fork/join, static partitioning). llama::MatMulRows
+// (the CPU reference model and the executor's large matmuls) uses
+// ParallelRun, one task per block of rows with dynamic pickup, so a
+// worker the host deschedules holds up no one; the parallel shard-tick
+// driver uses it for its per-lane dispatch.
 #pragma once
 
 #include <atomic>
@@ -26,7 +27,10 @@ namespace speedllm {
 /// arrives through a different code path than the outer one). Distinct
 /// external threads may call into the same pool concurrently: callers
 /// serialize on an internal mutex, so each batch still gets the full pool
-/// rather than silently degrading to inline execution.
+/// rather than silently degrading to inline execution. An idle worker
+/// polls for the next batch, and a caller for its batch to finish, for up
+/// to 50 us (yielding between polls) before blocking: a forward issues
+/// its matmuls microseconds apart, well under the cost of a wake-up.
 class ThreadPool {
  public:
   /// threads == 0 picks hardware_concurrency (at least 1).
@@ -49,7 +53,8 @@ class ThreadPool {
   /// pickup (workers and the calling thread race on a shared counter).
   /// Unlike ParallelFor there is no inline-below-threshold heuristic:
   /// even n == 2 fans out, which is what the parallel tick driver needs
-  /// when each index is a long-running shard lane of uneven cost.
+  /// when each index is a long-running shard lane of uneven cost. Matmul
+  /// row blocks use it too: a thread that runs slowly takes fewer.
   void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; lazily constructed.
@@ -73,8 +78,9 @@ class ThreadPool {
   const std::function<void(std::size_t)>* item_fn_ = nullptr;  // item mode
   std::size_t n_items_ = 0;
   std::atomic<std::size_t> next_item_{0};
-  std::uint64_t epoch_ = 0;       // bumped per batch
-  unsigned pending_ = 0;          // workers still running current batch
+  // Written under mu_; atomic so the spin phases may poll them unlocked.
+  std::atomic<std::uint64_t> epoch_{0};  // bumped per batch
+  std::atomic<unsigned> pending_{0};     // workers still running the batch
   bool shutdown_ = false;
 };
 

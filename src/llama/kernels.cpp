@@ -1,7 +1,9 @@
 #include "llama/kernels.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 #if defined(__SSE2__)
 #include <xmmintrin.h>
@@ -11,8 +13,11 @@ namespace speedllm::llama {
 
 namespace {
 
-/// Rows [begin, end) of out = W x, each as one sequential sum over
-/// ascending j.
+// Weight rows per packed block (two SSE vectors per column).
+constexpr std::int64_t kBlockRows = 8;
+
+/// Output rows [begin, end) of out = W x for one activation row, each as
+/// one sequential sum over ascending j.
 void MatMulRowsScalar(float* out, const float* w, const float* x,
                       std::int64_t n, std::int64_t begin, std::int64_t end) {
   for (std::int64_t i = begin; i < end; ++i) {
@@ -23,48 +28,137 @@ void MatMulRowsScalar(float* out, const float* w, const float* x,
   }
 }
 
-/// Rows [begin, end) of out = W x. Under SSE2 eight rows share one pass
-/// over x: each lane is one row's accumulator and adds w[r][j] * x[j] in
-/// ascending j with a separate multiply and add, so every row's result
-/// is bit-identical to MatMulRowsScalar.
-void MatMulRows(float* out, const float* w, const float* x, std::int64_t n,
-                std::int64_t begin, std::int64_t end) {
 #if defined(__SSE2__)
+
+/// One activation row against weight rows [0, 8) of `w`: each lane is
+/// one row's accumulator and adds w[k][j] * x[j] in ascending j with a
+/// separate multiply and add, transposing the block four columns at a
+/// time in registers, so every output is bit-identical to
+/// MatMulRowsScalar.
+void BlockTimesRow(float* out, const float* w, const float* x,
+                   std::int64_t n) {
   const std::int64_t n4 = n / 4 * 4;
-  std::int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const float* r = w + i * n;
-    __m128 acc_lo = _mm_setzero_ps();  // rows i .. i+3
-    __m128 acc_hi = _mm_setzero_ps();  // rows i+4 .. i+7
-    for (std::int64_t j = 0; j < n4; j += 4) {
-      // After the transposes lo[t] / hi[t] hold column j+t of the two
-      // four-row halves.
-      __m128 lo[4], hi[4];
-      for (int k = 0; k < 4; ++k) {
-        lo[k] = _mm_loadu_ps(r + k * n + j);
-        hi[k] = _mm_loadu_ps(r + (k + 4) * n + j);
-      }
-      _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
-      _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
-      for (int t = 0; t < 4; ++t) {
-        const __m128 xt = _mm_set1_ps(x[j + t]);
-        acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(lo[t], xt));
-        acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(hi[t], xt));
-      }
+  __m128 acc_lo = _mm_setzero_ps();  // rows 0 .. 3
+  __m128 acc_hi = _mm_setzero_ps();  // rows 4 .. 7
+  for (std::int64_t j = 0; j < n4; j += 4) {
+    // After the transposes lo[t] / hi[t] hold column j+t of the two
+    // four-row halves.
+    __m128 lo[4], hi[4];
+    for (int k = 0; k < 4; ++k) {
+      lo[k] = _mm_loadu_ps(w + k * n + j);
+      hi[k] = _mm_loadu_ps(w + (k + 4) * n + j);
     }
-    float acc[8];
-    _mm_storeu_ps(acc, acc_lo);
-    _mm_storeu_ps(acc + 4, acc_hi);
-    for (int k = 0; k < 8; ++k) {
-      const float* wrow = r + k * n;
-      for (std::int64_t j = n4; j < n; ++j) acc[k] += wrow[j] * x[j];
-      out[i + k] = acc[k];
+    _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
+    _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
+    for (int t = 0; t < 4; ++t) {
+      const __m128 xt = _mm_set1_ps(x[j + t]);
+      acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(lo[t], xt));
+      acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(hi[t], xt));
     }
   }
-  MatMulRowsScalar(out, w, x, n, i, end);
-#else
-  MatMulRowsScalar(out, w, x, n, begin, end);
+  float acc[8];
+  _mm_storeu_ps(acc, acc_lo);
+  _mm_storeu_ps(acc + 4, acc_hi);
+  for (int k = 0; k < 8; ++k) {
+    const float* wrow = w + k * n;
+    for (std::int64_t j = n4; j < n; ++j) acc[k] += wrow[j] * x[j];
+    out[k] = acc[k];
+  }
+}
+
+/// Packs weight rows [0, 8) of `w` column by column: pk[8 j + k] =
+/// w[k][j], so one column of the block is two adjacent vectors.
+void PackBlock(float* pk, const float* w, std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m128 lo[4], hi[4];
+    for (int k = 0; k < 4; ++k) {
+      lo[k] = _mm_loadu_ps(w + k * n + j);
+      hi[k] = _mm_loadu_ps(w + (k + 4) * n + j);
+    }
+    // After the transposes lo[t] / hi[t] hold column j+t of the two
+    // four-row halves.
+    _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
+    _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
+    for (int t = 0; t < 4; ++t) {
+      _mm_storeu_ps(pk + 8 * (j + t), lo[t]);
+      _mm_storeu_ps(pk + 8 * (j + t) + 4, hi[t]);
+    }
+  }
+  for (; j < n; ++j) {
+    for (int k = 0; k < 8; ++k) pk[8 * j + k] = w[k * n + j];
+  }
+}
+
+/// R activation rows against one packed block: each lane is one (row,
+/// output) accumulator adding w[k][j] * x[r][j] in ascending j with a
+/// separate multiply and add, so it is bit-identical to
+/// MatMulRowsScalar.
+template <int R>
+void BlockTimesRows(float* out, std::int64_t d, const float* pk,
+                    const float* x, std::int64_t n) {
+  // The row loops unroll so the accumulators live in registers.
+  __m128 lo[R], hi[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) lo[r] = hi[r] = _mm_setzero_ps();
+  for (std::int64_t j = 0; j < n; ++j) {
+    const __m128 wl = _mm_loadu_ps(pk + 8 * j);
+    const __m128 wh = _mm_loadu_ps(pk + 8 * j + 4);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m128 xr = _mm_set1_ps(x[r * n + j]);
+      lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(wl, xr));
+      hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(wh, xr));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    _mm_storeu_ps(out + r * d, lo[r]);
+    _mm_storeu_ps(out + r * d + 4, hi[r]);
+  }
+}
+
+#endif  // __SSE2__
+
+/// Output rows [begin, end) of out = W x for every activation row. Under
+/// SSE2 one activation row transposes each block of eight weight rows in
+/// registers; several rows pack each block once and sweep it four rows
+/// at a time (packing is a second pass over the block, which pays only
+/// when rows share it). The rows past the last whole block run
+/// MatMulRowsScalar.
+void MatMulBlock(float* out, const float* w, const float* x,
+                 std::int64_t rows, std::int64_t d, std::int64_t n,
+                 std::int64_t begin, std::int64_t end) {
+  std::int64_t i = begin;
+#if defined(__SSE2__)
+  if (rows == 1) {
+    for (; i + kBlockRows <= end; i += kBlockRows) {
+      BlockTimesRow(out + i, w + i * n, x, n);
+    }
+  } else {
+    thread_local std::vector<float> pk_buf;
+    pk_buf.resize(static_cast<std::size_t>(kBlockRows * n));
+    float* pk = pk_buf.data();
+    for (; i + kBlockRows <= end; i += kBlockRows) {
+      PackBlock(pk, w + i * n, n);
+      std::int64_t r = 0;
+      for (; r + 4 <= rows; r += 4) {
+        BlockTimesRows<4>(out + r * d + i, d, pk, x + r * n, n);
+      }
+      float* o = out + r * d + i;
+      const float* xr = x + r * n;
+      switch (rows - r) {
+        case 3: BlockTimesRows<3>(o, d, pk, xr, n); break;
+        case 2: BlockTimesRows<2>(o, d, pk, xr, n); break;
+        case 1: BlockTimesRows<1>(o, d, pk, xr, n); break;
+        default: break;
+      }
+    }
+  }
 #endif
+  for (std::int64_t r = 0; r < rows; ++r) {
+    MatMulRowsScalar(out + r * d, w, x + r * n, n, i, end);
+  }
 }
 
 }  // namespace
@@ -72,16 +166,26 @@ void MatMulRows(float* out, const float* w, const float* x, std::int64_t n,
 void MatMul(std::span<float> out, std::span<const float> w,
             std::span<const float> x, std::int64_t d, std::int64_t n,
             ThreadPool* pool) {
-  assert(out.size() == static_cast<std::size_t>(d));
+  MatMulRows(out, w, x, 1, d, n, pool);
+}
+
+void MatMulRows(std::span<float> out, std::span<const float> w,
+                std::span<const float> x, std::int64_t rows, std::int64_t d,
+                std::int64_t n, ThreadPool* pool) {
+  assert(out.size() == static_cast<std::size_t>(rows * d));
   assert(w.size() == static_cast<std::size_t>(d * n));
-  assert(x.size() == static_cast<std::size_t>(n));
-  auto rows = [&](std::int64_t begin, std::int64_t end) {
-    MatMulRows(out.data(), w.data(), x.data(), n, begin, end);
-  };
+  assert(x.size() == static_cast<std::size_t>(rows * n));
   if (pool != nullptr) {
-    pool->ParallelFor(d, rows);
+    // One task per block, picked up dynamically: a thread the host
+    // deschedules takes fewer blocks instead of holding up the rest.
+    const std::int64_t blocks = (d + kBlockRows - 1) / kBlockRows;
+    pool->ParallelRun(static_cast<std::size_t>(blocks), [&](std::size_t b) {
+      const std::int64_t i = static_cast<std::int64_t>(b) * kBlockRows;
+      MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, i,
+                  std::min(d, i + kBlockRows));
+    });
   } else {
-    rows(0, d);
+    MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, 0, d);
   }
 }
 

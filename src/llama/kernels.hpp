@@ -18,10 +18,22 @@ namespace speedllm::llama {
 /// Each row is one sequential sum over ascending j, each product and
 /// sum rounded on its own, so the result's bits do not depend on the
 /// row blocking (8 rows per pass under SSE2), the thread split or the
-/// ISA.
+/// ISA. The one-row case of MatMulRows.
 void MatMul(std::span<float> out, std::span<const float> w,
             std::span<const float> x, std::int64_t d, std::int64_t n,
             ThreadPool* pool = nullptr);
+
+/// out[r, i] = W[i, :] . x[r, :] for `rows` activation rows: out is
+/// [rows x d], x is [rows x n], W is row-major [d x n]. Each block of
+/// eight weight rows is read from memory once for all activation rows.
+/// Every (row, output) is one sequential sum over ascending j with the
+/// multiply and add rounded on their own, so out[r] is bit-identical to
+/// MatMul(out[r], W, x[r]) whatever `rows`, the blocking, the thread
+/// split or the ISA. With `pool`, blocks of eight output rows split
+/// across its threads.
+void MatMulRows(std::span<float> out, std::span<const float> w,
+                std::span<const float> x, std::int64_t rows, std::int64_t d,
+                std::int64_t n, ThreadPool* pool = nullptr);
 
 /// RMS normalization: out[i] = x[i] * weight[i] / rms(x), rms with eps 1e-5.
 void RmsNorm(std::span<float> out, std::span<const float> x,

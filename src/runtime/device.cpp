@@ -42,16 +42,10 @@ StatusOr<GenerationResult> AcceleratorDevice::Generate(
   InferenceMetrics& m = result.metrics;
   m.prompt_tokens = static_cast<std::int64_t>(prompt_tokens.size());
 
-  // Prefill: feed prompt tokens; only the last one's logits are read.
-  std::span<const float> logits;
-  const auto prompt_len = static_cast<std::int32_t>(prompt_tokens.size());
-  std::int32_t pos = 0;
-  for (std::int32_t t : prompt_tokens) {
-    SPEEDLLM_ASSIGN_OR_RETURN(
-        logits,
-        executor_->Forward(t, pos, /*want_logits=*/pos + 1 == prompt_len));
-    ++pos;
-  }
+  // Prefill: one run over the prompt; only the last row's logits are read.
+  SPEEDLLM_ASSIGN_OR_RETURN(std::span<const float> logits,
+                            executor_->Forward(prompt_tokens, 0));
+  auto pos = static_cast<std::int32_t>(prompt_tokens.size());
   const accel::TokenRunStats prefill = executor_->total_stats();
   m.prefill_seconds = prefill.seconds;
   m.prefill_joules = prefill.joules;

@@ -504,37 +504,25 @@ std::int64_t ShardScheduler::WarmStartPrefix(
   std::vector<float> arena(static_cast<std::size_t>(layout.block_floats()));
   const std::int32_t table[1] = {0};
   const accel::KvPages scratch{arena.data(), layout, table};
-  std::int64_t computed = 0;
-  while (computed < n &&
-         exec_->Forward(tokens[static_cast<std::size_t>(computed)],
-                        static_cast<std::int32_t>(computed), scratch,
-                        /*want_logits=*/false)
-             .ok()) {
-    ++computed;
+  // A token the model rejects ends the computed prefix; the rows before
+  // it are one forward.
+  std::int64_t computed =
+      std::find_if(tokens.begin(), tokens.begin() + n,
+                   [this](std::int32_t t) {
+                     return t < 0 || t >= program_.model.vocab_size;
+                   }) -
+      tokens.begin();
+  if (computed > 0 &&
+      !exec_->Forward(tokens.first(static_cast<std::size_t>(computed)), 0,
+                      scratch, /*want_last_logits=*/false)
+           .ok()) {
+    computed = 0;
   }
   report_.executor_forwards += computed;
   std::vector<float> computed_rows(
       static_cast<std::size_t>(computed * layout.row_floats()));
   accel::GatherKvRows(scratch, 0, computed, computed_rows.data());
   return pool_.InstallCachedPrefix(tokens, n, computed_rows);
-}
-
-bool ShardScheduler::ForwardToken(std::size_t seq_id, std::int32_t token,
-                                  std::int32_t pos,
-                                  std::span<const float>* logits) {
-  auto logits_or =
-      exec_->Forward(token, pos, pool_.Pages(seq_id), logits != nullptr);
-  if (!logits_or.ok()) {
-    error_ = logits_or.status();
-    return false;
-  }
-  ++report_.executor_forwards;
-  if (logits != nullptr) ++report_.logit_forwards;
-  const double f = exec_->last_stats().seconds;
-  last_forward_seconds_ = f;
-  tick_cost_.AddProblem(f);
-  if (logits != nullptr) *logits = *logits_or;
-  return true;
 }
 
 namespace {
@@ -1035,82 +1023,123 @@ void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
   }
 }
 
+bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
+                               bool caught_up, bool samples,
+                               std::span<const float> logits) {
+  const std::size_t seq_id = problem.seq_id;
+  Sequence& seq = seqs_[seq_id];
+  if (caught_up) {
+    const std::int32_t token = seq.pending_token;
+    seq.fed.push_back(token);
+    seq.outcome.generated.push_back(token);
+    tick_emissions_.push_back(Emission{seq_id, token, FinishReason::kNone});
+    seq.pending_token = -1;
+  }
+  ++seq.cursor;
+  AddOutstanding(seq.request->tier, -1);  // one less token owed
+  // A commit always extends `fed`, so only prefill can recompute.
+  if (seq.cursor <= seq.high_water) {
+    ++report_.recomputed_tokens;  // swap-in recompute pass
+  } else {
+    seq.high_water = seq.cursor;
+    ++report_.total_tokens;
+  }
+  ++problem.fed;
+  if (seq.remaining_prefill() > 0) return true;
+  if (seq.remaining_decode() == 0) {
+    FinishSequence(seq_id, FinishReason::kLength);
+    return false;
+  }
+  assert(samples == (seq.pending_token < 0));
+  if (samples) {
+    // Fresh logits with nothing pending: sample the next token, which
+    // the next row (or tick) commits.
+    SampleNext(seq, logits);
+    if (seq.outcome.first_token_seconds == 0.0) {
+      work.ttft_marks.push_back(seq_id);
+    }
+    if (ShouldStop(seq)) {
+      // A stop right at the end of prefill finishes with an empty
+      // generation, never entering decode.
+      FinishSequence(seq_id, FinishReason::kStop);
+      return false;
+    }
+  }
+  if (seq.state == SeqState::kPrefill) {
+    seq.state = SeqState::kDecode;
+    if (config_.role == ShardRole::kPrefill && handoff_hook_) {
+      // Prefill-role shard: ship the finished KV to a decode shard at
+      // tick close (after TTFT is stamped). A mid-tick preemption
+      // revokes the plan -- the KV is gone, so it recomputes and hands
+      // off on a later tick.
+      work.handoffs.push_back(seq_id);
+    }
+    return false;
+  }
+  return true;
+}
+
 void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
   const std::size_t seq_id = problem.seq_id;
   Sequence& seq = seqs_[seq_id];
   if (seq.state != problem.state) return;  // preempted mid-tick
   std::int32_t drafted = 0;
-  for (std::int32_t row = 0; row < problem.rows; ++row) {
-    // A decode sequence is always caught up (cursor == fed.size()).
+  bool open = true;
+  while (open && problem.fed < problem.rows) {
+    // One chunk: the rows up to and including the next one that samples.
+    // Prefill tokens are known ahead, so a prefill chunk is one forward;
+    // a caught-up row feeds the pending token its predecessor sampled,
+    // so it is a chunk of its own. (A decode sequence is always caught
+    // up: cursor == fed.size().)
     const bool caught_up = seq.remaining_prefill() == 0;
-    const std::int32_t token =
-        caught_up ? seq.pending_token
-                  : seq.fed[static_cast<std::size_t>(seq.cursor)];
-    if (!EnsureKvToken(seq_id, token)) {
-      if (!error_.ok()) return;
-      break;  // pool dry with no victims: the rest runs on a later tick
+    const std::int32_t want =
+        caught_up ? 1
+                  : std::min(problem.rows - problem.fed,
+                             seq.remaining_prefill());
+    const std::int32_t pos0 = seq.cursor;
+    chunk_tokens_.clear();
+    for (std::int32_t k = 0; k < want; ++k) {
+      const std::int32_t token =
+          caught_up ? seq.pending_token
+                    : seq.fed[static_cast<std::size_t>(pos0 + k)];
+      if (!EnsureKvToken(seq_id, token)) {
+        if (!error_.ok()) return;
+        break;  // pool dry with no victims: the rest runs on a later tick
+      }
+      if (problem.fed + k == 0 && caught_up && config_.speculative.enable) {
+        // Draft phase: propose k tokens, roll their KV back, and let the
+        // deterministic acceptance model decide how long a run this
+        // verify group commits. Committed tokens are always the target
+        // model's own sampled tokens -- speculation collapses latency,
+        // never changes stream content -- so spec on/off streams are
+        // identical.
+        problem.rows += DraftAndAccept(seq_id, &drafted);
+        if (!error_.ok()) return;
+      }
+      tick_cost_.AddProblem(exec_->TimingAt(pos0 + k).seconds);
+      chunk_tokens_.push_back(token);
     }
-    if (row == 0 && caught_up && config_.speculative.enable) {
-      // Draft phase: propose k tokens, roll their KV back, and let the
-      // deterministic acceptance model decide how long a run this verify
-      // group commits. Committed tokens are always the target model's
-      // own sampled tokens -- speculation collapses latency, never
-      // changes stream content -- so spec on/off streams are identical.
-      problem.rows += DraftAndAccept(seq_id, &drafted);
-      if (!error_.ok()) return;
-    }
-    // Only a row whose logits are sampled runs the classifier.
-    const bool samples = seq.next_row_samples();
-    std::span<const float> logits;
-    if (!ForwardToken(seq_id, token, seq.cursor, samples ? &logits : nullptr)) {
+    if (chunk_tokens_.empty()) break;
+    const auto rows = static_cast<std::int32_t>(chunk_tokens_.size());
+    // Only a row whose logits are sampled runs the classifier, and only
+    // a chunk's last row can be one.
+    const bool samples = seq.next_row_samples(rows - 1);
+    auto logits =
+        exec_->Forward(chunk_tokens_, pos0, pool_.Pages(seq_id), samples);
+    if (!logits.ok()) {
+      error_ = logits.status();
       return;
     }
-    if (caught_up) {
-      seq.fed.push_back(token);
-      seq.outcome.generated.push_back(token);
-      tick_emissions_.push_back(Emission{seq_id, token, FinishReason::kNone});
-      seq.pending_token = -1;
-    }
-    ++seq.cursor;
-    AddOutstanding(seq.request->tier, -1);  // one less token owed
-    // A commit always extends `fed`, so only prefill can recompute.
-    if (seq.cursor <= seq.high_water) {
-      ++report_.recomputed_tokens;  // swap-in recompute pass
-    } else {
-      seq.high_water = seq.cursor;
-      ++report_.total_tokens;
-    }
-    ++problem.fed;
-    if (seq.remaining_prefill() > 0) continue;
-    if (seq.remaining_decode() == 0) {
-      FinishSequence(seq_id, FinishReason::kLength);
-      break;
-    }
-    assert(samples == (seq.pending_token < 0));
-    if (samples) {
-      // Fresh logits with nothing pending: sample the next token, which
-      // the next row (or tick) commits.
-      SampleNext(seq, logits);
-      if (seq.outcome.first_token_seconds == 0.0) {
-        work.ttft_marks.push_back(seq_id);
-      }
-      if (ShouldStop(seq)) {
-        // A stop right at the end of prefill finishes with an empty
-        // generation, never entering decode.
-        FinishSequence(seq_id, FinishReason::kStop);
+    report_.executor_forwards += rows;
+    if (samples) ++report_.logit_forwards;
+    last_forward_seconds_ = exec_->last_stats().seconds;
+    open = rows == want;
+    for (std::int32_t k = 0; k < rows; ++k) {
+      if (!CommitRow(work, problem, caught_up, samples && k + 1 == rows,
+                     *logits)) {
+        open = false;
         break;
       }
-    }
-    if (seq.state == SeqState::kPrefill) {
-      seq.state = SeqState::kDecode;
-      if (config_.role == ShardRole::kPrefill && handoff_hook_) {
-        // Prefill-role shard: ship the finished KV to a decode shard at
-        // tick close (after TTFT is stamped). A mid-tick preemption
-        // revokes the plan -- the KV is gone, so it recomputes and hands
-        // off on a later tick.
-        work.handoffs.push_back(seq_id);
-      }
-      break;
     }
   }
   if (drafted == 0) return;

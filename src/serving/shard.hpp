@@ -319,14 +319,14 @@ class ShardScheduler {
       return request->max_new_tokens -
              static_cast<std::int64_t>(outcome.generated.size());
     }
-    /// True when the next row's logits reach SampleNext: feeding it
-    /// (fed[cursor], or the pending token once caught up, which it
-    /// commits) leaves the sequence caught up, with decode budget left
-    /// and no pending token.
-    bool next_row_samples() const {
-      if (remaining_prefill() == 0) return remaining_decode() > 1;
-      return remaining_prefill() == 1 && remaining_decode() > 0 &&
-             pending_token < 0;
+    /// True when the logits of the row `ahead` prefill rows past the
+    /// next one reach SampleNext: feeding it (fed[cursor + ahead], or
+    /// the pending token once caught up, which it commits) leaves the
+    /// sequence caught up, with decode budget left and no pending token.
+    bool next_row_samples(std::int32_t ahead = 0) const {
+      const std::int32_t prefill = remaining_prefill() - ahead;
+      if (prefill == 0) return remaining_decode() > 1;
+      return prefill == 1 && remaining_decode() > 0 && pending_token < 0;
     }
   };
 
@@ -394,6 +394,9 @@ class ShardScheduler {
   /// token, or the pending token once the sequence has caught up, which
   /// commits it. A caught-up sequence finishes on length, samples its
   /// next pending token, and a finished prefill switches to decode.
+  /// The rows up to and including the next one that samples are one
+  /// chunk: each row's KV append, drafts and simulated cost in row
+  /// order, then one executor forward, then each row's CommitRow.
   void ExecuteProblem(TickWork& work, Problem& problem);
   /// Prices the tick's grouped launch, stamps commit, TTFT and finish
   /// times, ships handoffs, records telemetry, and schedules emission
@@ -445,12 +448,13 @@ class ShardScheduler {
   /// over the interconnect; the transfer already paid). Returns false on
   /// a hard error or pool exhaustion mid-copy.
   bool ReplayAdoptedKv(std::size_t seq_id);
-  /// Runs one forward through the executor against the sequence's pool
-  /// pages and folds its simulated cost into the tick. The classifier
-  /// runs only when `logits` is non-null, which then receives the view.
-  /// Returns false on a hard error.
-  bool ForwardToken(std::size_t seq_id, std::int32_t token, std::int32_t pos,
-                    std::span<const float>* logits);
+  /// Books one forwarded row of `problem`: commits the pending token
+  /// when `caught_up`, advances the cursor, and, once the prefill is
+  /// done, finishes on length, samples from `logits` when `samples`,
+  /// or switches a finished prefill to decode. Returns false when the
+  /// problem ends at this row.
+  bool CommitRow(TickWork& work, Problem& problem, bool caught_up,
+                 bool samples, std::span<const float> logits);
   /// Runs one decode sequence's draft phase: proposes up to the
   /// configured k draft tokens as a KvBlockPool speculation phase
   /// (rolled back before any verify commit, so draft content never
@@ -478,6 +482,7 @@ class ShardScheduler {
   // Activations only: K/V are read and written through pool_.Pages().
   std::unique_ptr<accel::Executor> exec_;
   std::vector<float> sample_scratch_;
+  std::vector<std::int32_t> chunk_tokens_;  // ExecuteProblem's chunk
   std::function<void()> kv_pressure_hook_;
   HandoffHook handoff_hook_;
   Interconnect* interconnect_ = nullptr;  // cluster-shared stations

@@ -2,7 +2,9 @@
 // reference, timing-model invariants, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "accel/executor.hpp"
@@ -254,6 +256,206 @@ TEST(ExecutorTest, SkippingLogitsChangesNoStatsKvOrLaterLogits) {
   auto skipped = exec.Forward(3, 0, /*want_logits=*/false);
   ASSERT_TRUE(skipped.ok());
   EXPECT_TRUE(skipped->empty());
+}
+
+// ---------------- Chunked forwards ----------------
+
+void ExpectSameStats(const TokenRunStats& a, const TokenRunStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.joules, b.joules);
+  EXPECT_EQ(a.energy.hbm_j, b.energy.hbm_j);
+  EXPECT_EQ(a.energy.bram_j, b.energy.bram_j);
+  EXPECT_EQ(a.energy.mac_j, b.energy.mac_j);
+  EXPECT_EQ(a.energy.sfu_j, b.energy.sfu_j);
+  EXPECT_EQ(a.energy.launch_j, b.energy.launch_j);
+  EXPECT_EQ(a.energy.unit_active_j, b.energy.unit_active_j);
+  EXPECT_EQ(a.energy.unit_idle_j, b.energy.unit_idle_j);
+  EXPECT_EQ(a.energy.static_j, b.energy.static_j);
+  EXPECT_EQ(a.hbm_bytes, b.hbm_bytes);
+  EXPECT_EQ(a.launches, b.launches);
+  EXPECT_EQ(a.unit_busy, b.unit_busy);
+}
+
+TEST(ExecutorTest, ChunkForwardMatchesRowByRow) {
+  // One sequence runs row by row, then in chunks of 1..12 rows, against
+  // a scattered block table. After every chunk the K/V arena, the last
+  // row's logits and the stats must be what the row-by-row run had at
+  // that row, for every variant, int8, and every block size.
+  Harness s(llama::ModelConfig::Tiny());
+  constexpr std::int32_t kTokens = 30;
+  std::vector<compiler::CompilerOptions> options;
+  for (runtime::Variant v :
+       {runtime::Variant::kUnoptimized, runtime::Variant::kNoPipeline,
+        runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM,
+        runtime::Variant::kNoReuse}) {
+    options.push_back(runtime::OptionsFor(v));
+  }
+  options.push_back(compiler::CompilerOptions::SpeedLLM());
+  options.back().int8_weights = true;
+  std::vector<std::int32_t> tokens(kTokens);
+  for (std::int32_t i = 0; i < kTokens; ++i) {
+    tokens[static_cast<std::size_t>(i)] = (i * 37 + 11) % s.config.vocab_size;
+  }
+  for (const compiler::CompilerOptions& opt : options) {
+    const Program prog = s.Compile(opt);
+    for (std::int64_t bs : {std::int64_t{1}, std::int64_t{3},
+                            std::int64_t{16},
+                            static_cast<std::int64_t>(s.config.seq_len)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << opt.name << " int8 " << opt.int8_weights
+                   << " bs " << bs);
+      Executor rowwise(prog, s.weights, s.u280);
+      const KvBlockLayout layout = rowwise.KvLayout(bs);
+      const std::int64_t blocks = (kTokens + bs - 1) / bs;
+      // Descending odd ids: no two neighbours are adjacent in the arena.
+      std::vector<std::int32_t> table;
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        table.push_back(static_cast<std::int32_t>(2 * (blocks - b) - 1));
+      }
+      const auto floats =
+          static_cast<std::size_t>(2 * blocks * layout.block_floats());
+      std::vector<float> arena(floats, -7.0f);
+      const KvPages pages{arena.data(), layout, table};
+      std::vector<std::vector<float>> kv_after, logits_at;
+      std::vector<TokenRunStats> last_at, total_at;
+      for (std::int32_t pos = 0; pos < kTokens; ++pos) {
+        auto l = rowwise.Forward(tokens[static_cast<std::size_t>(pos)], pos,
+                                 pages);
+        ASSERT_TRUE(l.ok()) << l.status().ToString();
+        logits_at.emplace_back(l->begin(), l->end());
+        kv_after.push_back(arena);
+        last_at.push_back(rowwise.last_stats());
+        total_at.push_back(rowwise.total_stats());
+      }
+      for (std::int32_t chunk = 1; chunk <= 12; ++chunk) {
+        SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+        Executor chunked(prog, s.weights, s.u280);
+        std::vector<float> chunk_arena(floats, -7.0f);
+        const KvPages chunk_pages{chunk_arena.data(), layout, table};
+        for (std::int32_t pos0 = 0; pos0 < kTokens; pos0 += chunk) {
+          const std::int32_t rows = std::min(chunk, kTokens - pos0);
+          const auto last = static_cast<std::size_t>(pos0 + rows - 1);
+          // Every other chunk skips its logits: K/V and stats stay put.
+          const bool want = (pos0 / chunk) % 2 == 0;
+          auto l = chunked.Forward(
+              std::span<const std::int32_t>(tokens).subspan(
+                  static_cast<std::size_t>(pos0),
+                  static_cast<std::size_t>(rows)),
+              pos0, chunk_pages, want);
+          ASSERT_TRUE(l.ok()) << l.status().ToString();
+          if (want) {
+            ASSERT_EQ(l->size(), logits_at[last].size());
+            EXPECT_EQ(std::memcmp(l->data(), logits_at[last].data(),
+                                  l->size() * sizeof(float)),
+                      0)
+                << "pos0 " << pos0;
+          } else {
+            EXPECT_TRUE(l->empty());
+          }
+          EXPECT_EQ(std::memcmp(chunk_arena.data(), kv_after[last].data(),
+                                floats * sizeof(float)),
+                    0)
+              << "pos0 " << pos0;
+          ExpectSameStats(chunked.last_stats(), last_at[last]);
+          ExpectSameStats(chunked.total_stats(), total_at[last]);
+        }
+        for (std::int32_t pos = 0; pos < kTokens; ++pos) {
+          ExpectSameStats(chunked.TimingAt(pos),
+                          last_at[static_cast<std::size_t>(pos)]);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutorTest, PooledMatMulsKeepTheReferenceBits) {
+  // Every matrix here is at least 256 KiB, so each matmul splits its
+  // output rows across the global thread pool: chunked and one-row
+  // forwards must still match the serial CPU reference bit for bit.
+  llama::ModelConfig c = llama::ModelConfig::Tiny();
+  c.dim = 256;
+  c.hidden_dim = 512;
+  c.n_layers = 1;
+  c.vocab_size = 600;
+  ASSERT_TRUE(c.Validate().ok());
+  Harness s(c);
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  Executor exec(prog, s.weights, s.u280);
+  llama::ReferenceModel ref(s.weights, nullptr);
+  const std::vector<std::int32_t> tokens = {1, 77, 301, 5, 599, 42, 8};
+  auto chunk = exec.Forward(std::span<const std::int32_t>(tokens).first(6), 0);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  const std::vector<float> chunk_logits(chunk->begin(), chunk->end());
+  std::vector<float> want;
+  for (std::int32_t pos = 0; pos < 6; ++pos) {
+    auto r = ref.Forward(tokens[static_cast<std::size_t>(pos)], pos);
+    ASSERT_TRUE(r.ok());
+    want.assign(r->begin(), r->end());
+  }
+  EXPECT_EQ(MaxAbsDiff(chunk_logits, want), 0.0f);
+  auto row = exec.Forward(tokens[6], 6);
+  auto r = ref.Forward(tokens[6], 6);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(MaxAbsDiff(*row, *r), 0.0f);
+}
+
+TEST(ExecutorTest, ChunkForwardChecksEveryRowBeforeWritingKv) {
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  Executor exec(prog, s.weights, s.u280);
+  const KvBlockLayout layout = exec.KvLayout(4);
+  std::vector<float> arena(static_cast<std::size_t>(2 * layout.block_floats()),
+                           -7.0f);
+  const std::int32_t table[2] = {0, 1};
+  const KvPages pages{arena.data(), layout, table};  // 8 tokens
+  const auto untouched = [&arena] {
+    for (float v : arena) {
+      if (v != -7.0f) return false;
+    }
+    return true;
+  };
+
+  // A bad token in the middle of a chunk fails the whole chunk first.
+  for (std::int32_t bad : {-1, s.config.vocab_size}) {
+    const std::vector<std::int32_t> tokens = {3, 4, bad, 6};
+    EXPECT_EQ(exec.Forward(tokens, 0, pages).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(untouched());
+  }
+  EXPECT_EQ(exec.Forward(std::span<const std::int32_t>{}, 0, pages)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // A chunk running past the table's capacity, or past seq_len.
+  const std::vector<std::int32_t> nine(9, 5);
+  EXPECT_EQ(exec.Forward(nine, 0, pages).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(
+      exec.Forward(std::span<const std::int32_t>(nine).first(3), 6, pages)
+          .status()
+          .code(),
+      StatusCode::kOutOfRange);
+  EXPECT_EQ(exec.Forward(std::span<const std::int32_t>(nine).first(3),
+                         s.config.seq_len - 2)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(exec.Forward(std::span<const std::int32_t>(nine).first(1), -1,
+                         pages)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(untouched());
+  EXPECT_EQ(exec.total_stats().cycles, 0u);
+
+  // Exactly filling the table is fine.
+  EXPECT_TRUE(
+      exec.Forward(std::span<const std::int32_t>(nine).first(8), 0, pages)
+          .ok());
+  EXPECT_FALSE(untouched());
 }
 
 // ---------------- Timing invariants ----------------

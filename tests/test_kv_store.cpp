@@ -276,5 +276,82 @@ TEST(KvStoreTest, HandoffAndSpeculationRunTheClassifierOncePerToken) {
   }
 }
 
+
+// ---------------- Prefill chunks ----------------
+
+TEST(KvStoreTest, PrefillChunkPreemptionMatchesTheRowByRowRun) {
+  // A 10-block pool of 4-token blocks with tiers on. The interactive
+  // 15-token prompt is admitted into the blocks it needs; decode rows
+  // earlier in the same tick then take one, so the third row of its
+  // prefill chunk finds the pool dry and preempts the best-effort
+  // resident. The chunk's rows append, preempt and are priced in row
+  // order before its one forward, so every stream, tick end and
+  // counter is the one the row-by-row feed step produced.
+  Fixture f;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 4;
+  config.scheduler.kv_pool_bytes = 10ull * 4 * KvBytesPerToken(f.config);
+  config.scheduler.max_batch_seqs = 6;
+  config.scheduler.max_batch_tokens = 12;
+  config.scheduler.enable_tiers = true;
+  config.sampler.seed = 21;
+  config.telemetry.enable_tracing = true;
+  const auto request = [](std::vector<std::int32_t> prompt, std::int64_t gen,
+                          double arrival, RequestTier tier) {
+    ServingRequest r;
+    r.prompt = std::move(prompt);
+    r.max_new_tokens = gen;
+    r.arrival_seconds = arrival;
+    r.tier = tier;
+    return r;
+  };
+  const std::vector<ServingRequest> reqs = {
+      request({257, 383, 100, 82, 389}, 2, 0.0, RequestTier::kStandard),
+      request({310, 121, 270, 218, 121, 116, 358, 220, 190, 151, 351}, 4, 0.0,
+              RequestTier::kBestEffort),
+      request({385, 11, 129, 192, 319, 84, 59, 167, 51, 12, 319}, 3, 40e-6,
+              RequestTier::kStandard),
+      request({15, 273, 13, 365, 378, 78, 73, 189, 338, 80, 118, 91, 152, 102,
+               5},
+              4, 60e-6, RequestTier::kInteractive),
+      request({40, 95, 299, 15, 192, 162, 190, 18, 149, 100, 283, 25, 246, 127},
+              4, 100e-6, RequestTier::kInteractive),
+  };
+  api::Engine engine(f.program, f.weights, f.u280, config);
+  auto report = testutil::ServeTrace(engine, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ServingReport& merged = report->merged;
+  std::vector<double> tick_ends;
+  for (const obs::RequestEvent& e : engine.telemetry()->trace()->events()) {
+    if (e.kind == obs::RequestEventKind::kTick) {
+      tick_ends.push_back(e.end_seconds);
+    }
+  }
+  // Pinned from the row-by-row feed step (one forward per row).
+  const std::vector<std::vector<std::int32_t>> streams = {
+      {94, 343},
+      {92, 239, 160, 54},
+      {407, 258, 5},
+      {466, 206, 317, 22},
+      {194, 119, 236, 464}};
+  ASSERT_EQ(merged.outcomes.size(), streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    EXPECT_EQ(merged.outcomes[i].generated, streams[i]) << "request " << i;
+  }
+  const std::vector<double> pinned_tick_ends = {
+      0x1.1b6527e99aaa8p-15, 0x1.f6d02b7c04b34p-15, 0x1.891aa9b2cfaeep-14,
+      0x1.0b669ed3ce821p-13, 0x1.47730631f3423p-13, 0x1.777235b5d2c39p-13,
+      0x1.a7716539b245p-13,  0x1.ee4aaf3418efap-13, 0x1.116e1fd18fe37p-12,
+      0x1.34dac4cec338cp-12, 0x1.4f238d0646a46p-12, 0x1.672324c836652p-12,
+      0x1.7dfe244f5c505p-12};
+  EXPECT_EQ(tick_ends, pinned_tick_ends);
+  EXPECT_EQ(merged.preemptions, 1);
+  // Both counters count rows, not forward calls.
+  EXPECT_EQ(merged.executor_forwards, 87);
+  EXPECT_EQ(merged.logit_forwards, 17);
+  EXPECT_EQ(merged.recomputed_tokens, 14);
+  ExpectForwardsMatchDeviceWork(merged);
+}
+
 }  // namespace
 }  // namespace speedllm::serving

@@ -114,6 +114,39 @@ TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
       }
     }
   }
+  // MatMulRows streams each weight block once for every activation row:
+  // each row's outputs are still the sequential loop against that row.
+  for (std::int64_t d : {1, 3, 7, 8, 9, 17, 512}) {
+    for (std::int64_t n : {1, 3, 45, 288}) {
+      for (std::int64_t rows : {1, 2, 3, 5, 8, 13}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d " << d << " n " << n << " rows " << rows);
+        const auto seed = static_cast<std::uint64_t>(d * 1000 + n);
+        const auto w = RandomVec(static_cast<std::size_t>(d * n), seed);
+        const auto x =
+            RandomVec(static_cast<std::size_t>(rows * n), seed + rows);
+        std::vector<float> want;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const auto row = SequentialRows(w.data(), x.data() + r * n, d, n);
+          want.insert(want.end(), row.begin(), row.end());
+        }
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          // One guard float on each side of the rows x d outputs.
+          std::vector<float> out_buf(static_cast<std::size_t>(rows * d + 2),
+                                     -1.0f);
+          std::span<float> out{out_buf.data() + 1,
+                               static_cast<std::size_t>(rows * d)};
+          MatMulRows(out, w, x, rows, d, n, p);
+          EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "threaded " << (p != nullptr);
+          EXPECT_EQ(out_buf.front(), -1.0f);
+          EXPECT_EQ(out_buf.back(), -1.0f);
+        }
+      }
+    }
+  }
 }
 
 TEST(MatMulTest, BitsArePinnedAcrossIsas) {
@@ -142,6 +175,38 @@ TEST(MatMulTest, BitsArePinnedAcrossIsas) {
     std::uint32_t bits = 0;
     std::memcpy(&bits, &out[static_cast<std::size_t>(i)], sizeof(bits));
     EXPECT_EQ(bits, want[i]) << "row " << i;
+  }
+  // Five activation rows through MatMulRows (a four-row group and a
+  // one-row tail): row r divides by j + 3 + 2r, so row 0 is x above and
+  // reproduces its pins.
+  constexpr std::int64_t rows = 5;
+  std::vector<float> xs(static_cast<std::size_t>(rows * n));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      xs[static_cast<std::size_t>(r * n + j)] =
+          1.0f / static_cast<float>(j + 3 + 2 * r);
+    }
+  }
+  std::vector<float> outs(static_cast<std::size_t>(rows * d));
+  MatMulRows(outs, w, xs, rows, d, n);
+  const std::uint32_t want_rows[rows][d] = {
+      {0xbe12724au, 0xbeb754e7u, 0x3e2dbc25u, 0xbe9abc20u, 0xbe69701bu,
+       0x3eea7791u, 0xbe8e4204u, 0xbd48854bu, 0x3e5def46u},
+      {0xbd1406b7u, 0xbe6a426eu, 0x3daf79aeu, 0xbe258246u, 0xbe18c2cau,
+       0x3e9ccd87u, 0xbe274cefu, 0xbcefdbceu, 0x3e06fb4au},
+      {0xbb79903eu, 0xbe2b2bb9u, 0x3d4b9332u, 0xbdd42dfeu, 0xbde603ccu,
+       0x3e6d830du, 0xbde89897u, 0xbcc12c67u, 0x3dcb78c4u},
+      {0x3c0fe1b2u, 0xbe05d60cu, 0x3cf631ebu, 0xbd9481c8u, 0xbdb9061fu,
+       0x3e3f4468u, 0xbdae833du, 0xbcac7263u, 0x3da790f4u},
+      {0x3c68c308u, 0xbdda32abu, 0x3c932055u, 0xbd5b23b4u, 0xbd9ab98fu,
+       0x3e1ff29cu, 0xbd88ecf3u, 0xbc9fdf54u, 0x3d9066a3u}};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t i = 0; i < d; ++i) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &outs[static_cast<std::size_t>(r * d + i)],
+                  sizeof(bits));
+      EXPECT_EQ(bits, want_rows[r][i]) << "row " << r << " output " << i;
+    }
   }
 }
 
