@@ -3,9 +3,9 @@
 // The quantized kernels split matmul rows across a fixed pool of workers
 // with ParallelFor (fork/join, static partitioning). llama::MatMulRows
 // (the CPU reference model and the executor's large matmuls) uses
-// ParallelRun, one task per block of rows with dynamic pickup, so a
-// worker the host deschedules holds up no one; the parallel shard-tick
-// driver uses it for its per-lane dispatch.
+// ParallelRun, one task per block of 8 output rows with dynamic pickup,
+// so a worker the host deschedules holds up no one. The event engine
+// itself is single-threaded: host parallelism lives inside a tick.
 #pragma once
 
 #include <atomic>
@@ -52,9 +52,12 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, n), one index per task with dynamic
   /// pickup (workers and the calling thread race on a shared counter).
   /// Unlike ParallelFor there is no inline-below-threshold heuristic:
-  /// even n == 2 fans out, which is what the parallel tick driver needs
-  /// when each index is a long-running shard lane of uneven cost. Matmul
-  /// row blocks use it too: a thread that runs slowly takes fewer.
+  /// even n == 2 fans out. Its caller, llama::MatMulRows, passes one
+  /// index per block of 8 output rows, and the executor hands it a pool
+  /// only for matrices of at least 256 KiB (one-row splits measured a
+  /// loss below ~128 KiB), so whether to split is already decided by
+  /// weight bytes, not by block count. A thread that runs slowly takes
+  /// fewer blocks.
   void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; lazily constructed.

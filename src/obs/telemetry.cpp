@@ -38,47 +38,6 @@ std::string_view MetricTypeName(MetricType type) {
   return "unknown";
 }
 
-// ------------------------------------------------------- TelemetryStage
-
-namespace {
-// The capture target for the calling thread; see TelemetryStage.
-thread_local TelemetryStage* t_stage = nullptr;
-}  // namespace
-
-void TelemetryStage::BindToThread(TelemetryStage* stage) { t_stage = stage; }
-
-TelemetryStage* TelemetryStage::ThreadStage() { return t_stage; }
-
-void TelemetryStage::Replay() {
-  assert(t_stage == nullptr && "replay must run on an unbound thread");
-  for (StagedTraceEvent& staged : events_) {
-    staged.sink->Record(std::move(staged.event));
-  }
-  for (const StagedMetricOp& op : ops_) {
-    switch (op.kind) {
-      case StagedMetricOp::Kind::kAdd: op.sink->Add(op.id, op.value); break;
-      case StagedMetricOp::Kind::kSet: op.sink->Set(op.id, op.value); break;
-      case StagedMetricOp::Kind::kObserve:
-        op.sink->Observe(op.id, op.value);
-        break;
-      case StagedMetricOp::Kind::kSample: op.sink->SampleAt(op.value); break;
-    }
-  }
-  events_.clear();
-  ops_.clear();
-}
-
-// ------------------------------------------------- RequestTraceRecorder
-
-void RequestTraceRecorder::Record(RequestEvent event) {
-  if (t_stage != nullptr) {
-    t_stage->events_.push_back(
-        TelemetryStage::StagedTraceEvent{this, std::move(event)});
-    return;
-  }
-  events_.push_back(std::move(event));
-}
-
 // ------------------------------------------------------ MetricsRegistry
 
 MetricsRegistry::MetricId MetricsRegistry::AddSeries(MetricSeries series) {
@@ -129,30 +88,15 @@ MetricsRegistry::MetricId MetricsRegistry::AddHistogram(
 
 void MetricsRegistry::Add(MetricId id, double delta) {
   assert(series_[id].type != MetricType::kHistogram);
-  if (t_stage != nullptr) {
-    t_stage->ops_.push_back(TelemetryStage::StagedMetricOp{
-        this, TelemetryStage::StagedMetricOp::Kind::kAdd, id, delta});
-    return;
-  }
   series_[id].value += delta;
 }
 
 void MetricsRegistry::Set(MetricId id, double value) {
   assert(series_[id].type != MetricType::kHistogram);
-  if (t_stage != nullptr) {
-    t_stage->ops_.push_back(TelemetryStage::StagedMetricOp{
-        this, TelemetryStage::StagedMetricOp::Kind::kSet, id, value});
-    return;
-  }
   series_[id].value = value;
 }
 
 void MetricsRegistry::Observe(MetricId id, double value) {
-  if (t_stage != nullptr) {
-    t_stage->ops_.push_back(TelemetryStage::StagedMetricOp{
-        this, TelemetryStage::StagedMetricOp::Kind::kObserve, id, value});
-    return;
-  }
   MetricSeries& s = series_[id];
   assert(s.type == MetricType::kHistogram);
   std::size_t bucket = s.bucket_bounds.size();  // +Inf overflow bucket
@@ -168,11 +112,6 @@ void MetricsRegistry::Observe(MetricId id, double value) {
 }
 
 void MetricsRegistry::SampleAt(double t_seconds) {
-  if (t_stage != nullptr) {
-    t_stage->ops_.push_back(TelemetryStage::StagedMetricOp{
-        this, TelemetryStage::StagedMetricOp::Kind::kSample, 0, t_seconds});
-    return;
-  }
   MetricsSample sample;
   sample.t_seconds = t_seconds;
   sample.values.reserve(scalar_ids_.size());

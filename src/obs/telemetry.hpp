@@ -92,10 +92,8 @@ struct RequestEvent {
 /// same run always appends the same events in the same order.
 class RequestTraceRecorder {
  public:
-  /// Appends one event. When a TelemetryStage is bound to the calling
-  /// thread (parallel tick phases), the event is staged there instead
-  /// and lands in the recorder when the stage replays at the barrier.
-  void Record(RequestEvent event);
+  /// Appends one event.
+  void Record(RequestEvent event) { events_.push_back(std::move(event)); }
   /// Every event recorded so far, in recording order.
   const std::vector<RequestEvent>& events() const { return events_; }
   /// Number of events recorded so far.
@@ -203,53 +201,6 @@ class MetricsRegistry {
   std::vector<MetricSeries> series_;
   std::vector<MetricId> scalar_ids_;
   std::vector<MetricsSample> samples_;
-};
-
-// ------------------------------------------------------- parallel staging
-
-/// Per-event side-effect buffer for parallel tick phases.
-///
-/// While a stage is bound to a thread, every RequestTraceRecorder::Record
-/// and every MetricsRegistry mutation (Add/Set/Observe/SampleAt) made on
-/// that thread -- against *any* recorder or registry -- is captured here
-/// instead of applied, remembering its target sink. At the phase barrier
-/// the driver calls Replay() once per executed event in exact serial
-/// order, so the recorders and registries end up byte-identical to a
-/// single-threaded run. Binding is thread-local; one stage must only ever
-/// be bound to one thread at a time.
-class TelemetryStage {
- public:
-  /// Binds `stage` as the calling thread's capture target (nullptr
-  /// unbinds). Sinks mutated while bound record into the stage.
-  static void BindToThread(TelemetryStage* stage);
-  /// The stage bound to the calling thread, or nullptr.
-  static TelemetryStage* ThreadStage();
-
-  /// Applies every staged effect to its original sink, in staging order,
-  /// then clears the stage. Must run on a thread with no stage bound.
-  void Replay();
-
-  /// True when nothing was staged.
-  bool empty() const { return events_.empty() && ops_.empty(); }
-
- private:
-  friend class RequestTraceRecorder;
-  friend class MetricsRegistry;
-
-  struct StagedTraceEvent {
-    RequestTraceRecorder* sink;
-    RequestEvent event;
-  };
-  struct StagedMetricOp {
-    enum class Kind { kAdd, kSet, kObserve, kSample };
-    MetricsRegistry* sink;
-    Kind kind;
-    MetricsRegistry::MetricId id;
-    double value;
-  };
-
-  std::vector<StagedTraceEvent> events_;
-  std::vector<StagedMetricOp> ops_;
 };
 
 // ------------------------------------------------------------ telemetry

@@ -209,45 +209,6 @@ ClusterSession::ClusterSession(const accel::Program& program,
           });
     }
   }
-  if (config_.parallel_ticking) {
-    for (int c = 0; c < n; ++c) {
-      // One engine lane per card. A tick declines concurrency whenever
-      // it could reach outside its shard: prefill handoffs always, and
-      // rebalance-armed shards while a never-admitted request waits
-      // (the only state in which the kv-pressure hook does anything).
-      // Emission delivery is safe only while no user streaming hooks
-      // are registered (hook code may Submit/Abort across shards).
-      shards_[static_cast<std::size_t>(c)]->set_parallel_lane(
-          c, config_.rebalance_queued && n > 1,
-          [this] { return !on_token_ && !on_finish_; });
-    }
-    // Telemetry written inside a concurrently-executing lane event is
-    // staged per event (obs::TelemetryStage, bound thread-locally on
-    // the worker) and replayed at the barrier in serial commit order,
-    // so traces and metric series are byte-identical to a serial run.
-    sim::Engine::ParallelHooks hooks;
-    hooks.begin_event = [this](std::uint64_t token) {
-      auto stage = std::make_unique<obs::TelemetryStage>();
-      obs::TelemetryStage::BindToThread(stage.get());
-      std::lock_guard<std::mutex> lock(stage_mu_);
-      stages_[token] = std::move(stage);
-    };
-    hooks.end_event = [this](std::uint64_t) {
-      obs::TelemetryStage::BindToThread(nullptr);
-    };
-    hooks.commit_event = [this](std::uint64_t token) {
-      std::unique_ptr<obs::TelemetryStage> stage;
-      {
-        std::lock_guard<std::mutex> lock(stage_mu_);
-        auto it = stages_.find(token);
-        if (it == stages_.end()) return;
-        stage = std::move(it->second);
-        stages_.erase(it);
-      }
-      stage->Replay();
-    };
-    engine_.set_parallel_hooks(std::move(hooks));
-  }
   // Admission control starts from a full bucket; the first refill delta
   // is measured from t = 0.
   bucket_tokens_ = config_.shard.admission.burst_tokens;

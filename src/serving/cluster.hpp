@@ -32,9 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/program.hpp"
@@ -109,16 +107,6 @@ struct ClusterConfig {
   std::vector<ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (see PrefixFetchPolicy).
   PrefixFetchPolicy prefix_fetch = PrefixFetchPolicy::kAuto;
-  /// Tick independent shards concurrently: tags each card's tick chain
-  /// with its own engine lane, so a caller that drives the session's
-  /// engine with sim::Engine::RunParallel runs lanes on the thread pool
-  /// with a deterministic barrier at every cross-shard interaction
-  /// (placement, rebalance, handoffs, emission hooks). Reports, token
-  /// streams, and telemetry exports are byte-identical to the serial
-  /// run. Inert under engine().Run()/RunUntil(), which is how
-  /// api::Engine drives it: its emission hooks would make every
-  /// delivery a barrier anyway.
-  bool parallel_ticking = false;
 };
 
 /// Validates the cluster-level disaggregation knobs against a card
@@ -369,14 +357,6 @@ class ClusterSession {
   std::vector<obs::MetricsRegistry::MetricId> link_metric_ids_;
   obs::MetricsRegistry::MetricId remote_hit_metric_id_ = 0;
   bool transfer_metrics_ = false;
-  // RunParallel telemetry staging: one obs::TelemetryStage per in-flight
-  // lane event, keyed by the engine's event token. begin_event creates
-  // and binds it on the worker; commit_event replays it at the barrier
-  // in exact serial order. The map is touched from worker threads, hence
-  // the mutex (replay itself runs on the driving thread only).
-  std::mutex stage_mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<obs::TelemetryStage>>
-      stages_;
 };
 
 }  // namespace speedllm::serving

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 
 namespace speedllm::serving {
@@ -147,11 +146,6 @@ struct PrefixDirectory::Impl {
   std::unordered_map<std::uint64_t, Entry> entries;
   std::vector<std::uint64_t> seeds;  // chain seeds of attached pools
   std::uint64_t attached_mask = 0;
-  // Pool cache listeners fire from inside shard ticks, which may run
-  // concurrently under sim::Engine::RunParallel. Insert/evict are
-  // commutative (a content-keyed holder bitmask), so guarding the map
-  // is enough to keep the directory deterministic; Export() sorts.
-  mutable std::mutex mu;
 };
 
 PrefixDirectory::PrefixDirectory() : impl_(std::make_unique<Impl>()) {}
@@ -181,7 +175,6 @@ void PrefixDirectory::Attach(std::int32_t card, KvBlockPool* pool) {
 void PrefixDirectory::OnInsert(std::int32_t card, std::uint64_t chain_hash,
                                std::uint64_t parent_hash,
                                std::span<const std::int32_t> block_tokens) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   Impl::Entry& e = impl_->entries[chain_hash];
   if (e.cards == 0) {
     e.tokens.assign(block_tokens.begin(), block_tokens.end());
@@ -193,7 +186,6 @@ void PrefixDirectory::OnInsert(std::int32_t card, std::uint64_t chain_hash,
 }
 
 void PrefixDirectory::OnEvict(std::int32_t card, std::uint64_t chain_hash) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   auto it = impl_->entries.find(chain_hash);
   if (it == impl_->entries.end()) return;
   it->second.cards &= ~(1ull << card);
@@ -207,7 +199,6 @@ PrefixDirectory::Location PrefixDirectory::Locate(
   Location loc;
   const std::int64_t bs = block_size_tokens;
   if (bs <= 0 || max_tokens <= 0) return loc;
-  std::lock_guard<std::mutex> lock(impl_->mu);
   const std::int64_t len = static_cast<std::int64_t>(tokens.size());
   std::uint64_t h = chain_seed;
   std::uint64_t live = impl_->attached_mask & ~exclude_mask;
@@ -235,7 +226,6 @@ PrefixDirectorySnapshot PrefixDirectory::Export() const {
   // whose ancestry was evicted everywhere are unreconstructible orphans
   // and are skipped. Only per-card maximal chains (leaves) are emitted:
   // installing a chain re-creates every ancestor block.
-  std::lock_guard<std::mutex> lock(impl_->mu);
   std::unordered_map<std::uint64_t, std::vector<std::int32_t>> resolved;
   std::unordered_map<std::uint64_t, bool> resolvable;
   auto resolve = [&](auto&& self, std::uint64_t hash)
@@ -293,7 +283,6 @@ PrefixDirectorySnapshot PrefixDirectory::Export() const {
 }
 
 std::int64_t PrefixDirectory::entries() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   return static_cast<std::int64_t>(impl_->entries.size());
 }
 

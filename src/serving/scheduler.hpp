@@ -97,10 +97,10 @@ using TierSloTargets = std::array<TierSlo, kNumTiers>;
 /// in a single tick's latency. Acceptance is a deterministic model: a
 /// hash of (acceptance_seed, stream index, absolute token position)
 /// against `acceptance_rate`, so the accepted-token schedule is
-/// invariant across card count, placement, caching, dtype, roles, and
-/// parallel ticking. Committed tokens are always the target model's own
-/// greedy/sampled tokens -- speculation moves latency, never content --
-/// so streams are byte-identical with speculation on or off (locked by
+/// invariant across card count, placement, caching, dtype, and roles.
+/// Committed tokens are always the target model's own greedy/sampled
+/// tokens -- speculation moves latency, never content -- so streams
+/// are byte-identical with speculation on or off (locked by
 /// tests/test_speculative.cpp). Draft KV appends are rolled back through
 /// KvBlockPool::RollbackSpeculation and never enter the prefix cache.
 struct SpeculativeConfig {

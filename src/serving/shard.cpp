@@ -151,7 +151,6 @@ void ShardScheduler::Submit(const ServingRequest& request,
                  static_cast<std::int64_t>(request.prompt.size()) +
                      request.max_new_tokens);
   queued_demand_blocks_ += BlocksForRequest(request);
-  ++never_admitted_waiting_;
   seqs_.push_back(std::move(seq));
   waiting_.push_back(seqs_.size() - 1);
   if (!tick_pending_) ScheduleTick(engine_.now());
@@ -200,7 +199,6 @@ ShardScheduler::StealNewestQueued(const StreamPredicate& eligible) {
                    -(static_cast<std::int64_t>(seq.request->prompt.size()) +
                      seq.request->max_new_tokens));
     queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-    --never_admitted_waiting_;
     waiting_.erase(std::next(it).base());
     return std::pair{seq.request, seq.stream_index};
   }
@@ -271,11 +269,7 @@ ServingReport ShardScheduler::TakeReport(
 
 void ShardScheduler::ScheduleTick(sim::Cycles at) {
   tick_pending_ = true;
-  // Lane-tagged so RunParallel may tick shards concurrently; the
-  // predicate declines whenever this tick could reach outside the shard
-  // (handoff or a live rebalance trigger -- see TickParallelSafe).
-  engine_.ScheduleAt(at, lane_, [this] { return TickParallelSafe(); },
-                     [this] { RunTick(); });
+  engine_.ScheduleAt(at, [this] { RunTick(); });
 }
 
 // -------------------------------------------------------------- planning
@@ -542,7 +536,7 @@ std::uint64_t SpecMix(std::uint64_t h) {
 /// configured rate. Depends on nothing the cluster layout can change,
 /// so the accepted-token schedule -- hence every tick boundary the spec
 /// path produces -- is invariant across card count, placement, caching,
-/// dtype, roles, and parallel ticking.
+/// dtype, and roles.
 bool AcceptDraft(const SpeculativeConfig& spec, std::size_t stream,
                  std::int64_t position) {
   if (spec.acceptance_rate >= 1.0) return true;
@@ -752,7 +746,6 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
       waiting_.erase(std::find(waiting_.begin(), waiting_.end(), seq_id));
       if (!seq.ever_admitted) {
         queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-        --never_admitted_waiting_;
       }
     } else {
       ReleaseResident(seq_id, /*preempted=*/false);
@@ -989,7 +982,6 @@ void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
       seq.outcome.admission_seconds = work.start_s;
       // No longer queued demand: its blocks now come out of the pool.
       queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-      --never_admitted_waiting_;
       if (telemetry_.tracing()) {
         telemetry_.Record(MakeEvent(
             obs::RequestEventKind::kQueueWait,
@@ -1273,12 +1265,8 @@ void ShardScheduler::CloseTick(const TickWork& work) {
     // cards' overlapping ticks. Defer the snapshot to an event at the
     // tick's end: the event queue then serializes samples in time order.
     if (telemetry_.OnTickEnd(sample)) {
-      // Lane-tagged and always safe: registry writes stage through
-      // obs::TelemetryStage under RunParallel, so this only touches
-      // lane-owned state plus the staged side channel.
-      engine_.ScheduleAt(end_cycles, lane_, nullptr, [this, end_s] {
-        telemetry_.SampleNow(end_s);
-      });
+      engine_.ScheduleAt(end_cycles,
+                         [this, end_s] { telemetry_.SampleNow(end_s); });
     }
   }
 
@@ -1289,10 +1277,7 @@ void ShardScheduler::CloseTick(const TickWork& work) {
     pending_emissions_.insert(pending_emissions_.end(),
                               tick_emissions_.begin(), tick_emissions_.end());
     tick_emissions_.clear();
-    // Lane-tagged, but only safe while no user emission hooks can run
-    // (hook code may Submit/Abort across shards).
-    engine_.ScheduleAt(end_cycles, lane_, emissions_parallel_safe_,
-                       [this] { DeliverEmissions(); });
+    engine_.ScheduleAt(end_cycles, [this] { DeliverEmissions(); });
   }
 
   if (!residents_.empty() || !waiting_.empty()) ScheduleTick(end_cycles);

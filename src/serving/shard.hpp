@@ -186,24 +186,6 @@ class ShardScheduler {
     telemetry_ = std::move(channel);
   }
 
-  // ----- parallel ticking (ClusterSession wiring) -----
-  /// Tags this shard's tick chain with engine lane `lane` so
-  /// sim::Engine::RunParallel can execute it concurrently with other
-  /// shards between cross-shard interaction points. Must be set before
-  /// the first tick runs. `rebalance_armed` says a kv-pressure hook may
-  /// reach into *other* shards (Steal/Submit): when armed, a tick only
-  /// runs in parallel while this shard provably cannot trigger a
-  /// rebalance (no never-admitted waiting request, so PeekNewestQueued
-  /// returns nullopt and the hook no-ops). `emissions_parallel_safe`
-  /// gates the emission-delivery event: it must return false whenever
-  /// user emission hooks could run (they may touch non-shard state).
-  void set_parallel_lane(int lane, bool rebalance_armed,
-                         std::function<bool()> emissions_parallel_safe) {
-    lane_ = lane;
-    rebalance_armed_ = rebalance_armed;
-    emissions_parallel_safe_ = std::move(emissions_parallel_safe);
-  }
-
   // ----- placement-policy queries -----
   /// This shard's KV block pool (placement policies read its capacity
   /// and occupancy).
@@ -368,15 +350,6 @@ class ShardScheduler {
   };
 
   void ScheduleTick(sim::Cycles at);
-  /// True when the next tick may run concurrently with other lanes: a
-  /// tick only escapes this shard through the handoff hook (prefill
-  /// role) or a rebalance-triggering kv-pressure hook, and the latter
-  /// provably no-ops unless a never-admitted request is waiting.
-  bool TickParallelSafe() const {
-    if (config_.role == ShardRole::kPrefill && handoff_hook_) return false;
-    if (rebalance_armed_ && never_admitted_waiting_ > 0) return false;
-    return true;
-  }
   /// One tick: PlanDecode, AdmitAndPlanPrefill, ExecuteProblem over the
   /// problem list, CloseTick. A hard error ends the tick chain.
   void RunTick();
@@ -493,15 +466,6 @@ class ShardScheduler {
   FinishEmissionHook on_finish_;
   std::vector<Emission> tick_emissions_;     // current tick, pre-timestamp
   std::deque<Emission> pending_emissions_;   // awaiting the delivery event
-
-  // Parallel-ticking wiring (set_parallel_lane). `never_admitted_waiting_`
-  // counts waiting sequences with ever_admitted == false -- exactly the
-  // set PeekNewestQueued can return from, so TickParallelSafe's rebalance
-  // guard is precise, not heuristic.
-  int lane_ = sim::Engine::kSerialLane;
-  bool rebalance_armed_ = false;
-  std::function<bool()> emissions_parallel_safe_;
-  std::int64_t never_admitted_waiting_ = 0;
 
   bool tick_pending_ = false;
   bool kv_blocked_ = false;  // this tick hit pool exhaustion

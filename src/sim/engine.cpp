@@ -1,52 +1,19 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
 #include <utility>
 
-#include "common/threadpool.hpp"
-
 namespace speedllm::sim {
-
-thread_local Engine::ExecContext Engine::exec_ctx_;
-
-namespace {
-// Memory bound for free-running phases: a lane pauses after this many
-// events and waits for the barrier, which commits and releases the
-// phase's staged records. Purely a resource cap -- barrier placement
-// never affects the committed order, so results are identical for any
-// value >= 1. Sized so barrier overhead is negligible against the work
-// inside one event (a shard tick runs whole model forwards).
-constexpr std::size_t kMaxLaneEventsPerPhase = 1024;
-}  // namespace
 
 std::optional<Cycles> Engine::NextEventTime() const {
   if (queue_.empty()) return std::nullopt;
   return queue_.top().time;
 }
 
-Cycles Engine::now() const {
-  if (exec_ctx_.engine == this) return exec_ctx_.event_time;
-  return now_;
-}
-
 void Engine::ScheduleAt(Cycles t, Callback fn) {
-  ScheduleAt(t, kSerialLane, nullptr, std::move(fn));
-}
-
-void Engine::ScheduleAt(Cycles t, int lane, SafePredicate parallel_safe,
-                        Callback fn) {
-  if (exec_ctx_.engine == this) {
-    // Called from inside an executing lane event: stage for the barrier.
-    assert(t >= exec_ctx_.event_time &&
-           "cannot schedule events in the simulated past");
-    exec_ctx_.staged->push_back(
-        Staged{t, lane, std::move(parallel_safe), std::move(fn)});
-    return;
-  }
   assert(t >= now_ && "cannot schedule events in the simulated past");
-  queue_.push(Event{t, next_seq_++, lane, std::move(parallel_safe),
-                    std::move(fn)});
+  queue_.push(Event{t, next_seq_++, std::move(fn)});
 }
 
 Engine::Event Engine::PopEvent() {
@@ -59,7 +26,7 @@ Engine::Event Engine::PopEvent() {
   return ev;
 }
 
-void Engine::RunSerial(Event ev) {
+void Engine::RunEvent(Event ev) {
   now_ = ev.time;
   ++events_processed_;
   ev.fn();
@@ -67,218 +34,20 @@ void Engine::RunSerial(Event ev) {
 
 Cycles Engine::Run() {
   while (!queue_.empty()) {
-    RunSerial(PopEvent());
+    RunEvent(PopEvent());
   }
   return now_;
 }
 
 Cycles Engine::RunUntil(Cycles limit) {
   while (!queue_.empty() && queue_.top().time <= limit) {
-    RunSerial(PopEvent());
+    RunEvent(PopEvent());
   }
   // Whether or not events remain, the observed clock advances to
   // `limit`: RunUntil models "simulate up to t", not "run what happens
   // to be queued" (see the class comment; locked by EngineTest).
   now_ = std::max(now_, limit);
   return now_;
-}
-
-Cycles Engine::RunParallel(ThreadPool& pool) {
-  while (!queue_.empty()) {
-    // Collect the dispatchable prefix: consecutive (time, seq)-ordered
-    // lane events whose safety predicates hold right now. Predicates run
-    // on this thread with no lane event in flight, so they may read any
-    // simulation state.
-    std::vector<Event> dispatch;
-    int first_lane = kSerialLane;
-    bool multi_lane = false;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      if (top.lane == kSerialLane) break;
-      if (top.safe && !top.safe()) break;
-      if (dispatch.empty()) {
-        first_lane = top.lane;
-      } else if (top.lane != first_lane) {
-        multi_lane = true;
-      }
-      dispatch.push_back(PopEvent());
-    }
-    if (dispatch.empty()) {
-      // Serial event, or a lane event whose predicate declined: a
-      // barrier. Runs inline with direct (unstaged) side effects.
-      RunSerial(PopEvent());
-      continue;
-    }
-    if (!multi_lane) {
-      // A single lane has no concurrency to exploit; run its first event
-      // inline and put the rest back untouched (their seqs are
-      // unchanged, so ordering is unaffected).
-      for (std::size_t i = 1; i < dispatch.size(); ++i) {
-        queue_.push(std::move(dispatch[i]));
-      }
-      dispatch.resize(1);
-      RunSerial(std::move(dispatch.front()));
-      continue;
-    }
-    RunPhase(pool, std::move(dispatch));
-  }
-  return now_;
-}
-
-void Engine::RunPhase(ThreadPool& pool, std::vector<Event> dispatch) {
-  // Anything still queued is a barrier this phase must not cross: lanes
-  // may free-run through their own staged chains only strictly below
-  // `cutoff_time`. (Initial `dispatch` events at the cutoff time are
-  // fine -- they preceded the barrier event in (time, seq) order.)
-  const bool bounded = !queue_.empty();
-  const Cycles cutoff_time = bounded ? queue_.top().time : 0;
-
-  struct PendingItem {
-    bool staged;
-    Event ev;            // valid when !staged
-    std::uint32_t rec;   // valid when staged: record owning the child
-    std::uint32_t child;
-  };
-  struct ExecRecord {
-    Cycles time;
-    std::uint64_t seq;  // real seq for initial events; assigned at commit
-    bool initial;
-    std::uint64_t token;
-    std::vector<Staged> children;
-  };
-  struct LaneRun {
-    int lane_id;
-    std::deque<PendingItem> pending;
-    std::vector<ExecRecord> records;
-    Cycles last_pending_time = 0;  // debug: enforces in-order lane chains
-  };
-
-  std::vector<LaneRun> lanes;
-  for (Event& ev : dispatch) {
-    LaneRun* lane = nullptr;
-    for (LaneRun& l : lanes) {
-      if (l.lane_id == ev.lane) {
-        lane = &l;
-        break;
-      }
-    }
-    if (lane == nullptr) {
-      lanes.push_back(LaneRun{ev.lane, {}, {}, 0});
-      lane = &lanes.back();
-    }
-    assert(ev.time >= lane->last_pending_time);
-    lane->last_pending_time = ev.time;
-    lane->pending.push_back(PendingItem{false, std::move(ev), 0, 0});
-  }
-
-  auto make_token = [](std::size_t lane_index, std::uint32_t rec_index) {
-    return (static_cast<std::uint64_t>(lane_index) << 32) | rec_index;
-  };
-
-  // One pool task per lane. Each lane executes its events in order,
-  // free-running through staged same-lane work below the cutoff, and
-  // touches only lane-owned state -- records/pending are thread-confined
-  // to the one worker that owns the lane.
-  pool.ParallelRun(lanes.size(), [&](std::size_t li) {
-    LaneRun& lane = lanes[li];
-    std::size_t executed = 0;
-    while (!lane.pending.empty() && executed < kMaxLaneEventsPerPhase) {
-      {
-        // Peek: staged events stop the lane at the phase cutoff or when
-        // their predicate declines (stable in-phase: predicates read
-        // state only serial events change, and none run here).
-        const PendingItem& peek = lane.pending.front();
-        if (peek.staged) {
-          const Staged& st = lane.records[peek.rec].children[peek.child];
-          if (bounded && st.time >= cutoff_time) break;
-          if (st.safe && !st.safe()) break;
-        }
-      }
-      PendingItem item = std::move(lane.pending.front());
-      lane.pending.pop_front();
-
-      const auto rec_index = static_cast<std::uint32_t>(lane.records.size());
-      Cycles t;
-      Callback fn;
-      std::uint64_t seq = 0;
-      if (item.staged) {
-        Staged& st = lane.records[item.rec].children[item.child];
-        t = st.time;
-        fn = std::move(st.fn);
-        st.executed = true;
-        st.run_lane = static_cast<std::uint32_t>(li);
-        st.run_index = rec_index;
-      } else {
-        t = item.ev.time;
-        seq = item.ev.seq;
-        fn = std::move(item.ev.fn);
-      }
-      lane.records.push_back(
-          ExecRecord{t, seq, !item.staged, make_token(li, rec_index), {}});
-      ExecRecord& rec = lane.records.back();
-
-      exec_ctx_ = ExecContext{this, t, &rec.children};
-      if (hooks_.begin_event) hooks_.begin_event(rec.token);
-      fn();
-      if (hooks_.end_event) hooks_.end_event(rec.token);
-      exec_ctx_ = ExecContext{};
-      ++executed;
-
-      // Staged same-lane events join this lane's chain; staged serial or
-      // cross-lane events wait for the barrier.
-      for (std::uint32_t k = 0;
-           k < static_cast<std::uint32_t>(rec.children.size()); ++k) {
-        if (rec.children[k].lane != lane.lane_id) continue;
-        assert(rec.children[k].time >= lane.last_pending_time &&
-               "lane events must be scheduled in non-decreasing time order");
-        lane.last_pending_time = rec.children[k].time;
-        lane.pending.push_back(PendingItem{true, Event{}, rec_index, k});
-      }
-    }
-  });
-
-  // Barrier: commit every executed event's side effects in exact serial
-  // (time, seq) order, assigning staged children the seq numbers the
-  // serial engine would have produced. A child only becomes ready once
-  // its parent commits (its key is strictly greater), so the pop
-  // sequence is globally sorted -- identical to serial execution order.
-  struct Ref {
-    Cycles time;
-    std::uint64_t seq;
-    std::uint32_t lane;
-    std::uint32_t rec;
-  };
-  auto later = [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  };
-  std::priority_queue<Ref, std::vector<Ref>, decltype(later)> ready(later);
-  for (std::size_t li = 0; li < lanes.size(); ++li) {
-    for (std::uint32_t ri = 0;
-         ri < static_cast<std::uint32_t>(lanes[li].records.size()); ++ri) {
-      const ExecRecord& rec = lanes[li].records[ri];
-      if (rec.initial) {
-        ready.push(Ref{rec.time, rec.seq, static_cast<std::uint32_t>(li), ri});
-      }
-    }
-  }
-  while (!ready.empty()) {
-    const Ref ref = ready.top();
-    ready.pop();
-    ExecRecord& rec = lanes[ref.lane].records[ref.rec];
-    now_ = rec.time;
-    ++events_processed_;
-    if (hooks_.commit_event) hooks_.commit_event(rec.token);
-    for (Staged& st : rec.children) {
-      const std::uint64_t seq = next_seq_++;
-      if (st.executed) {
-        ready.push(Ref{st.time, seq, st.run_lane, st.run_index});
-      } else {
-        queue_.push(
-            Event{st.time, seq, st.lane, std::move(st.safe), std::move(st.fn)});
-      }
-    }
-  }
 }
 
 }  // namespace speedllm::sim

@@ -12,10 +12,6 @@
 #include <queue>
 #include <vector>
 
-namespace speedllm {
-class ThreadPool;
-}  // namespace speedllm
-
 namespace speedllm::sim {
 
 /// Simulated time in kernel-clock cycles.
@@ -29,81 +25,24 @@ using Cycles = std::uint64_t;
 /// when N independent consumers (e.g. per-card serving shards) chain
 /// events on one shared engine, same-cycle events interleave in exactly
 /// the order they were scheduled, independent of consumer count or heap
-/// layout. Run()/RunUntil()/RunParallel() must only be driven from one
-/// place; consumers inject work via ScheduleAt/ScheduleNow from inside
-/// callbacks.
+/// layout. The engine is single-threaded: Run()/RunUntil() must only
+/// be driven from one place; consumers inject work via
+/// ScheduleAt/ScheduleNow from inside callbacks.
 ///
 /// Clock semantics: Run() leaves now() at the time of the last executed
 /// event. RunUntil(limit) always leaves now() == max(now(), limit),
 /// whether the queue drained before `limit` or events remain beyond it --
 /// the observed clock after "simulate up to t" never depends on what
 /// happened to be queued.
-///
-/// ## Parallel execution (RunParallel)
-///
-/// Events may optionally be tagged with a *lane* (a small non-negative
-/// integer naming an independent consumer, e.g. a serving shard's card
-/// index) plus a safety predicate. Lane tags are inert under Run() and
-/// RunUntil(). Under RunParallel(pool), runs of consecutive lane events
-/// whose predicates hold execute concurrently -- one ThreadPool task per
-/// lane, events within a lane in order -- up to the next *barrier*: the
-/// first untagged (serial) event, the first event whose predicate
-/// declines, or queue exhaustion. At each barrier the engine commits all
-/// side effects in exact serial (time, seq) order:
-///
-///  - Callbacks observe their own event's time via now() (thread-local
-///    override while a lane event executes).
-///  - ScheduleAt/ScheduleNow calls made inside lane events are staged and
-///    re-sequenced at the barrier with exactly the seq numbers the serial
-///    engine would have assigned, so FIFO tie-breaks are preserved
-///    bit-for-bit. Staged same-lane events keep executing within the
-///    phase (a lane free-runs through its own chain); staged events for
-///    other lanes or with no lane wait for the barrier.
-///  - The optional ParallelHooks let the embedder stage per-event side
-///    channels (e.g. telemetry) on the worker and merge them in serial
-///    order at the barrier.
-///
-/// Contract for lane events: a lane event may read and write only state
-/// owned by its lane (plus explicitly synchronized shared structures),
-/// must schedule follow-up events at non-decreasing times, and must only
-/// schedule onto its own lane or as serial events. Cross-lane work
-/// belongs in serial events. The safety predicate is how a consumer
-/// declines concurrency for a specific event when one of these
-/// guarantees would not hold (the event then runs inline as a barrier).
 class Engine {
  public:
   using Callback = std::function<void()>;
-  /// Evaluated (serially) before a lane event is admitted into a parallel
-  /// batch; returning false turns the event into a barrier.
-  using SafePredicate = std::function<bool()>;
 
-  /// Lane value for ordinary serial events.
-  static constexpr int kSerialLane = -1;
+  /// Current simulated time. Only advances inside Run()/RunUntil().
+  Cycles now() const { return now_; }
 
-  /// Per-event hooks for RunParallel embedders. begin/end run on the
-  /// executing worker thread around one lane event (bind/unbind staging
-  /// for that event's side channels, keyed by the opaque token); commit
-  /// runs on the driving thread at the barrier, once per executed event
-  /// in exact serial order (merge that event's staged effects).
-  struct ParallelHooks {
-    std::function<void(std::uint64_t token)> begin_event;
-    std::function<void(std::uint64_t token)> end_event;
-    std::function<void(std::uint64_t token)> commit_event;
-  };
-
-  /// Current simulated time. Only advances inside Run()/RunUntil()/
-  /// RunParallel(). While a lane event executes on a worker, the worker
-  /// observes that event's own time.
-  Cycles now() const;
-
-  /// Schedules `fn` at absolute time `t` (>= now()) as a serial event.
+  /// Schedules `fn` at absolute time `t` (>= now()).
   void ScheduleAt(Cycles t, Callback fn);
-
-  /// Schedules `fn` at absolute time `t` (>= now()) on `lane` with the
-  /// given safety predicate (nullptr == always safe). See the class
-  /// comment for the lane-event contract.
-  void ScheduleAt(Cycles t, int lane, SafePredicate parallel_safe,
-                  Callback fn);
 
   /// Schedules `fn` `delay` cycles from now.
   void ScheduleAfter(Cycles delay, Callback fn) {
@@ -124,17 +63,6 @@ class Engine {
   /// to `limit` even when the queue drains early.
   Cycles RunUntil(Cycles limit);
 
-  /// Runs until the event queue drains, executing runs of consecutive
-  /// safe lane events concurrently on `pool` with a deterministic
-  /// barrier at every serial event. Produces byte-identical event
-  /// ordering, FIFO seq assignment, and now() evolution to Run() for
-  /// programs that honor the lane-event contract. Returns the final
-  /// time.
-  Cycles RunParallel(ThreadPool& pool);
-
-  /// Installs the RunParallel per-event hooks (see ParallelHooks).
-  void set_parallel_hooks(ParallelHooks hooks) { hooks_ = std::move(hooks); }
-
   /// Events executed so far (for tests and perf sanity checks).
   std::uint64_t events_processed() const { return events_processed_; }
 
@@ -150,8 +78,6 @@ class Engine {
   struct Event {
     Cycles time;
     std::uint64_t seq;  // FIFO tie-break
-    int lane = kSerialLane;
-    SafePredicate safe;  // only consulted when lane != kSerialLane
     Callback fn;
   };
   struct Later {
@@ -160,38 +86,13 @@ class Engine {
       return a.seq > b.seq;
     }
   };
-  /// An event scheduled from inside an executing lane event. Staged
-  /// events get their real seq at the barrier, assigned in serial order.
-  struct Staged {
-    Cycles time;
-    int lane;
-    SafePredicate safe;
-    Callback fn;
-    bool executed = false;     // ran within this phase on its own lane
-    std::uint32_t run_lane = 0;   // phase-lane index where it ran
-    std::uint32_t run_index = 0;  // record index within that lane
-  };
-  /// Thread-local view of the lane event this thread is executing, if
-  /// any: overrides now() and redirects ScheduleAt into staging.
-  struct ExecContext {
-    Engine* engine = nullptr;
-    Cycles event_time = 0;
-    std::vector<Staged>* staged = nullptr;
-  };
-
   /// Moves the top event out of the queue (the const_cast is confined
   /// here; the moved-from element is destroyed by the immediate pop).
   Event PopEvent();
-  /// Executes one already-popped event inline on the driving thread.
-  void RunSerial(Event ev);
-  /// Executes one parallel phase: `dispatch` holds >= 2 distinct lanes'
-  /// worth of safe lane events in (time, seq) order.
-  void RunPhase(ThreadPool& pool, std::vector<Event> dispatch);
-
-  static thread_local ExecContext exec_ctx_;
+  /// Executes one already-popped event.
+  void RunEvent(Event ev);
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  ParallelHooks hooks_;
   Cycles now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

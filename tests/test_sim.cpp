@@ -1,15 +1,10 @@
-// Unit tests for src/sim: event engine, stations, trace overlap analysis,
-// and the RunParallel lane-execution contract.
+// Unit tests for src/sim: event engine, stations, and trace overlap
+// analysis.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
-#include "common/threadpool.hpp"
 #include "sim/engine.hpp"
 #include "sim/station.hpp"
 #include "sim/trace.hpp"
@@ -123,153 +118,6 @@ TEST(EngineTest, MultiConsumerInterleavingIsFifoDeterministic) {
   eng.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 100, 101, 102}));
   EXPECT_EQ(eng.now(), 10u);
-}
-
-// ---------------- Engine: RunParallel ----------------
-
-constexpr int kLanes = 4;
-
-struct ParallelCapture {
-  // Per-lane execution logs (time as observed via now(), step index).
-  // Written only by the owning lane's events, so thread-confined under
-  // RunParallel.
-  std::array<std::vector<std::pair<Cycles, int>>, kLanes> lane_log;
-  // Serial (barrier) events' log: (lane that scheduled it, commit time).
-  std::vector<std::pair<int, Cycles>> serial_log;
-  std::uint64_t events = 0;
-  Cycles final_now = 0;
-};
-
-// Seeds `eng` with kLanes independent event chains plus periodic serial
-// cross-lane events: same-cycle ties across lanes, staged same-lane
-// follow-ups (free-running chains), and staged serial children. The
-// exact program the parallel driver must reproduce bit-for-bit.
-void SeedParallelProgram(Engine& eng, ParallelCapture& cap) {
-  struct Chain {
-    Engine* eng;
-    ParallelCapture* cap;
-    int lane;
-    void Step(int step, Cycles t) {
-      cap->lane_log[static_cast<std::size_t>(lane)].emplace_back(eng->now(),
-                                                                 step);
-      if (step % 3 == lane % 3) {
-        // Cross-lane effect: goes through a serial (barrier) event so it
-        // commits in exact global order.
-        Engine* e = eng;
-        ParallelCapture* c = cap;
-        const int from = lane;
-        eng->ScheduleAt(t + 2, [e, c, from] {
-          c->serial_log.emplace_back(from, e->now());
-        });
-      }
-      if (step < 40) {
-        const Cycles next =
-            t + 1 + static_cast<Cycles>((lane * 7 + step) % 4);
-        Chain self = *this;
-        eng->ScheduleAt(next, lane, nullptr,
-                        [self, step, next]() mutable {
-                          self.Step(step + 1, next);
-                        });
-      }
-    }
-  };
-  for (int lane = 0; lane < kLanes; ++lane) {
-    Chain chain{&eng, &cap, lane};
-    // Every lane starts at the same cycle: a same-time cross-lane tie
-    // resolved by the FIFO seq.
-    eng.ScheduleAt(10, lane, nullptr, [chain]() mutable { chain.Step(0, 10); });
-  }
-}
-
-TEST(EngineParallelTest, MatchesSerialExecutionExactly) {
-  ParallelCapture serial;
-  {
-    Engine eng;
-    SeedParallelProgram(eng, serial);
-    serial.final_now = eng.Run();  // lane tags are inert under Run()
-    serial.events = eng.events_processed();
-  }
-  ParallelCapture par;
-  {
-    Engine eng;
-    SeedParallelProgram(eng, par);
-    ThreadPool pool(4);
-    par.final_now = eng.RunParallel(pool);
-    par.events = eng.events_processed();
-  }
-  EXPECT_EQ(par.final_now, serial.final_now);
-  EXPECT_EQ(par.events, serial.events);
-  EXPECT_EQ(par.serial_log, serial.serial_log);
-  for (int l = 0; l < kLanes; ++l) {
-    EXPECT_EQ(par.lane_log[static_cast<std::size_t>(l)],
-              serial.lane_log[static_cast<std::size_t>(l)])
-        << "lane " << l;
-  }
-}
-
-TEST(EngineParallelTest, LaneEventObservesItsOwnTime) {
-  Engine eng;
-  ThreadPool pool(2);
-  std::array<Cycles, 2> seen{};
-  eng.ScheduleAt(7, 0, nullptr, [&] { seen[0] = eng.now(); });
-  eng.ScheduleAt(9, 1, nullptr, [&] { seen[1] = eng.now(); });
-  eng.RunParallel(pool);
-  EXPECT_EQ(seen[0], 7u);
-  EXPECT_EQ(seen[1], 9u);
-  EXPECT_EQ(eng.now(), 9u);  // driving thread sees the committed clock
-}
-
-TEST(EngineParallelTest, DecliningPredicateRunsInlineInOrder) {
-  // A predicate returning false turns every lane event into a barrier:
-  // execution degrades to exact serial order, on the driving thread.
-  Engine eng;
-  ThreadPool pool(4);
-  std::vector<int> order;
-  for (int i = 0; i < 6; ++i) {
-    eng.ScheduleAt(5, i % 3, [] { return false; },
-                   [&order, i] { order.push_back(i); });
-  }
-  eng.RunParallel(pool);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(EngineParallelTest, HooksBracketEveryPhaseEventAndCommitOnce) {
-  Engine eng;
-  ThreadPool pool(4);
-  std::atomic<int> begun{0};
-  std::atomic<int> ended{0};
-  std::vector<std::uint64_t> committed;  // driving thread only
-  Engine::ParallelHooks hooks;
-  hooks.begin_event = [&](std::uint64_t) { ++begun; };
-  hooks.end_event = [&](std::uint64_t) { ++ended; };
-  hooks.commit_event = [&](std::uint64_t t) { committed.push_back(t); };
-  eng.set_parallel_hooks(std::move(hooks));
-  std::array<std::vector<int>, 2> marks;  // lane-confined
-  eng.ScheduleAt(10, 0, nullptr, [&] { marks[0].push_back(1); });
-  eng.ScheduleAt(10, 1, nullptr, [&] { marks[1].push_back(1); });
-  eng.ScheduleAt(11, 1, nullptr, [&] { marks[1].push_back(2); });
-  eng.ScheduleAt(12, 0, nullptr, [&] { marks[0].push_back(2); });
-  eng.RunParallel(pool);
-  EXPECT_EQ(begun.load(), 4);
-  EXPECT_EQ(ended.load(), 4);
-  EXPECT_EQ(committed.size(), 4u);
-  EXPECT_EQ(marks[0], (std::vector<int>{1, 2}));
-  EXPECT_EQ(marks[1], (std::vector<int>{1, 2}));
-  EXPECT_EQ(eng.events_processed(), 4u);
-}
-
-TEST(EngineParallelTest, SingleLaneNeedsNoPhase) {
-  // Consecutive events on one lane have no concurrency to exploit: they
-  // run inline, in order, with seqs untouched.
-  Engine eng;
-  ThreadPool pool(4);
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    eng.ScheduleAt(static_cast<Cycles>(5 + i), 2, nullptr,
-                   [&order, i] { order.push_back(i); });
-  }
-  EXPECT_EQ(eng.RunParallel(pool), 8u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 // ---------------- Station ----------------

@@ -10,8 +10,7 @@
 //    chain hash / cache state), draft blocks never enter the prefix
 //    cache and never leak refcounts, mid-phase Release is legal;
 //  * stream identity spec-on vs spec-off across card count, placement
-//    policy, prefix caching, KV dtype mix, disaggregated roles, and the
-//    parallel tick driver;
+//    policy, prefix caching, KV dtype mix, and disaggregated roles;
 //  * edge acceptance models: k=0 (byte-identical reports including
 //    timing), always-reject (identical streams, waste accounted, slower)
 //    and always-accept (identical streams, strictly faster);
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "api/engine.hpp"
-#include "common/threadpool.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "obs/export.hpp"
@@ -205,12 +203,7 @@ RunResult RunOnce(const accel::Program& prog, const Fixture& f,
     session.SubmitAt(&reqs[i], i,
                      session.SecondsToCycles(reqs[i].arrival_seconds));
   }
-  if (config.parallel_ticking) {
-    ThreadPool pool(4);
-    session.engine().RunParallel(pool);
-  } else {
-    session.engine().Run();
-  }
+  session.engine().Run();
   EXPECT_TRUE(session.Finalize().ok()) << session.Finalize().ToString();
   RunResult result;
   result.chrome_trace = obs::ToChromeTraceJson(*session.telemetry()->trace());
@@ -328,45 +321,6 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "role-split");
   }
-}
-
-TEST(SpeculativeTest, ParallelTickingByteIdenticalToSerialWithSpecOn) {
-  // With speculation ON, the parallel driver must still be a no-op:
-  // byte-identical streams, timing, and telemetry exports.
-  Fixture f;
-  auto prog = f.Compile();
-  auto reqs = MixedTrace(f.config, 16, 321);
-  llama::SamplerConfig sc;
-  sc.temperature = 0.9f;
-  sc.seed = 29;
-  const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 8);
-  ClusterConfig config;
-  config.placement = PlacementPolicy::kLeastOutstandingTokens;
-  config.rebalance_queued = false;
-  config.shard.speculative = DefaultSpec();
-  RunResult serial = RunOnce(prog, f, cards, config, reqs, sc);
-  ClusterConfig par_config = config;
-  par_config.parallel_ticking = true;
-  RunResult par = RunOnce(prog, f, cards, par_config, reqs, sc);
-  ASSERT_EQ(par.report.merged.outcomes.size(),
-            serial.report.merged.outcomes.size());
-  for (std::size_t i = 0; i < serial.report.merged.outcomes.size(); ++i) {
-    EXPECT_EQ(par.report.merged.outcomes[i].generated,
-              serial.report.merged.outcomes[i].generated)
-        << "request " << i;
-    EXPECT_EQ(par.report.merged.outcomes[i].completion_seconds,
-              serial.report.merged.outcomes[i].completion_seconds)
-        << "request " << i;
-  }
-  EXPECT_EQ(par.report.merged.makespan_seconds,
-            serial.report.merged.makespan_seconds);
-  EXPECT_EQ(par.report.merged.spec_draft_tokens,
-            serial.report.merged.spec_draft_tokens);
-  EXPECT_EQ(par.report.merged.spec_accepted_tokens,
-            serial.report.merged.spec_accepted_tokens);
-  EXPECT_EQ(par.chrome_trace, serial.chrome_trace);
-  EXPECT_EQ(par.metrics_json, serial.metrics_json);
-  EXPECT_EQ(par.prometheus, serial.prometheus);
 }
 
 TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
