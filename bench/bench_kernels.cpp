@@ -2,7 +2,8 @@
 //
 // Measures the host-side ground-truth kernels the functional simulation
 // runs on: fp32 matvec (serial + thread pool), the multi-row matmul one
-// executor pass runs per weight matrix (serial + thread pool), int8
+// executor pass runs per weight matrix (serial + thread pool), one
+// sampled token (temperature, softmax and the top-p nucleus), int8
 // quantized matvec, rmsnorm, softmax, and the full reference forward
 // pass.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "common/threadpool.hpp"
 #include "llama/kernels.hpp"
 #include "llama/reference.hpp"
+#include "llama/sampler.hpp"
 #include "llama/weights.hpp"
 #include "quant/quant.hpp"
 
@@ -81,6 +83,32 @@ BENCHMARK(BM_MatMulRows)
     ->ArgsProduct({{288}, {768}, {1, 8, 12}, {0, 1}})
     ->ArgsProduct({{32000}, {288}, {1, 8, 12}, {0, 1}})
     ->UseRealTime();
+
+// Arg: vocab. One Sampler::Sample at T=0.9, top-p 0.9 over flat logits
+// (sigma 0.15, like the Tiny preset's: the nucleus holds ~87% of the
+// vocabulary). Iterations rotate through 16 logit vectors, so the branch
+// predictor cannot learn one input's order. Items are sampled tokens.
+void BM_SampleTopP(benchmark::State& state) {
+  const std::size_t vocab = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<float>> inputs;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    inputs.push_back(RandomVec(vocab, 8 + seed));
+    for (float& v : inputs.back()) v *= 0.15f;
+  }
+  llama::SamplerConfig config;
+  config.temperature = 0.9f;
+  config.top_p = 0.9f;
+  llama::Sampler sampler(config);
+  std::vector<float> logits(vocab);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    logits = inputs[next++ % inputs.size()];
+    benchmark::DoNotOptimize(sampler.Sample(logits));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SampleTopP)->Arg(512)->Arg(32000);
 
 void BM_MatMulQ8(benchmark::State& state) {
   const std::int64_t d = state.range(0), n = state.range(1);

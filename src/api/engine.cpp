@@ -54,6 +54,10 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
           "speculative acceptance_rate / draft_cost_ratio must be finite");
     }
   }
+  if (setup_.ok()) {
+    setup_ = llama::ValidateSamplerConfig(config_.sampler,
+                                          "EngineConfig::sampler");
+  }
   if (!setup_.ok()) return;
   session_ = std::make_unique<serving::ClusterSession>(
       program_, weights_, cards_, ToClusterConfig(config_), config_.sampler);

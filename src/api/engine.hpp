@@ -96,7 +96,9 @@ struct EngineConfig {
   serving::PlacementPolicy placement = serving::PlacementPolicy::kRoundRobin;
   /// Default sampling parameters; per-request streams are seeded from
   /// `sampler.seed` + submission index so they stay independent of batch
-  /// composition, card count, and preemption schedule.
+  /// composition, card count, and preemption schedule. A NaN, infinite
+  /// or negative temperature, or a NaN top_p, is a setup error: every
+  /// Submit then returns InvalidArgument.
   llama::SamplerConfig sampler;
   /// Optional per-card KV pool override in bytes (0 / missing entries
   /// fall back to `scheduler.kv_pool_bytes` / HBM derivation).
@@ -146,7 +148,8 @@ class Engine {
   /// `request.arrival_seconds` (clamped up to the current simulated time,
   /// so callbacks can submit "now" with the default arrival of 0).
   /// Returns InvalidArgument for empty prompts, non-positive
-  /// max_new_tokens, or negative/non-finite arrivals; OutOfRange /
+  /// max_new_tokens, negative/non-finite arrivals, or a NaN, infinite or
+  /// negative temperature / NaN top_p override; OutOfRange /
   /// ResourceExhausted when the request can never fit the model or the
   /// smallest card's KV pool; FailedPrecondition after Finish(). A valid
   /// handle does not guarantee service: under overload, admission
@@ -251,7 +254,7 @@ class Engine {
   const llama::Weights& weights_;
   hw::MultiCardConfig cards_;
   EngineConfig config_;
-  Status setup_;  // card-list validation outcome
+  Status setup_;  // card-list and config validation outcome
   std::unique_ptr<serving::ClusterSession> session_;
   // Deques: callbacks may reentrantly Submit(), so element addresses
   // must survive growth while a callback is still executing.

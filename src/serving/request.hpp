@@ -55,10 +55,12 @@ struct TierSlo {
 /// composition and placement exactly like default ones.
 struct SamplerOverride {
   /// Replaces SamplerConfig::temperature when `has_temperature` is set.
+  /// Must be finite and non-negative (ValidateRequest rejects others).
   float temperature = 1.0f;
   /// True when `temperature` participates.
   bool has_temperature = false;
-  /// Replaces SamplerConfig::top_p when `has_top_p` is set.
+  /// Replaces SamplerConfig::top_p when `has_top_p` is set. Must not be
+  /// NaN (ValidateRequest rejects it).
   float top_p = 1.0f;
   /// True when `top_p` participates.
   bool has_top_p = false;

@@ -29,6 +29,15 @@ obs::RequestEvent MakeEvent(obs::RequestEventKind kind, std::int64_t stream,
   return ev;
 }
 
+/// `base` with a request's set override fields layered over it.
+llama::SamplerConfig WithOverride(llama::SamplerConfig base,
+                                  const SamplerOverride& over) {
+  if (over.has_temperature) base.temperature = over.temperature;
+  if (over.has_top_p) base.top_p = over.top_p;
+  if (over.has_eos_token) base.eos_token = over.eos_token;
+  return base;
+}
+
 }  // namespace
 
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config) {
@@ -92,6 +101,10 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
   if (!(req.arrival_seconds >= 0.0) || !std::isfinite(req.arrival_seconds)) {
     return InvalidArgument(tag + " has a non-finite or negative arrival");
   }
+  // Unset override fields keep SamplerConfig's (valid) defaults.
+  SPEEDLLM_RETURN_IF_ERROR(llama::ValidateSamplerConfig(
+      WithOverride(llama::SamplerConfig{}, req.sampler),
+      tag + " sampler override"));
   const std::int64_t tokens =
       static_cast<std::int64_t>(req.prompt.size()) + req.max_new_tokens;
   if (tokens > model.seq_len) {
@@ -132,12 +145,7 @@ void ShardScheduler::Submit(const ServingRequest& request,
   // default before the stream seed is derived: the seed offset is never
   // overridable, so overridden streams stay independent of batch
   // composition and placement exactly like default ones.
-  llama::SamplerConfig sc = sampler_config;
-  if (request.sampler.has_temperature) {
-    sc.temperature = request.sampler.temperature;
-  }
-  if (request.sampler.has_top_p) sc.top_p = request.sampler.top_p;
-  if (request.sampler.has_eos_token) sc.eos_token = request.sampler.eos_token;
+  llama::SamplerConfig sc = WithOverride(sampler_config, request.sampler);
   sc.seed = sampler_config.seed + stream_index * 7919;  // independent streams
   Sequence seq{llama::Sampler(sc)};
   seq.request = &request;

@@ -62,9 +62,9 @@ std::uint64_t DeriveKvPoolBytes(const accel::Program& program,
 double DeriveSharedStepSeconds(const accel::Program& program,
                                const hw::U280Config& u280);
 
-/// Validates one request against model limits and a pool of
-/// `pool_blocks` blocks of `block_size` tokens. `tag` labels errors
-/// ("request 3").
+/// Validates one request against model limits, the sampler values
+/// llama::ValidateSamplerConfig accepts, and a pool of `pool_blocks`
+/// blocks of `block_size` tokens. `tag` labels errors ("request 3").
 Status ValidateRequest(const ServingRequest& req, const std::string& tag,
                        const llama::ModelConfig& model,
                        std::int64_t pool_blocks, std::int64_t block_size);

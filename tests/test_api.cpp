@@ -2,12 +2,14 @@
 // callback token streams byte-identical to an up-front submitted
 // offline run (1 card and 4 cards), cancellation freeing KV blocks with
 // no further emissions, a cancel before arrival keeping the request's
-// tier, stop-token/EOS early termination, submit-time
-// validation, out-of-range card queries, incremental StepUntil driving,
-// and closed-loop clients running deterministically on the shared clock.
+// tier, stop-token/EOS early termination, submit-time validation
+// (sampler values included), out-of-range card queries, incremental
+// StepUntil driving, and closed-loop clients running deterministically
+// on the shared clock.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -451,6 +453,56 @@ TEST(ApiEngineTest, SubmitValidatesRequestsUpFront) {
   // After harvest the engine is closed to new work.
   EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// A request overriding the sampler with (temperature, top_p), and an
+// engine whose default sampler holds them, are both rejected by name.
+void ExpectSamplerRejected(float temperature, float top_p) {
+  Fixture f;
+  auto prog = f.Compile();
+  Engine engine(prog, f.weights, f.u280);
+  serving::ServingRequest request = MakeRequest(4, 4, 0.0);
+  request.sampler.temperature = temperature;
+  request.sampler.has_temperature = true;
+  request.sampler.top_p = top_p;
+  request.sampler.has_top_p = true;
+  const Status status = engine.Submit(request).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("request 0"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(engine.submitted_requests(), 0u);
+
+  EngineConfig config;
+  config.sampler.temperature = temperature;
+  config.sampler.top_p = top_p;
+  Engine rejected(prog, f.weights, f.u280, config);
+  const Status setup = rejected.Submit(MakeRequest(4, 4, 0.0)).status();
+  EXPECT_EQ(setup.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(setup.message().find("EngineConfig::sampler"), std::string::npos)
+      << setup.message();
+}
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+TEST(ApiEngineTest, RejectsNaNTemperature) {
+  ExpectSamplerRejected(kNaN, 0.9f);
+}
+
+TEST(ApiEngineTest, RejectsInfiniteTemperature) {
+  ExpectSamplerRejected(kInf, 0.9f);
+}
+
+TEST(ApiEngineTest, RejectsNegativeInfiniteTemperature) {
+  ExpectSamplerRejected(-kInf, 0.9f);
+}
+
+TEST(ApiEngineTest, RejectsNegativeTemperature) {
+  ExpectSamplerRejected(-0.5f, 0.9f);
+}
+
+TEST(ApiEngineTest, RejectsNaNTopP) {
+  ExpectSamplerRejected(1.0f, kNaN);
 }
 
 TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
