@@ -2,7 +2,8 @@
 //
 // Measures the host-side ground-truth kernels the functional simulation
 // runs on: fp32 matvec (serial + thread pool), the multi-row matmul one
-// executor pass runs per weight matrix (serial + thread pool), one
+// executor pass runs per weight matrix (serial + thread pool, and off a
+// once-packed copy at the Tiny shapes), one
 // sampled token (temperature, softmax and the top-p nucleus), int8
 // quantized matvec, rmsnorm, softmax, and the full reference forward
 // pass.
@@ -82,7 +83,39 @@ BENCHMARK(BM_MatMulRows)
     ->ArgsProduct({{768}, {288}, {1, 8, 12}, {0, 1}})
     ->ArgsProduct({{288}, {768}, {1, 8, 12}, {0, 1}})
     ->ArgsProduct({{32000}, {288}, {1, 8, 12}, {0, 1}})
+    // The Tiny matrices, serial: the row-major kernel BM_MatMulRowsPacked
+    // replaces in the executor.
+    ->ArgsProduct({{48}, {48}, {1, 4, 8}, {0}})
+    ->ArgsProduct({{24}, {48}, {1, 4, 8}, {0}})
+    ->ArgsProduct({{128}, {48}, {1, 4, 8}, {0}})
+    ->ArgsProduct({{48}, {128}, {1, 4, 8}, {0}})
+    ->ArgsProduct({{512}, {48}, {1, 4, 8}, {0}})
     ->UseRealTime();
+
+// Args: d, n, activation rows. MatMulRowsPacked off a copy packed once
+// outside the loop, as the executor's weight image holds it, at the Tiny
+// matrix shapes (every one below the pool split). Items are MACs.
+void BM_MatMulRowsPacked(benchmark::State& state) {
+  const std::int64_t d = state.range(0), n = state.range(1);
+  const std::int64_t rows = state.range(2);
+  auto w = RandomVec(static_cast<std::size_t>(d * n), 1);
+  auto x = RandomVec(static_cast<std::size_t>(rows * n), 2);
+  std::vector<float> pk(
+      static_cast<std::size_t>(llama::PackedMatMulFloats(d, n)));
+  llama::PackMatMulWeights(pk, w, d, n);
+  std::vector<float> out(static_cast<std::size_t>(rows * d));
+  for (auto _ : state) {
+    llama::MatMulRowsPacked(out, pk, w, x, rows, d, n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows * d * n);
+}
+BENCHMARK(BM_MatMulRowsPacked)
+    ->ArgsProduct({{48}, {48}, {1, 4, 8}})
+    ->ArgsProduct({{24}, {48}, {1, 4, 8}})
+    ->ArgsProduct({{128}, {48}, {1, 4, 8}})
+    ->ArgsProduct({{48}, {128}, {1, 4, 8}})
+    ->ArgsProduct({{512}, {48}, {1, 4, 8}});
 
 // Arg: vocab. One Sampler::Sample at T=0.9, top-p 0.9 over flat logits
 // (sigma 0.15, like the Tiny preset's: the nucleus holds ~87% of the

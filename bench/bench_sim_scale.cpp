@@ -102,17 +102,18 @@ int main(int argc, char** argv) {
   // drained by the event engine.
   const auto serve = [&](const std::vector<serving::ServingRequest>& reqs)
       -> StatusOr<serving::ClusterReport> {
-    serving::ClusterSession session(program, weights, cards, cluster_config,
-                                    sampler);
+    SPEEDLLM_ASSIGN_OR_RETURN(
+        auto session, serving::ClusterSession::Create(program, weights, cards,
+                                                      cluster_config, sampler));
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       SPEEDLLM_RETURN_IF_ERROR(
-          session.Validate(reqs[i], "request " + std::to_string(i)));
-      session.SubmitAt(&reqs[i], i,
-                       session.SecondsToCycles(reqs[i].arrival_seconds));
+          session->Validate(reqs[i], "request " + std::to_string(i)));
+      session->SubmitAt(&reqs[i], i,
+                        session->SecondsToCycles(reqs[i].arrival_seconds));
     }
-    session.engine().Run();
-    SPEEDLLM_RETURN_IF_ERROR(session.Finalize());
-    return session.Harvest();
+    session->engine().Run();
+    SPEEDLLM_RETURN_IF_ERROR(session->Finalize());
+    return session->Harvest();
   };
 
   const int per_segment = n_requests / n_segments;

@@ -5,33 +5,17 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/threadpool.hpp"
 #include "llama/kernels.hpp"
 
 namespace speedllm::accel {
 
 namespace {
 
-/// Largest group size <= 64 that divides k (so every weight row holds
-/// whole quantization groups).
-std::int32_t PickGroupSize(std::int64_t k) {
-  for (std::int32_t g = static_cast<std::int32_t>(std::min<std::int64_t>(64, k));
-       g > 1; --g) {
-    if (k % g == 0) return g;
-  }
-  return 1;
-}
-
 // A forward runs its rows in passes of at most this many: the activation
 // buffers grow to one pass (about 0.2 MiB a row for stories15M), and past
 // a few rows the weights are no longer what a pass waits on.
 constexpr std::size_t kPassRows = 16;
-
-// A matmul whose fp32 weight matrix is at least this large splits its
-// output rows across ThreadPool::Global(). Below ~128 KiB a one-row call
-// costs more to hand out than it saves (docs/ARCHITECTURE.md, "Pool
-// split"): every Tiny matrix (at most 96 KiB) stays serial, and every
-// stories15M matrix (at least 324 KiB) splits.
-constexpr std::int64_t kPoolSplitBytes = 256 * 1024;
 
 }  // namespace
 
@@ -51,46 +35,30 @@ TokenRunStats& TokenRunStats::operator+=(const TokenRunStats& o) {
 Executor::Executor(const Program& program, const llama::Weights& weights,
                    const hw::U280Config& u280)
     : program_(&program), u280_(u280) {
-  assert(weights.config.num_params() == program.model.num_params());
-  const auto& dg = program.dg;
-  const auto& g = dg.graph;
+  auto image = WeightImage::Build(program, weights);
+  if (image.ok()) {
+    own_image_ = std::make_unique<const WeightImage>(std::move(image).value());
+    image_ = own_image_.get();
+  } else {
+    setup_ = image.status();
+  }
+  Init();
+}
 
-  std::map<graph::ValueId, std::span<const float>> weight_map;
-  weight_map[dg.token_embedding] = weights.token_embedding.span();
-  weight_map[dg.rms_final] = weights.rms_final.span();
-  if (!program.model.shared_classifier) {
-    weight_map[dg.wcls] = weights.wcls.span();
-  }
-  for (std::size_t l = 0; l < dg.layers.size(); ++l) {
-    const auto& ids = dg.layers[l];
-    weight_map[ids.rms_att] = weights.rms_att[l].span();
-    weight_map[ids.wq] = weights.wq[l].span();
-    weight_map[ids.wk] = weights.wk[l].span();
-    weight_map[ids.wv] = weights.wv[l].span();
-    weight_map[ids.wo] = weights.wo[l].span();
-    weight_map[ids.rms_ffn] = weights.rms_ffn[l].span();
-    weight_map[ids.w1] = weights.w1[l].span();
-    weight_map[ids.w2] = weights.w2[l].span();
-    weight_map[ids.w3] = weights.w3[l].span();
-  }
+Executor::Executor(const Program& program, const WeightImage& image,
+                   const hw::U280Config& u280)
+    : program_(&program), u280_(u280), image_(&image) {
+  Init();
+}
+
+void Executor::Init() {
+  const auto& dg = program_->dg;
+  const auto& g = dg.graph;
 
   for (const auto& op : g.ops()) {
     if (std::find(op.outputs.begin(), op.outputs.end(), dg.logits) !=
         op.outputs.end()) {
       logits_op_ = op.id;
-    }
-  }
-
-  // Pre-quantize matmul weights for the int8 datapath.
-  if (program.exec.int8_weights) {
-    for (const auto& op : g.ops()) {
-      if (op.kind != graph::OpKind::kMatMul) continue;
-      graph::ValueId w_id = op.inputs[0];
-      if (quant_map_.count(w_id)) continue;
-      auto span = weight_map.at(w_id);
-      auto qt = quant::Quantize(span, Shape{op.m, op.k}, PickGroupSize(op.k));
-      assert(qt.ok());
-      quant_map_.emplace(w_id, std::move(qt).value());
     }
   }
 
@@ -113,9 +81,10 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
   // One step per compute op, in program order at its first compute
   // instruction. A matmul's step computes every output row, so its later
   // tiles matter to the timing schedule only.
+  if (image_ == nullptr) return;
   std::vector<bool> seen(g.ops().size(), false);
   steps_.reserve(g.ops().size());
-  for (const Instr& instr : program.instrs) {
+  for (const Instr& instr : program_->instrs) {
     if (instr.opcode != Opcode::kCompute ||
         instr.compute == ComputeKind::kNone) {
       continue;
@@ -131,24 +100,14 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
     step.op = &op;
     switch (instr.compute) {
       case ComputeKind::kEmbedCopy:
-        step.weights = weight_map.at(op.inputs[0]);
+        step.weights = image_->tensor(op.inputs[0]);
         break;
       case ComputeKind::kRmsNorm:
-        step.weights = weight_map.at(op.inputs[1]);
+        step.weights = image_->tensor(op.inputs[1]);
         break;
-      case ComputeKind::kMatMulTile: {
-        auto q = quant_map_.find(op.inputs[0]);
-        if (q != quant_map_.end()) {
-          step.qweights = &q->second;
-        } else {
-          step.weights = weight_map.at(op.inputs[0]);
-          if (op.m * op.k * static_cast<std::int64_t>(sizeof(float)) >=
-              kPoolSplitBytes) {
-            step.pool = &ThreadPool::Global();
-          }
-        }
+      case ComputeKind::kMatMulTile:
+        step.matmul = &image_->matmul(op.inputs[0]);
         break;
-      }
       default:
         break;
     }
@@ -233,20 +192,24 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
       const std::int64_t n = rows - first;
       assert(row_floats_[op.inputs[1]] == op.k);
       assert(row_floats_[op.outputs[0]] == op.m);
-      float* out = Row(op.outputs[0], 0);
-      const float* x = Row(op.inputs[1], first);
-      if (step.qweights != nullptr) {
+      const MatMulWeights& w = *step.matmul;
+      const std::span<float> out{Row(op.outputs[0], 0),
+                                 static_cast<std::size_t>(n * op.m)};
+      const std::span<const float> x{Row(op.inputs[1], first),
+                                     static_cast<std::size_t>(n * op.k)};
+      if (w.q != nullptr) {
         for (std::int64_t r = 0; r < n; ++r) {
-          quant::MatMulQ8Rows(
-              {out + r * op.m, static_cast<std::size_t>(op.m)},
-              *step.qweights,
-              {x + r * op.k, static_cast<std::size_t>(op.k)}, op.k, 0, op.m);
+          quant::MatMulQ8Rows(out.subspan(static_cast<std::size_t>(r * op.m),
+                                          static_cast<std::size_t>(op.m)),
+                              *w.q,
+                              x.subspan(static_cast<std::size_t>(r * op.k),
+                                        static_cast<std::size_t>(op.k)),
+                              op.k, 0, op.m);
         }
+      } else if (w.pooled) {
+        llama::MatMulRows(out, w.rows, x, n, op.m, op.k, &ThreadPool::Global());
       } else {
-        llama::MatMulRows({out, static_cast<std::size_t>(n * op.m)},
-                          step.weights,
-                          {x, static_cast<std::size_t>(n * op.k)}, n, op.m,
-                          op.k, step.pool);
+        llama::MatMulRowsPacked(out, w.packed, w.rows, x, n, op.m, op.k);
       }
       break;
     }
@@ -400,6 +363,7 @@ StatusOr<std::span<const float>> Executor::Forward(
     std::span<const std::int32_t> tokens, std::int32_t pos0,
     const KvPages& kv, bool want_last_logits) {
   const auto& cfg = program_->model;
+  if (!setup_.ok()) return setup_;
   if (tokens.empty()) return InvalidArgument("a forward needs a token");
   for (std::int32_t token : tokens) {
     if (token < 0 || token >= cfg.vocab_size) {

@@ -19,24 +19,27 @@
 // run, so one executor serves every resident sequence of a card.
 // Standalone callers use the executor's own one-block table of seq_len
 // tokens through the same code path.
+//
+// The weights come from a WeightImage (accel/weight_image.hpp): a
+// serving session builds one and every card's executor reads it; a
+// standalone executor builds its own.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "accel/kv_pages.hpp"
 #include "accel/program.hpp"
+#include "accel/weight_image.hpp"
 #include "common/status.hpp"
 #include "common/tensor.hpp"
-#include "common/threadpool.hpp"
 #include "hw/hbm.hpp"
 #include "hw/power.hpp"
 #include "hw/u280_config.hpp"
 #include "llama/weights.hpp"
-#include "quant/quant.hpp"
 #include "sim/station.hpp"
 #include "sim/trace.hpp"
 
@@ -57,8 +60,14 @@ struct TokenRunStats {
 
 class Executor {
  public:
-  /// `weights` must match program.model and outlive the executor.
+  /// Builds the executor's own WeightImage of `weights`, which must
+  /// outlive the executor. When the image cannot be built (weights that
+  /// do not match the program), every Forward returns that error.
   Executor(const Program& program, const llama::Weights& weights,
+           const hw::U280Config& u280);
+  /// Reads `image`, which must be built for `program` and outlive the
+  /// executor.
+  Executor(const Program& program, const WeightImage& image,
            const hw::U280Config& u280);
 
   /// Clears the executor-owned K/V (start of a new standalone sequence).
@@ -79,7 +88,8 @@ class Executor {
   /// total_stats() in order and last_stats() is the last row's, whether
   /// or not logits are computed.
   ///
-  /// Every argument is checked before any K/V row is written: an empty
+  /// Every argument is checked before any K/V row is written: an
+  /// executor without weights returns its image's build error, an empty
   /// run or a token outside the vocabulary is InvalidArgument, a
   /// position past seq_len or past the table's capacity OutOfRange.
   /// `kv.layout` must match KvLayout(kv.layout.block_tokens).
@@ -126,16 +136,19 @@ class Executor {
   const sim::TraceRecorder& trace() const { return trace_; }
 
   const Program& program() const { return *program_; }
+  /// The image the forwards read; null when the own image failed to
+  /// build.
+  const WeightImage* weight_image() const { return image_; }
 
  private:
   // One functional step: a compute op of the program, in program order.
   struct Step {
     ComputeKind compute = ComputeKind::kNone;
     const graph::Op* op = nullptr;
-    // The weight operand: embedding table, norm gain or fp32 matrix.
+    // The weight operand: embedding table or norm gain ...
     std::span<const float> weights;
-    const quant::QuantizedTensor* qweights = nullptr;  // int8 matmul
-    ThreadPool* pool = nullptr;  // set for matmuls split across threads
+    // ... or the matmul's weight forms.
+    const MatMulWeights* matmul = nullptr;
   };
 
   // Runs one step over `tokens.size()` rows at pos0, pos0 + 1, ...
@@ -153,15 +166,21 @@ class Executor {
   std::uint64_t SeqScale(std::uint64_t amount, bool scaled,
                          std::int32_t pos) const;
 
+  // Sets up the activation buffers and, given an image, steps_.
+  void Init();
+
   const Program* program_;
   hw::U280Config u280_;
+  // The standalone constructor's image (null when shared or unbuilt).
+  std::unique_ptr<const WeightImage> own_image_;
+  const WeightImage* image_ = nullptr;
+  // The own image's build error; every Forward returns it.
+  Status setup_;
 
   std::vector<Step> steps_;
   // The op writing the logits (the classifier): it runs on the last row
   // only, and not at all when a forward wants no logits.
   graph::OpId logits_op_ = -1;
-  // Quantized copies for the int8 datapath (built at construction).
-  std::map<graph::ValueId, quant::QuantizedTensor> quant_map_;
 
   // Activation storage, one arena: value v holds rows_ rows of
   // row_floats_[v] floats (the logits one row) from base_[v]. K/V caches

@@ -59,8 +59,13 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
                                           "EngineConfig::sampler");
   }
   if (!setup_.ok()) return;
-  session_ = std::make_unique<serving::ClusterSession>(
+  auto session = serving::ClusterSession::Create(
       program_, weights_, cards_, ToClusterConfig(config_), config_.sampler);
+  if (!session.ok()) {
+    setup_ = session.status();
+    return;
+  }
+  session_ = std::move(session).value();
   session_->set_emission_hooks(
       [this](std::size_t stream, std::int32_t token, double t) {
         const Entry& entry = entries_[stream];

@@ -28,6 +28,32 @@ void MatMulRowsScalar(float* out, const float* w, const float* x,
   }
 }
 
+/// Packs weight rows [0, 8) of `w` column by column: pk[8 j + k] =
+/// w[k][j], so one column of the block is two adjacent vectors.
+void PackBlock(float* pk, const float* w, std::int64_t n) {
+  std::int64_t j = 0;
+#if defined(__SSE2__)
+  for (; j + 4 <= n; j += 4) {
+    __m128 lo[4], hi[4];
+    for (int k = 0; k < 4; ++k) {
+      lo[k] = _mm_loadu_ps(w + k * n + j);
+      hi[k] = _mm_loadu_ps(w + (k + 4) * n + j);
+    }
+    // After the transposes lo[t] / hi[t] hold column j+t of the two
+    // four-row halves.
+    _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
+    _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
+    for (int t = 0; t < 4; ++t) {
+      _mm_storeu_ps(pk + 8 * (j + t), lo[t]);
+      _mm_storeu_ps(pk + 8 * (j + t) + 4, hi[t]);
+    }
+  }
+#endif
+  for (; j < n; ++j) {
+    for (int k = 0; k < 8; ++k) pk[8 * j + k] = w[k * n + j];
+  }
+}
+
 #if defined(__SSE2__)
 
 /// One activation row against weight rows [0, 8) of `w`: each lane is
@@ -66,30 +92,6 @@ void BlockTimesRow(float* out, const float* w, const float* x,
   }
 }
 
-/// Packs weight rows [0, 8) of `w` column by column: pk[8 j + k] =
-/// w[k][j], so one column of the block is two adjacent vectors.
-void PackBlock(float* pk, const float* w, std::int64_t n) {
-  std::int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m128 lo[4], hi[4];
-    for (int k = 0; k < 4; ++k) {
-      lo[k] = _mm_loadu_ps(w + k * n + j);
-      hi[k] = _mm_loadu_ps(w + (k + 4) * n + j);
-    }
-    // After the transposes lo[t] / hi[t] hold column j+t of the two
-    // four-row halves.
-    _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
-    _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
-    for (int t = 0; t < 4; ++t) {
-      _mm_storeu_ps(pk + 8 * (j + t), lo[t]);
-      _mm_storeu_ps(pk + 8 * (j + t) + 4, hi[t]);
-    }
-  }
-  for (; j < n; ++j) {
-    for (int k = 0; k < 8; ++k) pk[8 * j + k] = w[k * n + j];
-  }
-}
-
 /// R activation rows against one packed block: each lane is one (row,
 /// output) accumulator adding w[k][j] * x[r][j] in ascending j with a
 /// separate multiply and add, so it is bit-identical to
@@ -118,6 +120,50 @@ void BlockTimesRows(float* out, std::int64_t d, const float* pk,
   }
 }
 
+/// One activation row against B consecutive packed blocks: one broadcast
+/// of x[j] feeds all 2B accumulators, each adding w[k][j] * x[j] in
+/// ascending j with a separate multiply and add, so every output is
+/// bit-identical to MatMulRowsScalar.
+template <int B>
+void BlocksTimesRow(float* out, const float* pk, const float* x,
+                    std::int64_t n) {
+  const std::int64_t stride = kBlockRows * n;
+  __m128 lo[B], hi[B];
+#pragma GCC unroll 4
+  for (int b = 0; b < B; ++b) lo[b] = hi[b] = _mm_setzero_ps();
+  for (std::int64_t j = 0; j < n; ++j) {
+    const __m128 xj = _mm_set1_ps(x[j]);
+#pragma GCC unroll 4
+    for (int b = 0; b < B; ++b) {
+      const float* p = pk + b * stride + 8 * j;
+      lo[b] = _mm_add_ps(lo[b], _mm_mul_ps(_mm_loadu_ps(p), xj));
+      hi[b] = _mm_add_ps(hi[b], _mm_mul_ps(_mm_loadu_ps(p + 4), xj));
+    }
+  }
+#pragma GCC unroll 4
+  for (int b = 0; b < B; ++b) {
+    _mm_storeu_ps(out + 8 * b, lo[b]);
+    _mm_storeu_ps(out + 8 * b + 4, hi[b]);
+  }
+}
+
+/// Every activation row against one packed block, four rows at a time.
+void PackedBlockTimesRows(float* out, std::int64_t d, const float* pk,
+                          const float* x, std::int64_t rows, std::int64_t n) {
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    BlockTimesRows<4>(out + r * d, d, pk, x + r * n, n);
+  }
+  float* o = out + r * d;
+  const float* xr = x + r * n;
+  switch (rows - r) {
+    case 3: BlockTimesRows<3>(o, d, pk, xr, n); break;
+    case 2: BlockTimesRows<2>(o, d, pk, xr, n); break;
+    case 1: BlockTimesRows<1>(o, d, pk, xr, n); break;
+    default: break;
+  }
+}
+
 #endif  // __SSE2__
 
 /// Output rows [begin, end) of out = W x for every activation row. Under
@@ -141,18 +187,7 @@ void MatMulBlock(float* out, const float* w, const float* x,
     float* pk = pk_buf.data();
     for (; i + kBlockRows <= end; i += kBlockRows) {
       PackBlock(pk, w + i * n, n);
-      std::int64_t r = 0;
-      for (; r + 4 <= rows; r += 4) {
-        BlockTimesRows<4>(out + r * d + i, d, pk, x + r * n, n);
-      }
-      float* o = out + r * d + i;
-      const float* xr = x + r * n;
-      switch (rows - r) {
-        case 3: BlockTimesRows<3>(o, d, pk, xr, n); break;
-        case 2: BlockTimesRows<2>(o, d, pk, xr, n); break;
-        case 1: BlockTimesRows<1>(o, d, pk, xr, n); break;
-        default: break;
-      }
+      PackedBlockTimesRows(out + i, d, pk, x, rows, n);
     }
   }
 #endif
@@ -186,6 +221,56 @@ void MatMulRows(std::span<float> out, std::span<const float> w,
     });
   } else {
     MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, 0, d);
+  }
+}
+
+std::int64_t PackedMatMulFloats(std::int64_t d, std::int64_t n) {
+  return d / kBlockRows * kBlockRows * n;
+}
+
+void PackMatMulWeights(std::span<float> pk, std::span<const float> w,
+                       std::int64_t d, std::int64_t n) {
+  assert(pk.size() == static_cast<std::size_t>(PackedMatMulFloats(d, n)));
+  assert(w.size() == static_cast<std::size_t>(d * n));
+  for (std::int64_t i = 0; i + kBlockRows <= d; i += kBlockRows) {
+    PackBlock(pk.data() + i * n, w.data() + i * n, n);
+  }
+}
+
+void MatMulRowsPacked(std::span<float> out, std::span<const float> packed,
+                      std::span<const float> w, std::span<const float> x,
+                      std::int64_t rows, std::int64_t d, std::int64_t n) {
+  assert(out.size() == static_cast<std::size_t>(rows * d));
+  assert(packed.size() == static_cast<std::size_t>(PackedMatMulFloats(d, n)));
+  assert(w.size() == static_cast<std::size_t>(d * n));
+  assert(x.size() == static_cast<std::size_t>(rows * n));
+  std::int64_t i = 0;
+#if defined(__SSE2__)
+  const std::int64_t whole = d / kBlockRows * kBlockRows;
+  const float* pk = packed.data();
+  if (rows == 1) {
+    for (; i + 4 * kBlockRows <= whole; i += 4 * kBlockRows) {
+      BlocksTimesRow<4>(out.data() + i, pk + i * n, x.data(), n);
+    }
+    float* o = out.data() + i;
+    const float* p = pk + i * n;
+    switch ((whole - i) / kBlockRows) {
+      case 3: BlocksTimesRow<3>(o, p, x.data(), n); break;
+      case 2: BlocksTimesRow<2>(o, p, x.data(), n); break;
+      case 1: BlocksTimesRow<1>(o, p, x.data(), n); break;
+      default: break;
+    }
+  } else {
+    for (std::int64_t b = 0; b < whole; b += kBlockRows) {
+      PackedBlockTimesRows(out.data() + b, d, pk + b * n, x.data(), rows, n);
+    }
+  }
+  i = whole;
+#else
+  (void)packed;
+#endif
+  for (std::int64_t r = 0; r < rows; ++r) {
+    MatMulRowsScalar(out.data() + r * d, w.data(), x.data() + r * n, n, i, d);
   }
 }
 

@@ -35,6 +35,25 @@ void MatMulRows(std::span<float> out, std::span<const float> w,
                 std::span<const float> x, std::int64_t rows, std::int64_t d,
                 std::int64_t n, ThreadPool* pool = nullptr);
 
+/// Floats in the packed copy of a row-major [d x n] matrix: its whole
+/// blocks of eight rows, (d / 8) * 8 * n.
+std::int64_t PackedMatMulFloats(std::int64_t d, std::int64_t n);
+
+/// Packs the whole 8-row blocks of row-major W [d x n] column by column:
+/// pk[b * 8n + 8j + k] = W[8b + k][j] for b < d / 8. `pk` holds
+/// PackedMatMulFloats(d, n) floats.
+void PackMatMulWeights(std::span<float> pk, std::span<const float> w,
+                       std::int64_t d, std::int64_t n);
+
+/// MatMulRows off a packed copy of W: `packed` is PackMatMulWeights(w),
+/// and `w` itself serves the rows past the last whole block. One row
+/// broadcasts each x[j] to four blocks at a time; several rows sweep each
+/// packed block four rows at a time; neither transposes anything per
+/// call. Serial. out is bit-identical to MatMulRows(out, w, x, ...).
+void MatMulRowsPacked(std::span<float> out, std::span<const float> packed,
+                      std::span<const float> w, std::span<const float> x,
+                      std::int64_t rows, std::int64_t d, std::int64_t n);
+
 /// RMS normalization: out[i] = x[i] * weight[i] / rms(x), rms with eps 1e-5.
 void RmsNorm(std::span<float> out, std::span<const float> x,
              std::span<const float> weight);

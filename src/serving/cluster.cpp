@@ -120,13 +120,23 @@ double ClusterReport::mean_utilization() const {
 
 // ------------------------------------------------------- ClusterSession
 
+StatusOr<std::unique_ptr<ClusterSession>> ClusterSession::Create(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::MultiCardConfig& cards, const ClusterConfig& config,
+    const llama::SamplerConfig& sampler_config) {
+  SPEEDLLM_ASSIGN_OR_RETURN(accel::WeightImage image,
+                            accel::WeightImage::Build(program, weights));
+  return std::unique_ptr<ClusterSession>(new ClusterSession(
+      program, std::move(image), cards, config, sampler_config));
+}
+
 ClusterSession::ClusterSession(const accel::Program& program,
-                               const llama::Weights& weights,
+                               accel::WeightImage image,
                                const hw::MultiCardConfig& cards,
                                const ClusterConfig& config,
                                const llama::SamplerConfig& sampler_config)
     : program_(program),
-      weights_(weights),
+      image_(std::move(image)),
       cards_(cards),
       config_(config),
       sampler_config_(sampler_config),
@@ -170,7 +180,7 @@ ClusterSession::ClusterSession(const accel::Program& program,
                          : static_cast<std::int64_t>(shard_config.kv_pool_bytes /
                                                      block_bytes));
     shards_.push_back(std::make_unique<ShardScheduler>(
-        program, weights, cards_.cards[ci], shard_config, engine_));
+        program, image_, cards_.cards[ci], shard_config, engine_));
     if (telemetry_ != nullptr) {
       shards_.back()->set_telemetry(telemetry_->MakeShardChannel(c));
     }

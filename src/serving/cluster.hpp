@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "accel/program.hpp"
+#include "accel/weight_image.hpp"
 #include "common/status.hpp"
 #include "hw/cluster.hpp"
 #include "llama/sampler.hpp"
@@ -182,12 +183,16 @@ struct ClusterReport {
 /// session fed every arrival up front and drained.
 class ClusterSession {
  public:
-  /// `program` and `weights` must outlive the session; `cards` must
-  /// already be validated and `config.shard` normalized. Copies `cards`,
-  /// `config`, and `sampler_config`.
-  ClusterSession(const accel::Program& program, const llama::Weights& weights,
-                 const hw::MultiCardConfig& cards, const ClusterConfig& config,
-                 const llama::SamplerConfig& sampler_config);
+  /// Builds the session's one accel::WeightImage of `weights`, which
+  /// every card's executor reads, then the shards. `program` and
+  /// `weights` must outlive the session; `cards` must already be
+  /// validated and `config.shard` normalized. Copies `cards`, `config`,
+  /// and `sampler_config`. InvalidArgument when `weights` do not match
+  /// `program` (accel::WeightImage::Build).
+  static StatusOr<std::unique_ptr<ClusterSession>> Create(
+      const accel::Program& program, const llama::Weights& weights,
+      const hw::MultiCardConfig& cards, const ClusterConfig& config,
+      const llama::SamplerConfig& sampler_config);
   /// Destroys the session; unharvested outcomes are discarded.
   ~ClusterSession();
 
@@ -208,6 +213,8 @@ class ClusterSession {
   int num_cards() const { return static_cast<int>(shards_.size()); }
   /// Card `card`'s shard (placement-policy queries, tests).
   const ShardScheduler& shard(int card) const { return *shards_[card]; }
+  /// The weight image every shard's executor reads.
+  const accel::WeightImage& weight_image() const { return image_; }
 
   /// Session telemetry (trace + metrics), or null when disabled. Owned
   /// by the session; alive until destruction.
@@ -303,8 +310,13 @@ class ClusterSession {
                       std::int32_t dst, std::int64_t bytes, sim::Cycles start,
                       sim::Cycles end);
 
+  ClusterSession(const accel::Program& program, accel::WeightImage image,
+                 const hw::MultiCardConfig& cards, const ClusterConfig& config,
+                 const llama::SamplerConfig& sampler_config);
+
   const accel::Program& program_;
-  const llama::Weights& weights_;
+  // Declared before shards_: every shard's executor reads it.
+  accel::WeightImage image_;
   hw::MultiCardConfig cards_;
   ClusterConfig config_;
   llama::SamplerConfig sampler_config_;

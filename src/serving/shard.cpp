@@ -119,7 +119,7 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 }
 
 ShardScheduler::ShardScheduler(const accel::Program& program,
-                               const llama::Weights& weights,
+                               const accel::WeightImage& image,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
                                sim::Engine& engine)
@@ -132,7 +132,7 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
           program.model, config.kv_cache_dtype,
           DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
           config.block_size_tokens, config.enable_prefix_cache)),
-      exec_(std::make_unique<accel::Executor>(program, weights, u280)),
+      exec_(std::make_unique<accel::Executor>(program, image, u280)),
       tick_cost_(shared_seconds_, kSharedShareCap) {}
 
 ShardScheduler::~ShardScheduler() = default;

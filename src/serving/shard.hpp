@@ -32,7 +32,6 @@
 #include "hw/grouped_cost.hpp"
 #include "hw/u280_config.hpp"
 #include "llama/sampler.hpp"
-#include "llama/weights.hpp"
 #include "obs/telemetry.hpp"
 #include "serving/interconnect.hpp"
 #include "serving/kv_pool.hpp"
@@ -42,6 +41,7 @@
 
 namespace speedllm::accel {
 class Executor;
+class WeightImage;
 }  // namespace speedllm::accel
 
 namespace speedllm::serving {
@@ -76,13 +76,13 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 /// ClusterSession.
 class ShardScheduler {
  public:
-  /// `program`, `weights`, and `engine` must outlive the shard. `config`
-  /// must already be normalized. Ticks are scheduled on `engine`; the
-  /// caller drives engine.Run() after attaching the interconnect
-  /// (set_interconnect).
-  ShardScheduler(const accel::Program& program, const llama::Weights& weights,
-                 const hw::U280Config& u280, const SchedulerConfig& config,
-                 sim::Engine& engine);
+  /// `program`, `image` (the weights, built for `program`) and `engine`
+  /// must outlive the shard. `config` must already be normalized. Ticks
+  /// are scheduled on `engine`; the caller drives engine.Run() after
+  /// attaching the interconnect (set_interconnect).
+  ShardScheduler(const accel::Program& program,
+                 const accel::WeightImage& image, const hw::U280Config& u280,
+                 const SchedulerConfig& config, sim::Engine& engine);
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
@@ -190,6 +190,8 @@ class ShardScheduler {
   /// This shard's KV block pool (placement policies read its capacity
   /// and occupancy).
   const KvBlockPool& pool() const { return pool_; }
+  /// This card's executor (its weight image, timing table, stats).
+  const accel::Executor& executor() const { return *exec_; }
   /// KV pool capacity in bytes.
   std::uint64_t pool_bytes() const { return pool_.capacity_bytes(); }
   /// Amortized per-tick shared cost (weight stream + launch overhead).

@@ -505,6 +505,26 @@ TEST(ApiEngineTest, RejectsNaNTopP) {
   ExpectSamplerRejected(1.0f, kNaN);
 }
 
+TEST(ApiEngineTest, RejectsWeightsThatDoNotMatchTheProgram) {
+  Fixture f;
+  auto prog = f.Compile();
+  // Same Tiny model but a wider FFN: every w1/w2/w3 is the wrong size.
+  llama::ModelConfig wide = f.config;
+  wide.hidden_dim = f.config.hidden_dim * 2;
+  const llama::Weights wrong = llama::GenerateSyntheticWeights(wide, 808);
+  for (int cards : {1, 3}) {
+    EngineConfig config;
+    config.num_cards = cards;
+    Engine engine(prog, wrong, f.u280, config);
+    const Status status = engine.Submit(MakeRequest(4, 4, 0.0)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << cards;
+    EXPECT_NE(status.message().find("w1"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(engine.submitted_requests(), 0u);
+    EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
   Fixture f;
   auto prog = f.Compile();

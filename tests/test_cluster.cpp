@@ -2,15 +2,20 @@
 // the shared-clock determinism invariant (byte-identical token streams
 // for 1 vs N cards under every placement policy, including under forced
 // preemption), placement-policy routing, queued-request rebalancing,
-// per-card accounting, and the scale-out throughput win.
+// per-card accounting, the one weight image every card reads, and the
+// scale-out throughput win.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
+#include "accel/executor.hpp"
 #include "compiler/compiler.hpp"
+#include "llama/kernels.hpp"
 #include "llama/tokenizer.hpp"
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
+#include "serving/shard.hpp"
 #include "serving/workload.hpp"
 #include "test_util.hpp"
 
@@ -404,6 +409,43 @@ TEST(ClusterTest, PerCardAccountingIsConsistent) {
   for (std::int32_t s : report->shard_of_request) {
     EXPECT_GE(s, 0);
     EXPECT_LT(s, 4);
+  }
+}
+
+TEST(ClusterTest, EveryCardReadsTheSessionsOneWeightImage) {
+  Fixture f;
+  for (bool int8 : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "int8 " << int8);
+    compiler::CompilerOptions options =
+        runtime::OptionsFor(runtime::Variant::kSpeedLLM);
+    options.int8_weights = int8;
+    auto cr = compiler::Compile(f.config, options, f.u280);
+    ASSERT_TRUE(cr.ok()) << cr.status().ToString();
+    const accel::Program& prog = cr->program;
+    auto session = ClusterSession::Create(
+        prog, f.weights, hw::MultiCardConfig::Homogeneous(f.u280, 4),
+        ClusterConfig{}, llama::SamplerConfig{});
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const accel::WeightImage& image = (*session)->weight_image();
+    ASSERT_EQ((*session)->num_cards(), 4);
+    for (int c = 0; c < 4; ++c) {
+      EXPECT_EQ((*session)->shard(c).executor().weight_image(), &image) << c;
+    }
+
+    // One packed or quantized copy per distinct matrix, not per card.
+    std::set<graph::ValueId> matrices;
+    std::int64_t packed_floats = 0;
+    for (const auto& op : prog.dg.graph.ops()) {
+      if (op.kind != graph::OpKind::kMatMul) continue;
+      if (matrices.insert(op.inputs[0]).second &&
+          op.m * op.k * 4 < accel::kPoolSplitBytes) {
+        packed_floats += llama::PackedMatMulFloats(op.m, op.k);
+      }
+    }
+    ASSERT_GT(packed_floats, 0);
+    EXPECT_EQ(image.quantized_matrices(), int8 ? matrices.size() : 0u);
+    EXPECT_EQ(image.packed_bytes(),
+              int8 ? 0u : static_cast<std::size_t>(packed_floats) * 4);
   }
 }
 

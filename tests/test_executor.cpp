@@ -579,6 +579,29 @@ TEST(ExecutorTest, RejectsOutOfRangeInputs) {
   EXPECT_FALSE(exec.Forward(0, s.config.seq_len).ok());
 }
 
+TEST(ExecutorTest, WeightsThatDoNotMatchTheProgramFailEveryForward) {
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  llama::ModelConfig wide = s.config;
+  wide.hidden_dim = s.config.hidden_dim * 2;
+  const llama::Weights wrong = llama::GenerateSyntheticWeights(wide, 404);
+  EXPECT_EQ(WeightImage::Build(prog, wrong).status().code(),
+            StatusCode::kInvalidArgument);
+  llama::Weights short_layers = llama::GenerateSyntheticWeights(s.config, 404);
+  short_layers.wq.pop_back();
+  EXPECT_EQ(WeightImage::Build(prog, short_layers).status().code(),
+            StatusCode::kInvalidArgument);
+
+  Executor exec(prog, wrong, s.u280);
+  EXPECT_EQ(exec.weight_image(), nullptr);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(exec.Forward(1, 0).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Timing needs no weights.
+  EXPECT_GT(exec.TimingAt(0).cycles, 0u);
+}
+
 TEST(ExecutorTest, GqaModelRunsCorrectly) {
   // Tiny already uses GQA (4 heads, 2 kv heads); also try an asymmetric
   // configuration to stress the head mapping.

@@ -1,6 +1,7 @@
 // Unit tests for src/llama/kernels: the float ground-truth kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -149,6 +150,55 @@ TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
   }
 }
 
+// The packed copy of W: its whole 8-row blocks, column-interleaved.
+std::vector<float> Packed(const std::vector<float>& w, std::int64_t d,
+                          std::int64_t n) {
+  std::vector<float> pk(static_cast<std::size_t>(PackedMatMulFloats(d, n)));
+  PackMatMulWeights(pk, w, d, n);
+  return pk;
+}
+
+TEST(MatMulTest, PackedRowsAreBitIdenticalToASequentialLoop) {
+  // d covers one to three remainder blocks after the four-block groups
+  // (24, 40, 48, 96) and row tails (1, 3, 7, 9, 17).
+  for (std::int64_t d : {1, 3, 7, 8, 9, 17, 24, 40, 48, 96, 512}) {
+    for (std::int64_t n : {1, 3, 45, 48, 128, 288}) {
+      const auto seed = static_cast<std::uint64_t>(d * 1000 + n);
+      const auto w = RandomVec(static_cast<std::size_t>(d * n), seed);
+      const auto pk = Packed(w, d, n);
+      ASSERT_EQ(pk.size(), static_cast<std::size_t>(d / 8 * 8 * n));
+      for (std::int64_t i = 0; i < d / 8 * 8; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(pk[static_cast<std::size_t>(i / 8 * 8 * n + 8 * j + i % 8)],
+                    w[static_cast<std::size_t>(i * n + j)]);
+        }
+      }
+      for (std::int64_t rows : {1, 2, 3, 5, 8, 13}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d " << d << " n " << n << " rows " << rows);
+        const auto x =
+            RandomVec(static_cast<std::size_t>(rows * n), seed + rows);
+        std::vector<float> want;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const auto row = SequentialRows(w.data(), x.data() + r * n, d, n);
+          want.insert(want.end(), row.begin(), row.end());
+        }
+        // One guard float on each side of the rows x d outputs.
+        std::vector<float> out_buf(static_cast<std::size_t>(rows * d + 2),
+                                   -1.0f);
+        std::span<float> out{out_buf.data() + 1,
+                             static_cast<std::size_t>(rows * d)};
+        MatMulRowsPacked(out, pk, w, x, rows, d, n);
+        EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(out_buf.front(), -1.0f);
+        EXPECT_EQ(out_buf.back(), -1.0f);
+      }
+    }
+  }
+}
+
 TEST(MatMulTest, BitsArePinnedAcrossIsas) {
   // Inputs from correctly rounded divisions, outputs recorded from a
   // baseline x86-64 build: any ISA must reproduce them bit for bit. A
@@ -166,15 +216,23 @@ TEST(MatMulTest, BitsArePinnedAcrossIsas) {
   for (std::int64_t j = 0; j < n; ++j) {
     x[static_cast<std::size_t>(j)] = 1.0f / static_cast<float>(j + 3);
   }
+  const auto pk = Packed(w, d, n);
   std::vector<float> out(static_cast<std::size_t>(d));
-  MatMul(out, w, x, d, n);
   const std::uint32_t want[d] = {0xbe12724au, 0xbeb754e7u, 0x3e2dbc25u,
                                  0xbe9abc20u, 0xbe69701bu, 0x3eea7791u,
                                  0xbe8e4204u, 0xbd48854bu, 0x3e5def46u};
-  for (std::int64_t i = 0; i < d; ++i) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &out[static_cast<std::size_t>(i)], sizeof(bits));
-    EXPECT_EQ(bits, want[i]) << "row " << i;
+  for (bool packed : {false, true}) {
+    std::fill(out.begin(), out.end(), -1.0f);
+    if (packed) {
+      MatMulRowsPacked(out, pk, w, x, 1, d, n);
+    } else {
+      MatMul(out, w, x, d, n);
+    }
+    for (std::int64_t i = 0; i < d; ++i) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &out[static_cast<std::size_t>(i)], sizeof(bits));
+      EXPECT_EQ(bits, want[i]) << "packed " << packed << " row " << i;
+    }
   }
   // Five activation rows through MatMulRows (a four-row group and a
   // one-row tail): row r divides by j + 3 + 2r, so row 0 is x above and
@@ -188,7 +246,6 @@ TEST(MatMulTest, BitsArePinnedAcrossIsas) {
     }
   }
   std::vector<float> outs(static_cast<std::size_t>(rows * d));
-  MatMulRows(outs, w, xs, rows, d, n);
   const std::uint32_t want_rows[rows][d] = {
       {0xbe12724au, 0xbeb754e7u, 0x3e2dbc25u, 0xbe9abc20u, 0xbe69701bu,
        0x3eea7791u, 0xbe8e4204u, 0xbd48854bu, 0x3e5def46u},
@@ -200,12 +257,21 @@ TEST(MatMulTest, BitsArePinnedAcrossIsas) {
        0x3e3f4468u, 0xbdae833du, 0xbcac7263u, 0x3da790f4u},
       {0x3c68c308u, 0xbdda32abu, 0x3c932055u, 0xbd5b23b4u, 0xbd9ab98fu,
        0x3e1ff29cu, 0xbd88ecf3u, 0xbc9fdf54u, 0x3d9066a3u}};
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t i = 0; i < d; ++i) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, &outs[static_cast<std::size_t>(r * d + i)],
-                  sizeof(bits));
-      EXPECT_EQ(bits, want_rows[r][i]) << "row " << r << " output " << i;
+  for (bool packed : {false, true}) {
+    std::fill(outs.begin(), outs.end(), -1.0f);
+    if (packed) {
+      MatMulRowsPacked(outs, pk, w, xs, rows, d, n);
+    } else {
+      MatMulRows(outs, w, xs, rows, d, n);
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t i = 0; i < d; ++i) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &outs[static_cast<std::size_t>(r * d + i)],
+                    sizeof(bits));
+        EXPECT_EQ(bits, want_rows[r][i])
+            << "packed " << packed << " row " << r << " output " << i;
+      }
     }
   }
 }

@@ -198,7 +198,12 @@ RunResult RunOnce(const accel::Program& prog, const Fixture& f,
                   const llama::SamplerConfig& sc) {
   config.telemetry.enable_tracing = true;
   config.telemetry.enable_metrics = true;
-  ClusterSession session(prog, f.weights, cards, config, sc);
+  auto created = ClusterSession::Create(prog, f.weights, cards, config, sc);
+  if (!created.ok()) {
+    ADD_FAILURE() << created.status().ToString();
+    return {};
+  }
+  ClusterSession& session = **created;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     session.SubmitAt(&reqs[i], i,
                      session.SecondsToCycles(reqs[i].arrival_seconds));
