@@ -60,7 +60,12 @@ int main(int argc, char** argv) {
     config.vocab_size = 2048;
     config.seq_len = 256;
   } else {
-    config = bench::PresetFromFlag(preset);
+    auto named = bench::PresetFromFlag(preset);
+    if (!named.ok()) {
+      std::fprintf(stderr, "%s\n", named.status().ToString().c_str());
+      return 1;
+    }
+    config = *named;
   }
   const int n_requests = static_cast<int>(cl.GetInt("requests", 64));
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 11));

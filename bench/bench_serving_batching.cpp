@@ -100,8 +100,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const CommandLine& cl = cl_or.value();
-  llama::ModelConfig config =
-      bench::PresetFromFlag(cl.GetString("preset", "tiny"));
+  auto preset = bench::PresetFromFlag(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   const int n_requests = static_cast<int>(cl.GetInt("requests", 24));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cl.GetInt("seed", 7));

@@ -1,9 +1,10 @@
 // SpeedLLM -- shared helpers for the benchmark harnesses.
 //
-// Every bench binary reproduces one table/figure of the paper (see
-// DESIGN.md per-experiment index). The helpers here build the synthetic
-// stories15M workload, run one variant end to end, and serve a request
-// trace through api::Engine.
+// Every bench binary reproduces one table/figure of the paper or one
+// serving experiment (indexed in docs/BENCHMARKS.md). The helpers here
+// pick a model preset, build synthetic prompts for the synthetic weights
+// (see docs/ARCHITECTURE.md "Substitutions"), and serve a request trace
+// through api::Engine.
 #pragma once
 
 #include <cstdio>
@@ -15,8 +16,8 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "llama/sampler.hpp"
+#include "llama/tokenizer.hpp"
 #include "llama/weights.hpp"
-#include "runtime/device.hpp"
 #include "runtime/variants.hpp"
 
 namespace speedllm::bench {
@@ -48,11 +49,14 @@ inline bool WriteBenchJson(
   return true;
 }
 
-/// Parses the common bench flags (--preset, --seed).
-inline llama::ModelConfig PresetFromFlag(const std::string& preset) {
+/// Maps a --preset value to its model shape; an unknown name is
+/// INVALID_ARGUMENT naming the valid ones.
+inline StatusOr<llama::ModelConfig> PresetFromFlag(const std::string& preset) {
   if (preset == "tiny") return llama::ModelConfig::Tiny();
+  if (preset == "stories15m") return llama::ModelConfig::Stories15M();
   if (preset == "stories110m") return llama::ModelConfig::Stories110M();
-  return llama::ModelConfig::Stories15M();
+  return InvalidArgument("unknown --preset '" + preset +
+                         "' (valid: tiny, stories15m, stories110m)");
 }
 
 /// Deterministic prompt token ids (synthetic "story opening").
@@ -68,23 +72,6 @@ inline std::vector<std::int32_t> MakePrompt(const llama::ModelConfig& config,
                   config.vocab_size - 259))));
   }
   return prompt;
-}
-
-/// Runs `variant` for one (prefill, decode) workload and returns metrics.
-inline StatusOr<runtime::InferenceMetrics> RunVariant(
-    const llama::Weights& weights, runtime::Variant variant,
-    std::int32_t prefill, std::int32_t decode,
-    const hw::U280Config& u280 = hw::U280Config::Default()) {
-  SPEEDLLM_ASSIGN_OR_RETURN(
-      runtime::AcceleratorDevice dev,
-      runtime::AcceleratorDevice::Create(weights, variant, u280));
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;  // greedy: identical token stream per variant
-  llama::Sampler sampler(sc);
-  SPEEDLLM_ASSIGN_OR_RETURN(
-      runtime::GenerationResult gen,
-      dev.Generate(MakePrompt(weights.config, prefill), decode, sampler));
-  return gen.metrics;
 }
 
 /// Serves `requests` through one api::Engine over `cards` (a

@@ -13,7 +13,8 @@ int main() {
   using namespace speedllm;
 
   // 1. A stories15M-shaped model with deterministic synthetic weights
-  //    (stands in for the TinyStories-trained checkpoint; see DESIGN.md).
+  //    (stands in for the TinyStories-trained checkpoint; see
+  //    docs/ARCHITECTURE.md "Substitutions").
   llama::ModelConfig config = llama::ModelConfig::Stories15M();
   std::printf("model: %s\n", config.ToString().c_str());
   llama::Weights weights = llama::GenerateSyntheticWeights(config, /*seed=*/42);

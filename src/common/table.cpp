@@ -62,20 +62,6 @@ std::string Table::ToString() const {
   return out.str();
 }
 
-std::string Table::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) out << ",";
-      out << cells[c];
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 void Table::Print() const { std::fputs(ToString().c_str(), stdout); }
 
 std::string FormatBytes(std::uint64_t bytes) {

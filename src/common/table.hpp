@@ -37,9 +37,6 @@ class Table {
   /// Renders the aligned table (trailing newline included).
   std::string ToString() const;
 
-  /// Renders as comma-separated values (for scripting / plotting).
-  std::string ToCsv() const;
-
   /// Prints ToString() to stdout.
   void Print() const;
 

@@ -7,7 +7,8 @@
 namespace speedllm::compiler {
 
 /// Knobs controlling how the decode graph is lowered. The four presets
-/// reproduce the comparison set of the paper's Fig. 2 (see DESIGN.md).
+/// reproduce the comparison set of the paper's Fig. 2 (see
+/// docs/ARCHITECTURE.md "Substitutions").
 struct CompilerOptions {
   /// Contribution 1 -- customized data pipeline. On: independent DMA-in /
   /// DMA-out engines, wide HBM channel striping, double-buffered tiles so

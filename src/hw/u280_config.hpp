@@ -3,7 +3,7 @@
 // Capacities and rates follow the public U280 data sheet; the power
 // coefficients are activity-based estimates calibrated so that relative
 // energy between accelerator variants matches published FPGA experience
-// (see DESIGN.md "Substitutions" and EXPERIMENTS.md "Calibration").
+// (see docs/ARCHITECTURE.md "Substitutions").
 #pragma once
 
 #include <cstdint>
@@ -73,9 +73,10 @@ struct PowerConfig {
 
   // Unit power (watts). "Active" applies while a unit is busy; "idle" is
   // the residual clock-tree/control power of a clock-gated unit. The idle
-  // coefficients are calibrated (see EXPERIMENTS.md) so the relative
-  // *dynamic* energy between variants lands on published FPGA experience;
-  // board static power is tracked separately and reported alongside.
+  // coefficients are calibrated (see docs/ARCHITECTURE.md "Substitutions")
+  // so the relative *dynamic* energy between variants lands on published
+  // FPGA experience; board static power is tracked separately and
+  // reported alongside.
   double mpe_active_w = 18.0;
   double mpe_idle_w = 0.7;
   double sfu_active_w = 3.5;

@@ -43,7 +43,8 @@ struct Weights {
 /// Deterministic random weights with trained-network-like statistics:
 /// gaussian(0, 0.02) projections (scaled down on deep layers like GPT-2
 /// init), unit rmsnorm gains. Produces the same compute/memory footprint
-/// as a trained stories15M checkpoint (see DESIGN.md substitutions).
+/// as a trained stories15M checkpoint (see docs/ARCHITECTURE.md
+/// "Substitutions").
 Weights GenerateSyntheticWeights(const ModelConfig& config,
                                  std::uint64_t seed);
 

@@ -376,12 +376,6 @@ TEST(TableTest, AlignsColumns) {
   EXPECT_NE(s.find("-+-"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.Row({"1", "2"});
-  EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, NumRows) {
   Table t({"x"});
   EXPECT_EQ(t.num_rows(), 0u);

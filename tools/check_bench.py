@@ -71,9 +71,9 @@ def parse_gate(bench, metric, gate):
 def gate_label(lo, hi):
     parts = []
     if lo is not None:
-        parts.append(f">={lo:.1f}")
+        parts.append(f">={lo:.4g}")
     if hi is not None:
-        parts.append(f"<={hi:.1f}")
+        parts.append(f"<={hi:.4g}")
     return " ".join(parts)
 
 
@@ -109,11 +109,11 @@ def main():
                 rows.append((bench, metric, "missing", label, "FAIL"))
                 continue
             ok = (lo is None or value >= lo) and (hi is None or value <= hi)
-            rows.append((bench, metric, f"{value:.1f}", label,
+            rows.append((bench, metric, f"{value:.4g}", label,
                          "ok" if ok else "FAIL"))
             if not ok:
                 failures.append(
-                    f"{bench}.{metric}: {value:.1f} violates the gate "
+                    f"{bench}.{metric}: {value:.4g} violates the gate "
                     f"{label}")
 
     for bench in sorted(set(floors) - seen):

@@ -2,7 +2,7 @@
 //
 // Writes a llama2.c-format checkpoint with deterministic random weights
 // plus a matching tokenizer.bin, standing in for the stories15M model
-// trained on TinyStories (see DESIGN.md "Substitutions").
+// trained on TinyStories (see docs/ARCHITECTURE.md "Substitutions").
 //
 // Usage:
 //   gen_model --out model.bin --tokenizer tokenizer.bin
