@@ -3,7 +3,7 @@
 // Measures the host-side ground-truth kernels the functional simulation
 // runs on: fp32 matvec (serial + thread pool), the multi-row matmul one
 // executor pass runs per weight matrix (serial + thread pool, and off a
-// once-packed copy at the Tiny shapes), one
+// once-packed copy at the Tiny and stories15M shapes), one
 // sampled token (temperature, softmax and the top-p nucleus), int8
 // quantized matvec, rmsnorm, softmax, and the full reference forward
 // pass.
@@ -93,8 +93,10 @@ BENCHMARK(BM_MatMulRows)
     ->UseRealTime();
 
 // Args: d, n, activation rows. MatMulRowsPacked off a copy packed once
-// outside the loop, as the executor's weight image holds it, at the Tiny
-// matrix shapes (every one below the pool split). Items are MACs.
+// outside the loop, as the executor's weight image holds it: at the Tiny
+// matrix shapes (every one below the pool split), and at the stories15M
+// shapes, which the image leaves row-major today, to compare against
+// BM_MatMulRows. Items are MACs.
 void BM_MatMulRowsPacked(benchmark::State& state) {
   const std::int64_t d = state.range(0), n = state.range(1);
   const std::int64_t rows = state.range(2);
@@ -115,7 +117,11 @@ BENCHMARK(BM_MatMulRowsPacked)
     ->ArgsProduct({{24}, {48}, {1, 4, 8}})
     ->ArgsProduct({{128}, {48}, {1, 4, 8}})
     ->ArgsProduct({{48}, {128}, {1, 4, 8}})
-    ->ArgsProduct({{512}, {48}, {1, 4, 8}});
+    ->ArgsProduct({{512}, {48}, {1, 4, 8}})
+    ->ArgsProduct({{288}, {288}, {1, 8}})
+    ->ArgsProduct({{768}, {288}, {1, 8}})
+    ->ArgsProduct({{288}, {768}, {1, 8}})
+    ->ArgsProduct({{32000}, {288}, {1, 8}});
 
 // Arg: vocab. One Sampler::Sample at T=0.9, top-p 0.9 over flat logits
 // (sigma 0.15, like the Tiny preset's: the nucleus holds ~87% of the

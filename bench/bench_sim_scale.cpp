@@ -1,8 +1,8 @@
 // SpeedLLM bench: serial simulation soak + host throughput.
 //
-// Long-horizon stress for the event engine over a
-// serving::ClusterSession: drives a ~100k-request Poisson trace through 8
-// cards in segments and reports the host's simulated tokens per
+// Long-horizon stress for the event engine under api::Engine: drives a
+// ~100k-request Poisson trace through 8 cards in segments, one fresh
+// engine per segment, and reports the host's simulated tokens per
 // wall-second. Two gates run every time:
 //
 //  1. memory stability: RSS sampled after every segment; the final
@@ -31,7 +31,6 @@
 #include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
-#include "serving/cluster.hpp"
 #include "serving/workload.hpp"
 
 using namespace speedllm;
@@ -99,26 +98,10 @@ int main(int argc, char** argv) {
   sampler.temperature = 0.9f;
   sampler.seed = 5;
 
-  serving::ClusterConfig cluster_config;
-  cluster_config.placement = serving::PlacementPolicy::kRoundRobin;
-  cluster_config.rebalance_queued = false;
-  // One segment: a ClusterSession fed the whole trace up front, then
-  // drained by the event engine.
-  const auto serve = [&](const std::vector<serving::ServingRequest>& reqs)
-      -> StatusOr<serving::ClusterReport> {
-    SPEEDLLM_ASSIGN_OR_RETURN(
-        auto session, serving::ClusterSession::Create(program, weights, cards,
-                                                      cluster_config, sampler));
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      SPEEDLLM_RETURN_IF_ERROR(
-          session->Validate(reqs[i], "request " + std::to_string(i)));
-      session->SubmitAt(&reqs[i], i,
-                        session->SecondsToCycles(reqs[i].arrival_seconds));
-    }
-    session->engine().Run();
-    SPEEDLLM_RETURN_IF_ERROR(session->Finalize());
-    return session->Harvest();
-  };
+  api::EngineConfig engine_config;
+  engine_config.placement = serving::PlacementPolicy::kRoundRobin;
+  engine_config.rebalance_queued = false;
+  engine_config.sampler = sampler;
 
   const int per_segment = n_requests / n_segments;
   std::printf(
@@ -149,7 +132,9 @@ int main(int argc, char** argv) {
     const auto reqs = segment_trace(s);
 
     const auto t0 = std::chrono::steady_clock::now();
-    auto report = serve(reqs);
+    // One segment: a fresh engine fed the whole trace up front, drained.
+    auto report =
+        bench::ServeTrace(program, weights, cards, engine_config, reqs);
     const double wall_s = Seconds(t0, std::chrono::steady_clock::now());
     if (!report.ok()) {
       std::fprintf(stderr, "segment %d failed: %s\n", s,
@@ -186,15 +171,11 @@ int main(int argc, char** argv) {
 
   // Long-session phase: every segment's trace, back to back, through one
   // engine that lives for the whole run.
-  api::EngineConfig session_config;
-  session_config.placement = cluster_config.placement;
-  session_config.rebalance_queued = cluster_config.rebalance_queued;
-  session_config.sampler = sampler;
-  api::Engine session(program, weights, cards, session_config);
+  api::Engine session(program, weights, cards, engine_config);
   const double block_payload_mib =
       static_cast<double>(
           accel::KvBlockLayout{config.n_layers, config.kv_dim(),
-                               session_config.scheduler.block_size_tokens}
+                               engine_config.scheduler.block_size_tokens}
               .block_floats() *
           static_cast<std::int64_t>(sizeof(float))) /
       (1024.0 * 1024.0);

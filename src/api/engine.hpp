@@ -1,4 +1,4 @@
-// SpeedLLM -- online streaming engine facade (the public serving API).
+// SpeedLLM -- online streaming engine (the public serving API).
 //
 // speedllm::api::Engine turns the batch-offline serving stack into an
 // online engine in the style of vLLM's LLMEngine: clients Submit()
@@ -11,33 +11,50 @@
 // RunToCompletion() to drain -- which is what lets closed-loop clients
 // issue their next request from inside an on_finish callback.
 //
-// The facade layers over serving::ClusterSession: one shared sim::Engine
-// clock, N per-card ShardScheduler instances, pluggable placement and
-// queued-request rebalancing. A single card is a cluster of one. This
+// The engine is the cluster: it owns one sim::Engine clock, one
+// accel::WeightImage every card's executor reads, N per-card
+// serving::ShardScheduler instances chaining their ticks on that clock,
+// the card-to-card interconnect, the cluster-wide prefix directory and
+// the telemetry. It places every arriving request on a card
+// (serving::PlacementPolicy), sheds under admission control, migrates
+// queued requests away from a dry card, ships prefill-to-decode KV
+// handoffs, arbitrates remote prefix fetches, and harvests one report
+// over the shared timeline. A single card is a cluster of one. This
 // class is the only serving driver: offline serving is the same engine
 // fed the whole trace up front (Submit each request, RunToCompletion,
 // Finish), so offline and online paths share every line of scheduling
 // logic and produce byte-identical token streams.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "accel/program.hpp"
+#include "accel/weight_image.hpp"
 #include "common/status.hpp"
 #include "hw/cluster.hpp"
 #include "llama/sampler.hpp"
 #include "llama/weights.hpp"
 #include "obs/telemetry.hpp"
 #include "serving/cluster.hpp"
+#include "serving/interconnect.hpp"
 #include "serving/request.hpp"
 #include "serving/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 
-/// Public serving API: the online streaming engine facade.
+namespace speedllm::serving {
+class ShardScheduler;
+}  // namespace speedllm::serving
+
+/// Public serving API: the online streaming engine.
 namespace speedllm::api {
 
 /// Re-exported so callbacks can name reasons as api::FinishReason.
@@ -86,7 +103,8 @@ struct StreamCallbacks {
 /// Construction-time engine parameters (cards, scheduling, sampling).
 struct EngineConfig {
   /// Cards to shard across (U280Config constructor only; the
-  /// MultiCardConfig constructor derives it from the card list).
+  /// MultiCardConfig constructor derives it from the card list). At most
+  /// serving::PrefixDirectory::kMaxCards: more is a setup error.
   int num_cards = 1;
   /// Per-card scheduler knobs, including the KV-cache storage dtype
   /// (serving::SchedulerConfig::kv_cache_dtype) and simulated DMA
@@ -101,7 +119,8 @@ struct EngineConfig {
   /// Submit then returns InvalidArgument.
   llama::SamplerConfig sampler;
   /// Optional per-card KV pool override in bytes (0 / missing entries
-  /// fall back to `scheduler.kv_pool_bytes` / HBM derivation).
+  /// fall back to `scheduler.kv_pool_bytes` / HBM derivation). Lets
+  /// tests and heterogeneous deployments size each card's pool apart.
   std::vector<std::uint64_t> kv_pool_bytes_per_card;
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
@@ -116,7 +135,8 @@ struct EngineConfig {
   /// byte-identical to unified mode.
   std::vector<serving::ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (fetch a remote card's
-  /// cached prefix over the interconnect vs. recompute locally).
+  /// cached prefix over the interconnect vs. recompute locally; see
+  /// serving::PrefixFetchPolicy).
   serving::PrefixFetchPolicy prefix_fetch =
       serving::PrefixFetchPolicy::kAuto;
 };
@@ -135,7 +155,7 @@ class Engine {
   /// share one kernel clock.
   Engine(const accel::Program& program, const llama::Weights& weights,
          hw::MultiCardConfig cards, EngineConfig config = {});
-  /// Destroys the session; unharvested outcomes are discarded.
+  /// Destroys the engine; unharvested outcomes are discarded.
   ~Engine();
 
   /// Non-copyable: the engine owns a live simulation timeline.
@@ -149,7 +169,8 @@ class Engine {
   /// so callbacks can submit "now" with the default arrival of 0).
   /// Returns InvalidArgument for empty prompts, non-positive
   /// max_new_tokens, negative/non-finite arrivals, or a NaN, infinite or
-  /// negative temperature / NaN top_p override; OutOfRange /
+  /// negative temperature / NaN top_p override; OutOfRange for an
+  /// arrival past the simulated clock's cycle range; OutOfRange /
   /// ResourceExhausted when the request can never fit the model or the
   /// smallest card's KV pool; FailedPrecondition after Finish(). A valid
   /// handle does not guarantee service: under overload, admission
@@ -166,8 +187,11 @@ class Engine {
 
   // ----- driving the clock -----
   /// Runs every event scheduled at or before `t_seconds` (arrivals,
-  /// scheduler ticks, token deliveries). Time never moves backwards;
-  /// repeated calls with increasing t interleave with Submit()/Cancel().
+  /// scheduler ticks, token deliveries). Time never moves backwards: a
+  /// NaN or a time before now_seconds() does nothing, and a time past
+  /// the clock's cycle range (+inf included) drains like
+  /// RunToCompletion(). Repeated calls with increasing t interleave with
+  /// Submit()/Cancel().
   void StepUntil(double t_seconds);
   /// Drains the event queue: every submitted request runs to its finish.
   void RunToCompletion();
@@ -181,10 +205,10 @@ class Engine {
   /// Cards the engine shards across.
   int num_cards() const;
   /// Requests ever submitted (finished ones included).
-  std::size_t submitted_requests() const { return entries_.size(); }
+  std::size_t submitted_requests() const { return streams_.size(); }
   /// Submitted and not yet finished (running, queued, or still arriving).
   std::size_t active_requests() const {
-    return entries_.size() - finished_requests_;
+    return streams_.size() - finished_requests_;
   }
   /// True once `handle`'s on_finish has fired (or would have).
   bool finished(RequestHandle handle) const;
@@ -204,9 +228,21 @@ class Engine {
   /// hit/eviction/copy-on-write stats -- how multi-turn clients observe
   /// their conversation history being reused across turns.
   serving::KvPoolStats kv_pool_stats(int card) const;
-  /// The session's card-to-card interconnect (per-link byte counters,
-  /// local DMA totals). Null before construction succeeds.
-  const serving::Interconnect* interconnect() const;
+  /// The card-to-card interconnect (per-link byte counters, local DMA
+  /// totals). Null when setup failed.
+  const serving::Interconnect* interconnect() const {
+    return interconnect_.get();
+  }
+  /// The weight image every card's executor reads. Null when setup
+  /// failed.
+  const accel::WeightImage* weight_image() const {
+    return image_ ? &*image_ : nullptr;
+  }
+  /// Card `card`'s shard, for `card` in [0, num_cards()) after a
+  /// successful setup.
+  const serving::ShardScheduler& shard(int card) const {
+    return *shards_[static_cast<std::size_t>(card)];
+  }
   /// Token-level snapshot of every card's cached prefix chains; feed it
   /// to a fresh engine's ImportPrefixDirectory to persist the
   /// cluster-wide prefix index across engine restarts.
@@ -217,9 +253,9 @@ class Engine {
   void ImportPrefixDirectory(const serving::PrefixDirectorySnapshot& snapshot);
 
   // ----- telemetry export -----
-  /// The session's telemetry (trace + metrics), or null when
+  /// The engine's telemetry (trace + metrics), or null when
   /// EngineConfig::telemetry is off.
-  const obs::Telemetry* telemetry() const;
+  const obs::Telemetry* telemetry() const { return telemetry_.get(); }
   /// Writes the serving trace as Chrome Trace Event JSON to `path`,
   /// optionally merged with a `kernel` instruction trace on the same
   /// simulated timebase (see docs/OBSERVABILITY.md for the Perfetto
@@ -241,27 +277,129 @@ class Engine {
   StatusOr<serving::ClusterReport> Finish();
 
  private:
-  struct Entry {
+  /// One submission: the request, its callbacks, where it lives and how
+  /// it ended.
+  struct Stream {
+    serving::ServingRequest request;
     StreamCallbacks callbacks;
-    bool finished = false;
+    std::int32_t card = -1;       // owning card after any move
+    std::int32_t migrations = 0;  // rebalancer moves consumed
+    bool placed = false;          // handed to a shard
+    bool finished = false;        // includes shed and cancelled
+    bool cancelled = false;
   };
 
-  /// Card `card`'s KV pool, or null when there is no session or the
-  /// card is out of range.
+  /// Cycles for `seconds` on the shared clock; nullopt when `seconds` is
+  /// NaN, negative, or past the cycle range.
+  std::optional<sim::Cycles> ToCycles(double seconds) const;
+  double CyclesToSeconds(sim::Cycles cycles) const;
+  /// Card `card`'s KV pool, or null when the card is out of range.
   const serving::KvBlockPool* pool(int card) const;
 
+  /// Routes stream `index` to a card at its arrival event (after the
+  /// admission-control gate; a shed request never reaches a shard).
+  void Place(std::size_t index);
+  std::size_t PickCard(const serving::ServingRequest& request);
+  /// KV-pressure hook: migrates shard `donor`'s queued, never-prefilled
+  /// requests to the card with the most projected-free blocks, newest
+  /// first, each at most (num_cards - 1) times so rebalancing terminates.
+  void Rebalance(std::size_t donor);
+  /// Deterministic token-bucket admission check, evaluated at the
+  /// arrival event before placement. Returns true when the request must
+  /// be shed. Depends only on the arrival trace and AdmissionConfig --
+  /// never on card count, placement, or scheduling -- so the shed set is
+  /// identical across cluster sizes.
+  bool ShouldShed(const serving::ServingRequest& request, double now_s);
+  /// Marks stream `index` finished with `reason` and fires its on_finish
+  /// with `outcome`, releasing the stream's closures and prompt storage.
+  void FinishStream(std::size_t index, serving::FinishReason reason,
+                    const serving::RequestOutcome& outcome);
+  /// Finishes a stream no shard holds (shed, cancelled before placement,
+  /// or cancelled mid-handoff) with `outcome`: files it for the report,
+  /// records the terminal event on `card` (-1 for the router), bumps the
+  /// per-tier shed metric for a shed, and finishes the stream.
+  void FinishUnplaced(std::size_t index, serving::RequestOutcome outcome,
+                      std::int32_t card, double now_s);
+  /// Updates the per-tier SLO/goodput metric counters for one finished
+  /// request (no-op when metrics are off or the finish is not terminal
+  /// success).
+  void ObserveSloMetrics(const serving::RequestOutcome& outcome,
+                         serving::FinishReason reason);
+  /// Receives a finished-prefill KV handoff from prefill shard `src`,
+  /// picks the decode card owing the fewest tokens, charges the transfer
+  /// on the interconnect, and schedules adoption at the transfer's end.
+  void HandleHandoff(serving::KvHandoff handoff, sim::Cycles ready,
+                     std::int32_t src);
+  /// Admission-time remote-prefix arbitration for stream `index` placed
+  /// on `dst`. Returns true when a fetch was chosen: the transfer is
+  /// charged and the shard Submit is deferred to the transfer's end (the
+  /// caller must not Submit). Logs the decision either way.
+  bool MaybeFetchPrefix(std::size_t index, std::size_t dst);
+  /// Records the send/recv kKvTransfer event pair and per-link metrics
+  /// for one interconnect transfer window.
+  void RecordTransfer(std::size_t index, std::int32_t src, std::int32_t dst,
+                      std::int64_t bytes, sim::Cycles start, sim::Cycles end);
+
   const accel::Program& program_;
-  const llama::Weights& weights_;
   hw::MultiCardConfig cards_;
-  EngineConfig config_;
-  Status setup_;  // card-list and config validation outcome
-  std::unique_ptr<serving::ClusterSession> session_;
-  // Deques: callbacks may reentrantly Submit(), so element addresses
-  // must survive growth while a callback is still executing.
-  std::deque<serving::ServingRequest> requests_;
-  std::deque<Entry> entries_;
+  EngineConfig config_;  // scheduler normalized once setup passes
+  Status setup_;  // card-list, config and weight validation outcome
+  double clock_mhz_ = 0.0;
+  std::int64_t min_pool_blocks_ = 0;
+
+  sim::Engine engine_;
+  // Declared before shards_: every shard's executor reads it.
+  std::optional<accel::WeightImage> image_;
+  std::unique_ptr<obs::Telemetry> telemetry_;
+  std::vector<std::unique_ptr<serving::ShardScheduler>> shards_;
+  // Shared card-to-card link + HBM-channel model; every shard's local
+  // DMA and every KV transfer queue on the same stations.
+  std::unique_ptr<serving::Interconnect> interconnect_;
+  // Cluster-wide prefix index fed by per-pool cache listeners; declared
+  // after shards_ so it detaches from the pools before they die.
+  serving::PrefixDirectory directory_;
+  // Cards that may receive placed arrivals (everything but kDecode).
+  std::vector<std::size_t> placeable_;
+
+  // Deque: callbacks may reentrantly Submit(), and shards hold pointers
+  // to the requests, so element addresses must survive growth.
+  std::deque<Stream> streams_;
   std::size_t finished_requests_ = 0;
   bool harvested_ = false;
+  // Outcomes of requests no shard holds at their finish (FinishUnplaced).
+  std::map<std::size_t, serving::RequestOutcome> unplaced_outcomes_;
+  // Handoffs in transit on the interconnect, keyed by stream index;
+  // Cancel intercepts them here before adoption.
+  std::map<std::size_t, serving::KvHandoff> handoff_in_flight_;
+  // Decode tokens still owed by in-flight handoffs, per destination card:
+  // several handoffs dispatched at the same tick close must not all pick
+  // the same "least loaded" card, so the destination choice counts work
+  // that has been routed but not yet adopted.
+  std::vector<std::int64_t> handoff_pending_tokens_;
+  std::vector<serving::ClusterReport::PrefixFetchDecision> fetch_log_;
+  std::int64_t handoff_transfers_ = 0;
+  std::int64_t remote_hits_ = 0;
+  std::int64_t remote_hit_tokens_ = 0;
+  std::size_t rr_counter_ = 0;
+  std::int64_t rebalanced_ = 0;
+  // Admission-control token bucket (see AdmissionConfig): refilled by
+  // simulated-time deltas at each arrival, drained by admitted requests.
+  double bucket_tokens_ = 0.0;
+  double bucket_refill_seconds_ = 0.0;
+  // Per-tier SLO metric series (registered when metrics are on), by
+  // TierIndex: goodput tokens, attained/missed finishes, sheds.
+  using MetricIds =
+      std::array<obs::MetricsRegistry::MetricId, serving::kNumTiers>;
+  MetricIds goodput_ids_{};
+  MetricIds slo_attained_ids_{};
+  MetricIds slo_missed_ids_{};
+  MetricIds shed_ids_{};
+  bool slo_metrics_ = false;
+  // Per-directed-link transfer byte counters (src*n+dst) plus the
+  // remote-hit counter; registered only when metrics are on and n > 1.
+  std::vector<obs::MetricsRegistry::MetricId> link_metric_ids_;
+  obs::MetricsRegistry::MetricId remote_hit_metric_id_ = 0;
+  bool transfer_metrics_ = false;
 };
 
 }  // namespace speedllm::api

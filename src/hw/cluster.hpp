@@ -44,7 +44,7 @@ struct MultiCardConfig {
   /// seed is dtype-aware so fp16 and int8 blocks can never alias.
   std::vector<KvCacheDtype> kv_dtype_per_card;
   /// Card-to-card link model used for KV handoffs and remote prefix
-  /// fetches. Ignored by single-card sessions.
+  /// fetches. Ignored by single-card engines.
   InterconnectConfig interconnect;
 
   int num_cards() const { return static_cast<int>(cards.size()); }

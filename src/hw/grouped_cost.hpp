@@ -27,16 +27,6 @@
 
 namespace speedllm::hw {
 
-/// One per-sequence problem inside a grouped launch, in grouped-GEMM
-/// terms: `rows` is the problem's m (tokens covered by the row block)
-/// and `seconds` its standalone executor-simulated cost.
-struct GroupedProblem {
-  /// Tokens (rows of the packed m dimension) this problem covers.
-  std::int64_t rows = 1;
-  /// Standalone cost of the problem, seconds of simulated device time.
-  double seconds = 0.0;
-};
-
 /// Per-tick accumulator pricing a packed group of per-sequence problems.
 ///
 /// The accumulator is arithmetic-compatible with the additive
@@ -58,9 +48,6 @@ class GroupedKernelCostModel {
   /// group. Returns the marginal seconds the group grew by.
   double AddProblem(double seconds);
 
-  /// Adds a grouped problem (multi-row form of AddProblem).
-  double Add(const GroupedProblem& problem) { return AddProblem(problem.seconds); }
-
   /// Adds `rows` draft-model rows, each priced at `cost_ratio` of a
   /// target-model row of `proxy_seconds`. Draft rows are pure marginal
   /// work: the draft model's weights do not ride the target launch.
@@ -71,19 +58,6 @@ class GroupedKernelCostModel {
 
   /// Cost of the packed group accumulated so far.
   double group_seconds() const { return max_shared_ + marginal_; }
-
-  /// Largest amortised share claimed by any problem this tick.
-  double max_shared_seconds() const { return max_shared_; }
-
-  /// Sum of per-problem marginals plus serial seconds this tick.
-  double marginal_seconds() const { return marginal_; }
-
-  /// The launch-invariant cost a problem can amortise against.
-  double shared_step_seconds() const { return shared_step_seconds_; }
-
-  /// Updates the launch-invariant cost (the executor calibrates it from
-  /// the first measured forward).
-  void set_shared_step_seconds(double seconds) { shared_step_seconds_ = seconds; }
 
  private:
   double shared_step_seconds_ = 0.0;

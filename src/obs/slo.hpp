@@ -7,7 +7,7 @@
 // path inside the scheduler: the trace already carries every timestamp
 // and count an SLO attainment check needs, so the report numbers are by
 // construction consistent with what an external consumer of the exported
-// trace would compute. serving::ClusterSession::Harvest calls
+// trace would compute. api::Engine::Finish calls
 // ComputeGoodput to fill ServingReport::tiers /
 // goodput_tokens_per_second (all-zero when tracing is off), and a
 // reconciliation test (tests/test_slo.cpp) locks the trace-derived

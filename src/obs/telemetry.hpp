@@ -7,8 +7,7 @@
 // lifecycle events on the shared sim clock -- submit, placement,
 // queue-wait, prefill chunks, decode commits, preemption swap-outs,
 // prefix-cache hits, copy-on-write copies, DMA transfers, cancels, and
-// finishes -- emitted by ShardScheduler / ClusterSession / api::Engine
-// hooks. A MetricsRegistry holds named counters, gauges, and histograms
+// finishes -- emitted by ShardScheduler and api::Engine hooks. A MetricsRegistry holds named counters, gauges, and histograms
 // (queue depth, KV blocks in use, DMA bytes, tokens/s, TTFT/TPOT, ...)
 // and snapshots every scalar series once per scheduler tick into a time
 // series. obs/export.hpp renders both: the trace as Chrome Trace Event
@@ -205,8 +204,8 @@ class MetricsRegistry {
 
 // ------------------------------------------------------------ telemetry
 
-/// Telemetry switches, surfaced through api::EngineConfig and
-/// serving::ClusterConfig. Both halves default off; a disabled half
+/// Telemetry switches, surfaced through api::EngineConfig. Both halves
+/// default off; a disabled half
 /// costs one pointer test per would-be event.
 struct TelemetryConfig {
   /// Record per-request lifecycle events (RequestTraceRecorder).
@@ -314,8 +313,8 @@ class ShardChannel {
 
 /// Owns one serving timeline's telemetry state: the trace recorder, the
 /// metrics registry, and the cluster-wide latency histograms. Created by
-/// serving::ClusterSession when telemetry is enabled;
-/// api::Engine::telemetry() exposes it for export.
+/// api::Engine when telemetry is enabled; api::Engine::telemetry()
+/// exposes it for export.
 class Telemetry {
  public:
   /// Builds the enabled halves per `config` and registers the
@@ -349,6 +348,6 @@ class Telemetry {
 
 namespace speedllm::serving {
 /// Serving-layer alias: the lifecycle recorder lives in obs but is part
-/// of the serving vocabulary (shards and sessions emit into it).
+/// of the serving vocabulary (shards and the engine emit into it).
 using RequestTraceRecorder = obs::RequestTraceRecorder;
 }  // namespace speedllm::serving

@@ -98,37 +98,4 @@ void MatMulQ8(std::span<float> out, const QuantizedTensor& w,
   }
 }
 
-void MatMulQ8Q8(std::span<float> out, const QuantizedTensor& w,
-                const QuantizedTensor& x, std::int64_t d, std::int64_t n,
-                ThreadPool* pool) {
-  assert(out.size() == static_cast<std::size_t>(d));
-  assert(w.q.size() == static_cast<std::size_t>(d * n));
-  assert(x.q.size() == static_cast<std::size_t>(n));
-  assert(w.group_size == x.group_size && n % w.group_size == 0);
-  const std::int64_t gs = w.group_size;
-  auto rows = [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      const std::int8_t* wrow = w.q.data() + i * n;
-      const float* srow = w.scales.data() + (i * n) / gs;
-      float acc = 0.0f;
-      for (std::int64_t g = 0; g < n / gs; ++g) {
-        std::int32_t iacc = 0;
-        const std::int8_t* wg = wrow + g * gs;
-        const std::int8_t* xg = x.q.data() + g * gs;
-        for (std::int64_t j = 0; j < gs; ++j) {
-          iacc += static_cast<std::int32_t>(wg[j]) *
-                  static_cast<std::int32_t>(xg[j]);
-        }
-        acc += static_cast<float>(iacc) * srow[g] * x.scales[g];
-      }
-      out[i] = acc;
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(d, rows);
-  } else {
-    rows(0, d);
-  }
-}
-
 }  // namespace speedllm::quant

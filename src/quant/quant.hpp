@@ -58,10 +58,4 @@ void MatMulQ8Rows(std::span<float> out, const QuantizedTensor& w,
                   std::span<const float> x, std::int64_t n,
                   std::int64_t row_begin, std::int64_t row_end);
 
-/// Fully-quantized path: activations also int8 (llama2.c runq style).
-/// Integer accumulation within each group, rescaled by both scales.
-void MatMulQ8Q8(std::span<float> out, const QuantizedTensor& w,
-                const QuantizedTensor& x, std::int64_t d, std::int64_t n,
-                ThreadPool* pool = nullptr);
-
 }  // namespace speedllm::quant

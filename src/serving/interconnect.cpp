@@ -157,7 +157,7 @@ PrefixDirectory::~PrefixDirectory() {
 }
 
 void PrefixDirectory::Attach(std::int32_t card, KvBlockPool* pool) {
-  assert(card >= 0 && card < 64 && "directory card masks are 64-bit");
+  assert(card >= 0 && card < kMaxCards && "directory card masks are 64-bit");
   auto listener = std::make_unique<CardListener>();
   listener->owner = this;
   listener->card = card;

@@ -18,8 +18,8 @@
 // (KvBlockPool hash-chain inserts/evicts), answers "which cards hold
 // this prompt's longest cached prefix" at admission, and exports a
 // token-level snapshot that survives api::Engine restarts. Admission
-// arbitration (remote-fetch vs. local-recompute) lives in
-// serving::ClusterSession; this file supplies the mechanism.
+// arbitration (remote-fetch vs. local-recompute) lives in api::Engine;
+// this file supplies the mechanism.
 #pragma once
 
 #include <cstdint>
@@ -161,6 +161,9 @@ class PrefixDirectory {
   PrefixDirectory(const PrefixDirectory&) = delete;
   PrefixDirectory& operator=(const PrefixDirectory&) = delete;
 
+  /// Cards one directory can index: card sets are 64-bit masks.
+  static constexpr int kMaxCards = 64;
+
   /// Result of a cluster-wide longest-prefix probe.
   struct Location {
     /// Prompt tokens covered by the deepest chain some card fully holds.
@@ -171,10 +174,10 @@ class PrefixDirectory {
     std::uint64_t card_mask = 0;
   };
 
-  /// Subscribes to `pool`'s index changes as `card` and records the
-  /// pool's dtype chain seed (for snapshot root detection). The pool
-  /// must outlive this directory or be detached first (the directory
-  /// detaches every attached pool on destruction).
+  /// Subscribes to `pool`'s index changes as `card` (below kMaxCards)
+  /// and records the pool's dtype chain seed (for snapshot root
+  /// detection). The pool must outlive this directory or be detached
+  /// first (the directory detaches every attached pool on destruction).
   void Attach(std::int32_t card, KvBlockPool* pool);
 
   /// Longest prefix of `tokens` (capped at `max_tokens`) fully held by

@@ -295,7 +295,7 @@ struct ServingReport {
   std::int64_t spec_wasted_tokens = 0;
 
   // SLO / goodput accounting (PR 7). Derived from the obs lifecycle
-  // event stream when telemetry tracing is on (ClusterSession::Harvest
+  // event stream when telemetry tracing is on (api::Engine::Finish
   // calls obs::ComputeGoodput over the trace -- not a parallel
   // bookkeeping path); all-zero when tracing is off. A reconciliation
   // test (tests/test_slo.cpp) locks the trace-derived numbers against an
@@ -332,7 +332,7 @@ struct ServingReport {
   }
 };
 
-// ----- online emission hooks (shard -> cluster session -> api::Engine) -----
+// ----- online emission hooks (shard -> api::Engine) -----
 //
 // Tokens are delivered at the simulated end of the tick that committed
 // them; the finish hook fires once per request with the final outcome

@@ -5,8 +5,8 @@
 // size and dtype, prefix caching, DMA costing, preemption, tiers,
 // admission control, disaggregation role, and speculative decoding.
 // The tick loop that honours them is serving::ShardScheduler
-// (serving/shard.hpp); requests reach it only through api::Engine over
-// serving::ClusterSession, where a single card is a cluster of one.
+// (serving/shard.hpp); requests reach it only through api::Engine, where
+// a single card is a cluster of one.
 //
 // Timing model of a grouped step: every token forwarded this tick pays
 // its executor-simulated cost, but the weight stream and kernel-launch
@@ -171,11 +171,11 @@ struct SchedulerConfig {
   /// Per-tier TTFT/TPOT SLO targets goodput is computed against.
   TierSloTargets tier_slo{};
   /// Cluster-level load shedding; see AdmissionConfig. Evaluated before
-  /// placement by ClusterSession (a one-card cluster sheds identically
-  /// to an N-card one).
+  /// placement by api::Engine (a one-card cluster sheds identically to
+  /// an N-card one).
   AdmissionConfig admission;
-  /// This shard's disaggregation role; set per card by ClusterSession
-  /// from ClusterConfig::shard_roles. See ShardRole.
+  /// This shard's disaggregation role; set per card by api::Engine from
+  /// EngineConfig::shard_roles. See ShardRole.
   ShardRole role = ShardRole::kUnified;
   /// Draft-and-verify speculative decoding; see SpeculativeConfig.
   SpeculativeConfig speculative;

@@ -439,7 +439,7 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   ReleaseResident(seq_id, /*preempted=*/false);
   seq.state = SeqState::kHandedOff;
   seq.pending_token = -1;
-  handoff_hook_(std::move(handoff), ready);
+  hooks_.on_handoff(std::move(handoff), ready);
 }
 
 void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
@@ -782,10 +782,10 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
   if (!seq.ever_admitted) seq.outcome.admission_seconds = now_s;
   ++report_.cancelled_requests;
   TraceInstant(obs::RequestEventKind::kCancel, seq_id, seq.delivered);
-  if (on_finish_) {
+  if (hooks_.on_finish) {
     // Copy: the hook may reentrantly Submit and grow seqs_.
     const RequestOutcome outcome = seq.outcome;
-    on_finish_(stream_index, FinishReason::kCancelled, outcome, now_s);
+    hooks_.on_finish(stream_index, FinishReason::kCancelled, outcome, now_s);
   }
   return Status::Ok();
 }
@@ -801,7 +801,7 @@ void ShardScheduler::DeliverEmissions() {
     const std::size_t stream = seqs_[e.seq_id].stream_index;
     if (e.token >= 0) {
       ++seqs_[e.seq_id].delivered;
-      if (on_token_) on_token_(stream, e.token, t);
+      if (hooks_.on_token) hooks_.on_token(stream, e.token, t);
     } else {
       // The finish's delivery time is the request's observable end;
       // telemetry records the terminal event and the latency samples
@@ -825,9 +825,9 @@ void ShardScheduler::DeliverEmissions() {
             oc.time_to_first_token(),
             n > 1 ? decode_span / static_cast<double>(n - 1) : 0.0, n > 0);
       }
-      if (on_finish_) {
+      if (hooks_.on_finish) {
         const RequestOutcome outcome = seqs_[e.seq_id].outcome;
-        on_finish_(stream, e.finish, outcome, t);
+        hooks_.on_finish(stream, e.finish, outcome, t);
       }
     }
   }
@@ -1067,7 +1067,7 @@ bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
   }
   if (seq.state == SeqState::kPrefill) {
     seq.state = SeqState::kDecode;
-    if (config_.role == ShardRole::kPrefill && handoff_hook_) {
+    if (config_.role == ShardRole::kPrefill && hooks_.on_handoff) {
       // Prefill-role shard: ship the finished KV to a decode shard at
       // tick close (after TTFT is stamped). A mid-tick preemption
       // revokes the plan -- the KV is gone, so it recomputes and hands
@@ -1292,7 +1292,7 @@ void ShardScheduler::CloseTick(const TickWork& work) {
 
   // The rebalance hook runs last, with this tick's state fully settled:
   // the cluster may steal queued requests from us or submit elsewhere.
-  if (kv_blocked_ && kv_pressure_hook_) kv_pressure_hook_();
+  if (kv_blocked_ && hooks_.on_kv_pressure) hooks_.on_kv_pressure();
 }
 
 sim::Cycles ShardScheduler::SecondsToCycles(double seconds) const {

@@ -8,9 +8,9 @@
 // adopted handoff maps blocks that already hold their K/V and runs no
 // forward for them. A shard schedules its ticks on an engine *provided by
 // the caller*, so N shards interleave on one shared sim::Engine clock --
-// the substrate serving::ClusterSession (serving/cluster.hpp) is built
-// on. A single card is a cluster of one, so every request, on any card
-// count, runs through the same scheduling logic.
+// the substrate api::Engine is built on. A single card is a cluster of
+// one, so every request, on any card count, runs through the same
+// scheduling logic.
 //
 // Requests enter via Submit() (typically from an arrival event or a
 // cluster rebalance); the shard schedules its own tick chain from there.
@@ -46,8 +46,8 @@ class WeightImage;
 
 namespace speedllm::serving {
 
-/// Clamps scheduler knobs to their sane minima (applied once by the
-/// cluster session before its per-card fan-out).
+/// Clamps scheduler knobs to their sane minima (applied once by
+/// api::Engine before its per-card fan-out).
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config);
 
 /// KV pool budget for one card: the explicit override clamped to HBM, or
@@ -72,8 +72,8 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 /// One card's continuous-batching execution core: a paged KvBlockPool
 /// plus the tick loop that batches decode sequences and prefill chunks
 /// into grouped forward passes on an engine provided by the caller.
-/// N shards interleave on one shared sim::Engine clock under a
-/// ClusterSession.
+/// N shards interleave on one shared sim::Engine clock under an
+/// api::Engine.
 class ShardScheduler {
  public:
   /// `program`, `image` (the weights, built for `program`) and `engine`
@@ -99,18 +99,36 @@ class ShardScheduler {
   void Submit(const ServingRequest& request, std::size_t stream_index,
               const llama::SamplerConfig& sampler_config);
 
-  // ----- online streaming (api::Engine) -----
-  /// Streams tokens/finishes out of the tick loop. Tokens committed by a
-  /// tick are delivered (in commit order) by an engine event at the
-  /// tick's simulated end time, so hook code observes a settled shard and
-  /// may Submit/Abort reentrantly. Hooks must be set before the first
-  /// tick runs; emission buffering is active regardless so Abort can
-  /// guarantee a cancelled stream never emits again.
-  void set_emission_hooks(TokenEmissionHook on_token,
-                          FinishEmissionHook on_finish) {
-    on_token_ = std::move(on_token);
-    on_finish_ = std::move(on_finish);
-  }
+  // ----- the cluster's callbacks (api::Engine) -----
+  /// Fires when a prefill-role shard finishes a sequence's prompt with
+  /// the handoff and the engine cycle its KV pages are extractable.
+  using HandoffHook = std::function<void(KvHandoff handoff, sim::Cycles ready)>;
+  /// Every callback the shard makes into its cluster. Any may be empty.
+  struct Hooks {
+    /// Streams tokens out of the tick loop. Tokens committed by a tick
+    /// are delivered (in commit order) by an engine event at the tick's
+    /// simulated end time, so hook code observes a settled shard and may
+    /// Submit/Abort reentrantly. Emission buffering is active regardless
+    /// so Abort can guarantee a cancelled stream never emits again.
+    TokenEmissionHook on_token;
+    /// Fires once per request with its final outcome.
+    FinishEmissionHook on_finish;
+    /// Invoked at the end of any tick in which admission or decode was
+    /// blocked by KV-pool capacity (the cluster's rebalance trigger).
+    /// Runs after the tick's own state is settled, so it may
+    /// Steal/Submit.
+    std::function<void()> on_kv_pressure;
+    /// Owns routing a prefill-role shard's finished prompt to a decode
+    /// shard: the handoff carries everything the decode shard needs, and
+    /// the hook charges the transfer and calls AdoptHandoff on the
+    /// destination. Without it a prefill-role shard falls back to
+    /// unified behavior (it decodes its own sequences), so it never
+    /// strands work.
+    HandoffHook on_handoff;
+  };
+  /// Installs the cluster's callbacks. Must be called before the first
+  /// tick runs.
+  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
   /// Cancels the live sequence serving global stream `stream_index`:
   /// frees its KV blocks immediately, truncates its
@@ -124,18 +142,7 @@ class ShardScheduler {
   /// inside a tick (hook callbacks are safe).
   Status Abort(std::size_t stream_index);
 
-  // ----- disaggregation (ClusterSession wiring) -----
-  /// Fires when this prefill-role shard finishes a sequence's prompt:
-  /// the handoff carries everything the decode shard needs, and `ready`
-  /// is the engine cycle the KV pages are extractable (the tick's end).
-  /// The hook owns routing the transfer and calling AdoptHandoff on the
-  /// destination. Without a hook a prefill-role shard falls back to
-  /// unified behavior (it decodes its own sequences), so it never
-  /// strands work.
-  using HandoffHook = std::function<void(KvHandoff handoff, sim::Cycles ready)>;
-  /// Installs the handoff hook. Must be set before the first tick runs.
-  void set_handoff_hook(HandoffHook hook) { handoff_hook_ = std::move(hook); }
-
+  // ----- disaggregation (api::Engine wiring) -----
   /// Attaches the cluster's shared interconnect and this shard's card id.
   /// All COW/restore/swap DMA queues on `interconnect`'s per-card HBM
   /// stations, serializing with concurrent KV transfers. Required: must
@@ -194,8 +201,6 @@ class ShardScheduler {
   const accel::Executor& executor() const { return *exec_; }
   /// KV pool capacity in bytes.
   std::uint64_t pool_bytes() const { return pool_.capacity_bytes(); }
-  /// Amortized per-tick shared cost (weight stream + launch overhead).
-  double shared_step_seconds() const { return shared_seconds_; }
   /// Free KV blocks minus the full eventual footprint (prompt + budget)
   /// of every queued, never-admitted request -- the headroom a placement
   /// policy should bid with, since queued demand is already committed.
@@ -235,12 +240,6 @@ class ShardScheduler {
   /// migrated and excluded from this shard's report.
   std::optional<std::pair<const ServingRequest*, std::size_t>>
   StealNewestQueued(const StreamPredicate& eligible = nullptr);
-  /// Invoked at the end of any tick in which admission or decode was
-  /// blocked by KV-pool capacity (the cluster's rebalance trigger). Runs
-  /// after the tick's own state is settled, so the hook may Steal/Submit.
-  void set_kv_pressure_hook(std::function<void()> hook) {
-    kv_pressure_hook_ = std::move(hook);
-  }
 
   // ----- harvest (after the engine drains) -----
   /// OK when every submitted (non-migrated) request ran to completion.
@@ -458,14 +457,11 @@ class ShardScheduler {
   std::unique_ptr<accel::Executor> exec_;
   std::vector<float> sample_scratch_;
   std::vector<std::int32_t> chunk_tokens_;  // ExecuteProblem's chunk
-  std::function<void()> kv_pressure_hook_;
-  HandoffHook handoff_hook_;
+  Hooks hooks_;
   Interconnect* interconnect_ = nullptr;  // cluster-shared stations
   std::int32_t card_id_ = 0;
   sim::Cycles dma_charged_until_ = 0;  // end of the last time-charged DMA
   obs::ShardChannel telemetry_;
-  TokenEmissionHook on_token_;
-  FinishEmissionHook on_finish_;
   std::vector<Emission> tick_emissions_;     // current tick, pre-timestamp
   std::deque<Emission> pending_emissions_;   // awaiting the delivery event
 

@@ -4,8 +4,9 @@
 // no further emissions, a cancel before arrival keeping the request's
 // tier, stop-token/EOS early termination, submit-time validation
 // (sampler values included), out-of-range card queries, incremental
-// StepUntil driving, and closed-loop clients running deterministically
-// on the shared clock.
+// StepUntil driving (NaN, past and out-of-range times included), the
+// card-count limit, and closed-loop clients running deterministically on
+// the shared clock.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -202,6 +203,72 @@ TEST(ApiEngineTest, StepUntilNeverDeliversTokensFromTheFuture) {
   }
   EXPECT_EQ(logs[handle->id].tokens.size(), 12u);
   EXPECT_EQ(logs[handle->id].finish, FinishReason::kLength);
+}
+
+TEST(ApiEngineTest, StepUntilIgnoresNaNAndPastTimes) {
+  Fixture f;
+  auto prog = f.Compile();
+  const double kNaNTime = std::numeric_limits<double>::quiet_NaN();
+  for (double t : {-1.0, kNaNTime}) {
+    SCOPED_TRACE(::testing::Message() << "t " << t);
+    Engine engine(prog, f.weights, f.u280);
+    std::map<std::uint64_t, StreamLog> logs;
+    ASSERT_TRUE(engine.Submit(MakeRequest(4, 8, 1e-3), Record(logs)).ok());
+    engine.StepUntil(t);
+    EXPECT_EQ(engine.now_seconds(), 0.0);
+    EXPECT_TRUE(logs.empty());
+    EXPECT_FALSE(engine.idle());
+    // Time never moves backwards: a step to before now does nothing.
+    engine.StepUntil(5e-4);
+    engine.StepUntil(1e-4);
+    EXPECT_EQ(engine.now_seconds(), 5e-4);
+    engine.RunToCompletion();
+    EXPECT_EQ(logs[1].tokens.size(), 8u);
+    EXPECT_TRUE(engine.Finish().ok());
+  }
+}
+
+TEST(ApiEngineTest, StepUntilPastTheClockRangeDrains) {
+  Fixture f;
+  auto prog = f.Compile();
+  Engine reference(prog, f.weights, f.u280);
+  ASSERT_TRUE(reference.Submit(MakeRequest(4, 8, 1e-3)).ok());
+  reference.RunToCompletion();
+  const double drained_at = reference.now_seconds();
+  ASSERT_GT(drained_at, 1e-3);
+  for (double t : {std::numeric_limits<double>::infinity(), 1e30}) {
+    SCOPED_TRACE(::testing::Message() << "t " << t);
+    Engine engine(prog, f.weights, f.u280);
+    std::map<std::uint64_t, StreamLog> logs;
+    ASSERT_TRUE(engine.Submit(MakeRequest(4, 8, 1e-3), Record(logs)).ok());
+    engine.StepUntil(t);
+    EXPECT_TRUE(engine.idle());
+    EXPECT_EQ(logs[1].tokens.size(), 8u);
+    EXPECT_EQ(logs[1].finishes, 1);
+    EXPECT_EQ(engine.now_seconds(), drained_at);
+    EXPECT_TRUE(engine.Finish().ok());
+  }
+}
+
+TEST(ApiEngineTest, RejectsMoreCardsThanThePrefixDirectoryIndexes) {
+  Fixture f;
+  auto prog = f.Compile();
+  EngineConfig config;
+  config.num_cards = serving::PrefixDirectory::kMaxCards + 1;  // 65
+  config.scheduler.kv_pool_bytes = 64 * 1024;
+  Engine engine(prog, f.weights, f.u280, config);
+  const Status status = engine.Submit(MakeRequest(4, 4, 0.0)).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("limit of 64"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(engine.submitted_requests(), 0u);
+  EXPECT_EQ(engine.interconnect(), nullptr);
+  EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+  // The card-list constructor applies the same limit.
+  Engine listed(prog, f.weights, hw::MultiCardConfig::Homogeneous(f.u280, 65),
+                config);
+  EXPECT_EQ(listed.Submit(MakeRequest(4, 4, 0.0)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------- cancellation ----------------
@@ -435,6 +502,11 @@ TEST(ApiEngineTest, SubmitValidatesRequestsUpFront) {
   serving::ServingRequest negative_arrival = MakeRequest(4, 4, -1.0);
   EXPECT_EQ(engine.Submit(negative_arrival).status().code(),
             StatusCode::kInvalidArgument);
+
+  // Past the simulated clock's cycle range.
+  serving::ServingRequest far_arrival = MakeRequest(4, 4, 1e30);
+  EXPECT_EQ(engine.Submit(far_arrival).status().code(),
+            StatusCode::kOutOfRange);
 
   serving::ServingRequest no_budget = MakeRequest(4, 4, 0.0);
   no_budget.max_new_tokens = 0;

@@ -412,7 +412,7 @@ TEST(ClusterTest, PerCardAccountingIsConsistent) {
   }
 }
 
-TEST(ClusterTest, EveryCardReadsTheSessionsOneWeightImage) {
+TEST(ClusterTest, EveryCardReadsTheEnginesOneWeightImage) {
   Fixture f;
   for (bool int8 : {false, true}) {
     SCOPED_TRACE(::testing::Message() << "int8 " << int8);
@@ -422,14 +422,14 @@ TEST(ClusterTest, EveryCardReadsTheSessionsOneWeightImage) {
     auto cr = compiler::Compile(f.config, options, f.u280);
     ASSERT_TRUE(cr.ok()) << cr.status().ToString();
     const accel::Program& prog = cr->program;
-    auto session = ClusterSession::Create(
-        prog, f.weights, hw::MultiCardConfig::Homogeneous(f.u280, 4),
-        ClusterConfig{}, llama::SamplerConfig{});
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    const accel::WeightImage& image = (*session)->weight_image();
-    ASSERT_EQ((*session)->num_cards(), 4);
+    api::EngineConfig config;
+    config.num_cards = 4;
+    api::Engine engine(prog, f.weights, f.u280, config);
+    const accel::WeightImage* image = engine.weight_image();
+    ASSERT_NE(image, nullptr);
+    ASSERT_EQ(engine.num_cards(), 4);
     for (int c = 0; c < 4; ++c) {
-      EXPECT_EQ((*session)->shard(c).executor().weight_image(), &image) << c;
+      EXPECT_EQ(engine.shard(c).executor().weight_image(), image) << c;
     }
 
     // One packed or quantized copy per distinct matrix, not per card.
@@ -443,8 +443,8 @@ TEST(ClusterTest, EveryCardReadsTheSessionsOneWeightImage) {
       }
     }
     ASSERT_GT(packed_floats, 0);
-    EXPECT_EQ(image.quantized_matrices(), int8 ? matrices.size() : 0u);
-    EXPECT_EQ(image.packed_bytes(),
+    EXPECT_EQ(image->quantized_matrices(), int8 ? matrices.size() : 0u);
+    EXPECT_EQ(image->packed_bytes(),
               int8 ? 0u : static_cast<std::size_t>(packed_floats) * 4);
   }
 }

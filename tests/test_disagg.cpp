@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -125,19 +126,19 @@ TEST(InterconnectTest, CrossCardTransferCrossesReadLinkWrite) {
 // ---------------- role validation ----------------
 
 TEST(DisaggTest, ValidateClusterRolesRejectsBadAssignments) {
-  ClusterConfig config;
-  EXPECT_TRUE(ValidateClusterRoles(config, 3).ok());  // empty = unified
-  config.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
-  EXPECT_TRUE(ValidateClusterRoles(config, 2).ok());
-  EXPECT_FALSE(ValidateClusterRoles(config, 3).ok());  // size mismatch
-  config.shard_roles = {ShardRole::kDecode, ShardRole::kDecode};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // nobody prefills
-  config.shard_roles = {ShardRole::kPrefill, ShardRole::kUnified};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // no decode target
-  config.shard_roles = {ShardRole::kUnified, ShardRole::kDecode};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // no prefill feeder
-  config.shard_roles = {ShardRole::kUnified, ShardRole::kUnified};
-  EXPECT_TRUE(ValidateClusterRoles(config, 2).ok());
+  std::vector<ShardRole> roles;
+  EXPECT_TRUE(ValidateClusterRoles(roles, 3).ok());  // empty = unified
+  roles = {ShardRole::kPrefill, ShardRole::kDecode};
+  EXPECT_TRUE(ValidateClusterRoles(roles, 2).ok());
+  EXPECT_FALSE(ValidateClusterRoles(roles, 3).ok());  // size mismatch
+  roles = {ShardRole::kDecode, ShardRole::kDecode};
+  EXPECT_FALSE(ValidateClusterRoles(roles, 2).ok());  // nobody prefills
+  roles = {ShardRole::kPrefill, ShardRole::kUnified};
+  EXPECT_FALSE(ValidateClusterRoles(roles, 2).ok());  // no decode target
+  roles = {ShardRole::kUnified, ShardRole::kDecode};
+  EXPECT_FALSE(ValidateClusterRoles(roles, 2).ok());  // no prefill feeder
+  roles = {ShardRole::kUnified, ShardRole::kUnified};
+  EXPECT_TRUE(ValidateClusterRoles(roles, 2).ok());
 }
 
 // ---------------- byte-identity property tests ----------------
@@ -362,6 +363,32 @@ TEST(DisaggTest, ExportImportRoundTripsThroughTheDirectory) {
     EXPECT_EQ(second.chains[i].card, first.chains[i].card);
     EXPECT_EQ(second.chains[i].tokens, first.chains[i].tokens);
   }
+}
+
+TEST(DisaggTest, DirectoryIndexesEveryCardUpToTheLimit) {
+  // One shared two-block prompt cached on every card of the largest
+  // engine the directory can index: the snapshot names all of them.
+  Fixture f;
+  auto prog = f.Compile();
+  api::EngineConfig ec;
+  ec.num_cards = PrefixDirectory::kMaxCards;
+  ec.scheduler.block_size_tokens = 8;
+  ec.scheduler.kv_pool_bytes = 64 * 1024;
+  ec.prefix_fetch = PrefixFetchPolicy::kNeverFetch;
+  const ServingRequest shared = testutil::MakeRequest(17, 2, 0.0);
+  api::Engine engine(prog, f.weights, f.u280, ec);
+  ASSERT_TRUE(testutil::ServeTrace(
+                  engine, std::vector<ServingRequest>(
+                              PrefixDirectory::kMaxCards, shared))
+                  .ok());
+  std::set<std::int32_t> cards;
+  for (const PrefixDirectorySnapshot::Chain& chain :
+       engine.ExportPrefixDirectory().chains) {
+    cards.insert(chain.card);
+  }
+  ASSERT_EQ(cards.size(), std::size_t{PrefixDirectory::kMaxCards});
+  EXPECT_EQ(*cards.begin(), 0);
+  EXPECT_EQ(*cards.rbegin(), PrefixDirectory::kMaxCards - 1);
 }
 
 }  // namespace

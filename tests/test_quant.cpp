@@ -107,24 +107,6 @@ TEST_P(QuantGroupSweep, MatMulQ8CloseToFloat) {
 INSTANTIATE_TEST_SUITE_P(Groups, QuantGroupSweep,
                          ::testing::Values(16, 32, 48, 64, 96));
 
-TEST(QuantMatMulTest, Q8Q8CloseToFloat) {
-  const std::int64_t d = 32, n = 128;
-  auto w = RandomVec(static_cast<std::size_t>(d * n), 31, 0.05f);
-  auto x = RandomVec(static_cast<std::size_t>(n), 32);
-  auto qw = Quantize(w, Shape{d, n}, 32);
-  auto qx = Quantize(x, Shape{n}, 32);
-  ASSERT_TRUE(qw.ok());
-  ASSERT_TRUE(qx.ok());
-
-  std::vector<float> exact(d), approx(d);
-  llama::MatMul(exact, w, x, d, n);
-  MatMulQ8Q8(approx, *qw, *qx, d, n);
-  for (std::int64_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(approx[i], exact[i],
-                0.04f * std::max(1.0f, std::fabs(exact[i])));
-  }
-}
-
 TEST(QuantMatMulTest, ThreadedMatchesSerial) {
   const std::int64_t d = 96, n = 192;
   auto w = RandomVec(static_cast<std::size_t>(d * n), 41, 0.05f);

@@ -193,28 +193,23 @@ struct RunResult {
 };
 
 RunResult RunOnce(const accel::Program& prog, const Fixture& f,
-                  const hw::MultiCardConfig& cards, ClusterConfig config,
+                  const hw::MultiCardConfig& cards, api::EngineConfig config,
                   const std::vector<ServingRequest>& reqs,
                   const llama::SamplerConfig& sc) {
+  config.sampler = sc;
   config.telemetry.enable_tracing = true;
   config.telemetry.enable_metrics = true;
-  auto created = ClusterSession::Create(prog, f.weights, cards, config, sc);
-  if (!created.ok()) {
-    ADD_FAILURE() << created.status().ToString();
+  api::Engine engine(prog, f.weights, cards, config);
+  auto report = testutil::ServeTrace(engine, reqs);
+  if (!report.ok()) {
+    ADD_FAILURE() << report.status().ToString();
     return {};
   }
-  ClusterSession& session = **created;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    session.SubmitAt(&reqs[i], i,
-                     session.SecondsToCycles(reqs[i].arrival_seconds));
-  }
-  session.engine().Run();
-  EXPECT_TRUE(session.Finalize().ok()) << session.Finalize().ToString();
   RunResult result;
-  result.chrome_trace = obs::ToChromeTraceJson(*session.telemetry()->trace());
-  result.metrics_json = obs::ToMetricsJson(*session.telemetry()->metrics());
-  result.prometheus = obs::ToPrometheusText(*session.telemetry()->metrics());
-  result.report = session.Harvest();
+  result.chrome_trace = obs::ToChromeTraceJson(*engine.telemetry()->trace());
+  result.metrics_json = obs::ToMetricsJson(*engine.telemetry()->metrics());
+  result.prometheus = obs::ToPrometheusText(*engine.telemetry()->metrics());
+  result.report = std::move(report).value();
   return result;
 }
 
@@ -259,11 +254,11 @@ TEST(SpeculativeTest, StreamsIdenticalAcrossPlacementsAndCardCounts) {
   for (int num_cards : {1, 4, 8}) {
     const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, num_cards);
     for (PlacementPolicy placement : kAllPlacements) {
-      ClusterConfig off;
+      api::EngineConfig off;
       off.placement = placement;
       off.rebalance_queued = false;
-      ClusterConfig on = off;
-      on.shard.speculative = DefaultSpec();
+      api::EngineConfig on = off;
+      on.scheduler.speculative = DefaultSpec();
       const std::string tag = std::to_string(num_cards) + "-cards/" +
                               std::string(PlacementPolicyName(placement));
       RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
@@ -285,13 +280,13 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
   auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 8);
   // Leg 1: prefix caching off (draft phases with no cache to protect).
   {
-    ClusterConfig off;
+    api::EngineConfig off;
     off.placement = PlacementPolicy::kPrefixAffinity;
     off.rebalance_queued = false;
-    off.shard.enable_prefix_cache = false;
-    off.shard.block_size_tokens = 8;
-    ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    off.scheduler.enable_prefix_cache = false;
+    off.scheduler.block_size_tokens = 8;
+    api::EngineConfig on = off;
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "cache-off");
   }
@@ -302,11 +297,11 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
                                KvCacheDtype::kFp16, KvCacheDtype::kInt8,
                                KvCacheDtype::kInt8, KvCacheDtype::kFp16,
                                KvCacheDtype::kInt8, KvCacheDtype::kFp16};
-    ClusterConfig off;
+    api::EngineConfig off;
     off.placement = PlacementPolicy::kRoundRobin;
     off.rebalance_queued = false;
-    ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    api::EngineConfig on = off;
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "kv-dtype-mix");
     cards.kv_dtype_per_card.clear();
@@ -314,15 +309,15 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
   // Leg 3: disaggregated roles -- speculation only runs on the decode
   // side; handed-off sequences draft like home-grown ones.
   {
-    ClusterConfig off;
+    api::EngineConfig off;
     off.placement = PlacementPolicy::kRoundRobin;
     off.rebalance_queued = false;
     off.shard_roles = {ShardRole::kPrefill, ShardRole::kPrefill,
                        ShardRole::kDecode,  ShardRole::kDecode,
                        ShardRole::kDecode,  ShardRole::kUnified,
                        ShardRole::kUnified, ShardRole::kDecode};
-    ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    api::EngineConfig on = off;
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "role-split");
   }
@@ -338,12 +333,12 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   sc.temperature = 0.9f;
   sc.seed = 3;
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
-  ClusterConfig off;
+  api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
-  ClusterConfig on = off;
-  on.shard.speculative.enable = true;
-  on.shard.speculative.draft_tokens = 0;
+  api::EngineConfig on = off;
+  on.scheduler.speculative.enable = true;
+  on.scheduler.speculative.draft_tokens = 0;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "k=0");
@@ -363,12 +358,12 @@ TEST(SpeculativeTest, AlwaysRejectKeepsStreamsAndAccountsWaste) {
   sc.temperature = 0.9f;
   sc.seed = 41;
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
-  ClusterConfig off;
+  api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
-  ClusterConfig on = off;
-  on.shard.speculative = DefaultSpec();
-  on.shard.speculative.acceptance_rate = 0.0;
+  api::EngineConfig on = off;
+  on.scheduler.speculative = DefaultSpec();
+  on.scheduler.speculative.acceptance_rate = 0.0;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "always-reject");
@@ -388,12 +383,12 @@ TEST(SpeculativeTest, AlwaysAcceptCommitsRunsAndIsStrictlyFaster) {
   sc.temperature = 0.9f;
   sc.seed = 17;
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
-  ClusterConfig off;
+  api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
-  ClusterConfig on = off;
-  on.shard.speculative = DefaultSpec();
-  on.shard.speculative.acceptance_rate = 1.0;
+  api::EngineConfig on = off;
+  on.scheduler.speculative = DefaultSpec();
+  on.scheduler.speculative.acceptance_rate = 1.0;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "always-accept");
