@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const CommandLine& cl = cl_or.value();
-  auto preset = bench::PresetFromFlag(cl.GetString("preset", "tiny"));
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
   if (!preset.ok()) {
     std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
     return 1;

@@ -1,10 +1,11 @@
 // SpeedLLM -- shared helpers for the benchmark harnesses.
 //
-// Every bench binary reproduces one table/figure of the paper or one
-// serving experiment (indexed in docs/BENCHMARKS.md). The helpers here
-// pick a model preset, build synthetic prompts for the synthetic weights
-// (see docs/ARCHITECTURE.md "Substitutions"), and serve a request trace
-// through api::Engine.
+// The bench binaries reproduce the paper's figures (bench_paper), the
+// serving experiments (bench_serving), a long-run soak (bench_sim_scale)
+// and kernel microbenchmarks (bench_kernels), indexed in
+// docs/BENCHMARKS.md. The helpers here write the JSON result, build
+// synthetic prompts for the synthetic weights (see docs/ARCHITECTURE.md
+// "Substitutions"), and serve a request trace through api::Engine.
 #pragma once
 
 #include <cstdio>
@@ -47,16 +48,6 @@ inline bool WriteBenchJson(
   std::fprintf(f, "\n  }\n}\n");
   std::fclose(f);
   return true;
-}
-
-/// Maps a --preset value to its model shape; an unknown name is
-/// INVALID_ARGUMENT naming the valid ones.
-inline StatusOr<llama::ModelConfig> PresetFromFlag(const std::string& preset) {
-  if (preset == "tiny") return llama::ModelConfig::Tiny();
-  if (preset == "stories15m") return llama::ModelConfig::Stories15M();
-  if (preset == "stories110m") return llama::ModelConfig::Stories110M();
-  return InvalidArgument("unknown --preset '" + preset +
-                         "' (valid: tiny, stories15m, stories110m)");
 }
 
 /// Deterministic prompt token ids (synthetic "story opening").

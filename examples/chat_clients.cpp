@@ -278,9 +278,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  llama::ModelConfig model = cl.GetString("preset", "tiny") == "stories15m"
-                                 ? llama::ModelConfig::Stories15M()
-                                 : llama::ModelConfig::Tiny();
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig model = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(model, 42);
   auto u280 = hw::U280Config::Default();
   auto compiled = compiler::Compile(

@@ -4,7 +4,7 @@
 // the full per-card picture: which card served which request, per-card
 // tokens/utilization/preemptions, rebalancer activity, and cluster-wide
 // TTFT/TPOT/latency percentiles. The knob-turning companion to
-// bench_cluster_scaling: one scenario, full detail.
+// bench_serving's cluster_scaling experiment: one scenario, full detail.
 //
 //   ./examples/cluster_serving [--cards 4]
 //                              [--placement rr|least|bestfit]
@@ -39,9 +39,12 @@ int main(int argc, char** argv) {
   const double load_factor = cl.GetDouble("load", 6.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 11));
 
-  llama::ModelConfig config = cl.GetString("preset", "tiny") == "stories15m"
-                                  ? llama::ModelConfig::Stories15M()
-                                  : llama::ModelConfig::Tiny();
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto u280 = hw::U280Config::Default();
   auto compiled = compiler::Compile(

@@ -44,9 +44,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cl_or.status().ToString().c_str());
     return 1;
   }
-  auto config = cl_or->GetString("preset", "stories15m") == "tiny"
-                    ? llama::ModelConfig::Tiny()
-                    : llama::ModelConfig::Stories15M();
+  auto preset =
+      llama::ModelConfig::FromName(cl_or->GetString("preset", "stories15m"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   const int tokens = static_cast<int>(cl_or->GetInt("decode", 8));
   auto u280 = hw::U280Config::Default();
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);

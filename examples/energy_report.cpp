@@ -22,9 +22,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cl_or.status().ToString().c_str());
     return 1;
   }
-  auto config = cl_or->GetString("preset", "stories15m") == "tiny"
-                    ? llama::ModelConfig::Tiny()
-                    : llama::ModelConfig::Stories15M();
+  auto preset =
+      llama::ModelConfig::FromName(cl_or->GetString("preset", "stories15m"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   const std::int32_t prefill =
       static_cast<std::int32_t>(cl_or->GetInt("prefill", 8));
   const std::int32_t decode =

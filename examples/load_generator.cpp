@@ -4,7 +4,8 @@
 // scenario -- steady Poisson arrivals, bursty clumps, or a "rush hour"
 // ramp -- and prints per-request percentiles plus scheduler internals
 // (batch width, KV pool pressure, preemptions). This is the knob-turning
-// companion to bench_serving_batching: one scenario, full detail.
+// companion to bench_serving's serving_batching experiment: one
+// scenario, full detail.
 //
 //   ./examples/load_generator [--scenario steady|burst|rush]
 //                             [--requests 24] [--load 2.0]
@@ -39,9 +40,12 @@ int main(int argc, char** argv) {
   const std::string policy_name = cl.GetString("policy", "fcfs");
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 11));
 
-  llama::ModelConfig config = cl.GetString("preset", "tiny") == "stories15m"
-                                  ? llama::ModelConfig::Stories15M()
-                                  : llama::ModelConfig::Tiny();
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto u280 = hw::U280Config::Default();
   auto compiled = compiler::Compile(

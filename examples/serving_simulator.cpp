@@ -30,9 +30,13 @@ int main(int argc, char** argv) {
   const CommandLine& cl = cl_or.value();
   const int n_requests = static_cast<int>(cl.GetInt("requests", 4));
   const int gen = static_cast<int>(cl.GetInt("gen", 12));
-  llama::ModelConfig config = cl.GetString("preset", "stories15m") == "tiny"
-                                  ? llama::ModelConfig::Tiny()
-                                  : llama::ModelConfig::Stories15M();
+  auto preset =
+      llama::ModelConfig::FromName(cl.GetString("preset", "stories15m"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto u280 = hw::U280Config::Default();
 
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
     table.Cell(report->device_tokens_per_second, 1);
     table.Cell(report->mean_ttft() * 1e3, 2);
     table.Cell(report->mean_latency() * 1e3, 2);
-    table.Cell(report->p99ish_latency() * 1e3, 2);
+    table.Cell(report->latency_percentile(0.99) * 1e3, 2);
   }
   table.Print();
   std::printf(

@@ -30,13 +30,16 @@ int main(int argc, char** argv) {
   const CommandLine& cl = cl_or.value();
   const int n_stories = static_cast<int>(cl.GetInt("stories", 3));
   const int length = static_cast<int>(cl.GetInt("length", 24));
-  const std::string preset = cl.GetString("preset", "stories15m");
   const std::string dir =
       cl.GetString("dir", std::filesystem::temp_directory_path().string());
 
-  llama::ModelConfig config = preset == "tiny"
-                                  ? llama::ModelConfig::Tiny()
-                                  : llama::ModelConfig::Stories15M();
+  auto preset =
+      llama::ModelConfig::FromName(cl.GetString("preset", "stories15m"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
 
   // --- Produce model files (what tools/gen_model does) ---
   const std::string ckpt = dir + "/speedllm_story_model.bin";

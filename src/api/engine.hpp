@@ -107,8 +107,7 @@ struct EngineConfig {
   /// serving::PrefixDirectory::kMaxCards: more is a setup error.
   int num_cards = 1;
   /// Per-card scheduler knobs, including the KV-cache storage dtype
-  /// (serving::SchedulerConfig::kv_cache_dtype) and simulated DMA
-  /// costing (charge_dma_cost).
+  /// (serving::SchedulerConfig::kv_cache_dtype).
   serving::SchedulerConfig scheduler;
   /// Which card each arriving request is routed to.
   serving::PlacementPolicy placement = serving::PlacementPolicy::kRoundRobin;

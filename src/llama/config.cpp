@@ -91,4 +91,12 @@ ModelConfig ModelConfig::Tiny() {
   return c;
 }
 
+StatusOr<ModelConfig> ModelConfig::FromName(std::string_view name) {
+  if (name == "tiny") return Tiny();
+  if (name == "stories15m") return Stories15M();
+  if (name == "stories110m") return Stories110M();
+  return InvalidArgument("unknown --preset '" + std::string(name) +
+                         "' (valid: tiny, stories15m, stories110m)");
+}
+
 }  // namespace speedllm::llama

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 
@@ -43,6 +44,10 @@ struct ModelConfig {
   static ModelConfig Stories110M();
   /// A tiny configuration for fast unit tests.
   static ModelConfig Tiny();
+  /// The preset a `--preset` flag names: "tiny", "stories15m" or
+  /// "stories110m". Any other name is INVALID_ARGUMENT listing the valid
+  /// ones.
+  static StatusOr<ModelConfig> FromName(std::string_view name);
 };
 
 }  // namespace speedllm::llama

@@ -204,7 +204,7 @@ struct KvPoolStats {
   // Bytes the pool's bookkeeping implies actually move through HBM.
   // The pool is the byte authority; the scheduler converts deltas of
   // these counters into simulated seconds against hw::HbmConfig
-  // bandwidth (SchedulerConfig::charge_dma_cost).
+  // bandwidth (ShardScheduler::ChargeDma).
   /// Total DMA bytes moved: cow + restore + swap.
   std::int64_t dma_bytes_moved = 0;
   /// Bytes copied by copy-on-write (one block payload per copy).

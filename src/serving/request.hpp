@@ -271,13 +271,11 @@ struct ServingReport {
   // Simulated DMA traffic (PR 5): KV bytes actually moved by
   // copy-on-write copies, prefix-cache restores, and preemption
   // swap-outs. `dma_time_seconds` is the simulated time those moves
-  // cost against the HBM bandwidth -- zero when
-  // SchedulerConfig::charge_dma_cost is off (bytes accumulate either
-  // way), so the prefix-cache speedup claims stay honest about what a
-  // restore actually costs.
+  // cost against the HBM bandwidth, so the prefix-cache speedup claims
+  // stay honest about what a restore actually costs.
   /// KV bytes moved by COW copies, cache restores, and swap-outs.
   std::int64_t dma_bytes_moved = 0;
-  /// Simulated time the moves cost (0 when charge_dma_cost is off).
+  /// Simulated time the moves cost.
   double dma_time_seconds = 0.0;
 
   // Speculative decoding aggregates (SchedulerConfig::speculative; all
@@ -319,9 +317,6 @@ struct ServingReport {
   /// Interpolated TTFT percentile over one tier's finished outcomes
   /// (shed/cancelled excluded); 0 when the tier finished nothing.
   double tier_ttft_percentile(RequestTier tier, double p) const;
-  /// Real interpolated p99 end-to-end latency (historically "p99ish",
-  /// which was a max; the name survives for source compatibility).
-  double p99ish_latency() const { return latency_percentile(0.99); }
   /// Fraction of cache-eligible prefill tokens served from cached
   /// blocks. 0 when caching is off or nothing was eligible.
   double cache_hit_rate() const {

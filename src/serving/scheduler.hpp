@@ -146,15 +146,6 @@ struct SchedulerConfig {
   /// request's longest cached prefix onto shared blocks and prefill
   /// skips those tokens; token streams are byte-identical either way.
   bool enable_prefix_cache = true;
-  /// Charge simulated DMA time -- bytes moved against hw::HbmConfig
-  /// bandwidth plus per-transfer latency -- for copy-on-write copies,
-  /// prefix-cache restores, and preemption swap-outs. Off keeps the
-  /// PR-4 "moves are free" timing; byte counters
-  /// (ServingReport::dma_bytes_moved) accumulate either way, and token
-  /// streams are byte-identical on or off (timing shifts, tokens don't).
-  bool charge_dma_cost = true;
-  /// Swap-by-recompute preemption when the KV pool is exhausted.
-  bool allow_preemption = true;
   /// A waiting request older than this many ticks jumps the policy order
   /// (prevents shortest-prompt-first starvation).
   std::int32_t starvation_grace_ticks = 32;

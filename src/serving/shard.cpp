@@ -343,7 +343,6 @@ bool ShardScheduler::EnsureKvToken(std::size_t seq_id, std::int32_t token) {
       return false;
     }
     kv_blocked_ = true;
-    if (!config_.allow_preemption) return false;
     // Victim selection: with tiers enabled the lowest-priority resident
     // loses first (numerically-highest tier), newest admission breaking
     // ties within a tier; and a requester never evicts a strictly
@@ -623,24 +622,20 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
   const std::int64_t moved = pool_.stats().dma_bytes_moved - dma_bytes_seen_;
   dma_bytes_seen_ = pool_.stats().dma_bytes_moved;
   if (moved <= 0) return 0;
-  double seconds = 0.0;
-  double base_s = u280_.cycles_to_seconds(engine_.now());
-  if (config_.charge_dma_cost) {
-    // The move queues on this card's shared HBM DMA stations, so it
-    // serializes honestly behind concurrent traffic (earlier moves this
-    // tick, cross-card KV transfers) instead of being charged
-    // additively. The tick is billed only the window past what it
-    // already paid (`dma_charged_until_`), which makes back-to-back
-    // uncontended moves cost exactly the old per-move sum.
-    const sim::Cycles base = std::max(engine_.now(), dma_charged_until_);
-    const hw::TransferTiming window = interconnect_->LocalDma(
-        engine_.now(), static_cast<std::uint64_t>(moved), card_id_);
-    dma_charged_until_ = window.end;
-    seconds = u280_.cycles_to_seconds(window.end - base);
-    base_s = u280_.cycles_to_seconds(base);
-    tick_cost_.AddSerialSeconds(seconds);
-    report_.dma_time_seconds += seconds;
-  }
+  // The move queues on this card's shared HBM DMA stations, so it
+  // serializes honestly behind concurrent traffic (earlier moves this
+  // tick, cross-card KV transfers) instead of being charged additively.
+  // The tick is billed only the window past what it already paid
+  // (`dma_charged_until_`), which makes back-to-back uncontended moves
+  // cost exactly the old per-move sum.
+  const sim::Cycles base = std::max(engine_.now(), dma_charged_until_);
+  const hw::TransferTiming window = interconnect_->LocalDma(
+      engine_.now(), static_cast<std::uint64_t>(moved), card_id_);
+  dma_charged_until_ = window.end;
+  const double seconds = u280_.cycles_to_seconds(window.end - base);
+  const double base_s = u280_.cycles_to_seconds(base);
+  tick_cost_.AddSerialSeconds(seconds);
+  report_.dma_time_seconds += seconds;
   if (telemetry_.tracing()) {
     obs::RequestEvent ev = MakeEvent(
         obs::RequestEventKind::kDmaTransfer,

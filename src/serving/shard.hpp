@@ -396,11 +396,10 @@ class ShardScheduler {
   std::int64_t RestoreCachedPrefix(std::size_t seq_id);
   /// Converts pool DMA bytes accrued since the last call (one COW copy,
   /// cache restore, or preemption swap-out per call site) into simulated
-  /// time on the current tick when SchedulerConfig::charge_dma_cost is
-  /// on: transfer latency + DMA setup + bytes over the HBM aggregate
-  /// bandwidth. Byte counters accumulate regardless. `cause` labels the
-  /// move ("cow" / "restore" / "swap-out") and `seq_id` attributes it in
-  /// the telemetry trace. Returns the bytes moved.
+  /// time on the current tick: transfer latency + DMA setup + bytes over
+  /// the HBM aggregate bandwidth. `cause` labels the move ("cow" /
+  /// "restore" / "swap-out") and `seq_id` attributes it in the telemetry
+  /// trace. Returns the bytes moved.
   std::int64_t ChargeDma(const char* cause, std::size_t seq_id);
   /// Deterministic int8 accuracy proxy: perturbs `logits` with tiny
   /// pseudo-noise seeded by (stream index, KV block index) only, so

@@ -276,7 +276,6 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   sc.seed = 5;
   api::EngineConfig config;
   config.scheduler.block_size_tokens = 8;
-  config.scheduler.charge_dma_cost = true;
   const std::uint64_t tight = 10ull * 8 * KvBytesPerToken(f.config);
   config.kv_pool_bytes_per_card = {tight, tight};
   auto report = Serve(prog, f, 2, config, reqs, sc);

@@ -177,7 +177,7 @@ TEST(ServingTest, FasterVariantImprovesLatency) {
   ASSERT_TRUE(b.ok());
   EXPECT_LT(a->mean_latency(), b->mean_latency());
   EXPECT_LT(a->mean_ttft(), b->mean_ttft());
-  EXPECT_LT(a->p99ish_latency(), b->p99ish_latency());
+  EXPECT_LT(a->latency_percentile(0.99), b->latency_percentile(0.99));
 }
 
 TEST(ServingTest, RejectsBadRequests) {

@@ -56,6 +56,23 @@ TEST(ConfigTest, ValidationCatchesBadShapes) {
   EXPECT_FALSE(c.Validate().ok());
 }
 
+TEST(ConfigTest, FromNameMapsPresetsAndRejectsUnknownNames) {
+  auto tiny = ModelConfig::FromName("tiny");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->ToString(), ModelConfig::Tiny().ToString());
+  auto s15 = ModelConfig::FromName("stories15m");
+  ASSERT_TRUE(s15.ok());
+  EXPECT_EQ(s15->ToString(), ModelConfig::Stories15M().ToString());
+  auto s110 = ModelConfig::FromName("stories110m");
+  ASSERT_TRUE(s110.ok());
+  EXPECT_EQ(s110->ToString(), ModelConfig::Stories110M().ToString());
+  for (const char* bad : {"nope", "", "Tiny", "stories15M"}) {
+    auto c = ModelConfig::FromName(bad);
+    ASSERT_FALSE(c.ok()) << bad;
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(ConfigTest, UnsharedClassifierAddsParams) {
   auto shared = ModelConfig::Tiny();
   auto unshared = shared;

@@ -144,7 +144,7 @@ TEST(DeterminismTest, CyclesIdenticalAcrossRebuilds) {
 // ---------------- Scheduler fuzz: replay determinism + pool drain ------
 //
 // Every knob of the serving stack -- batching policy, budgets, block
-// size, KV dtype, caching, DMA costing, preemption, tiers, speculative
+// size, KV dtype, caching, tiers, speculative
 // decoding, card count, placement, rebalancing -- is drawn from one
 // logged seed, together with a Poisson workload and a mid-stream cancel
 // schedule. The tuple runs twice through api::Engine; the two replays
@@ -191,8 +191,10 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   s.kv_cache_dtype = rng.NextBounded(2) == 0 ? serving::KvCacheDtype::kFp16
                                              : serving::KvCacheDtype::kInt8;
   s.enable_prefix_cache = rng.NextBounded(2) == 0;
-  s.charge_dma_cost = rng.NextBounded(2) == 0;
-  s.allow_preemption = rng.NextBounded(2) == 0;
+  // Two draws that once picked DMA costing and preemption, both now
+  // always on; kept so every later draw of a logged seed is unchanged.
+  (void)rng.NextBounded(2);
+  (void)rng.NextBounded(2);
   s.enable_tiers = rng.NextBounded(2) == 0;
   s.speculative.enable = rng.NextBounded(2) == 0;
   s.speculative.draft_tokens = static_cast<std::int32_t>(rng.NextBounded(7));

@@ -21,9 +21,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const CommandLine& cl = cl_or.value();
-  llama::ModelConfig config = cl.GetString("preset", "tiny") == "stories15m"
-                                  ? llama::ModelConfig::Stories15M()
-                                  : llama::ModelConfig::Tiny();
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   const std::int32_t length =
       static_cast<std::int32_t>(cl.GetInt("length", 48));
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 3));

@@ -26,20 +26,15 @@ int main(int argc, char** argv) {
   const CommandLine& cl = cl_or.value();
   const std::string out = cl.GetString("out", "model.bin");
   const std::string tok_path = cl.GetString("tokenizer", "tokenizer.bin");
-  const std::string preset = cl.GetString("preset", "stories15m");
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 42));
 
-  llama::ModelConfig config;
-  if (preset == "stories15m") {
-    config = llama::ModelConfig::Stories15M();
-  } else if (preset == "stories110m") {
-    config = llama::ModelConfig::Stories110M();
-  } else if (preset == "tiny") {
-    config = llama::ModelConfig::Tiny();
-  } else {
-    std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
+  auto preset =
+      llama::ModelConfig::FromName(cl.GetString("preset", "stories15m"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
     return 1;
   }
+  llama::ModelConfig config = *preset;
 
   std::printf("generating %s\n", config.ToString().c_str());
   llama::Weights w = llama::GenerateSyntheticWeights(config, seed);

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   }
   const CommandLine& cl = cl_or.value();
   const std::string variant_name = cl.GetString("variant", "speedllm");
-  const std::string preset = cl.GetString("preset", "tiny");
   const std::int32_t pos = static_cast<std::int32_t>(cl.GetInt("pos", 0));
   const std::string trace_path = cl.GetString("trace", "");
   const std::size_t max_instrs =
@@ -44,9 +43,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  llama::ModelConfig config = preset == "stories15m"
-                                  ? llama::ModelConfig::Stories15M()
-                                  : llama::ModelConfig::Tiny();
+  auto preset = llama::ModelConfig::FromName(cl.GetString("preset", "tiny"));
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *preset;
   auto u280 = hw::U280Config::Default();
   auto cr = compiler::Compile(config, runtime::OptionsFor(variant), u280);
   if (!cr.ok()) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Per-request latency-attribution report from a serving trace.
 
-Reads a Chrome Trace Event JSON file written by ``--trace-out`` (bench
-binaries, examples/chat_clients) or ``api::Engine::WriteTrace`` and
+Reads a Chrome Trace Event JSON file written by ``--trace-out``
+(bench_serving, examples/chat_clients) or ``api::Engine::WriteTrace`` and
 rebuilds each request's lifecycle waterfall from the trace alone:
 
 * queue    -- submit to first admission on a card,
@@ -18,8 +18,9 @@ queue/prefill/decode phases and the ``n`` instants replay the raw marks
 interpolation as ``serving::ServingReport`` (rank = p * (n - 1), linear
 between order statistics), so a report derived purely from the trace
 must agree with the simulator's own ServingReport -- ``--check`` turns
-that property into a CI assertion against a bench ``--json`` file's
-``closed_loop_ttft_p50_ms`` / ``closed_loop_ttft_p99_ms`` metrics.
+that property into a CI assertion against a ``bench_serving --json``
+file's ``serving_batching.closed_loop_ttft_p50_ms`` /
+``serving_batching.closed_loop_ttft_p99_ms`` metrics.
 
 Usage:
     tools/trace_report.py trace.json [--top 10] [--check bench.json]
@@ -117,8 +118,9 @@ def main():
     parser.add_argument("--top", type=int, default=10,
                         help="requests to list, slowest latency first")
     parser.add_argument("--check", metavar="BENCH_JSON",
-                        help="bench --json file whose closed_loop_ttft_"
-                             "p{50,99}_ms must match this trace")
+                        help="bench_serving --json file whose "
+                             "serving_batching.closed_loop_ttft_p{50,99}_ms "
+                             "must match this trace")
     args = parser.parse_args()
 
     requests = collect_requests(load_json(args.trace))
@@ -154,8 +156,8 @@ def main():
         bench = load_json(args.check)
         metrics = bench.get("metrics", {})
         failures = []
-        for key, p in (("closed_loop_ttft_p50_ms", 0.50),
-                       ("closed_loop_ttft_p99_ms", 0.99)):
+        for key, p in (("serving_batching.closed_loop_ttft_p50_ms", 0.50),
+                       ("serving_batching.closed_loop_ttft_p99_ms", 0.99)):
             if key not in metrics:
                 failures.append(f"bench json has no metric {key}")
                 continue
