@@ -27,10 +27,17 @@
 #include "runtime/device.hpp"
 
 using namespace speedllm;
+using compiler::CompilerOptions;
 
 namespace {
 
 using Metrics = std::vector<std::pair<std::string, double>>;
+/// Inference metrics per variant, keyed by CompilerOptions::name.
+using VariantMetrics = std::map<std::string, runtime::InferenceMetrics>;
+
+bool IsSpeedLLM(const CompilerOptions& options) {
+  return options.name == CompilerOptions::SpeedLLM().name;
+}
 
 /// The paper's model, generated once per process on first use.
 const llama::Weights& Stories15M() {
@@ -41,7 +48,7 @@ const llama::Weights& Stories15M() {
 
 /// Runs `variant` for one (prefill, decode) workload and returns metrics.
 StatusOr<runtime::InferenceMetrics> RunVariant(const llama::Weights& weights,
-                                               runtime::Variant variant,
+                                               const CompilerOptions& variant,
                                                std::int32_t prefill,
                                                std::int32_t decode) {
   SPEEDLLM_ASSIGN_OR_RETURN(
@@ -58,13 +65,12 @@ StatusOr<runtime::InferenceMetrics> RunVariant(const llama::Weights& weights,
   return gen.metrics;
 }
 
-/// Runs each of `variants` on stories15M, keyed by variant.
-StatusOr<std::map<runtime::Variant, runtime::InferenceMetrics>> RunVariants(
-    const std::vector<runtime::Variant>& variants, std::int32_t prefill,
-    std::int32_t decode) {
-  std::map<runtime::Variant, runtime::InferenceMetrics> out;
-  for (runtime::Variant v : variants) {
-    SPEEDLLM_ASSIGN_OR_RETURN(out[v],
+/// Runs each of the paper's variants on stories15M.
+StatusOr<VariantMetrics> RunPaperVariants(std::int32_t prefill,
+                                          std::int32_t decode) {
+  VariantMetrics out;
+  for (const CompilerOptions& v : CompilerOptions::PaperVariants()) {
+    SPEEDLLM_ASSIGN_OR_RETURN(out[v.name],
                               RunVariant(Stories15M(), v, prefill, decode));
   }
   return out;
@@ -83,16 +89,17 @@ Status FigureE1(Metrics& metrics) {
   Table table({"prefill", "variant", "latency_ms", "normalized", "speedup"});
   double best_speedup = 0.0;
   for (std::int32_t prefill : {8, 16, 32, 64}) {
-    SPEEDLLM_ASSIGN_OR_RETURN(
-        auto m, RunVariants(runtime::PaperVariants(), prefill, kDecode));
-    const double base = m[runtime::Variant::kUnoptimized].total_seconds();
-    for (runtime::Variant v : runtime::PaperVariants()) {
-      const double latency = m[v].total_seconds();
+    SPEEDLLM_ASSIGN_OR_RETURN(VariantMetrics m,
+                              RunPaperVariants(prefill, kDecode));
+    const double base =
+        m.at(CompilerOptions::Unoptimized().name).total_seconds();
+    for (const CompilerOptions& v : CompilerOptions::PaperVariants()) {
+      const double latency = m.at(v.name).total_seconds();
       const double speedup = base / latency;
       best_speedup = std::max(best_speedup, speedup);
       table.AddRow();
       table.Cell(std::to_string(prefill));
-      table.Cell(runtime::VariantName(v));
+      table.Cell(v.name);
       table.Cell(latency * 1e3, 3);
       table.Cell(latency / base, 3);
       table.Cell(speedup, 2);
@@ -117,17 +124,17 @@ Status FigureE2(Metrics& metrics) {
   std::printf(
       "== Fig 2(b): effective energy (model %s, prefill %d, decode %d) ==\n",
       Stories15M().config.ToString().c_str(), kPrefill, kDecode);
-  SPEEDLLM_ASSIGN_OR_RETURN(
-      auto metric, RunVariants(runtime::PaperVariants(), kPrefill, kDecode));
+  SPEEDLLM_ASSIGN_OR_RETURN(VariantMetrics metric,
+                            RunPaperVariants(kPrefill, kDecode));
 
   Table table({"variant", "tok_per_J", "normalized", "avg_power_W",
                "hbm_MB", "launches", "mJ_total"});
   const double base_eff =
-      metric[runtime::Variant::kUnoptimized].tokens_per_joule();
-  for (runtime::Variant v : runtime::PaperVariants()) {
-    const auto& m = metric[v];
+      metric.at(CompilerOptions::Unoptimized().name).tokens_per_joule();
+  for (const CompilerOptions& v : CompilerOptions::PaperVariants()) {
+    const auto& m = metric.at(v.name);
     table.AddRow();
-    table.Cell(runtime::VariantName(v));
+    table.Cell(v.name);
     table.Cell(m.tokens_per_joule(), 1);
     table.Cell(m.tokens_per_joule() / base_eff, 3);
     table.Cell(m.average_power_w(), 2);
@@ -137,23 +144,23 @@ Status FigureE2(Metrics& metrics) {
   }
   table.Print();
 
-  const double ours = metric[runtime::Variant::kSpeedLLM].tokens_per_joule();
+  const double ours =
+      metric.at(CompilerOptions::SpeedLLM().name).tokens_per_joule();
   const double vs_unopt = ours / base_eff;
   const double vs_nofuse =
-      ours / metric[runtime::Variant::kNoFuse].tokens_per_joule();
+      ours / metric.at(CompilerOptions::NoFuse().name).tokens_per_joule();
   std::printf(
       "\nSpeedLLM vs Unoptimized: %.3fx  (paper: 1.18x)\n"
       "SpeedLLM vs NoFuse:      %.3fx  (paper: 1.01x)\n"
       "SpeedLLM vs NoPipeline:  %.3fx\n",
       vs_unopt, vs_nofuse,
-      ours / metric[runtime::Variant::kNoPipeline].tokens_per_joule());
-  for (runtime::Variant v :
-       {runtime::Variant::kSpeedLLM, runtime::Variant::kUnoptimized,
-        runtime::Variant::kNoFuse}) {
-    std::printf("%senergy breakdown (%s): %s\n",
-                v == runtime::Variant::kSpeedLLM ? "\n" : "",
-                runtime::VariantName(v).c_str(),
-                metric[v].energy.ToString().c_str());
+      ours /
+          metric.at(CompilerOptions::NoPipeline().name).tokens_per_joule());
+  for (const CompilerOptions& v :
+       {CompilerOptions::SpeedLLM(), CompilerOptions::Unoptimized(),
+        CompilerOptions::NoFuse()}) {
+    std::printf("%senergy breakdown (%s): %s\n", IsSpeedLLM(v) ? "\n" : "",
+                v.name.c_str(), metric.at(v.name).energy.ToString().c_str());
   }
   metrics.emplace_back("e2_energy_vs_unoptimized", vs_unopt);
   metrics.emplace_back("e2_energy_vs_nofuse", vs_nofuse);
@@ -173,7 +180,7 @@ Status FigureE3(Metrics& metrics) {
               config.ToString().c_str());
   SPEEDLLM_ASSIGN_OR_RETURN(
       runtime::InferenceMetrics fpga,
-      RunVariant(Stories15M(), runtime::Variant::kSpeedLLM, /*prefill=*/16,
+      RunVariant(Stories15M(), CompilerOptions::SpeedLLM(), /*prefill=*/16,
                  /*decode=*/48));
   const double fpga_tps = fpga.decode_tokens_per_second();
 
@@ -226,16 +233,16 @@ Status FigureE4(Metrics& metrics) {
                "speedup"});
   double best_speedup = 0.0;
   for (std::int32_t decode : {16, 32, 64}) {
-    SPEEDLLM_ASSIGN_OR_RETURN(
-        auto m, RunVariants(runtime::PaperVariants(), kPrefill, decode));
+    SPEEDLLM_ASSIGN_OR_RETURN(VariantMetrics m,
+                              RunPaperVariants(kPrefill, decode));
     const double base_tps =
-        m[runtime::Variant::kUnoptimized].decode_tokens_per_second();
-    for (runtime::Variant v : runtime::PaperVariants()) {
-      const double tps = m[v].decode_tokens_per_second();
+        m.at(CompilerOptions::Unoptimized().name).decode_tokens_per_second();
+    for (const CompilerOptions& v : CompilerOptions::PaperVariants()) {
+      const double tps = m.at(v.name).decode_tokens_per_second();
       best_speedup = std::max(best_speedup, tps / base_tps);
       table.AddRow();
       table.Cell(std::to_string(decode));
-      table.Cell(runtime::VariantName(v));
+      table.Cell(v.name);
       table.Cell(tps, 1);
       table.Cell(1e3 / tps, 3);
       table.Cell(tps / base_tps, 2);
@@ -259,12 +266,11 @@ Status FigureE5(Metrics& metrics) {
                "hbm_MB", "latency_ms", "tok_per_J"});
   double launches[2] = {0.0, 0.0};
   for (bool fusion : {false, true}) {
-    const runtime::Variant v =
-        fusion ? runtime::Variant::kSpeedLLM : runtime::Variant::kNoFuse;
+    const CompilerOptions v =
+        fusion ? CompilerOptions::SpeedLLM() : CompilerOptions::NoFuse();
     SPEEDLLM_ASSIGN_OR_RETURN(
         compiler::CompileResult cr,
-        compiler::Compile(config, runtime::OptionsFor(v),
-                          hw::U280Config::Default()));
+        compiler::Compile(config, v, hw::U280Config::Default()));
     SPEEDLLM_ASSIGN_OR_RETURN(runtime::InferenceMetrics m,
                               RunVariant(Stories15M(), v, /*prefill=*/16,
                                          /*decode=*/32));
@@ -303,12 +309,11 @@ Status FigureE6(Metrics& metrics) {
   Table t1({"reuse", "onchip_peak", "budget", "min_tile_rows", "latency_ms"});
   double peak[2] = {0.0, 0.0};
   for (bool reuse : {true, false}) {
-    const runtime::Variant v =
-        reuse ? runtime::Variant::kSpeedLLM : runtime::Variant::kNoReuse;
+    const CompilerOptions v =
+        reuse ? CompilerOptions::SpeedLLM() : CompilerOptions::NoReuse();
     SPEEDLLM_ASSIGN_OR_RETURN(
         compiler::CompileResult cr,
-        compiler::Compile(config, runtime::OptionsFor(v),
-                          hw::U280Config::Default()));
+        compiler::Compile(config, v, hw::U280Config::Default()));
     SPEEDLLM_ASSIGN_OR_RETURN(runtime::InferenceMetrics m,
                               RunVariant(Stories15M(), v, /*prefill=*/8,
                                          /*decode=*/16));
@@ -327,9 +332,9 @@ Status FigureE6(Metrics& metrics) {
   Table t2({"budget_frac", "reuse_tile_rows", "noreuse_tile_rows",
             "noreuse_status"});
   for (double frac : {0.18, 0.05, 0.02, 0.01, 0.005, 0.002}) {
-    auto with = compiler::CompilerOptions::SpeedLLM();
+    auto with = CompilerOptions::SpeedLLM();
     with.onchip_budget_fraction = frac;
-    auto without = compiler::CompilerOptions::NoReuse();
+    auto without = CompilerOptions::NoReuse();
     without.onchip_budget_fraction = frac;
     auto a = compiler::Compile(config, with, hw::U280Config::Default());
     auto b = compiler::Compile(config, without, hw::U280Config::Default());
@@ -374,7 +379,7 @@ Status FigureE7(Metrics& metrics) {
                         Case{"serial wide", false, 22},
                         Case{"overlap narrow", true, 4},
                         Case{"overlap wide (SpeedLLM)", true, 22}}) {
-    compiler::CompilerOptions opt = compiler::CompilerOptions::SpeedLLM();
+    CompilerOptions opt = CompilerOptions::SpeedLLM();
     opt.enable_pipeline = c.pipeline;
     if (c.pipeline) {
       opt.weight_channels = c.channels;
@@ -427,20 +432,16 @@ Status FigureE9(Metrics&) {
   std::printf("== E9: U280 resource utilization (model %s) ==\n\n",
               config.ToString().c_str());
 
-  std::vector<compiler::CompilerOptions> variants;
-  for (runtime::Variant v : runtime::PaperVariants()) {
-    variants.push_back(runtime::OptionsFor(v));
-    variants.back().name = runtime::VariantName(v);
-  }
+  std::vector<CompilerOptions> variants = CompilerOptions::PaperVariants();
   // The int8-weight datapath, outside the paper's Fig. 2 comparison set.
-  variants.push_back(compiler::CompilerOptions::SpeedLLM());
+  variants.push_back(CompilerOptions::SpeedLLM());
   variants.back().int8_weights = true;
   variants.back().name = "SpeedLLM-int8";
 
   Table table({"variant", "LUT", "FF", "DSP", "BRAM36", "URAM", "instrs",
                "groups", "onchip_peak"});
   std::string speedllm_ledger;
-  for (const compiler::CompilerOptions& opt : variants) {
+  for (const CompilerOptions& opt : variants) {
     SPEEDLLM_ASSIGN_OR_RETURN(
         compiler::CompileResult cr,
         compiler::Compile(config, opt, hw::U280Config::Default()));
@@ -451,7 +452,7 @@ Status FigureE9(Metrics&) {
                     100.0 * cr.ledger.utilization(r));
       return std::string(buf);
     };
-    if (opt.name == "SpeedLLM") speedllm_ledger = cr.ledger.Report();
+    if (IsSpeedLLM(opt)) speedllm_ledger = cr.ledger.Report();
     table.AddRow();
     table.Cell(opt.name);
     table.Cell(pct(hw::Resource::kLut));
@@ -495,22 +496,22 @@ Status FigureE10(Metrics& metrics) {
     const llama::Weights& weights =
         model == "stories15M" ? Stories15M() : other;
     double base_ms = 0.0;
-    for (runtime::Variant v :
-         {runtime::Variant::kUnoptimized, runtime::Variant::kSpeedLLM}) {
+    for (const CompilerOptions& v :
+         {CompilerOptions::Unoptimized(), CompilerOptions::SpeedLLM()}) {
       SPEEDLLM_ASSIGN_OR_RETURN(runtime::InferenceMetrics m,
                                 RunVariant(weights, v, kPrefill, kDecode));
       double ms_per_tok = m.total_seconds() * 1e3 /
                           static_cast<double>(kPrefill + kDecode);
-      if (v == runtime::Variant::kUnoptimized) base_ms = ms_per_tok;
+      if (!IsSpeedLLM(v)) base_ms = ms_per_tok;
       const double speedup = base_ms / ms_per_tok;
-      if (v == runtime::Variant::kSpeedLLM) {
+      if (IsSpeedLLM(v)) {
         min_speedup = min_speedup == 0.0 ? speedup
                                          : std::min(min_speedup, speedup);
       }
       table.AddRow();
       table.Cell(model);
       table.Cell(static_cast<double>(weights.config.num_params()) / 1e6, 1);
-      table.Cell(runtime::VariantName(v));
+      table.Cell(v.name);
       table.Cell(ms_per_tok, 3);
       table.Cell(1e3 / ms_per_tok, 1);
       table.Cell(m.tokens_per_joule(), 1);
@@ -544,10 +545,9 @@ Status FigureE11(Metrics& metrics) {
   Table table({"variant", "sim_cycles", "bound_cycles", "sim/bound",
                "bottleneck", "stream_in", "mpe", "sfu"});
   double speedllm_ratio = 0.0;
-  for (runtime::Variant v : runtime::PaperVariants()) {
-    SPEEDLLM_ASSIGN_OR_RETURN(
-        compiler::CompileResult cr,
-        compiler::Compile(weights.config, runtime::OptionsFor(v), u280));
+  for (const CompilerOptions& v : CompilerOptions::PaperVariants()) {
+    SPEEDLLM_ASSIGN_OR_RETURN(compiler::CompileResult cr,
+                              compiler::Compile(weights.config, v, u280));
     accel::Executor exec(cr.program, weights, u280);
     for (std::int32_t p = 0; p <= kPos; ++p) {
       SPEEDLLM_RETURN_IF_ERROR(exec.Forward(5, p).status());
@@ -556,9 +556,9 @@ Status FigureE11(Metrics& metrics) {
     const auto cycles = exec.last_stats().cycles;
     const double ratio =
         static_cast<double>(cycles) / static_cast<double>(e.bound_cycles);
-    if (v == runtime::Variant::kSpeedLLM) speedllm_ratio = ratio;
+    if (IsSpeedLLM(v)) speedllm_ratio = ratio;
     table.AddRow();
-    table.Cell(runtime::VariantName(v));
+    table.Cell(v.name);
     table.Cell(static_cast<std::int64_t>(cycles));
     table.Cell(static_cast<std::int64_t>(e.bound_cycles));
     table.Cell(ratio, 2);
@@ -590,21 +590,15 @@ constexpr Figure kFigures[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto cl = CommandLine::Parse(argc, argv, {"figure", "json"});
+  std::vector<std::string> ids = {"all"};
+  for (const Figure& f : kFigures) ids.push_back(f.id);
+  auto cl =
+      CommandLine::Parse(argc, argv, {"figure", "json"}, {{"figure", ids}});
   if (!cl.ok()) {
     std::fprintf(stderr, "%s\n", cl.status().ToString().c_str());
     return 1;
   }
   const std::string figure = cl->GetString("figure", "all");
-  if (figure != "all" &&
-      std::none_of(std::begin(kFigures), std::end(kFigures),
-                   [&](const Figure& f) { return figure == f.id; })) {
-    std::fprintf(stderr,
-                 "INVALID_ARGUMENT: unknown --figure '%s' (valid: "
-                 "e1|e2|e3|e4|e5|e6|e7|e9|e10|e11|all)\n",
-                 figure.c_str());
-    return 1;
-  }
 
   Metrics metrics;
   bool first = true;

@@ -108,8 +108,8 @@ StatusOr<const Model*> Compiled(const llama::ModelConfig& config) {
   if (it == cache.end()) {
     SPEEDLLM_ASSIGN_OR_RETURN(
         compiler::CompileResult compiled,
-        compiler::Compile(
-            config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), kU280));
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(),
+                          kU280));
     it = cache
              .emplace(key,
                       Model{llama::GenerateSyntheticWeights(
@@ -1384,8 +1384,11 @@ constexpr Experiment kExperiments[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<std::string> ids = {"all"};
+  for (const Experiment& e : kExperiments) ids.push_back(e.id);
   auto cl = CommandLine::Parse(
-      argc, argv, {"experiment", "json", "trace-out", "metrics-out"});
+      argc, argv, {"experiment", "json", "trace-out", "metrics-out"},
+      {{"experiment", ids}});
   if (!cl.ok()) {
     std::fprintf(stderr, "%s\n", cl.status().ToString().c_str());
     return 1;
@@ -1393,21 +1396,11 @@ int main(int argc, char** argv) {
   const std::string experiment = cl->GetString("experiment", "all");
   const Exports exports{cl->GetString("trace-out", ""),
                         cl->GetString("metrics-out", "")};
-  Status args = Status::Ok();
-  if (experiment != "all" &&
-      std::none_of(std::begin(kExperiments), std::end(kExperiments),
-                   [&](const Experiment& e) { return experiment == e.id; })) {
-    args = InvalidArgument(
-        "unknown --experiment '" + experiment +
-        "' (valid: serving_batching|cluster_scaling|prefix_caching|"
-        "kv_quant|slo_goodput|disagg|speculative|all)");
-  } else if ((!exports.trace_out.empty() || !exports.metrics_out.empty()) &&
-             experiment != "all" && experiment != "serving_batching") {
-    args = InvalidArgument(
+  if ((!exports.trace_out.empty() || !exports.metrics_out.empty()) &&
+      experiment != "all" && experiment != "serving_batching") {
+    const Status args = InvalidArgument(
         "--trace-out and --metrics-out export the serving_batching "
         "experiment, which --experiment " + experiment + " does not run");
-  }
-  if (!args.ok()) {
     std::fprintf(stderr, "%s\n", args.ToString().c_str());
     return 1;
   }

@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   llama::Weights weights =
       llama::GenerateSyntheticWeights(config, bench::kWeightSeed);
   auto u280 = hw::U280Config::Default();
-  auto compiled = compiler::Compile(
-      config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+  auto compiled =
+      compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
   if (!compiled.ok()) {
     std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
     return 1;

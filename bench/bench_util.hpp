@@ -19,7 +19,6 @@
 #include "llama/sampler.hpp"
 #include "llama/tokenizer.hpp"
 #include "llama/weights.hpp"
-#include "runtime/variants.hpp"
 
 namespace speedllm::bench {
 

@@ -52,7 +52,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/workload.hpp"
 
@@ -286,8 +285,8 @@ int main(int argc, char** argv) {
   llama::ModelConfig model = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(model, 42);
   auto u280 = hw::U280Config::Default();
-  auto compiled = compiler::Compile(
-      model, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+  auto compiled =
+      compiler::Compile(model, compiler::CompilerOptions::SpeedLLM(), u280);
   if (!compiled.ok()) {
     std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
     return 1;

@@ -20,7 +20,6 @@
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 
 using namespace speedllm;
@@ -28,7 +27,9 @@ using namespace speedllm;
 int main(int argc, char** argv) {
   auto cl_or = CommandLine::Parse(argc, argv,
                                   {"cards", "placement", "policy", "requests",
-                                   "load", "preset", "seed", "kv-mib"});
+                                   "load", "preset", "seed", "kv-mib"},
+                                  {{"placement", {"rr", "least", "bestfit"}},
+                                   {"policy", {"fcfs", "spf", "decode"}}});
   if (!cl_or.ok()) {
     std::fprintf(stderr, "%s\n", cl_or.status().ToString().c_str());
     return 1;
@@ -47,8 +48,8 @@ int main(int argc, char** argv) {
   llama::ModelConfig config = *preset;
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto u280 = hw::U280Config::Default();
-  auto compiled = compiler::Compile(
-      config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+  auto compiled =
+      compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
   if (!compiled.ok()) {
     std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
     return 1;

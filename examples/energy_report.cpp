@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   Table table({"variant", "hbm_mJ", "mac_mJ", "bram_mJ", "launch_mJ",
                "active_mJ", "idle_mJ", "static_mJ", "dyn_total_mJ",
                "tok_per_J"});
-  for (runtime::Variant v : runtime::PaperVariants()) {
+  for (const compiler::CompilerOptions& v :
+       compiler::CompilerOptions::PaperVariants()) {
     auto dev = runtime::AcceleratorDevice::Create(weights, v,
                                                   hw::U280Config::Default());
     if (!dev.ok()) {
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
     }
     const auto& e = gen->metrics.energy;
     table.AddRow();
-    table.Cell(runtime::VariantName(v));
+    table.Cell(v.name);
     table.Cell(e.hbm_j * 1e3, 2);
     table.Cell((e.mac_j + e.sfu_j) * 1e3, 2);
     table.Cell(e.bram_j * 1e3, 2);

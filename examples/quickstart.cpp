@@ -22,7 +22,8 @@ int main() {
 
   // 2. Compile the full SpeedLLM variant for the U280 model.
   auto device = runtime::AcceleratorDevice::Create(
-      weights, runtime::Variant::kSpeedLLM, hw::U280Config::Default());
+      weights, compiler::CompilerOptions::SpeedLLM(),
+      hw::U280Config::Default());
   if (!device.ok()) {
     std::fprintf(stderr, "compile failed: %s\n",
                  device.status().ToString().c_str());

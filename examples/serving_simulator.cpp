@@ -17,7 +17,6 @@
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 
 using namespace speedllm;
 
@@ -61,9 +60,10 @@ int main(int argc, char** argv) {
               n_requests, gen);
   Table table({"variant", "makespan_ms", "device_tok_per_s", "mean_ttft_ms",
                "mean_latency_ms", "worst_latency_ms"});
-  for (runtime::Variant v :
-       {runtime::Variant::kUnoptimized, runtime::Variant::kSpeedLLM}) {
-    auto cr = compiler::Compile(config, runtime::OptionsFor(v), u280);
+  for (const compiler::CompilerOptions& v :
+       {compiler::CompilerOptions::Unoptimized(),
+        compiler::CompilerOptions::SpeedLLM()}) {
+    auto cr = compiler::Compile(config, v, u280);
     if (!cr.ok()) {
       std::fprintf(stderr, "%s\n", cr.status().ToString().c_str());
       return 1;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     }
     const serving::ServingReport* report = &cluster->merged;
     table.AddRow();
-    table.Cell(runtime::VariantName(v));
+    table.Cell(v.name);
     table.Cell(report->makespan_seconds * 1e3, 2);
     table.Cell(report->device_tokens_per_second, 1);
     table.Cell(report->mean_ttft() * 1e3, 2);

@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
               FormatBytes(weights->param_bytes()).c_str());
 
   auto device = runtime::AcceleratorDevice::Create(
-      *weights, runtime::Variant::kSpeedLLM, hw::U280Config::Default());
+      *weights, compiler::CompilerOptions::SpeedLLM(),
+      hw::U280Config::Default());
   if (!device.ok()) {
     std::fprintf(stderr, "%s\n", device.status().ToString().c_str());
     return 1;

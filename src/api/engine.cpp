@@ -122,12 +122,9 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
         config_.kv_pool_bytes_per_card[ci] > 0) {
       shard_config.kv_pool_bytes = config_.kv_pool_bytes_per_card[ci];
     }
-    if (!config_.shard_roles.empty()) {
-      shard_config.role = config_.shard_roles[ci];
-    }
-    if (shard_config.role != ShardRole::kDecode) {
-      placeable_.push_back(ci);
-    }
+    ShardRole role = ShardRole::kUnified;
+    if (!config_.shard_roles.empty()) role = config_.shard_roles[ci];
+    if (role != ShardRole::kDecode) placeable_.push_back(ci);
     shard_config.kv_pool_bytes = serving::DeriveKvPoolBytes(
         program_, cards_.cards[ci], shard_config.kv_pool_bytes);
     const std::uint64_t block_bytes =
@@ -142,7 +139,7 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
                          : static_cast<std::int64_t>(shard_config.kv_pool_bytes /
                                                      block_bytes));
     shards_.push_back(std::make_unique<ShardScheduler>(
-        program_, *image_, cards_.cards[ci], shard_config, engine_));
+        program_, *image_, cards_.cards[ci], shard_config, role, engine_));
     ShardScheduler& shard = *shards_.back();
     if (telemetry_ != nullptr) {
       shard.set_telemetry(telemetry_->MakeShardChannel(c));

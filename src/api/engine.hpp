@@ -127,11 +127,11 @@ struct EngineConfig {
   /// tick-sampled metrics). Both halves default off and cost ~nothing
   /// while disabled; see docs/OBSERVABILITY.md.
   obs::TelemetryConfig telemetry;
-  /// Per-card prefill/decode disaggregation roles (empty = every card
-  /// unified; otherwise one entry per card, see
-  /// serving::ValidateClusterRoles). Prefill shards ship finished KV to
-  /// decode shards over the modeled interconnect; token streams stay
-  /// byte-identical to unified mode.
+  /// Per-card prefill/decode disaggregation roles, the only source of a
+  /// card's role (empty = every card unified; otherwise one entry per
+  /// card, see serving::ValidateClusterRoles). Prefill shards ship
+  /// finished KV to decode shards over the modeled interconnect; token
+  /// streams stay byte-identical to unified mode.
   std::vector<serving::ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (fetch a remote card's
   /// cached prefix over the interconnect vs. recompute locally; see

@@ -7,7 +7,8 @@ namespace speedllm {
 
 StatusOr<CommandLine> CommandLine::Parse(
     int argc, const char* const* argv,
-    const std::vector<std::string>& known_flags) {
+    const std::vector<std::string>& known_flags,
+    const std::map<std::string, std::vector<std::string>>& choices) {
   CommandLine cl;
   auto is_known = [&](const std::string& name) {
     return std::find(known_flags.begin(), known_flags.end(), name) !=
@@ -36,6 +37,19 @@ StatusOr<CommandLine> CommandLine::Parse(
     }
     if (!is_known(name)) {
       return InvalidArgument("unknown flag --" + name);
+    }
+    if (auto it = choices.find(name);
+        it != choices.end() &&
+        std::find(it->second.begin(), it->second.end(), value) ==
+            it->second.end()) {
+      std::string message = "unknown --";
+      message.append(name).append(" '").append(value).append("' (want ");
+      for (const std::string& choice : it->second) {
+        if (&choice != &it->second.front()) message += '|';
+        message += choice;
+      }
+      message += ')';
+      return InvalidArgument(message);
     }
     cl.flags_[name] = value;
   }

@@ -17,9 +17,12 @@ namespace speedllm {
 class CommandLine {
  public:
   /// Parses argv. `known_flags` lists every accepted flag name (without
-  /// leading dashes); anything else yields InvalidArgument.
-  static StatusOr<CommandLine> Parse(int argc, const char* const* argv,
-                                     const std::vector<std::string>& known_flags);
+  /// leading dashes); anything else yields InvalidArgument, as does a
+  /// value outside a flag's entry in `choices` (the message lists them).
+  static StatusOr<CommandLine> Parse(
+      int argc, const char* const* argv,
+      const std::vector<std::string>& known_flags,
+      const std::map<std::string, std::vector<std::string>>& choices = {});
 
   bool HasFlag(const std::string& name) const;
   std::string GetString(const std::string& name, std::string default_value) const;

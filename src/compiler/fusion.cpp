@@ -64,8 +64,12 @@ std::vector<FusedGroup> BuildFusionGroups(const Graph& graph,
   Matcher m{graph.ops()};
   while (!m.Done()) {
     const Op& cur = m.Cur();
-    const std::string layer_tag =
-        cur.layer >= 0 ? "l" + std::to_string(cur.layer) + "." : "";
+    std::string layer_tag;
+    if (cur.layer >= 0) {
+      layer_tag = "l";
+      layer_tag += std::to_string(cur.layer);
+      layer_tag += '.';
+    }
     // attn-qkv: rmsnorm, matmul q, matmul k, matmul v, rope, kv_write
     if (m.LooksLike({OpKind::kRmsNorm, OpKind::kMatMul, OpKind::kMatMul,
                      OpKind::kMatMul, OpKind::kRope, OpKind::kKvWrite})) {

@@ -38,4 +38,8 @@ CompilerOptions CompilerOptions::NoReuse() {
   return o;
 }
 
+std::vector<CompilerOptions> CompilerOptions::PaperVariants() {
+  return {Unoptimized(), NoPipeline(), NoFuse(), SpeedLLM()};
+}
+
 }  // namespace speedllm::compiler

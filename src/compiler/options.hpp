@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace speedllm::compiler {
 
-/// Knobs controlling how the decode graph is lowered. The four presets
-/// reproduce the comparison set of the paper's Fig. 2 (see
+/// Knobs controlling how the decode graph is lowered. The five presets are
+/// the paper's accelerator variants: PaperVariants() is the comparison set
+/// of Fig. 2 and NoReuse() the memory-reuse ablation (see
 /// docs/ARCHITECTURE.md "Substitutions").
 struct CompilerOptions {
   /// Contribution 1 -- customized data pipeline. On: independent DMA-in /
@@ -64,6 +66,10 @@ struct CompilerOptions {
   static CompilerOptions NoPipeline();
   /// Reuse disabled, everything else on (memory-reuse ablation).
   static CompilerOptions NoReuse();
+
+  /// The comparison set of Fig. 2 in evaluation order: Unoptimized,
+  /// NoPipeline, NoFuse, SpeedLLM.
+  static std::vector<CompilerOptions> PaperVariants();
 };
 
 }  // namespace speedllm::compiler

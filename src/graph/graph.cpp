@@ -156,7 +156,9 @@ DecodeGraph BuildDecodeGraph(const llama::ModelConfig& config) {
 
   dg.layers.reserve(config.n_layers);
   for (std::int32_t l = 0; l < config.n_layers; ++l) {
-    const std::string p = "l" + std::to_string(l) + ".";
+    std::string p = "l";
+    p += std::to_string(l);
+    p += '.';
     LayerValueIds ids;
     ids.rms_att = weight(p + "rms_att", dim);
     ids.wq = weight(p + "wq", dim * dim);

@@ -96,7 +96,12 @@ std::string EventArgs(const RequestEvent& e) {
   if (e.tick >= 0) field("tick", std::to_string(e.tick));
   if (e.tokens != 0) field("tokens", std::to_string(e.tokens));
   if (e.bytes != 0) field("bytes", std::to_string(e.bytes));
-  if (!e.detail.empty()) field("detail", "\"" + JsonEscape(e.detail) + "\"");
+  if (!e.detail.empty()) {
+    std::string quoted = "\"";
+    quoted += JsonEscape(e.detail);
+    quoted += '"';
+    field("detail", quoted);
+  }
   o << "}";
   return o.str();
 }

@@ -15,12 +15,6 @@ StatusOr<AcceleratorDevice> AcceleratorDevice::Create(
   return dev;
 }
 
-StatusOr<AcceleratorDevice> AcceleratorDevice::Create(
-    const llama::Weights& weights, Variant variant,
-    const hw::U280Config& u280) {
-  return Create(weights, OptionsFor(variant), u280);
-}
-
 StatusOr<GenerationResult> AcceleratorDevice::Generate(
     const std::vector<std::int32_t>& prompt_tokens,
     std::int32_t max_new_tokens, llama::Sampler& sampler, bool stop_at_eos) {

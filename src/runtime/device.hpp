@@ -17,7 +17,6 @@
 #include "llama/tokenizer.hpp"
 #include "llama/weights.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/variants.hpp"
 
 namespace speedllm::runtime {
 
@@ -35,11 +34,6 @@ class AcceleratorDevice {
                                             const compiler::CompilerOptions& options,
                                             const hw::U280Config& u280);
 
-  /// Convenience: create from a paper variant.
-  static StatusOr<AcceleratorDevice> Create(const llama::Weights& weights,
-                                            Variant variant,
-                                            const hw::U280Config& u280);
-
   /// Runs prefill over `prompt_tokens` then decodes up to `max_new_tokens`
   /// with `sampler` (stops early at EOS when `stop_at_eos`).
   StatusOr<GenerationResult> Generate(
@@ -47,13 +41,11 @@ class AcceleratorDevice {
       std::int32_t max_new_tokens, llama::Sampler& sampler,
       bool stop_at_eos = false);
 
-  /// Single forward step (exposed for tests).
+  /// Single forward step (benchmark/serve_bench.cpp's probes call it).
   StatusOr<std::span<const float>> Forward(std::int32_t token,
                                            std::int32_t pos) {
     return executor_->Forward(token, pos);
   }
-
-  void ResetSequence() { executor_->ResetSequence(); }
 
   const accel::Program& program() const { return *program_; }
   const hw::ResourceLedger& ledger() const { return *ledger_; }

@@ -37,7 +37,8 @@ StatusOr<QualityReport> EvaluateAgainstReference(
     return OutOfRange("stream longer than seq_len");
   }
   llama::ReferenceModel ref(weights, &ThreadPool::Global());
-  device.ResetSequence();
+  accel::Executor& exec = device.executor();
+  exec.ResetSequence();
 
   QualityReport report;
   double ref_nll = 0.0, test_nll = 0.0;
@@ -48,7 +49,7 @@ StatusOr<QualityReport> EvaluateAgainstReference(
     SPEEDLLM_ASSIGN_OR_RETURN(std::span<const float> ref_logits,
                               ref.Forward(tokens[i], pos));
     SPEEDLLM_ASSIGN_OR_RETURN(std::span<const float> test_logits,
-                              device.Forward(tokens[i], pos));
+                              exec.Forward(tokens[i], pos));
     ref_nll -= LogProbOf(ref_logits, target);
     test_nll -= LogProbOf(test_logits, target);
     if (llama::Sampler::ArgMax(ref_logits) ==

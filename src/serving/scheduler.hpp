@@ -165,9 +165,6 @@ struct SchedulerConfig {
   /// placement by api::Engine (a one-card cluster sheds identically to
   /// an N-card one).
   AdmissionConfig admission;
-  /// This shard's disaggregation role; set per card by api::Engine from
-  /// EngineConfig::shard_roles. See ShardRole.
-  ShardRole role = ShardRole::kUnified;
   /// Draft-and-verify speculative decoding; see SpeculativeConfig.
   SpeculativeConfig speculative;
 };

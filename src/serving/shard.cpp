@@ -122,10 +122,11 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const accel::WeightImage& image,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
-                               sim::Engine& engine)
+                               ShardRole role, sim::Engine& engine)
     : program_(program),
       u280_(u280),
       config_(config),
+      role_(role),
       shared_seconds_(DeriveSharedStepSeconds(program, u280)),
       engine_(engine),
       pool_(MakeKvPoolConfig(
@@ -1062,7 +1063,7 @@ bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
   }
   if (seq.state == SeqState::kPrefill) {
     seq.state = SeqState::kDecode;
-    if (config_.role == ShardRole::kPrefill && hooks_.on_handoff) {
+    if (role_ == ShardRole::kPrefill && hooks_.on_handoff) {
       // Prefill-role shard: ship the finished KV to a decode shard at
       // tick close (after TTFT is stamped). A mid-tick preemption
       // revokes the plan -- the KV is gone, so it recomputes and hands

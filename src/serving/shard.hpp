@@ -77,12 +77,14 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 class ShardScheduler {
  public:
   /// `program`, `image` (the weights, built for `program`) and `engine`
-  /// must outlive the shard. `config` must already be normalized. Ticks
-  /// are scheduled on `engine`; the caller drives engine.Run() after
-  /// attaching the interconnect (set_interconnect).
+  /// must outlive the shard. `config` must already be normalized; `role`
+  /// is this card's entry of EngineConfig::shard_roles (kUnified when
+  /// that is empty). Ticks are scheduled on `engine`; the caller drives
+  /// engine.Run() after attaching the interconnect (set_interconnect).
   ShardScheduler(const accel::Program& program,
                  const accel::WeightImage& image, const hw::U280Config& u280,
-                 const SchedulerConfig& config, sim::Engine& engine);
+                 const SchedulerConfig& config, ShardRole role,
+                 sim::Engine& engine);
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
@@ -183,8 +185,8 @@ class ShardScheduler {
   /// stays shard-owned.
   KvBlockPool& mutable_pool() { return pool_; }
 
-  /// This shard's disaggregation role (from SchedulerConfig::role).
-  ShardRole role() const { return config_.role; }
+  /// This shard's disaggregation role.
+  ShardRole role() const { return role_; }
 
   // ----- telemetry -----
   /// Attaches the cluster's telemetry channel (lifecycle trace sink +
@@ -445,6 +447,7 @@ class ShardScheduler {
   const accel::Program& program_;
   const hw::U280Config& u280_;
   SchedulerConfig config_;
+  ShardRole role_;
   double shared_seconds_ = 0.0;
 
   sim::Engine& engine_;

@@ -18,7 +18,6 @@
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 #include "test_util.hpp"
 
@@ -33,8 +32,8 @@ struct Fixture {
   hw::U280Config u280 = hw::U280Config::Default();
 
   accel::Program Compile() {
-    auto r = compiler::Compile(
-        config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+    auto r =
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value().program;
   }

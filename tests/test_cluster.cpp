@@ -13,7 +13,6 @@
 #include "compiler/compiler.hpp"
 #include "llama/kernels.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/shard.hpp"
 #include "serving/workload.hpp"
@@ -30,8 +29,9 @@ struct Fixture {
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 808);
   hw::U280Config u280 = hw::U280Config::Default();
 
-  accel::Program Compile(runtime::Variant v = runtime::Variant::kSpeedLLM) {
-    auto r = compiler::Compile(config, runtime::OptionsFor(v), u280);
+  accel::Program Compile() {
+    auto r =
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value().program;
   }
@@ -417,7 +417,7 @@ TEST(ClusterTest, EveryCardReadsTheEnginesOneWeightImage) {
   for (bool int8 : {false, true}) {
     SCOPED_TRACE(::testing::Message() << "int8 " << int8);
     compiler::CompilerOptions options =
-        runtime::OptionsFor(runtime::Variant::kSpeedLLM);
+        compiler::CompilerOptions::SpeedLLM();
     options.int8_weights = int8;
     auto cr = compiler::Compile(f.config, options, f.u280);
     ASSERT_TRUE(cr.ok()) << cr.status().ToString();

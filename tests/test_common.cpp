@@ -461,5 +461,15 @@ TEST(CommandLineTest, DefaultsWhenAbsent) {
   EXPECT_FALSE(cl->HasFlag("a"));
 }
 
+TEST(CommandLineTest, ValueOutsideChoicesIsError) {
+  const char* argv[] = {"prog", "--policy", "spf", "--mode=nope"};
+  EXPECT_TRUE(CommandLine::Parse(3, argv, {"policy"}, {{"policy", {"spf"}}})
+                  .ok());
+  auto cl = CommandLine::Parse(4, argv, {"policy", "mode"},
+                               {{"mode", {"a", "b"}}});
+  EXPECT_EQ(cl.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cl.status().message(), "unknown --mode 'nope' (want a|b)");
+}
+
 }  // namespace
 }  // namespace speedllm

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
 
 namespace speedllm::compiler {
 namespace {
@@ -23,21 +22,20 @@ CompileResult MustCompile(const llama::ModelConfig& config,
 TEST(CompilerTest, AllVariantsCompileForAllPresets) {
   for (auto config :
        {llama::ModelConfig::Tiny(), llama::ModelConfig::Stories15M()}) {
-    for (auto v :
-         {runtime::Variant::kUnoptimized, runtime::Variant::kNoPipeline,
-          runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM,
-          runtime::Variant::kNoReuse}) {
-      auto r = Compile(config, runtime::OptionsFor(v),
-                       hw::U280Config::Default());
-      EXPECT_TRUE(r.ok()) << runtime::VariantName(v) << ": "
-                          << r.status().ToString();
+    for (const auto& v :
+         {CompilerOptions::Unoptimized(), CompilerOptions::NoPipeline(),
+          CompilerOptions::NoFuse(), CompilerOptions::SpeedLLM(),
+          CompilerOptions::NoReuse()}) {
+      auto r = Compile(config, v, hw::U280Config::Default());
+      EXPECT_TRUE(r.ok()) << v.name << ": " << r.status().ToString();
     }
   }
 }
 
 TEST(CompilerTest, DepsAlwaysReferEarlierInstrs) {
-  for (auto v : {runtime::Variant::kUnoptimized, runtime::Variant::kSpeedLLM}) {
-    auto cr = MustCompile(llama::ModelConfig::Tiny(), runtime::OptionsFor(v));
+  for (const auto& v :
+       {CompilerOptions::Unoptimized(), CompilerOptions::SpeedLLM()}) {
+    auto cr = MustCompile(llama::ModelConfig::Tiny(), v);
     for (const Instr& in : cr.program.instrs) {
       for (auto d : in.deps) {
         EXPECT_LT(d, in.id) << "instr " << in.label;
@@ -178,8 +176,9 @@ TEST(CompilerTest, KvStreamsAreSeqScaled) {
 }
 
 TEST(CompilerTest, ChannelAssignmentsWithinStack) {
-  for (auto v : {runtime::Variant::kUnoptimized, runtime::Variant::kSpeedLLM}) {
-    auto cr = MustCompile(llama::ModelConfig::Tiny(), runtime::OptionsFor(v));
+  for (const auto& v :
+       {CompilerOptions::Unoptimized(), CompilerOptions::SpeedLLM()}) {
+    auto cr = MustCompile(llama::ModelConfig::Tiny(), v);
     const int channels = hw::U280Config::Default().hbm.num_channels;
     for (const Instr& in : cr.program.instrs) {
       if (in.opcode == Opcode::kDmaLoad || in.opcode == Opcode::kDmaStore) {

@@ -14,7 +14,6 @@
 
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/interconnect.hpp"
 #include "serving/workload.hpp"
@@ -31,8 +30,8 @@ struct Fixture {
   hw::U280Config u280 = hw::U280Config::Default();
 
   accel::Program Compile() {
-    auto r = compiler::Compile(
-        config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+    auto r =
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value().program;
   }
@@ -139,6 +138,26 @@ TEST(DisaggTest, ValidateClusterRolesRejectsBadAssignments) {
   EXPECT_FALSE(ValidateClusterRoles(roles, 2).ok());  // no prefill feeder
   roles = {ShardRole::kUnified, ShardRole::kUnified};
   EXPECT_TRUE(ValidateClusterRoles(roles, 2).ok());
+}
+
+TEST(DisaggTest, EngineRejectsBadRolesWithoutServing) {
+  // A card's role comes only from EngineConfig::shard_roles, so every
+  // assignment the engine runs has passed ValidateClusterRoles.
+  Fixture f;
+  auto prog = f.Compile();
+  for (const std::vector<ShardRole>& roles :
+       {std::vector<ShardRole>{ShardRole::kDecode, ShardRole::kDecode},
+        std::vector<ShardRole>{ShardRole::kPrefill, ShardRole::kUnified}}) {
+    api::EngineConfig config;
+    config.num_cards = 2;
+    config.shard_roles = roles;
+    api::Engine engine(prog, f.weights, f.u280, config);
+    auto handle =
+        engine.Submit(ServingRequest{{llama::kBosToken, 5, 9}, 4, 0.0, {}});
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+    engine.RunToCompletion();
+    EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------- byte-identity property tests ----------------

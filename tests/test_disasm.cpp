@@ -33,8 +33,9 @@ TEST(DisasmTest, ListsEveryInstructionWhenUntruncated) {
   std::string s = accel::Disassemble(prog);
   // Every instruction id appears.
   for (const auto& in : prog.instrs) {
-    EXPECT_NE(s.find("%" + std::to_string(in.id)), std::string::npos)
-        << "missing instr " << in.id;
+    std::string id = "%";
+    id += std::to_string(in.id);
+    EXPECT_NE(s.find(id), std::string::npos) << "missing instr " << in.id;
   }
   // Group headers present.
   EXPECT_NE(s.find("group 0"), std::string::npos);

@@ -8,6 +8,7 @@
 namespace speedllm::runtime {
 namespace {
 
+using compiler::CompilerOptions;
 using serving::ServingReport;
 using serving::ServingRequest;
 
@@ -21,7 +22,8 @@ struct Fixture {
 
 TEST(EvalTest, Fp32PathIsExact) {
   Fixture f;
-  auto dev = AcceleratorDevice::Create(f.weights, Variant::kSpeedLLM, f.u280);
+  auto dev = AcceleratorDevice::Create(f.weights, CompilerOptions::SpeedLLM(),
+                                       f.u280);
   ASSERT_TRUE(dev.ok());
   auto stream = SyntheticEvalStream(f.config, 24, 3);
   auto report = EvaluateAgainstReference(f.weights, *dev, stream);
@@ -35,7 +37,7 @@ TEST(EvalTest, Fp32PathIsExact) {
 
 TEST(EvalTest, Int8PathCloseButNotExact) {
   Fixture f;
-  auto opt = compiler::CompilerOptions::SpeedLLM();
+  auto opt = CompilerOptions::SpeedLLM();
   opt.int8_weights = true;
   auto dev = AcceleratorDevice::Create(f.weights, opt, f.u280);
   ASSERT_TRUE(dev.ok());
@@ -52,7 +54,8 @@ TEST(EvalTest, Int8PathCloseButNotExact) {
 
 TEST(EvalTest, RejectsDegenerateStreams) {
   Fixture f;
-  auto dev = AcceleratorDevice::Create(f.weights, Variant::kSpeedLLM, f.u280);
+  auto dev = AcceleratorDevice::Create(f.weights, CompilerOptions::SpeedLLM(),
+                                       f.u280);
   ASSERT_TRUE(dev.ok());
   EXPECT_FALSE(EvaluateAgainstReference(f.weights, *dev, {1}).ok());
   std::vector<std::int32_t> too_long(f.config.seq_len + 1, 1);
@@ -85,8 +88,8 @@ std::vector<ServingRequest> MakeRequests(int n, int gen, double spacing) {
   return reqs;
 }
 
-accel::Program CompileVariant(const Fixture& f, Variant v) {
-  auto r = compiler::Compile(f.config, OptionsFor(v), f.u280);
+accel::Program CompileVariant(const Fixture& f, const CompilerOptions& v) {
+  auto r = compiler::Compile(f.config, v, f.u280);
   EXPECT_TRUE(r.ok());
   return std::move(r).value().program;
 }
@@ -104,7 +107,7 @@ StatusOr<ServingReport> Serve(const accel::Program& prog, const Fixture& f,
 
 TEST(ServingTest, CompletesAllRequests) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
   auto report = Serve(prog, f, MakeRequests(3, 5, 1e-4), sc);
@@ -122,7 +125,7 @@ TEST(ServingTest, CompletesAllRequests) {
 
 TEST(ServingTest, DeterministicAcrossRuns) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   llama::SamplerConfig sc;
   sc.temperature = 0.7f;
   sc.seed = 5;
@@ -139,7 +142,7 @@ TEST(ServingTest, DeterministicAcrossRuns) {
 
 TEST(ServingTest, RequestsAreIndependentStreams) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   llama::SamplerConfig sc;
   sc.temperature = 0.9f;
   sc.seed = 5;
@@ -153,7 +156,7 @@ TEST(ServingTest, RequestsAreIndependentStreams) {
 
 TEST(ServingTest, LateArrivalWaits) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
   auto reqs = MakeRequests(2, 2, 0.0);
@@ -167,8 +170,8 @@ TEST(ServingTest, LateArrivalWaits) {
 
 TEST(ServingTest, FasterVariantImprovesLatency) {
   Fixture f;
-  auto fast = CompileVariant(f, Variant::kSpeedLLM);
-  auto slow = CompileVariant(f, Variant::kUnoptimized);
+  auto fast = CompileVariant(f, CompilerOptions::SpeedLLM());
+  auto slow = CompileVariant(f, CompilerOptions::Unoptimized());
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
   auto a = Serve(fast, f, MakeRequests(4, 6, 0.0), sc);
@@ -182,7 +185,7 @@ TEST(ServingTest, FasterVariantImprovesLatency) {
 
 TEST(ServingTest, RejectsBadRequests) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   api::Engine engine(prog, f.weights, f.u280);
   EXPECT_FALSE(engine.Submit(ServingRequest{}).ok());  // empty prompt
   ServingRequest too_long;
@@ -198,7 +201,7 @@ TEST(ServingTest, RejectsBadRequests) {
 
 TEST(ServingTest, RejectsNonPositiveMaxNewTokens) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   api::Engine engine(prog, f.weights, f.u280);
   ServingRequest req;
   req.prompt = {llama::kBosToken};
@@ -212,7 +215,7 @@ TEST(ServingTest, RejectsNonPositiveMaxNewTokens) {
 
 TEST(ServingTest, LegacyAndBatchedModesAgreeOnTokens) {
   Fixture f;
-  auto prog = CompileVariant(f, Variant::kSpeedLLM);
+  auto prog = CompileVariant(f, CompilerOptions::SpeedLLM());
   llama::SamplerConfig sc;
   sc.temperature = 0.7f;
   sc.seed = 21;

@@ -10,10 +10,12 @@
 #include "accel/executor.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/reference.hpp"
-#include "runtime/variants.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::accel {
 namespace {
+
+using compiler::CompilerOptions;
 
 struct Harness {
   llama::ModelConfig config;
@@ -34,11 +36,11 @@ struct Harness {
 
 // ---------------- Functional parity ----------------
 
-class ParityTest : public ::testing::TestWithParam<runtime::Variant> {};
+class ParityTest : public ::testing::TestWithParam<CompilerOptions> {};
 
 TEST_P(ParityTest, MatchesReferenceBitExact) {
   Harness s(llama::ModelConfig::Tiny());
-  Program prog = s.Compile(runtime::OptionsFor(GetParam()));
+  Program prog = s.Compile(GetParam());
   Executor exec(prog, s.weights, s.u280);
   llama::ReferenceModel ref(s.weights, nullptr);
 
@@ -55,11 +57,10 @@ TEST_P(ParityTest, MatchesReferenceBitExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, ParityTest,
-    ::testing::Values(runtime::Variant::kUnoptimized,
-                      runtime::Variant::kNoPipeline,
-                      runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM,
-                      runtime::Variant::kNoReuse),
-    [](const auto& info) { return runtime::VariantName(info.param); });
+    ::testing::Values(CompilerOptions::Unoptimized(),
+                      CompilerOptions::NoPipeline(), CompilerOptions::NoFuse(),
+                      CompilerOptions::SpeedLLM(), CompilerOptions::NoReuse()),
+    [](const auto& info) { return info.param.name; });
 
 TEST(ExecutorTest, Int8CloseToReference) {
   Harness s(llama::ModelConfig::Tiny());
@@ -209,7 +210,7 @@ TEST(ExecutorTest, SkippingLogitsChangesNoStatsKvOrLaterLogits) {
   int8.int8_weights = true;
   for (const compiler::CompilerOptions& opt :
        {compiler::CompilerOptions::SpeedLLM(), int8,
-        runtime::OptionsFor(runtime::Variant::kUnoptimized)}) {
+        compiler::CompilerOptions::Unoptimized()}) {
     SCOPED_TRACE(::testing::Message() << "int8 " << opt.int8_weights
                                       << " fuse " << opt.enable_fusion);
     Program prog = s.Compile(opt);
@@ -284,13 +285,9 @@ TEST(ExecutorTest, ChunkForwardMatchesRowByRow) {
   // that row, for every variant, int8, and every block size.
   Harness s(llama::ModelConfig::Tiny());
   constexpr std::int32_t kTokens = 30;
-  std::vector<compiler::CompilerOptions> options;
-  for (runtime::Variant v :
-       {runtime::Variant::kUnoptimized, runtime::Variant::kNoPipeline,
-        runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM,
-        runtime::Variant::kNoReuse}) {
-    options.push_back(runtime::OptionsFor(v));
-  }
+  std::vector<compiler::CompilerOptions> options =
+      compiler::CompilerOptions::PaperVariants();
+  options.push_back(compiler::CompilerOptions::NoReuse());
   options.push_back(compiler::CompilerOptions::SpeedLLM());
   options.back().int8_weights = true;
   std::vector<std::int32_t> tokens(kTokens);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <string>
 
 #include "llama/checkpoint.hpp"
 #include "llama/reference.hpp"
@@ -38,7 +39,8 @@ TEST(IntegrationTest, FullPipelineFileToText) {
   auto prompt = tok2->Encode("once upon a time", /*bos=*/true, /*eos=*/false);
   ASSERT_GT(prompt.size(), 1u);
   auto dev = runtime::AcceleratorDevice::Create(
-      *weights, runtime::Variant::kSpeedLLM, hw::U280Config::Default());
+      *weights, compiler::CompilerOptions::SpeedLLM(),
+      hw::U280Config::Default());
   ASSERT_TRUE(dev.ok()) << dev.status().ToString();
   llama::SamplerConfig sc;
   sc.temperature = 0.8f;
@@ -63,7 +65,8 @@ TEST(IntegrationTest, AcceleratorMatchesReferenceOverWholeGeneration) {
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 999);
 
   auto dev = runtime::AcceleratorDevice::Create(
-      weights, runtime::Variant::kSpeedLLM, hw::U280Config::Default());
+      weights, compiler::CompilerOptions::SpeedLLM(),
+      hw::U280Config::Default());
   ASSERT_TRUE(dev.ok());
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
@@ -96,36 +99,36 @@ TEST(IntegrationTest, PaperRatioShapesHold) {
   auto config = llama::ModelConfig::Stories15M();
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 20240517);
 
-  std::map<runtime::Variant, runtime::InferenceMetrics> metrics;
-  for (auto v : runtime::PaperVariants()) {
+  std::map<std::string, runtime::InferenceMetrics> metrics;
+  for (const auto& v : compiler::CompilerOptions::PaperVariants()) {
     auto dev = runtime::AcceleratorDevice::Create(weights, v,
                                                   hw::U280Config::Default());
-    ASSERT_TRUE(dev.ok()) << runtime::VariantName(v);
+    ASSERT_TRUE(dev.ok()) << v.name;
     llama::SamplerConfig sc;
     sc.temperature = 0.0f;
     llama::Sampler sampler(sc);
     auto gen = dev->Generate({llama::kBosToken, 5, 9, 12}, 6, sampler);
     ASSERT_TRUE(gen.ok());
-    metrics[v] = gen->metrics;
+    metrics[v.name] = gen->metrics;
   }
 
   const double speedup =
-      metrics[runtime::Variant::kUnoptimized].total_seconds() /
-      metrics[runtime::Variant::kSpeedLLM].total_seconds();
+      metrics["Unoptimized"].total_seconds() /
+      metrics["SpeedLLM"].total_seconds();
   // Paper: up to 4.8x. Any short workload should land in the same regime.
   EXPECT_GT(speedup, 3.0);
   EXPECT_LT(speedup, 6.5);
 
   const double eff_vs_unopt =
-      metrics[runtime::Variant::kSpeedLLM].tokens_per_joule() /
-      metrics[runtime::Variant::kUnoptimized].tokens_per_joule();
+      metrics["SpeedLLM"].tokens_per_joule() /
+      metrics["Unoptimized"].tokens_per_joule();
   // Paper: 1.18x.
   EXPECT_GT(eff_vs_unopt, 1.05);
   EXPECT_LT(eff_vs_unopt, 1.40);
 
   const double eff_vs_nofuse =
-      metrics[runtime::Variant::kSpeedLLM].tokens_per_joule() /
-      metrics[runtime::Variant::kNoFuse].tokens_per_joule();
+      metrics["SpeedLLM"].tokens_per_joule() /
+      metrics["NoFuse"].tokens_per_joule();
   // Paper: 1.01x -- fusion is a small positive energy win.
   EXPECT_GT(eff_vs_nofuse, 0.99);
   EXPECT_LT(eff_vs_nofuse, 1.15);

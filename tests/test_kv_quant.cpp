@@ -16,7 +16,6 @@
 
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/scheduler.hpp"
@@ -33,8 +32,9 @@ struct Fixture {
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 808);
   hw::U280Config u280 = hw::U280Config::Default();
 
-  accel::Program Compile(runtime::Variant v = runtime::Variant::kSpeedLLM) {
-    auto r = compiler::Compile(config, runtime::OptionsFor(v), u280);
+  accel::Program Compile() {
+    auto r =
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value().program;
   }

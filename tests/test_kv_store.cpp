@@ -12,7 +12,6 @@
 
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
 #include "test_util.hpp"
@@ -29,8 +28,8 @@ struct Fixture {
   accel::Program program = Compile();
 
   accel::Program Compile() const {
-    auto r = compiler::Compile(
-        config, runtime::OptionsFor(runtime::Variant::kSpeedLLM), u280);
+    auto r =
+        compiler::Compile(config, compiler::CompilerOptions::SpeedLLM(), u280);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value().program;
   }

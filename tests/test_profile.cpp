@@ -4,7 +4,6 @@
 #include "accel/executor.hpp"
 #include "accel/profile.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
 
 namespace speedllm::accel {
 namespace {

@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 #include "test_util.hpp"
 
@@ -123,10 +122,10 @@ TEST(DeterminismTest, CyclesIdenticalAcrossRebuilds) {
   auto config = llama::ModelConfig::Tiny();
   auto weights = llama::GenerateSyntheticWeights(config, 5);
   auto u280 = hw::U280Config::Default();
-  for (auto v : runtime::PaperVariants()) {
+  for (const auto& v : compiler::CompilerOptions::PaperVariants()) {
     sim::Cycles first = 0;
     for (int rebuild = 0; rebuild < 2; ++rebuild) {
-      auto cr = compiler::Compile(config, runtime::OptionsFor(v), u280);
+      auto cr = compiler::Compile(config, v, u280);
       ASSERT_TRUE(cr.ok());
       accel::Executor exec(cr->program, weights, u280);
       ASSERT_TRUE(exec.Forward(7, 0).ok());
@@ -134,8 +133,7 @@ TEST(DeterminismTest, CyclesIdenticalAcrossRebuilds) {
       if (rebuild == 0) {
         first = exec.total_stats().cycles;
       } else {
-        EXPECT_EQ(exec.total_stats().cycles, first)
-            << runtime::VariantName(v);
+        EXPECT_EQ(exec.total_stats().cycles, first) << v.name;
       }
     }
   }
@@ -273,8 +271,7 @@ TEST(SchedulerFuzzTest, RandomConfigsReplayByteIdenticalAndDrainPools) {
   auto model = llama::ModelConfig::Tiny();
   auto weights = llama::GenerateSyntheticWeights(model, 808);
   auto u280 = hw::U280Config::Default();
-  auto cr = compiler::Compile(model, runtime::OptionsFor(
-                                         runtime::Variant::kSpeedLLM),
+  auto cr = compiler::Compile(model, compiler::CompilerOptions::SpeedLLM(),
                               u280);
   ASSERT_TRUE(cr.ok()) << cr.status().ToString();
   const accel::Program& prog = cr->program;

@@ -4,18 +4,20 @@
 #include "accel/executor.hpp"
 #include "accel/roofline.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/variants.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::accel {
 namespace {
+
+using compiler::CompilerOptions;
 
 struct Ctx {
   llama::ModelConfig config = llama::ModelConfig::Tiny();
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 17);
   hw::U280Config u280 = hw::U280Config::Default();
 
-  Program Compile(runtime::Variant v) {
-    auto r = compiler::Compile(config, runtime::OptionsFor(v), u280);
+  Program Compile(const CompilerOptions& v) {
+    auto r = compiler::Compile(config, v, u280);
     EXPECT_TRUE(r.ok());
     return std::move(r).value().program;
   }
@@ -23,7 +25,7 @@ struct Ctx {
 
 TEST(RooflineTest, CountsMatchExecutor) {
   Ctx c;
-  Program prog = c.Compile(runtime::Variant::kSpeedLLM);
+  Program prog = c.Compile(CompilerOptions::SpeedLLM());
   Executor exec(prog, c.weights, c.u280);
   for (std::int32_t pos : {0, 5, 20}) {
     // Fresh executor stats per position.
@@ -36,7 +38,7 @@ TEST(RooflineTest, CountsMatchExecutor) {
 }
 
 class RooflineVariantTest
-    : public ::testing::TestWithParam<runtime::Variant> {};
+    : public ::testing::TestWithParam<CompilerOptions> {};
 
 TEST_P(RooflineVariantTest, SimulatedCyclesBracketedByBound) {
   Ctx c;
@@ -56,14 +58,12 @@ TEST_P(RooflineVariantTest, SimulatedCyclesBracketedByBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, RooflineVariantTest,
-    ::testing::Values(runtime::Variant::kUnoptimized,
-                      runtime::Variant::kNoPipeline,
-                      runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM),
-    [](const auto& info) { return runtime::VariantName(info.param); });
+    ::testing::ValuesIn(CompilerOptions::PaperVariants()),
+    [](const auto& info) { return info.param.name; });
 
 TEST(RooflineTest, PipelinedVariantApproachesBound) {
   Ctx c;
-  Program prog = c.Compile(runtime::Variant::kSpeedLLM);
+  Program prog = c.Compile(CompilerOptions::SpeedLLM());
   Executor exec(prog, c.weights, c.u280);
   ASSERT_TRUE(exec.Forward(3, 0).ok());
   RooflineEstimate e = AnalyzeRoofline(prog, c.u280, 0);
@@ -75,7 +75,7 @@ TEST(RooflineTest, PipelinedVariantApproachesBound) {
 
 TEST(RooflineTest, StreamDominatesForWeightBoundDesign) {
   Ctx c;
-  Program prog = c.Compile(runtime::Variant::kSpeedLLM);
+  Program prog = c.Compile(CompilerOptions::SpeedLLM());
   RooflineEstimate e = AnalyzeRoofline(prog, c.u280, 0);
   EXPECT_STREQ(e.bottleneck, "dma_in");
   EXPECT_GT(e.stream_in_cycles, e.mpe_cycles);
@@ -84,7 +84,7 @@ TEST(RooflineTest, StreamDominatesForWeightBoundDesign) {
 
 TEST(RooflineTest, SeqScaledWorkGrowsWithPos) {
   Ctx c;
-  Program prog = c.Compile(runtime::Variant::kSpeedLLM);
+  Program prog = c.Compile(CompilerOptions::SpeedLLM());
   RooflineEstimate early = AnalyzeRoofline(prog, c.u280, 0);
   RooflineEstimate late = AnalyzeRoofline(prog, c.u280, 40);
   EXPECT_GT(late.dma_in_bytes, early.dma_in_bytes);

@@ -1,7 +1,8 @@
 // Shared test helpers: the seeded-harness replay banner, the
 // request/trace builders the serving tests share, offline serving
-// through api::Engine, and an independent per-request stream oracle that
-// shares no scheduling or KV-pool code with the serving stack.
+// through api::Engine, an independent per-request stream oracle that
+// shares no scheduling or KV-pool code with the serving stack, and the
+// gtest printer for CompilerOptions parameters.
 //
 // The one rule every seeded suite follows: a failure must print the RNG
 // seed that produced it, so the exact failing run can be replayed by
@@ -15,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "accel/executor.hpp"
 #include "api/engine.hpp"
+#include "compiler/options.hpp"
 #include "llama/tokenizer.hpp"
 #include "serving/workload.hpp"
 
@@ -143,6 +146,14 @@ inline StatusOr<std::vector<std::vector<std::int32_t>>> ReferenceStreams(
 }
 
 }  // namespace speedllm::testutil
+
+namespace speedllm::compiler {
+/// Names a preset by CompilerOptions::name in gtest output (suites
+/// parameterized over the paper's variants).
+inline void PrintTo(const CompilerOptions& options, std::ostream* os) {
+  *os << options.name;
+}
+}  // namespace speedllm::compiler
 
 /// Marks the current scope with the harness name and RNG seed: every
 /// assertion failure inside it prints the seed needed to replay the run.

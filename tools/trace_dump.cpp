@@ -15,9 +15,9 @@
 #include "compiler/compiler.hpp"
 #include "llama/weights.hpp"
 #include "obs/export.hpp"
-#include "runtime/variants.hpp"
 
 using namespace speedllm;
+using compiler::CompilerOptions;
 
 int main(int argc, char** argv) {
   auto cl_or = CommandLine::Parse(
@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
   const std::size_t max_instrs =
       static_cast<std::size_t>(cl.GetInt("max_instrs", 120));
 
-  runtime::Variant variant = runtime::Variant::kSpeedLLM;
-  if (variant_name == "unoptimized") variant = runtime::Variant::kUnoptimized;
-  else if (variant_name == "nofuse") variant = runtime::Variant::kNoFuse;
-  else if (variant_name == "nopipeline") variant = runtime::Variant::kNoPipeline;
-  else if (variant_name == "noreuse") variant = runtime::Variant::kNoReuse;
+  CompilerOptions opt = CompilerOptions::SpeedLLM();
+  if (variant_name == "unoptimized") opt = CompilerOptions::Unoptimized();
+  else if (variant_name == "nofuse") opt = CompilerOptions::NoFuse();
+  else if (variant_name == "nopipeline") opt = CompilerOptions::NoPipeline();
+  else if (variant_name == "noreuse") opt = CompilerOptions::NoReuse();
   else if (variant_name != "speedllm") {
     std::fprintf(stderr, "unknown variant '%s'\n", variant_name.c_str());
     return 1;
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   }
   llama::ModelConfig config = *preset;
   auto u280 = hw::U280Config::Default();
-  auto cr = compiler::Compile(config, runtime::OptionsFor(variant), u280);
+  auto cr = compiler::Compile(config, opt, u280);
   if (!cr.ok()) {
     std::fprintf(stderr, "%s\n", cr.status().ToString().c_str());
     return 1;
