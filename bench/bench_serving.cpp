@@ -42,7 +42,6 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "compiler/compiler.hpp"
-#include "obs/slo.hpp"
 #include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/scheduler.hpp"
@@ -940,11 +939,12 @@ Status KvQuant(const Exports&, Metrics& metrics) {
 // saturation rate and serves it twice: FIFO (tiers off, no admission
 // control -- every request queues and the interactive tail collapses
 // with everyone else's), then tiered with token-bucket admission
-// control and per-tier SLO targets. The goodput numbers come from the
-// telemetry event stream (obs::ComputeGoodput), not a parallel
-// bookkeeping path. The headline check: under 2x overload, interactive
-// p99 TTFT meets its SLO target while the best-effort tier sheds (> 0
-// requests) and the interactive tier sheds nothing.
+// control and per-tier SLO targets. Goodput counts the tokens of
+// requests that RequestOutcome::attains their tier's SLO, the verdict
+// the exported SLO counters use too. The headline check: under 2x
+// overload, interactive p99 TTFT meets its SLO target while the
+// best-effort tier sheds (> 0 requests) and the interactive tier sheds
+// nothing.
 Status SloGoodput(const Exports&, Metrics& metrics) {
   constexpr int kRequests = 60;
   constexpr std::uint64_t kSeed = 11;
@@ -1004,7 +1004,6 @@ Status SloGoodput(const Exports&, Metrics& metrics) {
   serving::ServingReport runs[2];  // fifo, tiered+admission
   for (bool tiered : {false, true}) {
     api::EngineConfig cluster;
-    cluster.telemetry.enable_tracing = true;  // goodput's only source
     cluster.telemetry.enable_metrics = true;
     cluster.scheduler.tier_slo = slo;
     if (tiered) {

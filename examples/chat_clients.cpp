@@ -164,11 +164,13 @@ int RunScenario(const accel::Program& program, const llama::Weights& weights,
   engine_config.num_cards = cards;
   engine_config.scheduler.enable_prefix_cache = true;  // zoo traces share
   engine_config.scheduler.enable_tiers = true;
-  engine_config.telemetry.enable_tracing = true;  // feeds the tier report
   engine_config.sampler.temperature = 0.8f;
   engine_config.sampler.seed = 99;
   engine_config.shard_roles = roles;
-  if (!trace_out.empty()) engine_config.telemetry.enable_metrics = true;
+  if (!trace_out.empty()) {
+    engine_config.telemetry.enable_tracing = true;
+    engine_config.telemetry.enable_metrics = true;
+  }
   api::Engine engine(program, weights, u280, engine_config);
 
   std::printf("== scenario %s: %zu requests on %d card(s), tiers on ==\n\n",

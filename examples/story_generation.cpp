@@ -1,12 +1,19 @@
 // SpeedLLM example: the paper's edge workload -- batch story generation.
 //
 // Writes a llama2.c-format checkpoint + tokenizer.bin to disk (the
-// gen_model tool path), loads them back like a downstream user would,
-// then generates a batch of stories on the simulated accelerator and on
-// the CPU reference, comparing throughput and verifying the accelerator
-// reproduces the reference exactly under greedy decoding.
+// gen_model tool path), loads them back like a downstream user would
+// and deletes them, then generates a batch of stories on the simulated
+// accelerator and on the CPU reference, comparing throughput and
+// verifying the accelerator reproduces the reference exactly under
+// greedy decoding.
 //
 //   ./examples/story_generation [--stories 3] [--length 24] [--preset tiny]
+//                               [--dir /tmp]
+//
+// The two files carry the process id in their names, so concurrent runs
+// may share one --dir.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -42,8 +49,10 @@ int main(int argc, char** argv) {
   llama::ModelConfig config = *preset;
 
   // --- Produce model files (what tools/gen_model does) ---
-  const std::string ckpt = dir + "/speedllm_story_model.bin";
-  const std::string tokp = dir + "/speedllm_story_tok.bin";
+  const std::string stem =
+      dir + "/speedllm_story_" + std::to_string(getpid());
+  const std::string ckpt = stem + "_model.bin";
+  const std::string tokp = stem + "_tok.bin";
   {
     llama::Weights w = llama::GenerateSyntheticWeights(config, 7);
     if (auto s = llama::WriteCheckpoint(ckpt, w); !s.ok()) {
@@ -53,6 +62,7 @@ int main(int argc, char** argv) {
     llama::Tokenizer t = llama::SyntheticTokenizer(config.vocab_size, 7);
     if (auto s = t.Save(tokp); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      std::remove(ckpt.c_str());
       return 1;
     }
   }
@@ -60,12 +70,16 @@ int main(int argc, char** argv) {
   // --- Load like a user ---
   auto weights = llama::ReadCheckpoint(ckpt);
   auto tokenizer = llama::Tokenizer::Load(tokp, config.vocab_size);
+  std::remove(ckpt.c_str());
+  std::remove(tokp.c_str());
   if (!weights.ok() || !tokenizer.ok()) {
-    std::fprintf(stderr, "load failed\n");
+    std::fprintf(stderr, "load failed: checkpoint %s, tokenizer %s\n",
+                 weights.status().ToString().c_str(),
+                 tokenizer.status().ToString().c_str());
     return 1;
   }
-  std::printf("loaded %s (%s params)\n", ckpt.c_str(),
-              FormatBytes(weights->param_bytes()).c_str());
+  std::printf("loaded checkpoint and tokenizer from %s (%s params)\n",
+              dir.c_str(), FormatBytes(weights->param_bytes()).c_str());
 
   auto device = runtime::AcceleratorDevice::Create(
       *weights, compiler::CompilerOptions::SpeedLLM(),
@@ -127,7 +141,5 @@ int main(int argc, char** argv) {
               FormatSeconds(sim_seconds).c_str(), tokens / sim_seconds,
               sim_joules * 1e3, tokens / sim_joules);
   std::printf("host simulation wall time: %s\n", FormatSeconds(host_s).c_str());
-  std::remove(ckpt.c_str());
-  std::remove(tokp.c_str());
   return 0;
 }

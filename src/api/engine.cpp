@@ -1,6 +1,7 @@
 #include "api/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -9,7 +10,6 @@
 #include <utility>
 
 #include "obs/export.hpp"
-#include "obs/slo.hpp"
 #include "serving/shard.hpp"
 
 namespace speedllm::api {
@@ -24,6 +24,13 @@ using serving::RequestOutcome;
 using serving::ServingRequest;
 using serving::ShardRole;
 using serving::ShardScheduler;
+
+/// Share of AdmissionConfig::burst_tokens that must survive a request's
+/// draw for its tier to be admitted, indexed by TierIndex. Interactive's
+/// 0 floor sheds it only when the bucket is dry; best-effort's high floor
+/// sheds it first as load approaches saturation.
+constexpr std::array<double, serving::kNumTiers> kTierReserveFraction = {
+    0.0, 0.2, 0.5};
 
 /// Cluster-level event skeleton (card -1 = router; instants only).
 obs::RequestEvent RouterEvent(obs::RequestEventKind kind, std::int64_t stream,
@@ -260,8 +267,7 @@ StatusOr<RequestHandle> Engine::Submit(ServingRequest request,
         RouterEvent(obs::RequestEventKind::kSubmit,
                     static_cast<std::int64_t>(index), -1, CyclesToSeconds(when));
     ev.tokens = static_cast<std::int64_t>(r.prompt.size());
-    // The tier label rides on the submit event so SLO/goodput accounting
-    // (obs::ComputeGoodput) needs nothing outside the event stream.
+    // The tier label lets a trace consumer slice lifecycles by tier.
     ev.detail = serving::RequestTierName(r.tier);
     telemetry_->trace()->Record(std::move(ev));
   }
@@ -505,7 +511,7 @@ bool Engine::ShouldShed(const ServingRequest& request, double now_s) {
   const double cost = static_cast<double>(request.prompt.size()) +
                       static_cast<double>(request.max_new_tokens);
   const double reserve =
-      adm.tier_reserve_fraction[static_cast<std::size_t>(
+      kTierReserveFraction[static_cast<std::size_t>(
           serving::TierIndex(request.tier))] *
       adm.burst_tokens;
   if (bucket_tokens_ - cost < reserve) return true;
@@ -897,16 +903,35 @@ StatusOr<serving::ClusterReport> Engine::Finish() {
       m.makespan_seconds > 0.0
           ? static_cast<double>(m.total_tokens) / m.makespan_seconds
           : 0.0;
-  // Goodput and per-tier SLO attainment come from the telemetry event
-  // stream (obs::ComputeGoodput), not from a second bookkeeping path:
-  // with tracing off the tier slices stay zero.
-  if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
-    obs::GoodputAccounting acc =
-        obs::ComputeGoodput(telemetry_->trace()->events(),
-                            config_.scheduler.tier_slo, m.makespan_seconds);
-    m.tiers = acc.tiers;
-    m.goodput_tokens_per_second = acc.goodput_tokens_per_second;
+  // Per-tier SLO attainment and goodput from the outcomes, with the same
+  // RequestOutcome::attains verdict the exported SLO counters use.
+  for (const RequestOutcome& outcome : m.outcomes) {
+    const std::size_t t =
+        static_cast<std::size_t>(serving::TierIndex(outcome.tier));
+    serving::TierReport& tier = m.tiers[t];
+    const auto n = static_cast<std::int64_t>(outcome.generated.size());
+    if (outcome.finish_reason == FinishReason::kShed) {
+      ++tier.shed_requests;
+    } else if (outcome.finish_reason == FinishReason::kLength ||
+               outcome.finish_reason == FinishReason::kStop) {
+      ++tier.finished_requests;
+      tier.generated_tokens += n;
+      if (outcome.attains(config_.scheduler.tier_slo[t])) {
+        ++tier.slo_attained_requests;
+        tier.goodput_tokens += n;
+      }
+    }
   }
+  double goodput_tokens = 0.0;
+  for (serving::TierReport& tier : m.tiers) {
+    tier.goodput_tokens_per_second =
+        m.makespan_seconds > 0.0
+            ? static_cast<double>(tier.goodput_tokens) / m.makespan_seconds
+            : 0.0;
+    goodput_tokens += static_cast<double>(tier.goodput_tokens);
+  }
+  m.goodput_tokens_per_second =
+      m.makespan_seconds > 0.0 ? goodput_tokens / m.makespan_seconds : 0.0;
   report.card_utilization.resize(shards_.size(), 0.0);
   for (std::size_t c = 0; c < shards_.size(); ++c) {
     report.card_utilization[c] =

@@ -292,12 +292,9 @@ struct ServingReport {
   /// rows): work the packed launch still priced.
   std::int64_t spec_wasted_tokens = 0;
 
-  // SLO / goodput accounting (PR 7). Derived from the obs lifecycle
-  // event stream when telemetry tracing is on (api::Engine::Finish
-  // calls obs::ComputeGoodput over the trace -- not a parallel
-  // bookkeeping path); all-zero when tracing is off. A reconciliation
-  // test (tests/test_slo.cpp) locks the trace-derived numbers against an
-  // independent recomputation from `outcomes`.
+  // SLO / goodput accounting. api::Engine::Finish fills these from
+  // `outcomes` with RequestOutcome::attains, the same verdict behind the
+  // exported SLO counters, whether or not telemetry is on.
   /// Per-tier goodput/shed/SLO-attainment slices, indexed by TierIndex.
   std::array<TierReport, kNumTiers> tiers{};
   /// Generated tokens of SLO-attaining requests across tiers, over the

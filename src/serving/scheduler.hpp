@@ -1,9 +1,9 @@
 // SpeedLLM -- continuous-batching scheduler configuration.
 //
 // The knobs of vLLM-style iteration-level scheduling on one simulated
-// U280 card: admission policy, batch width and token budget, KV block
-// size and dtype, prefix caching, DMA costing, preemption, tiers,
-// admission control, disaggregation role, and speculative decoding.
+// U280 card: admission policy, batch width and token budget, chunked
+// prefill, KV block size, dtype and pool budget, prefix caching, tiers
+// and their SLO targets, admission control, and speculative decoding.
 // The tick loop that honours them is serving::ShardScheduler
 // (serving/shard.hpp); requests reach it only through api::Engine, where
 // a single card is a cluster of one.
@@ -64,12 +64,14 @@ std::string_view ShardRoleName(ShardRole role);
 /// Cluster-level admission control (load shedding). When enabled, every
 /// arriving request draws `prompt + max_new_tokens` tokens from a
 /// deterministic token bucket refilled at `rate_tokens_per_second` of
-/// simulated time; a request whose tier's reserve floor cannot be met is
-/// rejected before placement with FinishReason::kShed (its on_finish
-/// callback fires, no tokens ever stream). Because the bucket depends
-/// only on the arrival trace and this config -- never on card count,
-/// placement, or scheduling -- the shed set is identical across cluster
-/// sizes (locked by tests/test_slo.cpp).
+/// simulated time; a request whose tier's reserve floor (a fixed share
+/// of `burst_tokens`: interactive 0, standard 0.2, best-effort 0.5)
+/// cannot be met after its own draw is rejected before placement with
+/// FinishReason::kShed (its on_finish callback fires, no tokens ever
+/// stream). Because the bucket depends only on the arrival trace and
+/// this config -- never on card count, placement, or scheduling -- the
+/// shed set is identical across cluster sizes (locked by
+/// tests/test_slo.cpp).
 struct AdmissionConfig {
   /// Master switch; off (the default) admits everything.
   bool enable = false;
@@ -77,12 +79,6 @@ struct AdmissionConfig {
   double rate_tokens_per_second = 0.0;
   /// Bucket capacity: the burst the cluster absorbs at full reserve.
   double burst_tokens = 0.0;
-  /// Per-tier reserve floor, indexed by TierIndex: tier T is admitted
-  /// only while the bucket holds at least `tier_reserve_fraction[T] *
-  /// burst_tokens` (after its own draw). Interactive's 0 floor means it
-  /// is shed only when the bucket is truly dry; best-effort's high floor
-  /// sheds it first as load approaches saturation.
-  std::array<double, kNumTiers> tier_reserve_fraction = {0.0, 0.2, 0.5};
 };
 
 /// Per-tier TTFT/TPOT targets, indexed by TierIndex. Defaults are

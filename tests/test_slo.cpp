@@ -1,21 +1,23 @@
-// Unit tests for the SLO-tier / admission-control / goodput surface
-// (PR 7): tiers-on vs tiers-off byte-identity at equal admission,
-// shed-set determinism across card counts, trace-derived goodput
-// reconciliation against an independent recomputation from the
-// outcomes, preemption ordering (a lower tier never evicts a higher
-// one), FinishReason::kShed surfacing through api::Engine callbacks,
-// and per-request sampler overrides.
+// Unit tests for the SLO-tier / admission-control / goodput surface:
+// tiers-on vs tiers-off byte-identity at equal admission, shed-set
+// determinism across card counts, the tier report against a
+// recomputation from the outcomes and against the exported SLO counters
+// (with tracing on or off), preemption ordering (a lower tier never
+// evicts a higher one), FinishReason::kShed surfacing through
+// api::Engine callbacks, and per-request sampler overrides.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "obs/slo.hpp"
 #include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/workload.hpp"
@@ -162,7 +164,80 @@ TEST(SloTest, ShedSetIsIdenticalAcrossCardCounts) {
 
 // ---------------- goodput reconciliation ------------------------------
 
-TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
+/// The tier report recomputed from `m.outcomes` with
+/// RequestOutcome::attains against `slo`.
+std::array<TierReport, kNumTiers> TiersFromOutcomes(
+    const ServingReport& m, const TierSloTargets& slo) {
+  std::array<TierReport, kNumTiers> expect{};
+  for (const RequestOutcome& out : m.outcomes) {
+    const std::size_t t = static_cast<std::size_t>(TierIndex(out.tier));
+    TierReport& tier = expect[t];
+    if (out.finish_reason == FinishReason::kShed) {
+      ++tier.shed_requests;
+      continue;
+    }
+    if (out.finish_reason != FinishReason::kLength &&
+        out.finish_reason != FinishReason::kStop) {
+      continue;
+    }
+    ++tier.finished_requests;
+    tier.generated_tokens += static_cast<std::int64_t>(out.generated.size());
+    if (out.attains(slo[t])) {
+      ++tier.slo_attained_requests;
+      tier.goodput_tokens += static_cast<std::int64_t>(out.generated.size());
+    }
+  }
+  return expect;
+}
+
+/// Asserts that `m`'s tier report holds exactly the counts in `want`, and
+/// that its rates divide those counts by the makespan.
+void ExpectTiers(const ServingReport& m,
+                 const std::array<TierReport, kNumTiers>& want) {
+  std::int64_t total_goodput = 0;
+  for (int t = 0; t < kNumTiers; ++t) {
+    const TierReport& got = m.tiers[static_cast<std::size_t>(t)];
+    const TierReport& w = want[static_cast<std::size_t>(t)];
+    EXPECT_EQ(got.finished_requests, w.finished_requests) << "tier " << t;
+    EXPECT_EQ(got.shed_requests, w.shed_requests) << "tier " << t;
+    EXPECT_EQ(got.slo_attained_requests, w.slo_attained_requests)
+        << "tier " << t;
+    EXPECT_EQ(got.generated_tokens, w.generated_tokens) << "tier " << t;
+    EXPECT_EQ(got.goodput_tokens, w.goodput_tokens) << "tier " << t;
+    EXPECT_NEAR(got.goodput_tokens_per_second,
+                m.makespan_seconds > 0.0
+                    ? static_cast<double>(w.goodput_tokens) /
+                          m.makespan_seconds
+                    : 0.0,
+                1e-6)
+        << "tier " << t;
+    total_goodput += w.goodput_tokens;
+  }
+  EXPECT_NEAR(m.goodput_tokens_per_second,
+              m.makespan_seconds > 0.0
+                  ? static_cast<double>(total_goodput) / m.makespan_seconds
+                  : 0.0,
+              1e-6);
+}
+
+/// Final value of the counter `name` whose labels include every pair in
+/// `labels`; -1 when no such series is registered.
+double CounterValue(
+    const obs::MetricsRegistry& reg, const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& labels) {
+  for (const obs::MetricSeries& s : reg.series()) {
+    if (s.name != name) continue;
+    bool match = true;
+    for (const auto& label : labels) {
+      match = match && std::find(s.labels.begin(), s.labels.end(), label) !=
+                           s.labels.end();
+    }
+    if (match) return s.value;
+  }
+  return -1.0;
+}
+
+TEST(SloTest, TierReportMatchesOutcomesWithTracingOnOrOff) {
   Fixture f;
   auto prog = f.Compile();
   const auto reqs = MixedTierTrace(f.config, 32, 6000.0);
@@ -173,10 +248,8 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
   config.scheduler.admission.enable = true;
   config.scheduler.admission.rate_tokens_per_second = 30000.0;
   config.scheduler.admission.burst_tokens = 80.0;
-  // Targets far from any boundary, so sub-cycle timestamp rounding in
-  // the event stream cannot flip an attainment verdict: interactive
-  // attains freely, standard (1 ps TTFT) can never attain, best-effort
-  // is unbounded.
+  // Interactive attains freely, standard (1 ps TTFT) can never attain,
+  // best-effort is unbounded.
   config.scheduler.tier_slo[TierIndex(RequestTier::kInteractive)]
       .ttft_target_seconds = 10.0;
   config.scheduler.tier_slo[TierIndex(RequestTier::kStandard)]
@@ -184,80 +257,97 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
 
   auto report = MustRun(f, prog, reqs, config, 2, Stochastic());
   const ServingReport& m = report.merged;
-
-  // Independent recomputation from the outcomes (the path the trace
-  // replay must agree with).
-  std::array<TierReport, kNumTiers> expect{};
-  for (std::size_t i = 0; i < m.outcomes.size(); ++i) {
-    const RequestOutcome& out = m.outcomes[i];
-    TierReport& tier = expect[static_cast<std::size_t>(TierIndex(out.tier))];
-    if (out.finish_reason == FinishReason::kShed) {
-      ++tier.shed_requests;
-      continue;
-    }
-    if (out.finish_reason != FinishReason::kLength &&
-        out.finish_reason != FinishReason::kStop) {
-      continue;
-    }
-    ++tier.finished_requests;
-    tier.generated_tokens +=
-        static_cast<std::int64_t>(out.generated.size());
-    if (out.attains(
-            config.scheduler.tier_slo[static_cast<std::size_t>(
-                TierIndex(out.tier))])) {
-      ++tier.slo_attained_requests;
-      tier.goodput_tokens += static_cast<std::int64_t>(out.generated.size());
-    }
-  }
-
-  std::int64_t total_goodput = 0;
-  for (int t = 0; t < kNumTiers; ++t) {
-    const TierReport& got = m.tiers[static_cast<std::size_t>(t)];
-    const TierReport& want = expect[static_cast<std::size_t>(t)];
-    EXPECT_EQ(got.finished_requests, want.finished_requests) << "tier " << t;
-    EXPECT_EQ(got.shed_requests, want.shed_requests) << "tier " << t;
-    EXPECT_EQ(got.slo_attained_requests, want.slo_attained_requests)
-        << "tier " << t;
-    EXPECT_EQ(got.generated_tokens, want.generated_tokens) << "tier " << t;
-    EXPECT_EQ(got.goodput_tokens, want.goodput_tokens) << "tier " << t;
-    // Rates divide the same counts by the same makespan; tolerate float
-    // round-off only.
-    EXPECT_NEAR(got.goodput_tokens_per_second,
-                m.makespan_seconds > 0.0
-                    ? static_cast<double>(want.goodput_tokens) /
-                          m.makespan_seconds
-                    : 0.0,
-                1e-6)
-        << "tier " << t;
-    total_goodput += want.goodput_tokens;
-  }
-  EXPECT_NEAR(m.goodput_tokens_per_second,
-              m.makespan_seconds > 0.0
-                  ? static_cast<double>(total_goodput) / m.makespan_seconds
-                  : 0.0,
-              1e-6);
+  ExpectTiers(m, TiersFromOutcomes(m, config.scheduler.tier_slo));
   // The shape is non-degenerate: something attained, something did not.
   EXPECT_GT(m.tiers[0].slo_attained_requests +
                 m.tiers[2].slo_attained_requests,
             0);
   EXPECT_EQ(m.tiers[1].slo_attained_requests, 0);  // 1 ps TTFT target
   EXPECT_GT(m.tiers[1].finished_requests, 0);
+  EXPECT_GT(m.shed_requests, 0);
 
-  // With tracing off the tier slices stay zero (no parallel bookkeeping
-  // path fills them).
+  // Tracing does not feed the tier report: with it off, every slice and
+  // the headline goodput are the same.
   api::EngineConfig untraced = config;
   untraced.telemetry.enable_tracing = false;
   auto dark = MustRun(f, prog, reqs, untraced, 2, Stochastic());
-  for (int t = 0; t < kNumTiers; ++t) {
-    EXPECT_EQ(dark.merged.tiers[static_cast<std::size_t>(t)].finished_requests,
-              0);
-  }
-  EXPECT_EQ(dark.merged.goodput_tokens_per_second, 0.0);
-  // ...but the outcomes themselves are identical either way.
+  ExpectTiers(dark.merged, m.tiers);
+  EXPECT_EQ(dark.merged.makespan_seconds, m.makespan_seconds);
+  EXPECT_EQ(dark.merged.goodput_tokens_per_second,
+            m.goodput_tokens_per_second);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(dark.merged.outcomes[i].generated,
-              m.outcomes[i].generated);
+    EXPECT_EQ(dark.merged.outcomes[i].generated, m.outcomes[i].generated);
   }
+}
+
+TEST(SloTest, TtftTargetAtAnOutcomesOwnTtftAttainsEverywhere) {
+  Fixture f;
+  auto prog = f.Compile();
+  // Standard tier only, so one target decides every verdict.
+  Rng rng(4242);
+  WorkloadConfig wc;
+  wc.num_requests = 32;
+  wc.rate_rps = 6000.0;
+  wc.min_prompt_tokens = 3;
+  wc.max_prompt_tokens = 8;
+  wc.min_new_tokens = 4;
+  wc.max_new_tokens = 8;
+  wc.vocab_size = f.config.vocab_size;
+  const auto reqs = PoissonTrace(rng, wc);
+
+  api::EngineConfig config;
+  config.sampler = Stochastic();
+  config.telemetry.enable_tracing = true;
+  config.telemetry.enable_metrics = true;
+  auto probe = MustRun(f, prog, reqs, config, 1, Stochastic());
+
+  // A request whose arrival lies past its nearest kernel-clock cycle:
+  // the engine schedules it at that earlier cycle, but its outcome keeps
+  // the exact arrival, so a target equal to the outcome's TTFT sits
+  // exactly on the attainment boundary.
+  const double cycles_per_second = f.u280.clock_mhz * 1e6;
+  std::size_t pick = reqs.size();
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const double cycles = reqs[i].arrival_seconds * cycles_per_second;
+    if (static_cast<double>(std::llround(cycles)) < cycles &&
+        probe.merged.outcomes[i].finish_reason == FinishReason::kLength) {
+      pick = i;
+      break;
+    }
+  }
+  ASSERT_LT(pick, reqs.size());
+  const auto standard =
+      static_cast<std::size_t>(TierIndex(RequestTier::kStandard));
+  config.scheduler.tier_slo[standard].ttft_target_seconds =
+      probe.merged.outcomes[pick].time_to_first_token();
+
+  api::Engine engine(prog, f.weights, f.u280, config);
+  auto report = testutil::ServeTrace(engine, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ServingReport& m = report->merged;
+  ASSERT_TRUE(m.outcomes[pick].attains(config.scheduler.tier_slo[standard]));
+  const auto want = TiersFromOutcomes(m, config.scheduler.tier_slo);
+  ExpectTiers(m, want);
+
+  // The exported counters give the same verdicts.
+  const obs::MetricsRegistry& reg = *engine.telemetry()->metrics();
+  const TierReport& tier = m.tiers[standard];
+  EXPECT_EQ(CounterValue(reg, "speedllm_slo_requests_total",
+                         {{"tier", "standard"}, {"slo", "attained"}}),
+            static_cast<double>(tier.slo_attained_requests));
+  EXPECT_EQ(CounterValue(reg, "speedllm_slo_requests_total",
+                         {{"tier", "standard"}, {"slo", "missed"}}),
+            static_cast<double>(tier.finished_requests -
+                                tier.slo_attained_requests));
+  EXPECT_EQ(CounterValue(reg, "speedllm_goodput_tokens_total",
+                         {{"tier", "standard"}}),
+            static_cast<double>(tier.goodput_tokens));
+  EXPECT_EQ(CounterValue(reg, "speedllm_shed_requests_total",
+                         {{"tier", "standard"}}),
+            static_cast<double>(tier.shed_requests));
+  // Non-degenerate: the target splits the finished requests.
+  EXPECT_GT(tier.slo_attained_requests, 0);
+  EXPECT_LT(tier.slo_attained_requests, tier.finished_requests);
 }
 
 // ---------------- preemption ordering ---------------------------------
