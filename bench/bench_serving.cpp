@@ -1008,7 +1008,6 @@ Status SloGoodput(const Exports&, Metrics& metrics) {
     cluster.scheduler.tier_slo = slo;
     if (tiered) {
       cluster.scheduler.enable_tiers = true;
-      cluster.scheduler.admission.enable = true;
       // Refill at exactly the card's serving rate, with a burst of ~10
       // mean requests: at 2x offered load the bucket drains past the
       // best-effort reserve within a few arrivals and stays pinned
@@ -1252,7 +1251,6 @@ Status Speculative(const Exports&, Metrics& metrics) {
   constexpr std::uint64_t kSeed = 11;
   constexpr std::int32_t kDraftTokens = 4;
   constexpr double kAcceptance = 0.7;
-  constexpr double kDraftCostRatio = 0.15;
   constexpr double kLoad = 0.5;
   SPEEDLLM_ASSIGN_OR_RETURN(const Model* model, Compiled(kSpecModel));
 
@@ -1281,7 +1279,7 @@ Status Speculative(const Exports&, Metrics& metrics) {
   std::printf(
       "== speculative decoding: %d requests, k=%d rate=%.2f ratio=%.2f, "
       "%.1fx single-card saturation, 4 cards, %s ==\n\n",
-      kRequests, kDraftTokens, kAcceptance, kDraftCostRatio, kLoad,
+      kRequests, kDraftTokens, kAcceptance, serving::kDraftCostRatio, kLoad,
       kSpecModel.ToString().c_str());
 
   // The identity oracle is a single non-speculative greedy card.
@@ -1297,7 +1295,6 @@ Status Speculative(const Exports&, Metrics& metrics) {
     cluster.scheduler.speculative.enable = spec_on;
     cluster.scheduler.speculative.draft_tokens = kDraftTokens;
     cluster.scheduler.speculative.acceptance_rate = kAcceptance;
-    cluster.scheduler.speculative.draft_cost_ratio = kDraftCostRatio;
     cluster.num_cards = 4;
     cluster.sampler = sampler;
     SPEEDLLM_ASSIGN_OR_RETURN(serving::ClusterReport report,

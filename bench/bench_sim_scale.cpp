@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
 
   api::EngineConfig engine_config;
   engine_config.placement = serving::PlacementPolicy::kRoundRobin;
-  engine_config.rebalance_queued = false;
   engine_config.sampler = sampler;
 
   const int per_segment = n_requests / n_segments;

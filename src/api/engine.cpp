@@ -19,7 +19,6 @@ namespace {
 using serving::FinishReason;
 using serving::KvHandoff;
 using serving::PlacementPolicy;
-using serving::PrefixFetchPolicy;
 using serving::RequestOutcome;
 using serving::ServingRequest;
 using serving::ShardRole;
@@ -74,12 +73,20 @@ Status ValidateSetup(const hw::MultiCardConfig& cards,
   SPEEDLLM_RETURN_IF_ERROR(
       serving::ValidateClusterRoles(config.shard_roles, cards.num_cards()));
   // Out-of-range knobs are clamped by NormalizeSchedulerConfig; only
-  // non-finite values are unrecoverable.
+  // non-finite values are unrecoverable. The admission bucket has no
+  // clamp: a NaN rate would refill it to full at every arrival, a NaN or
+  // infinite burst would admit everything, and a negative rate drains it.
   const serving::SpeculativeConfig& spec = config.scheduler.speculative;
-  if (spec.enable && (!std::isfinite(spec.acceptance_rate) ||
-                      !std::isfinite(spec.draft_cost_ratio))) {
+  if (spec.enable && !std::isfinite(spec.acceptance_rate)) {
+    return InvalidArgument("speculative acceptance_rate must be finite");
+  }
+  const serving::AdmissionConfig& adm = config.scheduler.admission;
+  if (!(std::isfinite(adm.rate_tokens_per_second) &&
+        adm.rate_tokens_per_second >= 0.0 &&
+        std::isfinite(adm.burst_tokens) && adm.burst_tokens >= 0.0)) {
     return InvalidArgument(
-        "speculative acceptance_rate / draft_cost_ratio must be finite");
+        "admission rate_tokens_per_second and burst_tokens must be finite "
+        "and non-negative");
   }
   return llama::ValidateSamplerConfig(config.sampler, "EngineConfig::sampler");
 }
@@ -119,35 +126,14 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
   min_pool_blocks_ = std::numeric_limits<std::int64_t>::max();
   for (int c = 0; c < n; ++c) {
     const std::size_t ci = static_cast<std::size_t>(c);
-    serving::SchedulerConfig shard_config = config_.scheduler;
-    if (ci < cards_.kv_dtype_per_card.size()) {
-      // Heterogeneous KV dtypes: each card's pool geometry (and hence
-      // its block count) follows its own storage format.
-      shard_config.kv_cache_dtype = cards_.kv_dtype_per_card[ci];
-    }
-    if (ci < config_.kv_pool_bytes_per_card.size() &&
-        config_.kv_pool_bytes_per_card[ci] > 0) {
-      shard_config.kv_pool_bytes = config_.kv_pool_bytes_per_card[ci];
-    }
     ShardRole role = ShardRole::kUnified;
     if (!config_.shard_roles.empty()) role = config_.shard_roles[ci];
     if (role != ShardRole::kDecode) placeable_.push_back(ci);
-    shard_config.kv_pool_bytes = serving::DeriveKvPoolBytes(
-        program_, cards_.cards[ci], shard_config.kv_pool_bytes);
-    const std::uint64_t block_bytes =
-        serving::MakeKvPoolConfig(program_.model, shard_config.kv_cache_dtype,
-                                  shard_config.kv_pool_bytes,
-                                  shard_config.block_size_tokens,
-                                  shard_config.enable_prefix_cache)
-            .block_bytes();
-    min_pool_blocks_ = std::min(
-        min_pool_blocks_,
-        block_bytes == 0 ? std::int64_t{0}
-                         : static_cast<std::int64_t>(shard_config.kv_pool_bytes /
-                                                     block_bytes));
     shards_.push_back(std::make_unique<ShardScheduler>(
-        program_, *image_, cards_.cards[ci], shard_config, role, engine_));
+        program_, *image_, cards_.cards[ci], config_.scheduler, role, engine_));
     ShardScheduler& shard = *shards_.back();
+    // Each card carves its pool from its own HBM capacity.
+    min_pool_blocks_ = std::min(min_pool_blocks_, shard.pool().num_blocks());
     if (telemetry_ != nullptr) {
       shard.set_telemetry(telemetry_->MakeShardChannel(c));
     }
@@ -257,9 +243,11 @@ StatusOr<RequestHandle> Engine::Submit(ServingRequest request,
                       " is past the simulated clock's range");
   }
   // A request submitted "now" (or with a stale arrival) joins the
-  // timeline at the current simulated time; future arrivals wait.
-  request.arrival_seconds = std::max(request.arrival_seconds, now_seconds());
+  // timeline at the current simulated time; future arrivals wait. The
+  // stored arrival is the cycle the simulation acts on, so the trace's
+  // submit event and the outcome's arrival_seconds agree exactly.
   const sim::Cycles when = std::max(*arrival, engine_.now());
+  request.arrival_seconds = CyclesToSeconds(when);
   streams_.push_back(Stream{std::move(request), std::move(callbacks)});
   if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
     const ServingRequest& r = streams_.back().request;
@@ -453,7 +441,7 @@ std::size_t Engine::PickCard(const ServingRequest& request) {
 }
 
 void Engine::Rebalance(std::size_t donor) {
-  if (!config_.rebalance_queued || shards_.size() < 2) return;
+  if (shards_.size() < 2) return;
   // Requests that exhausted their migration budget stay put; older
   // eligible queued requests behind them are still considered.
   const ShardScheduler::StreamPredicate eligible = [this](std::size_t index) {
@@ -498,7 +486,7 @@ void Engine::Rebalance(std::size_t donor) {
 
 bool Engine::ShouldShed(const ServingRequest& request, double now_s) {
   const serving::AdmissionConfig& adm = config_.scheduler.admission;
-  if (!adm.enable || adm.burst_tokens <= 0.0) return false;
+  if (adm.burst_tokens <= 0.0) return false;
   // Refill by the simulated time elapsed since the last arrival, then
   // draw this request's full eventual footprint. The tier's reserve
   // floor must survive the draw: best-effort requests bounce while the
@@ -656,7 +644,6 @@ void Engine::HandleHandoff(KvHandoff handoff, sim::Cycles ready,
 }
 
 bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
-  if (config_.prefix_fetch == PrefixFetchPolicy::kNeverFetch) return false;
   if (shards_.size() < 2) return false;
   const ShardScheduler& shard = *shards_[dst];
   const serving::KvPoolConfig& pool_config = shard.pool().config();
@@ -687,9 +674,7 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   const double fetch_seconds = CyclesToSeconds(fetch_end - now);
   const double recompute_seconds =
       shard.EstimateRecomputeSeconds(delta_tokens);
-  const bool fetched =
-      config_.prefix_fetch == PrefixFetchPolicy::kAlwaysFetch ||
-      fetch_seconds <= recompute_seconds;
+  const bool fetched = fetch_seconds <= recompute_seconds;
   fetch_log_.push_back({index, src, static_cast<std::int32_t>(dst),
                         delta_tokens, bytes, fetch_seconds, recompute_seconds,
                         fetched});

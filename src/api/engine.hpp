@@ -117,12 +117,6 @@ struct EngineConfig {
   /// or negative temperature, or a NaN top_p, is a setup error: every
   /// Submit then returns InvalidArgument.
   llama::SamplerConfig sampler;
-  /// Optional per-card KV pool override in bytes (0 / missing entries
-  /// fall back to `scheduler.kv_pool_bytes` / HBM derivation). Lets
-  /// tests and heterogeneous deployments size each card's pool apart.
-  std::vector<std::uint64_t> kv_pool_bytes_per_card;
-  /// Migrate queued (never-prefilled) requests away from a dry shard.
-  bool rebalance_queued = true;
   /// Serving-layer telemetry (per-request lifecycle tracing +
   /// tick-sampled metrics). Both halves default off and cost ~nothing
   /// while disabled; see docs/OBSERVABILITY.md.
@@ -133,11 +127,6 @@ struct EngineConfig {
   /// finished KV to decode shards over the modeled interconnect; token
   /// streams stay byte-identical to unified mode.
   std::vector<serving::ShardRole> shard_roles;
-  /// Remote-prefix arbitration at admission (fetch a remote card's
-  /// cached prefix over the interconnect vs. recompute locally; see
-  /// serving::PrefixFetchPolicy).
-  serving::PrefixFetchPolicy prefix_fetch =
-      serving::PrefixFetchPolicy::kAuto;
 };
 
 /// Online streaming serving engine (see the file comment): submit
@@ -149,9 +138,9 @@ class Engine {
   /// serves `config.num_cards` identical cards.
   Engine(const accel::Program& program, const llama::Weights& weights,
          const hw::U280Config& u280, EngineConfig config = {});
-  /// Heterogeneous-card overload: `cards` may differ in HBM capacity and
-  /// KV-cache dtype (hw::MultiCardConfig::kv_dtype_per_card) but must
-  /// share one kernel clock.
+  /// Heterogeneous-card overload: `cards` may differ in HBM capacity,
+  /// which caps each card's KV pool, and in interconnect, but must share
+  /// one kernel clock.
   Engine(const accel::Program& program, const llama::Weights& weights,
          hw::MultiCardConfig cards, EngineConfig config = {});
   /// Destroys the engine; unharvested outcomes are discarded.
@@ -164,8 +153,10 @@ class Engine {
 
   // ----- submission -----
   /// Validates and enqueues `request`; its arrival event fires at
-  /// `request.arrival_seconds` (clamped up to the current simulated time,
-  /// so callbacks can submit "now" with the default arrival of 0).
+  /// `request.arrival_seconds` rounded to the nearest kernel-clock cycle
+  /// (clamped up to the current simulated time, so callbacks can submit
+  /// "now" with the default arrival of 0). That cycle's time is the
+  /// arrival the outcome and the trace's submit event report.
   /// Returns InvalidArgument for empty prompts, non-positive
   /// max_new_tokens, negative/non-finite arrivals, or a NaN, infinite or
   /// negative temperature / NaN top_p override; OutOfRange for an
@@ -220,8 +211,7 @@ class Engine {
   /// reflect the card's dtype: an int8 card has ~2x the blocks of an
   /// fp16 card at equal HBM.
   std::int64_t kv_block_capacity(int card) const;
-  /// KV-cache storage dtype `card`'s pool runs with (after per-card
-  /// overrides).
+  /// KV-cache storage dtype `card`'s pool runs with.
   serving::KvCacheDtype kv_cache_dtype(int card) const;
   /// Live KV pool counters for `card`, including the prefix-cache
   /// hit/eviction/copy-on-write stats -- how multi-turn clients observe
@@ -330,7 +320,9 @@ class Engine {
   void HandleHandoff(serving::KvHandoff handoff, sim::Cycles ready,
                      std::int32_t src);
   /// Admission-time remote-prefix arbitration for stream `index` placed
-  /// on `dst`. Returns true when a fetch was chosen: the transfer is
+  /// on `dst`: fetch a remote card's longer cached prefix when the
+  /// estimated transfer time is at most the estimated local recompute
+  /// time. Returns true when a fetch was chosen: the transfer is
   /// charged and the shard Submit is deferred to the transfer's end (the
   /// caller must not Submit). Logs the decision either way.
   bool MaybeFetchPrefix(std::size_t index, std::size_t dst);

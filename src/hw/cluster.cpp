@@ -33,14 +33,7 @@ Status MultiCardConfig::Validate() const {
           " at " + std::to_string(cards[i].clock_mhz) + " MHz");
     }
   }
-  if (!kv_dtype_per_card.empty() && kv_dtype_per_card.size() != cards.size()) {
-    return InvalidArgument(
-        "kv_dtype_per_card must be empty or name every card: got " +
-        std::to_string(kv_dtype_per_card.size()) + " dtypes for " +
-        std::to_string(cards.size()) + " cards");
-  }
-  if (Status s = interconnect.Validate(); !s.ok()) return s;
-  return Status::Ok();
+  return interconnect.Validate();
 }
 
 }  // namespace speedllm::hw

@@ -2,10 +2,11 @@
 //
 // A serving cluster is N U280 cards behind one host scheduler (see
 // serving/cluster.hpp). Cards may differ in HBM capacity (mixed board
-// revisions, or capacity partitioned between tenants), but they must
-// share one kernel clock: the cluster drives every card off a single
-// discrete-event engine whose time unit is the kernel-clock cycle, so a
-// heterogeneous clock would make "cycle" ambiguous across consumers.
+// revisions, or capacity partitioned between tenants), which sizes each
+// card's KV pool, but they must share one kernel clock: the cluster
+// drives every card off a single discrete-event engine whose time unit
+// is the kernel-clock cycle, so a heterogeneous clock would make "cycle"
+// ambiguous across consumers.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +37,6 @@ struct InterconnectConfig {
 
 struct MultiCardConfig {
   std::vector<U280Config> cards;
-  /// Per-card KV-cache storage dtype. Empty means every card uses the
-  /// scheduler's default (SchedulerConfig::kv_cache_dtype); otherwise one
-  /// entry per card. Cards may mix fp16 and int8 pools -- placement is
-  /// unchanged (policies bid in blocks, and each card's block already
-  /// reflects its own bytes-per-token), and the per-pool cache-index hash
-  /// seed is dtype-aware so fp16 and int8 blocks can never alias.
-  std::vector<KvCacheDtype> kv_dtype_per_card;
   /// Card-to-card link model used for KV handoffs and remote prefix
   /// fetches. Ignored by single-card engines.
   InterconnectConfig interconnect;
@@ -52,8 +46,8 @@ struct MultiCardConfig {
   /// N identical copies of `card` -- the common deployment.
   static MultiCardConfig Homogeneous(const U280Config& card, int num_cards);
 
-  /// Non-empty, clock-uniform (see file comment), and
-  /// `kv_dtype_per_card` either empty or one entry per card.
+  /// Non-empty, clock-uniform (see file comment), with a valid
+  /// interconnect.
   Status Validate() const;
 };
 

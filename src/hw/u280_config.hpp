@@ -11,9 +11,8 @@
 namespace speedllm::hw {
 
 /// On-device storage format of paged KV-cache blocks. The serving stack
-/// derives bytes-per-token (and hence pool residency) from this; it is a
-/// property of how a card's HBM is laid out, so heterogeneous clusters
-/// may pick it per card (MultiCardConfig::kv_dtype_per_card).
+/// derives bytes-per-token (and hence pool residency) from this; every
+/// card of an engine uses SchedulerConfig::kv_cache_dtype.
 enum class KvCacheDtype : std::uint8_t {
   kFp16 = 0,  ///< half-precision KV entries (2 bytes/element), the default
   kInt8 = 1,  ///< int8 KV entries (1 byte/element) + per-block group scales

@@ -125,15 +125,13 @@ ShardChannel::ShardChannel(RequestTraceRecorder* trace,
                            MetricsRegistry* registry, std::int32_t card,
                            ShardMetricIds ids,
                            MetricsRegistry::MetricId ttft_hist,
-                           MetricsRegistry::MetricId tpot_hist,
-                           std::int32_t sample_every_ticks)
+                           MetricsRegistry::MetricId tpot_hist)
     : trace_(trace),
       registry_(registry),
       card_(card),
       ids_(ids),
       ttft_hist_(ttft_hist),
-      tpot_hist_(tpot_hist),
-      sample_every_ticks_(sample_every_ticks < 1 ? 1 : sample_every_ticks) {}
+      tpot_hist_(tpot_hist) {}
 
 void ShardChannel::Record(RequestEvent event) {
   if (trace_ == nullptr) return;
@@ -141,8 +139,8 @@ void ShardChannel::Record(RequestEvent event) {
   trace_->Record(std::move(event));
 }
 
-bool ShardChannel::OnTickEnd(const ShardTickSample& sample) {
-  if (registry_ == nullptr) return false;
+void ShardChannel::OnTickEnd(const ShardTickSample& sample) {
+  if (registry_ == nullptr) return;
   registry_->Set(ids_.queue_depth, static_cast<double>(sample.queue_depth));
   registry_->Set(ids_.running_seqs, static_cast<double>(sample.running_seqs));
   registry_->Set(ids_.kv_blocks_in_use,
@@ -171,8 +169,6 @@ bool ShardChannel::OnTickEnd(const ShardTickSample& sample) {
                  static_cast<double>(sample.spec_draft_tokens));
   registry_->Add(ids_.spec_accepted_tokens_total,
                  static_cast<double>(sample.spec_accepted_tokens));
-  ++ticks_seen_;
-  return ticks_seen_ % sample_every_ticks_ == 0;
 }
 
 void ShardChannel::SampleNow(double t_seconds) {
@@ -261,7 +257,7 @@ ShardChannel Telemetry::MakeShardChannel(std::int32_t card) {
         "tokens", labels);
   }
   return ShardChannel(trace_.get(), metrics_.get(), card, ids, ttft_hist_,
-                      tpot_hist_, config_.sample_every_ticks);
+                      tpot_hist_);
 }
 
 }  // namespace speedllm::obs

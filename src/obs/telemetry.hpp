@@ -212,8 +212,6 @@ struct TelemetryConfig {
   bool enable_tracing = false;
   /// Register and tick-sample the serving metrics (MetricsRegistry).
   bool enable_metrics = false;
-  /// Snapshot the scalar series every Nth tick per card (>= 1).
-  std::int32_t sample_every_ticks = 1;
 
   /// True when either half is on.
   bool enabled() const { return enable_tracing || enable_metrics; }
@@ -270,8 +268,7 @@ class ShardChannel {
   ShardChannel(RequestTraceRecorder* trace, MetricsRegistry* registry,
                std::int32_t card, ShardMetricIds ids,
                MetricsRegistry::MetricId ttft_hist,
-               MetricsRegistry::MetricId tpot_hist,
-               std::int32_t sample_every_ticks);
+               MetricsRegistry::MetricId tpot_hist);
 
   /// True when lifecycle events should be recorded.
   bool tracing() const { return trace_ != nullptr; }
@@ -282,12 +279,11 @@ class ShardChannel {
   /// tracing is off.
   void Record(RequestEvent event);
 
-  /// Fans one tick's sample into the per-card series. Returns true when
-  /// a registry snapshot is due (every `sample_every_ticks` ticks): the
-  /// shard then schedules SampleNow at the tick's simulated end time, so
-  /// sample rows from overlapping ticks on different cards land in
-  /// timestamp order. Returns false (no-op) when metrics are off.
-  bool OnTickEnd(const ShardTickSample& sample);
+  /// Fans one tick's sample into the per-card series. Every tick is
+  /// sampled: the shard then schedules SampleNow at the tick's simulated
+  /// end time, so sample rows from overlapping ticks on different cards
+  /// land in timestamp order. No-op when metrics are off.
+  void OnTickEnd(const ShardTickSample& sample);
 
   /// Snapshots the registry's current values at sim time `t_seconds`.
   /// Called from an event the shard schedules at the tick's end cycles
@@ -307,8 +303,6 @@ class ShardChannel {
   ShardMetricIds ids_;
   MetricsRegistry::MetricId ttft_hist_ = 0;
   MetricsRegistry::MetricId tpot_hist_ = 0;
-  std::int32_t sample_every_ticks_ = 1;
-  std::int64_t ticks_seen_ = 0;
 };
 
 /// Owns one serving timeline's telemetry state: the trace recorder, the

@@ -15,15 +15,6 @@ std::string_view PlacementPolicyName(PlacementPolicy policy) {
   return "unknown";
 }
 
-std::string_view PrefixFetchPolicyName(PrefixFetchPolicy policy) {
-  switch (policy) {
-    case PrefixFetchPolicy::kAuto: return "auto";
-    case PrefixFetchPolicy::kAlwaysFetch: return "always";
-    case PrefixFetchPolicy::kNeverFetch: return "never";
-  }
-  return "unknown";
-}
-
 Status ValidateClusterRoles(const std::vector<ShardRole>& roles,
                             int num_cards) {
   if (roles.empty()) return Status::Ok();

@@ -53,25 +53,6 @@ enum class PlacementPolicy {
 /// Human-readable policy name ("round_robin", ...) for tables and logs.
 std::string_view PlacementPolicyName(PlacementPolicy policy);
 
-/// Whether admission may fetch a prompt's cached prefix from a remote
-/// card's pool over the interconnect instead of recomputing it locally.
-/// Token streams are byte-identical under every policy -- fetching only
-/// moves timing (transfer time instead of prefill compute).
-enum class PrefixFetchPolicy {
-  /// Fetch when the estimated transfer time (bytes over the link model,
-  /// given current station occupancy) is at most the estimated local
-  /// recompute time; otherwise recompute.
-  kAuto,
-  /// Fetch whenever any remote card holds a longer cached prefix than
-  /// the placed card (arbitration seam: forces the fetch branch).
-  kAlwaysFetch,
-  /// Ignore the remote index at admission (forces the recompute branch).
-  kNeverFetch,
-};
-
-/// Human-readable fetch-policy name ("auto" / "always" / "never").
-std::string_view PrefixFetchPolicyName(PrefixFetchPolicy policy);
-
 /// Validates per-card disaggregation roles against a card count: `roles`
 /// must be empty (every card kUnified) or one entry per card, at least
 /// one card must be prefill-capable (kUnified or kPrefill), and prefill

@@ -1,9 +1,11 @@
 // SpeedLLM -- continuous-batching scheduler configuration.
 //
 // The knobs of vLLM-style iteration-level scheduling on one simulated
-// U280 card: admission policy, batch width and token budget, chunked
-// prefill, KV block size, dtype and pool budget, prefix caching, tiers
-// and their SLO targets, admission control, and speculative decoding.
+// U280 card: admission policy, batch width and token budget, KV block
+// size, dtype and pool budget, prefix caching, tiers and their SLO
+// targets, admission control, and speculative decoding. Choices the
+// design fixes (the aging window, decode-priority's prefill cap, the
+// draft model's cost) are the named constants below.
 // The tick loop that honours them is serving::ShardScheduler
 // (serving/shard.hpp); requests reach it only through api::Engine, where
 // a single card is a cluster of one.
@@ -44,6 +46,13 @@ enum class BatchPolicy {
 /// "decode-priority") for tables and logs.
 std::string_view BatchPolicyName(BatchPolicy policy);
 
+/// A waiting request older than this many ticks jumps the
+/// shortest-prompt-first order (aging: no prompt starves).
+inline constexpr std::int32_t kStarvationGraceTicks = 32;
+
+/// Prefill tokens a kDecodePriority tick may carry (chunked prefill).
+inline constexpr std::int32_t kDecodePriorityPrefillTokens = 8;
+
 /// Role a shard plays in a disaggregated cluster. Unified shards (the
 /// default) run the classic combined loop. Prefill shards admit new
 /// requests and run chunked prefill only: when a sequence finishes its
@@ -61,8 +70,9 @@ enum class ShardRole : std::uint8_t {
 /// Human-readable role name ("unified" / "prefill" / "decode").
 std::string_view ShardRoleName(ShardRole role);
 
-/// Cluster-level admission control (load shedding). When enabled, every
-/// arriving request draws `prompt + max_new_tokens` tokens from a
+/// Cluster-level admission control (load shedding). On iff
+/// `burst_tokens > 0` (the default 0 admits everything): every arriving
+/// request draws `prompt + max_new_tokens` tokens from a
 /// deterministic token bucket refilled at `rate_tokens_per_second` of
 /// simulated time; a request whose tier's reserve floor (a fixed share
 /// of `burst_tokens`: interactive 0, standard 0.2, best-effort 0.5)
@@ -71,13 +81,13 @@ std::string_view ShardRoleName(ShardRole role);
 /// stream). Because the bucket depends only on the arrival trace and
 /// this config -- never on card count, placement, or scheduling -- the
 /// shed set is identical across cluster sizes (locked by
-/// tests/test_slo.cpp).
+/// tests/test_slo.cpp). A non-finite or negative rate or burst is a
+/// setup error.
 struct AdmissionConfig {
-  /// Master switch; off (the default) admits everything.
-  bool enable = false;
   /// Sustained token budget per second of simulated time.
   double rate_tokens_per_second = 0.0;
-  /// Bucket capacity: the burst the cluster absorbs at full reserve.
+  /// Bucket capacity: the burst the cluster absorbs at full reserve;
+  /// 0 turns admission control off.
   double burst_tokens = 0.0;
 };
 
@@ -86,13 +96,17 @@ struct AdmissionConfig {
 /// explicit targets. Goodput in ServingReport is computed against these.
 using TierSloTargets = std::array<TierSlo, kNumTiers>;
 
+/// Cost of one draft-model row as a fraction of a target-model row.
+inline constexpr double kDraftCostRatio = 0.15;
+
 /// Draft-and-verify speculative decoding. Each decode tick a cheap draft
 /// model proposes up to `draft_tokens` tokens per sequence; the grouped
 /// verify pass prices the pending token plus every draft as one packed
-/// launch (see hw::GroupedKernelCostModel) and the accepted run commits
-/// in a single tick's latency. Acceptance is a deterministic model: a
-/// hash of (acceptance_seed, stream index, absolute token position)
-/// against `acceptance_rate`, so the accepted-token schedule is
+/// launch (see hw::GroupedKernelCostModel), the draft rows at
+/// kDraftCostRatio each, and the accepted run commits in a single
+/// tick's latency. Acceptance is a deterministic model: a fixed-seed
+/// hash of (stream index, absolute token position) against
+/// `acceptance_rate`, so the accepted-token schedule is
 /// invariant across card count, placement, caching, dtype, and roles.
 /// Committed tokens are always the target model's own greedy/sampled
 /// tokens -- speculation moves latency, never content -- so streams
@@ -109,10 +123,6 @@ struct SpeculativeConfig {
   /// Probability a draft position is accepted, in [0, 1]. 0 rejects
   /// every draft (pure overhead), 1 accepts all k each tick.
   double acceptance_rate = 0.7;
-  /// Cost of one draft-model row as a fraction of a target-model row.
-  double draft_cost_ratio = 0.15;
-  /// Seed of the deterministic acceptance hash.
-  std::uint64_t acceptance_seed = 0x5eedc0de;
 };
 
 /// Knobs of one card's continuous-batching scheduler (shared verbatim by
@@ -125,8 +135,6 @@ struct SchedulerConfig {
   std::int32_t max_batch_seqs = 8;
   /// Per-tick token budget across decode + prefill.
   std::int32_t max_batch_tokens = 64;
-  /// Prefill tokens a kDecodePriority tick may carry (chunked prefill).
-  std::int32_t prefill_chunk_tokens = 8;
   /// Paged KV block size in tokens.
   std::uint32_t block_size_tokens = 16;
   /// On-device KV-block storage format. kInt8 roughly halves
@@ -142,11 +150,9 @@ struct SchedulerConfig {
   /// request's longest cached prefix onto shared blocks and prefill
   /// skips those tokens; token streams are byte-identical either way.
   bool enable_prefix_cache = true;
-  /// A waiting request older than this many ticks jumps the policy order
-  /// (prevents shortest-prompt-first starvation).
-  std::int32_t starvation_grace_ticks = 32;
-  /// KV pool budget override in bytes; 0 derives it from HBM capacity
-  /// minus the resident weight footprint and an activation reserve.
+  /// KV pool budget override in bytes, capped by each card's own
+  /// `hbm.capacity_bytes`; 0 derives it from HBM capacity minus the
+  /// resident weight footprint and an activation reserve.
   std::uint64_t kv_pool_bytes = 0;
   /// Honor ServingRequest::tier in admission order, decode-budget
   /// allocation, and preemption-victim selection (higher tiers admit

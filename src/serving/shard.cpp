@@ -16,6 +16,9 @@ namespace {
 /// compute tail.
 constexpr double kSharedShareCap = 0.95;
 
+/// Seed of the deterministic speculative-acceptance hash.
+constexpr std::uint64_t kAcceptanceSeed = 0x5eedc0de;
+
 /// Event skeleton for the telemetry trace; instants pass start == end.
 obs::RequestEvent MakeEvent(obs::RequestEventKind kind, std::int64_t stream,
                             std::int64_t tick, double start_seconds,
@@ -38,25 +41,8 @@ llama::SamplerConfig WithOverride(llama::SamplerConfig base,
   return base;
 }
 
-}  // namespace
-
-SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config) {
-  config.max_batch_seqs = std::max(1, config.max_batch_seqs);
-  config.max_batch_tokens = std::max(1, config.max_batch_tokens);
-  config.prefill_chunk_tokens = std::max(1, config.prefill_chunk_tokens);
-  config.block_size_tokens = std::max(1u, config.block_size_tokens);
-  // A sequence's verify group is 1 + draft_tokens rows; it must fit the
-  // per-tick token budget or no sequence could ever be planned.
-  config.speculative.draft_tokens =
-      std::clamp(config.speculative.draft_tokens, 0,
-                 config.max_batch_tokens - 1);
-  config.speculative.acceptance_rate =
-      std::clamp(config.speculative.acceptance_rate, 0.0, 1.0);
-  config.speculative.draft_cost_ratio =
-      std::max(0.0, config.speculative.draft_cost_ratio);
-  return config;
-}
-
+/// KV pool budget for one card: the explicit override clamped to HBM, or
+/// HBM capacity minus the resident-weight + activation/staging reserve.
 std::uint64_t DeriveKvPoolBytes(const accel::Program& program,
                                 const hw::U280Config& u280,
                                 std::uint64_t override_bytes) {
@@ -71,6 +57,22 @@ std::uint64_t DeriveKvPoolBytes(const accel::Program& program,
       static_cast<std::uint64_t>(program.model.num_params()) * bytes_per_param;
   const std::uint64_t reserve = weight_bytes + (256ull << 20);
   return u280.hbm.kv_budget_bytes(reserve);
+}
+
+}  // namespace
+
+SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config) {
+  config.max_batch_seqs = std::max(1, config.max_batch_seqs);
+  config.max_batch_tokens = std::max(1, config.max_batch_tokens);
+  config.block_size_tokens = std::max(1u, config.block_size_tokens);
+  // A sequence's verify group is 1 + draft_tokens rows; it must fit the
+  // per-tick token budget or no sequence could ever be planned.
+  config.speculative.draft_tokens =
+      std::clamp(config.speculative.draft_tokens, 0,
+                 config.max_batch_tokens - 1);
+  config.speculative.acceptance_rate =
+      std::clamp(config.speculative.acceptance_rate, 0.0, 1.0);
+  return config;
 }
 
 double DeriveSharedStepSeconds(const accel::Program& program,
@@ -296,7 +298,7 @@ std::vector<std::size_t> ShardScheduler::AdmissionCandidates() const {
     std::vector<std::size_t> aged, fresh;
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const Sequence& s = seqs_[order[pos]];
-      if (tick_index_ - s.wait_since_tick >= config_.starvation_grace_ticks) {
+      if (tick_index_ - s.wait_since_tick >= kStarvationGraceTicks) {
         aged.push_back(order[pos]);
       } else {
         fresh.push_back(order[pos]);
@@ -549,7 +551,7 @@ bool AcceptDraft(const SpeculativeConfig& spec, std::size_t stream,
                  std::int64_t position) {
   if (spec.acceptance_rate >= 1.0) return true;
   if (spec.acceptance_rate <= 0.0) return false;
-  std::uint64_t h = SpecMix(spec.acceptance_seed ^
+  std::uint64_t h = SpecMix(kAcceptanceSeed ^
                             SpecMix(static_cast<std::uint64_t>(stream) +
                                     0x9e3779b97f4a7c15ull));
   h = SpecMix(h ^ (static_cast<std::uint64_t>(position) + 1));
@@ -590,7 +592,7 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
     // Its value only passes through rolled-back pool accounting -- the
     // verify commits the target model's own samples, never this.
     const std::int32_t guess = static_cast<std::int32_t>(
-        SpecMix(spec.acceptance_seed ^
+        SpecMix(kAcceptanceSeed ^
                 static_cast<std::uint64_t>(base_pos + j) * 0x100000001b3ull) %
         static_cast<std::uint64_t>(program_.model.vocab_size));
     Status ap = pool_.Append(seq_id, guess);
@@ -921,7 +923,7 @@ void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
                                          std::int32_t budget) {
   std::int32_t prefill_budget =
       config_.policy == BatchPolicy::kDecodePriority
-          ? std::min(budget, config_.prefill_chunk_tokens)
+          ? std::min(budget, kDecodePriorityPrefillTokens)
           : budget;
   const auto plan = [&](std::size_t seq_id) {
     const std::int32_t chunk =
@@ -1142,13 +1144,12 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
   // The verify group launched 1 + drafted rows; rows past the committed
   // run are wasted work the packed launch still priced (each at the last
   // committed row's cost), and the draft model's own k rows ride along
-  // at the configured cost ratio.
+  // at kDraftCostRatio.
   const std::int32_t wasted = 1 + drafted - problem.fed;
   for (std::int32_t w = 0; w < wasted; ++w) {
     tick_cost_.AddProblem(last_forward_seconds_);
   }
-  tick_cost_.AddDraftRows(drafted, last_forward_seconds_,
-                          config_.speculative.draft_cost_ratio);
+  tick_cost_.AddDraftRows(drafted, last_forward_seconds_, kDraftCostRatio);
   report_.spec_wasted_tokens += wasted;
   report_.spec_accepted_tokens += problem.fed - 1;
   TraceInstant(obs::RequestEventKind::kVerifyAccept, seq_id, problem.fed - 1);
@@ -1268,10 +1269,9 @@ void ShardScheduler::CloseTick(const TickWork& work) {
     // registry here would interleave out of timestamp order with other
     // cards' overlapping ticks. Defer the snapshot to an event at the
     // tick's end: the event queue then serializes samples in time order.
-    if (telemetry_.OnTickEnd(sample)) {
-      engine_.ScheduleAt(end_cycles,
-                         [this, end_s] { telemetry_.SampleNow(end_s); });
-    }
+    telemetry_.OnTickEnd(sample);
+    engine_.ScheduleAt(end_cycles,
+                       [this, end_s] { telemetry_.SampleNow(end_s); });
   }
 
   // Stream this tick's commits at its end time, ahead of the next tick

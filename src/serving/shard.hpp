@@ -50,12 +50,6 @@ namespace speedllm::serving {
 /// api::Engine before its per-card fan-out).
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config);
 
-/// KV pool budget for one card: the explicit override clamped to HBM, or
-/// HBM capacity minus the resident-weight + activation/staging reserve.
-std::uint64_t DeriveKvPoolBytes(const accel::Program& program,
-                                const hw::U280Config& u280,
-                                std::uint64_t override_bytes);
-
 /// Amortized per-tick cost of a grouped launch on one card: the weight
 /// stream crosses HBM once per tick regardless of batch width, and
 /// launch/DMA-setup control runs once per kernel group.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "accel/executor.hpp"
 #include "compiler/compiler.hpp"
@@ -51,15 +52,24 @@ std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
   return PoissonTrace(rng, wc);
 }
 
+/// Serves `reqs` through one api::Engine over `cards`.
+StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
+                              hw::MultiCardConfig cards,
+                              api::EngineConfig config,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc) {
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, std::move(cards), std::move(config));
+  return testutil::ServeTrace(engine, reqs);
+}
+
 /// Serves `reqs` through one api::Engine over `cards` identical cards.
 StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
                               int cards, api::EngineConfig config,
                               const std::vector<ServingRequest>& reqs,
                               const llama::SamplerConfig& sc) {
-  config.num_cards = cards;
-  config.sampler = sc;
-  api::Engine engine(prog, f.weights, f.u280, std::move(config));
-  return testutil::ServeTrace(engine, reqs);
+  return Serve(prog, f, hw::MultiCardConfig::Homogeneous(f.u280, cards),
+               std::move(config), reqs, sc);
 }
 
 constexpr PlacementPolicy kAllPlacements[] = {
@@ -321,12 +331,14 @@ TEST(ClusterTest, BestFitRoutesToCardWithMostFreeKv) {
   api::EngineConfig config;
   config.placement = PlacementPolicy::kBestFitFreeKv;
   config.scheduler.block_size_tokens = 4;
-  // Card 1 has twice card 0's pool: the first request ties (16 vs 32
-  // blocks -> card 1 wins outright), and with queued demand projected the
-  // second must also prefer card 1's larger headroom.
-  config.kv_pool_bytes_per_card = {16ull * 4 * bytes_per_token,
-                                   32ull * 4 * bytes_per_token};
-  auto report = Serve(prog, f, 2, config, reqs, sc);
+  // Card 1 has twice card 0's HBM, so twice its pool: the first request
+  // ties (16 vs 32 blocks -> card 1 wins outright), and with queued
+  // demand projected the second must also prefer card 1's larger
+  // headroom.
+  config.scheduler.kv_pool_bytes = 32ull * 4 * bytes_per_token;
+  const hw::MultiCardConfig cards = testutil::CardsWithHbm(
+      f.u280, {16ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
+  auto report = Serve(prog, f, cards, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request[0], 1);  // most headroom
   // After projecting request 0's footprint (2 blocks) card 1 still has
@@ -340,7 +352,7 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   Fixture f;
   auto prog = f.Compile();
   const std::uint32_t bytes_per_token = KvBytesPerToken(f.config);
-  // Card 0's pool holds one 8-token sequence (2 blocks); card 1's holds
+  // Card 0's HBM holds one 8-token sequence (2 blocks); card 1's holds
   // sixteen. Round-robin pins half the burst on the starved card 0, whose
   // queue must drain to card 1 when its pool runs dry.
   llama::SamplerConfig sc;
@@ -352,9 +364,10 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   api::EngineConfig config;
   config.placement = PlacementPolicy::kRoundRobin;
   config.scheduler.block_size_tokens = 4;
-  config.kv_pool_bytes_per_card = {2ull * 4 * bytes_per_token,
-                                   32ull * 4 * bytes_per_token};
-  auto report = Serve(prog, f, 2, config, reqs, sc);
+  config.scheduler.kv_pool_bytes = 32ull * 4 * bytes_per_token;
+  const hw::MultiCardConfig cards = testutil::CardsWithHbm(
+      f.u280, {2ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
+  auto report = Serve(prog, f, cards, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->rebalanced_requests, 0);
   // Migrated requests are served by card 1 and complete with the same
@@ -367,15 +380,6 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
         << "request " << i;
     EXPECT_EQ(report->merged.outcomes[i].generated.size(), 4u);
   }
-
-  // With rebalancing off the same workload still completes (preemption
-  // keeps card 0 live), but nothing migrates.
-  config.rebalance_queued = false;
-  auto frozen_report = Serve(prog, f, 2, config, reqs, sc);
-  ASSERT_TRUE(frozen_report.ok()) << frozen_report.status().ToString();
-  EXPECT_EQ(frozen_report->rebalanced_requests, 0);
-  EXPECT_GE(frozen_report->merged.makespan_seconds,
-            report->merged.makespan_seconds);
 }
 
 // ---------------- accounting ----------------
@@ -470,12 +474,12 @@ TEST(ClusterTest, ValidatesCardsAndRequests) {
   // front: placement and rebalancing must be free to use any card.
   api::EngineConfig tight;
   tight.scheduler.block_size_tokens = 4;
-  tight.kv_pool_bytes_per_card = {
-      32ull * 4 * KvBytesPerToken(f.config),
-      2ull * 4 * KvBytesPerToken(f.config)};  // 8 tokens max on card 1
-  tight.num_cards = 2;
+  tight.scheduler.kv_pool_bytes = 32ull * 4 * KvBytesPerToken(f.config);
   tight.sampler = sc;
-  api::Engine engine(prog, f.weights, f.u280, tight);
+  const hw::MultiCardConfig cards = testutil::CardsWithHbm(
+      f.u280, {32ull * 4 * KvBytesPerToken(f.config),
+               2ull * 4 * KvBytesPerToken(f.config)});  // 8 tokens on card 1
+  api::Engine engine(prog, f.weights, cards, tight);
   EXPECT_EQ(engine.Submit(MakeRequest(6, 6, 0.0)).status().code(),
             StatusCode::kResourceExhausted);
 

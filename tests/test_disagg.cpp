@@ -3,13 +3,14 @@
 // roles with KV handoffs, the cluster-wide prefix directory with
 // remote-fetch arbitration, and prefix-index persistence across
 // api::Engine restarts. The headline invariant everywhere: token
-// streams are byte-identical to unified mode -- roles, fetch policy,
-// and interconnect contention move timing, never tokens.
+// streams are byte-identical to unified mode -- roles, fetch-or-recompute
+// decisions, and interconnect contention move timing, never tokens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -37,15 +38,24 @@ struct Fixture {
   }
 };
 
+/// Serves `reqs` through one api::Engine over `cards`.
+StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
+                              hw::MultiCardConfig cards,
+                              api::EngineConfig config,
+                              const std::vector<ServingRequest>& reqs,
+                              const llama::SamplerConfig& sc) {
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, std::move(cards), std::move(config));
+  return testutil::ServeTrace(engine, reqs);
+}
+
 /// Serves `reqs` through one api::Engine over `cards` identical cards.
 StatusOr<ClusterReport> Serve(const accel::Program& prog, const Fixture& f,
                               int cards, api::EngineConfig config,
                               const std::vector<ServingRequest>& reqs,
                               const llama::SamplerConfig& sc) {
-  config.num_cards = cards;
-  config.sampler = sc;
-  api::Engine engine(prog, f.weights, f.u280, std::move(config));
-  return testutil::ServeTrace(engine, reqs);
+  return Serve(prog, f, hw::MultiCardConfig::Homogeneous(f.u280, cards),
+               std::move(config), reqs, sc);
 }
 
 std::vector<ServingRequest> MixedTrace(const llama::ModelConfig& config,
@@ -210,7 +220,7 @@ TEST(DisaggTest, TokenStreamsIdenticalToUnifiedAcrossRolesDtypesCaching) {
   }
 }
 
-TEST(DisaggTest, StreamsIdenticalUnderEveryFetchPolicy) {
+TEST(DisaggTest, StreamsIdenticalWhetherPrefixesAreFetchedOrRecomputed) {
   Fixture f;
   auto prog = f.Compile();
   auto reqs = SharedTrace(f.config, 14);
@@ -221,67 +231,69 @@ TEST(DisaggTest, StreamsIdenticalUnderEveryFetchPolicy) {
   auto baseline = Serve(prog, f, 1, {}, reqs, sc);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  for (PrefixFetchPolicy policy :
-       {PrefixFetchPolicy::kAuto, PrefixFetchPolicy::kAlwaysFetch,
-        PrefixFetchPolicy::kNeverFetch}) {
+  // The default link, one that makes every fetch worth it, and one that
+  // makes none worth it.
+  const std::pair<const char*, hw::MultiCardConfig> links[] = {
+      {"default", hw::MultiCardConfig::Homogeneous(f.u280, 2)},
+      {"fast", testutil::FastLinkCards(f.u280, 2)},
+      {"slow", testutil::SlowLinkCards(f.u280, 2)}};
+  for (const auto& [name, cards] : links) {
     api::EngineConfig config;
     config.scheduler.block_size_tokens = 8;
-    config.prefix_fetch = policy;
-    auto report = Serve(prog, f, 2, config, reqs, sc);
+    auto report = Serve(prog, f, cards, config, reqs, sc);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->merged.outcomes[i].generated,
                 baseline->merged.outcomes[i].generated)
-          << PrefixFetchPolicyName(policy) << " request " << i;
+          << name << " link, request " << i;
     }
   }
 }
 
 // ---------------- remote-fetch arbitration ----------------
 
-TEST(DisaggTest, FetchPolicySeamsForceEachArbitrationBranch) {
+TEST(DisaggTest, LinkSpeedForcesEachArbitrationBranch) {
   Fixture f;
   auto prog = f.Compile();
   auto reqs = SharedTrace(f.config, 14);
   llama::SamplerConfig sc;
   sc.seed = 21;
 
-  auto run = [&](PrefixFetchPolicy policy) {
+  auto run = [&](hw::MultiCardConfig cards) {
     api::EngineConfig config;
     config.scheduler.block_size_tokens = 8;
     config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
-    config.prefix_fetch = policy;
-    auto report = Serve(prog, f, 2, config, reqs, sc);
+    auto report = Serve(prog, f, std::move(cards), config, reqs, sc);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(*report);
+    ClusterReport r = std::move(*report);
+    for (const auto& d : r.prefix_fetch_log) {
+      EXPECT_GT(d.tokens, 0);
+      EXPECT_GT(d.bytes, 0);
+      EXPECT_NE(d.src_card, d.dst_card);
+      // The arbitration invariant: a chosen fetch never costs more than
+      // the recompute it replaced (by the model's own estimates).
+      if (d.fetched) {
+        EXPECT_LE(d.fetch_seconds_estimate, d.recompute_seconds_estimate)
+            << "stream " << d.stream_index;
+      }
+    }
+    return r;
   };
 
-  const ClusterReport never = run(PrefixFetchPolicy::kNeverFetch);
-  EXPECT_EQ(never.remote_prefix_hits, 0);
-  EXPECT_TRUE(never.prefix_fetch_log.empty());
+  const ClusterReport slow = run(testutil::SlowLinkCards(f.u280, 2));
+  EXPECT_EQ(slow.remote_prefix_hits, 0);
+  EXPECT_FALSE(slow.prefix_fetch_log.empty());
+  for (const auto& d : slow.prefix_fetch_log) {
+    EXPECT_FALSE(d.fetched) << "stream " << d.stream_index;
+  }
 
-  const ClusterReport always = run(PrefixFetchPolicy::kAlwaysFetch);
-  EXPECT_GT(always.remote_prefix_hits, 0);
-  EXPECT_GT(always.remote_prefix_hit_tokens, 0);
-  EXPECT_GT(always.kv_transfer_bytes, 0);
+  const ClusterReport fast = run(testutil::FastLinkCards(f.u280, 2));
+  EXPECT_GT(fast.remote_prefix_hits, 0);
+  EXPECT_GT(fast.remote_prefix_hit_tokens, 0);
+  EXPECT_GT(fast.kv_transfer_bytes, 0);
   bool saw_fetch = false;
-  for (const auto& d : always.prefix_fetch_log) {
-    if (d.fetched) saw_fetch = true;
-    EXPECT_GT(d.tokens, 0);
-    EXPECT_GT(d.bytes, 0);
-    EXPECT_NE(d.src_card, d.dst_card);
-  }
+  for (const auto& d : fast.prefix_fetch_log) saw_fetch |= d.fetched;
   EXPECT_TRUE(saw_fetch);
-
-  const ClusterReport aut = run(PrefixFetchPolicy::kAuto);
-  // The arbitration invariant: a chosen fetch never costs more than the
-  // recompute it replaced (by the model's own estimates).
-  for (const auto& d : aut.prefix_fetch_log) {
-    if (d.fetched) {
-      EXPECT_LE(d.fetch_seconds_estimate, d.recompute_seconds_estimate)
-          << "stream " << d.stream_index;
-    }
-  }
 }
 
 // ---------------- DMA reconciliation ----------------
@@ -295,8 +307,7 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   sc.seed = 5;
   api::EngineConfig config;
   config.scheduler.block_size_tokens = 8;
-  const std::uint64_t tight = 10ull * 8 * KvBytesPerToken(f.config);
-  config.kv_pool_bytes_per_card = {tight, tight};
+  config.scheduler.kv_pool_bytes = 10ull * 8 * KvBytesPerToken(f.config);
   auto report = Serve(prog, f, 2, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every COW/restore/swap byte the pools report was queued through the
@@ -389,12 +400,13 @@ TEST(DisaggTest, DirectoryIndexesEveryCardUpToTheLimit) {
   Fixture f;
   auto prog = f.Compile();
   api::EngineConfig ec;
-  ec.num_cards = PrefixDirectory::kMaxCards;
   ec.scheduler.block_size_tokens = 8;
   ec.scheduler.kv_pool_bytes = 64 * 1024;
-  ec.prefix_fetch = PrefixFetchPolicy::kNeverFetch;
   const ServingRequest shared = testutil::MakeRequest(17, 2, 0.0);
-  api::Engine engine(prog, f.weights, f.u280, ec);
+  // A slow link: every card recomputes (and caches) the prompt itself.
+  api::Engine engine(
+      prog, f.weights,
+      testutil::SlowLinkCards(f.u280, PrefixDirectory::kMaxCards), ec);
   ASSERT_TRUE(testutil::ServeTrace(
                   engine, std::vector<ServingRequest>(
                               PrefixDirectory::kMaxCards, shared))

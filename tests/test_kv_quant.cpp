@@ -16,7 +16,6 @@
 
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "serving/cluster.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/scheduler.hpp"
 #include "test_util.hpp"
@@ -161,45 +160,6 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(fp16.outcomes[i].generated, int8.outcomes[i].generated);
   }
-}
-
-TEST(KvQuantTest, PerCardDtypeClusterKeepsStreamsIdentical) {
-  Fixture f;
-  auto prog = f.Compile();
-  SchedulerConfig homo;
-  homo.block_size_tokens = 8;
-  std::vector<ServingRequest> reqs;
-  for (int i = 0; i < 8; ++i) {
-    reqs.push_back(MakeRequest(6, 6, 0.0005 * i, i % 3));
-  }
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;
-
-  auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 2);
-  api::Engine homo_engine(prog, f.weights, cards,
-                          testutil::MakeEngineConfig(homo, sc));
-  auto homo_report = testutil::ServeTrace(homo_engine, reqs);
-  ASSERT_TRUE(homo_report.ok()) << homo_report.status().ToString();
-
-  // Card 0 fp16, card 1 int8: placement is unchanged, streams identical.
-  cards.kv_dtype_per_card = {KvCacheDtype::kFp16, KvCacheDtype::kInt8};
-  ASSERT_TRUE(cards.Validate().ok());
-  api::Engine mixed_engine(prog, f.weights, cards,
-                           testutil::MakeEngineConfig(homo, sc));
-  auto mixed_report = testutil::ServeTrace(mixed_engine, reqs);
-  ASSERT_TRUE(mixed_report.ok()) << mixed_report.status().ToString();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(mixed_report->merged.outcomes[i].generated,
-              homo_report->merged.outcomes[i].generated)
-        << "request " << i;
-  }
-  // The int8 card's pool holds more blocks than the fp16 card's.
-  EXPECT_GT(mixed_report->shard_reports[1].kv_block_capacity,
-            mixed_report->shard_reports[0].kv_block_capacity);
-
-  // A dtype list that does not name every card is rejected.
-  cards.kv_dtype_per_card = {KvCacheDtype::kInt8};
-  EXPECT_EQ(cards.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

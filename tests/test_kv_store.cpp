@@ -133,8 +133,11 @@ TEST(KvStoreTest, RemoteFetchRunsNoForwards) {
   api::EngineConfig config;
   config.scheduler.block_size_tokens = 8;
   config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
-  config.prefix_fetch = PrefixFetchPolicy::kAlwaysFetch;
-  auto report = RunCluster(f, 2, config, SharedTrace(f.config, 14));
+  config.sampler.seed = 21;
+  // A fast link makes every remote prefix worth fetching.
+  api::Engine engine(f.program, f.weights, testutil::FastLinkCards(f.u280, 2),
+                     config);
+  auto report = testutil::ServeTrace(engine, SharedTrace(f.config, 14));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->remote_prefix_hits, 0);
   ExpectForwardsMatchDeviceWork(report->merged);

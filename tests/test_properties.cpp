@@ -5,6 +5,7 @@
 // byte-identical streams and reports, and drain every KV pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -142,10 +143,12 @@ TEST(DeterminismTest, CyclesIdenticalAcrossRebuilds) {
 // ---------------- Scheduler fuzz: replay determinism + pool drain ------
 //
 // Every knob of the serving stack -- batching policy, budgets, block
-// size, KV dtype, caching, tiers, speculative
-// decoding, card count, placement, rebalancing -- is drawn from one
-// logged seed, together with a Poisson workload and a mid-stream cancel
-// schedule. The tuple runs twice through api::Engine; the two replays
+// size, KV dtype, caching, tiers, speculative decoding, card count,
+// placement, prefill/decode roles, admission control -- is drawn from
+// one logged seed, together with a Poisson workload and a mid-stream
+// cancel schedule. Draws of knobs that have since become constants are
+// kept (and discarded) so every later draw of a logged seed is
+// unchanged. The tuple runs twice through api::Engine; the two replays
 // must agree byte-for-byte (streams, finish reasons, timing, report
 // counters), every card's KV pool must be fully drained at completion,
 // and the cross-run counters must satisfy the stack's global
@@ -176,7 +179,7 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
       serving::PlacementPolicy::kBestFitFreeKv,
       serving::PlacementPolicy::kPrefixAffinity};
   config.placement = kPlacements[rng.NextBounded(4)];
-  config.rebalance_queued = rng.NextBounded(2) == 0;
+  (void)rng.NextBounded(2);  // once: rebalancing on or off
   serving::SchedulerConfig& s = config.scheduler;
   constexpr serving::BatchPolicy kPolicies[] = {
       serving::BatchPolicy::kFcfs, serving::BatchPolicy::kShortestPromptFirst,
@@ -184,7 +187,7 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   s.policy = kPolicies[rng.NextBounded(3)];
   s.max_batch_seqs = static_cast<std::int32_t>(2 + rng.NextBounded(7));
   s.max_batch_tokens = static_cast<std::int32_t>(16 + rng.NextBounded(49));
-  s.prefill_chunk_tokens = static_cast<std::int32_t>(4 + rng.NextBounded(13));
+  (void)rng.NextBounded(13);  // once: decode-priority's prefill cap
   s.block_size_tokens = 4u << rng.NextBounded(3);  // 4 / 8 / 16
   s.kv_cache_dtype = rng.NextBounded(2) == 0 ? serving::KvCacheDtype::kFp16
                                              : serving::KvCacheDtype::kInt8;
@@ -197,8 +200,8 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   s.speculative.enable = rng.NextBounded(2) == 0;
   s.speculative.draft_tokens = static_cast<std::int32_t>(rng.NextBounded(7));
   s.speculative.acceptance_rate = rng.NextDouble();
-  s.speculative.draft_cost_ratio = 0.3 * rng.NextDouble();
-  s.speculative.acceptance_seed = rng.NextU64();
+  (void)rng.NextDouble();  // once: the draft cost ratio
+  (void)rng.NextU64();     // once: the acceptance seed
   config.sampler.temperature = rng.NextBounded(2) == 0 ? 0.9f : 0.0f;
   config.sampler.seed = rng.NextU64();
 
@@ -220,6 +223,23 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
     if (rng.NextBounded(4) == 0) {
       cancel_after[i] = static_cast<int>(1 + rng.NextBounded(4));
     }
+  }
+
+  // Roles: all unified, or (on 2+ cards) 1..n-1 prefill cards followed
+  // by decode cards.
+  if (rng.NextBounded(2) == 0 && config.num_cards >= 2) {
+    const int prefill = static_cast<int>(
+        1 + rng.NextBounded(static_cast<std::uint64_t>(config.num_cards - 1)));
+    config.shard_roles.assign(static_cast<std::size_t>(config.num_cards),
+                              serving::ShardRole::kDecode);
+    std::fill_n(config.shard_roles.begin(), prefill,
+                serving::ShardRole::kPrefill);
+  }
+  // Admission: off (burst 0), or a burst of 20-220 tokens refilled at
+  // 0-100k tokens/s.
+  if (rng.NextBounded(2) == 0) {
+    s.admission.burst_tokens = 20.0 + 200.0 * rng.NextDouble();
+    s.admission.rate_tokens_per_second = 1e5 * rng.NextDouble();
   }
 
   api::Engine engine(prog, weights, u280, config);

@@ -136,24 +136,26 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
   auto prog = f.Compile();
   SchedulerConfig config;
   config.policy = BatchPolicy::kDecodePriority;
-  config.prefill_chunk_tokens = 2;
-  config.max_batch_tokens = 16;
+  config.max_batch_tokens = 32;
+  // The 20-token prompt needs several capped ticks, while request 0
+  // decodes beside it.
   std::vector<ServingRequest> reqs = {MakeRequest(2, 10, 0.0, 0),
-                                      MakeRequest(6, 2, 0.0, 1)};
+                                      MakeRequest(20, 2, 0.0, 1)};
   std::vector<Tick> ticks;
   auto report = Serve(prog, f, config, reqs, Greedy(), &ticks);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   bool mixed_tick = false;
   for (const Tick& tick : ticks) {
-    EXPECT_LE(tick.prefill_tokens, 2);  // chunked prefill honors the cap
+    // Chunked prefill honors the cap.
+    EXPECT_LE(tick.prefill_tokens, kDecodePriorityPrefillTokens);
     if (!tick.decode_seqs.empty() && tick.prefill_tokens > 0) {
       mixed_tick = true;
     }
   }
   EXPECT_TRUE(mixed_tick);  // decode and prefill genuinely coexist
 
-  // FCFS has no such cap: the 6-token prompt prefills in one gulp.
+  // FCFS has no such cap: both prompts prefill in one gulp.
   config.policy = BatchPolicy::kFcfs;
   std::vector<Tick> fcfs_ticks;
   ASSERT_TRUE(Serve(prog, f, config, reqs, Greedy(), &fcfs_ticks).ok());
@@ -161,7 +163,7 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
   for (const Tick& tick : fcfs_ticks) {
     max_prefill = std::max(max_prefill, tick.prefill_tokens);
   }
-  EXPECT_GT(max_prefill, 2);
+  EXPECT_GT(max_prefill, kDecodePriorityPrefillTokens);
 }
 
 // ---------------- aging / starvation ----------------
@@ -173,17 +175,15 @@ TEST(SchedulerTest, AgingPreventsShortestPromptStarvation) {
   config.policy = BatchPolicy::kShortestPromptFirst;
   config.max_batch_seqs = 1;  // serialize admissions
   config.max_batch_tokens = 16;
-  std::vector<ServingRequest> reqs;
-  reqs.push_back(MakeRequest(8, 1, 0.0, 0));  // long prompt, arrives first
-  for (int i = 1; i <= 4; ++i) reqs.push_back(MakeRequest(2, 1, 0.0, i));
-
-  config.starvation_grace_ticks = 2;
-  auto aged = Serve(prog, f, config, reqs);
-  ASSERT_TRUE(aged.ok());
-  config.starvation_grace_ticks = 1000000;
-  auto starved = Serve(prog, f, config, reqs);
-  ASSERT_TRUE(starved.ok());
-
+  // A long prompt arriving first, then `shorts` short ones.
+  const auto trace = [](int shorts) {
+    std::vector<ServingRequest> reqs;
+    reqs.push_back(MakeRequest(8, 1, 0.0, 0));
+    for (int i = 1; i <= shorts; ++i) {
+      reqs.push_back(MakeRequest(2, 1, 0.0, i));
+    }
+    return reqs;
+  };
   auto rank_of_long = [](const ServingReport& report) {
     int rank = 0;
     for (std::size_t i = 1; i < report.outcomes.size(); ++i) {
@@ -194,11 +194,21 @@ TEST(SchedulerTest, AgingPreventsShortestPromptStarvation) {
     }
     return rank;  // shorts admitted before the long request
   };
-  // Without aging, pure SPF admits every short prompt first.
-  EXPECT_EQ(rank_of_long(*starved), 4);
-  // With a small grace window the long request jumps back in line.
-  EXPECT_LT(rank_of_long(*aged), 4);
-  EXPECT_LT(aged->outcomes[0].latency(), starved->outcomes[0].latency());
+  // The shorts drain within the grace window: pure SPF admits every
+  // short prompt first.
+  constexpr int kFew = 8;
+  static_assert(kFew < kStarvationGraceTicks);
+  auto few = Serve(prog, f, config, trace(kFew));
+  ASSERT_TRUE(few.ok()) << few.status().ToString();
+  EXPECT_EQ(rank_of_long(*few), kFew);
+  // The shorts outlast the window: the long request ages past it and
+  // jumps back in line before the last short, though no earlier than
+  // the kFew shorts that drain within the window.
+  constexpr int kMany = kStarvationGraceTicks + 8;
+  auto many = Serve(prog, f, config, trace(kMany));
+  ASSERT_TRUE(many.ok()) << many.status().ToString();
+  EXPECT_LT(rank_of_long(*many), kMany);
+  EXPECT_GE(rank_of_long(*many), kFew);
 }
 
 // ---------------- KV exhaustion & preemption ----------------

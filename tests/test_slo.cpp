@@ -4,12 +4,14 @@
 // recomputation from the outcomes and against the exported SLO counters
 // (with tracing on or off), preemption ordering (a lower tier never
 // evicts a higher one), FinishReason::kShed surfacing through
-// api::Engine callbacks, and per-request sampler overrides.
+// api::Engine callbacks, admission-bucket validation, and per-request
+// sampler overrides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -112,7 +114,6 @@ TEST(SloTest, TiersOnOffByteIdenticalAtEqualAdmission) {
   // streams must be byte-identical because tier logic only *reorders*
   // scheduling -- per-request sampler seeding pins the tokens.
   api::EngineConfig base;
-  base.scheduler.admission.enable = true;
   base.scheduler.admission.rate_tokens_per_second = 20000.0;
   base.scheduler.admission.burst_tokens = 60.0;
   api::EngineConfig tiered = base;
@@ -140,7 +141,6 @@ TEST(SloTest, ShedSetIsIdenticalAcrossCardCounts) {
 
   api::EngineConfig config;
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
   config.scheduler.admission.rate_tokens_per_second = 30000.0;
   config.scheduler.admission.burst_tokens = 60.0;
 
@@ -245,7 +245,6 @@ TEST(SloTest, TierReportMatchesOutcomesWithTracingOnOrOff) {
   api::EngineConfig config;
   config.telemetry.enable_tracing = true;
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
   config.scheduler.admission.rate_tokens_per_second = 30000.0;
   config.scheduler.admission.burst_tokens = 80.0;
   // Interactive attains freely, standard (1 ps TTFT) can never attain,
@@ -302,8 +301,8 @@ TEST(SloTest, TtftTargetAtAnOutcomesOwnTtftAttainsEverywhere) {
   auto probe = MustRun(f, prog, reqs, config, 1, Stochastic());
 
   // A request whose arrival lies past its nearest kernel-clock cycle:
-  // the engine schedules it at that earlier cycle, but its outcome keeps
-  // the exact arrival, so a target equal to the outcome's TTFT sits
+  // the engine schedules it at that earlier cycle and its outcome's
+  // arrival is that cycle, so a target equal to the outcome's TTFT sits
   // exactly on the attainment boundary.
   const double cycles_per_second = f.u280.clock_mhz * 1e6;
   std::size_t pick = reqs.size();
@@ -404,7 +403,6 @@ TEST(SloTest, ShedRejectionsSurfaceThroughEngineCallbacks) {
   api::EngineConfig config;
   config.sampler = Stochastic();
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
   // Bucket of 20 tokens and no refill: the first interactive request
   // (cost 4 + 8 = 12) is admitted, the rest of the burst bounces.
   config.scheduler.admission.rate_tokens_per_second = 0.0;
@@ -442,6 +440,27 @@ TEST(SloTest, ShedRejectionsSurfaceThroughEngineCallbacks) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->merged.shed_requests, 2);
   EXPECT_EQ(report->merged.outcomes[1].finish_reason, FinishReason::kShed);
+}
+
+TEST(SloTest, NonFiniteOrNegativeAdmissionBucketIsASetupError) {
+  Fixture f;
+  auto prog = f.Compile();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // {rate, burst}: a NaN rate would refill the bucket to full at every
+  // arrival, an infinite burst would admit everything, and a negative
+  // rate would drain the bucket over time.
+  const std::pair<double, double> bad[] = {
+      {nan, 20.0}, {1000.0, inf}, {-1000.0, 20.0}};
+  for (const auto& [rate, burst] : bad) {
+    SCOPED_TRACE(::testing::Message() << "rate " << rate << " burst " << burst);
+    api::EngineConfig config;
+    config.scheduler.admission.rate_tokens_per_second = rate;
+    config.scheduler.admission.burst_tokens = burst;
+    api::Engine engine(prog, f.weights, f.u280, config);
+    EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------- per-request sampler overrides -----------------------

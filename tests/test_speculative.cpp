@@ -10,7 +10,7 @@
 //    chain hash / cache state), draft blocks never enter the prefix
 //    cache and never leak refcounts, mid-phase Release is legal;
 //  * stream identity spec-on vs spec-off across card count, placement
-//    policy, prefix caching, KV dtype mix, and disaggregated roles;
+//    policy, prefix caching, and disaggregated roles;
 //  * edge acceptance models: k=0 (byte-identical reports including
 //    timing), always-reject (identical streams, waste accounted, slower)
 //    and always-accept (identical streams, strictly faster);
@@ -254,7 +254,6 @@ TEST(SpeculativeTest, StreamsIdenticalAcrossPlacementsAndCardCounts) {
     for (PlacementPolicy placement : kAllPlacements) {
       api::EngineConfig off;
       off.placement = placement;
-      off.rebalance_queued = false;
       api::EngineConfig on = off;
       on.scheduler.speculative = DefaultSpec();
       const std::string tag = std::to_string(num_cards) + "-cards/" +
@@ -268,19 +267,18 @@ TEST(SpeculativeTest, StreamsIdenticalAcrossPlacementsAndCardCounts) {
   }
 }
 
-TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
+TEST(SpeculativeTest, StreamsIdenticalWithCachingOffAndSplitRoles) {
   Fixture f;
   auto prog = f.Compile();
   auto reqs = MixedTrace(f.config, 14, 99);
   llama::SamplerConfig sc;
   sc.temperature = 0.8f;
   sc.seed = 7;
-  auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 8);
+  const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 8);
   // Leg 1: prefix caching off (draft phases with no cache to protect).
   {
     api::EngineConfig off;
     off.placement = PlacementPolicy::kPrefixAffinity;
-    off.rebalance_queued = false;
     off.scheduler.enable_prefix_cache = false;
     off.scheduler.block_size_tokens = 8;
     api::EngineConfig on = off;
@@ -288,28 +286,11 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "cache-off");
   }
-  // Leg 2: heterogeneous KV dtypes (fp16/int8 chain seeds differ; draft
-  // phases must respect each card's geometry).
-  {
-    cards.kv_dtype_per_card = {KvCacheDtype::kFp16, KvCacheDtype::kInt8,
-                               KvCacheDtype::kFp16, KvCacheDtype::kInt8,
-                               KvCacheDtype::kInt8, KvCacheDtype::kFp16,
-                               KvCacheDtype::kInt8, KvCacheDtype::kFp16};
-    api::EngineConfig off;
-    off.placement = PlacementPolicy::kRoundRobin;
-    off.rebalance_queued = false;
-    api::EngineConfig on = off;
-    on.scheduler.speculative = DefaultSpec();
-    ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
-                      RunOnce(prog, f, cards, on, reqs, sc), "kv-dtype-mix");
-    cards.kv_dtype_per_card.clear();
-  }
-  // Leg 3: disaggregated roles -- speculation only runs on the decode
+  // Leg 2: disaggregated roles -- speculation only runs on the decode
   // side; handed-off sequences draft like home-grown ones.
   {
     api::EngineConfig off;
     off.placement = PlacementPolicy::kRoundRobin;
-    off.rebalance_queued = false;
     off.shard_roles = {ShardRole::kPrefill, ShardRole::kPrefill,
                        ShardRole::kDecode,  ShardRole::kDecode,
                        ShardRole::kDecode,  ShardRole::kUnified,
@@ -333,7 +314,6 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
   api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
-  off.rebalance_queued = false;
   api::EngineConfig on = off;
   on.scheduler.speculative.enable = true;
   on.scheduler.speculative.draft_tokens = 0;
@@ -358,7 +338,6 @@ TEST(SpeculativeTest, AlwaysRejectKeepsStreamsAndAccountsWaste) {
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
   api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
-  off.rebalance_queued = false;
   api::EngineConfig on = off;
   on.scheduler.speculative = DefaultSpec();
   on.scheduler.speculative.acceptance_rate = 0.0;
@@ -383,7 +362,6 @@ TEST(SpeculativeTest, AlwaysAcceptCommitsRunsAndIsStrictlyFaster) {
   const auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 4);
   api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
-  off.rebalance_queued = false;
   api::EngineConfig on = off;
   on.scheduler.speculative = DefaultSpec();
   on.scheduler.speculative.acceptance_rate = 1.0;

@@ -2,12 +2,14 @@
 // metrics-registry semantics, trace determinism (byte-identical exports
 // across runs; per-stream lifecycles invariant across placement policy,
 // prefix caching, and KV dtype), lifecycle completeness (exactly one
-// terminal event per stream), zero simulation perturbation from
+// terminal event per stream), one arrival time shared by a request's
+// submit event and its outcome, zero simulation perturbation from
 // enabling telemetry, and event-vs-report accounting (preemptions, DMA
 // bytes and time) under forced KV pressure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -230,6 +232,34 @@ TEST(TelemetryTest, LifecycleCompleteAndConsistentWithReport) {
     generated_total += static_cast<std::int64_t>(outcome.generated.size());
   }
   EXPECT_EQ(decode_total, generated_total);
+}
+
+TEST(TelemetryTest, SubmitEventsAndOutcomesShareOneArrival) {
+  // Poisson arrivals fall between kernel-clock cycles. The simulation
+  // acts on the rounded cycle, and the trace and the report must both
+  // say so: a TTFT read from the trace equals the report's.
+  Fixture f;
+  auto prog = f.Compile();
+  auto reqs = MixedTrace(f.config, 24);
+  const double cycles_per_second = f.u280.clock_mhz * 1e6;
+  int off_cycle = 0;
+  for (const auto& r : reqs) {
+    const double cycles = r.arrival_seconds * cycles_per_second;
+    off_cycle += static_cast<double>(std::llround(cycles)) != cycles;
+  }
+  ASSERT_GT(off_cycle, 0);
+  auto run = RunEngine(f, prog, reqs, FullTelemetry(2));
+  ASSERT_NE(run.engine->telemetry(), nullptr);
+  int submits = 0;
+  for (const RequestEvent& e : run.engine->telemetry()->trace()->events()) {
+    if (e.kind != RequestEventKind::kSubmit) continue;
+    ++submits;
+    const auto& outcome =
+        run.report.merged.outcomes[static_cast<std::size_t>(e.stream)];
+    EXPECT_EQ(e.start_seconds, outcome.arrival_seconds)
+        << "stream " << e.stream;
+  }
+  EXPECT_EQ(submits, static_cast<int>(reqs.size()));
 }
 
 TEST(TelemetryTest, StreamLifecyclesInvariantAcrossServingConfigs) {

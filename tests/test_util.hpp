@@ -90,6 +90,42 @@ inline api::EngineConfig MakeEngineConfig(
   return config;
 }
 
+/// `num_cards` copies of `u280` joined by a fast link (unbounded
+/// bandwidth, no latency): fetching a remote card's cached prefix beats
+/// recomputing it, so admission-time arbitration takes the fetch branch.
+inline hw::MultiCardConfig FastLinkCards(const hw::U280Config& u280,
+                                         int num_cards) {
+  hw::MultiCardConfig cards = hw::MultiCardConfig::Homogeneous(u280, num_cards);
+  cards.interconnect.link_bytes_per_cycle = 1u << 30;
+  cards.interconnect.link_latency_cycles = 0;
+  return cards;
+}
+
+/// `num_cards` copies of `u280` joined by a slow link (1 B/cycle, ~30 ms
+/// at 300 MHz): recomputing a prefix always beats fetching it, so
+/// admission-time arbitration logs only recompute decisions.
+inline hw::MultiCardConfig SlowLinkCards(const hw::U280Config& u280,
+                                         int num_cards) {
+  hw::MultiCardConfig cards = hw::MultiCardConfig::Homogeneous(u280, num_cards);
+  cards.interconnect.link_bytes_per_cycle = 1;
+  cards.interconnect.link_latency_cycles = 10'000'000;
+  return cards;
+}
+
+/// One copy of `u280` per entry of `hbm_bytes`, with that HBM capacity.
+/// With SchedulerConfig::kv_pool_bytes at or above every entry, each
+/// card's KV pool is exactly its entry (a card's capacity caps the
+/// override).
+inline hw::MultiCardConfig CardsWithHbm(
+    const hw::U280Config& u280, const std::vector<std::uint64_t>& hbm_bytes) {
+  hw::MultiCardConfig cards;
+  for (std::uint64_t bytes : hbm_bytes) {
+    cards.cards.push_back(u280);
+    cards.cards.back().hbm.capacity_bytes = bytes;
+  }
+  return cards;
+}
+
 /// Submits every request to `engine` in order, drains the clock, and
 /// returns the harvested report (or the first rejected Submit's status).
 /// The engine stays inspectable afterwards (telemetry, KV pool counters).
