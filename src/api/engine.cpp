@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -64,12 +63,6 @@ RequestOutcome UnservedOutcome(const ServingRequest& request,
 Status ValidateSetup(const hw::MultiCardConfig& cards,
                      const EngineConfig& config) {
   SPEEDLLM_RETURN_IF_ERROR(cards.Validate());
-  if (cards.num_cards() > serving::PrefixDirectory::kMaxCards) {
-    return InvalidArgument(
-        std::to_string(cards.num_cards()) + " cards exceed the limit of " +
-        std::to_string(serving::PrefixDirectory::kMaxCards) +
-        " (the prefix directory's card sets are 64-bit masks)");
-  }
   SPEEDLLM_RETURN_IF_ERROR(
       serving::ValidateClusterRoles(config.shard_roles, cards.num_cards()));
   // Out-of-range knobs are clamped by NormalizeSchedulerConfig; only
@@ -119,7 +112,7 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
     telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
   }
   // Every shard's local DMA and every cross-card KV move queue on one
-  // shared station model; the directory mirrors each pool's index.
+  // shared station model.
   interconnect_ = std::make_unique<serving::Interconnect>(cards_);
   const int n = cards_.num_cards();
   shards_.reserve(static_cast<std::size_t>(n));
@@ -138,7 +131,6 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
       shard.set_telemetry(telemetry_->MakeShardChannel(c));
     }
     shard.set_interconnect(interconnect_.get(), c);
-    directory_.Attach(c, &shard.mutable_pool());
     // The shard calls the engine directly: its tokens and finishes go to
     // the stream's callbacks, KV pressure triggers a rebalance, and a
     // prefill card's finished prompts ship as handoffs.
@@ -656,16 +648,25 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   if (cap <= 0) return false;
   const std::int64_t local_tokens =
       shard.pool().MatchCachedPrefix(request.prompt, cap).matched_tokens;
-  const serving::PrefixDirectory::Location loc = directory_.Locate(
-      request.prompt, cap, serving::KvChainSeed(pool_config.dtype),
-      pool_config.block_size_tokens, std::uint64_t{1} << dst);
-  if (loc.matched_tokens <= local_tokens) return false;
-  const std::int32_t src = std::countr_zero(loc.card_mask);
-  const std::int64_t delta_tokens = loc.matched_tokens - local_tokens;
+  // The source is the lowest card id among those holding the longest
+  // cached prefix, decode cards included.
+  std::int32_t src = -1;
+  serving::PrefixMatch remote;
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
+    if (c == dst) continue;
+    const serving::PrefixMatch match =
+        shards_[c]->pool().MatchCachedPrefix(request.prompt, cap);
+    if (match.matched_tokens > remote.matched_tokens) {
+      remote = match;
+      src = static_cast<std::int32_t>(c);
+    }
+  }
+  if (remote.matched_tokens <= local_tokens) return false;
+  const std::int64_t delta_tokens = remote.matched_tokens - local_tokens;
   const std::int64_t local_blocks =
       local_tokens / pool_config.block_size_tokens;
   const std::int64_t bytes =
-      (loc.matched_blocks - local_blocks) *
+      (remote.matched_blocks - local_blocks) *
       static_cast<std::int64_t>(pool_config.block_bytes());
   const sim::Cycles now = engine_.now();
   const sim::Cycles fetch_end = interconnect_->EstimateTransferEnd(
@@ -689,7 +690,7 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   }
   ++remote_hits_;
   remote_hit_tokens_ += delta_tokens;
-  const std::int64_t fetch_tokens = loc.matched_tokens;
+  const std::int64_t fetch_tokens = remote.matched_tokens;
   // The pages leave the source now: snapshot their K/V, since the source
   // may evict the blocks before the transfer lands.
   std::vector<float> rows =
@@ -743,31 +744,9 @@ std::int64_t Engine::kv_block_capacity(int card) const {
   return p == nullptr ? 0 : p->num_blocks();
 }
 
-serving::KvCacheDtype Engine::kv_cache_dtype(int card) const {
-  const serving::KvBlockPool* p = pool(card);
-  return p == nullptr ? config_.scheduler.kv_cache_dtype : p->config().dtype;
-}
-
 serving::KvPoolStats Engine::kv_pool_stats(int card) const {
   const serving::KvBlockPool* p = pool(card);
   return p == nullptr ? serving::KvPoolStats{} : p->stats();
-}
-
-serving::PrefixDirectorySnapshot Engine::ExportPrefixDirectory() const {
-  return directory_.Export();
-}
-
-void Engine::ImportPrefixDirectory(
-    const serving::PrefixDirectorySnapshot& snapshot) {
-  // Cost-free (simulated t=0 warmup, no DMA): the blocks are assumed
-  // already resident from the previous engine life.
-  for (const serving::PrefixDirectorySnapshot::Chain& chain :
-       snapshot.chains) {
-    const std::size_t card = static_cast<std::size_t>(chain.card);
-    if (chain.card < 0 || card >= shards_.size()) continue;
-    shards_[card]->WarmStartPrefix(
-        chain.tokens, static_cast<std::int64_t>(chain.tokens.size()));
-  }
 }
 
 // ------------------------------------------------------ telemetry export

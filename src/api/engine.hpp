@@ -14,16 +14,16 @@
 // The engine is the cluster: it owns one sim::Engine clock, one
 // accel::WeightImage every card's executor reads, N per-card
 // serving::ShardScheduler instances chaining their ticks on that clock,
-// the card-to-card interconnect, the cluster-wide prefix directory and
-// the telemetry. It places every arriving request on a card
-// (serving::PlacementPolicy), sheds under admission control, migrates
-// queued requests away from a dry card, ships prefill-to-decode KV
-// handoffs, arbitrates remote prefix fetches, and harvests one report
-// over the shared timeline. A single card is a cluster of one. This
-// class is the only serving driver: offline serving is the same engine
-// fed the whole trace up front (Submit each request, RunToCompletion,
-// Finish), so offline and online paths share every line of scheduling
-// logic and produce byte-identical token streams.
+// the card-to-card interconnect and the telemetry. It places every
+// arriving request on a card (serving::PlacementPolicy), sheds under
+// admission control, migrates queued requests away from a dry card,
+// ships prefill-to-decode KV handoffs, arbitrates remote prefix
+// fetches, and harvests one report over the shared timeline. A single
+// card is a cluster of one. This class is the only serving driver:
+// offline serving is the same engine fed the whole trace up front
+// (Submit each request, RunToCompletion, Finish), so offline and online
+// paths share every line of scheduling logic and produce byte-identical
+// token streams.
 #pragma once
 
 #include <array>
@@ -45,6 +45,7 @@
 #include "obs/telemetry.hpp"
 #include "serving/cluster.hpp"
 #include "serving/interconnect.hpp"
+#include "serving/kv_pool.hpp"
 #include "serving/request.hpp"
 #include "serving/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -103,8 +104,7 @@ struct StreamCallbacks {
 /// Construction-time engine parameters (cards, scheduling, sampling).
 struct EngineConfig {
   /// Cards to shard across (U280Config constructor only; the
-  /// MultiCardConfig constructor derives it from the card list). At most
-  /// serving::PrefixDirectory::kMaxCards: more is a setup error.
+  /// MultiCardConfig constructor derives it from the card list).
   int num_cards = 1;
   /// Per-card scheduler knobs, including the KV-cache storage dtype
   /// (serving::SchedulerConfig::kv_cache_dtype).
@@ -203,16 +203,14 @@ class Engine {
   /// True once `handle`'s on_finish has fired (or would have).
   bool finished(RequestHandle handle) const;
   /// KV blocks currently allocated on `card` (cancellation and
-  /// stop-token tests observe block recycling through this). The four
-  /// per-card queries return their empty defaults (0, the configured
-  /// dtype, zeroed stats) for a card outside [0, num_cards()).
+  /// stop-token tests observe block recycling through this). The three
+  /// per-card queries return their empty defaults (0, zeroed stats) for
+  /// a card outside [0, num_cards()).
   std::int64_t kv_blocks_in_use(int card) const;
   /// Total KV blocks `card`'s pool was carved into. Blocks already
-  /// reflect the card's dtype: an int8 card has ~2x the blocks of an
-  /// fp16 card at equal HBM.
+  /// reflect the KV dtype: int8 carves ~2x the blocks of fp16 at equal
+  /// HBM.
   std::int64_t kv_block_capacity(int card) const;
-  /// KV-cache storage dtype `card`'s pool runs with.
-  serving::KvCacheDtype kv_cache_dtype(int card) const;
   /// Live KV pool counters for `card`, including the prefix-cache
   /// hit/eviction/copy-on-write stats -- how multi-turn clients observe
   /// their conversation history being reused across turns.
@@ -232,14 +230,6 @@ class Engine {
   const serving::ShardScheduler& shard(int card) const {
     return *shards_[static_cast<std::size_t>(card)];
   }
-  /// Token-level snapshot of every card's cached prefix chains; feed it
-  /// to a fresh engine's ImportPrefixDirectory to persist the
-  /// cluster-wide prefix index across engine restarts.
-  serving::PrefixDirectorySnapshot ExportPrefixDirectory() const;
-  /// Warm-starts per-card KV caches (and thereby the cluster-wide
-  /// prefix index) from a snapshot taken by ExportPrefixDirectory on a
-  /// previous engine life. Zero simulated cost; call before Submit().
-  void ImportPrefixDirectory(const serving::PrefixDirectorySnapshot& snapshot);
 
   // ----- telemetry export -----
   /// The engine's telemetry (trace + metrics), or null when
@@ -320,11 +310,12 @@ class Engine {
   void HandleHandoff(serving::KvHandoff handoff, sim::Cycles ready,
                      std::int32_t src);
   /// Admission-time remote-prefix arbitration for stream `index` placed
-  /// on `dst`: fetch a remote card's longer cached prefix when the
-  /// estimated transfer time is at most the estimated local recompute
-  /// time. Returns true when a fetch was chosen: the transfer is
-  /// charged and the shard Submit is deferred to the transfer's end (the
-  /// caller must not Submit). Logs the decision either way.
+  /// on `dst`: probe every other card's pool and fetch the longest
+  /// cached prefix (lowest card id on a tie) when it beats `dst`'s own
+  /// and the estimated transfer time is at most the estimated local
+  /// recompute time. Returns true when a fetch was chosen: the transfer
+  /// is charged and the shard Submit is deferred to the transfer's end
+  /// (the caller must not Submit). Logs the decision either way.
   bool MaybeFetchPrefix(std::size_t index, std::size_t dst);
   /// Records the send/recv kKvTransfer event pair and per-link metrics
   /// for one interconnect transfer window.
@@ -346,9 +337,6 @@ class Engine {
   // Shared card-to-card link + HBM-channel model; every shard's local
   // DMA and every KV transfer queue on the same stations.
   std::unique_ptr<serving::Interconnect> interconnect_;
-  // Cluster-wide prefix index fed by per-pool cache listeners; declared
-  // after shards_ so it detaches from the pools before they die.
-  serving::PrefixDirectory directory_;
   // Cards that may receive placed arrivals (everything but kDecode).
   std::vector<std::size_t> placeable_;
 

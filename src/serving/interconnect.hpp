@@ -1,36 +1,30 @@
-// SpeedLLM -- simulated card-to-card interconnect and cluster-wide
-// prefix-cache federation (the disaggregation layer).
+// SpeedLLM -- simulated card-to-card interconnect (the disaggregation
+// layer).
 //
-// Two pieces live here. serving::Interconnect queues every KV byte that
-// moves -- card-local COW/restore/swap DMA and cross-card KV transfers
-// -- on per-card hw::HbmStack stations plus one serial link station per
-// directed card pair, so concurrent moves serialize honestly instead of
-// being charged additively (the PR-5 model). A cross-card transfer is
+// serving::Interconnect queues every KV byte that moves -- card-local
+// COW/restore/swap DMA and cross-card KV transfers -- on per-card
+// hw::HbmStack stations plus one serial link station per directed card
+// pair, so concurrent moves serialize honestly instead of being charged
+// additively (the PR-5 model). A cross-card transfer is
 // store-and-forward: read out of the source card's HBM channel group,
 // cross the link, write into the destination's group. KV traffic rides
 // the KV channel group of each stack; weight streams occupy disjoint
 // groups per the U280 HBM switch model (hw/hbm.hpp), so the contention
 // that matters -- KV transfer vs. KV DMA on one card -- is modeled
 // station-accurately while uncontended moves keep the exact PR-5 cost.
-//
-// serving::PrefixDirectory is the cluster-wide prefix index: it mirrors
-// every card's content-address index via KvCacheListener callbacks
-// (KvBlockPool hash-chain inserts/evicts), answers "which cards hold
-// this prompt's longest cached prefix" at admission, and exports a
-// token-level snapshot that survives api::Engine restarts. Admission
-// arbitration (remote-fetch vs. local-recompute) lives in api::Engine;
-// this file supplies the mechanism.
+// serving::KvHandoff is the payload a prefill card ships to a decode
+// card. Admission arbitration (remote-fetch vs. local-recompute) lives
+// in api::Engine, which probes each other card's pool for the longest
+// cached prefix; this file supplies the transfer mechanism.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "hw/cluster.hpp"
 #include "hw/hbm.hpp"
 #include "llama/sampler.hpp"
-#include "serving/kv_pool.hpp"
 #include "serving/request.hpp"
 #include "sim/station.hpp"
 
@@ -131,80 +125,6 @@ struct KvHandoff {
   /// Physical KV payload shipped, dtype-aware: whole blocks at the
   /// pool's block_bytes() (int8 pools ship roughly half of fp16's).
   std::int64_t kv_bytes = 0;
-};
-
-/// Token-level image of the cluster-wide prefix index: which full-block
-/// prompt prefixes each card held. Serializable across api::Engine
-/// restarts -- importing it warm-starts each card's pool (and thereby
-/// the directory itself) at zero simulated cost.
-struct PrefixDirectorySnapshot {
-  /// One card-resident cached prefix chain.
-  struct Chain {
-    /// Card whose pool held the chain.
-    std::int32_t card = 0;
-    /// Full token prefix, a whole number of blocks long.
-    std::vector<std::int32_t> tokens;
-  };
-  /// Maximal chains per card, deterministically ordered.
-  std::vector<Chain> chains;
-};
-
-/// Cluster-wide prefix index over the per-card content-addressed pools.
-/// Attach() subscribes it to a pool's index changes; Locate() walks the
-/// same dtype-seeded hash chain the pools use, so a hit here is exactly
-/// a hit some card's MatchCachedPrefix would report. Supports up to 64
-/// cards (card sets are bitmasks).
-class PrefixDirectory {
- public:
-  PrefixDirectory();
-  ~PrefixDirectory();
-  PrefixDirectory(const PrefixDirectory&) = delete;
-  PrefixDirectory& operator=(const PrefixDirectory&) = delete;
-
-  /// Cards one directory can index: card sets are 64-bit masks.
-  static constexpr int kMaxCards = 64;
-
-  /// Result of a cluster-wide longest-prefix probe.
-  struct Location {
-    /// Prompt tokens covered by the deepest chain some card fully holds.
-    std::int64_t matched_tokens = 0;
-    /// Full blocks backing them.
-    std::int64_t matched_blocks = 0;
-    /// Bitmask of cards holding the entire contiguous prefix.
-    std::uint64_t card_mask = 0;
-  };
-
-  /// Subscribes to `pool`'s index changes as `card` (below kMaxCards)
-  /// and records the pool's dtype chain seed (for snapshot root
-  /// detection). The pool must outlive this directory or be detached
-  /// first (the directory detaches every attached pool on destruction).
-  void Attach(std::int32_t card, KvBlockPool* pool);
-
-  /// Longest prefix of `tokens` (capped at `max_tokens`) fully held by
-  /// at least one card outside `exclude_mask`, walking the chain from
-  /// `chain_seed` in `block_size_tokens` steps. Cards whose pool dtype
-  /// differs from the seed's dtype never match (their chains hash
-  /// differently), so a fetch candidate always has compatible blocks.
-  Location Locate(std::span<const std::int32_t> tokens,
-                  std::int64_t max_tokens, std::uint64_t chain_seed,
-                  std::uint32_t block_size_tokens,
-                  std::uint64_t exclude_mask = 0) const;
-
-  /// Token-level snapshot of every card's maximal cached chains.
-  PrefixDirectorySnapshot Export() const;
-
-  /// Distinct chain hashes currently indexed.
-  std::int64_t entries() const;
-
- private:
-  struct CardListener;
-  struct Impl;
-  void OnInsert(std::int32_t card, std::uint64_t chain_hash,
-                std::uint64_t parent_hash,
-                std::span<const std::int32_t> block_tokens);
-  void OnEvict(std::int32_t card, std::uint64_t chain_hash);
-
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace speedllm::serving

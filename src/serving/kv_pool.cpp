@@ -190,9 +190,6 @@ std::int64_t KvBlockPool::InstallCachedPrefix(
       cache_.emplace(next, block);
       ++stats_.cache_insertions;
       ++stats_.remote_install_blocks;
-      if (listener_ != nullptr) {
-        listener_->OnCacheInsert(next, h, block_tokens);
-      }
     }
     h = next;
     ++full;
@@ -325,7 +322,6 @@ std::int32_t KvBlockPool::AllocateBlock() {
     BlockMeta& m = meta_[static_cast<std::size_t>(b)];
     assert(m.refcount == 0 && m.cached && "LRU held a live block");
     cache_.erase(m.hash);
-    if (listener_ != nullptr) listener_->OnCacheEvict(m.hash);
     m.cached = false;
     m.hash = 0;
     ++stats_.cache_evictions;
@@ -367,7 +363,6 @@ void KvBlockPool::DropBlockRef(std::int32_t block) {
 }
 
 void KvBlockPool::SealTailBlock(SeqState& state) {
-  const std::uint64_t parent = state.chain_hash;
   state.chain_hash = MixBlock(state.chain_hash, state.tail);
   if (!config_.enable_prefix_cache) {
     state.tail.clear();
@@ -383,9 +378,6 @@ void KvBlockPool::SealTailBlock(SeqState& state) {
     m.cached = true;
     m.hash = state.chain_hash;
     ++stats_.cache_insertions;
-    if (listener_ != nullptr) {
-      listener_->OnCacheInsert(state.chain_hash, parent, state.tail);
-    }
   }
   // Equal content already cached (e.g. the source of a copy-on-write):
   // this physical copy stays private and is simply freed on release.

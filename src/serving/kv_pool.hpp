@@ -103,27 +103,9 @@ std::uint64_t KvChainSeed(KvCacheDtype dtype);
 
 /// Advances a chain hash by one full block of token content -- the same
 /// mix every KvBlockPool uses for its content-address index. Exposed so
-/// a cluster-wide directory (serving::PrefixDirectory) can walk the
-/// identical chain without a pool instance.
+/// tests can recompute a pool's chain hashes without a pool instance.
 std::uint64_t KvChainAdvance(std::uint64_t h,
                              std::span<const std::int32_t> block_tokens);
-
-/// Observer of one pool's content-address index. The cluster-wide
-/// prefix directory implements this to mirror which chain hashes each
-/// card currently holds. Callbacks fire synchronously from inside the
-/// pool's bookkeeping; implementations must not reenter the pool.
-class KvCacheListener {
- public:
-  virtual ~KvCacheListener() = default;
-  /// A full block was content-addressed. `chain_hash` is the chain value
-  /// *after* the block, `parent_hash` the value before it, and
-  /// `block_tokens` the block's token content.
-  virtual void OnCacheInsert(std::uint64_t chain_hash,
-                             std::uint64_t parent_hash,
-                             std::span<const std::int32_t> block_tokens) = 0;
-  /// A cached block was evicted (its hash left the index).
-  virtual void OnCacheEvict(std::uint64_t chain_hash) = 0;
-};
 
 /// Geometry and feature switches of one KvBlockPool.
 struct KvPoolConfig {
@@ -306,13 +288,12 @@ class KvBlockPool {
   /// the content-address index as ownerless evictable blocks, as if a
   /// sequence with that prefix had just released them -- the landing pad
   /// for a remote prefix fetch (the bytes arrived over the interconnect
-  /// and now sit in this card's HBM) and for warm-starting a pool from a
-  /// persisted directory snapshot. Already-cached blocks are skipped;
+  /// and now sit in this card's HBM). Already-cached blocks are skipped;
   /// installation stops early when no block can be allocated. Returns
   /// the number of prefix tokens cached after the call (including
-  /// previously cached ones). No DMA is charged here: a cross-card fetch
-  /// is costed by the interconnect, and a warm start models content that
-  /// survived in HBM. No-op returning 0 when caching is disabled.
+  /// previously cached ones). No DMA is charged here: the interconnect
+  /// already costed the fetch. No-op returning 0 when caching is
+  /// disabled.
   /// `rows` carries the prefix's K/V token-major (accel::GatherKvRows
   /// form) from token 0; each newly installed block copies its rows from
   /// it, and installation stops at the first block `rows` does not
@@ -327,12 +308,6 @@ class KvBlockPool {
   /// fetch ships.
   std::vector<float> CachedPrefixRows(std::span<const std::int32_t> tokens,
                                       std::int64_t max_tokens) const;
-
-  /// Registers `listener` for content-address index changes (nullptr
-  /// detaches). The pool does not own it.
-  void set_cache_listener(KvCacheListener* listener) {
-    listener_ = listener;
-  }
 
   // ----- sequence lifecycle -----
   /// Registers `seq` with an empty block table. Fails on duplicates.
@@ -494,7 +469,6 @@ class KvBlockPool {
   std::uint64_t lru_tick_ = 0;
   std::map<std::uint64_t, SeqState> seqs_;
   KvPoolStats stats_;
-  KvCacheListener* listener_ = nullptr;
 };
 
 }  // namespace speedllm::serving

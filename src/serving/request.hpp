@@ -225,10 +225,10 @@ struct ServingReport {
   std::int64_t preemptions = 0;
   /// Swap-in recompute work, tokens.
   std::int64_t recomputed_tokens = 0;
-  /// Executor forwards the host actually ran: total_tokens +
-  /// recomputed_tokens, plus any warm-start prefix computation. Prefix
-  /// hits, readmission restores, handoff adoption and remote fetches map
-  /// K/V that already exists and add nothing.
+  /// Executor forwards the host actually ran: exactly total_tokens +
+  /// recomputed_tokens. Prefix hits, readmission restores, handoff
+  /// adoption and remote fetches map K/V that already exists and add
+  /// nothing.
   std::int64_t executor_forwards = 0;
   /// Executor forwards that ran the classifier: only rows whose logits
   /// are sampled. One per sampled token, so a run with no early stop

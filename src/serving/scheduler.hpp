@@ -150,9 +150,11 @@ struct SchedulerConfig {
   /// request's longest cached prefix onto shared blocks and prefill
   /// skips those tokens; token streams are byte-identical either way.
   bool enable_prefix_cache = true;
-  /// KV pool budget override in bytes, capped by each card's own
-  /// `hbm.capacity_bytes`; 0 derives it from HBM capacity minus the
-  /// resident weight footprint and an activation reserve.
+  /// KV pool budget override in bytes; 0 takes the whole budget. Either
+  /// way a card's pool is capped by its HBM capacity minus the resident
+  /// weight footprint and an activation reserve
+  /// (ResidentHbmReserveBytes), so a card too small for its weights has
+  /// no pool.
   std::uint64_t kv_pool_bytes = 0;
   /// Honor ServingRequest::tier in admission order, decode-budget
   /// allocation, and preemption-victim selection (higher tiers admit

@@ -41,25 +41,24 @@ llama::SamplerConfig WithOverride(llama::SamplerConfig base,
   return base;
 }
 
-/// KV pool budget for one card: the explicit override clamped to HBM, or
-/// HBM capacity minus the resident-weight + activation/staging reserve.
+/// KV pool budget for one card: HBM capacity minus the resident reserve,
+/// or the explicit override when that is smaller.
 std::uint64_t DeriveKvPoolBytes(const accel::Program& program,
                                 const hw::U280Config& u280,
                                 std::uint64_t override_bytes) {
-  if (override_bytes > 0) {
-    return std::min(override_bytes, u280.hbm.capacity_bytes);
-  }
-  // Resident weights plus a fixed activation/staging reserve come out of
-  // the HBM stack; the KV pool gets the rest.
-  const std::uint64_t bytes_per_param =
-      program.exec.int8_weights ? 2 : 4;  // int8 codes + grouped scales
-  const std::uint64_t weight_bytes =
-      static_cast<std::uint64_t>(program.model.num_params()) * bytes_per_param;
-  const std::uint64_t reserve = weight_bytes + (256ull << 20);
-  return u280.hbm.kv_budget_bytes(reserve);
+  const std::uint64_t budget =
+      u280.hbm.kv_budget_bytes(ResidentHbmReserveBytes(program));
+  return override_bytes > 0 ? std::min(override_bytes, budget) : budget;
 }
 
 }  // namespace
+
+std::uint64_t ResidentHbmReserveBytes(const accel::Program& program) {
+  const std::uint64_t bytes_per_param = program.exec.int8_weights ? 2 : 4;
+  return static_cast<std::uint64_t>(program.model.num_params()) *
+             bytes_per_param +
+         (256ull << 20);
+}
 
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config) {
   config.max_batch_seqs = std::max(1, config.max_batch_seqs);
@@ -436,7 +435,7 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   handoff.outcome = std::move(seq.outcome);
   handoff.fed = std::move(seq.fed);
   // Release local references; sealed full blocks stay in this card's
-  // prefix cache (the directory keeps advertising them), and the
+  // prefix cache (remote fetches may still find them), and the
   // interconnect's source-read leg pays for extracting the pages.
   ReleaseResident(seq_id, /*preempted=*/false);
   seq.state = SeqState::kHandedOff;
@@ -491,42 +490,6 @@ bool ShardScheduler::ReplayAdoptedKv(std::size_t seq_id) {
     AddOutstanding(seq.request->tier, -1);
   }
   return true;
-}
-
-std::int64_t ShardScheduler::WarmStartPrefix(
-    std::span<const std::int32_t> tokens, std::int64_t max_tokens) {
-  if (!pool_.config().enable_prefix_cache) return 0;
-  // Compute the full blocks once on the host into a one-block scratch
-  // table. A token the model rejects ends the computed prefix, and the
-  // pool installs only the blocks the computed rows cover.
-  const std::int64_t bs = pool_.config().block_size_tokens;
-  const std::int64_t limit =
-      std::min({static_cast<std::int64_t>(tokens.size()), max_tokens,
-                static_cast<std::int64_t>(program_.model.seq_len)});
-  const std::int64_t n = limit / bs * bs;
-  const accel::KvBlockLayout layout = exec_->KvLayout(program_.model.seq_len);
-  std::vector<float> arena(static_cast<std::size_t>(layout.block_floats()));
-  const std::int32_t table[1] = {0};
-  const accel::KvPages scratch{arena.data(), layout, table};
-  // A token the model rejects ends the computed prefix; the rows before
-  // it are one forward.
-  std::int64_t computed =
-      std::find_if(tokens.begin(), tokens.begin() + n,
-                   [this](std::int32_t t) {
-                     return t < 0 || t >= program_.model.vocab_size;
-                   }) -
-      tokens.begin();
-  if (computed > 0 &&
-      !exec_->Forward(tokens.first(static_cast<std::size_t>(computed)), 0,
-                      scratch, /*want_last_logits=*/false)
-           .ok()) {
-    computed = 0;
-  }
-  report_.executor_forwards += computed;
-  std::vector<float> computed_rows(
-      static_cast<std::size_t>(computed * layout.row_floats()));
-  accel::GatherKvRows(scratch, 0, computed, computed_rows.data());
-  return pool_.InstallCachedPrefix(tokens, n, computed_rows);
 }
 
 namespace {

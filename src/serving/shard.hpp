@@ -50,6 +50,13 @@ namespace speedllm::serving {
 /// api::Engine before its per-card fan-out).
 SchedulerConfig NormalizeSchedulerConfig(SchedulerConfig config);
 
+/// HBM bytes one card reserves before its KV pool: the resident weights
+/// (2 bytes per parameter for int8 codes plus grouped scales, 4 for
+/// fp32) plus a 256 MiB activation/staging reserve. A card's KV pool,
+/// explicit SchedulerConfig::kv_pool_bytes or not, is capped by
+/// `hbm.kv_budget_bytes(ResidentHbmReserveBytes(program))`.
+std::uint64_t ResidentHbmReserveBytes(const accel::Program& program);
+
 /// Amortized per-tick cost of a grouped launch on one card: the weight
 /// stream crosses HBM once per tick regardless of batch width, and
 /// launch/DMA-setup control runs once per kernel group.
@@ -165,18 +172,8 @@ class ShardScheduler {
            static_cast<double>(config_.max_batch_tokens);
   }
 
-  /// Warm-starts this shard's prefix cache from a directory snapshot:
-  /// installs `tokens`' full-block prefix (capped at `max_tokens`) as
-  /// ownerless evictable blocks (KvBlockPool::InstallCachedPrefix). The
-  /// snapshot carries no K/V, so the shard computes it once on its
-  /// executor, at zero simulated cost: the content models K/V that
-  /// survived in HBM. Returns the prefix tokens cached after the call.
-  std::int64_t WarmStartPrefix(std::span<const std::int32_t> tokens,
-                               std::int64_t max_tokens);
-
-  /// Mutable pool access for cluster-level wiring (PrefixDirectory
-  /// attachment, landing a remote prefix fetch's K/V). Scheduling state
-  /// stays shard-owned.
+  /// Mutable pool access for cluster-level wiring (landing a remote
+  /// prefix fetch's K/V). Scheduling state stays shard-owned.
   KvBlockPool& mutable_pool() { return pool_; }
 
   /// This shard's disaggregation role.

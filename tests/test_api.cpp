@@ -249,27 +249,6 @@ TEST(ApiEngineTest, StepUntilPastTheClockRangeDrains) {
   }
 }
 
-TEST(ApiEngineTest, RejectsMoreCardsThanThePrefixDirectoryIndexes) {
-  Fixture f;
-  auto prog = f.Compile();
-  EngineConfig config;
-  config.num_cards = serving::PrefixDirectory::kMaxCards + 1;  // 65
-  config.scheduler.kv_pool_bytes = 64 * 1024;
-  Engine engine(prog, f.weights, f.u280, config);
-  const Status status = engine.Submit(MakeRequest(4, 4, 0.0)).status();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("limit of 64"), std::string::npos)
-      << status.message();
-  EXPECT_EQ(engine.submitted_requests(), 0u);
-  EXPECT_EQ(engine.interconnect(), nullptr);
-  EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
-  // The card-list constructor applies the same limit.
-  Engine listed(prog, f.weights, hw::MultiCardConfig::Homogeneous(f.u280, 65),
-                config);
-  EXPECT_EQ(listed.Submit(MakeRequest(4, 4, 0.0)).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 // ---------------- cancellation ----------------
 
 TEST(ApiEngineTest, CancelFreesKvBlocksAndNeverEmitsAgain) {
@@ -601,7 +580,6 @@ TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
   auto prog = f.Compile();
   EngineConfig config;
   config.num_cards = 2;
-  config.scheduler.kv_cache_dtype = serving::KvCacheDtype::kInt8;
   Engine engine(prog, f.weights, f.u280, config);
   ASSERT_TRUE(engine.Submit(MakeRequest(4, 4, 0.0)).ok());
   engine.RunToCompletion();
@@ -609,7 +587,6 @@ TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
   for (int card : {-1, engine.num_cards()}) {
     EXPECT_EQ(engine.kv_blocks_in_use(card), 0) << card;
     EXPECT_EQ(engine.kv_block_capacity(card), 0) << card;
-    EXPECT_EQ(engine.kv_cache_dtype(card), serving::KvCacheDtype::kInt8);
     const serving::KvPoolStats stats = engine.kv_pool_stats(card);
     EXPECT_EQ(stats.peak_used_blocks, 0) << card;
     EXPECT_EQ(stats.prefix_queries, 0) << card;

@@ -331,13 +331,14 @@ TEST(ClusterTest, BestFitRoutesToCardWithMostFreeKv) {
   api::EngineConfig config;
   config.placement = PlacementPolicy::kBestFitFreeKv;
   config.scheduler.block_size_tokens = 4;
-  // Card 1 has twice card 0's HBM, so twice its pool: the first request
+  // Card 1's HBM leaves twice card 0's pool: the first request
   // ties (16 vs 32 blocks -> card 1 wins outright), and with queued
   // demand projected the second must also prefer card 1's larger
   // headroom.
   config.scheduler.kv_pool_bytes = 32ull * 4 * bytes_per_token;
   const hw::MultiCardConfig cards = testutil::CardsWithHbm(
-      f.u280, {16ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
+      f.u280, prog,
+      {16ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
   auto report = Serve(prog, f, cards, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->shard_of_request[0], 1);  // most headroom
@@ -352,8 +353,8 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   Fixture f;
   auto prog = f.Compile();
   const std::uint32_t bytes_per_token = KvBytesPerToken(f.config);
-  // Card 0's HBM holds one 8-token sequence (2 blocks); card 1's holds
-  // sixteen. Round-robin pins half the burst on the starved card 0, whose
+  // Card 0's HBM leaves room for one 8-token sequence (2 blocks); card
+  // 1's for sixteen. Round-robin pins half the burst on the starved card 0, whose
   // queue must drain to card 1 when its pool runs dry.
   llama::SamplerConfig sc;
   sc.temperature = 0.7f;
@@ -366,7 +367,8 @@ TEST(ClusterTest, QueuedRequestsMigrateOffDryCard) {
   config.scheduler.block_size_tokens = 4;
   config.scheduler.kv_pool_bytes = 32ull * 4 * bytes_per_token;
   const hw::MultiCardConfig cards = testutil::CardsWithHbm(
-      f.u280, {2ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
+      f.u280, prog,
+      {2ull * 4 * bytes_per_token, 32ull * 4 * bytes_per_token});
   auto report = Serve(prog, f, cards, config, reqs, sc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->rebalanced_requests, 0);
@@ -477,8 +479,9 @@ TEST(ClusterTest, ValidatesCardsAndRequests) {
   tight.scheduler.kv_pool_bytes = 32ull * 4 * KvBytesPerToken(f.config);
   tight.sampler = sc;
   const hw::MultiCardConfig cards = testutil::CardsWithHbm(
-      f.u280, {32ull * 4 * KvBytesPerToken(f.config),
-               2ull * 4 * KvBytesPerToken(f.config)});  // 8 tokens on card 1
+      f.u280, prog,
+      {32ull * 4 * KvBytesPerToken(f.config),
+       2ull * 4 * KvBytesPerToken(f.config)});  // 8 tokens on card 1
   api::Engine engine(prog, f.weights, cards, tight);
   EXPECT_EQ(engine.Submit(MakeRequest(6, 6, 0.0)).status().code(),
             StatusCode::kResourceExhausted);
@@ -486,6 +489,24 @@ TEST(ClusterTest, ValidatesCardsAndRequests) {
   // Empty workload is trivially fine.
   engine.RunToCompletion();
   EXPECT_TRUE(engine.Finish().ok());
+}
+
+TEST(ClusterTest, CardWithoutRoomForItsWeightsServesNothing) {
+  // The resident weights and staging reserve come out of HBM before the
+  // KV pool, explicit pool size or not: a card one byte short of that
+  // reserve has no pool, so no request can ever fit the cluster.
+  Fixture f;
+  auto prog = f.Compile();
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 4;
+  config.scheduler.kv_pool_bytes = 32ull * 4 * KvBytesPerToken(f.config);
+  hw::MultiCardConfig cards = hw::MultiCardConfig::Homogeneous(f.u280, 2);
+  cards.cards[1].hbm.capacity_bytes = ResidentHbmReserveBytes(prog) - 1;
+  api::Engine engine(prog, f.weights, cards, config);
+  EXPECT_EQ(engine.kv_block_capacity(0), 32);
+  EXPECT_EQ(engine.kv_block_capacity(1), 0);
+  EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 // ---------------- the scale-out win ----------------

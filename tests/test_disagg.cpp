@@ -1,15 +1,13 @@
 // Unit tests for the disaggregation layer (serving/interconnect.hpp):
 // the shared-station interconnect cost model, prefill/decode shard
-// roles with KV handoffs, the cluster-wide prefix directory with
-// remote-fetch arbitration, and prefix-index persistence across
-// api::Engine restarts. The headline invariant everywhere: token
+// roles with KV handoffs, and remote-fetch arbitration over the
+// per-card prefix caches. The headline invariant everywhere: token
 // streams are byte-identical to unified mode -- roles, fetch-or-recompute
 // decisions, and interconnect contention move timing, never tokens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -320,105 +318,94 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   EXPECT_EQ(queued, report->merged.dma_bytes_moved);
 }
 
-// ---------------- prefix-directory persistence ----------------
+// ---------------- remote-fetch source choice ----------------
 
-TEST(DisaggTest, PrefixDirectorySurvivesEngineRestart) {
-  Fixture f;
-  auto prog = f.Compile();
-  llama::SamplerConfig sc;
-  sc.seed = 9;
+using FetchDecision = ClusterReport::PrefixFetchDecision;
 
-  api::EngineConfig ec;
-  ec.num_cards = 2;
-  ec.scheduler.block_size_tokens = 8;
-  ec.sampler = sc;
-
-  // First life: serve shared-prefix traffic, then snapshot the index.
-  PrefixDirectorySnapshot snapshot;
-  {
-    api::Engine engine(prog, f.weights, f.u280, ec);
-    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
-    snapshot = engine.ExportPrefixDirectory();
-    EXPECT_FALSE(snapshot.chains.empty());
+/// The fetch decision logged for stream `index`, or null.
+const FetchDecision* DecisionFor(const ClusterReport& report,
+                                 std::size_t index) {
+  for (const FetchDecision& d : report.prefix_fetch_log) {
+    if (d.stream_index == index) return &d;
   }
-
-  // Second life, cold: the same probe request re-prefills everything.
-  auto probe_trace = SharedTrace(f.config, 8);
-  const ServingRequest& probe = probe_trace.front();
-  std::vector<std::int32_t> cold_tokens;
-  {
-    api::Engine engine(prog, f.weights, f.u280, ec);
-    auto report = testutil::ServeTrace(engine, {probe});
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report->merged.prefix_cache_hit_tokens, 0);
-    cold_tokens = report->merged.outcomes[0].generated;
-  }
-
-  // Second life, warm-started from the snapshot: immediate prefix hit,
-  // identical tokens.
-  {
-    api::Engine engine(prog, f.weights, f.u280, ec);
-    engine.ImportPrefixDirectory(snapshot);
-    auto report = testutil::ServeTrace(engine, {probe});
-    ASSERT_TRUE(report.ok());
-    EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
-    EXPECT_EQ(report->merged.outcomes[0].generated, cold_tokens);
-  }
+  return nullptr;
 }
 
-TEST(DisaggTest, ExportImportRoundTripsThroughTheDirectory) {
+TEST(DisaggTest, FetchSourceIsTheLowestCardHoldingTheLongestPrefix) {
+  // Round-robin over three cards: card 0 caches an unrelated prompt,
+  // cards 1 and 2 each cache a prompt, and a later copy of the shared
+  // two-block prompt lands on card 0, which must fetch it.
   Fixture f;
   auto prog = f.Compile();
-  llama::SamplerConfig sc;
-  sc.seed = 9;
   api::EngineConfig ec;
-  ec.num_cards = 2;
+  ec.placement = PlacementPolicy::kRoundRobin;
   ec.scheduler.block_size_tokens = 8;
-  ec.sampler = sc;
+  const ServingRequest shared = testutil::MakeRequest(17, 2, 0.0, 100);
+  // The shared prompt's first block, then a different second block.
+  ServingRequest one_block = testutil::MakeRequest(17, 2, 0.0, 200);
+  std::copy(shared.prompt.begin(), shared.prompt.begin() + 8,
+            one_block.prompt.begin());
+  ServingRequest copy = shared;
+  copy.arrival_seconds = 0.5;
 
-  PrefixDirectorySnapshot first;
-  {
-    api::Engine engine(prog, f.weights, f.u280, ec);
-    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
-    first = engine.ExportPrefixDirectory();
-  }
-  // Importing a snapshot then re-exporting reproduces every chain the
-  // fresh engine installed (the listeners rebuilt the directory).
-  api::Engine engine(prog, f.weights, f.u280, ec);
-  engine.ImportPrefixDirectory(first);
-  PrefixDirectorySnapshot second = engine.ExportPrefixDirectory();
-  ASSERT_EQ(second.chains.size(), first.chains.size());
-  for (std::size_t i = 0; i < first.chains.size(); ++i) {
-    EXPECT_EQ(second.chains[i].card, first.chains[i].card);
-    EXPECT_EQ(second.chains[i].tokens, first.chains[i].tokens);
-  }
+  auto fetch = [&](const ServingRequest& on_card1) {
+    api::Engine engine(prog, f.weights, testutil::FastLinkCards(f.u280, 3),
+                       ec);
+    const std::uint64_t block_bytes =
+        engine.shard(0).pool().config().block_bytes();
+    auto report = testutil::ServeTrace(
+        engine,
+        {testutil::MakeRequest(17, 2, 0.0, 300), on_card1, shared, copy});
+    const FetchDecision* d =
+        report.ok() ? DecisionFor(*report, 3) : nullptr;
+    if (d == nullptr) {
+      ADD_FAILURE() << "no fetch decision for the copy: "
+                    << report.status().ToString();
+      return FetchDecision{};
+    }
+    EXPECT_EQ(d->dst_card, 0);
+    EXPECT_TRUE(d->fetched);
+    EXPECT_EQ(d->tokens, 16);  // two blocks, capped at the prompt minus one
+    EXPECT_EQ(d->bytes, static_cast<std::int64_t>(2 * block_bytes));
+    return *d;
+  };
+  // Card 1 holds one block of the prompt, card 2 both: card 2 wins.
+  EXPECT_EQ(fetch(one_block).src_card, 2);
+  // Both hold both blocks: the lower card id wins the tie.
+  EXPECT_EQ(fetch(shared).src_card, 1);
 }
 
-TEST(DisaggTest, DirectoryIndexesEveryCardUpToTheLimit) {
-  // One shared two-block prompt cached on every card of the largest
-  // engine the directory can index: the snapshot names all of them.
+TEST(DisaggTest, CardsPastSixtyFourServeAsFetchSources) {
+  // Sixty-four distinct prompts fill cards 0-63 round-robin, a shared
+  // two-block prompt lands on card 64, and a later copy of it lands on
+  // card 0, which fetches it from card 64.
   Fixture f;
   auto prog = f.Compile();
+  constexpr int kCards = 65;
   api::EngineConfig ec;
+  ec.placement = PlacementPolicy::kRoundRobin;
   ec.scheduler.block_size_tokens = 8;
   ec.scheduler.kv_pool_bytes = 64 * 1024;
-  const ServingRequest shared = testutil::MakeRequest(17, 2, 0.0);
-  // A slow link: every card recomputes (and caches) the prompt itself.
-  api::Engine engine(
-      prog, f.weights,
-      testutil::SlowLinkCards(f.u280, PrefixDirectory::kMaxCards), ec);
-  ASSERT_TRUE(testutil::ServeTrace(
-                  engine, std::vector<ServingRequest>(
-                              PrefixDirectory::kMaxCards, shared))
-                  .ok());
-  std::set<std::int32_t> cards;
-  for (const PrefixDirectorySnapshot::Chain& chain :
-       engine.ExportPrefixDirectory().chains) {
-    cards.insert(chain.card);
+  std::vector<ServingRequest> reqs;
+  for (int i = 0; i < kCards - 1; ++i) {
+    reqs.push_back(testutil::MakeRequest(9, 2, 0.0, i));
   }
-  ASSERT_EQ(cards.size(), std::size_t{PrefixDirectory::kMaxCards});
-  EXPECT_EQ(*cards.begin(), 0);
-  EXPECT_EQ(*cards.rbegin(), PrefixDirectory::kMaxCards - 1);
+  const ServingRequest shared = testutil::MakeRequest(17, 2, 0.0, 100);
+  reqs.push_back(shared);
+  reqs.push_back(shared);
+  reqs.back().arrival_seconds = 0.5;
+  api::Engine engine(prog, f.weights,
+                     testutil::FastLinkCards(f.u280, kCards), ec);
+  auto report = testutil::ServeTrace(engine, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->shard_of_request[kCards - 1], kCards - 1);
+  EXPECT_EQ(report->shard_of_request[kCards], 0);
+  const FetchDecision* d = DecisionFor(*report, kCards);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->src_card, kCards - 1);
+  EXPECT_EQ(d->dst_card, 0);
+  EXPECT_TRUE(d->fetched);
+  EXPECT_EQ(report->remote_prefix_hits, 1);
 }
 
 }  // namespace

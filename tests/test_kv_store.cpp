@@ -143,37 +143,6 @@ TEST(KvStoreTest, RemoteFetchRunsNoForwards) {
   ExpectForwardsMatchDeviceWork(report->merged);
 }
 
-TEST(KvStoreTest, WarmStartComputesInstalledBlocksOnce) {
-  // An imported directory snapshot carries tokens, not K/V: the shard
-  // computes the installed blocks once and the first request hits them.
-  Fixture f;
-  api::EngineConfig config;
-  config.num_cards = 2;
-  config.scheduler.block_size_tokens = 8;
-  PrefixDirectorySnapshot snapshot;
-  {
-    api::Engine engine(f.program, f.weights, f.u280, config);
-    ASSERT_TRUE(testutil::ServeTrace(engine, SharedTrace(f.config, 8)).ok());
-    snapshot = engine.ExportPrefixDirectory();
-  }
-  ASSERT_FALSE(snapshot.chains.empty());
-  std::int64_t snapshot_tokens = 0;
-  for (const auto& chain : snapshot.chains) {
-    snapshot_tokens += static_cast<std::int64_t>(chain.tokens.size());
-  }
-  api::Engine engine(f.program, f.weights, f.u280, config);
-  engine.ImportPrefixDirectory(snapshot);
-  auto report =
-      testutil::ServeTrace(engine, {SharedTrace(f.config, 8).front()});
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
-  const std::int64_t warm =
-      report->merged.executor_forwards -
-      (report->merged.total_tokens + report->merged.recomputed_tokens);
-  EXPECT_GT(warm, 0);
-  EXPECT_LE(warm, snapshot_tokens);
-}
-
 // ---------------- Classifier forwards ----------------
 //
 // Only a row whose logits are sampled runs the classifier, and every

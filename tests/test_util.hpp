@@ -25,6 +25,7 @@
 #include "api/engine.hpp"
 #include "compiler/options.hpp"
 #include "llama/tokenizer.hpp"
+#include "serving/shard.hpp"
 #include "serving/workload.hpp"
 
 namespace speedllm::testutil {
@@ -112,16 +113,18 @@ inline hw::MultiCardConfig SlowLinkCards(const hw::U280Config& u280,
   return cards;
 }
 
-/// One copy of `u280` per entry of `hbm_bytes`, with that HBM capacity.
-/// With SchedulerConfig::kv_pool_bytes at or above every entry, each
-/// card's KV pool is exactly its entry (a card's capacity caps the
-/// override).
+/// One copy of `u280` per entry of `pool_bytes`, each with just enough
+/// HBM for `program`'s resident reserve plus that entry. With
+/// SchedulerConfig::kv_pool_bytes at or above every entry, each card's
+/// KV pool is exactly its entry (a card's KV budget caps the override).
 inline hw::MultiCardConfig CardsWithHbm(
-    const hw::U280Config& u280, const std::vector<std::uint64_t>& hbm_bytes) {
+    const hw::U280Config& u280, const accel::Program& program,
+    const std::vector<std::uint64_t>& pool_bytes) {
   hw::MultiCardConfig cards;
-  for (std::uint64_t bytes : hbm_bytes) {
+  for (std::uint64_t bytes : pool_bytes) {
     cards.cards.push_back(u280);
-    cards.cards.back().hbm.capacity_bytes = bytes;
+    cards.cards.back().hbm.capacity_bytes =
+        serving::ResidentHbmReserveBytes(program) + bytes;
   }
   return cards;
 }
