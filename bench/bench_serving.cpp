@@ -1292,8 +1292,7 @@ Status Speculative(const Exports&, Metrics& metrics) {
     api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
     cluster.scheduler.max_batch_seqs = 16;
-    cluster.scheduler.speculative.enable = spec_on;
-    cluster.scheduler.speculative.draft_tokens = kDraftTokens;
+    cluster.scheduler.speculative.draft_tokens = spec_on ? kDraftTokens : 0;
     cluster.scheduler.speculative.acceptance_rate = kAcceptance;
     cluster.num_cards = 4;
     cluster.sampler = sampler;

@@ -70,7 +70,7 @@ Status ValidateSetup(const hw::MultiCardConfig& cards,
   // clamp: a NaN rate would refill it to full at every arrival, a NaN or
   // infinite burst would admit everything, and a negative rate drains it.
   const serving::SpeculativeConfig& spec = config.scheduler.speculative;
-  if (spec.enable && !std::isfinite(spec.acceptance_rate)) {
+  if (spec.draft_tokens > 0 && !std::isfinite(spec.acceptance_rate)) {
     return InvalidArgument("speculative acceptance_rate must be finite");
   }
   const serving::AdmissionConfig& adm = config.scheduler.admission;

@@ -43,11 +43,6 @@ class Rng {
     return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [lo, hi).
-  float NextUniform(float lo, float hi) {
-    return lo + (hi - lo) * NextFloat();
-  }
-
   /// Standard normal via Box-Muller (one value per call; the pair's twin
   /// is discarded to keep the generator stateless beyond `state_`).
   float NextGaussian() {

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "common/logging.hpp"
 #include "compiler/allocator.hpp"
 #include "compiler/fusion.hpp"
 #include "graph/liveness.hpp"
@@ -238,11 +237,6 @@ StatusOr<CompileResult> Compile(const llama::ModelConfig& config,
       return attempt.status();
     }
   }
-  if (shrink > 1) {
-    LOG_DEBUG << options.name << ": tiles shrunk by " << shrink
-              << "x to fit on-chip budget";
-  }
-
   // ---- Program emission. ----
   accel::Program prog;
   prog.model = config;

@@ -114,12 +114,11 @@ inline constexpr double kDraftCostRatio = 0.15;
 /// tests/test_speculative.cpp). Draft KV appends are rolled back through
 /// KvBlockPool::RollbackSpeculation and never enter the prefix cache.
 struct SpeculativeConfig {
-  /// Master switch; off (the default) keeps the one-token-per-tick path.
-  bool enable = false;
-  /// Draft proposals per sequence per decode tick (k). Clamped so a
-  /// sequence's verify group (1 + k rows) fits max_batch_tokens; 0
-  /// degenerates to the non-speculative path.
-  std::int32_t draft_tokens = 4;
+  /// Draft proposals per sequence per decode tick (k); speculation is on
+  /// iff k > 0. Clamped to [0, max_batch_tokens - 1] so a sequence's
+  /// verify group (1 + k rows) fits the tick budget. 0 (the default)
+  /// keeps the one-token-per-tick path.
+  std::int32_t draft_tokens = 0;
   /// Probability a draft position is accepted, in [0, 1]. 0 rejects
   /// every draft (pure overhead), 1 accepts all k each tick.
   double acceptance_rate = 0.7;

@@ -839,8 +839,7 @@ std::int32_t ShardScheduler::PlanDecode(TickWork& work) {
   // plus k drafts), so each planned sequence draws `width` budget units.
   // A uniform-tier batch is one group, so tiers on plan it exactly as
   // tiers off.
-  const std::int32_t width =
-      1 + (config_.speculative.enable ? config_.speculative.draft_tokens : 0);
+  const std::int32_t width = 1 + config_.speculative.draft_tokens;
   std::int32_t budget = config_.max_batch_tokens;
   std::vector<std::size_t> decoding;
   for (std::size_t r : residents_) {
@@ -1067,7 +1066,8 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
         if (!error_.ok()) return;
         break;  // pool dry with no victims: the rest runs on a later tick
       }
-      if (problem.fed + k == 0 && caught_up && config_.speculative.enable) {
+      if (problem.fed + k == 0 && caught_up &&
+          config_.speculative.draft_tokens > 0) {
         // Draft phase: propose k tokens, roll their KV back, and let the
         // deterministic acceptance model decide how long a run this
         // verify group commits. Committed tokens are always the target

@@ -33,18 +33,26 @@ std::int32_t DrawToken(Rng& rng, std::int32_t vocab_size) {
                   rng.NextBounded(static_cast<std::uint64_t>(vocab_size - lo)));
 }
 
+/// BOS-first block of `len` random non-control tokens (at least the BOS).
+std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
+                                     std::int32_t vocab_size) {
+  std::vector<std::int32_t> prompt;
+  const std::int32_t n = std::max<std::int32_t>(1, len);
+  prompt.reserve(static_cast<std::size_t>(n));
+  prompt.push_back(llama::kBosToken);
+  for (std::int32_t t = 1; t < n; ++t) {
+    prompt.push_back(DrawToken(rng, vocab_size));
+  }
+  return prompt;
+}
+
 ServingRequest DrawRequest(Rng& rng, std::int32_t min_prompt,
                            std::int32_t max_prompt, std::int32_t min_new,
                            std::int32_t max_new, std::int32_t vocab_size,
                            double arrival) {
   ServingRequest req;
-  const std::int32_t prompt_len =
-      std::max<std::int32_t>(1, UniformInclusive(rng, min_prompt, max_prompt));
-  req.prompt.reserve(static_cast<std::size_t>(prompt_len));
-  req.prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < prompt_len; ++t) {
-    req.prompt.push_back(DrawToken(rng, vocab_size));
-  }
+  req.prompt = DrawPrompt(rng, UniformInclusive(rng, min_prompt, max_prompt),
+                          vocab_size);
   req.max_new_tokens =
       std::max<std::int32_t>(1, UniformInclusive(rng, min_new, max_new));
   req.arrival_seconds = arrival;
@@ -137,11 +145,7 @@ std::vector<ServingRequest> SharedPrefixTrace(
   std::vector<std::vector<std::int32_t>> prefixes(
       static_cast<std::size_t>(n_prefixes));
   for (auto& prefix : prefixes) {
-    prefix.reserve(static_cast<std::size_t>(prefix_len));
-    prefix.push_back(llama::kBosToken);
-    for (std::int32_t t = 1; t < prefix_len; ++t) {
-      prefix.push_back(DrawToken(rng, config.vocab_size));
-    }
+    prefix = DrawPrompt(rng, prefix_len, config.vocab_size);
   }
 
   std::vector<ServingRequest> trace;
@@ -165,11 +169,7 @@ std::vector<ServingRequest> SharedPrefixTrace(
       }
     } else {
       // Fully unique prompt of comparable length: cache-neutral traffic.
-      req.prompt.push_back(llama::kBosToken);
-      const std::int32_t len = prefix_len + suffix;
-      for (std::int32_t t = 1; t < len; ++t) {
-        req.prompt.push_back(DrawToken(rng, config.vocab_size));
-      }
+      req.prompt = DrawPrompt(rng, prefix_len + suffix, config.vocab_size);
     }
     trace.push_back(std::move(req));
   }
@@ -182,13 +182,8 @@ MultiTurnChatPool::MultiTurnChatPool(std::uint64_t seed,
   // The system prompt comes from its own stream so every user's first
   // turn opens identically (and prefix-shares across users).
   Rng system_rng(seed ^ 0x5e41f0ull);
-  const std::int32_t sys =
-      std::max<std::int32_t>(1, config_.system_prompt_tokens);
-  system_prompt_.reserve(static_cast<std::size_t>(sys));
-  system_prompt_.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < sys; ++t) {
-    system_prompt_.push_back(DrawToken(system_rng, config_.vocab_size));
-  }
+  system_prompt_ = DrawPrompt(system_rng, config_.system_prompt_tokens,
+                              config_.vocab_size);
   const std::int32_t n = std::max<std::int32_t>(0, config_.num_users);
   users_.reserve(static_cast<std::size_t>(n));
   for (std::int32_t u = 0; u < n; ++u) {
@@ -273,84 +268,66 @@ void ApplyTierMix(Rng& rng, const TierMix& mix,
 
 namespace {
 
-/// BOS-first block of `len` random non-control tokens.
-std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
-                                     std::int32_t vocab_size) {
-  std::vector<std::int32_t> prompt;
-  const std::int32_t n = std::max<std::int32_t>(1, len);
-  prompt.reserve(static_cast<std::size_t>(n));
-  prompt.push_back(llama::kBosToken);
-  for (std::int32_t t = 1; t < n; ++t) {
-    prompt.push_back(DrawToken(rng, vocab_size));
-  }
-  return prompt;
-}
+// The zoo's fixed shapes; Scenario's enumerators document each one.
 
-}  // namespace
+/// Token ids of every zoo trace are drawn below Tiny's vocab.
+constexpr std::int32_t kZooVocab = 512;
 
-std::vector<ServingRequest> RagTrace(Rng& rng, const RagConfig& config) {
+std::vector<ServingRequest> RagTrace(Rng& rng) {
+  constexpr std::int32_t kRequests = 24;
+  constexpr std::int32_t kDocuments = 3;
+  constexpr std::int32_t kDocumentTokens = 24;
   // Materialize the retrieved contexts first so the shared documents
-  // depend only on (seed, config), not on the arrival draws.
-  const std::int32_t n_docs = std::max<std::int32_t>(1, config.num_documents);
-  std::vector<std::vector<std::int32_t>> documents(
-      static_cast<std::size_t>(n_docs));
+  // depend only on the seed, not on the arrival draws.
+  std::vector<std::vector<std::int32_t>> documents(kDocuments);
   for (auto& doc : documents) {
-    doc = DrawPrompt(rng, config.document_tokens, config.vocab_size);
+    doc = DrawPrompt(rng, kDocumentTokens, kZooVocab);
   }
 
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_requests));
+  trace.reserve(kRequests);
   double now = 0.0;
-  for (std::int32_t i = 0; i < config.num_requests; ++i) {
-    now += ExpGap(rng, config.rate_rps);
+  for (std::int32_t i = 0; i < kRequests; ++i) {
+    now += ExpGap(rng, 100.0);
     ServingRequest req;
     req.arrival_seconds = now;
     req.prompt = documents[static_cast<std::size_t>(
-        rng.NextBounded(static_cast<std::uint64_t>(n_docs)))];
-    const std::int32_t question = std::max<std::int32_t>(
-        1, UniformInclusive(rng, config.min_question_tokens,
-                            config.max_question_tokens));
+        rng.NextBounded(static_cast<std::uint64_t>(kDocuments)))];
+    const std::int32_t question = UniformInclusive(rng, 4, 8);
     for (std::int32_t t = 0; t < question; ++t) {
-      req.prompt.push_back(DrawToken(rng, config.vocab_size));
+      req.prompt.push_back(DrawToken(rng, kZooVocab));
     }
-    req.max_new_tokens = std::max<std::int32_t>(
-        1, UniformInclusive(rng, config.min_new_tokens, config.max_new_tokens));
-    req.tier = DrawTier(rng, config.tier_mix);
+    req.max_new_tokens = UniformInclusive(rng, 2, 6);
+    req.tier = DrawTier(rng, TierMix{0.3, 0.6, 0.1});
     trace.push_back(std::move(req));
   }
   return trace;
 }
 
-std::vector<ServingRequest> AgenticBurstTrace(
-    Rng& rng, const AgenticBurstConfig& config) {
+std::vector<ServingRequest> AgenticBurstTrace(Rng& rng) {
+  constexpr std::int32_t kAgents = 6;
+  constexpr std::int32_t kStepsPerAgent = 4;
   // One shared scaffold opens every chain, so agents prefix-share it.
-  const std::vector<std::int32_t> scaffold =
-      DrawPrompt(rng, config.scaffold_tokens, config.vocab_size);
+  const std::vector<std::int32_t> scaffold = DrawPrompt(rng, 10, kZooVocab);
 
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_agents) *
-                static_cast<std::size_t>(config.steps_per_agent));
+  trace.reserve(kAgents * kStepsPerAgent);
   double epoch = 0.0;
-  for (std::int32_t a = 0; a < config.num_agents; ++a) {
-    epoch += ExpGap(rng, 1.0 / std::max(1e-12, config.mean_agent_gap_seconds));
+  for (std::int32_t a = 0; a < kAgents; ++a) {
+    epoch += ExpGap(rng, 1.0 / 0.005);
     std::vector<std::int32_t> transcript = scaffold;
-    for (std::int32_t s = 0; s < config.steps_per_agent; ++s) {
+    for (std::int32_t s = 0; s < kStepsPerAgent; ++s) {
       // The tool result lands in the transcript before the step runs;
       // each step replays the whole chain so far (prefix-cache food).
-      const std::int32_t tool = std::max<std::int32_t>(
-          1, UniformInclusive(rng, config.min_tool_tokens,
-                              config.max_tool_tokens));
+      const std::int32_t tool = UniformInclusive(rng, 3, 7);
       for (std::int32_t t = 0; t < tool; ++t) {
-        transcript.push_back(DrawToken(rng, config.vocab_size));
+        transcript.push_back(DrawToken(rng, kZooVocab));
       }
       ServingRequest req;
       req.prompt = transcript;
-      req.max_new_tokens = std::max<std::int32_t>(
-          1, UniformInclusive(rng, config.min_new_tokens,
-                              config.max_new_tokens));
-      req.arrival_seconds =
-          epoch + static_cast<double>(s) * config.step_gap_seconds;
-      req.tier = DrawTier(rng, config.tier_mix);
+      req.max_new_tokens = UniformInclusive(rng, 4, 10);
+      req.arrival_seconds = epoch + static_cast<double>(s) * 1e-3;
+      req.tier = DrawTier(rng, TierMix{0.6, 0.3, 0.1});
       trace.push_back(std::move(req));
     }
   }
@@ -363,61 +340,50 @@ std::vector<ServingRequest> AgenticBurstTrace(
   return trace;
 }
 
-std::vector<ServingRequest> ParallelSamplingTrace(
-    Rng& rng, const ParallelSamplingConfig& config) {
-  const std::int32_t n = std::max<std::int32_t>(1, config.samples_per_prompt);
+std::vector<ServingRequest> ParallelSamplingTrace(Rng& rng) {
+  constexpr std::int32_t kGroups = 8;
+  constexpr std::int32_t kSamplesPerPrompt = 4;
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_groups) *
-                static_cast<std::size_t>(n));
+  trace.reserve(kGroups * kSamplesPerPrompt);
   double now = 0.0;
-  for (std::int32_t g = 0; g < config.num_groups; ++g) {
-    now += ExpGap(rng, config.rate_rps);
-    const std::vector<std::int32_t> prompt = DrawPrompt(
-        rng,
-        UniformInclusive(rng, config.min_prompt_tokens,
-                         config.max_prompt_tokens),
-        config.vocab_size);
-    const std::int32_t budget = std::max<std::int32_t>(
-        1, UniformInclusive(rng, config.min_new_tokens, config.max_new_tokens));
-    const RequestTier tier = DrawTier(rng, config.tier_mix);
-    for (std::int32_t k = 0; k < n; ++k) {
+  for (std::int32_t g = 0; g < kGroups; ++g) {
+    now += ExpGap(rng, 50.0);
+    const std::vector<std::int32_t> prompt =
+        DrawPrompt(rng, UniformInclusive(rng, 12, 24), kZooVocab);
+    const std::int32_t budget = UniformInclusive(rng, 8, 16);
+    const RequestTier tier = DrawTier(rng, TierMix{0.2, 0.6, 0.2});
+    for (std::int32_t k = 0; k < kSamplesPerPrompt; ++k) {
       ServingRequest req;
       req.prompt = prompt;  // identical content: the pool COW-forks it
       req.max_new_tokens = budget;
       req.arrival_seconds = now;
       req.tier = tier;
-      if (config.vary_temperature) {
-        req.sampler.temperature = config.temperature_base +
-                                  static_cast<float>(k) *
-                                      config.temperature_step;
-        req.sampler.has_temperature = true;
-      }
+      req.sampler.temperature = 0.7f + static_cast<float>(k) * 0.15f;
+      req.sampler.has_temperature = true;
       trace.push_back(std::move(req));
     }
   }
   return trace;
 }
 
-std::vector<ServingRequest> LongContextTrace(Rng& rng,
-                                             const LongContextConfig& config) {
+std::vector<ServingRequest> LongContextTrace(Rng& rng) {
+  constexpr std::int32_t kRequests = 8;
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_requests));
+  trace.reserve(kRequests);
   double now = 0.0;
-  for (std::int32_t i = 0; i < config.num_requests; ++i) {
-    now += ExpGap(rng, config.rate_rps);
+  for (std::int32_t i = 0; i < kRequests; ++i) {
+    now += ExpGap(rng, 20.0);
     ServingRequest req;
     req.arrival_seconds = now;
-    req.prompt = DrawPrompt(rng,
-                            UniformInclusive(rng, config.min_context_tokens,
-                                             config.max_context_tokens),
-                            config.vocab_size);
-    req.max_new_tokens = std::max<std::int32_t>(
-        1, UniformInclusive(rng, config.min_new_tokens, config.max_new_tokens));
-    req.tier = DrawTier(rng, config.tier_mix);
+    req.prompt = DrawPrompt(rng, UniformInclusive(rng, 32, 48), kZooVocab);
+    req.max_new_tokens = UniformInclusive(rng, 8, 14);
+    req.tier = DrawTier(rng, TierMix{0.05, 0.25, 0.7});
     trace.push_back(std::move(req));
   }
   return trace;
 }
+
+}  // namespace
 
 std::string_view ScenarioName(Scenario scenario) {
   switch (scenario) {
@@ -440,36 +406,12 @@ bool ScenarioFromName(std::string_view name, Scenario* out) {
   return false;
 }
 
-std::vector<ServingRequest> ScenarioTrace(Rng& rng, Scenario scenario,
-                                          std::int32_t num_requests) {
+std::vector<ServingRequest> ScenarioTrace(Rng& rng, Scenario scenario) {
   switch (scenario) {
-    case Scenario::kRag: {
-      RagConfig cfg;
-      if (num_requests > 0) cfg.num_requests = num_requests;
-      return RagTrace(rng, cfg);
-    }
-    case Scenario::kAgentic: {
-      AgenticBurstConfig cfg;
-      if (num_requests > 0) {
-        cfg.num_agents = std::max<std::int32_t>(
-            1, num_requests / std::max<std::int32_t>(1, cfg.steps_per_agent));
-      }
-      return AgenticBurstTrace(rng, cfg);
-    }
-    case Scenario::kParallelSampling: {
-      ParallelSamplingConfig cfg;
-      if (num_requests > 0) {
-        cfg.num_groups = std::max<std::int32_t>(
-            1,
-            num_requests / std::max<std::int32_t>(1, cfg.samples_per_prompt));
-      }
-      return ParallelSamplingTrace(rng, cfg);
-    }
-    case Scenario::kLongContext: {
-      LongContextConfig cfg;
-      if (num_requests > 0) cfg.num_requests = num_requests;
-      return LongContextTrace(rng, cfg);
-    }
+    case Scenario::kRag: return RagTrace(rng);
+    case Scenario::kAgentic: return AgenticBurstTrace(rng);
+    case Scenario::kParallelSampling: return ParallelSamplingTrace(rng);
+    case Scenario::kLongContext: return LongContextTrace(rng);
   }
   return {};
 }

@@ -155,10 +155,6 @@ class MultiTurnChatPool {
   bool in_flight(std::int32_t user) const {
     return users_[static_cast<std::size_t>(user)].in_flight;
   }
-  /// Turns `user` has completed so far.
-  std::int32_t turns(std::int32_t user) const {
-    return users_[static_cast<std::size_t>(user)].turns;
-  }
   /// The conversation so far (the most recent turn's full prompt).
   const std::vector<std::int32_t>& history(std::int32_t user) const {
     return users_[static_cast<std::size_t>(user)].history;
@@ -185,13 +181,13 @@ class MultiTurnChatPool {
 
 // ------------------------------ scenario zoo --------------------------
 //
-// Named, deterministic workload shapes with realistic tier mixes -- the
-// traces the SLO/goodput benches and docs/SCENARIOS.md reason about.
-// Each generator draws everything from the caller's Rng stream, so a
-// (seed, config) pair always yields the same trace. The default configs
-// are sized to fit llama::ModelConfig::Tiny (vocab 512, seq_len 64):
-// prompt plus generation budget never exceeds the context window, so
-// every zoo trace runs against every preset out of the box.
+// Four named, deterministic workload shapes with realistic tier mixes --
+// the traces the SLO/goodput benches and docs/SCENARIOS.md reason about.
+// Each trace draws everything from the caller's Rng stream, so a seed
+// always yields the same trace. The shapes are fixed and sized to fit
+// llama::ModelConfig::Tiny (vocab 512, seq_len 64): prompt plus
+// generation budget never exceeds the context window, so every zoo
+// trace runs against every preset out of the box.
 
 /// Probability weights of the three request tiers. Weights need not sum
 /// to one (they are normalized at draw time); all-zero weights collapse
@@ -214,147 +210,36 @@ RequestTier DrawTier(Rng& rng, const TierMix& mix);
 void ApplyTierMix(Rng& rng, const TierMix& mix,
                   std::vector<ServingRequest>& trace);
 
-/// Shape of the RAG trace; see RagTrace.
-struct RagConfig {
-  /// Number of requests in the trace.
-  std::int32_t num_requests = 24;
-  /// Mean arrival rate, requests per second.
-  double rate_rps = 100.0;
-  /// Distinct retrieved-context documents the trace cycles over.
-  std::int32_t num_documents = 3;
-  /// Length of each retrieved context, tokens (the "huge shared
-  /// prompt"; dwarfs the question and the generation).
-  std::int32_t document_tokens = 24;
-  /// Minimum unique question tokens appended after the context.
-  std::int32_t min_question_tokens = 4;
-  /// Maximum unique question tokens appended (inclusive).
-  std::int32_t max_question_tokens = 8;
-  /// Minimum generation budget, tokens (answers are tiny).
-  std::int32_t min_new_tokens = 2;
-  /// Maximum generation budget, tokens (inclusive).
-  std::int32_t max_new_tokens = 6;
-  /// Token ids are drawn from the non-control vocab below this.
-  std::int32_t vocab_size = 512;
-  /// Tier assignment weights (RAG frontends mix chat and API traffic).
-  TierMix tier_mix{0.3, 0.6, 0.1};
-};
-
-/// Retrieval-augmented generation: every prompt is one of a few huge
-/// shared context documents plus a short unique question, and the
-/// generation is tiny -- prefill-dominated traffic where prefix caching
-/// and COW sharing carry the run. Poisson arrivals.
-std::vector<ServingRequest> RagTrace(Rng& rng, const RagConfig& config);
-
-/// Shape of the agentic-burst trace; see AgenticBurstTrace.
-struct AgenticBurstConfig {
-  /// Concurrent simulated agents (one tool-call chain each).
-  std::int32_t num_agents = 6;
-  /// Tool-call steps per agent's chain.
-  std::int32_t steps_per_agent = 4;
-  /// Mean exponential gap between consecutive agents' wake-ups.
-  double mean_agent_gap_seconds = 0.005;
-  /// Fixed gap between an agent's consecutive steps (a burst: the whole
-  /// chain lands nearly at once, the instantaneous-overload shape).
-  double step_gap_seconds = 1e-3;
-  /// Tokens of the shared agent scaffold every chain opens with.
-  std::int32_t scaffold_tokens = 10;
-  /// Minimum tool-result tokens appended to the transcript per step.
-  std::int32_t min_tool_tokens = 3;
-  /// Maximum tool-result tokens appended (inclusive).
-  std::int32_t max_tool_tokens = 7;
-  /// Minimum generation budget per step, tokens.
-  std::int32_t min_new_tokens = 4;
-  /// Maximum generation budget per step, tokens (inclusive).
-  std::int32_t max_new_tokens = 10;
-  /// Token ids are drawn from the non-control vocab below this.
-  std::int32_t vocab_size = 512;
-  /// Tier assignment weights (agents sit in interactive loops).
-  TierMix tier_mix{0.6, 0.3, 0.1};
-};
-
-/// Agentic tool-call bursts: each agent replays a shared scaffold plus
-/// its growing tool transcript, and its whole chain arrives in a tight
-/// clump -- the bursty, prefix-heavy shape that stresses admission
-/// control, preemption, and the prefix cache at once. The returned
-/// trace is sorted by arrival time.
-std::vector<ServingRequest> AgenticBurstTrace(Rng& rng,
-                                              const AgenticBurstConfig& config);
-
-/// Shape of the parallel-sampling trace; see ParallelSamplingTrace.
-struct ParallelSamplingConfig {
-  /// Number of prompts, each forked into `samples_per_prompt` requests.
-  std::int32_t num_groups = 8;
-  /// Samples drawn per prompt (n > 1 forks the prompt's KV blocks
-  /// through copy-on-write sharing).
-  std::int32_t samples_per_prompt = 4;
-  /// Mean arrival rate of prompt groups, groups per second.
-  double rate_rps = 50.0;
-  /// Minimum prompt length, tokens (BOS included).
-  std::int32_t min_prompt_tokens = 12;
-  /// Maximum prompt length, tokens (inclusive).
-  std::int32_t max_prompt_tokens = 24;
-  /// Minimum generation budget, tokens (shared by a group's samples).
-  std::int32_t min_new_tokens = 8;
-  /// Maximum generation budget, tokens (inclusive).
-  std::int32_t max_new_tokens = 16;
-  /// Token ids are drawn from the non-control vocab below this.
-  std::int32_t vocab_size = 512;
-  /// When set, sample k of each group carries a per-request
-  /// SamplerOverride with temperature `temperature_base +
-  /// k * temperature_step` -- the queued-override path under load.
-  bool vary_temperature = true;
-  /// Temperature of each group's sample 0 (when vary_temperature).
-  float temperature_base = 0.7f;
-  /// Temperature increment per sample index (when vary_temperature).
-  float temperature_step = 0.15f;
-  /// Tier assignment weights, drawn once per group (all of a group's
-  /// samples share one tier).
-  TierMix tier_mix{0.2, 0.6, 0.2};
-};
-
-/// Parallel sampling (best-of-n): each prompt arrives n times at the
-/// same instant with identical content, so the pool prefix-shares the
-/// prompt blocks and forks them copy-on-write at first divergence; the
-/// per-stream sampler seeds make every sample's tokens distinct. With
-/// `vary_temperature`, samples also exercise queued per-request sampler
-/// overrides.
-std::vector<ServingRequest> ParallelSamplingTrace(
-    Rng& rng, const ParallelSamplingConfig& config);
-
-/// Shape of the long-context summarization trace; see LongContextTrace.
-struct LongContextConfig {
-  /// Number of requests in the trace.
-  std::int32_t num_requests = 8;
-  /// Mean arrival rate, requests per second.
-  double rate_rps = 20.0;
-  /// Minimum document length, tokens (BOS included; fully unique, so
-  /// the prefix cache cannot help).
-  std::int32_t min_context_tokens = 32;
-  /// Maximum document length, tokens (inclusive).
-  std::int32_t max_context_tokens = 48;
-  /// Minimum summary budget, tokens.
-  std::int32_t min_new_tokens = 8;
-  /// Maximum summary budget, tokens (inclusive).
-  std::int32_t max_new_tokens = 14;
-  /// Token ids are drawn from the non-control vocab below this.
-  std::int32_t vocab_size = 512;
-  /// Tier assignment weights (summarization is background traffic).
-  TierMix tier_mix{0.05, 0.25, 0.7};
-};
-
-/// Long-context summarization: long fully-unique documents with
-/// moderate generation budgets -- KV-capacity-bound traffic that hogs
-/// pool blocks, triggers preemption, and (being mostly best-effort)
-/// is what admission control sheds first under overload.
-std::vector<ServingRequest> LongContextTrace(Rng& rng,
-                                             const LongContextConfig& config);
-
-/// The named scenarios of the zoo (docs/SCENARIOS.md describes each).
+/// The named scenarios of the zoo. Token ids are drawn from the
+/// non-control ids below 512; tier mixes read interactive / standard /
+/// best-effort.
 enum class Scenario {
-  kRag,               ///< RagTrace with defaults
-  kAgentic,           ///< AgenticBurstTrace with defaults
-  kParallelSampling,  ///< ParallelSamplingTrace with defaults
-  kLongContext,       ///< LongContextTrace with defaults
+  /// Retrieval-augmented generation: 24 Poisson arrivals at 100 req/s,
+  /// each one of 3 shared 24-token context documents plus a unique 4-8
+  /// token question, with a tiny 2-6 token answer -- prefill-dominated
+  /// traffic where prefix caching and COW sharing carry the run. Tiers
+  /// 0.3 / 0.6 / 0.1.
+  kRag,
+  /// Agentic tool-call bursts: 6 agents wake at exponential gaps of mean
+  /// 5 ms and each runs a 4-step chain, 1 ms apart, replaying a shared
+  /// 10-token scaffold plus its growing transcript (3-7 tool-result
+  /// tokens per step, 4-10 token budgets) -- the bursty, prefix-heavy
+  /// shape that stresses admission control, preemption and the prefix
+  /// cache at once. Sorted by arrival. Tiers 0.6 / 0.3 / 0.1.
+  kAgentic,
+  /// Parallel sampling (best-of-n): 8 prompts of 12-24 tokens arrive at
+  /// 50 groups/s, each 4 times at the same instant with identical
+  /// content, one 8-16 token budget and one tier, so the pool
+  /// prefix-shares the prompt blocks and forks them copy-on-write.
+  /// Sample k carries a SamplerOverride temperature of 0.7 + 0.15 k, the
+  /// queued-override path under load. Tiers 0.2 / 0.6 / 0.2 per group.
+  kParallelSampling,
+  /// Long-context summarization: 8 Poisson arrivals at 20 req/s of fully
+  /// unique 32-48 token documents with 8-14 token summaries --
+  /// KV-capacity-bound traffic that hogs pool blocks, triggers
+  /// preemption, and (being mostly best-effort) is what admission
+  /// control sheds first. Tiers 0.05 / 0.25 / 0.7.
+  kLongContext,
 };
 
 /// Scenario name ("rag" / "agentic" / "parallel_sampling" /
@@ -365,11 +250,8 @@ std::string_view ScenarioName(Scenario scenario);
 /// leaves `*out` untouched) for unknown names.
 bool ScenarioFromName(std::string_view name, Scenario* out);
 
-/// Builds `scenario`'s trace with its default config, scaled to about
-/// `num_requests` requests when positive (grouped scenarios round to
-/// whole chains/groups); `num_requests <= 0` keeps the default size.
-std::vector<ServingRequest> ScenarioTrace(Rng& rng, Scenario scenario,
-                                          std::int32_t num_requests = 0);
+/// Builds `scenario`'s trace from `rng`.
+std::vector<ServingRequest> ScenarioTrace(Rng& rng, Scenario scenario);
 
 // ------------------------------ closed-loop (per-user) workloads ------
 

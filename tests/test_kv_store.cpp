@@ -238,7 +238,7 @@ TEST(KvStoreTest, HandoffAndSpeculationRunTheClassifierOncePerToken) {
   handoff.scheduler.block_size_tokens = 8;
   handoff.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
   api::EngineConfig spec;
-  spec.scheduler.speculative.enable = true;
+  spec.scheduler.speculative.draft_tokens = 4;
   for (const auto& [cards, config] :
        {std::pair{2, handoff}, std::pair{1, spec}}) {
     auto report = RunCluster(f, cards, config, SharedTrace(f.config, 12));

@@ -197,8 +197,12 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   (void)rng.NextBounded(2);
   (void)rng.NextBounded(2);
   s.enable_tiers = rng.NextBounded(2) == 0;
-  s.speculative.enable = rng.NextBounded(2) == 0;
-  s.speculative.draft_tokens = static_cast<std::int32_t>(rng.NextBounded(7));
+  // Speculation is on iff draft_tokens > 0; the on/off draw that once
+  // fed a separate switch still gates k, so every logged seed keeps its
+  // config.
+  const bool spec_on = rng.NextBounded(2) == 0;
+  const auto draft_tokens = static_cast<std::int32_t>(rng.NextBounded(7));
+  s.speculative.draft_tokens = spec_on ? draft_tokens : 0;
   s.speculative.acceptance_rate = rng.NextDouble();
   (void)rng.NextDouble();  // once: the draft cost ratio
   (void)rng.NextU64();     // once: the acceptance seed

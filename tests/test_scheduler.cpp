@@ -444,7 +444,7 @@ TEST(SchedulerTest, OverBudgetDecodeRotatesWithinTierOrder) {
       config.max_batch_seqs = 6;
       config.max_batch_tokens = 2;
       config.enable_tiers = tiers;
-      config.speculative.enable = spec;
+      config.speculative.draft_tokens = spec ? 4 : 0;
       std::vector<Tick> ticks;
       auto report = Serve(prog, f, config, reqs, Greedy(), &ticks);
       ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -20,6 +20,7 @@
 //    speedllm_spec_*_tokens_total counters.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -232,7 +233,6 @@ void ExpectSameStreams(const RunResult& off, const RunResult& on,
 
 SpeculativeConfig DefaultSpec() {
   SpeculativeConfig spec;
-  spec.enable = true;
   spec.draft_tokens = 4;
   spec.acceptance_rate = 0.7;
   return spec;
@@ -303,8 +303,8 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingOffAndSplitRoles) {
 }
 
 TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
-  // enable=true with draft_tokens=0 must be indistinguishable from
-  // speculation off, down to the telemetry exports.
+  // A negative draft_tokens clamps to 0 and must be indistinguishable
+  // from the default (speculation off), down to the telemetry exports.
   Fixture f;
   auto prog = f.Compile();
   auto reqs = MixedTrace(f.config, 12, 55);
@@ -315,8 +315,7 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   api::EngineConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   api::EngineConfig on = off;
-  on.scheduler.speculative.enable = true;
-  on.scheduler.speculative.draft_tokens = 0;
+  on.scheduler.speculative.draft_tokens = -3;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "k=0");
@@ -326,6 +325,34 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   EXPECT_EQ(on_r.chrome_trace, off_r.chrome_trace);
   EXPECT_EQ(on_r.metrics_json, off_r.metrics_json);
   EXPECT_EQ(on_r.prometheus, off_r.prometheus);
+}
+
+TEST(SpeculativeTest, NaNAcceptanceIsRejectedOnlyWhileSpeculating) {
+  // The acceptance rate is only read with drafts on: k = 4 turns a NaN
+  // into a setup error on every Submit, while k = 0 ignores it and serves.
+  Fixture f;
+  auto prog = f.Compile();
+  for (const std::int32_t k : {4, 0}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    api::EngineConfig config;
+    config.scheduler.speculative.draft_tokens = k;
+    config.scheduler.speculative.acceptance_rate =
+        std::numeric_limits<double>::quiet_NaN();
+    api::Engine engine(prog, f.weights, f.u280, config);
+    auto handle = engine.Submit(MakeRequest(4, 6, 0.0));
+    if (k > 0) {
+      EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine.submitted_requests(), 0u);
+      continue;
+    }
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    engine.RunToCompletion();
+    auto report = engine.Finish();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->merged.outcomes.size(), 1u);
+    EXPECT_EQ(report->merged.outcomes[0].generated.size(), 6u);
+    EXPECT_EQ(report->merged.spec_draft_tokens, 0);
+  }
 }
 
 TEST(SpeculativeTest, AlwaysRejectKeepsStreamsAndAccountsWaste) {

@@ -1,13 +1,16 @@
 // Unit tests for the synthetic workload generators
 // (serving/workload.hpp): deterministic Poisson/bursty traces under a
 // fixed seed, empirical-rate sanity bounds, request shape invariants,
-// and the closed-loop client pool's one-request-in-flight-per-user
-// contract.
+// the closed-loop client pool's one-request-in-flight-per-user
+// contract, and the scenario zoo's shapes and pinned trace digests.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "llama/tokenizer.hpp"
@@ -237,59 +240,99 @@ TEST(WorkloadTest, ScenarioTracesAreDeterministicAndNamed) {
   EXPECT_FALSE(ScenarioFromName("no-such-scenario", &ignored));
 }
 
+/// FNV-1a over everything ExpectSameTrace compares, in trace order.
+std::uint64_t TraceDigest(const std::vector<ServingRequest>& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const ServingRequest& req : trace) {
+    mix(std::bit_cast<std::uint64_t>(req.arrival_seconds));
+    mix(req.prompt.size());
+    for (const std::int32_t token : req.prompt) {
+      mix(static_cast<std::uint32_t>(token));
+    }
+    mix(static_cast<std::uint32_t>(req.max_new_tokens));
+    mix(static_cast<std::uint64_t>(TierIndex(req.tier)));
+    mix(req.sampler.has_temperature ? 1u : 0u);
+    if (req.sampler.has_temperature) {
+      mix(std::bit_cast<std::uint32_t>(req.sampler.temperature));
+    }
+  }
+  return h;
+}
+
+TEST(WorkloadTest, ScenarioTracesMatchPinnedDigests) {
+  // A change to any scenario's draws, shapes, tiers or overrides moves
+  // its digest.
+  const std::pair<Scenario, std::uint64_t> kPinned[] = {
+      {Scenario::kRag, 0x98f2c682bcc0573aull},
+      {Scenario::kAgentic, 0xa3007e6b7000a979ull},
+      {Scenario::kParallelSampling, 0xadf30dd961871285ull},
+      {Scenario::kLongContext, 0xba31c04037c9fc0eull},
+  };
+  for (const auto& [scenario, digest] : kPinned) {
+    Rng rng(99);
+    const std::uint64_t actual = TraceDigest(ScenarioTrace(rng, scenario));
+    EXPECT_EQ(actual, digest)
+        << ScenarioName(scenario) << " digest 0x" << std::hex << actual;
+  }
+}
+
 TEST(WorkloadTest, RagTraceSharesDocumentPrefixes) {
-  RagConfig rc;
+  constexpr std::int32_t kDocuments = 3;
+  constexpr std::int32_t kDocumentTokens = 24;
   Rng rng(5);
-  auto trace = RagTrace(rng, rc);
-  ASSERT_EQ(trace.size(), static_cast<std::size_t>(rc.num_requests));
-  // Every prompt opens with one of `num_documents` shared contexts, so a
+  auto trace = ScenarioTrace(rng, Scenario::kRag);
+  ASSERT_EQ(trace.size(), 24u);
+  // Every prompt opens with one of the shared contexts, so a
   // prefix-caching pool sees heavy block reuse: the distinct
-  // document-length prefixes are at most num_documents.
+  // document-length prefixes are at most kDocuments.
   std::set<std::vector<std::int32_t>> prefixes;
   for (const ServingRequest& req : trace) {
-    ASSERT_GT(static_cast<std::int32_t>(req.prompt.size()),
-              rc.document_tokens);
+    ASSERT_GT(static_cast<std::int32_t>(req.prompt.size()), kDocumentTokens);
     prefixes.insert({req.prompt.begin(),
-                     req.prompt.begin() + rc.document_tokens});
-    EXPECT_GE(req.max_new_tokens, rc.min_new_tokens);
-    EXPECT_LE(req.max_new_tokens, rc.max_new_tokens);
+                     req.prompt.begin() + kDocumentTokens});
+    EXPECT_GE(req.max_new_tokens, 2);
+    EXPECT_LE(req.max_new_tokens, 6);
   }
-  EXPECT_LE(prefixes.size(), static_cast<std::size_t>(rc.num_documents));
+  EXPECT_LE(prefixes.size(), static_cast<std::size_t>(kDocuments));
   EXPECT_GT(prefixes.size(), 1u);  // more than one document gets cited
 }
 
 TEST(WorkloadTest, AgenticBurstsShareAScaffoldAndGrowTranscripts) {
-  AgenticBurstConfig ac;
+  constexpr std::int32_t kScaffoldTokens = 10;
   Rng rng(5);
-  auto trace = AgenticBurstTrace(rng, ac);
-  ASSERT_EQ(trace.size(),
-            static_cast<std::size_t>(ac.num_agents * ac.steps_per_agent));
+  auto trace = ScenarioTrace(rng, Scenario::kAgentic);
+  ASSERT_EQ(trace.size(), 6u * 4u);  // agents x steps per agent
   const std::vector<std::int32_t> scaffold(
-      trace[0].prompt.begin(), trace[0].prompt.begin() + ac.scaffold_tokens);
+      trace[0].prompt.begin(), trace[0].prompt.begin() + kScaffoldTokens);
   double prev = 0.0;
   for (const ServingRequest& req : trace) {
     EXPECT_GE(req.arrival_seconds, prev);  // merged timeline stays sorted
     prev = req.arrival_seconds;
-    ASSERT_GE(static_cast<std::int32_t>(req.prompt.size()),
-              ac.scaffold_tokens);
+    ASSERT_GE(static_cast<std::int32_t>(req.prompt.size()), kScaffoldTokens);
     // Every step of every agent reuses the shared system scaffold.
     const std::vector<std::int32_t> head(
-        req.prompt.begin(), req.prompt.begin() + ac.scaffold_tokens);
+        req.prompt.begin(), req.prompt.begin() + kScaffoldTokens);
     EXPECT_EQ(head, scaffold);
   }
 }
 
 TEST(WorkloadTest, ParallelSamplingGroupsDifferOnlyInTemperature) {
-  ParallelSamplingConfig pc;
+  constexpr std::int32_t kGroups = 8;
+  constexpr std::int32_t kSamplesPerPrompt = 4;
   Rng rng(5);
-  auto trace = ParallelSamplingTrace(rng, pc);
+  auto trace = ScenarioTrace(rng, Scenario::kParallelSampling);
   ASSERT_EQ(trace.size(),
-            static_cast<std::size_t>(pc.num_groups * pc.samples_per_prompt));
-  for (std::int32_t g = 0; g < pc.num_groups; ++g) {
-    const std::size_t base =
-        static_cast<std::size_t>(g * pc.samples_per_prompt);
+            static_cast<std::size_t>(kGroups * kSamplesPerPrompt));
+  for (std::int32_t g = 0; g < kGroups; ++g) {
+    const std::size_t base = static_cast<std::size_t>(g * kSamplesPerPrompt);
     const ServingRequest& head = trace[base];
-    for (std::int32_t k = 1; k < pc.samples_per_prompt; ++k) {
+    for (std::int32_t k = 1; k < kSamplesPerPrompt; ++k) {
       const ServingRequest& req = trace[base + k];
       const ServingRequest& prev = trace[base + k - 1];
       // n samples of one prompt: identical everything but the sampler.
@@ -301,6 +344,27 @@ TEST(WorkloadTest, ParallelSamplingGroupsDifferOnlyInTemperature) {
       EXPECT_GT(req.sampler.temperature, prev.sampler.temperature);
     }
   }
+}
+
+TEST(WorkloadTest, LongContextDocumentsAreLongAndUnique) {
+  Rng rng(5);
+  auto trace = ScenarioTrace(rng, Scenario::kLongContext);
+  ASSERT_EQ(trace.size(), 8u);
+  std::set<std::vector<std::int32_t>> prompts;
+  double prev = 0.0;
+  for (const ServingRequest& req : trace) {
+    EXPECT_GE(req.arrival_seconds, prev);  // Poisson arrivals
+    prev = req.arrival_seconds;
+    EXPECT_EQ(req.prompt.front(), llama::kBosToken);
+    EXPECT_GE(req.prompt.size(), 32u);
+    EXPECT_LE(req.prompt.size(), 48u);
+    EXPECT_GE(req.max_new_tokens, 8);
+    EXPECT_LE(req.max_new_tokens, 14);
+    EXPECT_FALSE(req.sampler.has_temperature);
+    prompts.insert(req.prompt);
+  }
+  // Fully unique documents: nothing for the prefix cache to share.
+  EXPECT_EQ(prompts.size(), trace.size());
 }
 
 TEST(WorkloadTest, TierMixFrequenciesTrackTheWeights) {
