@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/threadpool.hpp"
 #include "llama/kernels.hpp"
 
 namespace speedllm::accel {

@@ -4,7 +4,9 @@
 // Executor. It holds spans of the caller's fp32 tensors and the copies
 // the host kernels stream instead of the row-major matrices: for the
 // fp32 datapath a column-interleaved copy of every matmul matrix below
-// kPoolSplitBytes (llama::PackMatMulWeights), for the int8 datapath the
+// kPoolSplitBytes (llama::PackMatMulWeights; a larger one splits its
+// output rows across ThreadPool::Global() and streams the row-major
+// matrix, common/threadpool.hpp), for the int8 datapath the
 // quantized matrices. Building it checks every tensor against the
 // program's shapes, so a mismatch is an InvalidArgument here instead of
 // an out-of-bounds read in a forward.
@@ -21,13 +23,6 @@
 #include "quant/quant.hpp"
 
 namespace speedllm::accel {
-
-/// A matmul whose fp32 weight matrix is at least this large splits its
-/// output rows across ThreadPool::Global() and streams the row-major
-/// matrix; a smaller one runs serially off its packed copy
-/// (docs/ARCHITECTURE.md, "Pool split"). Every Tiny matrix (at most
-/// 96 KiB) is packed; every stories15M matrix (at least 324 KiB) splits.
-inline constexpr std::int64_t kPoolSplitBytes = 256 * 1024;
 
 /// The forms of one matmul weight matrix [m x k].
 struct MatMulWeights {

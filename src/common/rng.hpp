@@ -20,16 +20,21 @@ class Rng {
 
   /// Next 64 uniformly distributed bits.
   std::uint64_t NextU64() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
   }
 
+  /// Skips n draws: leaves the stream where n NextU64() calls would, like
+  /// std::mt19937::discard. The state is a counter that every draw steps
+  /// by kGamma (mod 2^64), so this is O(1).
+  void Discard(std::uint64_t n) { state_ += n * kGamma; }
+
   /// Uniform in [0, bound). bound must be > 0.
   std::uint64_t NextBounded(std::uint64_t bound) {
-    // Lemire's multiply-shift rejection-free approximation is fine here;
-    // modulo bias at 64 bits is negligible for simulation workloads.
+    // A plain modulo; its bias (at most bound / 2^64) is negligible for
+    // simulation workloads.
     return NextU64() % bound;
   }
 
@@ -44,7 +49,9 @@ class Rng {
   }
 
   /// Standard normal via Box-Muller (one value per call; the pair's twin
-  /// is discarded to keep the generator stateless beyond `state_`).
+  /// is discarded to keep the generator stateless beyond `state_`). Takes
+  /// exactly two draws and never rejects one, so the i-th value of a stream
+  /// is a function of the stream's state after Discard(2 * i).
   float NextGaussian() {
     float u1 = NextFloat();
     float u2 = NextFloat();
@@ -64,6 +71,8 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
   std::uint64_t state_;
 };
 

@@ -118,8 +118,10 @@ class Tensor {
   }
 
   const Shape& shape() const { return shape_; }
+  /// Element count; 0 for a default-constructed (or moved-from) tensor,
+  /// which owns no storage even though its rank-0 shape counts one.
   std::size_t size() const {
-    return static_cast<std::size_t>(shape_.num_elements());
+    return data_ ? static_cast<std::size_t>(shape_.num_elements()) : 0;
   }
   std::size_t size_bytes() const { return size() * sizeof(T); }
 

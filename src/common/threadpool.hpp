@@ -4,8 +4,10 @@
 // with ParallelFor (fork/join, static partitioning). llama::MatMulRows
 // (the CPU reference model and the executor's large matmuls) uses
 // ParallelRun, one task per block of 8 output rows with dynamic pickup,
-// so a worker the host deschedules holds up no one. The event engine
-// itself is single-threaded: host parallelism lives inside a tick.
+// so a worker the host deschedules holds up no one, and so does
+// llama::GenerateSyntheticWeights, one task per chunk of a large tensor.
+// The event engine itself is single-threaded: host parallelism lives
+// inside a tick.
 #pragma once
 
 #include <atomic>
@@ -18,6 +20,15 @@
 #include <vector>
 
 namespace speedllm {
+
+/// Work over a tensor of at least this many bytes is split across
+/// ThreadPool::Global(); smaller work runs inline on the caller. Both
+/// ParallelRun callers read it: a matmul whose fp32 weight matrix is this
+/// large splits its output rows (docs/ARCHITECTURE.md, "Pool split"; one-row
+/// splits measured a loss below ~128 KiB), and synthetic weight generation
+/// splits a tensor this large into chunks. Every Tiny tensor (at most
+/// 96 KiB) stays inline; every stories15M matrix (at least 324 KiB) splits.
+inline constexpr std::int64_t kPoolSplitBytes = 256 * 1024;
 
 /// Fixed-size fork/join thread pool.
 ///
@@ -52,12 +63,13 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, n), one index per task with dynamic
   /// pickup (workers and the calling thread race on a shared counter).
   /// Unlike ParallelFor there is no inline-below-threshold heuristic:
-  /// even n == 2 fans out. Its caller, llama::MatMulRows, passes one
-  /// index per block of 8 output rows, and the executor hands it a pool
-  /// only for matrices of at least 256 KiB (one-row splits measured a
-  /// loss below ~128 KiB), so whether to split is already decided by
-  /// weight bytes, not by block count. A thread that runs slowly takes
-  /// fewer blocks.
+  /// even n == 2 fans out. Both callers decide whether to split by tensor
+  /// bytes (kPoolSplitBytes), not by task count: llama::MatMulRows passes
+  /// one index per block of 8 output rows, and the executor hands it a
+  /// pool only for matrices of at least kPoolSplitBytes;
+  /// llama::GenerateSyntheticWeights passes one index per 64K-element
+  /// chunk of every tensor of at least kPoolSplitBytes, all tensors in one
+  /// batch. A thread that runs slowly takes fewer tasks.
   void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; lazily constructed.

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "accel/executor.hpp"
+#include "common/threadpool.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/kernels.hpp"
 #include "llama/tokenizer.hpp"
@@ -444,7 +445,7 @@ TEST(ClusterTest, EveryCardReadsTheEnginesOneWeightImage) {
     for (const auto& op : prog.dg.graph.ops()) {
       if (op.kind != graph::OpKind::kMatMul) continue;
       if (matrices.insert(op.inputs[0]).second &&
-          op.m * op.k * 4 < accel::kPoolSplitBytes) {
+          op.m * op.k * 4 < kPoolSplitBytes) {
         packed_floats += llama::PackedMatMulFloats(op.m, op.k);
       }
     }

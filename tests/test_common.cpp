@@ -164,6 +164,20 @@ TEST(TensorTest, RowAndAtAccessors) {
   EXPECT_EQ(row[0], 3.0f);
 }
 
+TEST(TensorTest, DefaultIsEmpty) {
+  // A rank-0 shape counts one element, but a default tensor owns nothing:
+  // walking its span must touch no memory.
+  TensorF t;
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.size_bytes(), 0u);
+  EXPECT_TRUE(t.span().empty());
+  const TensorF& ct = t;
+  EXPECT_TRUE(ct.span().empty());
+  // A scalar that owns its storage still holds one element.
+  TensorF scalar(Shape{});
+  EXPECT_EQ(scalar.size(), 1u);
+}
+
 TEST(TensorTest, DiffHelpers) {
   std::vector<float> a = {1.0f, 2.0f, 3.0f};
   std::vector<float> b = {1.0f, 2.5f, 3.0f};
@@ -203,6 +217,21 @@ TEST(RngTest, GaussianMoments) {
   for (int i = 0; i < 200000; ++i) stats.Add(rng.NextGaussian());
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+}
+
+TEST(RngTest, DiscardSkipsDraws) {
+  // The last seed's counter wraps past 2^64 within a few draws.
+  for (std::uint64_t seed : {std::uint64_t{7}, ~std::uint64_t{0} - 5}) {
+    for (std::uint64_t n : {0u, 1u, 1000u}) {
+      Rng stepped(seed), skipped(seed);
+      for (std::uint64_t i = 0; i < n; ++i) stepped.NextU64();
+      skipped.Discard(n);
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(stepped.NextU64(), skipped.NextU64())
+            << "seed " << seed << " n " << n << " draw " << i;
+      }
+    }
+  }
 }
 
 TEST(RngTest, ForkedStreamsDiffer) {

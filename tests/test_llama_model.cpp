@@ -1,6 +1,7 @@
 // Unit tests for src/llama: config, weights, checkpoint IO, reference model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -118,6 +119,45 @@ TEST(WeightsTest, SyntheticStatisticsLookTrained) {
   EXPECT_NEAR(sum / n, 0.0, 0.005);
   EXPECT_NEAR(std::sqrt(sq / n), 0.02, 0.005);
   for (float v : w.rms_att[0].span()) EXPECT_NEAR(v, 1.0f, 0.5f);
+}
+
+// FNV-1a over the bytes of every tensor: the globals, then each layer's
+// tensors in declaration order. A shared classifier's wcls is empty and
+// adds nothing.
+std::uint64_t WeightsDigest(const Weights& w) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  auto add = [&h](const TensorF& t) {
+    const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+    for (std::size_t i = 0; i < t.size_bytes(); ++i) {
+      h = (h ^ p[i]) * 0x100000001B3ull;
+    }
+  };
+  add(w.token_embedding);
+  add(w.rms_final);
+  add(w.wcls);
+  for (std::size_t l = 0; l < w.wq.size(); ++l) {
+    for (const auto* layer : {&w.rms_att, &w.wq, &w.wk, &w.wv, &w.wo,
+                              &w.rms_ffn, &w.w1, &w.w2, &w.w3}) {
+      add((*layer)[l]);
+    }
+  }
+  return h;
+}
+
+TEST(WeightsTest, SyntheticMatchesPinnedDigests) {
+  // Digests of the one-thread sequential draw. Tiny fills every tensor
+  // inline; stories15M fills every matrix in pooled chunks, so any change
+  // of a stream, its order within a tensor or an element's expression
+  // fails here.
+  ModelConfig unshared = ModelConfig::Tiny();
+  unshared.shared_classifier = false;
+  EXPECT_EQ(WeightsDigest(GenerateSyntheticWeights(ModelConfig::Tiny(), 99)),
+            0x4f2d77c0953d6150ull);
+  EXPECT_EQ(WeightsDigest(GenerateSyntheticWeights(unshared, 99)),
+            0xea7e9983e409193cull);
+  EXPECT_EQ(
+      WeightsDigest(GenerateSyntheticWeights(ModelConfig::Stories15M(), 1)),
+      0x7f9f7f35029248dcull);
 }
 
 // ---------------- Checkpoint ----------------
