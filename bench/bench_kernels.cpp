@@ -3,12 +3,15 @@
 // Measures the host-side ground-truth kernels the functional simulation
 // runs on: fp32 matvec (serial + thread pool), the multi-row matmul one
 // executor pass runs per weight matrix (serial + thread pool, and off a
-// once-packed copy at the Tiny and stories15M shapes), one
+// once-packed copy at the Tiny and stories15M shapes), the pooled
+// matmuls of a whole stories15M forward over its distinct matrices, one
 // sampled token (temperature, softmax and the top-p nucleus), int8
 // quantized matvec, rmsnorm, softmax, and the full reference forward
 // pass.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -91,6 +94,50 @@ BENCHMARK(BM_MatMulRows)
     ->ArgsProduct({{48}, {128}, {1, 4, 8}, {0}})
     ->ArgsProduct({{512}, {48}, {1, 4, 8}, {0}})
     ->UseRealTime();
+
+// Arg: activation rows. The pooled matmuls of one stories15M forward:
+// the 42 layer matrices in forward order, then the 32000x288 classifier,
+// about 61 MB of distinct weights, so each call streams its matrix from
+// L3 or memory as the executor's does. BM_MatMulThreaded and
+// BM_MatMulRows repeat one matrix that stays in L2 and hide that cost.
+// Items are MACs; wall time.
+void BM_MatMulForwardSweep(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  const auto config = llama::ModelConfig::Stories15M();
+  const auto weights = llama::GenerateSyntheticWeights(config, 6);
+  std::vector<const TensorF*> mats;
+  for (std::int32_t l = 0; l < config.n_layers; ++l) {
+    for (const auto* m : {&weights.wq, &weights.wk, &weights.wv, &weights.wo,
+                          &weights.w1, &weights.w3, &weights.w2}) {
+      mats.push_back(&(*m)[static_cast<std::size_t>(l)]);
+    }
+  }
+  mats.push_back(&weights.classifier());
+  std::int64_t macs = 0, max_d = 0, max_n = 0;
+  for (const TensorF* m : mats) {
+    macs += rows * m->shape().dim(0) * m->shape().dim(1);
+    max_d = std::max(max_d, m->shape().dim(0));
+    max_n = std::max(max_n, m->shape().dim(1));
+  }
+  auto x = RandomVec(static_cast<std::size_t>(rows * max_n), 2);
+  std::vector<float> out(static_cast<std::size_t>(rows * max_d));
+  ThreadPool& pool = ThreadPool::Global();
+  for (auto _ : state) {
+    for (const TensorF* m : mats) {
+      const std::int64_t d = m->shape().dim(0), n = m->shape().dim(1);
+      llama::MatMulRows(std::span<float>(out).first(
+                            static_cast<std::size_t>(rows * d)),
+                        m->span(),
+                        std::span<const float>(x).first(
+                            static_cast<std::size_t>(rows * n)),
+                        rows, d, n, &pool);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * macs);
+}
+BENCHMARK(BM_MatMulForwardSweep)->Arg(1)->Arg(8)->UseRealTime();
 
 // Args: d, n, activation rows. MatMulRowsPacked off a copy packed once
 // outside the loop, as the executor's weight image holds it: at the Tiny

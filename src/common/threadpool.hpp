@@ -3,9 +3,10 @@
 // The quantized kernels split matmul rows across a fixed pool of workers
 // with ParallelFor (fork/join, static partitioning). llama::MatMulRows
 // (the CPU reference model and the executor's large matmuls) uses
-// ParallelRun, one task per block of 8 output rows with dynamic pickup,
-// so a worker the host deschedules holds up no one, and so does
-// llama::GenerateSyntheticWeights, one task per chunk of a large tensor.
+// ParallelRun, one task per run of consecutive 8-row weight blocks with
+// dynamic pickup, so a worker the host deschedules holds up no one, and
+// so does llama::GenerateSyntheticWeights, one task per chunk of a large
+// tensor.
 // The event engine itself is single-threaded: host parallelism lives
 // inside a tick.
 #pragma once
@@ -65,8 +66,9 @@ class ThreadPool {
   /// Unlike ParallelFor there is no inline-below-threshold heuristic:
   /// even n == 2 fans out. Both callers decide whether to split by tensor
   /// bytes (kPoolSplitBytes), not by task count: llama::MatMulRows passes
-  /// one index per block of 8 output rows, and the executor hands it a
-  /// pool only for matrices of at least kPoolSplitBytes;
+  /// one index per run of consecutive 8-row blocks (about 64 KiB of
+  /// weights, at least 2 * num_threads() runs), and the executor hands it
+  /// a pool only for matrices of at least kPoolSplitBytes;
   /// llama::GenerateSyntheticWeights passes one index per 64K-element
   /// chunk of every tensor of at least kPoolSplitBytes, all tensors in one
   /// batch. A thread that runs slowly takes fewer tasks.

@@ -16,6 +16,11 @@ namespace {
 // Weight rows per packed block (two SSE vectors per column).
 constexpr std::int64_t kBlockRows = 8;
 
+// Weight bytes a pooled MatMulRows task aims to stream: a run of
+// consecutive blocks, long enough that each block's successor is the
+// same thread's to prefetch (docs/ARCHITECTURE.md, "Pool split").
+constexpr std::int64_t kTaskBytes = 64 * 1024;
+
 /// Output rows [begin, end) of out = W x for one activation row, each as
 /// one sequential sum over ascending j.
 void MatMulRowsScalar(float* out, const float* w, const float* x,
@@ -28,12 +33,25 @@ void MatMulRowsScalar(float* out, const float* w, const float* x,
   }
 }
 
+#if defined(__SSE2__)
+/// Prefetches the two cache lines of the block at `next` that match
+/// 4-column step j of the current block: over the n / 4 steps that is the
+/// block's 8 n floats, all of them before the loop reaches it.
+inline void PrefetchStep(const float* next, std::int64_t j) {
+  _mm_prefetch(reinterpret_cast<const char*>(next + 8 * j), _MM_HINT_T0);
+  _mm_prefetch(reinterpret_cast<const char*>(next + 8 * j + 16), _MM_HINT_T0);
+}
+#endif
+
 /// Packs weight rows [0, 8) of `w` column by column: pk[8 j + k] =
-/// w[k][j], so one column of the block is two adjacent vectors.
-void PackBlock(float* pk, const float* w, std::int64_t n) {
+/// w[k][j], so one column of the block is two adjacent vectors. A
+/// non-null `next` is the following whole block, prefetched meanwhile.
+void PackBlock(float* pk, const float* w, std::int64_t n,
+               const float* next) {
   std::int64_t j = 0;
 #if defined(__SSE2__)
   for (; j + 4 <= n; j += 4) {
+    if (next != nullptr) PrefetchStep(next, j);
     __m128 lo[4], hi[4];
     for (int k = 0; k < 4; ++k) {
       lo[k] = _mm_loadu_ps(w + k * n + j);
@@ -48,6 +66,8 @@ void PackBlock(float* pk, const float* w, std::int64_t n) {
       _mm_storeu_ps(pk + 8 * (j + t) + 4, hi[t]);
     }
   }
+#else
+  (void)next;
 #endif
   for (; j < n; ++j) {
     for (int k = 0; k < 8; ++k) pk[8 * j + k] = w[k * n + j];
@@ -60,13 +80,15 @@ void PackBlock(float* pk, const float* w, std::int64_t n) {
 /// one row's accumulator and adds w[k][j] * x[j] in ascending j with a
 /// separate multiply and add, transposing the block four columns at a
 /// time in registers, so every output is bit-identical to
-/// MatMulRowsScalar.
+/// MatMulRowsScalar. A non-null `next` is the following whole block,
+/// prefetched meanwhile.
 void BlockTimesRow(float* out, const float* w, const float* x,
-                   std::int64_t n) {
+                   std::int64_t n, const float* next) {
   const std::int64_t n4 = n / 4 * 4;
   __m128 acc_lo = _mm_setzero_ps();  // rows 0 .. 3
   __m128 acc_hi = _mm_setzero_ps();  // rows 4 .. 7
   for (std::int64_t j = 0; j < n4; j += 4) {
+    if (next != nullptr) PrefetchStep(next, j);
     // After the transposes lo[t] / hi[t] hold column j+t of the two
     // four-row halves.
     __m128 lo[4], hi[4];
@@ -170,23 +192,28 @@ void PackedBlockTimesRows(float* out, std::int64_t d, const float* pk,
 /// SSE2 one activation row transposes each block of eight weight rows in
 /// registers; several rows pack each block once and sweep it four rows
 /// at a time (packing is a second pass over the block, which pays only
-/// when rows share it). The rows past the last whole block run
-/// MatMulRowsScalar.
+/// when rows share it). Either way the next whole block inside
+/// [begin, end) is prefetched while the current one is read: the
+/// hardware prefetcher does not follow eight 4n-byte rows. The rows past
+/// the last whole block run MatMulRowsScalar.
 void MatMulBlock(float* out, const float* w, const float* x,
                  std::int64_t rows, std::int64_t d, std::int64_t n,
                  std::int64_t begin, std::int64_t end) {
   std::int64_t i = begin;
 #if defined(__SSE2__)
+  auto next = [&](std::int64_t b) {
+    return b + 2 * kBlockRows <= end ? w + (b + kBlockRows) * n : nullptr;
+  };
   if (rows == 1) {
     for (; i + kBlockRows <= end; i += kBlockRows) {
-      BlockTimesRow(out + i, w + i * n, x, n);
+      BlockTimesRow(out + i, w + i * n, x, n, next(i));
     }
   } else {
     thread_local std::vector<float> pk_buf;
     pk_buf.resize(static_cast<std::size_t>(kBlockRows * n));
     float* pk = pk_buf.data();
     for (; i + kBlockRows <= end; i += kBlockRows) {
-      PackBlock(pk, w + i * n, n);
+      PackBlock(pk, w + i * n, n, next(i));
       PackedBlockTimesRows(out + i, d, pk, x, rows, n);
     }
   }
@@ -210,18 +237,27 @@ void MatMulRows(std::span<float> out, std::span<const float> w,
   assert(out.size() == static_cast<std::size_t>(rows * d));
   assert(w.size() == static_cast<std::size_t>(d * n));
   assert(x.size() == static_cast<std::size_t>(rows * n));
-  if (pool != nullptr) {
-    // One task per block, picked up dynamically: a thread the host
-    // deschedules takes fewer blocks instead of holding up the rest.
-    const std::int64_t blocks = (d + kBlockRows - 1) / kBlockRows;
-    pool->ParallelRun(static_cast<std::size_t>(blocks), [&](std::size_t b) {
-      const std::int64_t i = static_cast<std::int64_t>(b) * kBlockRows;
-      MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, i,
-                  std::min(d, i + kBlockRows));
-    });
-  } else {
+  if (pool == nullptr || d == 0 || n == 0) {
     MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, 0, d);
+    return;
   }
+  // Each task is a run of consecutive blocks holding about kTaskBytes of
+  // weights, cut shorter so there are at least two tasks per thread;
+  // tasks are picked up dynamically, so a thread the host deschedules
+  // takes fewer runs instead of holding up the rest.
+  const std::int64_t blocks = (d + kBlockRows - 1) / kBlockRows;
+  const std::int64_t block_bytes =
+      kBlockRows * n * static_cast<std::int64_t>(sizeof(float));
+  const std::int64_t min_tasks = 2 * std::int64_t{pool->num_threads()};
+  const std::int64_t per_task = std::max<std::int64_t>(
+      1, std::min(kTaskBytes / block_bytes, blocks / min_tasks));
+  const std::int64_t task_rows = per_task * kBlockRows;
+  const std::int64_t tasks = (blocks + per_task - 1) / per_task;
+  pool->ParallelRun(static_cast<std::size_t>(tasks), [&](std::size_t t) {
+    const std::int64_t i = static_cast<std::int64_t>(t) * task_rows;
+    MatMulBlock(out.data(), w.data(), x.data(), rows, d, n, i,
+                std::min(d, i + task_rows));
+  });
 }
 
 std::int64_t PackedMatMulFloats(std::int64_t d, std::int64_t n) {
@@ -233,7 +269,7 @@ void PackMatMulWeights(std::span<float> pk, std::span<const float> w,
   assert(pk.size() == static_cast<std::size_t>(PackedMatMulFloats(d, n)));
   assert(w.size() == static_cast<std::size_t>(d * n));
   for (std::int64_t i = 0; i + kBlockRows <= d; i += kBlockRows) {
-    PackBlock(pk.data() + i * n, w.data() + i * n, n);
+    PackBlock(pk.data() + i * n, w.data() + i * n, n, nullptr);
   }
 }
 
@@ -316,18 +352,24 @@ void MulInPlace(std::span<float> out, std::span<const float> a) {
 
 void Rope(std::span<float> q, std::span<float> k, std::int32_t pos,
           std::int32_t head_dim) {
-  assert(head_dim % 2 == 0);
+  assert(head_dim > 0 && head_dim % 2 == 0);
   // llama2.c: iterate over the flattened vector; rotation frequency
-  // depends on the index within the head.
+  // depends on the index within the head, so each head's head_dim / 2
+  // rotations (cos, sin) are computed once and shared by q and k.
+  thread_local std::vector<float> rot;
+  rot.resize(static_cast<std::size_t>(head_dim));
+  for (std::int32_t head_idx = 0; head_idx < head_dim; head_idx += 2) {
+    float freq = 1.0f / std::pow(10000.0f, static_cast<float>(head_idx) /
+                                               static_cast<float>(head_dim));
+    float val = static_cast<float>(pos) * freq;
+    rot[static_cast<std::size_t>(head_idx)] = std::cos(val);
+    rot[static_cast<std::size_t>(head_idx) + 1] = std::sin(val);
+  }
+  const std::size_t hd = static_cast<std::size_t>(head_dim);
   auto rotate = [&](std::span<float> v) {
     for (std::size_t i = 0; i + 1 < v.size(); i += 2) {
-      std::int32_t head_idx = static_cast<std::int32_t>(i) % head_dim;
-      float freq = 1.0f / std::pow(10000.0f,
-                                   static_cast<float>(head_idx) /
-                                       static_cast<float>(head_dim));
-      float val = static_cast<float>(pos) * freq;
-      float fcr = std::cos(val);
-      float fci = std::sin(val);
+      const std::size_t h = i % hd;
+      const float fcr = rot[h], fci = rot[h + 1];
       float v0 = v[i], v1 = v[i + 1];
       v[i] = v0 * fcr - v1 * fci;
       v[i + 1] = v0 * fci + v1 * fcr;

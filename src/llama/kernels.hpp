@@ -29,8 +29,9 @@ void MatMul(std::span<float> out, std::span<const float> w,
 /// Every (row, output) is one sequential sum over ascending j with the
 /// multiply and add rounded on their own, so out[r] is bit-identical to
 /// MatMul(out[r], W, x[r]) whatever `rows`, the blocking, the thread
-/// split or the ISA. With `pool`, blocks of eight output rows split
-/// across its threads.
+/// split or the ISA. With `pool`, runs of consecutive 8-row blocks (about
+/// 64 KiB of weights each, at least two runs per thread) split across its
+/// threads. Zero `rows` or `d` writes nothing; zero `n` writes zeros.
 void MatMulRows(std::span<float> out, std::span<const float> w,
                 std::span<const float> x, std::int64_t rows, std::int64_t d,
                 std::int64_t n, ThreadPool* pool = nullptr);

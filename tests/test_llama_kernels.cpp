@@ -83,6 +83,19 @@ std::vector<float> SequentialRows(const float* w, const float* x,
   return out;
 }
 
+// SequentialRows for each of `rows` activation rows, concatenated.
+std::vector<float> SequentialRowsPerRow(const std::vector<float>& w,
+                                        const std::vector<float>& x,
+                                        std::int64_t rows, std::int64_t d,
+                                        std::int64_t n) {
+  std::vector<float> want;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const auto row = SequentialRows(w.data(), x.data() + r * n, d, n);
+    want.insert(want.end(), row.begin(), row.end());
+  }
+  return want;
+}
+
 TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
   ThreadPool pool(4);
   for (std::int64_t d : {1, 3, 7, 8, 9, 17, 512}) {
@@ -126,11 +139,7 @@ TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
         const auto w = RandomVec(static_cast<std::size_t>(d * n), seed);
         const auto x =
             RandomVec(static_cast<std::size_t>(rows * n), seed + rows);
-        std::vector<float> want;
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const auto row = SequentialRows(w.data(), x.data() + r * n, d, n);
-          want.insert(want.end(), row.begin(), row.end());
-        }
+        const auto want = SequentialRowsPerRow(w, x, rows, d, n);
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
           // One guard float on each side of the rows x d outputs.
           std::vector<float> out_buf(static_cast<std::size_t>(rows * d + 2),
@@ -146,6 +155,70 @@ TEST(MatMulTest, EveryRowIsBitIdenticalToASequentialLoop) {
           EXPECT_EQ(out_buf.back(), -1.0f);
         }
       }
+    }
+  }
+}
+
+// The pooled split hands each task a run of consecutive 8-row blocks (at
+// most 64 KiB of weights, at least two tasks per thread) and prefetches
+// the next block inside the run. d = 8 * 7 * 9 + 5 spans several
+// multi-block runs at both n (7 blocks each at n = 288, 2 at n = 768), a
+// ragged last run and a row tail; for d = 83 (11 blocks) the
+// two-tasks-per-thread floor cuts the runs to 1-5 blocks.
+TEST(MatMulTest, PooledRunsOfBlocksAreBitIdenticalToASequentialLoop) {
+  for (std::int64_t d : {8 * 7 * 9 + 5, 8 * 2 * 5 + 3}) {
+    for (std::int64_t n : {288, 768}) {
+      for (std::int64_t rows : {1, 5, 13}) {
+        const auto seed = static_cast<std::uint64_t>(d * 1000 + n);
+        const auto w = RandomVec(static_cast<std::size_t>(d * n), seed);
+        const auto x =
+            RandomVec(static_cast<std::size_t>(rows * n), seed + rows);
+        const auto want = SequentialRowsPerRow(w, x, rows, d, n);
+        for (unsigned threads = 1; threads <= 4; ++threads) {
+          SCOPED_TRACE(::testing::Message() << "d " << d << " n " << n
+                                            << " rows " << rows << " threads "
+                                            << threads);
+          ThreadPool pool(threads);
+          // One guard float on each side of the rows x d outputs.
+          std::vector<float> out_buf(static_cast<std::size_t>(rows * d + 2),
+                                     -1.0f);
+          std::span<float> out{out_buf.data() + 1,
+                               static_cast<std::size_t>(rows * d)};
+          MatMulRows(out, w, x, rows, d, n, &pool);
+          EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0);
+          EXPECT_EQ(out_buf.front(), -1.0f);
+          EXPECT_EQ(out_buf.back(), -1.0f);
+        }
+      }
+    }
+  }
+}
+
+// An empty output (d == 0 or rows == 0) writes nothing and n == 0 writes
+// zeros, pooled or serial.
+TEST(MatMulTest, EmptyShapesAreNoOps) {
+  ThreadPool pool(4);
+  struct Shape {
+    std::int64_t rows, d, n;
+  };
+  for (const Shape s : {Shape{1, 0, 288}, Shape{5, 0, 288}, Shape{1, 512, 0},
+                        Shape{5, 512, 0}, Shape{0, 512, 288}}) {
+    const auto w = RandomVec(static_cast<std::size_t>(s.d * s.n), 3);
+    const auto x = RandomVec(static_cast<std::size_t>(s.rows * s.n), 4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows " << s.rows << " d " << s.d << " n " << s.n
+                   << " threaded " << (p != nullptr));
+      std::vector<float> out_buf(static_cast<std::size_t>(s.rows * s.d + 2),
+                                 -1.0f);
+      std::span<float> out{out_buf.data() + 1,
+                           static_cast<std::size_t>(s.rows * s.d)};
+      MatMulRows(out, w, x, s.rows, s.d, s.n, p);
+      for (float v : out) EXPECT_EQ(v, 0.0f);
+      EXPECT_EQ(out_buf.front(), -1.0f);
+      EXPECT_EQ(out_buf.back(), -1.0f);
     }
   }
 }
@@ -178,11 +251,7 @@ TEST(MatMulTest, PackedRowsAreBitIdenticalToASequentialLoop) {
                      << "d " << d << " n " << n << " rows " << rows);
         const auto x =
             RandomVec(static_cast<std::size_t>(rows * n), seed + rows);
-        std::vector<float> want;
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const auto row = SequentialRows(w.data(), x.data() + r * n, d, n);
-          want.insert(want.end(), row.begin(), row.end());
-        }
+        const auto want = SequentialRowsPerRow(w, x, rows, d, n);
         // One guard float on each side of the rows x d outputs.
         std::vector<float> out_buf(static_cast<std::size_t>(rows * d + 2),
                                    -1.0f);
@@ -420,6 +489,52 @@ TEST(RopeTest, RelativeRotationProperty) {
   float dot0 = q[0] * k[0] + q[1] * k[1];
   float dot1 = q1[0] * k1[0] + q1[1] * k1[1];
   EXPECT_NEAR(dot0, dot1, 1e-5f);
+}
+
+// llama2.c's rotation, computing every pair's frequency and angle afresh:
+// Rope must match it bit for bit.
+void RopePerElement(std::span<float> q, std::span<float> k, std::int32_t pos,
+                    std::int32_t head_dim) {
+  auto rotate = [&](std::span<float> v) {
+    for (std::size_t i = 0; i + 1 < v.size(); i += 2) {
+      std::int32_t head_idx = static_cast<std::int32_t>(i) % head_dim;
+      float freq = 1.0f / std::pow(10000.0f, static_cast<float>(head_idx) /
+                                                 static_cast<float>(head_dim));
+      float val = static_cast<float>(pos) * freq;
+      float fcr = std::cos(val);
+      float fci = std::sin(val);
+      float v0 = v[i], v1 = v[i + 1];
+      v[i] = v0 * fcr - v1 * fci;
+      v[i + 1] = v0 * fci + v1 * fcr;
+    }
+  };
+  rotate(q);
+  rotate(k);
+}
+
+TEST(RopeTest, MatchesThePerElementLoop) {
+  // stories15M's head_dim 48 with kv_dim = dim (6 kv heads) and a GQA
+  // kv_dim of 2 heads, and a small head with an odd-length tail.
+  struct Shape {
+    std::int32_t head_dim, dim, kv_dim;
+  };
+  for (const Shape s : {Shape{48, 288, 288}, Shape{48, 288, 96},
+                        Shape{8, 35, 16}}) {
+    for (std::int32_t pos : {0, 1, 2, 7, 100, 255, 1023}) {
+      SCOPED_TRACE(::testing::Message() << "head_dim " << s.head_dim
+                                        << " kv_dim " << s.kv_dim << " pos "
+                                        << pos);
+      auto q = RandomVec(static_cast<std::size_t>(s.dim), 51 + pos);
+      auto k = RandomVec(static_cast<std::size_t>(s.kv_dim), 52 + pos);
+      auto q_want = q, k_want = k;
+      RopePerElement(q_want, k_want, pos, s.head_dim);
+      Rope(q, k, pos, s.head_dim);
+      EXPECT_EQ(std::memcmp(q.data(), q_want.data(), q.size() * sizeof(float)),
+                0);
+      EXPECT_EQ(std::memcmp(k.data(), k_want.data(), k.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 // ---------------- AttentionHead ----------------
