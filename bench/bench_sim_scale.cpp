@@ -9,10 +9,12 @@
 //     sample must stay within --rss-slack-mb (default 96) of the second
 //     (the first includes allocator warm-up);
 //  2. long-session memory: the same segment traces then run back to back
-//     through ONE api::Engine. Its KV pools keep the fp32 payload of every
-//     block they have handed out (a cached block is evicted only once the
-//     pool has used every id), so RSS may grow by exactly that payload;
-//     growth beyond it must stay within --rss-slack-mb.
+//     through ONE api::Engine. Its cards' KV pools keep their fp32 rows in
+//     the engine's row arena: the live blocks plus at most
+//     serving::kHostCachedKvTokens of cached ones, whose cold rest drops
+//     its rows. So the payload (Engine::host_kv_bytes) plateaus once the
+//     cache budget is full, RSS may grow by that payload, and growth
+//     beyond it must stay within --rss-slack-mb.
 //
 //   ./bench/bench_sim_scale [--preset tiny] [--requests 100000]
 //                           [--segments 8] [--cards 8] [--seed 11]
@@ -27,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/kv_pages.hpp"
 #include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
@@ -171,19 +172,8 @@ int main(int argc, char** argv) {
   // Long-session phase: every segment's trace, back to back, through one
   // engine that lives for the whole run.
   api::Engine session(program, weights, cards, engine_config);
-  const double block_payload_mib =
-      static_cast<double>(
-          accel::KvBlockLayout{config.n_layers, config.kv_dim(),
-                               engine_config.scheduler.block_size_tokens}
-              .block_floats() *
-          static_cast<std::int64_t>(sizeof(float))) /
-      (1024.0 * 1024.0);
   const auto payload_mib = [&] {
-    std::int64_t blocks = 0;
-    for (int c = 0; c < session.num_cards(); ++c) {
-      blocks += session.kv_pool_stats(c).materialized_blocks;
-    }
-    return static_cast<double>(blocks) * block_payload_mib;
+    return static_cast<double>(session.host_kv_bytes()) / (1024.0 * 1024.0);
   };
   Table session_table({"segment", "requests", "wall_s", "payload_mib",
                        "rss_mib"});

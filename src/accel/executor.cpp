@@ -354,8 +354,9 @@ StatusOr<std::span<const float>> Executor::Forward(
   const KvBlockLayout layout = KvLayout(program_->model.seq_len);
   if (own_kv_.empty()) {
     own_kv_.assign(static_cast<std::size_t>(layout.block_floats()), 0.0f);
+    own_block_[0] = own_kv_.data();
   }
-  return Forward(tokens, pos0, KvPages{own_kv_.data(), layout, own_table_},
+  return Forward(tokens, pos0, KvPages{layout, own_block_},
                  want_last_logits);
 }
 
@@ -377,7 +378,7 @@ StatusOr<std::span<const float>> Executor::Forward(
                       " >= seq_len " + std::to_string(cfg.seq_len));
   }
   const KvBlockLayout want = KvLayout(kv.layout.block_tokens);
-  if (kv.arena == nullptr || kv.layout.block_tokens <= 0 ||
+  if (kv.layout.block_tokens <= 0 ||
       kv.layout.n_layers != want.n_layers || kv.layout.kv_dim != want.kv_dim) {
     return InvalidArgument("KV pages do not match the model's K/V geometry");
   }

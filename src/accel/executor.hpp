@@ -75,7 +75,7 @@ class Executor {
 
   /// Runs the program for `tokens[r]` at position `pos0 + r`, r in
   /// order, against `kv`: K/V of position p are written to row p %
-  /// block_tokens of block table[p / block_tokens], and row r attends
+  /// block_tokens of block kv.blocks[p / block_tokens], and row r attends
   /// over positions [0, pos0 + r] block by block, so every row sees
   /// exactly the K/V a row-by-row run would. The accumulation order
   /// depends neither on the block size nor on the rows run together, so
@@ -193,7 +193,7 @@ class Executor {
   std::vector<std::int32_t> kv_plane_;
   // Standalone K/V: one block of seq_len tokens, allocated on first use.
   std::vector<float> own_kv_;
-  std::int32_t own_table_[1] = {0};
+  float* own_block_[1] = {nullptr};
 
   // TimingAt's table, indexed by position (allocated on first use).
   std::vector<TokenRunStats> timing_;

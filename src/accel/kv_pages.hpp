@@ -5,8 +5,10 @@
 // [layer][K|V][block_tokens][kv_dim] in fp32, so a whole block is one
 // contiguous span (copy-on-write is one memcpy) and one (layer, K|V)
 // plane of a block is a dense [block_tokens, kv_dim] matrix the attention
-// loops walk row by row. A sequence's block table maps its token position
-// `pos` to row `pos % block_tokens` of block `table[pos / block_tokens]`.
+// loops walk row by row. A sequence's page table lists where each of its
+// blocks starts: token position `pos` is row `pos % block_tokens` of
+// block `blocks[pos / block_tokens]`. The blocks may sit anywhere, so a
+// store can keep them in fixed chunks that never move.
 #pragma once
 
 #include <cstdint>
@@ -37,24 +39,19 @@ struct KvBlockLayout {
   }
 };
 
-/// One sequence's K/V as a forward pass sees it: physical block `b`
-/// starts at `arena + b * layout.block_floats()`, and `table` lists the
-/// sequence's blocks in token order.
+/// One sequence's K/V as a forward pass sees it: where each of its blocks
+/// starts, in token order.
 struct KvPages {
-  /// Base of the block arena.
-  float* arena = nullptr;
-  /// Geometry every block in the arena shares.
+  /// Geometry every block shares.
   KvBlockLayout layout;
-  /// Physical block ids in token order.
-  std::span<const std::int32_t> table;
+  /// Start of each block, in token order.
+  std::span<float* const> blocks;
 
   /// Start of the `i`-th block of the table.
-  float* block(std::size_t i) const {
-    return arena + static_cast<std::int64_t>(table[i]) * layout.block_floats();
-  }
+  float* block(std::size_t i) const { return blocks[i]; }
   /// Tokens the table can address.
   std::int64_t capacity_tokens() const {
-    return static_cast<std::int64_t>(table.size()) * layout.block_tokens;
+    return static_cast<std::int64_t>(blocks.size()) * layout.block_tokens;
   }
 };
 

@@ -114,6 +114,12 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
   // Every shard's local DMA and every cross-card KV move queue on one
   // shared station model.
   interconnect_ = std::make_unique<serving::Interconnect>(cards_);
+  // One host row arena for every card's KV pool: its cache budget is
+  // engine-wide.
+  kv_arena_ = std::make_unique<serving::KvRowArena>(
+      accel::KvBlockLayout{program_.model.n_layers, program_.model.kv_dim(),
+                           config_.scheduler.block_size_tokens}
+          .block_floats());
   const int n = cards_.num_cards();
   shards_.reserve(static_cast<std::size_t>(n));
   min_pool_blocks_ = std::numeric_limits<std::int64_t>::max();
@@ -123,7 +129,8 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
     if (!config_.shard_roles.empty()) role = config_.shard_roles[ci];
     if (role != ShardRole::kDecode) placeable_.push_back(ci);
     shards_.push_back(std::make_unique<ShardScheduler>(
-        program_, *image_, cards_.cards[ci], config_.scheduler, role, engine_));
+        program_, *image_, cards_.cards[ci], config_.scheduler, role, engine_,
+        *kv_arena_));
     ShardScheduler& shard = *shards_.back();
     // Each card carves its pool from its own HBM capacity.
     min_pool_blocks_ = std::min(min_pool_blocks_, shard.pool().num_blocks());
@@ -693,7 +700,7 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   const std::int64_t fetch_tokens = remote.matched_tokens;
   // The pages leave the source now: snapshot their K/V, since the source
   // may evict the blocks before the transfer lands.
-  std::vector<float> rows =
+  serving::KvPrefixSnapshot rows =
       shards_[static_cast<std::size_t>(src)]->pool().CachedPrefixRows(
           request.prompt, fetch_tokens);
   engine_.ScheduleAt(window.end, [this, index, dst, fetch_tokens,
@@ -749,6 +756,10 @@ serving::KvPoolStats Engine::kv_pool_stats(int card) const {
   return p == nullptr ? serving::KvPoolStats{} : p->stats();
 }
 
+std::uint64_t Engine::host_kv_bytes() const {
+  return kv_arena_ == nullptr ? 0 : kv_arena_->bytes();
+}
+
 // ------------------------------------------------------ telemetry export
 
 Status Engine::WriteTrace(const std::string& path,
@@ -800,7 +811,6 @@ StatusOr<serving::ClusterReport> Engine::Finish() {
   }
   report.rebalanced_requests = rebalanced_;
   report.kv_transfer_bytes = interconnect_->total_transfer_bytes();
-  report.kv_transfers = interconnect_->num_transfers();
   report.kv_handoffs = handoff_transfers_;
   report.remote_prefix_hits = remote_hits_;
   report.remote_prefix_hit_tokens = remote_hit_tokens_;

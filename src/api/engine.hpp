@@ -215,6 +215,11 @@ class Engine {
   /// hit/eviction/copy-on-write stats -- how multi-turn clients observe
   /// their conversation history being reused across turns.
   serving::KvPoolStats kv_pool_stats(int card) const;
+  /// Host bytes of the fp32 K/V rows every card's pool keeps in the
+  /// engine's shared serving::KvRowArena: the peak of live blocks plus
+  /// at most serving::kHostCachedKvTokens of cached ones. 0 when setup
+  /// failed.
+  std::uint64_t host_kv_bytes() const;
   /// The card-to-card interconnect (per-link byte counters, local DMA
   /// totals). Null when setup failed.
   const serving::Interconnect* interconnect() const {
@@ -333,6 +338,8 @@ class Engine {
   // Declared before shards_: every shard's executor reads it.
   std::optional<accel::WeightImage> image_;
   std::unique_ptr<obs::Telemetry> telemetry_;
+  // Declared before shards_: every card's pool keeps its rows here.
+  std::unique_ptr<serving::KvRowArena> kv_arena_;
   std::vector<std::unique_ptr<serving::ShardScheduler>> shards_;
   // Shared card-to-card link + HBM-channel model; every shard's local
   // DMA and every KV transfer queue on the same stations.

@@ -94,8 +94,6 @@ struct ClusterReport {
   /// Total bytes moved card-to-card over the interconnect (handoffs +
   /// prefix fetches).
   std::int64_t kv_transfer_bytes = 0;
-  /// Count of card-to-card interconnect transfers.
-  std::int64_t kv_transfers = 0;
   /// Prefill->decode KV handoffs (disaggregated mode only).
   std::int64_t kv_handoffs = 0;
   /// Remote prefix fetches actually performed at admission.

@@ -92,19 +92,122 @@ KvPoolConfig MakeKvPoolConfig(const llama::ModelConfig& model,
   return config;
 }
 
-KvBlockPool::KvBlockPool(const KvPoolConfig& config)
+// ------------------------------------------------------------ row arena
+
+namespace {
+
+/// Arena chunk bounds, each at least one slot. A chunk is as large as the
+/// slots carved before it, within these, so a large arena needs few
+/// chunks. The floor keeps chunks out of the allocator's small-object
+/// heap: a chunk's pages then stay untouched until carved, and no other
+/// allocation shares them.
+constexpr std::int64_t kMinArenaChunkBytes = 256 * 1024;
+constexpr std::int64_t kMaxArenaChunkBytes = 16ll << 20;
+
+/// Whole slots of `block_floats` floats in `bytes`, at least one.
+std::int64_t SlotsIn(std::int64_t bytes, std::int64_t block_floats) {
+  return std::max<std::int64_t>(
+      1, bytes / (block_floats * static_cast<std::int64_t>(sizeof(float))));
+}
+
+}  // namespace
+
+KvRowArena::KvRowArena(std::int64_t block_floats)
+    : block_floats_(block_floats),
+      min_chunk_slots_(SlotsIn(kMinArenaChunkBytes, block_floats)),
+      max_chunk_slots_(SlotsIn(kMaxArenaChunkBytes, block_floats)) {
+  assert(block_floats_ > 0 && "slot geometry must be set");
+}
+
+float* KvRowArena::AcquireSlot() {
+  if (!free_slots_.empty()) {
+    float* slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (carved_in_chunk_ == chunk_slots_) {
+    // A new chunk; the old ones never move, so no slot address changes
+    // and nothing is copied. Its pages stay untouched until carved.
+    chunk_slots_ =
+        std::clamp<std::int64_t>(slots_, min_chunk_slots_, max_chunk_slots_);
+    chunks_.push_back(std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(chunk_slots_ * block_floats_)));
+    carved_in_chunk_ = 0;
+  }
+  ++slots_;
+  float* slot = chunks_.back().get() + carved_in_chunk_++ * block_floats_;
+  std::fill_n(slot, block_floats_, 0.0f);  // never read uninitialized
+  return slot;
+}
+
+std::int32_t KvRowArena::Park(KvBlockPool* pool, std::int32_t block,
+                              std::int32_t tokens) {
+  std::int32_t entry = static_cast<std::int32_t>(entries_.size());
+  if (free_entries_.empty()) {
+    entries_.emplace_back();
+  } else {
+    entry = free_entries_.back();
+    free_entries_.pop_back();
+  }
+  entries_[static_cast<std::size_t>(entry)] =
+      Entry{pool, block, tokens, warmest_, -1};
+  (warmest_ < 0 ? coldest_
+                : entries_[static_cast<std::size_t>(warmest_)].warmer) = entry;
+  warmest_ = entry;
+  cached_tokens_ += tokens;
+  while (cached_tokens_ > kHostCachedKvTokens) {
+    // The list's head is the coldest cached block of every sharing pool.
+    const Entry victim = entries_[static_cast<std::size_t>(coldest_)];
+    Unpark(coldest_);
+    victim.pool->DropRows(victim.block);
+  }
+  return entry;
+}
+
+void KvRowArena::Unpark(std::int32_t entry) {
+  const Entry& e = entries_[static_cast<std::size_t>(entry)];
+  (e.colder < 0 ? coldest_
+                : entries_[static_cast<std::size_t>(e.colder)].warmer) =
+      e.warmer;
+  (e.warmer < 0 ? warmest_
+                : entries_[static_cast<std::size_t>(e.warmer)].colder) =
+      e.colder;
+  cached_tokens_ -= e.tokens;
+  free_entries_.push_back(entry);
+}
+
+// ----------------------------------------------------------------- pool
+
+KvBlockPool::KvBlockPool(const KvPoolConfig& config, KvRowArena* arena)
     : config_(config),
       chain_seed_(KvChainSeed(config.dtype)),
       block_floats_(config.payload_layout().block_floats()) {
   assert(config_.bytes_per_token > 0 && "bytes_per_token must be set");
   assert(config_.block_size_tokens > 0 && "block_size_tokens must be set");
   assert(block_floats_ > 0 && "payload geometry must be set");
+  if (arena == nullptr) {
+    own_arena_ = std::make_unique<KvRowArena>(block_floats_);
+    arena = own_arena_.get();
+  }
+  arena_ = arena;
+  assert(arena_->block_floats() == block_floats_ &&
+         "pools sharing an arena must share the payload geometry");
   const std::uint64_t block_bytes = config_.block_bytes();
   num_blocks_ =
       block_bytes == 0
           ? 0
           : static_cast<std::int64_t>(config_.pool_bytes / block_bytes);
-  // Metadata and payload materialize lazily in AllocateBlock.
+  // Metadata materializes lazily in AllocateBlock, rows with the slots
+  // the blocks take.
+}
+
+KvBlockPool::~KvBlockPool() {
+  if (own_arena_ != nullptr) return;  // the rows die with the pool
+  for (BlockMeta& m : meta_) {
+    if (m.rows == nullptr) continue;
+    if (m.refcount == 0 && m.cached) arena_->Unpark(m.arena_entry);
+    arena_->ReleaseSlot(m.rows);
+  }
 }
 
 std::int64_t KvBlockPool::BlocksForTokens(std::int64_t tokens) const {
@@ -159,57 +262,67 @@ PrefixMatch KvBlockPool::MatchCachedPrefix(
 
 std::int64_t KvBlockPool::InstallCachedPrefix(
     std::span<const std::int32_t> tokens, std::int64_t max_tokens,
-    std::span<const float> rows) {
+    const KvPrefixSnapshot& rows) {
   if (!config_.enable_prefix_cache) return 0;
   const std::int64_t bs = config_.block_size_tokens;
   const std::int64_t limit =
       std::min(static_cast<std::int64_t>(tokens.size()), max_tokens);
   std::uint64_t h = chain_seed_;
   std::int64_t full = 0;
+  std::int64_t shipped = 0;  // warm snapshot blocks before block `full`
   const std::int64_t row_floats = config_.payload_layout().row_floats();
   while ((full + 1) * bs <= limit) {
     const auto block_tokens = tokens.subspan(
         static_cast<std::size_t>(full * bs), static_cast<std::size_t>(bs));
     const std::uint64_t next = MixBlock(h, block_tokens);
+    const auto k = static_cast<std::size_t>(full);
     if (cache_.find(next) == cache_.end()) {
-      const auto block_rows = static_cast<std::size_t>(bs * row_floats);
-      const auto rows_at = static_cast<std::size_t>(full * bs * row_floats);
-      if (rows.size() < rows_at + block_rows) break;
+      if (k >= rows.warm.size()) break;
       const std::int32_t block = AllocateBlock();
       if (block < 0) break;  // pool saturated with live owners
-      const std::int32_t table[1] = {block};
-      accel::ScatterKvRows(
-          accel::KvPages{payload_.data(), config_.payload_layout(), table}, 0,
-          bs, rows.data() + rows_at);
       BlockMeta& m = meta_[static_cast<std::size_t>(block)];
+      if (rows.warm[k]) {
+        float* const slot[1] = {m.rows};
+        accel::ScatterKvRows(accel::KvPages{config_.payload_layout(), slot},
+                             0, bs,
+                             rows.rows.data() + shipped * bs * row_floats);
+      } else {
+        m.cold = true;  // the source had dropped its rows: a hit recomputes
+      }
       m.refcount = 0;
       m.cached = true;
       m.hash = next;
-      m.lru_stamp = lru_tick_++;
-      lru_.emplace(m.lru_stamp, block);
       cache_.emplace(next, block);
+      ParkBlock(block);
       ++stats_.cache_insertions;
       ++stats_.remote_install_blocks;
     }
+    if (k < rows.warm.size() && rows.warm[k]) ++shipped;
     h = next;
     ++full;
   }
   return full * bs;
 }
 
-std::vector<float> KvBlockPool::CachedPrefixRows(
+KvPrefixSnapshot KvBlockPool::CachedPrefixRows(
     std::span<const std::int32_t> tokens, std::int64_t max_tokens) const {
   std::vector<std::int32_t> blocks;
   WalkCachedPrefix(tokens, max_tokens, &blocks, nullptr);
+  KvPrefixSnapshot snapshot;
+  std::vector<float*> warm_rows;
+  for (std::int32_t b : blocks) {
+    const BlockMeta& m = meta_[static_cast<std::size_t>(b)];
+    const bool warm = m.rows != nullptr && !m.cold;
+    snapshot.warm.push_back(warm);
+    if (warm) warm_rows.push_back(m.rows);
+  }
   const accel::KvBlockLayout layout = config_.payload_layout();
-  const std::int64_t n = static_cast<std::int64_t>(blocks.size()) *
-                         layout.block_tokens;
-  std::vector<float> rows(static_cast<std::size_t>(n * layout.row_floats()));
-  // GatherKvRows only reads through the pages.
-  accel::GatherKvRows(
-      accel::KvPages{const_cast<float*>(payload_.data()), layout, blocks}, 0,
-      n, rows.data());
-  return rows;
+  const accel::KvPages pages{layout, warm_rows};
+  snapshot.rows.resize(
+      static_cast<std::size_t>(pages.capacity_tokens() * layout.row_floats()));
+  accel::GatherKvRows(pages, 0, pages.capacity_tokens(),
+                      snapshot.rows.data());
+  return snapshot;
 }
 
 Status KvBlockPool::Register(std::uint64_t seq) {
@@ -252,12 +365,16 @@ StatusOr<PrefixMatch> KvBlockPool::AcquireCachedPrefix(
   const std::int64_t bs = config_.block_size_tokens;
   match.matched_tokens = std::min(full * bs, max_tokens);
   match.matched_blocks = (match.matched_tokens + bs - 1) / bs;
+  std::int64_t first_cold = -1;
+  std::int64_t last_cold = -1;
   for (std::int64_t k = 0; k < match.matched_blocks; ++k) {
     const std::int32_t b = blocks[static_cast<std::size_t>(k)];
     BlockMeta& m = meta_[static_cast<std::size_t>(b)];
     if (m.refcount == 0) {
       // Revive off the LRU list: the block was free capacity until now.
-      lru_.erase(m.lru_stamp);
+      // A live block always holds a slot; a cold one's rows are owed.
+      UnparkBlock(b);
+      if (m.rows == nullptr) m.rows = arena_->AcquireSlot();
       ++used_blocks_;
       ++stats_.cache_block_reacquires;
       stats_.peak_used_blocks = std::max(stats_.peak_used_blocks,
@@ -268,6 +385,15 @@ StatusOr<PrefixMatch> KvBlockPool::AcquireCachedPrefix(
     }
     ++m.refcount;
     state.blocks.push_back(b);
+    state.rows.push_back(m.rows);
+    if (m.cold) {
+      if (first_cold < 0) first_cold = k;
+      last_cold = k;
+    }
+  }
+  if (first_cold >= 0) {
+    match.recompute_begin = first_cold * bs;
+    match.recompute_end = (last_cold + 1) * bs;
   }
   state.tokens = match.matched_tokens;
   // The chain covers only fully consumed blocks; a partially consumed
@@ -298,36 +424,91 @@ StatusOr<PrefixMatch> KvBlockPool::AcquireCachedPrefix(
   return match;
 }
 
-std::int32_t KvBlockPool::AllocateBlock() {
-  if (!free_list_.empty()) {
-    const std::int32_t b = free_list_.back();
-    free_list_.pop_back();
-    return b;
+Status KvBlockPool::MarkRecomputed(std::uint64_t seq, std::int64_t begin,
+                                   std::int64_t end) {
+  auto it = seqs_.find(seq);
+  if (it == seqs_.end()) {
+    return NotFound("sequence " + std::to_string(seq) +
+                    " not registered in KV pool");
   }
-  if (materialized_blocks() < num_blocks_) {
+  const SeqState& state = it->second;
+  const std::int64_t bs = config_.block_size_tokens;
+  if (begin < 0 || begin > end ||
+      end > static_cast<std::int64_t>(state.blocks.size()) * bs) {
+    return OutOfRange("recomputed rows [" + std::to_string(begin) + ", " +
+                      std::to_string(end) + ") lie outside sequence " +
+                      std::to_string(seq) + "'s blocks");
+  }
+  for (std::int64_t k = (begin + bs - 1) / bs; (k + 1) * bs <= end; ++k) {
+    meta_[static_cast<std::size_t>(state.blocks[static_cast<std::size_t>(k)])]
+        .cold = false;
+  }
+  stats_.host_recomputed_rows += end - begin;
+  return Status::Ok();
+}
+
+std::int32_t KvBlockPool::AllocateBlock() {
+  std::int32_t b = -1;
+  if (!free_list_.empty()) {
+    b = free_list_.back();
+    free_list_.pop_back();
+  } else if (materialized_blocks() < num_blocks_) {
     // Fresh ids ascend after every returned id is reused: the order an
     // eagerly filled LIFO free list (pushed descending) would give.
-    const std::int32_t b = static_cast<std::int32_t>(meta_.size());
+    b = static_cast<std::int32_t>(meta_.size());
     meta_.emplace_back();
-    payload_.resize(payload_.size() + static_cast<std::size_t>(block_floats_));
     ++stats_.materialized_blocks;
-    return b;
-  }
-  if (!lru_.empty()) {
+  } else if (!lru_.empty()) {
     // Evict the coldest cached block: its content is discarded and the
     // hash entry removed, but no live owner is ever touched.
-    const auto oldest = lru_.begin();
-    const std::int32_t b = oldest->second;
-    lru_.erase(oldest);
+    b = lru_.begin()->second;
+    UnparkBlock(b);
     BlockMeta& m = meta_[static_cast<std::size_t>(b)];
     assert(m.refcount == 0 && m.cached && "LRU held a live block");
     cache_.erase(m.hash);
     m.cached = false;
     m.hash = 0;
     ++stats_.cache_evictions;
-    return b;
+  } else {
+    return -1;
   }
-  return -1;
+  BlockMeta& m = meta_[static_cast<std::size_t>(b)];
+  if (m.rows == nullptr) m.rows = arena_->AcquireSlot();
+  m.cold = false;
+  return b;
+}
+
+void KvBlockPool::ParkBlock(std::int32_t block) {
+  BlockMeta& m = meta_[static_cast<std::size_t>(block)];
+  m.lru_stamp = lru_tick_++;
+  lru_.emplace(m.lru_stamp, block);
+  if (m.cold) {
+    ReleaseRows(m);  // nothing worth keeping until a hit recomputes it
+  } else {
+    // May drop this pool's or another pool's coldest cached rows.
+    m.arena_entry = arena_->Park(
+        this, block, static_cast<std::int32_t>(config_.block_size_tokens));
+  }
+}
+
+void KvBlockPool::UnparkBlock(std::int32_t block) {
+  const BlockMeta& m = meta_[static_cast<std::size_t>(block)];
+  lru_.erase(m.lru_stamp);
+  if (m.rows != nullptr) arena_->Unpark(m.arena_entry);
+}
+
+void KvBlockPool::ReleaseRows(BlockMeta& m) {
+  if (m.rows == nullptr) return;
+  arena_->ReleaseSlot(m.rows);
+  m.rows = nullptr;
+}
+
+void KvBlockPool::DropRows(std::int32_t block) {
+  BlockMeta& m = meta_[static_cast<std::size_t>(block)];
+  assert(m.refcount == 0 && m.cached && "the arena dropped a live block");
+  ReleaseRows(m);
+  m.cold = true;
+  ++stats_.host_dropped_blocks;
 }
 
 void KvBlockPool::AdoptBlock(SeqState& state, std::int32_t block,
@@ -338,8 +519,10 @@ void KvBlockPool::AdoptBlock(SeqState& state, std::int32_t block,
   m.hash = 0;
   if (replace_tail) {
     state.blocks.back() = block;
+    state.rows.back() = m.rows;
   } else {
     state.blocks.push_back(block);
+    state.rows.push_back(m.rows);
   }
   ++used_blocks_;
   ++stats_.block_allocs;
@@ -355,9 +538,9 @@ void KvBlockPool::DropBlockRef(std::int32_t block) {
   --used_blocks_;
   ++stats_.block_frees;
   if (m.cached) {
-    m.lru_stamp = lru_tick_++;
-    lru_.emplace(m.lru_stamp, block);
+    ParkBlock(block);
   } else {
+    ReleaseRows(m);
     free_list_.push_back(block);
   }
 }
@@ -412,7 +595,9 @@ Status KvBlockPool::Append(std::uint64_t seq, std::int32_t token) {
         return ResourceExhausted("KV pool out of blocks for COW (" +
                                  std::to_string(num_blocks_) + " total)");
       }
-      std::memcpy(PayloadOf(copy), PayloadOf(tail),
+      // (AllocateBlock may have grown meta_: index it afresh.)
+      std::memcpy(meta_[static_cast<std::size_t>(copy)].rows,
+                  meta_[static_cast<std::size_t>(tail)].rows,
                   static_cast<std::size_t>(block_floats_) * sizeof(float));
       DropBlockRef(tail);
       AdoptBlock(state, copy, /*replace_tail=*/true);
@@ -484,6 +669,7 @@ Status KvBlockPool::RollbackSpeculation(std::uint64_t seq) {
            "draft-only block leaked a reference or a cache entry");
     DropBlockRef(block);
     state.blocks.pop_back();
+    state.rows.pop_back();
     ++stats_.spec_rollback_blocks;
   }
   // If a copy-on-write replaced the snapshot's tail block mid-phase, the
@@ -548,14 +734,21 @@ const std::vector<std::int32_t>& KvBlockPool::BlockTable(
 }
 
 accel::KvPages KvBlockPool::Pages(std::uint64_t seq) {
-  return accel::KvPages{payload_.data(), config_.payload_layout(),
-                        BlockTable(seq)};
+  auto it = seqs_.find(seq);
+  assert(it != seqs_.end() && "Pages of unregistered sequence");
+  return accel::KvPages{config_.payload_layout(), it->second.rows};
 }
 
 std::span<const float> KvBlockPool::BlockPayload(std::int32_t block) const {
   assert(block >= 0 && block < materialized_blocks());
-  return {payload_.data() + static_cast<std::int64_t>(block) * block_floats_,
-          static_cast<std::size_t>(block_floats_)};
+  const float* rows = meta_[static_cast<std::size_t>(block)].rows;
+  if (rows == nullptr) return {};
+  return {rows, static_cast<std::size_t>(block_floats_)};
+}
+
+bool KvBlockPool::BlockIsCold(std::int32_t block) const {
+  return block < materialized_blocks() &&
+         meta_[static_cast<std::size_t>(block)].cold;
 }
 
 // Ids past materialized_blocks() were never handed out: free, uncached.

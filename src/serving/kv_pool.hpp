@@ -9,26 +9,39 @@
 //
 // The pool is the one KV store. Besides deciding who fits, who must be
 // preempted, and what the HBM footprint is, it owns the functional fp32
-// K/V payload of every physical block, laid out
-// [layer][K|V][block_tokens][kv_dim] (accel/kv_pages.hpp). The executor
-// reads and writes a sequence's K/V through Pages(seq), so a block's
-// rows [0, tokens) always hold the K/V of the content it is accounted
-// for: a copy-on-write copies the payload, and a cache hit maps blocks
-// whose rows are already computed -- no forward replays them. The
-// payload geometry comes from the model (MakeKvPoolConfig). Block
-// metadata and the payload arena grow with the blocks actually touched,
-// not with the HBM budget: fresh ids are handed out 0, 1, 2, ... after
-// every returned id is reused, exactly the order an eagerly filled LIFO
-// free list gives.
+// K/V rows of its blocks, laid out [layer][K|V][block_tokens][kv_dim]
+// (accel/kv_pages.hpp), in slots of a KvRowArena that every pool of an
+// api::Engine shares (a standalone pool makes its own). The executor
+// reads and writes a sequence's K/V through Pages(seq), so a live
+// block's rows [0, tokens) always hold the K/V of the content it is
+// accounted for: a copy-on-write copies the rows, and a cache hit maps
+// blocks whose rows are already computed. The row geometry comes from
+// the model (MakeKvPoolConfig). Block metadata grows with the blocks
+// actually touched, not with the HBM budget: fresh ids are handed out
+// 0, 1, 2, ... after every returned id is reused, exactly the order an
+// eagerly filled LIFO free list gives.
 //
 // Host memory bound: that id order evicts a cached block only once every
-// id exists, and every ownerless cached block keeps its payload until it
-// is evicted, because a later hit reads it. So the arena grows with each
-// distinct sealed block a session caches, up to num_blocks() blocks of
-// fp32 rows -- about 2x the simulated pool bytes for fp16 (4x for int8)
-// per card. A session that caches little stays small (freed uncached
-// blocks are reused first); one that keeps sealing new content grows
-// toward that bound. bench_sim_scale measures it over one long session.
+// id exists, so a session that keeps sealing new content would keep the
+// rows of every block it ever cached -- up to num_blocks() blocks of
+// fp32 rows, about 16 GiB for a full-HBM Tiny card. The arena bounds
+// them instead, the way vLLM recomputes KV it cannot keep. Live blocks
+// always hold a slot. An ownerless cached block keeps its slot while it
+// is among the engine-wide warmest kHostCachedKvTokens cached tokens;
+// past that the coldest one across all pools loses its rows and becomes
+// *cold*. Its simulated state -- metadata, hash entry, LRU place -- does
+// not change, so the simulation cannot tell. A hit on a cold block
+// (AcquireCachedPrefix, also on readmission and on a handoff's landing)
+// reports the prompt range to recompute, and ShardScheduler
+// recomputes it with one Forward before the sequence attends over it.
+// The rows come back bit-identical, because a position's K/V depends
+// only on the tokens up to it, never on how the forwards were split
+// (MatMulTest.PackedRowsAreBitIdenticalToASequentialLoop and the
+// executor's chunked-forward tests pin that). A remote prefix fetch
+// ships only warm rows; a cold source block lands cold. Freed uncached
+// blocks give their slot back at once. So an engine's host rows stay
+// within its live blocks plus one shared cache budget, and the arena
+// grows in chunks that never move, so growth copies nothing.
 //
 // Prefix caching (PR 4): blocks are reference-counted and full blocks
 // are content-addressed by a hash chain over (prefix hash, block
@@ -56,6 +69,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -76,6 +90,11 @@ namespace speedllm::serving {
 /// On-device KV-block storage format (re-exported from hw so serving
 /// call sites can say serving::KvCacheDtype).
 using KvCacheDtype = hw::KvCacheDtype;
+
+/// Tokens of ownerless cached blocks whose fp32 rows a KvRowArena keeps:
+/// the engine-wide warmest ones. 1,024 Tiny blocks (6 MiB) at 16 tokens
+/// a block.
+inline constexpr std::int64_t kHostCachedKvTokens = 16384;
 
 /// Human-readable dtype name ("fp16" / "int8") for tables and logs.
 std::string_view KvCacheDtypeName(KvCacheDtype dtype);
@@ -202,9 +221,14 @@ struct KvPoolStats {
   std::int64_t spec_rollback_blocks = 0; ///< draft-only blocks freed by rollback
 
   // ----- host memory -----
+  // Host-only: the simulation never sees these.
   /// Block ids ever handed out (KvBlockPool::materialized_blocks): each
-  /// holds its metadata and fp32 payload on the host.
+  /// holds its metadata on the host.
   std::int64_t materialized_blocks = 0;
+  /// Cached blocks whose rows the arena dropped past kHostCachedKvTokens.
+  std::int64_t host_dropped_blocks = 0;
+  /// Rows recomputed for hits on dropped blocks (MarkRecomputed).
+  std::int64_t host_recomputed_rows = 0;
 };
 
 /// Result of a cached-prefix probe/acquisition.
@@ -217,6 +241,95 @@ struct PrefixMatch {
   /// Matched blocks that already had a live owner -- mapping these
   /// consumes no free capacity (the rest revive off the LRU list).
   std::int64_t live_shared_blocks = 0;
+  /// Token positions [recompute_begin, recompute_end) whose rows the
+  /// host dropped: from the first cold matched block's start to the last
+  /// one's end. AcquireCachedPrefix's caller recomputes them, then calls
+  /// MarkRecomputed. Empty when every matched block is warm, and always
+  /// empty from MatchCachedPrefix.
+  std::int64_t recompute_begin = 0;
+  /// See recompute_begin.
+  std::int64_t recompute_end = 0;
+};
+
+/// A cached prefix's K/V as a remote fetch ships it: the rows of warm
+/// blocks only.
+struct KvPrefixSnapshot {
+  /// One entry per full block from token 0: true when its rows shipped.
+  std::vector<bool> warm;
+  /// The shipped blocks' rows, token-major (accel::GatherKvRows form),
+  /// in block order.
+  std::vector<float> rows;
+};
+
+class KvBlockPool;
+
+/// Host storage for the fp32 K/V rows of the KvBlockPools that share it,
+/// one slot per block. Live blocks always hold a slot; ownerless cached
+/// blocks keep theirs only while they are among the warmest
+/// kHostCachedKvTokens cached tokens of all sharing pools (see the file
+/// comment). Slots come from chunks that never move, so a slot's address
+/// is stable and growth copies nothing; freed slots are reused first.
+/// Every sharing pool must have the same block geometry and must be
+/// destroyed before the arena.
+class KvRowArena {
+ public:
+  /// An empty arena of `block_floats`-float slots.
+  explicit KvRowArena(std::int64_t block_floats);
+  /// Non-copyable: pools hold pointers into it.
+  KvRowArena(const KvRowArena&) = delete;
+  /// Non-assignable: pools hold pointers into it.
+  KvRowArena& operator=(const KvRowArena&) = delete;
+
+  /// Floats one slot holds.
+  std::int64_t block_floats() const { return block_floats_; }
+  /// Slots carved so far (never shrinks): the peak of live blocks plus
+  /// warm cached ones.
+  std::int64_t slots() const { return slots_; }
+  /// Host bytes of the carved slots.
+  std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(slots_ * block_floats_) * sizeof(float);
+  }
+  /// Tokens of the ownerless cached blocks holding rows; at most
+  /// kHostCachedKvTokens after every operation.
+  std::int64_t cached_tokens() const { return cached_tokens_; }
+
+ private:
+  friend class KvBlockPool;
+  /// One ownerless cached block holding rows, on the recency list.
+  struct Entry {
+    KvBlockPool* pool = nullptr;
+    std::int32_t block = 0;
+    std::int32_t tokens = 0;
+    std::int32_t colder = -1;  // list neighbours; -1 past either end
+    std::int32_t warmer = -1;
+  };
+
+  /// A free slot: a returned one (holding its last rows), else a fresh
+  /// zeroed one carved from the newest chunk.
+  float* AcquireSlot();
+  void ReleaseSlot(float* slot) { free_slots_.push_back(slot); }
+  /// Lists `pool`'s ownerless cached `block` of `tokens` tokens as the
+  /// warmest, then drops the coldest blocks' rows (KvBlockPool::DropRows)
+  /// until the cap holds. Returns the block's entry.
+  std::int32_t Park(KvBlockPool* pool, std::int32_t block,
+                    std::int32_t tokens);
+  /// Takes entry `entry` off the list (its block was revived or evicted).
+  void Unpark(std::int32_t entry);
+
+  std::int64_t block_floats_ = 0;
+  std::int64_t min_chunk_slots_ = 0;
+  std::int64_t max_chunk_slots_ = 0;
+  std::vector<std::unique_ptr<float[]>> chunks_;
+  std::int64_t chunk_slots_ = 0;      // size of chunks_.back()
+  std::int64_t carved_in_chunk_ = 0;  // slots carved from chunks_.back()
+  std::int64_t slots_ = 0;
+  std::vector<float*> free_slots_;  // LIFO reuse
+  // The recency list, coldest to warmest, linked through entries_.
+  std::vector<Entry> entries_;
+  std::vector<std::int32_t> free_entries_;
+  std::int32_t coldest_ = -1;
+  std::int32_t warmest_ = -1;
+  std::int64_t cached_tokens_ = 0;
 };
 
 /// Paged, reference-counted, content-addressed KV block allocator. See
@@ -224,13 +337,22 @@ struct PrefixMatch {
 class KvBlockPool {
  public:
   /// `config.pool_bytes` and `config.bytes_per_token` must be non-zero.
-  explicit KvBlockPool(const KvPoolConfig& config);
+  /// The rows live in `arena`, which must outlive the pool and share its
+  /// payload geometry; null gives the pool a private arena.
+  explicit KvBlockPool(const KvPoolConfig& config,
+                       KvRowArena* arena = nullptr);
+  /// Returns a shared arena's slots and drops its cached entries.
+  ~KvBlockPool();
+  /// Non-copyable: the arena holds a pointer to the pool.
+  KvBlockPool(const KvBlockPool&) = delete;
+  /// Non-assignable: the arena holds a pointer to the pool.
+  KvBlockPool& operator=(const KvBlockPool&) = delete;
 
   // ----- capacity queries -----
   /// Physical blocks the pool was carved into.
   std::int64_t num_blocks() const { return num_blocks_; }
-  /// Blocks whose metadata (and payload) exist: every id ever handed
-  /// out. Grows lazily up to num_blocks().
+  /// Blocks whose metadata exist: every id ever handed out. Grows
+  /// lazily up to num_blocks().
   std::int64_t materialized_blocks() const {
     return static_cast<std::int64_t>(meta_.size());
   }
@@ -294,20 +416,19 @@ class KvBlockPool {
   /// previously cached ones). No DMA is charged here: the interconnect
   /// already costed the fetch. No-op returning 0 when caching is
   /// disabled.
-  /// `rows` carries the prefix's K/V token-major (accel::GatherKvRows
-  /// form) from token 0; each newly installed block copies its rows from
-  /// it, and installation stops at the first block `rows` does not
-  /// cover, so no block is ever cached without its K/V.
+  /// `rows` is the source's CachedPrefixRows: a newly installed block
+  /// whose rows shipped copies them, one whose rows did not lands cold
+  /// (a hit recomputes it), and installation stops at the first block
+  /// `rows` does not cover.
   std::int64_t InstallCachedPrefix(std::span<const std::int32_t> tokens,
                                    std::int64_t max_tokens,
-                                   std::span<const float> rows);
+                                   const KvPrefixSnapshot& rows);
 
-  /// K/V of the longest cached full-block prefix of `tokens` within
-  /// `max_tokens`, token-major from token 0 (the InstallCachedPrefix
-  /// `rows` form). Empty when nothing matches: the snapshot a remote
-  /// fetch ships.
-  std::vector<float> CachedPrefixRows(std::span<const std::int32_t> tokens,
-                                      std::int64_t max_tokens) const;
+  /// The longest cached full-block prefix of `tokens` within
+  /// `max_tokens` with the rows of its warm blocks: the snapshot a remote
+  /// fetch ships. Empty when nothing matches.
+  KvPrefixSnapshot CachedPrefixRows(std::span<const std::int32_t> tokens,
+                                    std::int64_t max_tokens) const;
 
   // ----- sequence lifecycle -----
   /// Registers `seq` with an empty block table. Fails on duplicates.
@@ -320,11 +441,20 @@ class KvBlockPool {
   /// registration, before any Append. Never allocates, so it cannot run
   /// out of capacity. Returns the zero match when caching is disabled.
   /// Counts the matched blocks' bytes as restore DMA traffic (the
-  /// on-device read of the mapped blocks). The mapped rows already hold
-  /// the prefix's K/V, so no forward recomputes them.
+  /// on-device read of the mapped blocks). Warm mapped rows already hold
+  /// the prefix's K/V; the match's recompute range names the cold ones,
+  /// which the caller recomputes and reports with MarkRecomputed.
   StatusOr<PrefixMatch> AcquireCachedPrefix(
       std::uint64_t seq, std::span<const std::int32_t> tokens,
       std::int64_t max_tokens);
+
+  /// Declares that `seq`'s rows for positions [begin, end) were just
+  /// recomputed: its blocks lying wholly inside the range are warm again
+  /// (one only partly covered stays cold), and the rows count as
+  /// KvPoolStats::host_recomputed_rows. Host-only: no simulated counter
+  /// moves. Fails on an unknown `seq` or a range outside its blocks.
+  Status MarkRecomputed(std::uint64_t seq, std::int64_t begin,
+                        std::int64_t end);
 
   /// Accounts one more token (value `token`) for `seq`, allocating a
   /// fresh block when the tail is full (evicting the LRU cached block if
@@ -379,11 +509,15 @@ class KvBlockPool {
 
   // ----- functional payload -----
   /// `seq`'s K/V pages over its block table, for the executor and row
-  /// copies. Valid until the next call that allocates a block. `seq`
-  /// must be registered.
+  /// copies. Valid until the next call that changes `seq`'s blocks.
+  /// `seq` must be registered. Allocates nothing.
   accel::KvPages Pages(std::uint64_t seq);
-  /// Payload of materialized block `block` (introspection).
+  /// Rows of materialized block `block`; empty while it holds no slot
+  /// (free, or cached and cold). Introspection.
   std::span<const float> BlockPayload(std::int32_t block) const;
+  /// True when `block`'s rows were dropped (cached and cold) or not yet
+  /// recomputed after a hit revived it.
+  bool BlockIsCold(std::int32_t block) const;
 
   // ----- introspection (tests / invariant checks) -----
   /// Live owners of physical block `block` (0 for free/evictable).
@@ -409,15 +543,23 @@ class KvBlockPool {
   const KvPoolStats& stats() const { return stats_; }
 
  private:
+  friend class KvRowArena;
+
   struct BlockMeta {
     std::int32_t refcount = 0;
     bool cached = false;        // present in the content-address index
+    bool cold = false;          // rows dropped and not yet recomputed
     std::uint64_t hash = 0;     // chain hash (valid while cached)
     std::uint64_t lru_stamp = 0;  // key into lru_ while evictable
+    float* rows = nullptr;      // arena slot; null while it holds none
+    // Its arena list entry; valid while evictable and holding rows.
+    std::int32_t arena_entry = -1;
   };
 
   struct SeqState {
     std::vector<std::int32_t> blocks;
+    /// Slot of each block of `blocks`: the page table Pages() hands out.
+    std::vector<float*> rows;
     std::int64_t tokens = 0;
     /// Hash chain over the sealed (full) prefix blocks.
     std::uint64_t chain_hash = 0;
@@ -440,18 +582,25 @@ class KvBlockPool {
                                 std::vector<std::int32_t>* blocks,
                                 std::vector<std::uint64_t>* chain_before) const;
   /// Pops a returned block, else materializes the next fresh id, else
-  /// evicts the LRU cached block. -1 when none exists. The caller sets
-  /// the refcount and usage accounting.
+  /// evicts the LRU cached block. -1 when none exists. The block comes
+  /// with a slot and warm; the caller sets the refcount and usage
+  /// accounting.
   std::int32_t AllocateBlock();
-  /// Start of `block`'s payload in the arena.
-  float* PayloadOf(std::int32_t block) {
-    return payload_.data() + static_cast<std::int64_t>(block) * block_floats_;
-  }
   /// Takes ownership accounting for a freshly produced block.
   void AdoptBlock(SeqState& state, std::int32_t block, bool replace_tail);
   /// Drops one reference; a last owner parks the block on the LRU list
   /// (cached) or the free list.
   void DropBlockRef(std::int32_t block);
+  /// Puts ownerless cached `block` on the LRU list; a warm one also
+  /// enters the arena's cache budget, a cold one gives its slot back.
+  void ParkBlock(std::int32_t block);
+  /// Takes ownerless cached `block` off the LRU list (and the arena's
+  /// budget when warm).
+  void UnparkBlock(std::int32_t block);
+  /// Gives `block`'s slot back to the arena.
+  void ReleaseRows(BlockMeta& m);
+  /// The arena's cap dropped `block`'s rows: it turns cold.
+  void DropRows(std::int32_t block);
   /// Seals a just-filled private tail: advances the chain hash and
   /// content-addresses the block unless equal content is already cached.
   void SealTailBlock(SeqState& state);
@@ -463,7 +612,8 @@ class KvBlockPool {
   std::vector<std::int32_t> free_list_;  // returned ids, LIFO reuse
   std::vector<BlockMeta> meta_;          // one per materialized block
   std::int64_t block_floats_ = 0;        // payload floats per block
-  std::vector<float> payload_;           // materialized blocks' K/V
+  std::unique_ptr<KvRowArena> own_arena_;  // set when no arena is shared
+  KvRowArena* arena_ = nullptr;          // where the rows live
   std::unordered_map<std::uint64_t, std::int32_t> cache_;  // chain hash -> block
   std::map<std::uint64_t, std::int32_t> lru_;  // eviction stamp -> block
   std::uint64_t lru_tick_ = 0;

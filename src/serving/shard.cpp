@@ -123,7 +123,8 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const accel::WeightImage& image,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
-                               ShardRole role, sim::Engine& engine)
+                               ShardRole role, sim::Engine& engine,
+                               KvRowArena& arena)
     : program_(program),
       u280_(u280),
       config_(config),
@@ -131,9 +132,10 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
       shared_seconds_(DeriveSharedStepSeconds(program, u280)),
       engine_(engine),
       pool_(MakeKvPoolConfig(
-          program.model, config.kv_cache_dtype,
-          DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
-          config.block_size_tokens, config.enable_prefix_cache)),
+                program.model, config.kv_cache_dtype,
+                DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
+                config.block_size_tokens, config.enable_prefix_cache),
+            &arena),
       exec_(std::make_unique<accel::Executor>(program, image, u280)),
       tick_cost_(shared_seconds_, kSharedShareCap) {}
 
@@ -405,8 +407,29 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   ChargeDma("restore", seq_id);  // the restore reads blocks through HBM
   if (restored == 0) return 0;
   TraceInstant(obs::RequestEventKind::kCacheHit, seq_id, restored);
-  // The mapped blocks' rows already hold the prefix's K/V: the sequence
-  // attends over them directly, with nothing recomputed.
+  // The mapped blocks' rows hold the prefix's K/V, and the sequence
+  // attends over them directly -- except the rows the host dropped to
+  // bound its memory (kHostCachedKvTokens). Those are recomputed here,
+  // bit-identical because a position's K/V never depends on how the
+  // forwards were split. The simulated device still holds them, so the
+  // simulation sees nothing: no tick cost, report counter or event (the
+  // shard reads last_stats() only after its own forwards).
+  const std::int64_t begin = match_or->recompute_begin;
+  const std::int64_t end = match_or->recompute_end;
+  if (begin < end) {
+    const auto rows = exec_->Forward(
+        std::span<const std::int32_t>(seq.fed).subspan(
+            static_cast<std::size_t>(begin),
+            static_cast<std::size_t>(end - begin)),
+        static_cast<std::int32_t>(begin), pool_.Pages(seq_id),
+        /*want_last_logits=*/false);
+    Status st = rows.ok() ? pool_.MarkRecomputed(seq_id, begin, end)
+                          : rows.status();
+    if (!st.ok()) {
+      error_ = st;
+      return -1;
+    }
+  }
   seq.cursor = static_cast<std::int32_t>(restored);
   seq.high_water = std::max(seq.high_water, seq.cursor);
   AddOutstanding(seq.request->tier, -restored);

@@ -77,15 +77,17 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
 /// api::Engine.
 class ShardScheduler {
  public:
-  /// `program`, `image` (the weights, built for `program`) and `engine`
-  /// must outlive the shard. `config` must already be normalized; `role`
-  /// is this card's entry of EngineConfig::shard_roles (kUnified when
-  /// that is empty). Ticks are scheduled on `engine`; the caller drives
-  /// engine.Run() after attaching the interconnect (set_interconnect).
+  /// `program`, `image` (the weights, built for `program`), `engine`
+  /// and `arena` must outlive the shard. `config` must already be
+  /// normalized; `role` is this card's entry of EngineConfig::shard_roles
+  /// (kUnified when that is empty). Ticks are scheduled on `engine`; the
+  /// caller drives engine.Run() after attaching the interconnect
+  /// (set_interconnect). The pool keeps its K/V rows in `arena`, which
+  /// every card of the engine shares.
   ShardScheduler(const accel::Program& program,
                  const accel::WeightImage& image, const hw::U280Config& u280,
                  const SchedulerConfig& config, ShardRole role,
-                 sim::Engine& engine);
+                 sim::Engine& engine, KvRowArena& arena);
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
@@ -381,11 +383,12 @@ class ShardScheduler {
   std::vector<std::size_t> AdmissionCandidates() const;
   bool EnsureKvToken(std::size_t seq_id, std::int32_t token);
   /// Maps `seq`'s longest cached prefix onto shared pool blocks. The
-  /// blocks already hold the prefix's K/V, so no forward runs and no
-  /// compute or weight traffic is owed for the restored tokens (on the
-  /// device they are already resident in HBM); only the restore's DMA
-  /// read is charged through ChargeDma. Returns the restored token
-  /// count, or -1 on a hard error.
+  /// blocks hold the prefix's K/V, so no compute or weight traffic is
+  /// owed for the restored tokens (on the device they are already
+  /// resident in HBM); only the restore's DMA read is charged through
+  /// ChargeDma. Rows the host dropped (cold blocks) are recomputed here
+  /// by a host-only forward the simulation never sees. Returns the
+  /// restored token count, or -1 on a hard error.
   std::int64_t RestoreCachedPrefix(std::size_t seq_id);
   /// Converts pool DMA bytes accrued since the last call (one COW copy,
   /// cache restore, or preemption swap-out per call site) into simulated

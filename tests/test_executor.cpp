@@ -34,6 +34,18 @@ struct Harness {
   }
 };
 
+/// Where each block of `table` starts in `arena`, a flat run of `layout`
+/// blocks indexed by id.
+std::vector<float*> BlockStarts(std::vector<float>& arena,
+                                const KvBlockLayout& layout,
+                                std::span<const std::int32_t> table) {
+  std::vector<float*> starts;
+  for (std::int32_t id : table) {
+    starts.push_back(arena.data() + id * layout.block_floats());
+  }
+  return starts;
+}
+
 // ---------------- Functional parity ----------------
 
 class ParityTest : public ::testing::TestWithParam<CompilerOptions> {};
@@ -151,7 +163,8 @@ TEST(ExecutorTest, ScatteredBlockTablesMatchOneBlockTableBitExact) {
       }
       std::vector<float> arena(
           static_cast<std::size_t>(2 * blocks * layout.block_floats()), -7.0f);
-      const KvPages pages{arena.data(), layout, table};
+      const std::vector<float*> starts = BlockStarts(arena, layout, table);
+      const KvPages pages{layout, starts};
       for (std::int32_t pos = 0; pos < kTokens; ++pos) {
         const std::int32_t token = (pos * 37 + 11) % s.config.vocab_size;
         auto a = paged.Forward(token, pos, pages);
@@ -186,7 +199,8 @@ TEST(ExecutorTest, RejectsPagesThatCannotHoldThePosition) {
   const KvBlockLayout layout = exec.KvLayout(4);
   std::vector<float> arena(static_cast<std::size_t>(layout.block_floats()));
   const std::int32_t table[1] = {0};
-  const KvPages pages{arena.data(), layout, table};
+  const std::vector<float*> starts = BlockStarts(arena, layout, table);
+  const KvPages pages{layout, starts};
   EXPECT_TRUE(exec.Forward(3, 3, pages).ok());
   EXPECT_EQ(exec.Forward(3, 4, pages).status().code(),
             StatusCode::kOutOfRange);
@@ -220,8 +234,12 @@ TEST(ExecutorTest, SkippingLogitsChangesNoStatsKvOrLaterLogits) {
     const std::int32_t table[4] = {0, 1, 2, 3};
     const auto floats = static_cast<std::size_t>(4 * layout.block_floats());
     std::vector<float> kv_always(floats, 0.0f), kv_on_demand(floats, 0.0f);
-    const KvPages pages_always{kv_always.data(), layout, table};
-    const KvPages pages_on_demand{kv_on_demand.data(), layout, table};
+    const std::vector<float*> always_starts =
+        BlockStarts(kv_always, layout, table);
+    const KvPages pages_always{layout, always_starts};
+    const std::vector<float*> on_demand_starts =
+        BlockStarts(kv_on_demand, layout, table);
+    const KvPages pages_on_demand{layout, on_demand_starts};
     for (std::int32_t pos = 0; pos < kTokens; ++pos) {
       SCOPED_TRACE(::testing::Message() << "pos " << pos);
       const std::int32_t token = (pos * 53 + 5) % s.config.vocab_size;
@@ -313,7 +331,8 @@ TEST(ExecutorTest, ChunkForwardMatchesRowByRow) {
       const auto floats =
           static_cast<std::size_t>(2 * blocks * layout.block_floats());
       std::vector<float> arena(floats, -7.0f);
-      const KvPages pages{arena.data(), layout, table};
+      const std::vector<float*> starts = BlockStarts(arena, layout, table);
+      const KvPages pages{layout, starts};
       std::vector<std::vector<float>> kv_after, logits_at;
       std::vector<TokenRunStats> last_at, total_at;
       for (std::int32_t pos = 0; pos < kTokens; ++pos) {
@@ -329,7 +348,9 @@ TEST(ExecutorTest, ChunkForwardMatchesRowByRow) {
         SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
         Executor chunked(prog, s.weights, s.u280);
         std::vector<float> chunk_arena(floats, -7.0f);
-        const KvPages chunk_pages{chunk_arena.data(), layout, table};
+        const std::vector<float*> chunk_starts =
+            BlockStarts(chunk_arena, layout, table);
+        const KvPages chunk_pages{layout, chunk_starts};
         for (std::int32_t pos0 = 0; pos0 < kTokens; pos0 += chunk) {
           const std::int32_t rows = std::min(chunk, kTokens - pos0);
           const auto last = static_cast<std::size_t>(pos0 + rows - 1);
@@ -406,7 +427,8 @@ TEST(ExecutorTest, ChunkForwardChecksEveryRowBeforeWritingKv) {
   std::vector<float> arena(static_cast<std::size_t>(2 * layout.block_floats()),
                            -7.0f);
   const std::int32_t table[2] = {0, 1};
-  const KvPages pages{arena.data(), layout, table};  // 8 tokens
+  const std::vector<float*> starts = BlockStarts(arena, layout, table);
+  const KvPages pages{layout, starts};  // 8 tokens
   const auto untouched = [&arena] {
     for (float v : arena) {
       if (v != -7.0f) return false;

@@ -1,8 +1,10 @@
 // Unit tests for the paged KV-cache block manager (serving/kv_pool.hpp):
 // capacity accounting, the refcounted content-addressed prefix cache,
-// copy-on-write, and LRU eviction of cold cached blocks.
+// copy-on-write, LRU eviction of cold cached blocks, and the host row
+// arena that drops cached rows past kHostCachedKvTokens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -316,6 +318,194 @@ TEST(KvPoolTest, DisabledCacheMatchesNothing) {
   ASSERT_TRUE(pool.Release(1).ok());
   EXPECT_EQ(pool.evictable_blocks(), 0);
   EXPECT_EQ(pool.free_blocks(), 8);
+}
+
+// ---------------- host row arena ----------------
+
+/// Blocks of a quarter of kHostCachedKvTokens tokens, so four cached
+/// blocks fill the arena's budget; one-float K and V rows.
+constexpr std::int64_t kBigBlockTokens = kHostCachedKvTokens / 4;
+
+KvPoolConfig BigBlockPool() {
+  KvPoolConfig config;
+  config.bytes_per_token = 1;
+  config.block_size_tokens = static_cast<std::uint32_t>(kBigBlockTokens);
+  config.pool_bytes = 8 * config.block_bytes();
+  return config;
+}
+
+/// Caches one whole block of tokens base, base+1, ... under `seq` and
+/// releases it: the block parks as the arena's warmest. Returns its id.
+std::int32_t CacheOneBlock(KvBlockPool& pool, std::uint64_t seq,
+                           std::int32_t base) {
+  Fill(pool, seq, Tokens(base, static_cast<std::int32_t>(kBigBlockTokens)));
+  const std::int32_t block = pool.BlockTable(seq).front();
+  EXPECT_TRUE(pool.Release(seq).ok());
+  return block;
+}
+
+/// Appends `tokens` under a new `seq`, writing row {p, -p} at each
+/// position p.
+void FillWithRows(KvBlockPool& pool, std::uint64_t seq,
+                  const std::vector<std::int32_t>& tokens) {
+  ASSERT_TRUE(pool.Register(seq).ok());
+  for (std::size_t p = 0; p < tokens.size(); ++p) {
+    ASSERT_TRUE(pool.Append(seq, tokens[p]).ok());
+    const auto pos = static_cast<std::int64_t>(p);
+    const float row[2] = {static_cast<float>(p), -static_cast<float>(p)};
+    accel::ScatterKvRows(pool.Pages(seq), pos, pos + 1, row);
+  }
+}
+
+TEST(KvRowArenaTest, DropsTheColdestCachedBlockAcrossPools) {
+  KvRowArena arena(BigBlockPool().payload_layout().block_floats());
+  KvBlockPool a(BigBlockPool(), &arena);
+  KvBlockPool b(BigBlockPool(), &arena);
+  const std::int32_t a0 = CacheOneBlock(a, 1, 0);
+  const std::int32_t b0 = CacheOneBlock(b, 1, 0);
+  const std::int32_t a1 = CacheOneBlock(a, 2, 100000);
+  const std::int32_t b1 = CacheOneBlock(b, 2, 100000);
+  EXPECT_EQ(arena.cached_tokens(), kHostCachedKvTokens);
+  EXPECT_EQ(a.stats().host_dropped_blocks + b.stats().host_dropped_blocks, 0);
+
+  // A fifth cached block drops the coldest of both pools: a's first.
+  CacheOneBlock(b, 3, 200000);
+  EXPECT_TRUE(a.BlockIsCold(a0));
+  EXPECT_TRUE(a.BlockPayload(a0).empty());
+  EXPECT_FALSE(b.BlockIsCold(b0));
+  EXPECT_EQ(a.stats().host_dropped_blocks, 1);
+  EXPECT_EQ(b.stats().host_dropped_blocks, 0);
+  // Its simulated state is untouched: still cached, evictable, matchable.
+  EXPECT_TRUE(a.BlockIsCached(a0));
+  EXPECT_EQ(a.evictable_blocks(), 2);
+  EXPECT_EQ(a.MatchCachedPrefix(Tokens(0, kBigBlockTokens), kBigBlockTokens)
+                .matched_tokens,
+            kBigBlockTokens);
+
+  // The next one drops b's first, then a's second.
+  CacheOneBlock(a, 3, 300000);
+  EXPECT_TRUE(b.BlockIsCold(b0));
+  EXPECT_FALSE(a.BlockIsCold(a1));
+  CacheOneBlock(a, 4, 400000);
+  EXPECT_TRUE(a.BlockIsCold(a1));
+  EXPECT_FALSE(b.BlockIsCold(b1));
+  EXPECT_EQ(arena.cached_tokens(), kHostCachedKvTokens);
+  // Live blocks plus the budget: never more slots than five blocks.
+  EXPECT_LE(arena.slots(), 5);
+}
+
+TEST(KvRowArenaTest, LiveBlocksAreNeverCold) {
+  KvBlockPool pool(BigBlockPool());
+  const auto tokens = Tokens(0, 6 * kBigBlockTokens);
+  Fill(pool, 1, tokens);  // six sealed, cached, live blocks: past the cap
+  EXPECT_EQ(pool.stats().host_dropped_blocks, 0);
+  for (std::int32_t block : pool.BlockTable(1)) {
+    EXPECT_FALSE(pool.BlockIsCold(block));
+    EXPECT_FALSE(pool.BlockPayload(block).empty());
+  }
+  // Shared owners keep them warm too.
+  ASSERT_TRUE(pool.Register(2).ok());
+  ASSERT_TRUE(pool.AcquireCachedPrefix(2, tokens, 6 * kBigBlockTokens).ok());
+  ASSERT_TRUE(pool.Release(1).ok());
+  EXPECT_EQ(pool.stats().host_dropped_blocks, 0);
+  // Only once ownerless do the two coldest lose their rows.
+  const std::vector<std::int32_t> table = pool.BlockTable(2);
+  ASSERT_TRUE(pool.Release(2).ok());
+  EXPECT_EQ(pool.stats().host_dropped_blocks, 2);
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    EXPECT_EQ(pool.BlockIsCold(table[k]), k < 2) << "block " << k;
+  }
+}
+
+TEST(KvRowArenaTest, RevivingAColdBlockReportsTheRangeToRecompute) {
+  KvBlockPool pool(BigBlockPool());
+  const auto tokens = Tokens(0, 6 * kBigBlockTokens);
+  Fill(pool, 1, tokens);
+  const std::vector<std::int32_t> table = pool.BlockTable(1);
+  ASSERT_TRUE(pool.Release(1).ok());  // blocks 0 and 1 turn cold
+  ASSERT_TRUE(pool.Register(2).ok());
+  auto match = pool.AcquireCachedPrefix(2, tokens, 6 * kBigBlockTokens - 1);
+  ASSERT_TRUE(match.ok());
+  EXPECT_EQ(match->matched_blocks, 6);
+  EXPECT_EQ(match->recompute_begin, 0);
+  EXPECT_EQ(match->recompute_end, 2 * kBigBlockTokens);
+  // Live again, so both hold a slot, but their rows are still owed.
+  EXPECT_FALSE(pool.BlockPayload(table[0]).empty());
+  EXPECT_TRUE(pool.BlockIsCold(table[0]));
+  ASSERT_TRUE(pool.MarkRecomputed(2, 0, 2 * kBigBlockTokens).ok());
+  EXPECT_FALSE(pool.BlockIsCold(table[0]));
+  EXPECT_FALSE(pool.BlockIsCold(table[1]));
+  EXPECT_EQ(pool.stats().host_recomputed_rows, 2 * kBigBlockTokens);
+  // A match over warm blocks only owes nothing.
+  ASSERT_TRUE(pool.Register(3).ok());
+  match = pool.AcquireCachedPrefix(3, tokens, 6 * kBigBlockTokens - 1);
+  ASSERT_TRUE(match.ok());
+  EXPECT_EQ(match->recompute_begin, match->recompute_end);
+  // Only the recompute counts: no simulated counter saw it.
+  EXPECT_EQ(pool.stats().cache_block_reacquires, 6);
+  EXPECT_EQ(pool.stats().block_allocs, 6);
+}
+
+TEST(KvRowArenaTest, APartlyRecomputedBlockStaysCold) {
+  KvBlockPool pool(BigBlockPool());
+  const auto tokens = Tokens(0, 5 * kBigBlockTokens);
+  Fill(pool, 1, tokens);
+  const std::int32_t first = pool.BlockTable(1).front();
+  ASSERT_TRUE(pool.Release(1).ok());  // one block past the cap: the first
+  ASSERT_TRUE(pool.Register(2).ok());
+  ASSERT_TRUE(pool.AcquireCachedPrefix(2, tokens, 5 * kBigBlockTokens).ok());
+  EXPECT_EQ(pool.MarkRecomputed(2, 0, 6 * kBigBlockTokens).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(pool.MarkRecomputed(9, 0, 1).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(pool.MarkRecomputed(2, 0, kBigBlockTokens - 1).ok());
+  EXPECT_TRUE(pool.BlockIsCold(first));
+  // Released, it parks without rows and leaves the budget to the four
+  // warm ones, and the next hit owes it again.
+  ASSERT_TRUE(pool.Release(2).ok());
+  EXPECT_TRUE(pool.BlockPayload(first).empty());
+  EXPECT_EQ(pool.stats().host_dropped_blocks, 1);
+  ASSERT_TRUE(pool.Register(3).ok());
+  auto match = pool.AcquireCachedPrefix(3, tokens, 5 * kBigBlockTokens);
+  ASSERT_TRUE(match.ok());
+  EXPECT_EQ(match->recompute_begin, 0);
+  EXPECT_EQ(match->recompute_end, kBigBlockTokens);
+}
+
+TEST(KvRowArenaTest, ARemoteInstallOfAColdSourceBlockArrivesCold) {
+  KvBlockPool src(BigBlockPool());
+  const auto tokens = Tokens(0, 6 * kBigBlockTokens);
+  FillWithRows(src, 1, tokens);
+  ASSERT_TRUE(src.Release(1).ok());  // src blocks 0 and 1 turn cold
+  const KvPrefixSnapshot snapshot =
+      src.CachedPrefixRows(tokens, 6 * kBigBlockTokens);
+  EXPECT_EQ(snapshot.warm,
+            (std::vector<bool>{false, false, true, true, true, true}));
+  ASSERT_EQ(snapshot.rows.size(),
+            static_cast<std::size_t>(4 * kBigBlockTokens * 2));
+
+  // The first three blocks only: two cold, one warm, under the budget.
+  KvBlockPool dst(BigBlockPool());
+  EXPECT_EQ(dst.InstallCachedPrefix(tokens, 3 * kBigBlockTokens, snapshot),
+            3 * kBigBlockTokens);
+  EXPECT_EQ(dst.stats().remote_install_blocks, 3);
+  EXPECT_EQ(dst.stats().host_dropped_blocks, 0);
+  for (std::int32_t block = 0; block < 3; ++block) {
+    SCOPED_TRACE(::testing::Message() << "block " << block);
+    EXPECT_EQ(dst.BlockIsCold(block), block < 2);
+    if (block < 2) {
+      EXPECT_TRUE(dst.BlockPayload(block).empty());
+      continue;
+    }
+    const std::span<const float> got = dst.BlockPayload(block);
+    const std::span<const float> want = src.BlockPayload(block);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+  }
+  ASSERT_TRUE(dst.Register(2).ok());
+  auto match = dst.AcquireCachedPrefix(2, tokens, 3 * kBigBlockTokens - 1);
+  ASSERT_TRUE(match.ok());
+  EXPECT_EQ(match->recompute_begin, 0);
+  EXPECT_EQ(match->recompute_end, 2 * kBigBlockTokens);
 }
 
 }  // namespace

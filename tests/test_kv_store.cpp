@@ -4,7 +4,9 @@
 // K/V that already exists; ServingReport::executor_forwards must equal
 // total_tokens + recomputed_tokens however much of that traffic a run
 // has, and ServingReport::logit_forwards (the forwards that ran the
-// classifier) the tokens sampled.
+// classifier) the tokens sampled. The one host-only forward is the
+// recompute of rows the host dropped past kHostCachedKvTokens, which no
+// simulated counter sees.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -322,6 +324,85 @@ TEST(KvStoreTest, PrefillChunkPreemptionMatchesTheRowByRowRun) {
   EXPECT_EQ(merged.logit_forwards, 17);
   EXPECT_EQ(merged.recomputed_tokens, 14);
   ExpectForwardsMatchDeviceWork(merged);
+}
+
+// ---------------- Host row budget ----------------
+//
+// Past kHostCachedKvTokens cached tokens the engine's row arena drops the
+// coldest cached rows; a later hit recomputes them on the host before the
+// sequence attends over them. Streams cannot tell.
+
+/// `n` distinct 48-token prompts arriving together (3 sealed blocks of 16
+/// each), then the prompts 1, 3, 5, ... again, `resubmits` of them, one
+/// second later, when their rows are among the first dropped.
+std::vector<ServingRequest> OverflowTrace(int n, int resubmits) {
+  std::vector<ServingRequest> reqs;
+  for (int i = 0; i < n; ++i) {
+    reqs.push_back(testutil::MakeRequest(48, 4, 0.0, i));
+  }
+  for (int m = 0; m < resubmits; ++m) {
+    reqs.push_back(reqs[static_cast<std::size_t>(2 * m + 1)]);
+    reqs.back().arrival_seconds = 1.0;
+  }
+  return reqs;
+}
+
+TEST(KvStoreTest, DroppedRowsAreRecomputedBitIdentically) {
+  Fixture f;
+  // 360 requests cache 360 * 48 = 17,280 tokens, past the budget.
+  const std::vector<ServingRequest> reqs = OverflowTrace(360, 8);
+  for (std::uint64_t seed : {21ull, 4242ull}) {
+    SPEEDLLM_SEED_TRACE("kv_store/host_row_budget", seed);
+    api::EngineConfig off;
+    off.scheduler.enable_prefix_cache = false;
+    off.sampler.seed = seed;
+    api::Engine fresh(f.program, f.weights, f.u280, off);
+    auto want = testutil::ServeTrace(fresh, reqs);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    // Round-robin on 2 fast-linked cards: the even resubmits land on card
+    // 0 and fetch their cold prefix from card 1, the odd ones hit it on
+    // card 1.
+    for (int cards : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << cards << " cards");
+      api::EngineConfig config;
+      config.placement = PlacementPolicy::kRoundRobin;
+      config.sampler.seed = seed;
+      api::Engine engine(f.program, f.weights,
+                         testutil::FastLinkCards(f.u280, cards), config);
+      auto report = testutil::ServeTrace(engine, reqs);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_EQ(report->merged.outcomes.size(), reqs.size());
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(report->merged.outcomes[i].generated,
+                  want->merged.outcomes[i].generated)
+            << "request " << i;
+      }
+      EXPECT_GT(report->merged.prefix_cache_hit_tokens, 0);
+      ExpectForwardsMatchDeviceWork(report->merged);
+      std::int64_t dropped = 0;
+      std::int64_t materialized = 0;
+      for (int c = 0; c < cards; ++c) {
+        const KvPoolStats stats = engine.kv_pool_stats(c);
+        dropped += stats.host_dropped_blocks;
+        materialized += stats.materialized_blocks;
+        EXPECT_GT(stats.host_recomputed_rows, 0) << "card " << c;
+      }
+      EXPECT_GT(dropped, 0);
+      if (cards == 2) {
+        EXPECT_GT(report->remote_prefix_hits, 0);
+        EXPECT_GT(engine.kv_pool_stats(0).remote_install_blocks, 0);
+      }
+      // The rows kept are bounded by the budget, not by the blocks cached.
+      const std::uint64_t block_bytes =
+          static_cast<std::uint64_t>(
+              accel::KvBlockLayout{f.config.n_layers, f.config.kv_dim(),
+                                   config.scheduler.block_size_tokens}
+                  .block_floats()) *
+          sizeof(float);
+      EXPECT_LT(engine.host_kv_bytes(),
+                static_cast<std::uint64_t>(materialized) * block_bytes);
+    }
+  }
 }
 
 }  // namespace
