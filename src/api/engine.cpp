@@ -89,8 +89,7 @@ Status ValidateSetup(const hw::MultiCardConfig& cards,
 Engine::Engine(const accel::Program& program, const llama::Weights& weights,
                const hw::U280Config& u280, EngineConfig config)
     : Engine(program, weights,
-             hw::MultiCardConfig::Homogeneous(u280,
-                                              std::max(1, config.num_cards)),
+             hw::MultiCardConfig::Homogeneous(u280, config.num_cards),
              std::move(config)) {}
 
 Engine::Engine(const accel::Program& program, const llama::Weights& weights,

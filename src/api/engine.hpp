@@ -104,7 +104,8 @@ struct StreamCallbacks {
 /// Construction-time engine parameters (cards, scheduling, sampling).
 struct EngineConfig {
   /// Cards to shard across (U280Config constructor only; the
-  /// MultiCardConfig constructor derives it from the card list).
+  /// MultiCardConfig constructor derives it from the card list). Fewer
+  /// than one is a setup error.
   int num_cards = 1;
   /// Per-card scheduler knobs, including the KV-cache storage dtype
   /// (serving::SchedulerConfig::kv_cache_dtype).

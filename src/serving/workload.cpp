@@ -33,7 +33,8 @@ std::int32_t DrawToken(Rng& rng, std::int32_t vocab_size) {
                   rng.NextBounded(static_cast<std::uint64_t>(vocab_size - lo)));
 }
 
-/// BOS-first block of `len` random non-control tokens (at least the BOS).
+}  // namespace
+
 std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
                                      std::int32_t vocab_size) {
   std::vector<std::int32_t> prompt;
@@ -45,6 +46,8 @@ std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
   }
   return prompt;
 }
+
+namespace {
 
 ServingRequest DrawRequest(Rng& rng, std::int32_t min_prompt,
                            std::int32_t max_prompt, std::int32_t min_new,

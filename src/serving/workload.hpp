@@ -1,7 +1,7 @@
 // SpeedLLM -- synthetic serving workload generators.
 //
 // Builds deterministic request traces for the scheduler benches and the
-// load-generator example: Poisson arrivals (open-loop, memoryless) and a
+// chat_clients example: Poisson arrivals (open-loop, memoryless) and a
 // bursty variant where requests arrive in clumps, which is what stresses
 // admission control and preemption. The closed-loop client pool models
 // the other regime -- each simulated user has at most one request in
@@ -47,6 +47,14 @@ struct WorkloadConfig {
   /// request rate matches the Poisson trace at the same rate_rps).
   std::int32_t burst_size = 4;
 };
+
+/// BOS-first prompt of `len` tokens (at least the BOS): the rest are
+/// random non-control ids, drawn from 259 up when `vocab_size` > 300
+/// (the llama2.c tokenizer reserves the ids below for specials and raw
+/// bytes), else from 3 up. Every BOS-first prompt the generators here
+/// build is drawn this way.
+std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
+                                     std::int32_t vocab_size);
 
 /// Open-loop Poisson arrivals with i.i.d. prompt / generation lengths.
 std::vector<ServingRequest> PoissonTrace(Rng& rng,

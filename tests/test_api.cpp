@@ -575,6 +575,26 @@ TEST(ApiEngineTest, RejectsWeightsThatDoNotMatchTheProgram) {
   }
 }
 
+TEST(ApiEngineTest, NonPositiveCardCountIsASetupError) {
+  Fixture f;
+  auto prog = f.Compile();
+  // A cluster needs at least one card: zero or a negative count is not
+  // quietly served on one card.
+  for (int cards : {0, -1}) {
+    SCOPED_TRACE(::testing::Message() << "cards " << cards);
+    EngineConfig config;
+    config.num_cards = cards;
+    Engine engine(prog, f.weights, f.u280, config);
+    const Status status = engine.Submit(MakeRequest(4, 4, 0.0)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("at least one card"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(engine.num_cards(), 0);
+    engine.RunToCompletion();
+    EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ApiEngineTest, OutOfRangeCardQueriesReturnDefaults) {
   Fixture f;
   auto prog = f.Compile();

@@ -17,7 +17,10 @@
 //    into every row it appends, and every owned or evictable block's rows
 //    [0, tokens) must still hold the fingerprints of the content the
 //    block is accounted for -- across copy-on-write, evict/reacquire,
-//    speculation rollback, and Release.
+//    speculation rollback, and Release. A cached block whose rows the
+//    shared KvRowArena dropped holds none; a hit on it reports the range
+//    to recompute, and the model rewrites those rows the way the shard
+//    does before the check reads them.
 //
 // At drain every sequence is released and every refcount must return to
 // zero, with the whole pool reservable again.
@@ -39,20 +42,27 @@ namespace speedllm::serving {
 namespace {
 
 constexpr std::int64_t kBlocks = 24;
+/// Block size of the default sweep: 24 blocks of 4 tokens never come
+/// near the arena's cache budget.
 constexpr std::int64_t kBlockTokens = 4;
+/// Block size of the shared-arena sweep: two 24-block pools can park 48
+/// cached blocks against a budget of 16.
+constexpr std::int64_t kArenaBlockTokens = kHostCachedKvTokens / 16;
 /// Payload geometry: one layer, K and V rows of two floats -- four floats
 /// per token, exactly one fingerprint.
 constexpr std::int32_t kPayloadKvDim = 2;
 using Row = std::array<float, 4>;
 
-/// Fingerprint of the K/V a model would compute for the last token of
-/// `prefix`: it depends on the whole prefix, like real attention K/V.
-/// 16-bit slices keep every float exact.
-Row Fingerprint(std::span<const std::int32_t> prefix) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::int32_t t : prefix) {
-    h = (h ^ static_cast<std::uint32_t>(t)) * 0x100000001b3ull;
-  }
+/// Running FNV-1a hash of a prefix, advanced one token at a time.
+constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
+std::uint64_t FnvAdvance(std::uint64_t h, std::int32_t token) {
+  return (h ^ static_cast<std::uint32_t>(token)) * 0x100000001b3ull;
+}
+
+/// Fingerprint of the K/V a model would compute for the last token of a
+/// prefix whose running hash is `h`: it depends on the whole prefix, like
+/// real attention K/V. 16-bit slices keep every float exact.
+Row Fingerprint(std::uint64_t h) {
   Row row;
   for (std::size_t i = 0; i < row.size(); ++i) {
     row[i] = static_cast<float>((h >> (16 * i)) & 0xffff);
@@ -63,12 +73,13 @@ Row Fingerprint(std::span<const std::int32_t> prefix) {
 /// The dtype decides the byte geometry: int8 halves bytes-per-token and
 /// carries per-block group-scale metadata. Each run draws one
 /// dtype (seed-keyed), so the invariant sweep covers both layouts.
-KvPoolConfig StressPool(bool enable_prefix_cache, KvCacheDtype dtype) {
+KvPoolConfig StressPool(bool enable_prefix_cache, KvCacheDtype dtype,
+                        std::int64_t block_tokens) {
   KvPoolConfig config;
   config.dtype = dtype;
   config.bytes_per_token = dtype == KvCacheDtype::kInt8 ? 16 : 32;
   config.quant_metadata_bytes = dtype == KvCacheDtype::kInt8 ? 8 : 0;
-  config.block_size_tokens = static_cast<std::uint32_t>(kBlockTokens);
+  config.block_size_tokens = static_cast<std::uint32_t>(block_tokens);
   config.pool_bytes =
       static_cast<std::uint64_t>(kBlocks) * config.block_bytes();
   config.enable_prefix_cache = enable_prefix_cache;
@@ -78,27 +89,41 @@ KvPoolConfig StressPool(bool enable_prefix_cache, KvCacheDtype dtype) {
 
 class StressHarness {
  public:
-  StressHarness(std::uint64_t seed, bool enable_prefix_cache)
+  /// A pool of kBlocks blocks of `block_tokens` tokens, keeping its rows
+  /// in `arena` when given (else its own).
+  StressHarness(std::uint64_t seed, bool enable_prefix_cache,
+                std::int64_t block_tokens = kBlockTokens,
+                KvRowArena* arena = nullptr)
       : pool_(StressPool(enable_prefix_cache,
                          seed % 2 == 0 ? KvCacheDtype::kInt8
-                                       : KvCacheDtype::kFp16)),
+                                       : KvCacheDtype::kFp16,
+                         block_tokens),
+              arena),
+        block_tokens_(block_tokens),
         rng_(seed) {}
 
   void Run(int ops) {
     for (int op = 0; op < ops; ++op) {
-      const std::uint64_t kind = rng_.NextBounded(10);
-      if (kind < 4 || live_.empty()) {
-        Alloc();
-      } else if (kind < 6) {
-        Extend();
-      } else if (kind < 7) {
-        Speculate();
-      } else {
-        Release();
-      }
-      CheckInvariants(op);
+      Step(op);
+      if (::testing::Test::HasFatalFailure()) return;
     }
     Drain();
+  }
+
+  /// Interleaves `ops` random operations on `a` and `b`, whose pools
+  /// share `arena`, picking the side with `pick`. An operation on one
+  /// pool may drop the other's rows, so both are checked after each.
+  static void RunShared(StressHarness& a, StressHarness& b,
+                        const KvRowArena& arena, Rng& pick, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const bool on_a = pick.NextBounded(2) == 0;
+      (on_a ? a : b).Step(op);
+      (on_a ? b : a).CheckInvariants(op);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_LE(arena.cached_tokens(), kHostCachedKvTokens) << "op " << op;
+    }
+    a.Drain();
+    b.Drain();
   }
 
   const KvPoolStats& stats() const { return pool_.stats(); }
@@ -107,7 +132,30 @@ class StressHarness {
   struct ModelSeq {
     std::vector<std::int32_t> prompt;  // what Alloc asked for
     std::vector<std::int32_t> acked;   // tokens the pool accounted
+    std::uint64_t hash = kFnvSeed;     // running hash of `acked`
   };
+
+  /// A sealed block's content: the running hash of the prefix before it
+  /// and its own tokens.
+  struct SealedBlock {
+    std::uint64_t hash_before = kFnvSeed;
+    std::vector<std::int32_t> tokens;
+  };
+
+  /// One random operation, then the full invariant check.
+  void Step(int op) {
+    const std::uint64_t kind = rng_.NextBounded(10);
+    if (kind < 4 || live_.empty()) {
+      Alloc();
+    } else if (kind < 6) {
+      Extend();
+    } else if (kind < 7) {
+      Speculate();
+    } else {
+      Release();
+    }
+    CheckInvariants(op);
+  }
 
   std::int32_t DrawToken() {
     return static_cast<std::int32_t>(rng_.NextBounded(97));  // small alphabet
@@ -126,8 +174,8 @@ class StressHarness {
       std::size_t keep = 1 + static_cast<std::size_t>(
                                  rng_.NextBounded(src.size()));
       if (rng_.NextBounded(100) < 40) {
-        keep -= keep % static_cast<std::size_t>(kBlockTokens);
-        if (keep >= static_cast<std::size_t>(kBlockTokens)) {
+        keep -= keep % static_cast<std::size_t>(block_tokens_);
+        if (keep >= static_cast<std::size_t>(block_tokens_)) {
           return std::vector<std::int32_t>(
               src.begin(), src.begin() + static_cast<std::ptrdiff_t>(keep));
         }
@@ -136,26 +184,30 @@ class StressHarness {
       prompt.assign(src.begin(),
                     src.begin() + static_cast<std::ptrdiff_t>(keep));
     }
+    const auto max_fresh = static_cast<std::uint64_t>(3 * block_tokens_);
     const std::int64_t fresh =
-        1 + static_cast<std::int64_t>(rng_.NextBounded(12));
+        1 + static_cast<std::int64_t>(rng_.NextBounded(max_fresh));
     for (std::int64_t t = 0; t < fresh; ++t) prompt.push_back(DrawToken());
     return prompt;
   }
 
   /// Mirrors the pool's sealing rule: whenever a sequence's acked count
-  /// crosses a block boundary, that block-aligned prefix became cacheable.
+  /// reaches a block boundary, every block-aligned prefix up to it is
+  /// cacheable.
   void RecordSealed(const ModelSeq& seq) {
     if (!pool_.config().enable_prefix_cache) return;
-    const std::int64_t full =
-        static_cast<std::int64_t>(seq.acked.size()) / kBlockTokens;
+    const auto acked = static_cast<std::int64_t>(seq.acked.size());
+    if (acked % block_tokens_ != 0) return;
     std::uint64_t h = KvChainSeed(pool_.config().dtype);
-    for (std::int64_t k = 1; k <= full; ++k) {
-      std::vector<std::int32_t> prefix(seq.acked.begin(),
-                                       seq.acked.begin() + k * kBlockTokens);
-      h = KvChainAdvance(
-          h, std::span<const std::int32_t>(prefix).last(kBlockTokens));
-      prefix_of_hash_[h] = prefix;
-      sealed_ever_.insert(std::move(prefix));
+    std::uint64_t fnv = kFnvSeed;
+    const std::span<const std::int32_t> tokens(seq.acked);
+    for (std::int64_t start = 0; start < acked; start += block_tokens_) {
+      const auto block = tokens.subspan(static_cast<std::size_t>(start),
+                                        static_cast<std::size_t>(block_tokens_));
+      h = KvChainAdvance(h, block);
+      sealed_of_hash_[h] = {fnv, {block.begin(), block.end()}};
+      for (std::int32_t t : block) fnv = FnvAdvance(fnv, t);
+      sealed_ever_.emplace(tokens.begin(), block.end());
     }
   }
 
@@ -169,8 +221,9 @@ class StressHarness {
     Status st = pool_.Append(id, token);
     if (st.ok()) {
       seq.acked.push_back(token);
+      seq.hash = FnvAdvance(seq.hash, token);
       WriteRow(id, static_cast<std::int64_t>(seq.acked.size()) - 1,
-               Fingerprint(seq.acked));
+               Fingerprint(seq.hash));
       RecordSealed(seq);
     } else {
       // The only legal refusal is capacity; it must be consistent with
@@ -198,12 +251,12 @@ class StressHarness {
               static_cast<std::int64_t>(seq.prompt.size()));
     // Matches are block-granular except where the cap bit mid-block.
     ASSERT_TRUE(match.matched_tokens == cap ||
-                match.matched_tokens % kBlockTokens == 0)
+                match.matched_tokens % block_tokens_ == 0)
         << "matched " << match.matched_tokens << " cap " << cap;
     if (match.matched_tokens > 0) {
       // No false sharing: the mapped region must be a prefix some
       // sequence genuinely sealed, byte for byte.
-      const std::int64_t mapped_tokens = match.matched_blocks * kBlockTokens;
+      const std::int64_t mapped_tokens = match.matched_blocks * block_tokens_;
       ASSERT_LE(mapped_tokens,
                 static_cast<std::int64_t>(seq.prompt.size()));
       const std::vector<std::int32_t> mapped(
@@ -213,6 +266,22 @@ class StressHarness {
           << " tokens";
       seq.acked.assign(seq.prompt.begin(),
                        seq.prompt.begin() + match.matched_tokens);
+      for (std::int32_t t : seq.acked) seq.hash = FnvAdvance(seq.hash, t);
+      // The arena dropped these mapped rows: recompute them from the
+      // prompt, as the shard does, before anything reads them.
+      const std::int64_t begin = match.recompute_begin;
+      const std::int64_t end = match.recompute_end;
+      ASSERT_LE(0, begin);
+      ASSERT_LE(begin, end);
+      ASSERT_LE(end, mapped_tokens);
+      if (begin < end) {
+        std::uint64_t h = kFnvSeed;
+        for (std::int64_t p = 0; p < end; ++p) {
+          h = FnvAdvance(h, seq.prompt[static_cast<std::size_t>(p)]);
+          if (p >= begin) WriteRow(id, p, Fingerprint(h));
+        }
+        ASSERT_TRUE(pool_.MarkRecomputed(id, begin, end).ok());
+      }
     }
     live_.emplace(id, std::move(seq));
     ModelSeq& placed = live_[id];
@@ -309,9 +378,9 @@ class StressHarness {
           << "op " << op << " seq " << id;
       const auto& table = pool_.BlockTable(id);
       ASSERT_EQ(static_cast<std::int64_t>(table.size()),
-                (static_cast<std::int64_t>(seq.acked.size()) + kBlockTokens -
+                (static_cast<std::int64_t>(seq.acked.size()) + block_tokens_ -
                  1) /
-                    kBlockTokens)
+                    block_tokens_)
           << "op " << op << " seq " << id;
       std::set<std::int32_t> dedup(table.begin(), table.end());
       ASSERT_EQ(dedup.size(), table.size())
@@ -342,16 +411,17 @@ class StressHarness {
   }
 
   /// Every owned block's rows [0, tokens) and every evictable block's
-  /// rows hold the fingerprints of their content.
+  /// rows hold the fingerprints of their content; an evictable block the
+  /// arena dropped holds no rows.
   void CheckPayload(int op) {
     for (const auto& [id, seq] : live_) {
       const std::int64_t n = static_cast<std::int64_t>(seq.acked.size());
       std::vector<float> rows(static_cast<std::size_t>(n) * Row{}.size());
       accel::GatherKvRows(pool_.Pages(id), 0, n, rows.data());
+      std::uint64_t h = kFnvSeed;
       for (std::int64_t p = 0; p < n; ++p) {
-        const Row want = Fingerprint(
-            std::span<const std::int32_t>(seq.acked).first(
-                static_cast<std::size_t>(p + 1)));
+        h = FnvAdvance(h, seq.acked[static_cast<std::size_t>(p)]);
+        const Row want = Fingerprint(h);
         ASSERT_TRUE(std::equal(want.begin(), want.end(),
                                rows.begin() + p * 4))
             << "op " << op << " seq " << id << " row " << p;
@@ -359,15 +429,18 @@ class StressHarness {
     }
     for (std::int32_t b = 0; b < pool_.materialized_blocks(); ++b) {
       if (pool_.BlockRefCount(b) != 0 || !pool_.BlockIsCached(b)) continue;
-      const auto it = prefix_of_hash_.find(pool_.BlockChainHash(b));
-      ASSERT_NE(it, prefix_of_hash_.end()) << "op " << op << " block " << b;
-      const std::vector<std::int32_t>& prefix = it->second;
       const std::span<const float> payload = pool_.BlockPayload(b);
+      if (pool_.BlockIsCold(b)) {
+        ASSERT_TRUE(payload.empty()) << "op " << op << " cold block " << b;
+        continue;
+      }
+      const auto it = sealed_of_hash_.find(pool_.BlockChainHash(b));
+      ASSERT_NE(it, sealed_of_hash_.end()) << "op " << op << " block " << b;
       const accel::KvBlockLayout layout = pool_.config().payload_layout();
-      for (std::int64_t r = 0; r < kBlockTokens; ++r) {
-        const std::size_t end = prefix.size() - kBlockTokens + r + 1;
-        const Row want =
-            Fingerprint(std::span<const std::int32_t>(prefix).first(end));
+      std::uint64_t h = it->second.hash_before;
+      for (std::int64_t r = 0; r < block_tokens_; ++r) {
+        h = FnvAdvance(h, it->second.tokens[static_cast<std::size_t>(r)]);
+        const Row want = Fingerprint(h);
         // Row r of the K plane then the V plane (layout [K|V][row][dim]).
         for (std::int64_t kv = 0; kv < 2; ++kv) {
           for (std::int64_t i = 0; i < kPayloadKvDim; ++i) {
@@ -394,16 +467,17 @@ class StressHarness {
     for (std::int32_t b = 0; b < pool_.num_blocks(); ++b) {
       ASSERT_EQ(pool_.BlockRefCount(b), 0) << "block " << b;
     }
-    ASSERT_TRUE(pool_.CanReserve(pool_.num_blocks() * kBlockTokens));
+    ASSERT_TRUE(pool_.CanReserve(pool_.num_blocks() * block_tokens_));
   }
 
   KvBlockPool pool_;
+  std::int64_t block_tokens_;
   Rng rng_;
   std::int64_t last_dma_bytes_ = 0;
   std::map<std::uint64_t, ModelSeq> live_;
   std::vector<std::vector<std::int32_t>> sources_;
   std::set<std::vector<std::int32_t>> sealed_ever_;
-  std::map<std::uint64_t, std::vector<std::int32_t>> prefix_of_hash_;
+  std::map<std::uint64_t, SealedBlock> sealed_of_hash_;
   std::uint64_t next_seq_ = 0;
 };
 
@@ -446,6 +520,34 @@ TEST(KvPoolStressTest, CowAndEvictionPathsAreActuallyExercised) {
             s.cow_dma_bytes + s.restore_dma_bytes + s.swap_dma_bytes);
   EXPECT_GT(s.spec_phases, 0);
   EXPECT_GT(s.spec_rollback_blocks, 0);
+}
+
+TEST(KvPoolStressTest, PoolsSharingAnArenaRecomputeDroppedRows) {
+  // Two pools of big blocks share one row arena, so the cached blocks
+  // they park outgrow kHostCachedKvTokens: the coldest lose their rows,
+  // and a later hit on one must recompute exactly the rows the
+  // fingerprint check then reads. An operation on one pool may drop the
+  // other's rows, so both pools are checked after every operation. Each
+  // seed meets both dropped rows and a hit on them.
+  const std::int64_t block_floats =
+      StressPool(true, KvCacheDtype::kFp16, kArenaBlockTokens)
+          .payload_layout()
+          .block_floats();
+  for (std::uint64_t seed : {5ull, 7ull}) {
+    SPEEDLLM_SEED_TRACE("kv_pool_stress/shared-arena", seed);
+    KvRowArena arena(block_floats);
+    StressHarness a(seed, /*enable_prefix_cache=*/true, kArenaBlockTokens,
+                    &arena);
+    StressHarness b(seed + 1, /*enable_prefix_cache=*/true, kArenaBlockTokens,
+                    &arena);
+    Rng pick(seed);
+    StressHarness::RunShared(a, b, arena, pick, 400);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_GT(a.stats().host_dropped_blocks + b.stats().host_dropped_blocks,
+              0);
+    EXPECT_GT(a.stats().host_recomputed_rows + b.stats().host_recomputed_rows,
+              0);
+  }
 }
 
 // ---------------- lazy growth ----------------
