@@ -441,6 +441,15 @@ Status RunZoo(const Setup& s) {
 // single-stream saturation rate, with percentiles and scheduler
 // internals.
 Status RunLoad(const Setup& s) {
+  serving::WorkloadConfig wc;
+  wc.num_requests = s.requests;
+  wc.min_prompt_tokens = 4;
+  wc.max_prompt_tokens = 16;
+  wc.min_new_tokens = 6;
+  wc.max_new_tokens = 16;
+  wc.vocab_size = s.model.vocab_size;
+  SPEEDLLM_RETURN_IF_ERROR(serving::ValidateWorkloadConfig(wc));
+
   // One request on a width-1 scheduler (one token per tick).
   api::EngineConfig width1;
   width1.sampler = s.engine.sampler;
@@ -449,15 +458,7 @@ Status RunLoad(const Setup& s) {
   width1.scheduler.enable_prefix_cache = false;
   SPEEDLLM_ASSIGN_OR_RETURN(const double saturation_rps,
                             SaturationRps(s, width1, 1, 4));
-
-  serving::WorkloadConfig wc;
-  wc.num_requests = s.requests;
   wc.rate_rps = saturation_rps * s.load;
-  wc.min_prompt_tokens = 4;
-  wc.max_prompt_tokens = 16;
-  wc.min_new_tokens = 6;
-  wc.max_new_tokens = 16;
-  wc.vocab_size = s.model.vocab_size;
 
   Rng rng(s.seed);
   std::vector<serving::ServingRequest> reqs;
@@ -526,21 +527,22 @@ Status RunLoad(const Setup& s) {
 // cluster: a bursty trace offered against one card's batched saturation
 // rate, with the per-card picture.
 Status RunCluster(const Setup& s) {
+  serving::WorkloadConfig wc;
+  wc.num_requests = s.requests;
+  wc.min_prompt_tokens = 4;
+  wc.max_prompt_tokens = 12;
+  wc.min_new_tokens = 6;
+  wc.max_new_tokens = 14;
+  wc.vocab_size = s.model.vocab_size;
+  SPEEDLLM_RETURN_IF_ERROR(serving::ValidateWorkloadConfig(wc));
+
   api::EngineConfig one_card = s.engine;
   one_card.num_cards = 1;
   one_card.shard_roles.clear();
   one_card.telemetry = {};
   SPEEDLLM_ASSIGN_OR_RETURN(const double saturation_rps,
                             SaturationRps(s, one_card, 8, 8));
-
-  serving::WorkloadConfig wc;
-  wc.num_requests = s.requests;
   wc.rate_rps = saturation_rps * s.load;
-  wc.min_prompt_tokens = 4;
-  wc.max_prompt_tokens = 12;
-  wc.min_new_tokens = 6;
-  wc.max_new_tokens = 14;
-  wc.vocab_size = s.model.vocab_size;
   Rng rng(s.seed);
   const auto trace = serving::BurstyTrace(rng, wc);
   SPEEDLLM_ASSIGN_OR_RETURN(serving::ClusterReport report,

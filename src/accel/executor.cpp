@@ -62,9 +62,9 @@ void Executor::Init() {
     }
   }
 
-  // One row of activation / output storage; K/V caches are paged.
+  // One row of activation / output storage; K/V caches are paged. The
+  // rows themselves live in workspaces, allocated by their first forward.
   row_floats_.assign(g.values().size(), 0);
-  base_.assign(g.values().size(), 0);
   kv_plane_.assign(g.values().size(), -1);
   for (const auto& v : g.values()) {
     if (v.kind != graph::ValueKind::kWeight &&
@@ -72,7 +72,6 @@ void Executor::Init() {
       row_floats_[v.id] = v.elements;
     }
   }
-  ReserveRows(1);
   for (std::size_t l = 0; l < dg.layers.size(); ++l) {
     kv_plane_[dg.layers[l].k_cache] = static_cast<std::int32_t>(l * 2);
     kv_plane_[dg.layers[l].v_cache] = static_cast<std::int32_t>(l * 2 + 1);
@@ -107,6 +106,7 @@ void Executor::Init() {
         break;
       case ComputeKind::kMatMulTile:
         step.matmul = &image_->matmul(op.inputs[0]);
+        pooled_ = pooled_ || step.matmul->pooled;
         break;
       default:
         break;
@@ -129,25 +129,27 @@ void Executor::ResetStats() {
   last_stats_ = TokenRunStats{};
 }
 
-void Executor::ReserveRows(std::int64_t rows) {
-  if (rows <= rows_) return;
-  rows_ = rows;
+void Executor::ReserveRows(ExecutorWorkspace& ws, std::int64_t rows) const {
+  if (rows <= ws.rows_) return;
+  ws.rows_ = rows;
+  ws.base_.resize(row_floats_.size());
   std::int64_t floats = 0;
-  for (std::size_t v = 0; v < base_.size(); ++v) {
-    base_[v] = floats;
+  for (std::size_t v = 0; v < row_floats_.size(); ++v) {
+    ws.base_[v] = floats;
     const bool one_row = static_cast<graph::ValueId>(v) == program_->dg.logits;
     floats += (one_row ? 1 : rows) * row_floats_[v];
   }
   // Free the old rows before allocating: the peak is one arena, not two.
-  std::vector<float>().swap(arena_);
-  arena_.resize(static_cast<std::size_t>(floats));
+  std::vector<float>().swap(ws.arena_);
+  ws.arena_.resize(static_cast<std::size_t>(floats));
 }
 
-float* Executor::Row(graph::ValueId v, std::int64_t r) {
-  assert(v >= 0 && static_cast<std::size_t>(v) < base_.size());
+float* Executor::Row(ExecutorWorkspace& ws, graph::ValueId v,
+                     std::int64_t r) const {
+  assert(v >= 0 && static_cast<std::size_t>(v) < ws.base_.size());
   assert(row_floats_[v] > 0 && "buffer accessed for a weight value");
-  assert(r < rows_);
-  return arena_.data() + base_[v] + r * row_floats_[v];
+  assert(r < ws.rows_);
+  return ws.arena_.data() + ws.base_[v] + r * row_floats_[v];
 }
 
 std::uint64_t Executor::SeqScale(std::uint64_t amount, bool scaled,
@@ -159,19 +161,23 @@ std::uint64_t Executor::SeqScale(std::uint64_t amount, bool scaled,
   return (amount * steps + seq - 1) / seq;
 }
 
-void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
-                       std::int32_t pos0, const KvPages& kv) {
+void Executor::RunStep(ExecutorWorkspace& ws, const Step& step,
+                       std::span<const std::int32_t> tokens, std::int32_t pos0,
+                       const KvPages& kv) const {
   const auto& op = *step.op;
   const auto& cfg = program_->model;
   const auto rows = static_cast<std::int64_t>(tokens.size());
-  const auto row_span = [this](graph::ValueId v, std::int64_t r,
-                               std::int64_t n = 1) {
-    return std::span<float>{Row(v, r),
+  const auto at = [this, &ws](graph::ValueId v, std::int64_t r) {
+    return Row(ws, v, r);
+  };
+  const auto row_span = [this, &at](graph::ValueId v, std::int64_t r,
+                                     std::int64_t n = 1) {
+    return std::span<float>{at(v, r),
                             static_cast<std::size_t>(n * row_floats_[v])};
   };
   // Copies rows [0, rows) of `in` to `out` (the in-place SFU ops).
   const auto copy_rows = [&](graph::ValueId out, graph::ValueId in) {
-    std::memcpy(Row(out, 0), Row(in, 0),
+    std::memcpy(at(out, 0), at(in, 0),
                 static_cast<std::size_t>(rows * row_floats_[in]) *
                     sizeof(float));
   };
@@ -179,7 +185,7 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
   switch (step.compute) {
     case ComputeKind::kEmbedCopy: {
       for (std::int64_t r = 0; r < rows; ++r) {
-        std::memcpy(Row(op.outputs[0], r),
+        std::memcpy(at(op.outputs[0], r),
                     step.weights.data() +
                         static_cast<std::int64_t>(tokens[r]) * cfg.dim,
                     static_cast<std::size_t>(cfg.dim) * sizeof(float));
@@ -193,9 +199,9 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
       assert(row_floats_[op.inputs[1]] == op.k);
       assert(row_floats_[op.outputs[0]] == op.m);
       const MatMulWeights& w = *step.matmul;
-      const std::span<float> out{Row(op.outputs[0], 0),
+      const std::span<float> out{at(op.outputs[0], 0),
                                  static_cast<std::size_t>(n * op.m)};
-      const std::span<const float> x{Row(op.inputs[1], first),
+      const std::span<const float> x{at(op.inputs[1], first),
                                      static_cast<std::size_t>(n * op.k)};
       if (w.q != nullptr) {
         for (std::int64_t r = 0; r < n; ++r) {
@@ -240,7 +246,7 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
         for (std::size_t i = 0; i < 2; ++i) {
           const std::int32_t plane = kv_plane_[op.outputs[i]];
           std::memcpy(blk + l.Offset(plane / 2, plane % 2, row),
-                      Row(op.inputs[i], r), bytes);
+                      at(op.inputs[i], r), bytes);
         }
       }
       break;
@@ -254,8 +260,8 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
       for (std::int64_t row = 0; row < rows; ++row) {
         const std::int64_t pos = pos0 + row;
-        const float* q = Row(op.inputs[0], row);
-        float* scores = Row(op.outputs[0], row);
+        const float* q = at(op.inputs[0], row);
+        float* scores = at(op.outputs[0], row);
         for (std::int32_t h = 0; h < op.n_heads; ++h) {
           const float* qh = q + h * hd;
           float* srow = scores + static_cast<std::int64_t>(h) * cfg.seq_len;
@@ -280,8 +286,8 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
     case ComputeKind::kSoftmax: {
       for (std::int64_t row = 0; row < rows; ++row) {
         const std::int64_t pos = pos0 + row;
-        const float* in = Row(op.inputs[0], row);
-        float* out = Row(op.outputs[0], row);
+        const float* in = at(op.inputs[0], row);
+        float* out = at(op.outputs[0], row);
         std::memset(out, 0,
                     static_cast<std::size_t>(row_floats_[op.outputs[0]]) *
                         sizeof(float));
@@ -302,8 +308,8 @@ void Executor::RunStep(const Step& step, std::span<const std::int32_t> tokens,
       const std::int32_t gqa = cfg.gqa_group();
       for (std::int64_t row = 0; row < rows; ++row) {
         const std::int64_t pos = pos0 + row;
-        const float* probs = Row(op.inputs[0], row);
-        float* out = Row(op.outputs[0], row);
+        const float* probs = at(op.inputs[0], row);
+        float* out = at(op.outputs[0], row);
         for (std::int32_t h = 0; h < op.n_heads; ++h) {
           const float* prow =
               probs + static_cast<std::int64_t>(h) * cfg.seq_len;
@@ -363,6 +369,21 @@ StatusOr<std::span<const float>> Executor::Forward(
 StatusOr<std::span<const float>> Executor::Forward(
     std::span<const std::int32_t> tokens, std::int32_t pos0,
     const KvPages& kv, bool want_last_logits) {
+  auto logits = Compute(own_ws_, tokens, pos0, kv, want_last_logits);
+  if (!logits.ok()) return logits;
+  const auto last = pos0 + static_cast<std::int32_t>(tokens.size()) - 1;
+  for (std::int32_t pos = pos0; pos <= last; ++pos) {
+    total_stats_ += TimingAt(pos);
+  }
+  last_stats_ = TimingAt(last);
+  trace_.Clear();
+  if (trace_.enabled()) Schedule(last, &trace_);
+  return logits;
+}
+
+StatusOr<std::span<const float>> Executor::Compute(
+    ExecutorWorkspace& ws, std::span<const std::int32_t> tokens,
+    std::int32_t pos0, const KvPages& kv, bool want_last_logits) const {
   const auto& cfg = program_->model;
   if (!setup_.ok()) return setup_;
   if (tokens.empty()) return InvalidArgument("a forward needs a token");
@@ -392,23 +413,16 @@ StatusOr<std::span<const float>> Executor::Forward(
   for (std::size_t p = 0; p < tokens.size(); p += kPassRows) {
     const auto pass =
         tokens.subspan(p, std::min<std::size_t>(kPassRows, tokens.size() - p));
-    ReserveRows(static_cast<std::int64_t>(pass.size()));
+    ReserveRows(ws, static_cast<std::int64_t>(pass.size()));
     const bool logits = want_last_logits && p + pass.size() == tokens.size();
     for (const Step& step : steps_) {
       if (step.op->id == logits_op_ && !logits) continue;
-      RunStep(step, pass, pos0 + static_cast<std::int32_t>(p), kv);
+      RunStep(ws, step, pass, pos0 + static_cast<std::int32_t>(p), kv);
     }
   }
 
-  for (std::int64_t pos = pos0; pos <= last; ++pos) {
-    total_stats_ += TimingAt(static_cast<std::int32_t>(pos));
-  }
-  last_stats_ = TimingAt(static_cast<std::int32_t>(last));
-  trace_.Clear();
-  if (trace_.enabled()) Schedule(static_cast<std::int32_t>(last), &trace_);
-
   if (!want_last_logits) return std::span<const float>{};
-  const float* logits = Row(program_->dg.logits, 0);
+  const float* logits = Row(ws, program_->dg.logits, 0);
   return std::span<const float>{
       logits, static_cast<std::size_t>(row_floats_[program_->dg.logits])};
 }

@@ -20,6 +20,12 @@
 // Standalone callers use the executor's own one-block table of seq_len
 // tokens through the same code path.
 //
+// A forward's activations live in an ExecutorWorkspace. Forward uses
+// the executor's own; the serving stack runs Compute, the const
+// functional half, on one of an engine-wide set, so forwards of distinct
+// sequences run at once on distinct workspaces and a card's executor
+// keeps no activation rows of its own.
+//
 // The weights come from a WeightImage (accel/weight_image.hpp): a
 // serving session builds one and every card's executor reads it; a
 // standalone executor builds its own.
@@ -58,6 +64,21 @@ struct TokenRunStats {
   TokenRunStats& operator+=(const TokenRunStats& o);
 };
 
+/// Activation buffers of one forward in flight: the rows of every value
+/// that is neither a weight nor a K/V cache. Empty until a forward runs
+/// on it, which grows it to that forward's pass. Any executor of one
+/// program may use it; two forwards may run at once only on distinct
+/// workspaces.
+class ExecutorWorkspace {
+ private:
+  friend class Executor;
+  // One arena: value v holds rows_ rows of the executor's row_floats_[v]
+  // floats (the logits one row) from base_[v].
+  std::vector<float> arena_;
+  std::vector<std::int64_t> base_;
+  std::int64_t rows_ = 0;
+};
+
 class Executor {
  public:
   /// Builds the executor's own WeightImage of `weights`, which must
@@ -92,10 +113,20 @@ class Executor {
   /// executor without weights returns its image's build error, an empty
   /// run or a token outside the vocabulary is InvalidArgument, a
   /// position past seq_len or past the table's capacity OutOfRange.
-  /// `kv.layout` must match KvLayout(kv.layout.block_tokens).
+  /// `kv.layout` must match KvLayout(kv.layout.block_tokens). The
+  /// activations live in the executor's own workspace.
   StatusOr<std::span<const float>> Forward(
       std::span<const std::int32_t> tokens, std::int32_t pos0,
       const KvPages& kv, bool want_last_logits = true);
+
+  /// The functional half of Forward, on `ws`: the same checks, K/V
+  /// writes and logits (valid until the next run on `ws`), with no stats
+  /// or trace; callers that price rows read TimingAt. It touches nothing
+  /// of the executor but reads, so computes on distinct workspaces whose
+  /// K/V writes land in distinct blocks may run concurrently.
+  StatusOr<std::span<const float>> Compute(
+      ExecutorWorkspace& ws, std::span<const std::int32_t> tokens,
+      std::int32_t pos0, const KvPages& kv, bool want_last_logits) const;
 
   /// The same run against the executor-owned one-block table of seq_len
   /// tokens.
@@ -135,6 +166,11 @@ class Executor {
   void EnableTrace(bool on) { trace_.set_enabled(on); }
   const sim::TraceRecorder& trace() const { return trace_; }
 
+  /// True when some matmul splits its rows over ThreadPool::Global()
+  /// (a weight matrix of at least kPoolSplitBytes), so one forward
+  /// already keeps the pool busy.
+  bool pooled() const { return pooled_; }
+
   const Program& program() const { return *program_; }
   /// The image the forwards read; null when the own image failed to
   /// build.
@@ -151,13 +187,15 @@ class Executor {
     const MatMulWeights* matmul = nullptr;
   };
 
-  // Runs one step over `tokens.size()` rows at pos0, pos0 + 1, ...
-  void RunStep(const Step& step, std::span<const std::int32_t> tokens,
-               std::int32_t pos0, const KvPages& kv);
-  // Grows every activation buffer to hold `rows` rows (contents are not
-  // kept).
-  void ReserveRows(std::int64_t rows);
-  float* Row(graph::ValueId v, std::int64_t r);
+  // Runs one step over `tokens.size()` rows at pos0, pos0 + 1, ... on
+  // `ws`.
+  void RunStep(ExecutorWorkspace& ws, const Step& step,
+               std::span<const std::int32_t> tokens, std::int32_t pos0,
+               const KvPages& kv) const;
+  // Grows every activation buffer of `ws` to hold `rows` rows (contents
+  // are not kept).
+  void ReserveRows(ExecutorWorkspace& ws, std::int64_t rows) const;
+  float* Row(ExecutorWorkspace& ws, graph::ValueId v, std::int64_t r) const;
 
   // Schedules one forward at `pos` on the timing model, recording spans
   // into `trace` when it is non-null.
@@ -166,7 +204,7 @@ class Executor {
   std::uint64_t SeqScale(std::uint64_t amount, bool scaled,
                          std::int32_t pos) const;
 
-  // Sets up the activation buffers and, given an image, steps_.
+  // Sets up the activation geometry and, given an image, steps_.
   void Init();
 
   const Program* program_;
@@ -181,14 +219,13 @@ class Executor {
   // The op writing the logits (the classifier): it runs on the last row
   // only, and not at all when a forward wants no logits.
   graph::OpId logits_op_ = -1;
+  bool pooled_ = false;  // see pooled()
 
-  // Activation storage, one arena: value v holds rows_ rows of
-  // row_floats_[v] floats (the logits one row) from base_[v]. K/V caches
-  // live in KvPages.
-  std::vector<float> arena_;
-  std::vector<std::int64_t> base_;
+  // Floats of one row of each value; 0 for weights and K/V caches,
+  // which live in the image and in KvPages.
   std::vector<std::int64_t> row_floats_;
-  std::int64_t rows_ = 0;
+  // The standalone forwards' activations.
+  ExecutorWorkspace own_ws_;
   // K/V cache ValueId -> plane index layer * 2 + (0 = K, 1 = V); -1 else.
   std::vector<std::int32_t> kv_plane_;
   // Standalone K/V: one block of seq_len tokens, allocated on first use.

@@ -129,7 +129,7 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
     if (role != ShardRole::kDecode) placeable_.push_back(ci);
     shards_.push_back(std::make_unique<ShardScheduler>(
         program_, *image_, cards_.cards[ci], config_.scheduler, role, engine_,
-        *kv_arena_));
+        *kv_arena_, forward_lanes_));
     ShardScheduler& shard = *shards_.back();
     // Each card carves its pool from its own HBM capacity.
     min_pool_blocks_ = std::min(min_pool_blocks_, shard.pool().num_blocks());
@@ -726,7 +726,7 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
 
 // -------------------------------------------------------- introspection
 
-int Engine::num_cards() const { return cards_.num_cards(); }
+int Engine::num_cards() const { return static_cast<int>(shards_.size()); }
 
 bool Engine::finished(RequestHandle handle) const {
   if (!handle.valid() || handle.id > streams_.size()) return false;

@@ -53,6 +53,7 @@
 
 namespace speedllm::serving {
 class ShardScheduler;
+struct ForwardLane;
 }  // namespace speedllm::serving
 
 /// Public serving API: the online streaming engine.
@@ -193,7 +194,7 @@ class Engine {
   bool idle() const;
 
   // ----- introspection -----
-  /// Cards the engine shards across.
+  /// Cards the engine shards across (0 when setup failed).
   int num_cards() const;
   /// Requests ever submitted (finished ones included).
   std::size_t submitted_requests() const { return streams_.size(); }
@@ -341,6 +342,8 @@ class Engine {
   std::unique_ptr<obs::Telemetry> telemetry_;
   // Declared before shards_: every card's pool keeps its rows here.
   std::unique_ptr<serving::KvRowArena> kv_arena_;
+  // Declared before shards_: every card's forwards run on these lanes.
+  std::vector<serving::ForwardLane> forward_lanes_;
   std::vector<std::unique_ptr<serving::ShardScheduler>> shards_;
   // Shared card-to-card link + HBM-channel model; every shard's local
   // DMA and every KV transfer queue on the same stations.

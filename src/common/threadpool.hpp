@@ -8,7 +8,13 @@
 // so does llama::GenerateSyntheticWeights, one task per chunk of a large
 // tensor.
 // The event engine itself is single-threaded: host parallelism lives
-// inside a tick.
+// inside a tick. Besides the pooled matmuls, a tick's decode segment
+// (serving::ShardScheduler) runs its members' forwards and samples as
+// ParallelRun tasks, task t of min(n, num_threads()) taking members t,
+// t + T, ... on lane t; its KV steps and commits stay on the event loop's
+// thread in problem order. A forward inside such a task runs its matmuls
+// inline (nested calls do), so a segment of an executor whose matmuls
+// already split over the pool runs on the caller instead.
 #pragma once
 
 #include <atomic>
@@ -64,14 +70,15 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, n), one index per task with dynamic
   /// pickup (workers and the calling thread race on a shared counter).
   /// Unlike ParallelFor there is no inline-below-threshold heuristic:
-  /// even n == 2 fans out. Both callers decide whether to split by tensor
-  /// bytes (kPoolSplitBytes), not by task count: llama::MatMulRows passes
-  /// one index per run of consecutive 8-row blocks (about 64 KiB of
-  /// weights, at least 2 * num_threads() runs), and the executor hands it
-  /// a pool only for matrices of at least kPoolSplitBytes;
+  /// even n == 2 fans out. The tensor callers decide whether to split by
+  /// tensor bytes (kPoolSplitBytes), not by task count: llama::MatMulRows
+  /// passes one index per run of consecutive 8-row blocks (about 64 KiB
+  /// of weights, at least 2 * num_threads() runs), and the executor hands
+  /// it a pool only for matrices of at least kPoolSplitBytes;
   /// llama::GenerateSyntheticWeights passes one index per 64K-element
   /// chunk of every tensor of at least kPoolSplitBytes, all tensors in one
-  /// batch. A thread that runs slowly takes fewer tasks.
+  /// batch. A decode segment passes one index per lane, at most
+  /// num_threads(). A thread that runs slowly takes fewer tasks.
   void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; lazily constructed.

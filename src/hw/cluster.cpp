@@ -1,5 +1,6 @@
 #include "hw/cluster.hpp"
 
+#include <algorithm>
 #include <string>
 
 namespace speedllm::hw {
@@ -15,7 +16,8 @@ MultiCardConfig MultiCardConfig::Homogeneous(const U280Config& card,
                                              int num_cards) {
   MultiCardConfig config;
   if (num_cards > 0) {
-    config.cards.assign(static_cast<std::size_t>(num_cards), card);
+    config.cards.assign(
+        static_cast<std::size_t>(std::min(num_cards, kMaxCards + 1)), card);
   }
   return config;
 }
@@ -23,6 +25,10 @@ MultiCardConfig MultiCardConfig::Homogeneous(const U280Config& card,
 Status MultiCardConfig::Validate() const {
   if (cards.empty()) {
     return InvalidArgument("cluster needs at least one card");
+  }
+  if (cards.size() > static_cast<std::size_t>(kMaxCards)) {
+    return InvalidArgument("cluster has more than kMaxCards = " +
+                           std::to_string(kMaxCards) + " cards");
   }
   const double clock = cards.front().clock_mhz;
   for (std::size_t i = 1; i < cards.size(); ++i) {

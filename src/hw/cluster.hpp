@@ -17,6 +17,11 @@
 
 namespace speedllm::hw {
 
+/// Most cards one cluster may have. Per-card state, and a link station
+/// per directed card pair, grow with the count, so a larger count is a
+/// setup error rather than an allocation that cannot succeed.
+inline constexpr int kMaxCards = 256;
+
 /// Card-to-card interconnect link model (PCIe peer-to-peer or a NIC
 /// bounce, abstracted as a serial pipe per directed card pair). A KV
 /// transfer is store-and-forward: read out of the source card's HBM DMA
@@ -43,11 +48,12 @@ struct MultiCardConfig {
 
   int num_cards() const { return static_cast<int>(cards.size()); }
 
-  /// N identical copies of `card` -- the common deployment.
+  /// N identical copies of `card` -- the common deployment. A count past
+  /// kMaxCards keeps kMaxCards + 1 copies, which Validate rejects.
   static MultiCardConfig Homogeneous(const U280Config& card, int num_cards);
 
-  /// Non-empty, clock-uniform (see file comment), with a valid
-  /// interconnect.
+  /// Non-empty, at most kMaxCards cards, clock-uniform (see file
+  /// comment), with a valid interconnect.
   Status Validate() const;
 };
 

@@ -627,6 +627,17 @@ Status KvBlockPool::Append(std::uint64_t seq, std::int32_t token) {
   return Status::Ok();
 }
 
+bool KvBlockPool::AppendIsLocal(std::uint64_t seq) const {
+  auto it = seqs_.find(seq);
+  if (it == seqs_.end()) return false;
+  const SeqState& state = it->second;
+  const std::int64_t bs = config_.block_size_tokens;
+  const std::int64_t offset = state.tokens % bs;
+  if (state.speculating || offset == 0 || offset + 1 == bs) return false;
+  const BlockMeta& m = meta_[static_cast<std::size_t>(state.blocks.back())];
+  return m.refcount == 1 && !m.cached;
+}
+
 Status KvBlockPool::BeginSpeculation(std::uint64_t seq) {
   auto it = seqs_.find(seq);
   if (it == seqs_.end()) {

@@ -465,6 +465,14 @@ class KvBlockPool {
   /// (callers preempt and retry).
   Status Append(std::uint64_t seq, std::int32_t token);
 
+  /// True when `seq`'s next Append only writes inside its own tail block:
+  /// the tail is partly filled, private (refcount one, not cached), and
+  /// the append leaves it short of full, while no draft phase is open. Such
+  /// an append allocates, copies, seals, evicts and moves no DMA, so it
+  /// commutes with any other sequence's Append, Release or cache and
+  /// arena change. False for an unknown `seq`.
+  bool AppendIsLocal(std::uint64_t seq) const;
+
   /// Opens a draft (speculative) phase for `seq`: snapshots the
   /// sequence's {token count, block table length, chain hash, unsealed
   /// tail} so every Append made until RollbackSpeculation can be undone.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "accel/executor.hpp"
+#include "common/threadpool.hpp"
 
 namespace speedllm::serving {
 
@@ -124,7 +125,8 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
                                ShardRole role, sim::Engine& engine,
-                               KvRowArena& arena)
+                               KvRowArena& arena,
+                               std::vector<ForwardLane>& lanes)
     : program_(program),
       u280_(u280),
       config_(config),
@@ -137,6 +139,7 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                 config.block_size_tokens, config.enable_prefix_cache),
             &arena),
       exec_(std::make_unique<accel::Executor>(program, image, u280)),
+      lanes_(lanes),
       tick_cost_(shared_seconds_, kSharedShareCap) {}
 
 ShardScheduler::~ShardScheduler() = default;
@@ -164,6 +167,7 @@ void ShardScheduler::Submit(const ServingRequest& request,
                      request.max_new_tokens);
   queued_demand_blocks_ += BlocksForRequest(request);
   seqs_.push_back(std::move(seq));
+  slot_of_stream_[stream_index] = seqs_.size() - 1;
   waiting_.push_back(seqs_.size() - 1);
   if (!tick_pending_) ScheduleTick(engine_.now());
 }
@@ -212,6 +216,7 @@ ShardScheduler::StealNewestQueued(const StreamPredicate& eligible) {
                      seq.request->max_new_tokens));
     queued_demand_blocks_ -= BlocksForRequest(*seq.request);
     waiting_.erase(std::next(it).base());
+    slot_of_stream_.erase(seq.stream_index);
     return std::pair{seq.request, seq.stream_index};
   }
   return std::nullopt;
@@ -412,12 +417,12 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   // bound its memory (kHostCachedKvTokens). Those are recomputed here,
   // bit-identical because a position's K/V never depends on how the
   // forwards were split. The simulated device still holds them, so the
-  // simulation sees nothing: no tick cost, report counter or event (the
-  // shard reads last_stats() only after its own forwards).
+  // simulation sees nothing: no tick cost, report counter or event.
   const std::int64_t begin = match_or->recompute_begin;
   const std::int64_t end = match_or->recompute_end;
   if (begin < end) {
-    const auto rows = exec_->Forward(
+    const auto rows = exec_->Compute(
+        Lane(0).activations,
         std::span<const std::int32_t>(seq.fed).subspan(
             static_cast<std::size_t>(begin),
             static_cast<std::size_t>(end - begin)),
@@ -463,6 +468,7 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   ReleaseResident(seq_id, /*preempted=*/false);
   seq.state = SeqState::kHandedOff;
   seq.pending_token = -1;
+  slot_of_stream_.erase(seq.stream_index);
   hooks_.on_handoff(std::move(handoff), ready);
 }
 
@@ -491,6 +497,7 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
                      seq.remaining_decode());
   queued_demand_blocks_ += BlocksForRequest(*seq.request);
   seqs_.push_back(std::move(seq));
+  slot_of_stream_[seqs_.back().stream_index] = seqs_.size() - 1;
   waiting_.push_back(seqs_.size() - 1);
   if (!tick_pending_) ScheduleTick(engine_.now());
 }
@@ -640,12 +647,12 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
 /// The amplitude sits far below typical logit gaps, so greedy argmax is
 /// unchanged in practice (tests lock this in); temperature sampling may
 /// legally diverge from fp16, exactly like a real quantized cache.
-void ShardScheduler::PerturbLogitsForQuant(const Sequence& seq,
+void ShardScheduler::PerturbLogitsForQuant(std::size_t stream_index,
+                                           std::size_t fed_tokens,
                                            std::span<float> logits) const {
   constexpr float kAmplitude = 1e-6f;
-  const std::uint64_t block_index =
-      seq.fed.size() / config_.block_size_tokens;
-  std::uint64_t h = (static_cast<std::uint64_t>(seq.stream_index) + 1) *
+  const std::uint64_t block_index = fed_tokens / config_.block_size_tokens;
+  std::uint64_t h = (static_cast<std::uint64_t>(stream_index) + 1) *
                     0x9e3779b97f4a7c15ull;
   h ^= (block_index + 1) * 0x100000001b3ull;
   for (float& v : logits) {
@@ -662,12 +669,15 @@ void ShardScheduler::PerturbLogitsForQuant(const Sequence& seq,
   }
 }
 
-void ShardScheduler::SampleNext(Sequence& seq, std::span<const float> logits) {
-  sample_scratch_.assign(logits.begin(), logits.end());
+std::int32_t ShardScheduler::SampleToken(Sequence& seq,
+                                         std::span<const float> logits,
+                                         std::size_t fed_tokens,
+                                         std::vector<float>& scratch) const {
+  scratch.assign(logits.begin(), logits.end());
   if (config_.kv_cache_dtype == KvCacheDtype::kInt8) {
-    PerturbLogitsForQuant(seq, sample_scratch_);
+    PerturbLogitsForQuant(seq.stream_index, fed_tokens, scratch);
   }
-  seq.pending_token = seq.sampler.Sample(sample_scratch_);
+  return seq.sampler.Sample(scratch);
 }
 
 /// True when the freshly sampled pending token must end generation early:
@@ -694,19 +704,12 @@ void ShardScheduler::FinishSequence(std::size_t seq_id, FinishReason reason) {
 }
 
 Status ShardScheduler::Abort(std::size_t stream_index) {
-  std::size_t seq_id = seqs_.size();
-  for (std::size_t i = 0; i < seqs_.size(); ++i) {
-    if (seqs_[i].stream_index == stream_index &&
-        seqs_[i].state != SeqState::kMigrated &&
-        seqs_[i].state != SeqState::kHandedOff) {
-      seq_id = i;
-      break;
-    }
-  }
-  if (seq_id == seqs_.size()) {
+  const auto slot = slot_of_stream_.find(stream_index);
+  if (slot == slot_of_stream_.end()) {
     return NotFound("stream " + std::to_string(stream_index) +
                     " is not live on this shard");
   }
+  const std::size_t seq_id = slot->second;
   Sequence& seq = seqs_[seq_id];
   if (seq.state == SeqState::kCancelled) {
     return FailedPrecondition("stream " + std::to_string(stream_index) +
@@ -850,11 +853,101 @@ void ShardScheduler::RunTick() {
   // Commit timestamps are applied once the tick length is known;
   // completions release capacity immediately so later problems in the
   // same tick may use it.
-  for (Problem& problem : work.problems) {
-    ExecuteProblem(work, problem);
+  for (std::size_t i = 0; i < work.problems.size();) {
+    if (IsDecodeRow(work.problems[i])) {
+      i = RunDecodeSegment(work, i);
+    } else {
+      ExecuteProblem(work, work.problems[i++]);
+    }
     if (!error_.ok()) return;
   }
   CloseTick(work);
+}
+
+bool ShardScheduler::IsDecodeRow(const Problem& problem) const {
+  return problem.state == SeqState::kDecode &&
+         config_.speculative.draft_tokens == 0;
+}
+
+ForwardLane& ShardScheduler::Lane(std::size_t t) {
+  if (lanes_.size() <= t) lanes_.resize(t + 1);
+  return lanes_[t];
+}
+
+std::size_t ShardScheduler::RunDecodeSegment(TickWork& work,
+                                             std::size_t begin) {
+  // Phase one, in problem order: each member's KV step and price. The
+  // first member runs after every earlier commit, exactly as a
+  // member-by-member run would; a later one joins only while its append
+  // is local, which commutes with every earlier member's commit.
+  segment_.clear();
+  std::size_t end = begin;
+  for (; end < work.problems.size() && IsDecodeRow(work.problems[end]);
+       ++end) {
+    Problem& problem = work.problems[end];
+    const std::size_t seq_id = problem.seq_id;
+    Sequence& seq = seqs_[seq_id];
+    if (seq.state != problem.state) continue;  // preempted mid-tick
+    if (!segment_.empty() && !pool_.AppendIsLocal(seq_id)) break;
+    DecodeRow row;
+    row.problem = &problem;
+    row.token = seq.pending_token;
+    row.pos = seq.cursor;
+    if (!EnsureKvToken(seq_id, row.token)) {
+      if (!error_.ok()) return end;
+      continue;  // pool dry with no victims: it decodes on a later tick
+    }
+    tick_cost_.AddProblem(exec_->TimingAt(row.pos).seconds);
+    row.samples = seq.next_row_samples();
+    row.pages = pool_.Pages(seq_id);
+    segment_.push_back(row);
+  }
+  const std::size_t n = segment_.size();
+  if (n == 0) return end;
+
+  // Phase two: the forwards and samples, lane t taking members t, t + T,
+  // ... A forward whose matmuls already split over the pool keeps it
+  // busy alone, so its segment runs on one lane, on this thread.
+  const std::size_t lanes =
+      n == 1 || exec_->pooled()
+          ? 1
+          : std::min<std::size_t>(n, ThreadPool::Global().num_threads());
+  Lane(lanes - 1);
+  const auto run_lane = [&](std::size_t t) {
+    ForwardLane& lane = lanes_[t];
+    for (std::size_t m = t; m < n; m += lanes) {
+      DecodeRow& row = segment_[m];
+      const auto logits = exec_->Compute(
+          lane.activations, std::span<const std::int32_t>(&row.token, 1),
+          row.pos, row.pages, row.samples);
+      if (!logits.ok()) {
+        row.status = logits.status();
+        continue;
+      }
+      if (row.samples) {
+        Sequence& seq = seqs_[row.problem->seq_id];
+        row.sampled =
+            SampleToken(seq, *logits, seq.fed.size() + 1, lane.logits);
+      }
+    }
+  };
+  if (lanes == 1) {
+    run_lane(0);
+  } else {
+    ThreadPool::Global().ParallelRun(lanes, run_lane);
+  }
+
+  // Phase three, in problem order: the commits.
+  for (DecodeRow& row : segment_) {
+    if (!row.status.ok()) {
+      error_ = row.status;
+      return end;
+    }
+    ++report_.executor_forwards;
+    if (row.samples) ++report_.logit_forwards;
+    CommitRow(work, *row.problem, /*caught_up=*/true, row.sampled);
+  }
+  return end;
 }
 
 std::int32_t ShardScheduler::PlanDecode(TickWork& work) {
@@ -1007,8 +1100,7 @@ void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
 }
 
 bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
-                               bool caught_up, bool samples,
-                               std::span<const float> logits) {
+                               bool caught_up, std::int32_t sampled) {
   const std::size_t seq_id = problem.seq_id;
   Sequence& seq = seqs_[seq_id];
   if (caught_up) {
@@ -1033,11 +1125,11 @@ bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
     FinishSequence(seq_id, FinishReason::kLength);
     return false;
   }
-  assert(samples == (seq.pending_token < 0));
-  if (samples) {
-    // Fresh logits with nothing pending: sample the next token, which
-    // the next row (or tick) commits.
-    SampleNext(seq, logits);
+  assert((sampled >= 0) == (seq.pending_token < 0));
+  if (sampled >= 0) {
+    // Fresh logits with nothing pending: the sampled token is pending
+    // now, and the next row (or tick) commits it.
+    seq.pending_token = sampled;
     if (seq.outcome.first_token_seconds == 0.0) {
       work.ttft_marks.push_back(seq_id);
     }
@@ -1067,6 +1159,7 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
   Sequence& seq = seqs_[seq_id];
   if (seq.state != problem.state) return;  // preempted mid-tick
   std::int32_t drafted = 0;
+  double last_row_seconds = 0.0;  // cost of the newest forwarded row
   bool open = true;
   while (open && problem.fed < problem.rows) {
     // One chunk: the rows up to and including the next one that samples.
@@ -1108,19 +1201,24 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
     // Only a row whose logits are sampled runs the classifier, and only
     // a chunk's last row can be one.
     const bool samples = seq.next_row_samples(rows - 1);
-    auto logits =
-        exec_->Forward(chunk_tokens_, pos0, pool_.Pages(seq_id), samples);
+    ForwardLane& lane = Lane(0);
+    auto logits = exec_->Compute(lane.activations, chunk_tokens_, pos0,
+                                 pool_.Pages(seq_id), samples);
     if (!logits.ok()) {
       error_ = logits.status();
       return;
     }
     report_.executor_forwards += rows;
     if (samples) ++report_.logit_forwards;
-    last_forward_seconds_ = exec_->last_stats().seconds;
+    last_row_seconds = exec_->TimingAt(pos0 + rows - 1).seconds;
+    // The last row's commit feeds a caught-up row's pending token before
+    // the sampled one takes its place.
+    const std::size_t fed = seq.fed.size() + (caught_up ? 1 : 0);
+    const std::int32_t sampled =
+        samples ? SampleToken(seq, *logits, fed, lane.logits) : -1;
     open = rows == want;
     for (std::int32_t k = 0; k < rows; ++k) {
-      if (!CommitRow(work, problem, caught_up, samples && k + 1 == rows,
-                     *logits)) {
+      if (!CommitRow(work, problem, caught_up, k + 1 == rows ? sampled : -1)) {
         open = false;
         break;
       }
@@ -1133,9 +1231,9 @@ void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
   // at kDraftCostRatio.
   const std::int32_t wasted = 1 + drafted - problem.fed;
   for (std::int32_t w = 0; w < wasted; ++w) {
-    tick_cost_.AddProblem(last_forward_seconds_);
+    tick_cost_.AddProblem(last_row_seconds);
   }
-  tick_cost_.AddDraftRows(drafted, last_forward_seconds_, kDraftCostRatio);
+  tick_cost_.AddDraftRows(drafted, last_row_seconds, kDraftCostRatio);
   report_.spec_wasted_tokens += wasted;
   report_.spec_accepted_tokens += problem.fed - 1;
   TraceInstant(obs::RequestEventKind::kVerifyAccept, seq_id, problem.fed - 1);

@@ -24,9 +24,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "accel/executor.hpp"
 #include "accel/program.hpp"
 #include "common/status.hpp"
 #include "hw/grouped_cost.hpp"
@@ -38,11 +40,6 @@
 #include "serving/request.hpp"
 #include "serving/scheduler.hpp"
 #include "sim/engine.hpp"
-
-namespace speedllm::accel {
-class Executor;
-class WeightImage;
-}  // namespace speedllm::accel
 
 namespace speedllm::serving {
 
@@ -70,24 +67,49 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
                        const llama::ModelConfig& model,
                        std::int64_t pool_blocks, std::int64_t block_size);
 
+/// Host scratch of one forward and its sample. A tick runs its decode
+/// rows on up to one lane per ThreadPool::Global() thread at once (see
+/// ShardScheduler); an api::Engine keeps one set of lanes for all of its
+/// cards, since their ticks never overlap. Lanes start empty and grow on
+/// first use.
+struct ForwardLane {
+  /// The forward's activations.
+  accel::ExecutorWorkspace activations;
+  /// The sampler's copy of the logits.
+  std::vector<float> logits;
+};
+
 /// One card's continuous-batching execution core: a paged KvBlockPool
 /// plus the tick loop that batches decode sequences and prefill chunks
 /// into grouped forward passes on an engine provided by the caller.
 /// N shards interleave on one shared sim::Engine clock under an
 /// api::Engine.
+///
+/// A tick's one-row decode problems run in segments: maximal runs of
+/// consecutive ones, in problem order. A segment first steps every
+/// member's KV (EnsureKvToken) and prices its row, one member after
+/// another; then runs every member's forward and sample, fanned out over
+/// the lanes; then commits every member's row in problem order. Only the
+/// first member may allocate, copy, seal or preempt; a later problem
+/// joins only while KvBlockPool::AppendIsLocal holds for it, an append
+/// that commutes with everything an earlier member's commit can do. So
+/// every stream, report and trace is the one a member-by-member run
+/// gives.
 class ShardScheduler {
  public:
-  /// `program`, `image` (the weights, built for `program`), `engine`
-  /// and `arena` must outlive the shard. `config` must already be
-  /// normalized; `role` is this card's entry of EngineConfig::shard_roles
-  /// (kUnified when that is empty). Ticks are scheduled on `engine`; the
-  /// caller drives engine.Run() after attaching the interconnect
-  /// (set_interconnect). The pool keeps its K/V rows in `arena`, which
-  /// every card of the engine shares.
+  /// `program`, `image` (the weights, built for `program`), `engine`,
+  /// `arena` and `lanes` must outlive the shard. `config` must already
+  /// be normalized; `role` is this card's entry of
+  /// EngineConfig::shard_roles (kUnified when that is empty). Ticks are
+  /// scheduled on `engine`; the caller drives engine.Run() after
+  /// attaching the interconnect (set_interconnect). The pool keeps its
+  /// K/V rows in `arena`, and the forwards run on `lanes`; every card of
+  /// the engine shares both.
   ShardScheduler(const accel::Program& program,
                  const accel::WeightImage& image, const hw::U280Config& u280,
                  const SchedulerConfig& config, ShardRole role,
-                 sim::Engine& engine, KvRowArena& arena);
+                 sim::Engine& engine, KvRowArena& arena,
+                 std::vector<ForwardLane>& lanes);
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
@@ -192,7 +214,8 @@ class ShardScheduler {
   /// This shard's KV block pool (placement policies read its capacity
   /// and occupancy).
   const KvBlockPool& pool() const { return pool_; }
-  /// This card's executor (its weight image, timing table, stats).
+  /// This card's executor: its weight image and timing table. The shard
+  /// runs only its Compute half, so its stats stay empty.
   const accel::Executor& executor() const { return *exec_; }
   /// KV pool capacity in bytes.
   std::uint64_t pool_bytes() const { return pool_.capacity_bytes(); }
@@ -322,6 +345,18 @@ class ShardScheduler {
     std::int32_t fed = 0;  // rows actually executed
   };
 
+  /// One member of a decode segment: its problem and KV step (phase
+  /// one), its forward's outcome and sample (phase two).
+  struct DecodeRow {
+    Problem* problem = nullptr;
+    std::int32_t token = 0;   // the pending token the row feeds
+    std::int32_t pos = 0;     // its position
+    bool samples = false;     // the row's logits are sampled
+    accel::KvPages pages;
+    std::int32_t sampled = -1;
+    Status status;
+  };
+
   /// Everything one tick plans, executes and closes over.
   struct TickWork {
     double start_s = 0.0;
@@ -346,9 +381,20 @@ class ShardScheduler {
   };
 
   void ScheduleTick(sim::Cycles at);
-  /// One tick: PlanDecode, AdmitAndPlanPrefill, ExecuteProblem over the
-  /// problem list, CloseTick. A hard error ends the tick chain.
+  /// One tick: PlanDecode, AdmitAndPlanPrefill, then the problem list
+  /// in order -- each one-row decode problem in a decode segment
+  /// (RunDecodeSegment), every other through ExecuteProblem -- and
+  /// CloseTick. A hard error ends the tick chain.
   void RunTick();
+  /// True when `problem` is a one-row decode problem (speculation off).
+  bool IsDecodeRow(const Problem& problem) const;
+  /// Runs the decode segment that starts at problem `begin` in its three
+  /// phases (see the class comment) and returns the index past its last
+  /// problem. A member whose forward fails sets error_, and neither it
+  /// nor a later member commits.
+  std::size_t RunDecodeSegment(TickWork& work, std::size_t begin);
+  /// Lane `t` of the shared lanes, grown to hold it.
+  ForwardLane& Lane(std::size_t t);
   /// Plans the decode set's verify groups into `work`, in admission
   /// order while the token budget covers every decoding sequence. An
   /// over-budget set is funded by tier group (one group with tiers off):
@@ -398,10 +444,10 @@ class ShardScheduler {
   /// trace. Returns the bytes moved.
   std::int64_t ChargeDma(const char* cause, std::size_t seq_id);
   /// Deterministic int8 accuracy proxy: perturbs `logits` with tiny
-  /// pseudo-noise seeded by (stream index, KV block index) only, so
-  /// streams stay reproducible under any batch composition, card count,
-  /// or preemption schedule.
-  void PerturbLogitsForQuant(const Sequence& seq,
+  /// pseudo-noise seeded by (stream index, KV block index of `fed_tokens`
+  /// fed tokens) only, so streams stay reproducible under any batch
+  /// composition, card count, or preemption schedule.
+  void PerturbLogitsForQuant(std::size_t stream_index, std::size_t fed_tokens,
                              std::span<float> logits) const;
   void Preempt(std::size_t victim);
   /// Ships `seq_id` (prefill complete, first token sampled and TTFT
@@ -419,11 +465,12 @@ class ShardScheduler {
   bool ReplayAdoptedKv(std::size_t seq_id);
   /// Books one forwarded row of `problem`: commits the pending token
   /// when `caught_up`, advances the cursor, and, once the prefill is
-  /// done, finishes on length, samples from `logits` when `samples`,
-  /// or switches a finished prefill to decode. Returns false when the
-  /// problem ends at this row.
+  /// done, finishes on length, takes `sampled` (the token SampleToken
+  /// drew from this row's logits, or -1 when the row samples none) as
+  /// the next pending token, or switches a finished prefill to decode.
+  /// Returns false when the problem ends at this row.
   bool CommitRow(TickWork& work, Problem& problem, bool caught_up,
-                 bool samples, std::span<const float> logits);
+                 std::int32_t sampled);
   /// Runs one decode sequence's draft phase: proposes up to the
   /// configured k draft tokens as a KvBlockPool speculation phase
   /// (rolled back before any verify commit, so draft content never
@@ -432,7 +479,14 @@ class ShardScheduler {
   /// run length; `drafted` receives the proposals actually made (the
   /// pool may cut a draft short when blocks run dry).
   std::int32_t DraftAndAccept(std::size_t seq_id, std::int32_t* drafted);
-  void SampleNext(Sequence& seq, std::span<const float> logits);
+  /// Draws `seq`'s next token from `logits` (copied into `scratch`), as
+  /// sampled once `fed_tokens` tokens are fed: the commit of a caught-up
+  /// row feeds its pending token before the drawn one becomes pending.
+  /// Touches nothing but `seq`'s sampler and `scratch`, so distinct
+  /// sequences sample at once.
+  std::int32_t SampleToken(Sequence& seq, std::span<const float> logits,
+                           std::size_t fed_tokens,
+                           std::vector<float>& scratch) const;
   bool ShouldStop(const Sequence& seq) const;
   void FinishSequence(std::size_t seq_id, FinishReason reason);
   void DeliverEmissions();
@@ -447,12 +501,17 @@ class ShardScheduler {
   sim::Engine& engine_;
   KvBlockPool pool_;
   std::vector<Sequence> seqs_;          // one per submitted request
+  // Global stream index -> the slot of seqs_ serving it here (never a
+  // migrated or handed-off one): Abort's lookup.
+  std::unordered_map<std::size_t, std::size_t> slot_of_stream_;
   std::deque<std::size_t> waiting_;     // arrived, not resident (local ids)
   std::vector<std::size_t> residents_;  // admission order (local ids)
-  // Activations only: K/V are read and written through pool_.Pages().
+  // Steps and timing only: activations live in lanes_, and K/V are read
+  // and written through pool_.Pages().
   std::unique_ptr<accel::Executor> exec_;
-  std::vector<float> sample_scratch_;
+  std::vector<ForwardLane>& lanes_;
   std::vector<std::int32_t> chunk_tokens_;  // ExecuteProblem's chunk
+  std::vector<DecodeRow> segment_;          // RunDecodeSegment's members
   Hooks hooks_;
   Interconnect* interconnect_ = nullptr;  // cluster-shared stations
   std::int32_t card_id_ = 0;
@@ -476,7 +535,6 @@ class ShardScheduler {
   // verify row, draft row, and serial DMA second of the current tick
   // lands here; the tick's length is tick_cost_.group_seconds().
   hw::GroupedKernelCostModel tick_cost_;
-  double last_forward_seconds_ = 0.0;  // cost of the newest forward row
   std::int64_t width_sum_ = 0;  // decode rows + prefill chunks, all ticks
   Status error_;
   ServingReport report_;

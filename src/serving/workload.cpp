@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "llama/config.hpp"
 #include "llama/tokenizer.hpp"
@@ -71,10 +72,18 @@ ServingRequest MakeRequest(Rng& rng, const WorkloadConfig& config,
 
 }  // namespace
 
+Status ValidateWorkloadConfig(const WorkloadConfig& config) {
+  if (config.num_requests < 0) {
+    return InvalidArgument("a trace needs a non-negative request count (got " +
+                           std::to_string(config.num_requests) + ")");
+  }
+  return Status::Ok();
+}
+
 std::vector<ServingRequest> PoissonTrace(Rng& rng,
                                          const WorkloadConfig& config) {
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_requests));
+  trace.reserve(static_cast<std::size_t>(std::max(0, config.num_requests)));
   double now = 0.0;
   for (std::int32_t i = 0; i < config.num_requests; ++i) {
     now += ExpGap(rng, config.rate_rps);
@@ -152,7 +161,7 @@ std::vector<ServingRequest> SharedPrefixTrace(
   }
 
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_requests));
+  trace.reserve(static_cast<std::size_t>(std::max(0, config.num_requests)));
   double now = 0.0;
   for (std::int32_t i = 0; i < config.num_requests; ++i) {
     now += ExpGap(rng, config.rate_rps);
@@ -422,7 +431,7 @@ std::vector<ServingRequest> ScenarioTrace(Rng& rng, Scenario scenario) {
 std::vector<ServingRequest> BurstyTrace(Rng& rng,
                                         const WorkloadConfig& config) {
   std::vector<ServingRequest> trace;
-  trace.reserve(static_cast<std::size_t>(config.num_requests));
+  trace.reserve(static_cast<std::size_t>(std::max(0, config.num_requests)));
   const std::int32_t burst = std::max<std::int32_t>(1, config.burst_size);
   const double epoch_rate = config.rate_rps / static_cast<double>(burst);
   double epoch = 0.0;

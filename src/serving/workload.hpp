@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/status.hpp"
 #include "serving/request.hpp"
 
 namespace speedllm::serving {
@@ -55,6 +56,11 @@ struct WorkloadConfig {
 /// build is drawn this way.
 std::vector<std::int32_t> DrawPrompt(Rng& rng, std::int32_t len,
                                      std::int32_t vocab_size);
+
+/// InvalidArgument when `config` asks for a negative number of requests;
+/// OK otherwise. PoissonTrace and BurstyTrace draw no request for such a
+/// config, so callers that take the count from input check it here.
+Status ValidateWorkloadConfig(const WorkloadConfig& config);
 
 /// Open-loop Poisson arrivals with i.i.d. prompt / generation lengths.
 std::vector<ServingRequest> PoissonTrace(Rng& rng,

@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -575,19 +576,25 @@ TEST(ApiEngineTest, RejectsWeightsThatDoNotMatchTheProgram) {
   }
 }
 
-TEST(ApiEngineTest, NonPositiveCardCountIsASetupError) {
+TEST(ApiEngineTest, OutOfRangeCardCountIsASetupError) {
   Fixture f;
   auto prog = f.Compile();
   // A cluster needs at least one card: zero or a negative count is not
-  // quietly served on one card.
-  for (int cards : {0, -1}) {
+  // quietly served on one card. Past hw::kMaxCards the count is refused
+  // before any per-card state is built.
+  const std::pair<int, const char*> cases[] = {
+      {0, "at least one card"},
+      {-1, "at least one card"},
+      {hw::kMaxCards + 1, "more than kMaxCards"},
+  };
+  for (const auto& [cards, message] : cases) {
     SCOPED_TRACE(::testing::Message() << "cards " << cards);
     EngineConfig config;
     config.num_cards = cards;
     Engine engine(prog, f.weights, f.u280, config);
     const Status status = engine.Submit(MakeRequest(4, 4, 0.0)).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("at least one card"), std::string::npos)
+    EXPECT_NE(status.message().find(message), std::string::npos)
         << status.message();
     EXPECT_EQ(engine.num_cards(), 0);
     engine.RunToCompletion();

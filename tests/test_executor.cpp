@@ -1,13 +1,16 @@
 // Unit tests for the accelerator executor: functional parity with the CPU
-// reference, timing-model invariants, and energy accounting.
+// reference, concurrent forwards on their own workspaces, timing-model
+// invariants, and energy accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "accel/executor.hpp"
+#include "common/threadpool.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/reference.hpp"
 #include "test_util.hpp"
@@ -189,6 +192,62 @@ TEST(ExecutorTest, ScatteredBlockTablesMatchOneBlockTableBitExact) {
         }
       }
     }
+  }
+}
+
+TEST(ExecutorTest, ConcurrentComputesOnOwnWorkspacesMatchOneByOne) {
+  // Four sequences, each with its own K/V, decode one token at a time
+  // through one executor: once one after another on its own workspace,
+  // once with the four forwards of every step running at once on the
+  // global pool, one workspace each (a tick's decode segment). Logits
+  // and K/V must agree bit for bit, and Compute records no stats.
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  constexpr std::size_t kSeqs = 4;
+  constexpr std::int32_t kTokens = 24;
+  Executor serial(prog, s.weights, s.u280);
+  Executor fanned(prog, s.weights, s.u280);
+  const KvBlockLayout layout = serial.KvLayout(8);
+  const std::int64_t blocks = (kTokens + 7) / 8;
+  const auto token_at = [&](std::size_t q, std::int32_t pos) {
+    return (pos * 37 + 11 + 53 * static_cast<std::int32_t>(q)) %
+           s.config.vocab_size;
+  };
+  std::vector<std::int32_t> table(static_cast<std::size_t>(blocks));
+  std::iota(table.begin(), table.end(), 0);
+  const auto kv_floats =
+      static_cast<std::size_t>(blocks * layout.block_floats());
+  std::vector<std::vector<float>> serial_kv(kSeqs), fanned_kv(kSeqs);
+  std::vector<std::vector<float*>> serial_starts(kSeqs), fanned_starts(kSeqs);
+  for (std::size_t q = 0; q < kSeqs; ++q) {
+    serial_kv[q].assign(kv_floats, 0.0f);
+    fanned_kv[q] = serial_kv[q];
+    serial_starts[q] = BlockStarts(serial_kv[q], layout, table);
+    fanned_starts[q] = BlockStarts(fanned_kv[q], layout, table);
+  }
+  std::vector<ExecutorWorkspace> lanes(kSeqs);
+  std::vector<std::vector<float>> got(kSeqs);
+  for (std::int32_t pos = 0; pos < kTokens; ++pos) {
+    std::vector<std::vector<float>> want(kSeqs);
+    for (std::size_t q = 0; q < kSeqs; ++q) {
+      auto logits = serial.Forward(token_at(q, pos), pos,
+                                   KvPages{layout, serial_starts[q]});
+      ASSERT_TRUE(logits.ok()) << logits.status().ToString();
+      want[q].assign(logits->begin(), logits->end());
+    }
+    ThreadPool::Global().ParallelRun(kSeqs, [&](std::size_t q) {
+      const std::int32_t token = token_at(q, pos);
+      auto logits = fanned.Compute(lanes[q], {&token, 1}, pos,
+                                   KvPages{layout, fanned_starts[q]}, true);
+      if (logits.ok()) got[q].assign(logits->begin(), logits->end());
+    });
+    EXPECT_EQ(fanned.total_stats().cycles, 0u) << "pos " << pos;
+    for (std::size_t q = 0; q < kSeqs; ++q) {
+      EXPECT_EQ(got[q], want[q]) << "seq " << q << " pos " << pos;
+    }
+  }
+  for (std::size_t q = 0; q < kSeqs; ++q) {
+    EXPECT_EQ(fanned_kv[q], serial_kv[q]) << "seq " << q;
   }
 }
 

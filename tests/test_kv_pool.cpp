@@ -1,7 +1,8 @@
 // Unit tests for the paged KV-cache block manager (serving/kv_pool.hpp):
 // capacity accounting, the refcounted content-addressed prefix cache,
-// copy-on-write, LRU eviction of cold cached blocks, and the host row
-// arena that drops cached rows past kHostCachedKvTokens.
+// copy-on-write, LRU eviction of cold cached blocks, the host row
+// arena that drops cached rows past kHostCachedKvTokens, and the
+// append-is-local test a decode segment admits its later members by.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,6 +214,60 @@ TEST(KvPoolTest, WriteIntoSharedBlockCopiesOnWrite) {
   EXPECT_FALSE(pool.BlockIsCached(pool.BlockTable(2)[1]));
   EXPECT_EQ(pool.cached_blocks(), 2);
   EXPECT_EQ(pool.SequenceTokens(2), 8);
+}
+
+TEST(KvPoolTest, AppendIsLocalOnlyInsideAPrivateUnfilledTail) {
+  KvBlockPool pool(SmallPool());  // 4-token blocks
+  EXPECT_FALSE(pool.AppendIsLocal(1));  // unknown sequence
+  ASSERT_TRUE(pool.Register(1).ok());
+  // Block boundary: the next append allocates a block.
+  EXPECT_FALSE(pool.AppendIsLocal(1));
+  ASSERT_TRUE(pool.Append(1, 100).ok());
+  EXPECT_TRUE(pool.AppendIsLocal(1));  // offsets 1 and 2 stay local
+  ASSERT_TRUE(pool.Append(1, 101).ok());
+  EXPECT_TRUE(pool.AppendIsLocal(1));
+  const std::int64_t used = pool.used_blocks();
+  ASSERT_TRUE(pool.Append(1, 102).ok());
+  EXPECT_EQ(pool.used_blocks(), used);
+  EXPECT_EQ(pool.cached_blocks(), 0);
+  // The next append fills the tail, which seals it into the cache.
+  EXPECT_FALSE(pool.AppendIsLocal(1));
+  ASSERT_TRUE(pool.Append(1, 103).ok());
+  EXPECT_EQ(pool.cached_blocks(), 1);
+  EXPECT_FALSE(pool.AppendIsLocal(1));  // boundary again
+  ASSERT_TRUE(pool.Append(1, 104).ok());
+  EXPECT_TRUE(pool.AppendIsLocal(1));
+
+  // While speculating, an append is never local.
+  ASSERT_TRUE(pool.BeginSpeculation(1).ok());
+  EXPECT_FALSE(pool.AppendIsLocal(1));
+  ASSERT_TRUE(pool.RollbackSpeculation(1).ok());
+  EXPECT_TRUE(pool.AppendIsLocal(1));
+}
+
+TEST(KvPoolTest, AppendIntoASharedOrCachedTailIsNotLocal) {
+  KvBlockPool pool(SmallPool());
+  const auto prefix = Tokens(100, 8);
+  Fill(pool, 1, prefix);
+  // Seq 2 maps both cached blocks but accounts 7 tokens: its tail is the
+  // shared, cached second block, so its next append copies on write.
+  ASSERT_TRUE(pool.Register(2).ok());
+  ASSERT_TRUE(pool.AcquireCachedPrefix(2, prefix, 7).ok());
+  const std::int32_t tail = pool.BlockTable(2)[1];
+  EXPECT_EQ(pool.BlockRefCount(tail), 2);
+  EXPECT_FALSE(pool.AppendIsLocal(2));
+  // Its co-owner leaves: the tail is private now, but still cached.
+  ASSERT_TRUE(pool.Release(1).ok());
+  EXPECT_EQ(pool.BlockRefCount(tail), 1);
+  EXPECT_TRUE(pool.BlockIsCached(tail));
+  EXPECT_FALSE(pool.AppendIsLocal(2));
+  // The copy-on-write leaves a private, uncached, full tail; the append
+  // after it starts a block.
+  ASSERT_TRUE(pool.Append(2, prefix[7]).ok());
+  EXPECT_EQ(pool.stats().cow_copies, 1);
+  EXPECT_FALSE(pool.AppendIsLocal(2));
+  ASSERT_TRUE(pool.Append(2, 900).ok());
+  EXPECT_TRUE(pool.AppendIsLocal(2));
 }
 
 TEST(KvPoolTest, PeakUsageCountsSharedBlocksOnce) {

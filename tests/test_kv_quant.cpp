@@ -18,6 +18,7 @@
 #include "llama/tokenizer.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/scheduler.hpp"
+#include "serving/workload.hpp"
 #include "test_util.hpp"
 
 namespace speedllm::serving {
@@ -160,6 +161,70 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(fp16.outcomes[i].generated, int8.outcomes[i].generated);
   }
+}
+
+/// FNV-1a over every stream, each closed by a -1 separator.
+std::uint64_t StreamsDigest(const ServingReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::int32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (static_cast<std::uint32_t>(v) >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const RequestOutcome& o : report.outcomes) {
+    for (std::int32_t t : o.generated) mix(t);
+    mix(-1);
+  }
+  return h;
+}
+
+// Sampled int8 streams are pinned to the digest the member-by-member
+// tick loop produced before decode rows ran in parallel segments. The
+// int8 noise is keyed on the KV block of the fed length at sampling time,
+// so a segment that keyed it one token early would move it. The run
+// samples at temperature 0.9 on two cards, many decode rows a tick, with
+// a block boundary every three tokens, so the fed length's block moves
+// on every third sample; some of its streams part from fp16's, so the
+// pin covers the noise.
+TEST(KvQuantTest, SampledInt8StreamsArePinned) {
+  Fixture f;
+  auto prog = f.Compile();
+  SchedulerConfig base;
+  base.block_size_tokens = 3;
+  base.max_batch_seqs = 12;
+  base.max_batch_tokens = 64;
+  llama::SamplerConfig sampler;
+  sampler.temperature = 0.9f;
+  sampler.seed = 2024;
+  WorkloadConfig wc;
+  wc.num_requests = 96;
+  wc.rate_rps = 40000.0;
+  wc.min_prompt_tokens = 4;
+  wc.max_prompt_tokens = 12;
+  wc.min_new_tokens = 24;
+  wc.max_new_tokens = 48;
+  wc.vocab_size = f.config.vocab_size;
+  Rng rng(36);
+  const std::vector<ServingRequest> reqs = PoissonTrace(rng, wc);
+  auto run = [&](KvCacheDtype dtype) {
+    SchedulerConfig config = base;
+    config.kv_cache_dtype = dtype;
+    api::Engine engine(prog, f.weights, f.u280,
+                       testutil::MakeEngineConfig(config, sampler, 2));
+    auto report = testutil::ServeTrace(engine, reqs);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return std::move(report->merged);
+  };
+  const ServingReport fp16 = run(KvCacheDtype::kFp16);
+  const ServingReport int8 = run(KvCacheDtype::kInt8);
+  ASSERT_EQ(int8.outcomes.size(), reqs.size());
+  int parted = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    parted += fp16.outcomes[i].generated != int8.outcomes[i].generated;
+  }
+  EXPECT_GT(parted, 0);
+  EXPECT_EQ(StreamsDigest(int8), 0x843b292c1bef93c4ull);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Unit tests for the synthetic workload generators
 // (serving/workload.hpp): deterministic Poisson/bursty traces under a
 // fixed seed, empirical-rate sanity bounds, request shape invariants,
-// the closed-loop client pool's one-request-in-flight-per-user
-// contract, and the scenario zoo's shapes and pinned trace digests.
+// the refusal of a negative request count, the closed-loop client pool's
+// one-request-in-flight-per-user contract, and the scenario zoo's shapes
+// and pinned trace digests.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -130,6 +131,17 @@ ClosedLoopConfig LoopConfig() {
   loop.max_new_tokens = 7;
   loop.vocab_size = 512;
   return loop;
+}
+
+TEST(WorkloadTest, NegativeRequestCountIsRefusedNotAborted) {
+  WorkloadConfig wc = BigConfig();
+  EXPECT_TRUE(ValidateWorkloadConfig(wc).ok());
+  wc.num_requests = -3;
+  EXPECT_EQ(ValidateWorkloadConfig(wc).code(), StatusCode::kInvalidArgument);
+  // The generators draw nothing for it instead of aborting.
+  Rng rng(5);
+  EXPECT_TRUE(PoissonTrace(rng, wc).empty());
+  EXPECT_TRUE(BurstyTrace(rng, wc).empty());
 }
 
 TEST(WorkloadTest, ClosedLoopUserNeverHasTwoRequestsInFlight) {
