@@ -203,7 +203,7 @@ void BM_MatMulQ8(benchmark::State& state) {
   auto qw = quant::Quantize(w, Shape{d, n}, 48);
   std::vector<float> out(static_cast<std::size_t>(d));
   for (auto _ : state) {
-    quant::MatMulQ8(out, *qw, x, d, n, nullptr);
+    quant::MatMulQ8(out, *qw, x, d, n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * d * n);

@@ -76,12 +76,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   llama::ModelConfig config = *preset;
-  const int n_requests = static_cast<int>(cl.GetInt("requests", 100000));
-  const int n_segments = static_cast<int>(cl.GetInt("segments", 8));
-  const int n_cards = static_cast<int>(cl.GetInt("cards", 8));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 11));
-  const int gen = static_cast<int>(cl.GetInt("gen", 8));
-  const double rss_slack_mb = cl.GetDouble("rss-slack-mb", 96.0);
+  const StatusOr<std::int64_t> requests = cl.GetInt("requests", 100000);
+  const StatusOr<std::int64_t> segments = cl.GetInt("segments", 8);
+  const StatusOr<std::int64_t> cards_flag = cl.GetInt("cards", 8);
+  const StatusOr<std::int64_t> seed_flag = cl.GetInt("seed", 11);
+  const StatusOr<std::int64_t> gen_flag = cl.GetInt("gen", 8);
+  const StatusOr<double> rss_slack = cl.GetDouble("rss-slack-mb", 96.0);
+  for (const Status& st :
+       {requests.status(), segments.status(), cards_flag.status(),
+        seed_flag.status(), gen_flag.status(), rss_slack.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  const int n_requests = static_cast<int>(*requests);
+  const int n_segments = static_cast<int>(*segments);
+  const int n_cards = static_cast<int>(*cards_flag);
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
+  const int gen = static_cast<int>(*gen_flag);
+  const double rss_slack_mb = *rss_slack;
 
   llama::Weights weights =
       llama::GenerateSyntheticWeights(config, bench::kWeightSeed);

@@ -250,14 +250,21 @@ void PrintRoleTable(const std::vector<serving::ShardRole>& roles,
 // chat: closed-loop multi-turn users chained through stream callbacks.
 Status RunChat(const Setup& s) {
   const CommandLine& cl = s.cl;
-  const std::int32_t users = static_cast<std::int32_t>(cl.GetInt("users", 6));
-  const std::int32_t turns = static_cast<std::int32_t>(cl.GetInt("turns", 3));
-  const double think_ms = cl.GetDouble("think-ms", 30.0);
+  SPEEDLLM_ASSIGN_OR_RETURN(const std::int64_t users_flag,
+                            cl.GetInt("users", 6));
+  SPEEDLLM_ASSIGN_OR_RETURN(const std::int64_t turns_flag,
+                            cl.GetInt("turns", 3));
+  SPEEDLLM_ASSIGN_OR_RETURN(const double think_ms,
+                            cl.GetDouble("think-ms", 30.0));
   // Every cancel_every-th submission hangs up after its third token
   // (0 disables cancellations).
-  const std::int64_t cancel_every = cl.GetInt("cancel-every", 5);
-  const std::int32_t system_tokens =
-      static_cast<std::int32_t>(cl.GetInt("system-tokens", 24));
+  SPEEDLLM_ASSIGN_OR_RETURN(const std::int64_t cancel_every,
+                            cl.GetInt("cancel-every", 5));
+  SPEEDLLM_ASSIGN_OR_RETURN(const std::int64_t system_flag,
+                            cl.GetInt("system-tokens", 24));
+  const auto users = static_cast<std::int32_t>(users_flag);
+  const auto turns = static_cast<std::int32_t>(turns_flag);
+  const auto system_tokens = static_cast<std::int32_t>(system_flag);
 
   api::EngineConfig engine_config = s.engine;
   // Follow-up turns chase their conversation's cached history blocks.
@@ -597,7 +604,9 @@ Status RunCluster(const Setup& s) {
 // edge: one burst served by the unoptimized accelerator and by
 // SpeedLLM.
 Status RunEdge(const Setup& s) {
-  const std::int32_t gen = static_cast<std::int32_t>(s.cl.GetInt("gen", 12));
+  SPEEDLLM_ASSIGN_OR_RETURN(const std::int64_t gen_flag,
+                            s.cl.GetInt("gen", 12));
+  const auto gen = static_cast<std::int32_t>(gen_flag);
   // Requests arrive 2 ms apart with small varied prompts.
   Rng rng(s.seed);
   std::vector<serving::ServingRequest> burst;
@@ -671,10 +680,24 @@ int main(int argc, char** argv) {
   const CommandLine& cl = cl_or.value();
   Setup s(cl);
   s.scenario = cl.GetString("scenario", scenarios.front());
-  s.engine.num_cards = static_cast<int>(cl.GetInt("cards", 2));
-  s.seed = static_cast<std::uint64_t>(cl.GetInt("seed", 17));
-  s.requests = static_cast<std::int32_t>(cl.GetInt("requests", 24));
-  s.load = cl.GetDouble("load", 2.0);
+  const StatusOr<std::int64_t> cards = cl.GetInt("cards", 2);
+  const StatusOr<std::int64_t> seed = cl.GetInt("seed", 17);
+  const StatusOr<std::int64_t> requests = cl.GetInt("requests", 24);
+  const StatusOr<double> load = cl.GetDouble("load", 2.0);
+  const StatusOr<std::int64_t> kv_mib = cl.GetInt("kv-mib", 0);
+  const StatusOr<std::int64_t> no_cache = cl.GetInt("no-cache", 0);
+  for (const Status& st : {cards.status(), seed.status(), requests.status(),
+                           load.status(), kv_mib.status(),
+                           no_cache.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  s.engine.num_cards = static_cast<int>(*cards);
+  s.seed = static_cast<std::uint64_t>(*seed);
+  s.requests = static_cast<std::int32_t>(*requests);
+  s.load = *load;
   s.trace_out = cl.GetString("trace-out", "");
   const std::string tier_mix = cl.GetString("tier-mix", "");
   s.have_mix = !tier_mix.empty();
@@ -722,9 +745,8 @@ int main(int argc, char** argv) {
       Choice<serving::PlacementPolicy>(cl, "placement", kPlacements);
   s.engine.scheduler.policy =
       Choice<serving::BatchPolicy>(cl, "policy", kPolicies);
-  s.engine.scheduler.kv_pool_bytes =
-      static_cast<std::uint64_t>(cl.GetInt("kv-mib", 0)) << 20;
-  s.engine.scheduler.enable_prefix_cache = cl.GetInt("no-cache", 0) == 0;
+  s.engine.scheduler.kv_pool_bytes = static_cast<std::uint64_t>(*kv_mib) << 20;
+  s.engine.scheduler.enable_prefix_cache = *no_cache == 0;
   s.engine.sampler.temperature = 0.8f;
   s.engine.sampler.seed = 99;
   s.engine.telemetry.enable_tracing = !s.trace_out.empty();

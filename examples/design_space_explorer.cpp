@@ -51,7 +51,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   llama::ModelConfig config = *preset;
-  const int tokens = static_cast<int>(cl_or->GetInt("decode", 8));
+  const StatusOr<std::int64_t> decode = cl_or->GetInt("decode", 8);
+  if (!decode.ok()) {
+    std::fprintf(stderr, "%s\n", decode.status().ToString().c_str());
+    return 1;
+  }
+  const int tokens = static_cast<int>(*decode);
   auto u280 = hw::U280Config::Default();
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
 

@@ -29,10 +29,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   llama::ModelConfig config = *preset;
-  const std::int32_t prefill =
-      static_cast<std::int32_t>(cl_or->GetInt("prefill", 8));
-  const std::int32_t decode =
-      static_cast<std::int32_t>(cl_or->GetInt("decode", 16));
+  const StatusOr<std::int64_t> prefill_flag = cl_or->GetInt("prefill", 8);
+  const StatusOr<std::int64_t> decode_flag = cl_or->GetInt("decode", 16);
+  for (const Status& st : {prefill_flag.status(), decode_flag.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  const auto prefill = static_cast<std::int32_t>(*prefill_flag);
+  const auto decode = static_cast<std::int32_t>(*decode_flag);
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
 
   std::printf("== per-source energy report (model %s) ==\n\n",

@@ -35,8 +35,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const CommandLine& cl = cl_or.value();
-  const int n_stories = static_cast<int>(cl.GetInt("stories", 3));
-  const int length = static_cast<int>(cl.GetInt("length", 24));
+  const StatusOr<std::int64_t> stories_flag = cl.GetInt("stories", 3);
+  const StatusOr<std::int64_t> length_flag = cl.GetInt("length", 24);
+  for (const Status& st : {stories_flag.status(), length_flag.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  const int n_stories = static_cast<int>(*stories_flag);
+  const int length = static_cast<int>(*length_flag);
   const std::string dir =
       cl.GetString("dir", std::filesystem::temp_directory_path().string());
 

@@ -1,6 +1,9 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace speedllm {
@@ -66,18 +69,54 @@ std::string CommandLine::GetString(const std::string& name,
   return it == flags_.end() ? default_value : it->second;
 }
 
-std::int64_t CommandLine::GetInt(const std::string& name,
-                                 std::int64_t default_value) const {
-  auto it = flags_.find(name);
-  return it == flags_.end() ? default_value
-                            : std::strtoll(it->second.c_str(), nullptr, 10);
+namespace {
+
+/// The error for a value of `--name` that is not a `what`.
+Status BadNumber(const std::string& name, const std::string& value,
+                 const char* what) {
+  std::string message = "--";
+  message.append(name).append(": '").append(value).append("' is not ");
+  return InvalidArgument(message.append(what));
 }
 
-double CommandLine::GetDouble(const std::string& name,
-                              double default_value) const {
+/// Parses all of `value` with `parse` (strtoll or strtod): nothing may be
+/// left over, leading space included, and the value must not overflow.
+template <typename T, typename Parse>
+StatusOr<T> ParseNumber(const std::string& name, const std::string& value,
+                        const char* what, Parse parse) {
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0]))) {
+    return BadNumber(name, value, what);
+  }
+  char* end = nullptr;
+  errno = 0;
+  const T parsed = parse(value.c_str(), &end);
+  if (end != value.c_str() + value.size()) return BadNumber(name, value, what);
+  if (errno == ERANGE) return BadNumber(name, value, "in range");
+  return parsed;
+}
+
+}  // namespace
+
+StatusOr<std::int64_t> CommandLine::GetInt(const std::string& name,
+                                           std::int64_t default_value) const {
   auto it = flags_.find(name);
-  return it == flags_.end() ? default_value
-                            : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return default_value;
+  return ParseNumber<std::int64_t>(
+      name, it->second, "an integer",
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+}
+
+StatusOr<double> CommandLine::GetDouble(const std::string& name,
+                                        double default_value) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end()) return default_value;
+  StatusOr<double> parsed = ParseNumber<double>(
+      name, it->second, "a number",
+      [](const char* s, char** end) { return std::strtod(s, end); });
+  if (parsed.ok() && !std::isfinite(*parsed)) {
+    return BadNumber(name, it->second, "a finite number");
+  }
+  return parsed;
 }
 
 bool CommandLine::GetBool(const std::string& name, bool default_value) const {

@@ -26,8 +26,13 @@ class CommandLine {
 
   bool HasFlag(const std::string& name) const;
   std::string GetString(const std::string& name, std::string default_value) const;
-  std::int64_t GetInt(const std::string& name, std::int64_t default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
+  /// The flag's value, or `default_value` when it is absent. A value that
+  /// is not wholly a base-10 integer (a finite number for GetDouble), or
+  /// that overflows, is InvalidArgument naming the flag.
+  StatusOr<std::int64_t> GetInt(const std::string& name,
+                                std::int64_t default_value) const;
+  StatusOr<double> GetDouble(const std::string& name,
+                             double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

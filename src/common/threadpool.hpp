@@ -1,14 +1,13 @@
 // SpeedLLM -- host-side worker pool for data-parallel kernels.
 //
-// The quantized kernels split matmul rows across a fixed pool of workers
-// with ParallelFor (fork/join, static partitioning). llama::MatMulRows
-// (the CPU reference model and the executor's large matmuls) uses
-// ParallelRun, one task per run of consecutive 8-row weight blocks with
-// dynamic pickup, so a worker the host deschedules holds up no one, and
-// so does llama::GenerateSyntheticWeights, one task per chunk of a large
-// tensor.
+// One entry point, ParallelRun: fork/join over n tasks with dynamic
+// pickup, so a worker the host deschedules holds up no one.
+// llama::MatMulRows (the CPU reference model and the executor's large
+// matmuls) passes one task per run of consecutive 8-row weight blocks,
+// and llama::GenerateSyntheticWeights one per chunk of a large tensor.
+// The int8 matmuls (quant::MatMulQ8) run inline on the caller.
 // The event engine itself is single-threaded: host parallelism lives
-// inside a tick. Besides the pooled matmuls, a tick's decode segment
+// inside a tick. Besides the pooled matmuls, a tick's segment
 // (serving::ShardScheduler) runs its members' forwards and samples as
 // ParallelRun tasks, task t of min(n, num_threads()) taking members t,
 // t + T, ... on lane t; its KV steps and commits stay on the event loop's
@@ -39,7 +38,10 @@ inline constexpr std::int64_t kPoolSplitBytes = 256 * 1024;
 
 /// Fixed-size fork/join thread pool.
 ///
-/// Both entry points block until the whole batch completes. Nested calls
+/// ParallelRun blocks until the whole batch completes, waiting only for
+/// the workers that joined it: a worker still asleep once every task is
+/// claimed finds the batch closed and stays out, so a busy host that
+/// deschedules an idle worker delays no caller. Nested calls
 /// from inside a pool task run inline on the calling worker (detected via
 /// a thread-local flag, so detection works even when the nested call
 /// arrives through a different code path than the outer one). Distinct
@@ -60,51 +62,38 @@ class ThreadPool {
 
   unsigned num_threads() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
-  /// Runs fn(begin, end) over [0, n) split into roughly equal contiguous
-  /// chunks, one per pool thread (the calling thread works too). Blocks
-  /// until every chunk finishes. fn must be safe to call concurrently.
-  /// Small ranges (n < 2 * num_threads()) run inline on the caller.
-  void ParallelFor(std::int64_t n,
-                   const std::function<void(std::int64_t, std::int64_t)>& fn);
-
   /// Runs fn(i) for every i in [0, n), one index per task with dynamic
   /// pickup (workers and the calling thread race on a shared counter).
-  /// Unlike ParallelFor there is no inline-below-threshold heuristic:
-  /// even n == 2 fans out. The tensor callers decide whether to split by
-  /// tensor bytes (kPoolSplitBytes), not by task count: llama::MatMulRows
-  /// passes one index per run of consecutive 8-row blocks (about 64 KiB
-  /// of weights, at least 2 * num_threads() runs), and the executor hands
-  /// it a pool only for matrices of at least kPoolSplitBytes;
-  /// llama::GenerateSyntheticWeights passes one index per 64K-element
-  /// chunk of every tensor of at least kPoolSplitBytes, all tensors in one
-  /// batch. A decode segment passes one index per lane, at most
-  /// num_threads(). A thread that runs slowly takes fewer tasks.
+  /// fn must be safe to call concurrently. There is no
+  /// inline-below-threshold heuristic: even n == 2 fans out. The tensor
+  /// callers decide whether to split by tensor bytes (kPoolSplitBytes),
+  /// not by task count: llama::MatMulRows passes one index per run of
+  /// consecutive 8-row blocks (about 64 KiB of weights, at least
+  /// 2 * num_threads() runs), and the executor hands it a pool only for
+  /// matrices of at least kPoolSplitBytes; llama::GenerateSyntheticWeights
+  /// passes one index per 64K-element chunk of every tensor of at least
+  /// kPoolSplitBytes, all tensors in one batch. A tick's segment passes
+  /// one index per lane, at most num_threads(). A thread that runs slowly
+  /// takes fewer tasks.
   void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; lazily constructed.
   static ThreadPool& Global();
 
  private:
-  struct Task {
-    const std::function<void(std::int64_t, std::int64_t)>* fn = nullptr;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-  };
-
-  void WorkerLoop(unsigned worker_index);
+  void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::mutex caller_mu_;          // serializes concurrent external callers
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_done_;
-  std::vector<Task> tasks_;       // range mode: one slot per worker
-  const std::function<void(std::size_t)>* item_fn_ = nullptr;  // item mode
+  const std::function<void(std::size_t)>* item_fn_ = nullptr;
   std::size_t n_items_ = 0;
   std::atomic<std::size_t> next_item_{0};
   // Written under mu_; atomic so the spin phases may poll them unlocked.
   std::atomic<std::uint64_t> epoch_{0};  // bumped per batch
-  std::atomic<unsigned> pending_{0};     // workers still running the batch
+  std::atomic<unsigned> active_{0};      // workers inside the open batch
   bool shutdown_ = false;
 };
 

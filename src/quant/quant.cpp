@@ -84,18 +84,10 @@ void MatMulQ8Rows(std::span<float> out, const QuantizedTensor& w,
 }
 
 void MatMulQ8(std::span<float> out, const QuantizedTensor& w,
-              std::span<const float> x, std::int64_t d, std::int64_t n,
-              ThreadPool* pool) {
+              std::span<const float> x, std::int64_t d, std::int64_t n) {
   assert(out.size() == static_cast<std::size_t>(d));
   assert(w.q.size() == static_cast<std::size_t>(d * n));
-  auto rows = [&](std::int64_t begin, std::int64_t end) {
-    MatMulQ8Rows(out, w, x, n, begin, end);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(d, rows);
-  } else {
-    rows(0, d);
-  }
+  MatMulQ8Rows(out, w, x, n, 0, d);
 }
 
 }  // namespace speedllm::quant

@@ -12,7 +12,6 @@
 
 #include "common/status.hpp"
 #include "common/tensor.hpp"
-#include "common/threadpool.hpp"
 
 namespace speedllm::quant {
 
@@ -48,8 +47,7 @@ float MaxQuantError(const QuantizedTensor& qt);
 /// Accumulates int8*fp32 per group then applies the group scale --
 /// the numerically faithful model of the accelerator's mixed datapath.
 void MatMulQ8(std::span<float> out, const QuantizedTensor& w,
-              std::span<const float> x, std::int64_t d, std::int64_t n,
-              ThreadPool* pool = nullptr);
+              std::span<const float> x, std::int64_t d, std::int64_t n);
 
 /// Rows [row_begin, row_end) of MatMulQ8: out[i] for those rows only,
 /// `out` indexed by absolute row. The one int8 row kernel behind

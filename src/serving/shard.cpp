@@ -120,6 +120,31 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
   return Status::Ok();
 }
 
+/// The amplitude sits far below typical logit gaps, so greedy argmax is
+/// unchanged in practice (tests lock this in); temperature sampling may
+/// legally diverge from fp16, exactly like a real quantized cache.
+void PerturbLogitsForQuant(std::size_t stream_index, std::size_t fed_tokens,
+                           std::uint32_t block_size_tokens,
+                           std::span<float> logits) {
+  constexpr float kAmplitude = 1e-6f;
+  const std::uint64_t block_index = fed_tokens / block_size_tokens;
+  std::uint64_t h = (static_cast<std::uint64_t>(stream_index) + 1) *
+                    0x9e3779b97f4a7c15ull;
+  h ^= (block_index + 1) * 0x100000001b3ull;
+  for (float& v : logits) {
+    h ^= h >> 12;  // xorshift64* per element
+    h ^= h << 25;
+    h ^= h >> 27;
+    const std::uint64_t r = h * 0x2545f4914f6cdd1dull;
+    // Top 53 bits over 2^52, recentered: uniform in [-1, 1).
+    const float noise =
+        static_cast<float>(static_cast<double>(r >> 11) /
+                           4503599627370496.0) -
+        1.0f;
+    v += kAmplitude * noise;
+  }
+}
+
 ShardScheduler::ShardScheduler(const accel::Program& program,
                                const accel::WeightImage& image,
                                const hw::U280Config& u280,
@@ -644,38 +669,14 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
   return moved;
 }
 
-/// The amplitude sits far below typical logit gaps, so greedy argmax is
-/// unchanged in practice (tests lock this in); temperature sampling may
-/// legally diverge from fp16, exactly like a real quantized cache.
-void ShardScheduler::PerturbLogitsForQuant(std::size_t stream_index,
-                                           std::size_t fed_tokens,
-                                           std::span<float> logits) const {
-  constexpr float kAmplitude = 1e-6f;
-  const std::uint64_t block_index = fed_tokens / config_.block_size_tokens;
-  std::uint64_t h = (static_cast<std::uint64_t>(stream_index) + 1) *
-                    0x9e3779b97f4a7c15ull;
-  h ^= (block_index + 1) * 0x100000001b3ull;
-  for (float& v : logits) {
-    h ^= h >> 12;  // xorshift64* per element
-    h ^= h << 25;
-    h ^= h >> 27;
-    const std::uint64_t r = h * 0x2545f4914f6cdd1dull;
-    // Top 53 bits over 2^52, recentered: uniform in [-1, 1).
-    const float noise =
-        static_cast<float>(static_cast<double>(r >> 11) /
-                           4503599627370496.0) -
-        1.0f;
-    v += kAmplitude * noise;
-  }
-}
-
 std::int32_t ShardScheduler::SampleToken(Sequence& seq,
                                          std::span<const float> logits,
                                          std::size_t fed_tokens,
                                          std::vector<float>& scratch) const {
   scratch.assign(logits.begin(), logits.end());
   if (config_.kv_cache_dtype == KvCacheDtype::kInt8) {
-    PerturbLogitsForQuant(seq.stream_index, fed_tokens, scratch);
+    PerturbLogitsForQuant(seq.stream_index, fed_tokens,
+                          config_.block_size_tokens, scratch);
   }
   return seq.sampler.Sample(scratch);
 }
@@ -854,19 +855,10 @@ void ShardScheduler::RunTick() {
   // completions release capacity immediately so later problems in the
   // same tick may use it.
   for (std::size_t i = 0; i < work.problems.size();) {
-    if (IsDecodeRow(work.problems[i])) {
-      i = RunDecodeSegment(work, i);
-    } else {
-      ExecuteProblem(work, work.problems[i++]);
-    }
+    i = RunSegment(work, i);
     if (!error_.ok()) return;
   }
   CloseTick(work);
-}
-
-bool ShardScheduler::IsDecodeRow(const Problem& problem) const {
-  return problem.state == SeqState::kDecode &&
-         config_.speculative.draft_tokens == 0;
 }
 
 ForwardLane& ShardScheduler::Lane(std::size_t t) {
@@ -874,60 +866,106 @@ ForwardLane& ShardScheduler::Lane(std::size_t t) {
   return lanes_[t];
 }
 
-std::size_t ShardScheduler::RunDecodeSegment(TickWork& work,
-                                             std::size_t begin) {
-  // Phase one, in problem order: each member's KV step and price. The
-  // first member runs after every earlier commit, exactly as a
-  // member-by-member run would; a later one joins only while its append
-  // is local, which commutes with every earlier member's commit.
-  segment_.clear();
-  std::size_t end = begin;
-  for (; end < work.problems.size() && IsDecodeRow(work.problems[end]);
-       ++end) {
-    Problem& problem = work.problems[end];
-    const std::size_t seq_id = problem.seq_id;
-    Sequence& seq = seqs_[seq_id];
-    if (seq.state != problem.state) continue;  // preempted mid-tick
-    if (!segment_.empty() && !pool_.AppendIsLocal(seq_id)) break;
-    DecodeRow row;
-    row.problem = &problem;
-    row.token = seq.pending_token;
-    row.pos = seq.cursor;
-    if (!EnsureKvToken(seq_id, row.token)) {
-      if (!error_.ok()) return end;
-      continue;  // pool dry with no victims: it decodes on a later tick
+void ShardScheduler::StepChunk(Chunk& chunk) {
+  Problem& problem = *chunk.problem;
+  const std::size_t seq_id = problem.seq_id;
+  Sequence& seq = seqs_[seq_id];
+  // Prefill tokens are known ahead, so a prefill chunk is one forward; a
+  // caught-up row feeds the pending token its predecessor sampled, so it
+  // is a chunk of its own. (A decode sequence is always caught up:
+  // cursor == fed.size().)
+  chunk.caught_up = seq.remaining_prefill() == 0;
+  chunk.pos = seq.cursor;
+  const std::int32_t want =
+      chunk.caught_up
+          ? 1
+          : std::min(problem.rows - problem.fed, seq.remaining_prefill());
+  for (; chunk.rows < want; ++chunk.rows) {
+    const std::int32_t pos = chunk.pos + chunk.rows;
+    const std::int32_t token = chunk.caught_up
+                                   ? seq.pending_token
+                                   : seq.fed[static_cast<std::size_t>(pos)];
+    // A dry pool with no victims cuts the chunk short: the rest runs on a
+    // later tick.
+    if (!EnsureKvToken(seq_id, token)) break;
+    if (problem.fed + chunk.rows == 0 && chunk.caught_up &&
+        config_.speculative.draft_tokens > 0) {
+      // Draft phase: propose k tokens, roll their KV back, and let the
+      // deterministic acceptance model decide how long a run this verify
+      // group commits. Committed tokens are always the target model's own
+      // sampled tokens -- speculation collapses latency, never changes
+      // stream content -- so spec on/off streams are identical.
+      problem.rows += DraftAndAccept(seq_id, &problem.drafted);
+      if (!error_.ok()) return;
     }
-    tick_cost_.AddProblem(exec_->TimingAt(row.pos).seconds);
-    row.samples = seq.next_row_samples();
-    row.pages = pool_.Pages(seq_id);
-    segment_.push_back(row);
+    problem.last_row_seconds = exec_->TimingAt(pos).seconds;
+    tick_cost_.AddProblem(problem.last_row_seconds);
+  }
+  if (chunk.rows == 0) return;
+  // Only a row whose logits are sampled runs the classifier, and only a
+  // chunk's last row can be one.
+  chunk.samples = seq.next_row_samples(chunk.rows - 1);
+  chunk.pages = pool_.Pages(seq_id);
+}
+
+std::size_t ShardScheduler::RunSegment(TickWork& work, std::size_t begin) {
+  // Phase one, in problem order: each member's chunk, KV steps and price.
+  // The first member runs after every earlier commit, exactly as a
+  // member-by-member run would. A prefill chunk or a verify row runs
+  // alone; a later decode row joins only while its append is local,
+  // which commutes with every earlier member's commit.
+  segment_.clear();
+  Problem* alone = nullptr;
+  std::size_t end = begin;
+  for (; end < work.problems.size() && alone == nullptr; ++end) {
+    Problem& problem = work.problems[end];
+    if (seqs_[problem.seq_id].state != problem.state) continue;  // preempted
+    const bool decode_row = problem.state == SeqState::kDecode &&
+                            config_.speculative.draft_tokens == 0;
+    if (!segment_.empty() &&
+        (!decode_row || !pool_.AppendIsLocal(problem.seq_id))) {
+      break;
+    }
+    if (!decode_row) alone = &problem;
+    Chunk chunk;
+    chunk.problem = &problem;
+    StepChunk(chunk);
+    if (!error_.ok()) return end;
+    if (chunk.rows > 0) segment_.push_back(chunk);
   }
   const std::size_t n = segment_.size();
-  if (n == 0) return end;
 
   // Phase two: the forwards and samples, lane t taking members t, t + T,
   // ... A forward whose matmuls already split over the pool keeps it
   // busy alone, so its segment runs on one lane, on this thread.
   const std::size_t lanes =
-      n == 1 || exec_->pooled()
+      n < 2 || exec_->pooled()
           ? 1
           : std::min<std::size_t>(n, ThreadPool::Global().num_threads());
   Lane(lanes - 1);
   const auto run_lane = [&](std::size_t t) {
     ForwardLane& lane = lanes_[t];
     for (std::size_t m = t; m < n; m += lanes) {
-      DecodeRow& row = segment_[m];
-      const auto logits = exec_->Compute(
-          lane.activations, std::span<const std::int32_t>(&row.token, 1),
-          row.pos, row.pages, row.samples);
+      Chunk& chunk = segment_[m];
+      Sequence& seq = seqs_[chunk.problem->seq_id];
+      const auto tokens =
+          chunk.caught_up
+              ? std::span<const std::int32_t>(&seq.pending_token, 1)
+              : std::span<const std::int32_t>(seq.fed).subspan(
+                    static_cast<std::size_t>(chunk.pos),
+                    static_cast<std::size_t>(chunk.rows));
+      const auto logits = exec_->Compute(lane.activations, tokens, chunk.pos,
+                                         chunk.pages, chunk.samples);
       if (!logits.ok()) {
-        row.status = logits.status();
+        chunk.status = logits.status();
         continue;
       }
-      if (row.samples) {
-        Sequence& seq = seqs_[row.problem->seq_id];
-        row.sampled =
-            SampleToken(seq, *logits, seq.fed.size() + 1, lane.logits);
+      // A caught-up row's commit feeds its pending token before the drawn
+      // one becomes pending.
+      if (chunk.samples) {
+        chunk.sampled = SampleToken(seq, *logits,
+                                    seq.fed.size() + (chunk.caught_up ? 1 : 0),
+                                    lane.logits);
       }
     }
   };
@@ -938,15 +976,38 @@ std::size_t ShardScheduler::RunDecodeSegment(TickWork& work,
   }
 
   // Phase three, in problem order: the commits.
-  for (DecodeRow& row : segment_) {
-    if (!row.status.ok()) {
-      error_ = row.status;
+  bool open = false;  // the last commit left its problem open
+  for (Chunk& chunk : segment_) {
+    if (!chunk.status.ok()) {
+      error_ = chunk.status;
       return end;
     }
-    ++report_.executor_forwards;
-    if (row.samples) ++report_.logit_forwards;
-    CommitRow(work, *row.problem, /*caught_up=*/true, row.sampled);
+    report_.executor_forwards += chunk.rows;
+    if (chunk.samples) ++report_.logit_forwards;
+    for (std::int32_t k = 0; k < chunk.rows; ++k) {
+      open = CommitRow(work, *chunk.problem, chunk.caught_up,
+                       k + 1 == chunk.rows ? chunk.sampled : -1);
+      if (!open) break;
+    }
   }
+  if (alone == nullptr || alone->state != SeqState::kDecode) return end;
+  // A verify group with accepted rows left re-enters as the next segment.
+  if (open && alone->fed < alone->rows) return end - 1;
+  if (alone->drafted == 0) return end;
+  // The group closes. It launched 1 + drafted rows; rows past the
+  // committed run are wasted work the packed launch still priced (each at
+  // the last committed row's cost), and the draft model's own k rows ride
+  // along at kDraftCostRatio.
+  const std::int32_t wasted = 1 + alone->drafted - alone->fed;
+  for (std::int32_t w = 0; w < wasted; ++w) {
+    tick_cost_.AddProblem(alone->last_row_seconds);
+  }
+  tick_cost_.AddDraftRows(alone->drafted, alone->last_row_seconds,
+                          kDraftCostRatio);
+  report_.spec_wasted_tokens += wasted;
+  report_.spec_accepted_tokens += alone->fed - 1;
+  TraceInstant(obs::RequestEventKind::kVerifyAccept, alone->seq_id,
+               alone->fed - 1);
   return end;
 }
 
@@ -1152,91 +1213,6 @@ bool ShardScheduler::CommitRow(TickWork& work, Problem& problem,
     return false;
   }
   return true;
-}
-
-void ShardScheduler::ExecuteProblem(TickWork& work, Problem& problem) {
-  const std::size_t seq_id = problem.seq_id;
-  Sequence& seq = seqs_[seq_id];
-  if (seq.state != problem.state) return;  // preempted mid-tick
-  std::int32_t drafted = 0;
-  double last_row_seconds = 0.0;  // cost of the newest forwarded row
-  bool open = true;
-  while (open && problem.fed < problem.rows) {
-    // One chunk: the rows up to and including the next one that samples.
-    // Prefill tokens are known ahead, so a prefill chunk is one forward;
-    // a caught-up row feeds the pending token its predecessor sampled,
-    // so it is a chunk of its own. (A decode sequence is always caught
-    // up: cursor == fed.size().)
-    const bool caught_up = seq.remaining_prefill() == 0;
-    const std::int32_t want =
-        caught_up ? 1
-                  : std::min(problem.rows - problem.fed,
-                             seq.remaining_prefill());
-    const std::int32_t pos0 = seq.cursor;
-    chunk_tokens_.clear();
-    for (std::int32_t k = 0; k < want; ++k) {
-      const std::int32_t token =
-          caught_up ? seq.pending_token
-                    : seq.fed[static_cast<std::size_t>(pos0 + k)];
-      if (!EnsureKvToken(seq_id, token)) {
-        if (!error_.ok()) return;
-        break;  // pool dry with no victims: the rest runs on a later tick
-      }
-      if (problem.fed + k == 0 && caught_up &&
-          config_.speculative.draft_tokens > 0) {
-        // Draft phase: propose k tokens, roll their KV back, and let the
-        // deterministic acceptance model decide how long a run this
-        // verify group commits. Committed tokens are always the target
-        // model's own sampled tokens -- speculation collapses latency,
-        // never changes stream content -- so spec on/off streams are
-        // identical.
-        problem.rows += DraftAndAccept(seq_id, &drafted);
-        if (!error_.ok()) return;
-      }
-      tick_cost_.AddProblem(exec_->TimingAt(pos0 + k).seconds);
-      chunk_tokens_.push_back(token);
-    }
-    if (chunk_tokens_.empty()) break;
-    const auto rows = static_cast<std::int32_t>(chunk_tokens_.size());
-    // Only a row whose logits are sampled runs the classifier, and only
-    // a chunk's last row can be one.
-    const bool samples = seq.next_row_samples(rows - 1);
-    ForwardLane& lane = Lane(0);
-    auto logits = exec_->Compute(lane.activations, chunk_tokens_, pos0,
-                                 pool_.Pages(seq_id), samples);
-    if (!logits.ok()) {
-      error_ = logits.status();
-      return;
-    }
-    report_.executor_forwards += rows;
-    if (samples) ++report_.logit_forwards;
-    last_row_seconds = exec_->TimingAt(pos0 + rows - 1).seconds;
-    // The last row's commit feeds a caught-up row's pending token before
-    // the sampled one takes its place.
-    const std::size_t fed = seq.fed.size() + (caught_up ? 1 : 0);
-    const std::int32_t sampled =
-        samples ? SampleToken(seq, *logits, fed, lane.logits) : -1;
-    open = rows == want;
-    for (std::int32_t k = 0; k < rows; ++k) {
-      if (!CommitRow(work, problem, caught_up, k + 1 == rows ? sampled : -1)) {
-        open = false;
-        break;
-      }
-    }
-  }
-  if (drafted == 0) return;
-  // The verify group launched 1 + drafted rows; rows past the committed
-  // run are wasted work the packed launch still priced (each at the last
-  // committed row's cost), and the draft model's own k rows ride along
-  // at kDraftCostRatio.
-  const std::int32_t wasted = 1 + drafted - problem.fed;
-  for (std::int32_t w = 0; w < wasted; ++w) {
-    tick_cost_.AddProblem(last_row_seconds);
-  }
-  tick_cost_.AddDraftRows(drafted, last_row_seconds, kDraftCostRatio);
-  report_.spec_wasted_tokens += wasted;
-  report_.spec_accepted_tokens += problem.fed - 1;
-  TraceInstant(obs::RequestEventKind::kVerifyAccept, seq_id, problem.fed - 1);
 }
 
 void ShardScheduler::CloseTick(const TickWork& work) {

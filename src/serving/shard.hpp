@@ -67,11 +67,18 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
                        const llama::ModelConfig& model,
                        std::int64_t pool_blocks, std::int64_t block_size);
 
-/// Host scratch of one forward and its sample. A tick runs its decode
-/// rows on up to one lane per ThreadPool::Global() thread at once (see
+/// Deterministic int8 KV accuracy proxy: perturbs `logits` by at most
+/// 1e-6, seeded only by `stream_index` and `fed_tokens / block_size_tokens`
+/// (the tokens fed once the sampled row commits), so streams stay
+/// reproducible under any batch composition, card count or preemption.
+void PerturbLogitsForQuant(std::size_t stream_index, std::size_t fed_tokens,
+                           std::uint32_t block_size_tokens,
+                           std::span<float> logits);
+
+/// Host scratch of one forward and its sample. A tick runs its segments
+/// on up to one lane per ThreadPool::Global() thread at once (see
 /// ShardScheduler); an api::Engine keeps one set of lanes for all of its
-/// cards, since their ticks never overlap. Lanes start empty and grow on
-/// first use.
+/// cards, since their ticks never overlap. Lanes grow on first use.
 struct ForwardLane {
   /// The forward's activations.
   accel::ExecutorWorkspace activations;
@@ -79,22 +86,18 @@ struct ForwardLane {
   std::vector<float> logits;
 };
 
-/// One card's continuous-batching execution core: a paged KvBlockPool
-/// plus the tick loop that batches decode sequences and prefill chunks
-/// into grouped forward passes on an engine provided by the caller.
-/// N shards interleave on one shared sim::Engine clock under an
-/// api::Engine.
+/// One card's continuous-batching execution core (see the file comment).
 ///
-/// A tick's one-row decode problems run in segments: maximal runs of
-/// consecutive ones, in problem order. A segment first steps every
-/// member's KV (EnsureKvToken) and prices its row, one member after
-/// another; then runs every member's forward and sample, fanned out over
-/// the lanes; then commits every member's row in problem order. Only the
-/// first member may allocate, copy, seal or preempt; a later problem
-/// joins only while KvBlockPool::AppendIsLocal holds for it, an append
-/// that commutes with everything an earlier member's commit can do. So
-/// every stream, report and trace is the one a member-by-member run
-/// gives.
+/// A tick runs its problems in segments, in order. A segment steps each
+/// member's next chunk (its rows up to and including the next one that
+/// samples: KV append and price), one member after another; then runs
+/// every member's forward and sample, fanned out over the lanes; then
+/// commits every member's rows in order. A prefill chunk or a verify row
+/// is a segment of one. Only the first member may allocate, copy, seal or
+/// preempt; a later one must be a one-row decode problem for which
+/// KvBlockPool::AppendIsLocal holds, an append that commutes with all an
+/// earlier member's commit can do. So every stream, report and trace is
+/// the one a member-by-member run gives.
 class ShardScheduler {
  public:
   /// `program`, `image` (the weights, built for `program`), `engine`,
@@ -331,27 +334,31 @@ class ShardScheduler {
     }
   };
 
-  /// One problem of a tick's grouped launch: a decode sequence's verify
-  /// group or a prefill chunk. Both run through the same feed step.
+  /// One problem of a tick's grouped launch: a decode sequence's row (a
+  /// verify group with speculation on) or a prefill chunk.
   struct Problem {
     std::size_t seq_id = 0;
-    // kDecode (verify group) or kPrefill (chunk): the state the sequence
-    // must still be in when the problem runs. A sequence preempted
-    // earlier in the tick no longer is, and its problem is skipped.
+    // The state the sequence must still be in when the problem runs; a
+    // sequence preempted earlier in the tick is not, and is skipped.
     SeqState state = SeqState::kDecode;
-    // Planned rows: the chunk length, or 1 for a verify group, which its
-    // accepted drafts extend once the draft phase has run.
+    // Planned rows: the chunk length, or 1 for a decode row, which a
+    // verify group's accepted drafts extend once the draft phase has run.
     std::int32_t rows = 1;
     std::int32_t fed = 0;  // rows actually executed
+    // A verify group's draft rows and its newest forwarded row's cost,
+    // priced when the group closes.
+    std::int32_t drafted = 0;
+    double last_row_seconds = 0.0;
   };
 
-  /// One member of a decode segment: its problem and KV step (phase
-  /// one), its forward's outcome and sample (phase two).
-  struct DecodeRow {
+  /// One member of a segment: its problem's next chunk (phase one), its
+  /// forward's outcome and sample (phase two).
+  struct Chunk {
     Problem* problem = nullptr;
-    std::int32_t token = 0;   // the pending token the row feeds
-    std::int32_t pos = 0;     // its position
-    bool samples = false;     // the row's logits are sampled
+    std::int32_t pos = 0;      // the first row's position
+    std::int32_t rows = 0;     // rows stepped
+    bool caught_up = false;    // one row, feeding the pending token
+    bool samples = false;      // the last row's logits are sampled
     accel::KvPages pages;
     std::int32_t sampled = -1;
     Status status;
@@ -360,7 +367,7 @@ class ShardScheduler {
   /// Everything one tick plans, executes and closes over.
   struct TickWork {
     double start_s = 0.0;
-    // Decode verify groups first, in plan order, then prefill chunks.
+    // Decode rows first, in plan order, then prefill chunks.
     std::vector<Problem> problems;
     std::vector<std::size_t> ttft_marks;  // first token sampled this tick
     std::vector<std::size_t> handoffs;    // prefill done, ship at close
@@ -382,17 +389,19 @@ class ShardScheduler {
 
   void ScheduleTick(sim::Cycles at);
   /// One tick: PlanDecode, AdmitAndPlanPrefill, then the problem list
-  /// in order -- each one-row decode problem in a decode segment
-  /// (RunDecodeSegment), every other through ExecuteProblem -- and
-  /// CloseTick. A hard error ends the tick chain.
+  /// in order, segment by segment (RunSegment), and CloseTick. A hard
+  /// error ends the tick chain.
   void RunTick();
-  /// True when `problem` is a one-row decode problem (speculation off).
-  bool IsDecodeRow(const Problem& problem) const;
-  /// Runs the decode segment that starts at problem `begin` in its three
-  /// phases (see the class comment) and returns the index past its last
-  /// problem. A member whose forward fails sets error_, and neither it
-  /// nor a later member commits.
-  std::size_t RunDecodeSegment(TickWork& work, std::size_t begin);
+  /// Runs the segment at problem `begin` (see the class comment) and
+  /// returns the next problem to run: `begin` again for a verify group
+  /// with accepted rows left, else past the segment. A closing verify
+  /// group prices its wasted and draft rows. A member whose forward fails
+  /// sets error_, and neither it nor a later member commits.
+  std::size_t RunSegment(TickWork& work, std::size_t begin);
+  /// Phase one of one member: appends the KV of `chunk.problem`'s next
+  /// chunk row by row (a verify group drafts on its first row) and prices
+  /// each row. A dry pool cuts the chunk short, possibly to no rows.
+  void StepChunk(Chunk& chunk);
   /// Lane `t` of the shared lanes, grown to hold it.
   ForwardLane& Lane(std::size_t t);
   /// Plans the decode set's verify groups into `work`, in admission
@@ -405,14 +414,6 @@ class ShardScheduler {
   /// sequences per policy within the prefill share of `budget`. Cache
   /// restores and adopted handoffs land here with no forward.
   void AdmitAndPlanPrefill(TickWork& work, std::int32_t budget);
-  /// Runs `problem` through the feed step: each row feeds the next fed
-  /// token, or the pending token once the sequence has caught up, which
-  /// commits it. A caught-up sequence finishes on length, samples its
-  /// next pending token, and a finished prefill switches to decode.
-  /// The rows up to and including the next one that samples are one
-  /// chunk: each row's KV append, drafts and simulated cost in row
-  /// order, then one executor forward, then each row's CommitRow.
-  void ExecuteProblem(TickWork& work, Problem& problem);
   /// Prices the tick's grouped launch, stamps commit, TTFT and finish
   /// times, ships handoffs, records telemetry, and schedules emission
   /// delivery and the next tick.
@@ -443,12 +444,6 @@ class ShardScheduler {
   /// "restore" / "swap-out") and `seq_id` attributes it in the telemetry
   /// trace. Returns the bytes moved.
   std::int64_t ChargeDma(const char* cause, std::size_t seq_id);
-  /// Deterministic int8 accuracy proxy: perturbs `logits` with tiny
-  /// pseudo-noise seeded by (stream index, KV block index of `fed_tokens`
-  /// fed tokens) only, so streams stay reproducible under any batch
-  /// composition, card count, or preemption schedule.
-  void PerturbLogitsForQuant(std::size_t stream_index, std::size_t fed_tokens,
-                             std::span<float> logits) const;
   void Preempt(std::size_t victim);
   /// Ships `seq_id` (prefill complete, first token sampled and TTFT
   /// stamped) to the cluster's handoff hook: copies its K/V rows into the
@@ -510,8 +505,7 @@ class ShardScheduler {
   // and written through pool_.Pages().
   std::unique_ptr<accel::Executor> exec_;
   std::vector<ForwardLane>& lanes_;
-  std::vector<std::int32_t> chunk_tokens_;  // ExecuteProblem's chunk
-  std::vector<DecodeRow> segment_;          // RunDecodeSegment's members
+  std::vector<Chunk> segment_;  // RunSegment's members
   Hooks hooks_;
   Interconnect* interconnect_ = nullptr;  // cluster-shared stations
   std::int32_t card_id_ = 0;

@@ -1,12 +1,16 @@
 // Unit tests for src/common: status, tensors, rng, threadpool, table, cli.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -252,46 +256,21 @@ TEST(RngTest, ForkIsDeterministic) {
 
 // ---------------- ThreadPool ----------------
 
-TEST(ThreadPoolTest, CoversWholeRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, EmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.ParallelFor(0, [&](std::int64_t, std::int64_t) { count++; });
-  EXPECT_EQ(count.load(), 0);
-  std::atomic<std::int64_t> sum{0};
-  pool.ParallelFor(1, [&](std::int64_t b, std::int64_t e) {
-    sum += e - b;
-  });
-  EXPECT_EQ(sum.load(), 1);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
-  std::int64_t sum = 0;
-  pool.ParallelFor(100, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) sum += i;
+  std::int64_t sum = 0;  // unsynchronized: only the caller runs tasks
+  pool.ParallelRun(100, [&](std::size_t i) {
+    sum += static_cast<std::int64_t>(i);
   });
   EXPECT_EQ(sum, 4950);
 }
 
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
+TEST(ThreadPoolTest, NestedParallelRunDoesNotDeadlock) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> total{0};
-  pool.ParallelFor(64, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      pool.ParallelFor(8, [&](std::int64_t b2, std::int64_t e2) {
-        total += e2 - b2;
-      });
-    }
+  pool.ParallelRun(64, [&](std::size_t) {
+    pool.ParallelRun(8, [&](std::size_t) { total += 1; });
   });
   EXPECT_EQ(total.load(), 64 * 8);
 }
@@ -309,9 +288,9 @@ TEST(ThreadPoolTest, ParallelRunCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPoolTest, ParallelRunFansOutTinyBatches) {
-  // Unlike ParallelFor there is no inline-below-threshold heuristic:
-  // n == 2 must still cover both indices (the parallel tick driver
-  // dispatches one long-running lane per index).
+  // There is no inline-below-threshold heuristic: n == 2 must still
+  // cover both indices (a tick's segment dispatches one long-running
+  // lane per index).
   ThreadPool pool(4);
   for (std::size_t n : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
     std::vector<std::atomic<int>> hits(n == 0 ? 1 : n);
@@ -323,33 +302,40 @@ TEST(ThreadPoolTest, ParallelRunFansOutTinyBatches) {
   }
 }
 
-TEST(ThreadPoolTest, NestedCallsInsideParallelRunStayInline) {
+TEST(ThreadPoolTest, BackToBackTinyBatchesFinishBeforeReturning) {
+  // A two-task batch on four threads leaves workers that wake after every
+  // task is claimed; they must stay out of the closed batch, and the
+  // caller must still wait for each worker that did join. Each task runs
+  // a few microseconds, so a joined worker is still busy when the caller
+  // runs out of tasks.
   ThreadPool pool(4);
-  std::atomic<std::int64_t> total{0};
-  pool.ParallelRun(8, [&](std::size_t) {
-    pool.ParallelFor(16, [&](std::int64_t b, std::int64_t e) {
-      total += e - b;
+  for (int b = 0; b < 5000; ++b) {
+    std::array<std::atomic<int>, 2> hits{};
+    pool.ParallelRun(2, [&](std::size_t i) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      hits[i].fetch_add(1);
     });
-    pool.ParallelRun(4, [&](std::size_t) { total += 1; });
-  });
-  EXPECT_EQ(total.load(), 8 * (16 + 4));
+    ASSERT_EQ(hits[0].load(), 1) << "batch " << b;
+    ASSERT_EQ(hits[1].load(), 1) << "batch " << b;
+  }
 }
 
 TEST(ThreadPoolTest, ConcurrentExternalCallersHammer) {
   // Regression: two distinct external threads sharing one pool must not
   // corrupt each other's batches (callers serialize internally; neither
   // may be mistaken for a nested call and silently run the other's
-  // ranges or skip indices).
+  // indices or skip some).
   ThreadPool pool(4);
   constexpr int kIters = 200;
-  constexpr std::int64_t kN = 512;
+  constexpr std::size_t kN = 512;
   auto hammer = [&](std::atomic<std::int64_t>& sum,
                     std::atomic<std::int64_t>& runs) {
     for (int it = 0; it < kIters; ++it) {
-      pool.ParallelFor(kN, [&](std::int64_t b, std::int64_t e) {
-        std::int64_t local = 0;
-        for (std::int64_t i = b; i < e; ++i) local += i;
-        sum += local;
+      pool.ParallelRun(kN, [&](std::size_t i) {
+        sum += static_cast<std::int64_t>(i);
       });
       pool.ParallelRun(7, [&](std::size_t i) {
         runs += static_cast<std::int64_t>(i);
@@ -361,7 +347,8 @@ TEST(ThreadPoolTest, ConcurrentExternalCallersHammer) {
   std::thread tb([&] { hammer(sum_b, runs_b); });
   ta.join();
   tb.join();
-  const std::int64_t want_sum = kIters * (kN * (kN - 1) / 2);
+  const std::int64_t want_sum =
+      kIters * static_cast<std::int64_t>(kN * (kN - 1) / 2);
   const std::int64_t want_runs = kIters * (7 * 6 / 2);
   EXPECT_EQ(sum_a.load(), want_sum);
   EXPECT_EQ(sum_b.load(), want_sum);
@@ -375,10 +362,8 @@ TEST_P(ThreadPoolSweep, SumMatchesSerial) {
   const std::int64_t n = GetParam();
   ThreadPool pool(8);
   std::atomic<std::int64_t> sum{0};
-  pool.ParallelFor(n, [&](std::int64_t b, std::int64_t e) {
-    std::int64_t local = 0;
-    for (std::int64_t i = b; i < e; ++i) local += i;
-    sum += local;
+  pool.ParallelRun(static_cast<std::size_t>(n), [&](std::size_t i) {
+    sum += static_cast<std::int64_t>(i);
   });
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
@@ -467,7 +452,7 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
   const char* argv[] = {"prog", "--alpha=3", "--name", "x", "pos1", "--flag"};
   auto cl = CommandLine::Parse(6, argv, {"alpha", "name", "flag"});
   ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl->GetInt("alpha", 0), 3);
+  EXPECT_EQ(*cl->GetInt("alpha", 0), 3);
   EXPECT_EQ(cl->GetString("name", ""), "x");
   EXPECT_TRUE(cl->GetBool("flag", false));
   ASSERT_EQ(cl->positional().size(), 1u);
@@ -485,8 +470,8 @@ TEST(CommandLineTest, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   auto cl = CommandLine::Parse(1, argv, {"a"});
   ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl->GetInt("a", 7), 7);
-  EXPECT_EQ(cl->GetDouble("a", 2.5), 2.5);
+  EXPECT_EQ(*cl->GetInt("a", 7), 7);
+  EXPECT_EQ(*cl->GetDouble("a", 2.5), 2.5);
   EXPECT_FALSE(cl->HasFlag("a"));
 }
 
@@ -498,6 +483,59 @@ TEST(CommandLineTest, ValueOutsideChoicesIsError) {
                                {{"mode", {"a", "b"}}});
   EXPECT_EQ(cl.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(cl.status().message(), "unknown --mode 'nope' (want a|b)");
+}
+
+TEST(CommandLineTest, NumericValuesParseWhollyOrFailTyped) {
+  // One row per value: its int and double readings, or nullopt where the
+  // getter must fail with InvalidArgument naming the flag.
+  struct Case {
+    const char* value;
+    std::optional<std::int64_t> as_int;
+    std::optional<double> as_double;
+  };
+  const Case cases[] = {
+      {"12", 12, 12.0},
+      {"-3", -3, -3.0},
+      {"+7", 7, 7.0},
+      {"0", 0, 0.0},
+      {"1.5", std::nullopt, 1.5},
+      {"2e3", std::nullopt, 2000.0},
+      {"abc", std::nullopt, std::nullopt},
+      {"", std::nullopt, std::nullopt},
+      {" 4", std::nullopt, std::nullopt},
+      {"4 ", std::nullopt, std::nullopt},
+      {"12abc", std::nullopt, std::nullopt},
+      {"true", std::nullopt, std::nullopt},
+      {"0x10", std::nullopt, 16.0},
+      {"99999999999999999999", std::nullopt, 99999999999999999999.0},
+      {"-99999999999999999999", std::nullopt, -99999999999999999999.0},
+      {"1e999", std::nullopt, std::nullopt},
+      {"inf", std::nullopt, std::nullopt},
+      {"-infinity", std::nullopt, std::nullopt},
+      {"nan", std::nullopt, std::nullopt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("value '") + c.value + "'");
+    const std::string flag = std::string("--n=") + c.value;
+    const char* argv[] = {"prog", flag.c_str()};
+    auto cl = CommandLine::Parse(2, argv, {"n"});
+    ASSERT_TRUE(cl.ok()) << cl.status().ToString();
+    const StatusOr<std::int64_t> i = cl->GetInt("n", -1);
+    const StatusOr<double> d = cl->GetDouble("n", -1.0);
+    ASSERT_EQ(i.ok(), c.as_int.has_value()) << i.status().ToString();
+    ASSERT_EQ(d.ok(), c.as_double.has_value()) << d.status().ToString();
+    if (c.as_int) {
+      EXPECT_EQ(*i, *c.as_int);
+    }
+    if (c.as_double) {
+      EXPECT_EQ(*d, *c.as_double);
+    }
+    for (const Status& st : {i.status(), d.status()}) {
+      if (st.ok()) continue;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(st.message().rfind("--n: '", 0), 0u) << st.message();
+    }
+  }
 }
 
 }  // namespace

@@ -186,7 +186,8 @@ std::uint64_t StreamsDigest(const ServingReport& report) {
 // samples at temperature 0.9 on two cards, many decode rows a tick, with
 // a block boundary every three tokens, so the fed length's block moves
 // on every third sample; some of its streams part from fp16's, so the
-// pin covers the noise.
+// pin covers the noise. The same streams must also match the reference
+// oracle, each request generated alone with the same perturbation.
 TEST(KvQuantTest, SampledInt8StreamsArePinned) {
   Fixture f;
   auto prog = f.Compile();
@@ -225,6 +226,12 @@ TEST(KvQuantTest, SampledInt8StreamsArePinned) {
   }
   EXPECT_GT(parted, 0);
   EXPECT_EQ(StreamsDigest(int8), 0x843b292c1bef93c4ull);
+  auto reference = testutil::ReferenceStreams(prog, f.weights, f.u280, reqs,
+                                              sampler, base.block_size_tokens);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(int8.outcomes[i].generated, (*reference)[i]) << "request " << i;
+  }
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ TEST(DeterminismTest, CyclesIdenticalAcrossRebuilds) {
 // must agree byte-for-byte (streams, finish reasons, timing, report
 // counters), every card's KV pool must be fully drained at completion,
 // the cross-run counters must satisfy the stack's global invariants, and
-// every fp16 stream must match testutil::ReferenceStreams. A failure
-// prints the seed (SPEEDLLM_SEED_TRACE).
+// every stream, fp16 or int8, must match testutil::ReferenceStreams. A
+// failure prints the seed (SPEEDLLM_SEED_TRACE).
 
 /// Everything one fuzz replay observes.
 struct FuzzRun {
@@ -291,17 +291,16 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   EXPECT_GE(out->spec_draft, out->spec_accepted);
   EXPECT_GE(out->makespan, 0.0);
 
-  // The reference oracle: each request generated alone on one executor.
-  // A deterministic misordering that both replays share shows here. Int8
-  // KV perturbs sampled logits on purpose, so only fp16 streams are held
-  // to it; a shed request streams nothing, and a cancelled one stops
-  // early.
-  if (!against_reference ||
-      s.kv_cache_dtype == serving::KvCacheDtype::kInt8) {
-    return;
-  }
-  auto reference =
-      testutil::ReferenceStreams(prog, weights, u280, reqs, config.sampler);
+  // The reference oracle: each request generated alone on one executor,
+  // with the int8 logit perturbation when the KV cache is int8. A
+  // deterministic misordering that both replays share shows here. A shed
+  // request streams nothing, and a cancelled one stops early.
+  if (!against_reference) return;
+  const std::uint32_t int8_block_tokens =
+      s.kv_cache_dtype == serving::KvCacheDtype::kInt8 ? s.block_size_tokens
+                                                       : 0;
+  auto reference = testutil::ReferenceStreams(
+      prog, weights, u280, reqs, config.sampler, int8_block_tokens);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const auto reason = static_cast<api::FinishReason>(out->finishes[i]);
@@ -327,8 +326,8 @@ TEST(SchedulerFuzzTest, RandomConfigsReplayByteIdenticalAndDrainPools) {
   ASSERT_TRUE(cr.ok()) << cr.status().ToString();
   const accel::Program& prog = cr->program;
   // The logged seeds, then a sweep: few configs of a handful of seeds
-  // sample at temperature 0.9 in fp16 with speculation off, where
-  // decode rows run in parallel segments.
+  // sample at temperature 0.9 with speculation off, where decode rows
+  // run in parallel segments.
   std::vector<std::uint64_t> seeds = {1ull,      42ull,     777ull,
                                       31337ull,  900913ull, 0xdecafbadull};
   for (std::uint64_t seed = 1000; seed < 1064; ++seed) seeds.push_back(seed);

@@ -107,19 +107,6 @@ TEST_P(QuantGroupSweep, MatMulQ8CloseToFloat) {
 INSTANTIATE_TEST_SUITE_P(Groups, QuantGroupSweep,
                          ::testing::Values(16, 32, 48, 64, 96));
 
-TEST(QuantMatMulTest, ThreadedMatchesSerial) {
-  const std::int64_t d = 96, n = 192;
-  auto w = RandomVec(static_cast<std::size_t>(d * n), 41, 0.05f);
-  auto x = RandomVec(static_cast<std::size_t>(n), 42);
-  auto qw = Quantize(w, Shape{d, n}, 64);
-  ASSERT_TRUE(qw.ok());
-  std::vector<float> serial(d), threaded(d);
-  MatMulQ8(serial, *qw, x, d, n, nullptr);
-  speedllm::ThreadPool pool(4);
-  MatMulQ8(threaded, *qw, x, d, n, &pool);
-  for (std::int64_t i = 0; i < d; ++i) EXPECT_EQ(serial[i], threaded[i]);
-}
-
 TEST(QuantTest, TensorOverload) {
   TensorF t(Shape{8, 16});
   Rng rng(55);

@@ -148,12 +148,14 @@ inline StatusOr<serving::ClusterReport> ServeTrace(
 /// one standalone executor (one Forward(token, pos) per token) with a
 /// sampler seeded `sampler.seed + i * 7919` for request i. A sampled
 /// stop token (the request's stop set or the sampler's EOS) ends the
-/// stream without being committed.
+/// stream without being committed. A nonzero `int8_block_tokens` gives
+/// the streams of an int8 KV cache with blocks of that many tokens:
+/// serving::PerturbLogitsForQuant runs on every row before it is sampled.
 inline StatusOr<std::vector<std::vector<std::int32_t>>> ReferenceStreams(
     const accel::Program& program, const llama::Weights& weights,
     const hw::U280Config& u280,
     const std::vector<serving::ServingRequest>& requests,
-    const llama::SamplerConfig& sampler) {
+    const llama::SamplerConfig& sampler, std::uint32_t int8_block_tokens = 0) {
   accel::Executor exec(program, weights, u280);
   std::vector<std::vector<std::int32_t>> streams(requests.size());
   std::vector<float> logits;
@@ -175,6 +177,10 @@ inline StatusOr<std::vector<std::vector<std::int32_t>>> ReferenceStreams(
     std::vector<std::int32_t>& generated = streams[i];
     while (static_cast<std::int32_t>(generated.size()) <
            requests[i].max_new_tokens) {
+      if (int8_block_tokens > 0) {
+        serving::PerturbLogitsForQuant(i, static_cast<std::size_t>(pos),
+                                       int8_block_tokens, logits);
+      }
       const std::int32_t next = sample.Sample(logits);
       if (serving::IsStopToken(requests[i], sampler.eos_token, next)) break;
       generated.push_back(next);

@@ -27,9 +27,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   llama::ModelConfig config = *preset;
-  const std::int32_t length =
-      static_cast<std::int32_t>(cl.GetInt("length", 48));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 3));
+  const StatusOr<std::int64_t> length_flag = cl.GetInt("length", 48);
+  const StatusOr<std::int64_t> seed_flag = cl.GetInt("seed", 3);
+  for (const Status& st : {length_flag.status(), seed_flag.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  const auto length = static_cast<std::int32_t>(*length_flag);
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
 
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto stream = runtime::SyntheticEvalStream(config, length, seed);

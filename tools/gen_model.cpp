@@ -26,7 +26,12 @@ int main(int argc, char** argv) {
   const CommandLine& cl = cl_or.value();
   const std::string out = cl.GetString("out", "model.bin");
   const std::string tok_path = cl.GetString("tokenizer", "tokenizer.bin");
-  const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 42));
+  const StatusOr<std::int64_t> seed_flag = cl.GetInt("seed", 42);
+  if (!seed_flag.ok()) {
+    std::fprintf(stderr, "%s\n", seed_flag.status().ToString().c_str());
+    return 1;
+  }
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
 
   auto preset =
       llama::ModelConfig::FromName(cl.GetString("preset", "stories15m"));

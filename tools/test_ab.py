@@ -13,9 +13,10 @@ from pathlib import Path
 
 AB = Path(__file__).resolve().parent / "ab.py"
 
-# A stub prints a line of noise, then one JSON line whose metric is
-# base + (its call count mod 3), and logs its name to the file named by
-# its first argument, so the test can read the order the runs took.
+# A stub prints a line of noise, then one JSON line whose metric
+# tok_per_s is base + (its call count mod 3) and whose rss_mib is a tenth
+# of base plus the same, and logs its name to the file named by its first
+# argument, so the test can read the order the runs took.
 STUB = """#!{python}
 import json, sys
 log = sys.argv[1]
@@ -26,7 +27,8 @@ with open(log, "a") as f:
 value = {base} + calls % 3
 print("warming up")
 metric = {{"value": value}} if {boxed} else value
-print(json.dumps({{"metrics": {{"tok_per_s": metric, "other": 1}}}}))
+print(json.dumps({{"metrics": {{"tok_per_s": metric, "other": 1,
+                                 "rss_mib": {base} / 10 + calls % 3}}}}))
 sys.exit({code})
 """
 
@@ -48,9 +50,9 @@ class AbTest(unittest.TestCase):
         os.chmod(path, 0o755)
         return str(path)
 
-    def ab(self, parent, change, pairs, *extra):
+    def ab(self, parent, change, pairs, *extra, metrics=("tok_per_s",)):
         cmd = [sys.executable, str(AB), "--parent", parent, "--change",
-               change, "--pairs", str(pairs), "--metric", "tok_per_s",
+               change, "--pairs", str(pairs), "--metric", *metrics,
                *extra, "--", str(self.log)]
         return subprocess.run(cmd, capture_output=True, text=True)
 
@@ -68,12 +70,46 @@ class AbTest(unittest.TestCase):
         self.assertEqual(order[:6], ["parent", "change", "change", "parent",
                                      "parent", "change"])
         self.assertEqual(len(order), 20)
-        result = json.loads(out.read_text())
+        result = json.loads(out.read_text())["metrics"]["tok_per_s"]
         self.assertTrue(result["gain"])
         self.assertEqual(result["wins"], 10)
         # Parent values 100, 101, 102, 100, ...: median 101.
         self.assertEqual(result["parent"]["median"], 101.0)
         self.assertEqual(result["change"]["values"][:3], [150.0, 151.0, 152.0])
+
+    def test_two_metrics_from_one_set_of_runs(self):
+        out = self.root / "ab.json"
+        proc = self.ab(self.stub("parent", 100), self.stub("change", 150),
+                       10, "--better", "higher", "lower", "--json", str(out),
+                       metrics=("tok_per_s", "rss_mib"))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        # Ten pairs ran once, and each run gave both metrics.
+        self.assertEqual(len(self.log.read_text().split()), 20)
+        self.assertEqual(self.lines(proc, "metric "),
+                         ["metric tok_per_s (higher is better), 10 pairs",
+                          "metric rss_mib (lower is better), 10 pairs"])
+        # The change's higher rss_mib loses every pair where lower wins.
+        self.assertEqual(len(self.lines(proc, "gain:")), 1, proc.stdout)
+        self.assertEqual(len(self.lines(proc, "no gain:")), 1, proc.stdout)
+        self.assertIn("change wins 0/10 pairs", proc.stdout)
+        results = json.loads(out.read_text())["metrics"]
+        self.assertTrue(results["tok_per_s"]["gain"])
+        self.assertFalse(results["rss_mib"]["gain"])
+        self.assertEqual(results["rss_mib"]["better"], "lower")
+        self.assertEqual(results["rss_mib"]["parent"]["values"][:3],
+                         [10.0, 11.0, 12.0])
+        self.assertEqual(results["rss_mib"]["change"]["median"], 16.0)
+
+    def test_a_missing_metric_or_direction_count_fails(self):
+        proc = self.ab(self.stub("parent", 100), self.stub("change", 150),
+                       2, metrics=("tok_per_s", "nope"))
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("no metric 'nope'", proc.stderr)
+        proc = self.ab(self.stub("parent", 100), self.stub("change", 150),
+                       2, "--better", "higher", "lower", "higher",
+                       metrics=("tok_per_s", "rss_mib"))
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("one per metric", proc.stderr)
 
     def test_equal_sides_show_no_gain(self):
         proc = self.ab(self.stub("parent", 100), self.stub("change", 100), 10)

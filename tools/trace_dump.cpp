@@ -28,10 +28,17 @@ int main(int argc, char** argv) {
   }
   const CommandLine& cl = cl_or.value();
   const std::string variant_name = cl.GetString("variant", "speedllm");
-  const std::int32_t pos = static_cast<std::int32_t>(cl.GetInt("pos", 0));
+  const StatusOr<std::int64_t> pos_flag = cl.GetInt("pos", 0);
+  const StatusOr<std::int64_t> max_instrs_flag = cl.GetInt("max_instrs", 120);
+  for (const Status& st : {pos_flag.status(), max_instrs_flag.status()}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
+  const auto pos = static_cast<std::int32_t>(*pos_flag);
   const std::string trace_path = cl.GetString("trace", "");
-  const std::size_t max_instrs =
-      static_cast<std::size_t>(cl.GetInt("max_instrs", 120));
+  const auto max_instrs = static_cast<std::size_t>(*max_instrs_flag);
 
   CompilerOptions opt = CompilerOptions::SpeedLLM();
   if (variant_name == "unoptimized") opt = CompilerOptions::Unoptimized();
