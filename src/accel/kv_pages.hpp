@@ -55,15 +55,4 @@ struct KvPages {
   }
 };
 
-/// Copies token positions [begin, end) of `pages` into `rows`, token-major:
-/// each token's row_floats() elements ordered [layer][K|V][kv_dim]. This
-/// is the block-size-independent form K/V travels in between pools.
-void GatherKvRows(const KvPages& pages, std::int64_t begin, std::int64_t end,
-                  float* rows);
-
-/// Inverse of GatherKvRows: writes token-major `rows` into positions
-/// [begin, end) of `pages`.
-void ScatterKvRows(const KvPages& pages, std::int64_t begin, std::int64_t end,
-                   const float* rows);
-
 }  // namespace speedllm::accel

@@ -106,7 +106,7 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
   }
   image_.emplace(std::move(image).value());
   config_.scheduler = serving::NormalizeSchedulerConfig(config_.scheduler);
-  clock_mhz_ = cards_.cards.front().clock_mhz;
+  clock_ = cards_.cards.front();
   if (config_.telemetry.enabled()) {
     telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
   }
@@ -206,18 +206,6 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
 
 Engine::~Engine() = default;
 
-std::optional<sim::Cycles> Engine::ToCycles(double seconds) const {
-  // Every card shares one kernel clock (MultiCardConfig::Validate).
-  const double cycles = seconds * clock_mhz_ * 1e6;
-  // llround is defined below 2^63 only; NaN fails both comparisons.
-  if (!(cycles >= 0.0 && cycles < 0x1p63)) return std::nullopt;
-  return static_cast<sim::Cycles>(std::llround(cycles));
-}
-
-double Engine::CyclesToSeconds(sim::Cycles cycles) const {
-  return static_cast<double>(cycles) / (clock_mhz_ * 1e6);
-}
-
 // ------------------------------------------------------------ submission
 
 StatusOr<RequestHandle> Engine::Submit(ServingRequest request,
@@ -234,7 +222,7 @@ StatusOr<RequestHandle> Engine::Submit(ServingRequest request,
       request, tag, program_.model, min_pool_blocks_,
       config_.scheduler.block_size_tokens));
   const std::optional<sim::Cycles> arrival =
-      ToCycles(request.arrival_seconds);
+      clock_.seconds_to_cycles(request.arrival_seconds);
   if (!arrival) {
     return OutOfRange(tag + ": arrival_seconds " +
                       std::to_string(request.arrival_seconds) +
@@ -245,13 +233,14 @@ StatusOr<RequestHandle> Engine::Submit(ServingRequest request,
   // stored arrival is the cycle the simulation acts on, so the trace's
   // submit event and the outcome's arrival_seconds agree exactly.
   const sim::Cycles when = std::max(*arrival, engine_.now());
-  request.arrival_seconds = CyclesToSeconds(when);
+  request.arrival_seconds = clock_.cycles_to_seconds(when);
   streams_.push_back(Stream{std::move(request), std::move(callbacks)});
   if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
     const ServingRequest& r = streams_.back().request;
     obs::RequestEvent ev =
         RouterEvent(obs::RequestEventKind::kSubmit,
-                    static_cast<std::int64_t>(index), -1, CyclesToSeconds(when));
+                    static_cast<std::int64_t>(index), -1,
+                    clock_.cycles_to_seconds(when));
     ev.tokens = static_cast<std::int64_t>(r.prompt.size());
     // The tier label lets a trace consumer slice lifecycles by tier.
     ev.detail = serving::RequestTierName(r.tier);
@@ -309,7 +298,8 @@ Status Engine::Cancel(RequestHandle handle) {
 
 void Engine::StepUntil(double t_seconds) {
   if (std::isnan(t_seconds) || t_seconds < now_seconds()) return;
-  if (const std::optional<sim::Cycles> limit = ToCycles(t_seconds)) {
+  if (const std::optional<sim::Cycles> limit =
+          clock_.seconds_to_cycles(t_seconds)) {
     engine_.RunUntil(*limit);
   } else {
     engine_.Run();
@@ -319,7 +309,7 @@ void Engine::StepUntil(double t_seconds) {
 void Engine::RunToCompletion() { engine_.Run(); }
 
 double Engine::now_seconds() const {
-  return setup_.ok() ? CyclesToSeconds(engine_.now()) : 0.0;
+  return setup_.ok() ? clock_.cycles_to_seconds(engine_.now()) : 0.0;
 }
 
 bool Engine::idle() const { return engine_.Idle(); }
@@ -589,8 +579,8 @@ void Engine::RecordTransfer(std::size_t index, std::int32_t src,
   send.kind = obs::RequestEventKind::kKvTransfer;
   send.stream = static_cast<std::int64_t>(index);
   send.card = src;
-  send.start_seconds = CyclesToSeconds(start);
-  send.end_seconds = CyclesToSeconds(end);
+  send.start_seconds = clock_.cycles_to_seconds(start);
+  send.end_seconds = clock_.cycles_to_seconds(end);
   send.bytes = bytes;
   send.detail = "send";
   obs::RequestEvent recv = send;
@@ -678,7 +668,7 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   const sim::Cycles fetch_end = interconnect_->EstimateTransferEnd(
       now, static_cast<std::uint64_t>(bytes), src,
       static_cast<std::int32_t>(dst));
-  const double fetch_seconds = CyclesToSeconds(fetch_end - now);
+  const double fetch_seconds = clock_.cycles_to_seconds(fetch_end - now);
   const double recompute_seconds =
       shard.EstimateRecomputeSeconds(delta_tokens);
   const bool fetched = fetch_seconds <= recompute_seconds;
@@ -697,20 +687,16 @@ bool Engine::MaybeFetchPrefix(std::size_t index, std::size_t dst) {
   ++remote_hits_;
   remote_hit_tokens_ += delta_tokens;
   const std::int64_t fetch_tokens = remote.matched_tokens;
-  // The pages leave the source now: snapshot their K/V, since the source
-  // may evict the blocks before the transfer lands.
-  serving::KvPrefixSnapshot rows =
-      shards_[static_cast<std::size_t>(src)]->pool().CachedPrefixRows(
-          request.prompt, fetch_tokens);
   engine_.ScheduleAt(window.end, [this, index, dst, fetch_tokens,
-                                  delta_tokens, rows = std::move(rows)] {
+                                  delta_tokens] {
     Stream& stream = streams_[index];
     if (stream.cancelled) return;  // cancelled while the fetch flew
     // The fetched pages land as ownerless cached blocks (no local DMA:
     // the interconnect already charged the write leg), then the normal
-    // admission path maps them as a local cache hit.
+    // admission path maps them as a local cache hit, which recomputes
+    // their host rows.
     shards_[dst]->mutable_pool().InstallCachedPrefix(stream.request.prompt,
-                                                     fetch_tokens, rows);
+                                                     fetch_tokens);
     if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
       obs::RequestEvent ev = RouterEvent(
           obs::RequestEventKind::kRemoteHit, static_cast<std::int64_t>(index),
@@ -768,7 +754,7 @@ Status Engine::WriteTrace(const std::string& path,
         "tracing disabled: set EngineConfig::telemetry.enable_tracing");
   }
   return obs::WriteChromeTrace(*telemetry_->trace(), path, kernel,
-                               clock_mhz_);
+                               clock_.clock_mhz);
 }
 
 Status Engine::WriteMetricsJson(const std::string& path) const {
@@ -819,7 +805,6 @@ StatusOr<serving::ClusterReport> Engine::Finish() {
         interconnect_->transfer_out_bytes(card));
     report.card_transfer_in_bytes.push_back(
         interconnect_->transfer_in_bytes(card));
-    report.card_local_dma_bytes.push_back(interconnect_->local_dma_bytes(card));
   }
   report.prefix_fetch_log = std::move(fetch_log_);
   serving::ServingReport& m = report.merged;
@@ -827,7 +812,7 @@ StatusOr<serving::ClusterReport> Engine::Finish() {
   std::vector<double> busy(shards_.size(), 0.0);
   std::vector<std::size_t> stream_indices;
   for (std::size_t c = 0; c < shards_.size(); ++c) {
-    busy[c] = shards_[c]->busy_seconds();
+    busy[c] = clock_.cycles_to_seconds(shards_[c]->busy_cycles());
     serving::ServingReport shard = shards_[c]->TakeReport(stream_indices);
     for (std::size_t k = 0; k < stream_indices.size(); ++k) {
       m.outcomes[stream_indices[k]] = shard.outcomes[k];

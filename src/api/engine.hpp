@@ -275,10 +275,6 @@ class Engine {
     bool cancelled = false;
   };
 
-  /// Cycles for `seconds` on the shared clock; nullopt when `seconds` is
-  /// NaN, negative, or past the cycle range.
-  std::optional<sim::Cycles> ToCycles(double seconds) const;
-  double CyclesToSeconds(sim::Cycles cycles) const;
   /// Card `card`'s KV pool, or null when the card is out of range.
   const serving::KvBlockPool* pool(int card) const;
 
@@ -333,7 +329,9 @@ class Engine {
   hw::MultiCardConfig cards_;
   EngineConfig config_;  // scheduler normalized once setup passes
   Status setup_;  // card-list, config and weight validation outcome
-  double clock_mhz_ = 0.0;
+  // The shared kernel clock (MultiCardConfig::Validate): its formulas
+  // convert every simulated time.
+  hw::U280Config clock_;
   std::int64_t min_pool_blocks_ = 0;
 
   sim::Engine engine_;

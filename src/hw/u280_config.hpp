@@ -6,7 +6,9 @@
 // (see docs/ARCHITECTURE.md "Substitutions").
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 namespace speedllm::hw {
 
@@ -95,8 +97,18 @@ struct U280Config {
   PowerConfig power;
 
   double seconds_per_cycle() const { return 1.0 / (clock_mhz * 1e6); }
+  /// The one cycles-to-seconds formula: every simulated time the serving
+  /// stack reports goes through it, so equal cycles give equal seconds.
   double cycles_to_seconds(std::uint64_t cycles) const {
     return static_cast<double>(cycles) * seconds_per_cycle();
+  }
+  /// The cycle nearest `seconds`; nullopt when `seconds` is NaN,
+  /// negative, or past the cycle range.
+  std::optional<std::uint64_t> seconds_to_cycles(double seconds) const {
+    const double cycles = seconds * clock_mhz * 1e6;
+    // llround is defined below 2^63 only; NaN fails both comparisons.
+    if (!(cycles >= 0.0 && cycles < 0x1p63)) return std::nullopt;
+    return static_cast<std::uint64_t>(std::llround(cycles));
   }
 
   static U280Config Default() { return U280Config{}; }

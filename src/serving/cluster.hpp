@@ -104,9 +104,6 @@ struct ClusterReport {
   std::vector<std::int64_t> card_transfer_out_bytes;
   /// Per-card bytes received over incoming interconnect links.
   std::vector<std::int64_t> card_transfer_in_bytes;
-  /// Per-card local DMA bytes queued through the shared HBM channel
-  /// (COW/restore/swap traffic, now contending with transfers).
-  std::vector<std::int64_t> card_local_dma_bytes;
   /// Every remote-prefix arbitration, in admission order (both branches).
   std::vector<PrefixFetchDecision> prefix_fetch_log;
 

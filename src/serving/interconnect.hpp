@@ -104,6 +104,9 @@ class Interconnect {
 /// decode shard: everything the destination needs to continue decoding
 /// with a byte-identical token stream. The sampler travels by value so
 /// its RNG stream continues exactly where the prefill shard left it.
+/// The K/V pages travel only as simulated bytes (`kv_bytes`): no host
+/// rows ship, and the decode shard recomputes the rows of every `fed`
+/// token it does not find cached when it lands the handoff.
 struct KvHandoff {
   /// The original request (owned by the cluster; outlives the handoff).
   const ServingRequest* request = nullptr;
@@ -113,10 +116,6 @@ struct KvHandoff {
   llama::Sampler sampler{llama::SamplerConfig{}};
   /// Prompt tokens already forwarded on the prefill shard.
   std::vector<std::int32_t> fed;
-  /// K/V of every `fed` token, token-major (accel::GatherKvRows form).
-  /// The decode shard copies them into its pool blocks at zero simulated
-  /// compute (the pages arrive over the interconnect).
-  std::vector<float> kv_rows;
   /// First sampled token, not yet committed or emitted.
   std::int32_t pending_token = -1;
   /// Outcome accumulated so far (arrival/admission/TTFT stamped on the

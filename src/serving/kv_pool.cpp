@@ -261,34 +261,22 @@ PrefixMatch KvBlockPool::MatchCachedPrefix(
 }
 
 std::int64_t KvBlockPool::InstallCachedPrefix(
-    std::span<const std::int32_t> tokens, std::int64_t max_tokens,
-    const KvPrefixSnapshot& rows) {
+    std::span<const std::int32_t> tokens, std::int64_t max_tokens) {
   if (!config_.enable_prefix_cache) return 0;
   const std::int64_t bs = config_.block_size_tokens;
   const std::int64_t limit =
       std::min(static_cast<std::int64_t>(tokens.size()), max_tokens);
   std::uint64_t h = chain_seed_;
   std::int64_t full = 0;
-  std::int64_t shipped = 0;  // warm snapshot blocks before block `full`
-  const std::int64_t row_floats = config_.payload_layout().row_floats();
   while ((full + 1) * bs <= limit) {
-    const auto block_tokens = tokens.subspan(
-        static_cast<std::size_t>(full * bs), static_cast<std::size_t>(bs));
-    const std::uint64_t next = MixBlock(h, block_tokens);
-    const auto k = static_cast<std::size_t>(full);
+    const std::uint64_t next = MixBlock(
+        h, tokens.subspan(static_cast<std::size_t>(full * bs),
+                          static_cast<std::size_t>(bs)));
     if (cache_.find(next) == cache_.end()) {
-      if (k >= rows.warm.size()) break;
       const std::int32_t block = AllocateBlock();
       if (block < 0) break;  // pool saturated with live owners
       BlockMeta& m = meta_[static_cast<std::size_t>(block)];
-      if (rows.warm[k]) {
-        float* const slot[1] = {m.rows};
-        accel::ScatterKvRows(accel::KvPages{config_.payload_layout(), slot},
-                             0, bs,
-                             rows.rows.data() + shipped * bs * row_floats);
-      } else {
-        m.cold = true;  // the source had dropped its rows: a hit recomputes
-      }
+      m.cold = true;  // no host rows travel: the first hit recomputes them
       m.refcount = 0;
       m.cached = true;
       m.hash = next;
@@ -297,32 +285,10 @@ std::int64_t KvBlockPool::InstallCachedPrefix(
       ++stats_.cache_insertions;
       ++stats_.remote_install_blocks;
     }
-    if (k < rows.warm.size() && rows.warm[k]) ++shipped;
     h = next;
     ++full;
   }
   return full * bs;
-}
-
-KvPrefixSnapshot KvBlockPool::CachedPrefixRows(
-    std::span<const std::int32_t> tokens, std::int64_t max_tokens) const {
-  std::vector<std::int32_t> blocks;
-  WalkCachedPrefix(tokens, max_tokens, &blocks, nullptr);
-  KvPrefixSnapshot snapshot;
-  std::vector<float*> warm_rows;
-  for (std::int32_t b : blocks) {
-    const BlockMeta& m = meta_[static_cast<std::size_t>(b)];
-    const bool warm = m.rows != nullptr && !m.cold;
-    snapshot.warm.push_back(warm);
-    if (warm) warm_rows.push_back(m.rows);
-  }
-  const accel::KvBlockLayout layout = config_.payload_layout();
-  const accel::KvPages pages{layout, warm_rows};
-  snapshot.rows.resize(
-      static_cast<std::size_t>(pages.capacity_tokens() * layout.row_floats()));
-  accel::GatherKvRows(pages, 0, pages.capacity_tokens(),
-                      snapshot.rows.data());
-  return snapshot;
 }
 
 Status KvBlockPool::Register(std::uint64_t seq) {

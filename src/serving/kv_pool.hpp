@@ -37,8 +37,10 @@
 // The rows come back bit-identical, because a position's K/V depends
 // only on the tokens up to it, never on how the forwards were split
 // (MatMulTest.PackedRowsAreBitIdenticalToASequentialLoop and the
-// executor's chunked-forward tests pin that). A remote prefix fetch
-// ships only warm rows; a cold source block lands cold. Freed uncached
+// executor's chunked-forward tests pin that). Recompute is the only way
+// rows the host lacks come back: no host rows travel between pools, so
+// a remote prefix fetch installs every block cold, and a handoff's
+// landing recomputes the rows it does not find cached. Freed uncached
 // blocks give their slot back at once. So an engine's host rows stay
 // within its live blocks plus one shared cache budget, and the arena
 // grows in chunks that never move, so growth copies nothing.
@@ -251,16 +253,6 @@ struct PrefixMatch {
   std::int64_t recompute_end = 0;
 };
 
-/// A cached prefix's K/V as a remote fetch ships it: the rows of warm
-/// blocks only.
-struct KvPrefixSnapshot {
-  /// One entry per full block from token 0: true when its rows shipped.
-  std::vector<bool> warm;
-  /// The shipped blocks' rows, token-major (accel::GatherKvRows form),
-  /// in block order.
-  std::vector<float> rows;
-};
-
 class KvBlockPool;
 
 /// Host storage for the fp32 K/V rows of the KvBlockPools that share it,
@@ -415,20 +407,11 @@ class KvBlockPool {
   /// the number of prefix tokens cached after the call (including
   /// previously cached ones). No DMA is charged here: the interconnect
   /// already costed the fetch. No-op returning 0 when caching is
-  /// disabled.
-  /// `rows` is the source's CachedPrefixRows: a newly installed block
-  /// whose rows shipped copies them, one whose rows did not lands cold
-  /// (a hit recomputes it), and installation stops at the first block
-  /// `rows` does not cover.
+  /// disabled. Every newly installed block arrives cold: no host rows
+  /// travel with the fetch, so the first hit recomputes them
+  /// (AcquireCachedPrefix's recompute range).
   std::int64_t InstallCachedPrefix(std::span<const std::int32_t> tokens,
-                                   std::int64_t max_tokens,
-                                   const KvPrefixSnapshot& rows);
-
-  /// The longest cached full-block prefix of `tokens` within
-  /// `max_tokens` with the rows of its warm blocks: the snapshot a remote
-  /// fetch ships. Empty when nothing matches.
-  KvPrefixSnapshot CachedPrefixRows(std::span<const std::int32_t> tokens,
-                                    std::int64_t max_tokens) const;
+                                   std::int64_t max_tokens);
 
   // ----- sequence lifecycle -----
   /// Registers `seq` with an empty block table. Fails on duplicates.

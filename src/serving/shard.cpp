@@ -421,6 +421,24 @@ void ShardScheduler::Preempt(std::size_t victim) {
   ++seq.outcome.preemptions;
 }
 
+bool ShardScheduler::RecomputeRows(std::size_t seq_id, std::int64_t begin,
+                                   std::int64_t end) {
+  // Bit-identical to the rows the simulated device holds, because a
+  // position's K/V never depends on how the forwards were split. The
+  // simulation sees nothing: no tick cost, report counter or event.
+  const auto rows = exec_->Compute(
+      Lane(0).activations,
+      std::span<const std::int32_t>(seqs_[seq_id].fed)
+          .subspan(static_cast<std::size_t>(begin),
+                   static_cast<std::size_t>(end - begin)),
+      static_cast<std::int32_t>(begin), pool_.Pages(seq_id),
+      /*want_last_logits=*/false);
+  Status st = rows.ok() ? pool_.MarkRecomputed(seq_id, begin, end)
+                        : rows.status();
+  if (!st.ok()) error_ = st;
+  return st.ok();
+}
+
 std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   Sequence& seq = seqs_[seq_id];
   // The final fed token must still be processed for fresh logits, unless
@@ -439,26 +457,12 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   TraceInstant(obs::RequestEventKind::kCacheHit, seq_id, restored);
   // The mapped blocks' rows hold the prefix's K/V, and the sequence
   // attends over them directly -- except the rows the host dropped to
-  // bound its memory (kHostCachedKvTokens). Those are recomputed here,
-  // bit-identical because a position's K/V never depends on how the
-  // forwards were split. The simulated device still holds them, so the
-  // simulation sees nothing: no tick cost, report counter or event.
-  const std::int64_t begin = match_or->recompute_begin;
-  const std::int64_t end = match_or->recompute_end;
-  if (begin < end) {
-    const auto rows = exec_->Compute(
-        Lane(0).activations,
-        std::span<const std::int32_t>(seq.fed).subspan(
-            static_cast<std::size_t>(begin),
-            static_cast<std::size_t>(end - begin)),
-        static_cast<std::int32_t>(begin), pool_.Pages(seq_id),
-        /*want_last_logits=*/false);
-    Status st = rows.ok() ? pool_.MarkRecomputed(seq_id, begin, end)
-                          : rows.status();
-    if (!st.ok()) {
-      error_ = st;
-      return -1;
-    }
+  // bound its memory (kHostCachedKvTokens) or never received (a remote
+  // fetch's install). Those are recomputed here.
+  if (match_or->recompute_begin < match_or->recompute_end &&
+      !RecomputeRows(seq_id, match_or->recompute_begin,
+                     match_or->recompute_end)) {
+    return -1;
   }
   seq.cursor = static_cast<std::int32_t>(restored);
   seq.high_water = std::max(seq.high_water, seq.cursor);
@@ -478,10 +482,6 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   handoff.kv_bytes =
       pool_.BlocksForTokens(static_cast<std::int64_t>(seq.fed.size())) *
       static_cast<std::int64_t>(pool_.config().block_bytes());
-  const std::int64_t fed = static_cast<std::int64_t>(seq.fed.size());
-  handoff.kv_rows.resize(static_cast<std::size_t>(
-      fed * pool_.config().payload_layout().row_floats()));
-  accel::GatherKvRows(pool_.Pages(seq_id), 0, fed, handoff.kv_rows.data());
   // The decode budget is owed by the destination now.
   AddOutstanding(seq.request->tier, -seq.remaining_decode());
   ++seq.outcome.handoffs;
@@ -504,7 +504,7 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   seq.stream_index = handoff.stream_index;
   seq.fed = std::move(handoff.fed);
   seq.pending_token = handoff.pending_token;
-  seq.adopted_kv = std::move(handoff.kv_rows);
+  seq.adopted = true;
   seq.outcome = std::move(handoff.outcome);
   seq.wait_since_tick = tick_index_;
   // Admitted on the prefill shard: TTFT is stamped, the rebalancer must
@@ -527,24 +527,29 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
   if (!tick_pending_) ScheduleTick(engine_.now());
 }
 
-bool ShardScheduler::ReplayAdoptedKv(std::size_t seq_id) {
-  // Blocks this card already caches (a shared prefix) map as shared --
-  // the same restore path a local cache hit takes -- and the rest append
-  // fresh and take their rows from the shipped K/V. No forward runs: the
-  // shipped pages are already in HBM, paid for by the interconnect.
+bool ShardScheduler::LandHandoff(std::size_t seq_id) {
   Sequence& seq = seqs_[seq_id];
-  const std::vector<float> rows = std::exchange(seq.adopted_kv, {});
-  if (RestoreCachedPrefix(seq_id) < 0) return false;
-  const std::int64_t row_floats = pool_.config().payload_layout().row_floats();
+  seq.adopted = false;
+  const std::int64_t restored = RestoreCachedPrefix(seq_id);
+  if (restored < 0) return false;
+  bool landed = true;
   while (seq.cursor < static_cast<std::int32_t>(seq.fed.size())) {
     const std::int32_t token = seq.fed[static_cast<std::size_t>(seq.cursor)];
-    if (!EnsureKvToken(seq_id, token)) return false;
-    accel::ScatterKvRows(pool_.Pages(seq_id), seq.cursor, seq.cursor + 1,
-                         rows.data() + seq.cursor * row_floats);
+    if (!EnsureKvToken(seq_id, token)) {
+      landed = false;
+      break;
+    }
     ++seq.cursor;
     AddOutstanding(seq.request->tier, -1);
   }
-  return true;
+  if (!error_.ok()) return false;
+  // The appended pages arrived without host rows: recompute them, also
+  // when a dry pool cut the landing short, since the tail then prefills
+  // over them later.
+  if (seq.cursor > restored && !RecomputeRows(seq_id, restored, seq.cursor)) {
+    return false;
+  }
+  return landed;
 }
 
 namespace {
@@ -805,13 +810,9 @@ void ShardScheduler::DeliverEmissions() {
         telemetry_.Record(std::move(ev));
       }
       if (telemetry_.metrics()) {
-        const std::int64_t n =
-            static_cast<std::int64_t>(oc.generated.size());
-        const double decode_span =
-            oc.completion_seconds - oc.first_token_seconds;
-        telemetry_.ObserveFinish(
-            oc.time_to_first_token(),
-            n > 1 ? decode_span / static_cast<double>(n - 1) : 0.0, n > 0);
+        telemetry_.ObserveFinish(oc.time_to_first_token(),
+                                 oc.time_per_output_token(),
+                                 !oc.generated.empty());
       }
       if (hooks_.on_finish) {
         const RequestOutcome outcome = seqs_[e.seq_id].outcome;
@@ -1134,16 +1135,16 @@ void ShardScheduler::AdmitAndPlanPrefill(TickWork& work,
             seq.outcome.arrival_seconds, work.start_s));
       }
     }
-    if (!seq.adopted_kv.empty()) {
+    if (seq.adopted) {
       // First local admission of an adopted handoff: land the shipped
-      // K/V at zero forward cost and join the decode set next tick. A
-      // pool that runs dry mid-copy leaves the tail to recompute as
-      // ordinary prefill later.
+      // pages at zero simulated compute and join the decode set next
+      // tick. A pool that runs dry mid-landing leaves the tail to
+      // prefill as ordinary work later.
       queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-      const bool replayed = ReplayAdoptedKv(cand);
+      const bool landed = LandHandoff(cand);
       if (!error_.ok()) return;
       work.restored_tokens += seq.cursor;
-      if (replayed) seq.state = SeqState::kDecode;
+      if (landed) seq.state = SeqState::kDecode;
       continue;
     }
     const std::int64_t restored = RestoreCachedPrefix(cand);
@@ -1240,12 +1241,17 @@ void ShardScheduler::CloseTick(const TickWork& work) {
   }
 
   const double tick_seconds = tick_cost_.group_seconds();
-  const sim::Cycles tick_cycles =
-      std::max<sim::Cycles>(1, SecondsToCycles(tick_seconds));
+  const std::optional<sim::Cycles> tick_span =
+      u280_.seconds_to_cycles(tick_seconds);
+  if (!tick_span) {
+    error_ = Internal("tick time is past the simulated clock's range");
+    return;
+  }
+  const sim::Cycles tick_cycles = std::max<sim::Cycles>(1, *tick_span);
   const sim::Cycles end_cycles = engine_.now() + tick_cycles;
   const double end_s = u280_.cycles_to_seconds(end_cycles);
   last_tick_end_cycles_ = std::max(last_tick_end_cycles_, end_cycles);
-  busy_seconds_ += tick_seconds;
+  busy_cycles_ += tick_cycles;
 
   for (const Problem& p : work.problems) {
     if (p.state == SeqState::kDecode && p.fed > 0) {
@@ -1349,11 +1355,6 @@ void ShardScheduler::CloseTick(const TickWork& work) {
   // The rebalance hook runs last, with this tick's state fully settled:
   // the cluster may steal queued requests from us or submit elsewhere.
   if (kv_blocked_ && hooks_.on_kv_pressure) hooks_.on_kv_pressure();
-}
-
-sim::Cycles ShardScheduler::SecondsToCycles(double seconds) const {
-  return static_cast<sim::Cycles>(
-      std::llround(seconds * u280_.clock_mhz * 1e6));
 }
 
 }  // namespace speedllm::serving

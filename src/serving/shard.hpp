@@ -272,9 +272,10 @@ class ShardScheduler {
 
   /// Wall-clock end of the shard's last tick, cycles.
   sim::Cycles last_tick_end_cycles() const { return last_tick_end_cycles_; }
-  /// Total simulated seconds this shard's ticks occupied (utilization
-  /// numerator; the denominator is the cluster makespan).
-  double busy_seconds() const { return busy_seconds_; }
+  /// Total simulated cycles this shard's ticks occupied, each tick its
+  /// span on the clock (utilization numerator; the denominator is the
+  /// cluster makespan).
+  sim::Cycles busy_cycles() const { return busy_cycles_; }
 
  private:
   enum class SeqState {
@@ -306,11 +307,11 @@ class ShardScheduler {
     std::int64_t admission_order = -1;
     std::int64_t wait_since_tick = 0;
     bool ever_admitted = false;
-    // An adopted handoff's shipped K/V (KvHandoff::kv_rows). Non-empty
-    // until its first local admission, which copies the rows into pool
-    // blocks instead of prefilling and takes them; a later preemption
-    // recomputes normally (the shipped K/V is gone).
-    std::vector<float> adopted_kv;
+    // An adopted handoff not yet admitted here: its first local
+    // admission lands the shipped pages (LandHandoff) instead of
+    // prefilling and clears the flag; a later preemption recomputes
+    // normally (the shipped pages are gone).
+    bool adopted = false;
     RequestOutcome outcome;
 
     explicit Sequence(llama::Sampler s) : sampler(std::move(s)) {}
@@ -433,10 +434,16 @@ class ShardScheduler {
   /// blocks hold the prefix's K/V, so no compute or weight traffic is
   /// owed for the restored tokens (on the device they are already
   /// resident in HBM); only the restore's DMA read is charged through
-  /// ChargeDma. Rows the host dropped (cold blocks) are recomputed here
-  /// by a host-only forward the simulation never sees. Returns the
-  /// restored token count, or -1 on a hard error.
+  /// ChargeDma. Rows the host lacks (cold blocks) are recomputed here
+  /// (RecomputeRows). Returns the restored token count, or -1 on a hard
+  /// error.
   std::int64_t RestoreCachedPrefix(std::size_t seq_id);
+  /// Recomputes `seq_id`'s host K/V rows for positions [begin, end) with
+  /// one host-only forward and reports them (KvBlockPool::MarkRecomputed):
+  /// no logits, tick cost, report counter or telemetry, since the
+  /// simulated device already holds them. Returns false on a hard error.
+  bool RecomputeRows(std::size_t seq_id, std::int64_t begin,
+                     std::int64_t end);
   /// Converts pool DMA bytes accrued since the last call (one COW copy,
   /// cache restore, or preemption swap-out per call site) into simulated
   /// time on the current tick: transfer latency + DMA setup + bytes over
@@ -446,18 +453,17 @@ class ShardScheduler {
   std::int64_t ChargeDma(const char* cause, std::size_t seq_id);
   void Preempt(std::size_t victim);
   /// Ships `seq_id` (prefill complete, first token sampled and TTFT
-  /// stamped) to the cluster's handoff hook: copies its K/V rows into the
-  /// KvHandoff, releases its blocks here, marks it kHandedOff, and hands
-  /// the hook the handoff with the moved sampler so the decode shard's
-  /// stream continues byte-identically.
+  /// stamped) to the cluster's handoff hook: releases its blocks here,
+  /// marks it kHandedOff, and hands the hook the handoff with the moved
+  /// sampler so the decode shard's stream continues byte-identically.
   void ExtractHandoff(std::size_t seq_id, sim::Cycles ready);
-  /// Lands an adopted handoff's shipped K/V in pool blocks: blocks this
+  /// Lands an adopted handoff's shipped pages in pool blocks: blocks this
   /// card already caches map as shared (RestoreCachedPrefix), the rest
-  /// append fresh and take their rows from KvHandoff::kv_rows. No
-  /// forward runs and no simulated compute is owed (the pages arrived
-  /// over the interconnect; the transfer already paid). Returns false on
-  /// a hard error or pool exhaustion mid-copy.
-  bool ReplayAdoptedKv(std::size_t seq_id);
+  /// append fresh (EnsureKvToken), and one RecomputeRows restores the
+  /// appended rows' host K/V. No simulated compute is owed (the pages
+  /// arrived over the interconnect; the transfer already paid). Returns
+  /// false on a hard error or when the pool runs dry mid-landing.
+  bool LandHandoff(std::size_t seq_id);
   /// Books one forwarded row of `problem`: commits the pending token
   /// when `caught_up`, advances the cursor, and, once the prefill is
   /// done, finishes on length, takes `sampled` (the token SampleToken
@@ -485,7 +491,6 @@ class ShardScheduler {
   bool ShouldStop(const Sequence& seq) const;
   void FinishSequence(std::size_t seq_id, FinishReason reason);
   void DeliverEmissions();
-  sim::Cycles SecondsToCycles(double seconds) const;
 
   const accel::Program& program_;
   const hw::U280Config& u280_;
@@ -524,7 +529,7 @@ class ShardScheduler {
   std::int64_t next_admission_ = 0;
   std::size_t rr_offset_ = 0;  // PlanDecode's over-budget rotation cursor
   sim::Cycles last_tick_end_cycles_ = 0;
-  double busy_seconds_ = 0.0;
+  sim::Cycles busy_cycles_ = 0;
   // Per-tick grouped-launch cost accumulator: every forward row, wasted
   // verify row, draft row, and serial DMA second of the current tick
   // lands here; the tick's length is tick_cost_.group_seconds().

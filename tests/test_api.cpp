@@ -205,6 +205,37 @@ TEST(ApiEngineTest, StepUntilNeverDeliversTokensFromTheFuture) {
   EXPECT_EQ(logs[handle->id].finish, FinishReason::kLength);
 }
 
+TEST(ApiEngineTest, ARequestAdmittedAtItsArrivalCycleWaitsExactlyZero) {
+  Fixture f;
+  auto prog = f.Compile();
+  EngineConfig config;
+  config.sampler = testutil::Greedy();
+  Engine engine(prog, f.weights, f.u280, config);
+  // Arrival cycles where dividing by the clock rate and multiplying by
+  // its reciprocal round apart, each far past the previous request's
+  // end, so the idle engine admits every request on its arrival cycle.
+  const double clock_hz = f.u280.clock_mhz * 1e6;
+  std::vector<std::uint64_t> cycles;
+  for (std::uint64_t c = 1'000'000; cycles.size() < 8; ++c) {
+    if (static_cast<double>(c) / clock_hz != f.u280.cycles_to_seconds(c)) {
+      cycles.push_back(c);
+      c += 10'000'000;
+    }
+  }
+  std::map<std::uint64_t, StreamLog> logs;
+  for (std::uint64_t c : cycles) {
+    const double arrival = f.u280.cycles_to_seconds(c);
+    ASSERT_TRUE(engine.Submit(MakeRequest(4, 3, arrival), Record(logs)).ok());
+  }
+  engine.RunToCompletion();
+  ASSERT_EQ(logs.size(), cycles.size());
+  for (const auto& [id, log] : logs) {
+    EXPECT_EQ(log.outcome.admission_seconds, log.outcome.arrival_seconds)
+        << "request " << id;
+    EXPECT_EQ(log.outcome.queueing_delay(), 0.0) << "request " << id;
+  }
+}
+
 TEST(ApiEngineTest, StepUntilIgnoresNaNAndPastTimes) {
   Fixture f;
   auto prog = f.Compile();

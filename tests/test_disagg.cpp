@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -248,6 +247,49 @@ TEST(DisaggTest, StreamsIdenticalWhetherPrefixesAreFetchedOrRecomputed) {
   }
 }
 
+TEST(DisaggTest, DecodeCardRecomputesTheHandedOffRowsItDoesNotCache) {
+  Fixture f;
+  auto prog = f.Compile();
+  auto reqs = SharedTrace(f.config, 14);
+  llama::SamplerConfig sc;
+  sc.temperature = 0.8f;
+  sc.seed = 21;
+  auto reference =
+      testutil::ReferenceStreams(prog, f.weights, f.u280, reqs, sc);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  api::EngineConfig config;
+  config.num_cards = 2;
+  config.shard_roles = Roles(2);
+  config.scheduler.block_size_tokens = 8;
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, f.u280, config);
+  auto report = testutil::ServeTrace(engine, reqs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::int64_t handed_off_tokens = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const RequestOutcome& outcome = report->merged.outcomes[i];
+    EXPECT_EQ(outcome.generated, (*reference)[i]) << "request " << i;
+    if (outcome.handoffs > 0) {
+      handed_off_tokens += static_cast<std::int64_t>(reqs[i].prompt.size());
+    }
+  }
+  EXPECT_GT(report->kv_handoffs, 0);
+
+  // No host rows ship: the decode card recomputes every handed-off row
+  // that its own prefix cache does not already hold. The identity is
+  // exact while nothing else owes rows there (no preemption, no dropped
+  // or remotely installed cached block).
+  const KvPoolStats decode = engine.kv_pool_stats(1);
+  ASSERT_EQ(report->merged.preemptions, 0);
+  ASSERT_EQ(decode.host_dropped_blocks, 0);
+  ASSERT_EQ(decode.remote_install_blocks, 0);
+  EXPECT_GT(decode.prefix_hit_tokens, 0);
+  EXPECT_GT(decode.host_recomputed_rows, 0);
+  EXPECT_EQ(decode.host_recomputed_rows,
+            handed_off_tokens - decode.prefix_hit_tokens);
+}
+
 // ---------------- remote-fetch arbitration ----------------
 
 TEST(DisaggTest, LinkSpeedForcesEachArbitrationBranch) {
@@ -306,14 +348,16 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   api::EngineConfig config;
   config.scheduler.block_size_tokens = 8;
   config.scheduler.kv_pool_bytes = 10ull * 8 * KvBytesPerToken(f.config);
-  auto report = Serve(prog, f, 2, config, reqs, sc);
+  config.num_cards = 2;
+  config.sampler = sc;
+  api::Engine engine(prog, f.weights, f.u280, config);
+  auto report = testutil::ServeTrace(engine, reqs);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every COW/restore/swap byte the pools report was queued through the
   // interconnect's shared channel stations -- nothing is double-charged
   // and nothing bypasses the queue.
-  const std::int64_t queued = std::accumulate(
-      report->card_local_dma_bytes.begin(),
-      report->card_local_dma_bytes.end(), std::int64_t{0});
+  const std::int64_t queued = engine.interconnect()->local_dma_bytes(0) +
+                              engine.interconnect()->local_dma_bytes(1);
   EXPECT_GT(report->merged.dma_bytes_moved, 0);
   EXPECT_EQ(queued, report->merged.dma_bytes_moved);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "serving/kv_pool.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
@@ -408,7 +409,7 @@ void FillWithRows(KvBlockPool& pool, std::uint64_t seq,
     ASSERT_TRUE(pool.Append(seq, tokens[p]).ok());
     const auto pos = static_cast<std::int64_t>(p);
     const float row[2] = {static_cast<float>(p), -static_cast<float>(p)};
-    accel::ScatterKvRows(pool.Pages(seq), pos, pos + 1, row);
+    testutil::ScatterKvRows(pool.Pages(seq), pos, pos + 1, row);
   }
 }
 
@@ -526,41 +527,49 @@ TEST(KvRowArenaTest, APartlyRecomputedBlockStaysCold) {
   EXPECT_EQ(match->recompute_end, kBigBlockTokens);
 }
 
-TEST(KvRowArenaTest, ARemoteInstallOfAColdSourceBlockArrivesCold) {
+TEST(KvRowArenaTest, EveryRemotelyInstalledBlockArrivesCold) {
   KvBlockPool src(BigBlockPool());
-  const auto tokens = Tokens(0, 6 * kBigBlockTokens);
+  const auto tokens = Tokens(0, 3 * kBigBlockTokens);
   FillWithRows(src, 1, tokens);
-  ASSERT_TRUE(src.Release(1).ok());  // src blocks 0 and 1 turn cold
-  const KvPrefixSnapshot snapshot =
-      src.CachedPrefixRows(tokens, 6 * kBigBlockTokens);
-  EXPECT_EQ(snapshot.warm,
-            (std::vector<bool>{false, false, true, true, true, true}));
-  ASSERT_EQ(snapshot.rows.size(),
-            static_cast<std::size_t>(4 * kBigBlockTokens * 2));
+  const std::vector<std::int32_t> src_table = src.BlockTable(1);
+  ASSERT_TRUE(src.Release(1).ok());  // three warm cached blocks
+  for (std::int32_t block : src_table) ASSERT_FALSE(src.BlockIsCold(block));
 
-  // The first three blocks only: two cold, one warm, under the budget.
+  // No rows travel: every installed block lands cold, warm source or not.
   KvBlockPool dst(BigBlockPool());
-  EXPECT_EQ(dst.InstallCachedPrefix(tokens, 3 * kBigBlockTokens, snapshot),
+  EXPECT_EQ(dst.InstallCachedPrefix(tokens, 3 * kBigBlockTokens),
             3 * kBigBlockTokens);
   EXPECT_EQ(dst.stats().remote_install_blocks, 3);
   EXPECT_EQ(dst.stats().host_dropped_blocks, 0);
   for (std::int32_t block = 0; block < 3; ++block) {
-    SCOPED_TRACE(::testing::Message() << "block " << block);
-    EXPECT_EQ(dst.BlockIsCold(block), block < 2);
-    if (block < 2) {
-      EXPECT_TRUE(dst.BlockPayload(block).empty());
-      continue;
-    }
-    const std::span<const float> got = dst.BlockPayload(block);
-    const std::span<const float> want = src.BlockPayload(block);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+    EXPECT_TRUE(dst.BlockIsCold(block)) << "block " << block;
+    EXPECT_TRUE(dst.BlockPayload(block).empty()) << "block " << block;
   }
+
+  // The first hit owes every installed row; recomputing them (here, the
+  // rows FillWithRows wrote at the source) restores the source's payload
+  // bit for bit.
   ASSERT_TRUE(dst.Register(2).ok());
   auto match = dst.AcquireCachedPrefix(2, tokens, 3 * kBigBlockTokens - 1);
   ASSERT_TRUE(match.ok());
   EXPECT_EQ(match->recompute_begin, 0);
-  EXPECT_EQ(match->recompute_end, 2 * kBigBlockTokens);
+  EXPECT_EQ(match->recompute_end, 3 * kBigBlockTokens);
+  for (std::int64_t p = 0; p < match->recompute_end; ++p) {
+    const float row[2] = {static_cast<float>(p), -static_cast<float>(p)};
+    testutil::ScatterKvRows(dst.Pages(2), p, p + 1, row);
+  }
+  ASSERT_TRUE(dst.MarkRecomputed(2, 0, match->recompute_end).ok());
+  EXPECT_EQ(dst.stats().host_recomputed_rows, 3 * kBigBlockTokens);
+  const std::vector<std::int32_t> dst_table = dst.BlockTable(2);
+  ASSERT_EQ(dst_table.size(), src_table.size());
+  for (std::size_t k = 0; k < dst_table.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "block " << k);
+    EXPECT_FALSE(dst.BlockIsCold(dst_table[k]));
+    const std::span<const float> got = dst.BlockPayload(dst_table[k]);
+    const std::span<const float> want = src.BlockPayload(src_table[k]);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+  }
 }
 
 }  // namespace

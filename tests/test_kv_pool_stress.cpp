@@ -214,7 +214,7 @@ class StressHarness {
   /// What the executor does after each append: write the new token's
   /// K/V row through the sequence's pages.
   void WriteRow(std::uint64_t id, std::int64_t pos, const Row& row) {
-    accel::ScatterKvRows(pool_.Pages(id), pos, pos + 1, row.data());
+    testutil::ScatterKvRows(pool_.Pages(id), pos, pos + 1, row.data());
   }
 
   void AppendAcked(std::uint64_t id, ModelSeq& seq, std::int32_t token) {
@@ -417,7 +417,7 @@ class StressHarness {
     for (const auto& [id, seq] : live_) {
       const std::int64_t n = static_cast<std::int64_t>(seq.acked.size());
       std::vector<float> rows(static_cast<std::size_t>(n) * Row{}.size());
-      accel::GatherKvRows(pool_.Pages(id), 0, n, rows.data());
+      testutil::GatherKvRows(pool_.Pages(id), 0, n, rows.data());
       std::uint64_t h = kFnvSeed;
       for (std::int64_t p = 0; p < n; ++p) {
         h = FnvAdvance(h, seq.acked[static_cast<std::size_t>(p)]);

@@ -395,6 +395,55 @@ TEST(TelemetryTest, CancelledStreamHasExactlyOneTerminalEvent) {
   EXPECT_EQ(finishes, 0);
 }
 
+// ---------------- one clock, one TPOT ----------------
+
+TEST(TelemetryTest, TpotHistogramSumsTheOutcomesTimePerOutputToken) {
+  Fixture f;
+  auto prog = f.Compile();
+  auto reqs = MixedTrace(f.config, 6);
+  reqs[0].max_new_tokens = 1;  // a one-token answer still has a TPOT
+  reqs[1].max_new_tokens = 2;
+  auto run = RunEngine(f, prog, reqs, FullTelemetry(2));
+  const MetricSeries* tpot = nullptr;
+  for (const MetricSeries& s : run.engine->telemetry()->metrics()->series()) {
+    if (s.name == "speedllm_request_tpot_seconds") tpot = &s;
+  }
+  ASSERT_NE(tpot, nullptr);
+  const serving::RequestOutcome& one = run.report.merged.outcomes[0];
+  ASSERT_EQ(one.generated.size(), 1u);
+  EXPECT_GT(one.time_per_output_token(), 0.0);
+  double want = 0.0;
+  std::int64_t answered = 0;
+  for (const serving::RequestOutcome& o : run.report.merged.outcomes) {
+    if (o.generated.empty()) continue;
+    want += o.time_per_output_token();
+    ++answered;
+  }
+  EXPECT_EQ(tpot->observations, answered);
+  // Only the summation order may differ.
+  EXPECT_NEAR(tpot->sum, want, 1e-12 * want);
+}
+
+TEST(TelemetryTest, BusyCyclesAreTheSumOfTheTraceTickSpans) {
+  Fixture f;
+  auto prog = f.Compile();
+  auto run = RunEngine(f, prog, MixedTrace(f.config, 8), FullTelemetry(2));
+  std::vector<std::uint64_t> spans(2, 0);
+  for (const RequestEvent& e : run.engine->telemetry()->trace()->events()) {
+    if (e.kind != RequestEventKind::kTick) continue;
+    const auto start = f.u280.seconds_to_cycles(e.start_seconds);
+    const auto end = f.u280.seconds_to_cycles(e.end_seconds);
+    ASSERT_TRUE(start && end);
+    spans[static_cast<std::size_t>(e.card)] += *end - *start;
+  }
+  for (int card = 0; card < 2; ++card) {
+    EXPECT_GT(spans[static_cast<std::size_t>(card)], 0u) << "card " << card;
+    EXPECT_EQ(run.engine->shard(card).busy_cycles(),
+              spans[static_cast<std::size_t>(card)])
+        << "card " << card;
+  }
+}
+
 // ---------------- export shapes ----------------
 
 TEST(TelemetryTest, ChromeTraceAndPrometheusShapes) {

@@ -1,8 +1,9 @@
 // Shared test helpers: the seeded-harness replay banner, the
 // request/trace builders the serving tests share, offline serving
 // through api::Engine, an independent per-request stream oracle that
-// shares no scheduling or KV-pool code with the serving stack, and the
-// gtest printer for CompilerOptions parameters.
+// shares no scheduling or KV-pool code with the serving stack, K/V row
+// copies in and out of a sequence's pages, and the gtest printer for
+// CompilerOptions parameters.
 //
 // The one rule every seeded suite follows: a failure must print the RNG
 // seed that produced it, so the exact failing run can be replayed by
@@ -16,12 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "accel/executor.hpp"
+#include "accel/kv_pages.hpp"
 #include "api/engine.hpp"
 #include "compiler/options.hpp"
 #include "llama/tokenizer.hpp"
@@ -35,6 +38,43 @@ namespace speedllm::testutil {
 inline std::string SeedMessage(const char* harness, std::uint64_t seed) {
   return std::string(harness) + " seed=" + std::to_string(seed) +
          " -- replay by running this harness with this seed";
+}
+
+/// Runs `copy(paged, at)` for every (layer, K|V) plane of every token in
+/// [begin, end) of `pages`: `paged` is the plane's row inside its block,
+/// `at` the offset of the matching kv_dim floats in token-major rows
+/// (each token's row_floats() elements ordered [layer][K|V][kv_dim]).
+template <typename Copy>
+void ForEachKvPlane(const accel::KvPages& pages, std::int64_t begin,
+                    std::int64_t end, Copy copy) {
+  const accel::KvBlockLayout& l = pages.layout;
+  for (std::int64_t pos = begin; pos < end; ++pos) {
+    float* blk = pages.block(static_cast<std::size_t>(pos / l.block_tokens));
+    for (std::int64_t plane = 0; plane < 2 * l.n_layers; ++plane) {
+      copy(blk + l.Offset(plane / 2, plane % 2, pos % l.block_tokens),
+           (pos - begin) * l.row_floats() + plane * l.kv_dim);
+    }
+  }
+}
+
+/// Copies token positions [begin, end) of `pages` into token-major `rows`.
+inline void GatherKvRows(const accel::KvPages& pages, std::int64_t begin,
+                         std::int64_t end, float* rows) {
+  const std::size_t bytes =
+      static_cast<std::size_t>(pages.layout.kv_dim) * sizeof(float);
+  ForEachKvPlane(pages, begin, end, [&](float* paged, std::int64_t at) {
+    std::memcpy(rows + at, paged, bytes);
+  });
+}
+
+/// Writes token-major `rows` into token positions [begin, end) of `pages`.
+inline void ScatterKvRows(const accel::KvPages& pages, std::int64_t begin,
+                          std::int64_t end, const float* rows) {
+  const std::size_t bytes =
+      static_cast<std::size_t>(pages.layout.kv_dim) * sizeof(float);
+  ForEachKvPlane(pages, begin, end, [&](float* paged, std::int64_t at) {
+    std::memcpy(paged, rows + at, bytes);
+  });
 }
 
 /// A `prompt_len`-token request (BOS + deterministic filler varied by

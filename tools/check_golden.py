@@ -22,8 +22,9 @@ Usage:
     tools/check_golden.py --build build            # check, exit 1 on drift
     tools/check_golden.py --build build --update   # re-record the digests
 
-A change that means to move an output re-records with ``--update`` and
-names every moved entry, and why, in CHANGES.md.
+``--update`` prints, per entry, the digests that moved and those kept. A
+change that means to move an output re-records with ``--update`` and
+names every moved digest, and why, in CHANGES.md.
 """
 
 import argparse
@@ -82,18 +83,17 @@ def main():
             print(f"FAIL {name}: {err}")
             moved.append(name)
             continue
+        want = {"stdout": entry["stdout"], **entry.get("files", {})}
+        got = {"stdout": stdout, **files}
+        keys = ["stdout"] + sorted((set(want) | set(got)) - {"stdout"})
+        drift = [key for key in keys if want.get(key) != got.get(key)]
         if args.update:
             entry["stdout"] = stdout
             entry["files"] = files
-            print(f"recorded {name}")
+            kept = [key for key in keys if key not in drift]
+            print(f"recorded {name}: moved {', '.join(drift) or 'nothing'}; "
+                  f"kept {', '.join(kept) or 'nothing'}")
             continue
-        drift = []
-        if stdout != entry["stdout"]:
-            drift.append("stdout")
-        want = entry.get("files", {})
-        for path in sorted(set(want) | set(files)):
-            if want.get(path) != files.get(path):
-                drift.append(path)
         if drift:
             print(f"FAIL {name}: digest moved for {', '.join(drift)}")
             moved.append(name)
